@@ -12,6 +12,9 @@ from .errors import DimensionMismatchError, KOutOfRangeError, ZeroNormError
 
 ZERO_NORM_EPS = 1e-12
 
+# Byte budget of the row-block difference tensor in pairwise_distances.
+DISTANCE_BLOCK_BYTES = 128 * 1024
+
 # Named sub-streams derived from one run seed.  Keeping concerns on separate
 # streams means toggling one component (e.g. embedding production) cannot
 # perturb the draws seen by another (e.g. triplet sampling).
@@ -79,22 +82,40 @@ def l2_normalize(v) -> np.ndarray:
 def pairwise_distances(rows) -> np.ndarray:
     """n x n matrix of l2 distances between the given vectors.
 
+    Takes a 2-D array as it is, or any sequence of equal-length rows.
     Symmetric with an exactly-zero diagonal; entry (i, j) matches the scalar
     loop sum over squared coordinate differences to float64 rounding.
+    Distances come from coordinate differences, never the Gram identity, so
+    duplicate rows measure exactly 0.  Rows are done in blocks whose
+    difference tensor fits DISTANCE_BLOCK_BYTES, or one row per block when a
+    single row's n x d slab is larger, so besides the n x n output the
+    scratch buffer holds max(DISTANCE_BLOCK_BYTES, 8*n*d) bytes, never an
+    n x n x d intermediate; each entry is reduced over the same d numbers in
+    the same order at any block size.
     """
-    rows = list(rows)
-    if len(rows) == 0:
-        return np.zeros((0, 0))
-    lengths = {np.asarray(r).shape for r in rows}
-    if len(lengths) > 1:
-        raise DimensionMismatchError(f"ragged input rows: shapes {sorted(lengths)}")
+    if not (isinstance(rows, np.ndarray) and rows.ndim == 2):
+        rows = list(rows)
+        if len(rows) == 0:
+            return np.zeros((0, 0))
+        lengths = {np.asarray(r).shape for r in rows}
+        if len(lengths) > 1:
+            raise DimensionMismatchError(f"ragged input rows: shapes {sorted(lengths)}")
     x = np.asarray(rows, dtype=np.float64)
     if x.ndim != 2:
         raise DimensionMismatchError(f"expected 2-D stack of vectors, got {x.shape}")
     if not np.all(np.isfinite(x)):
         raise DimensionMismatchError("non-finite entries in input rows")
-    diff = x[:, None, :] - x[None, :, :]
-    return np.sqrt(np.sum(diff * diff, axis=-1))
+    n, d = x.shape
+    out = np.empty((n, n))
+    block = max(1, DISTANCE_BLOCK_BYTES // max(1, 8 * n * d))
+    diff = np.empty((min(block, n), n, d))
+    for start in range(0, n, block):
+        stop = min(start + block, n)
+        buf = diff[: stop - start]
+        np.subtract(x[start:stop, None, :], x[None, :, :], out=buf)
+        np.multiply(buf, buf, out=buf)
+        np.sum(buf, axis=-1, out=out[start:stop])
+    return np.sqrt(out, out=out)
 
 
 def top_k_indices(v, k: int) -> np.ndarray:

@@ -111,15 +111,6 @@ class FrequencyRecorder:
         return out
 
 
-def frm_update(recorder: FrequencyRecorder, embeddings, labels, k: int) -> FrequencyRecorder:
-    recorder.update(embeddings, labels, k)
-    return recorder
-
-
-def compute_mask(recorder: FrequencyRecorder, k: int) -> np.ndarray:
-    return recorder.mask(k)
-
-
 def scaling_factor(mask_row, rs: float, rng: SeededRng) -> np.ndarray:
     """Random scale on masked channels, exactly 1 elsewhere."""
     mask_row = np.asarray(mask_row, dtype=np.float64)
@@ -175,11 +166,6 @@ class TransformationBank:
         if self.filled[c] == 0:
             return None
         return self.slots[c, int(rng.integers(self.filled[c]))]
-
-
-def bank_update(bank: TransformationBank, embeddings, labels) -> TransformationBank:
-    bank.update(embeddings, labels)
-    return bank
 
 
 def shifting_factor(bank: TransformationBank, label, rb: float, rng: SeededRng) -> np.ndarray:
@@ -247,11 +233,23 @@ def draw_scales(mask, labels, t: int, rs: float, rng: SeededRng) -> np.ndarray:
 
 def draw_shifts(bank: TransformationBank, labels, t: int, rb: float,
                 rng: SeededRng) -> np.ndarray:
-    """(n*t, d) shifting factors, anchor-major; zero rows for empty class banks."""
-    labels = np.atleast_1d(np.asarray(labels))
-    shifts = np.zeros((len(labels) * t, bank.slots.shape[2]))
-    for row, c in enumerate(np.repeat(labels, t)):
-        shifts[row] = shifting_factor(bank, c, rb, rng)
+    """(n*t, d) shifting factors, anchor-major; zero rows for empty class banks.
+
+    Every row whose class bank holds a difference draws its slot in row
+    order, as one `shifting_factor` call per row would.  numpy's integers
+    consumes the stream for an array of bounds exactly as for the same
+    bounds drawn one call at a time, so a single call over the live rows
+    keeps the seeded draw sequence.
+    """
+    rows = np.repeat(np.atleast_1d(np.asarray(labels, dtype=np.int64)), t)
+    bad = (rows < 0) | (rows >= bank.n_classes)
+    if bad.any():
+        bank._check_label(rows[np.argmax(bad)])
+    shifts = np.zeros((rows.size, bank.slots.shape[2]))
+    live = bank.filled[rows] > 0
+    if live.any():
+        c = rows[live]
+        shifts[live] = rb * bank.slots[c, rng.integers(bank.filled[c])]
     return shifts
 
 

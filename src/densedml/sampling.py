@@ -63,14 +63,18 @@ def sample_batch(dataset: Dataset, spec: BatchSpec, rng: SeededRng):
     return np.concatenate(feats, axis=0), np.asarray(labels, dtype=np.int64)
 
 
-def _class_views(labels):
+def _label_masks(labels):
+    """n x n masks: same-label partners (self excluded) and other-label rows."""
     labels = np.asarray(labels)
-    same = labels[:, None] == labels[None, :]
+    other = labels[:, None] != labels[None, :]
+    same = ~other
     np.fill_diagonal(same, False)
-    diff = labels[:, None] != labels[None, :]
-    pos_lists = [np.flatnonzero(row) for row in same]
-    neg_lists = [np.flatnonzero(row) for row in diff]
-    return pos_lists, neg_lists
+    return same, other
+
+
+def _class_views(same, other):
+    """Per-row index lists of the positives and negatives in the masks."""
+    return [np.flatnonzero(row) for row in same], [np.flatnonzero(row) for row in other]
 
 
 def _check_square(dist, labels):
@@ -81,13 +85,18 @@ def _check_square(dist, labels):
     return dist
 
 
-def sample_random_triplets(labels, count: int, rng: SeededRng, anchor_indices=None) -> TripletSet:
-    """Uniform anchors, uniform same-label positives, uniform other-label negatives."""
-    labels = np.asarray(labels)
-    pos_lists, neg_lists = _class_views(labels)
-    valid = _eligible_anchors(pos_lists, neg_lists, len(labels), anchor_indices)
-    if not valid:
+def sample_random_triplets(labels, count, rng: SeededRng, anchor_indices=None) -> TripletSet:
+    """Uniform anchors, uniform same-label positives, uniform other-label negatives.
+
+    `count=None` draws one triplet per eligible anchor.
+    """
+    same, other = _label_masks(labels)
+    valid = _eligible_anchors(same, other, anchor_indices)
+    if valid.size == 0:
         raise NoValidTripletError("no anchor has both a positive and a negative")
+    pos_lists, neg_lists = _class_views(same, other)
+    if count is None:
+        count = valid.size
     anchors = np.empty(count, dtype=np.int64)
     positives = np.empty(count, dtype=np.int64)
     negatives = np.empty(count, dtype=np.int64)
@@ -99,9 +108,13 @@ def sample_random_triplets(labels, count: int, rng: SeededRng, anchor_indices=No
     return TripletSet(anchors, positives, negatives)
 
 
-def _eligible_anchors(pos_lists, neg_lists, n, anchor_indices):
-    pool = range(n) if anchor_indices is None else anchor_indices
-    return [i for i in pool if len(pos_lists[i]) and len(neg_lists[i])]
+def _eligible_anchors(same, other, anchor_indices):
+    """Anchors with a positive and a negative, in pool order, duplicates kept."""
+    if anchor_indices is None:
+        pool = np.arange(same.shape[0])
+    else:
+        pool = np.asarray(anchor_indices, dtype=np.int64)
+    return pool[(same.any(axis=1) & other.any(axis=1))[pool]]
 
 
 def sample_semihard_triplets(
@@ -115,9 +128,10 @@ def sample_semihard_triplets(
     violating negative (largest D_an).  Ties resolve to the lower index.
     """
     dist = _check_square(dist, labels)
-    pos_lists, neg_lists = _class_views(labels)
+    same, other = _label_masks(labels)
+    pos_lists, neg_lists = _class_views(same, other)
     anchors, positives, negatives = [], [], []
-    for a in _eligible_anchors(pos_lists, neg_lists, len(labels), anchor_indices):
+    for a in _eligible_anchors(same, other, anchor_indices):
         p = pos_lists[a][int(rng.integers(len(pos_lists[a])))]
         d_ap = dist[a, p]
         negs = neg_lists[a]
@@ -158,26 +172,39 @@ def distance_weights(d, embed_dim: int, clip: float = 0.5, cap: float = 1e8):
 def sample_distance_weighted(
     dist, labels, rng: SeededRng, embed_dim: int, clip: float = 0.5, anchor_indices=None
 ) -> TripletSet:
-    """Uniform positives; negatives drawn inversely to the distance density."""
+    """Uniform positives; negatives drawn inversely to the distance density.
+
+    Each eligible anchor draws, in anchor order, an integer that picks its
+    positive and then a uniform in [0, total negative weight).  The two
+    draws interleave on one stream, and batching either kind would change
+    which stream values each anchor gets, so the draws stay in a per-anchor
+    loop.  The rest is vectorized: the negative is the first column of the
+    anchor's weight cdf that exceeds the uniform (its last negative if the
+    uniform rounds up to the total).
+    """
     dist = _check_square(dist, labels)
-    pos_lists, neg_lists = _class_views(labels)
-    all_weights = distance_weights(dist, embed_dim, clip)
-    anchors, positives, negatives = [], [], []
-    for a in _eligible_anchors(pos_lists, neg_lists, len(labels), anchor_indices):
-        p = pos_lists[a][int(rng.integers(len(pos_lists[a])))]
-        negs = neg_lists[a]
-        # weighted draw via the cumulative distribution; one uniform per anchor
-        cdf = np.cumsum(all_weights[a, negs])
-        u = rng.uniform(0.0, cdf[-1])
-        n = negs[min(int(np.searchsorted(cdf, u, side="right")), negs.size - 1)]
-        anchors.append(a)
-        positives.append(int(p))
-        negatives.append(int(n))
-    return TripletSet(
-        np.asarray(anchors, dtype=np.int64),
-        np.asarray(positives, dtype=np.int64),
-        np.asarray(negatives, dtype=np.int64),
-    )
+    same, other = _label_masks(labels)
+    rows = _eligible_anchors(same, other, anchor_indices)
+    same, other = same[rows], other[rows]
+    # zeroing the non-negatives adds exact +0.0 terms, so each row's cdf at
+    # its negative columns is the cumsum over the negatives alone, bit for bit
+    weights = np.where(other, distance_weights(dist[rows], embed_dim, clip), 0.0)
+    cdf = np.cumsum(weights, axis=1)
+    n_pos = np.count_nonzero(same, axis=1)
+    pick = np.empty(rows.size, dtype=np.int64)
+    u = np.empty(rows.size)
+    for i in range(rows.size):
+        pick[i] = rng.integers(int(n_pos[i]))
+        u[i] = rng.uniform(0.0, cdf[i, -1])
+    # the negative's rank among the anchor's negatives: searchsorted(side="right")
+    rank = np.count_nonzero((cdf <= u[:, None]) & other, axis=1)
+    rank = np.minimum(rank, np.count_nonzero(other, axis=1) - 1)
+    return TripletSet(rows, _kth_true(same, pick), _kth_true(other, rank))
+
+
+def _kth_true(mask, k):
+    """Column of the k[i]-th (0-based) True entry of each mask row."""
+    return np.count_nonzero(np.cumsum(mask, axis=1) <= k[:, None], axis=1)
 
 
 def sample_softhard_triplets(
@@ -186,9 +213,10 @@ def sample_softhard_triplets(
     """Hard positives (farther than the nearest negative) paired with hard
     negatives (closer than the farthest positive); uniform fallback each side."""
     dist = _check_square(dist, labels)
-    pos_lists, neg_lists = _class_views(labels)
+    same, other = _label_masks(labels)
+    pos_lists, neg_lists = _class_views(same, other)
     anchors, positives, negatives = [], [], []
-    for a in _eligible_anchors(pos_lists, neg_lists, len(labels), anchor_indices):
+    for a in _eligible_anchors(same, other, anchor_indices):
         pos, negs = pos_lists[a], neg_lists[a]
         d_pos, d_neg = dist[a, pos], dist[a, negs]
         hard_pos = pos[d_pos > d_neg.min()]
@@ -222,11 +250,7 @@ def sample_triplets(
 ) -> TripletSet:
     """Strategy dispatch used by the training loop."""
     if kind == "random":
-        pos_lists, neg_lists = _class_views(labels)
-        count = len(_eligible_anchors(pos_lists, neg_lists, len(labels), anchor_indices))
-        if count == 0:
-            raise NoValidTripletError("no anchor has both a positive and a negative")
-        return sample_random_triplets(labels, count, rng, anchor_indices)
+        return sample_random_triplets(labels, None, rng, anchor_indices)
     if kind == "semihard":
         return sample_semihard_triplets(dist, labels, semihard_margin, rng, anchor_indices)
     if kind == "softhard":

@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from densedml.core import (
+    DISTANCE_BLOCK_BYTES,
     SeededRng,
     l2_normalize,
     pairwise_distances,
@@ -82,6 +83,58 @@ class TestPairwiseDistances:
             for j in range(6):
                 for k in range(6):
                     assert d[i, j] <= d[i, k] + d[k, j] + 1e-9
+
+
+class TestPairwiseDistancesBlocked:
+    """Row-blocked distances against the one-shot difference form."""
+
+    @staticmethod
+    def one_shot(x):
+        diff = x[:, None, :] - x[None, :, :]
+        return np.sqrt(np.sum(diff * diff, axis=-1))
+
+    def test_many_blocks_bit_identical(self, rng):
+        x = rng.normal(size=(700, 16))
+        assert 8 * 700 * 700 * 16 > 2 * DISTANCE_BLOCK_BYTES  # several row blocks
+        np.testing.assert_array_equal(pairwise_distances(x), self.one_shot(x))
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.integers(min_value=1, max_value=300), st.integers(min_value=1, max_value=40),
+           st.integers(min_value=0, max_value=10_000))
+    def test_any_shape_bit_identical(self, n, d, seed):
+        x = SeededRng(seed).normal(size=(n, d))
+        np.testing.assert_array_equal(pairwise_distances(x), self.one_shot(x))
+
+    def test_duplicate_rows_measure_exactly_zero(self, rng):
+        x = random_unit_rows(rng, 300, 16)
+        x[150] = x[3]
+        x[299] = x[3]
+        d = pairwise_distances(x)
+        assert d[3, 150] == 0.0 and d[150, 299] == 0.0 and d[299, 3] == 0.0
+        np.testing.assert_array_equal(np.diag(d), np.zeros(300))
+
+    def test_array_and_row_list_agree(self, rng):
+        x = rng.normal(size=(40, 5))
+        want = pairwise_distances(x)
+        np.testing.assert_array_equal(pairwise_distances(list(x)), want)
+        np.testing.assert_array_equal(pairwise_distances(x.tolist()), want)
+        np.testing.assert_array_equal(pairwise_distances(x.astype(np.float32)),
+                                      pairwise_distances(x.astype(np.float32).tolist()))
+
+    def test_empty_inputs(self):
+        for rows in ([], np.zeros((0, 4)), np.zeros(0)):
+            assert pairwise_distances(rows).shape == (0, 0)
+
+    @pytest.mark.parametrize("rows", [
+        [1.0, 2.0],
+        np.array([1.0, 2.0]),
+        np.zeros((2, 2, 2)),
+        np.array([[1.0, np.nan], [0.0, 1.0]]),
+        [[1.0, np.inf], [0.0, 1.0]],
+    ])
+    def test_bad_input_raises(self, rows):
+        with pytest.raises(DimensionMismatchError):
+            pairwise_distances(rows)
 
 
 class TestTopK:

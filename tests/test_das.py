@@ -13,6 +13,7 @@ from densedml.das import (
     apply_factors,
     combine_factors,
     das_produce,
+    draw_shifts,
     produce_batch,
     produced_backward,
     scaling_factor,
@@ -21,6 +22,7 @@ from densedml.das import (
 from densedml.errors import ConfigError, LabelOutOfRangeError, ZeroNormError
 
 from conftest import finite_difference, max_rel_error, random_unit_rows
+import oracles
 
 
 class TestFrequencyRecorder:
@@ -186,6 +188,51 @@ class TestShiftingFactor:
         rng = SeededRng(3)
         for _ in range(200):
             assert shifting_factor(bank, 0, 1.0, rng)[0] == 5.0
+
+
+class TestDrawShiftsOracle:
+    """The single-call draw_shifts against one shifting_factor call per row."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        st.integers(min_value=0, max_value=2**31),
+        st.integers(min_value=1, max_value=6),
+        st.integers(min_value=1, max_value=40),
+        st.integers(min_value=0, max_value=4),
+        st.data(),
+    )
+    def test_matches_per_row_loop(self, seed, n_classes, capacity, t, data):
+        r = SeededRng(seed)
+        bank = TransformationBank(n_classes, capacity, 3)
+        # some class banks stay empty, others fill partly or wrap around
+        for c in range(n_classes):
+            for _ in range(data.draw(st.integers(0, 2 * capacity))):
+                bank.enqueue(c, r.normal(size=3))
+        labels = data.draw(st.lists(st.integers(0, n_classes - 1), max_size=12))
+        rng_got, rng_want = SeededRng(seed, 1), SeededRng(seed, 1)
+        got = draw_shifts(bank, labels, t, 0.01, rng_got)
+        want = oracles.draw_shifts(bank, labels, t, 0.01, rng_want)
+        assert got.shape == want.shape == (len(labels) * t, 3)
+        np.testing.assert_array_equal(got, want)
+        np.testing.assert_array_equal(rng_got.uniform(size=3), rng_want.uniform(size=3))
+        assert rng_got.integers(1000) == rng_want.integers(1000)
+
+    def test_empty_banks_give_zero_rows_and_no_draws(self):
+        bank = TransformationBank(3, 4, 2)
+        bank.enqueue(1, np.array([1.0, 2.0]))
+        rng = SeededRng(6)
+        got = draw_shifts(bank, [0, 2, 0], 2, 0.5, rng)
+        np.testing.assert_array_equal(got, np.zeros((6, 2)))
+        assert rng.uniform() == SeededRng(6).uniform()
+
+    @pytest.mark.parametrize("label", [-1, 3])
+    def test_label_out_of_range(self, label):
+        bank = TransformationBank(3, 4, 2)
+        bank.enqueue(0, np.array([1.0, 2.0]))
+        with pytest.raises(LabelOutOfRangeError):
+            draw_shifts(bank, [0, label], 2, 0.01, SeededRng(0))
+        with pytest.raises(LabelOutOfRangeError):
+            oracles.draw_shifts(bank, [0, label], 2, 0.01, SeededRng(0))
 
 
 class TestProduce:

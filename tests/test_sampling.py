@@ -18,6 +18,8 @@ from densedml.sampling import (
     sample_triplets,
 )
 
+import oracles
+
 
 def line_points(positions):
     """1-D embeddings whose pairwise distances are |x_i - x_j|."""
@@ -163,6 +165,100 @@ class TestDistanceWeighted:
         assert np.all(np.isfinite(w)) and np.all(w > 0)
 
 
+class UniformAtHigh:
+    """SeededRng whose uniforms all land exactly on the upper bound."""
+
+    def __init__(self, seed):
+        self.inner = SeededRng(seed)
+
+    def integers(self, n, size=None):
+        return self.inner.integers(n, size)
+
+    def uniform(self, low=0.0, high=1.0, size=None):
+        self.inner.uniform(low, high, size)
+        return high
+
+
+@st.composite
+def sampler_inputs(draw, embed_dim=4):
+    """Labels, a symmetric distance matrix (optionally with many ties) and an
+    optional anchor pool with duplicates."""
+    n = draw(st.integers(min_value=1, max_value=20))
+    labels = np.array(draw(st.lists(st.integers(0, 4), min_size=n, max_size=n)))
+    seed = draw(st.integers(min_value=0, max_value=2**31))
+    if draw(st.booleans()):
+        # a few distinct values, so rows hold tied distances and tied cdf steps;
+        # d = 2 has a NaN weight at embed_dim 3 (test_antipodal_at_dim_3_raises_alike)
+        levels = np.array([0.0, 0.3, 0.5, 1.0] + ([] if embed_dim == 3 else [2.0]))
+        raw = levels[SeededRng(seed).integers(len(levels), size=(n, n))]
+    else:
+        raw = SeededRng(seed).uniform(0.0, 2.0, size=(n, n))
+    dist = np.triu(raw, 1)
+    dist = dist + dist.T
+    anchors = draw(st.none() | st.lists(st.integers(0, n - 1), max_size=2 * n))
+    return labels, dist, anchors, seed
+
+
+class TestDistanceWeightedOracle:
+    """The vectorized sampler against the per-anchor loop it replaced."""
+
+    @staticmethod
+    def assert_same(got, want):
+        for field in ("anchors", "positives", "negatives"):
+            a, b = getattr(got, field), getattr(want, field)
+            assert a.dtype == b.dtype == np.int64
+            np.testing.assert_array_equal(a, b)
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.sampled_from([3, 4, 16]), st.data())
+    def test_matches_per_anchor_loop(self, embed_dim, data):
+        labels, dist, anchors, seed = data.draw(sampler_inputs(embed_dim))
+        rng_got, rng_want = SeededRng(seed), SeededRng(seed)
+        want = oracles.sample_distance_weighted(dist, labels, rng_want, embed_dim,
+                                                anchor_indices=anchors)
+        got = sample_distance_weighted(dist, labels, rng_got, embed_dim, anchor_indices=anchors)
+        self.assert_same(got, want)
+        # both consumed the stream identically
+        np.testing.assert_array_equal(rng_got.uniform(size=3), rng_want.uniform(size=3))
+        assert rng_got.integers(1000) == rng_want.integers(1000)
+
+    @settings(max_examples=50, deadline=None)
+    @given(sampler_inputs())
+    def test_uniform_at_total_clamps_to_last_negative(self, inputs):
+        labels, dist, anchors, seed = inputs
+        got = sample_distance_weighted(dist, labels, UniformAtHigh(seed), 4,
+                                       anchor_indices=anchors)
+        want = oracles.sample_distance_weighted(dist, labels, UniformAtHigh(seed), 4,
+                                                anchor_indices=anchors)
+        self.assert_same(got, want)
+        for a, n in zip(got.anchors, got.negatives):
+            assert n == np.flatnonzero(labels != labels[a])[-1]
+
+    @pytest.mark.filterwarnings("ignore:invalid value encountered")
+    def test_antipodal_at_dim_3_raises_alike(self):
+        # distance_weights is NaN at d = 2 for embed_dim 3 (0 * log 0), and the
+        # uniform draw over a NaN total raises; both versions fail the same way
+        labels = np.array([0, 0, 1, 1])
+        dist = pairwise_distances(line_points([0.0, 0.4, 2.0, 1.0]))
+        for sampler in (sample_distance_weighted, oracles.sample_distance_weighted):
+            with pytest.raises(OverflowError):
+                sampler(dist, labels, SeededRng(0), 3, anchor_indices=[0])
+
+    def test_anchors_without_positive_are_skipped(self):
+        labels = np.array([0, 1, 1, 2, 3, 3])
+        dist = pairwise_distances(line_points([0.0, 0.2, 0.4, 0.6, 0.8, 1.0]))
+        got = sample_distance_weighted(dist, labels, SeededRng(4), 3,
+                                       anchor_indices=[0, 1, 3, 1, 5])
+        want = oracles.sample_distance_weighted(dist, labels, SeededRng(4), 3,
+                                                anchor_indices=[0, 1, 3, 1, 5])
+        self.assert_same(got, want)
+        assert got.anchors.tolist() == [1, 1, 5]
+
+    def test_no_eligible_anchor_gives_empty_set(self):
+        trip = sample_distance_weighted(np.zeros((2, 2)), np.array([0, 1]), SeededRng(0), 3)
+        assert len(trip) == 0 and trip.negatives.dtype == np.int64
+
+
 class TestSofthard:
     def test_hard_sets(self):
         emb = line_points([0.0, 0.2, 0.9, -0.5, 1.5])
@@ -236,3 +332,15 @@ class TestDispatchAndInvariants:
                 kind, dist, labels, SeededRng(3), embed_dim=3, anchor_indices=[0, 1]
             )
             assert set(trip.anchors.tolist()) <= {0, 1}
+
+    def test_random_dispatch_draws_one_triplet_per_eligible_anchor(self):
+        labels = np.array([0, 0, 1, 1, 2])
+        got = sample_triplets("random", None, labels, SeededRng(8), embed_dim=3,
+                              anchor_indices=[4, 0, 2, 0])
+        want = sample_random_triplets(labels, 3, SeededRng(8), anchor_indices=[4, 0, 2, 0])
+        np.testing.assert_array_equal(got.anchors, want.anchors)
+        np.testing.assert_array_equal(got.positives, want.positives)
+        np.testing.assert_array_equal(got.negatives, want.negatives)
+        with pytest.raises(NoValidTripletError):
+            sample_triplets("random", None, labels, SeededRng(8), embed_dim=3,
+                            anchor_indices=[4])
