@@ -1,14 +1,19 @@
 #!/usr/bin/env python3
 """Hash the run log and final parameters of every cell of a fixed grid.
 
-The grid crosses 3 seeds x the four ablation variants x four losses x four
-samplers x three batch/anchor settings (default, produced rows never anchor,
-M=3) on the acceptance config, each run for STEPS steps.  The
+The training grid crosses 3 seeds x the four ablation variants x four losses
+x four samplers x three batch/anchor settings (default, produced rows never
+anchor, M=3) on the acceptance config, each run for STEPS steps.  The
 multi-similarity loss mines its own pairs, so it runs once per setting
 instead of once per sampler: 468 cells in all.
 
-A refactor that must not change the seeded draw sequence runs this on the
-parent and on the change and compares the two files:
+Ten evaluation cells hash the EvalReport of a 2048-point test split (the
+acceptance config with 256 points per class and DAS off, trained for
+EVAL_STEPS steps, once per seed in EVAL_SEEDS) and of one synthetic split on
+a small integer grid, where duplicate points and tied distances abound.
+
+A refactor that must not change the seeded draw sequence or the evaluation
+runs this on the parent and on the change and compares the two files:
 
     PYTHONPATH=src python scripts/golden_logs.py --out before.json
     PYTHONPATH=src python scripts/golden_logs.py --out after.json
@@ -21,6 +26,8 @@ import hashlib
 import json
 
 from densedml.config import apply_override
+from densedml.core import SeededRng
+from densedml.metrics import evaluate_embeddings
 from densedml.training import ablation_variants, train
 
 from run_ablation import benchmark_config
@@ -34,6 +41,11 @@ SETTINGS = (
     ("real_anchors", {"sampler.produced_as_anchors": "false"}),
     ("M=3", {"batch.samples_per_class": "3"}),
 )
+EVAL_STEPS = 300
+EVAL_SEEDS = tuple(range(9, 18))
+EVAL_OVERRIDES = {"data.per_class": "256", "das.enabled": "false"}
+# tie-heavy split: points on a 3x3x3 integer grid, ten random labels
+TIE_POINTS, TIE_CLASSES, TIE_KS = 600, 10, (1, 2, 4, 8, 64, 599)
 
 
 def grid():
@@ -60,6 +72,29 @@ def cell_hashes(cfg):
     return {"log": log, "params": params.hexdigest()}
 
 
+def report_hash(report):
+    doc = json.dumps(report.to_json_dict(), sort_keys=True)
+    return hashlib.sha256(doc.encode("utf-8")).hexdigest()
+
+
+def eval_hashes(base):
+    """{cell name: EvalReport hash} for the evaluation cells."""
+    hashes = {}
+    for seed in EVAL_SEEDS:
+        cfg = copy.deepcopy(base)
+        for key, value in EVAL_OVERRIDES.items():
+            apply_override(cfg, key, value)
+        cfg.steps = EVAL_STEPS
+        cfg.seed = seed
+        hashes[f"eval/n2048/seed{seed}"] = report_hash(train(cfg).final_report)
+    rng = SeededRng(0)
+    emb = rng.integers(3, size=(TIE_POINTS, 3)).astype(float)
+    labels = rng.integers(TIE_CLASSES, size=TIE_POINTS)
+    report = evaluate_embeddings(emb, labels, TIE_KS, rng)
+    hashes["eval/integer_grid"] = report_hash(report)
+    return hashes
+
+
 def main():
     parser = argparse.ArgumentParser(description=__doc__,
                                      formatter_class=argparse.RawDescriptionHelpFormatter)
@@ -75,6 +110,7 @@ def main():
         for key, value in overrides.items():
             apply_override(cfg, key, value)
         hashes[name] = cell_hashes(cfg)
+    hashes.update(eval_hashes(base))
     with open(args.out, "w", encoding="utf-8") as fh:
         json.dump(hashes, fh, indent=1, sort_keys=True)
         fh.write("\n")

@@ -90,7 +90,8 @@ def generate_gaussian_clusters(
 def load_csv(path, label_column: int, header: bool = False) -> Dataset:
     """Read a comma-separated dataset; labels are re-indexed densely from 0.
 
-    Rows must share one arity; the label column must parse as an integer.
+    Rows must share one arity; the label column must parse as an integer and
+    every other cell as a finite float.
     The first half of the distinct labels (sorted ascending by original
     value) becomes the train split.
     """
@@ -132,13 +133,20 @@ def load_csv(path, label_column: int, header: bool = False) -> Dataset:
             if col == label_column:
                 continue
             try:
-                vals.append(float(cell))
+                val = float(cell)
             except ValueError as exc:
                 raise ParseError(
                     f"{path}: row {row_no}, column {col}: bad value {cell!r}",
                     row=row_no,
                     col=col,
                 ) from exc
+            if not math.isfinite(val):
+                raise ParseError(
+                    f"{path}: row {row_no}, column {col}: non-finite value {cell!r}",
+                    row=row_no,
+                    col=col,
+                )
+            vals.append(val)
         feats.append(vals)
         raw_labels.append(label)
 

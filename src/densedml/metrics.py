@@ -11,8 +11,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import core
 from .core import SeededRng, pairwise_distances
-from .errors import KTooLargeError, LengthMismatchError
+from .errors import KOutOfRangeError, KTooLargeError, LengthMismatchError
 
 
 @dataclass
@@ -39,6 +40,15 @@ def recall_at_k(embeddings, labels, ks) -> dict:
 
     Every point queries all others ranked by l2 distance (ties to the lower
     index); a hit means some same-label point appears in the top k.
+
+    No query is sorted.  Under the order (distance, index) a query's first
+    same-label point p* sits at rank #{j: d_j < d_p*} + #{j: d_j == d_p*,
+    j < p*}, and the query hits at k exactly when that rank is below k, which
+    is the stable-argsort answer, ties included.  The query itself sits at
+    distance inf, behind every finite distance, so with k < n it never
+    counts.  Rows of the distance matrix are scored in blocks whose b x n
+    temporaries fit core.DISTANCE_BLOCK_BYTES (at least one row per block),
+    so the only n x n array is the distance matrix.
     """
     emb = np.asarray(embeddings, dtype=np.float64)
     labels = np.asarray(labels)
@@ -46,26 +56,36 @@ def recall_at_k(embeddings, labels, ks) -> dict:
     if labels.shape[0] != n:
         raise LengthMismatchError("labels length != embedding count")
     ks = sorted(int(k) for k in ks)
+    if ks[0] < 1:
+        raise KOutOfRangeError(f"recall k must be >= 1, got {ks[0]}")
     if n < 2 or ks[-1] >= n:
         raise KTooLargeError(f"max k {ks[-1]} needs at least {ks[-1] + 1} points, have {n}")
     dist = pairwise_distances(emb)
     np.fill_diagonal(dist, np.inf)  # self is never a neighbor
-    hits = {k: 0 for k in ks}
-    max_k = ks[-1]
-    for i in range(n):
-        order = np.argsort(dist[i], kind="stable")[:max_k]
-        same = labels[order] == labels[i]
-        for k in ks:
-            if same[:k].any():
-                hits[k] += 1
-    return {k: hits[k] / n for k in ks}
+    ranks = np.empty(n, dtype=np.int64)
+    cols = np.arange(n)
+    block = max(1, core.DISTANCE_BLOCK_BYTES // (8 * n))
+    for start in range(0, n, block):
+        d = dist[start : start + block]
+        same = labels[start : start + block, None] == labels[None, :]
+        d_pos = np.min(d, axis=1, where=same, initial=np.inf)[:, None]
+        tied = d == d_pos
+        first = np.argmax(tied & same, axis=1)[:, None]
+        closer = np.count_nonzero(d < d_pos, axis=1)
+        tied_before = np.count_nonzero(tied & (cols < first), axis=1)
+        ranks[start : start + block] = closer + tied_before
+    return {k: int(np.count_nonzero(ranks < k)) / n for k in ks}
 
 
 def kmeans(embeddings, k: int, rng: SeededRng, max_iter: int = 100) -> np.ndarray:
     """Lloyd's algorithm from k-means++ style seeding; deterministic given rng.
 
-    Stops at an assignment fixpoint or after max_iter sweeps.  An emptied
-    cluster keeps its previous centroid.
+    Seeding keeps each point's squared distance to its nearest chosen center
+    as a running minimum, one n x d pass per new center.  Each sweep takes
+    the clusters' members from one stable argsort of the assignment, so every
+    centroid is the mean of its members in index order.  Stops at an
+    assignment fixpoint or after max_iter sweeps.  An emptied cluster keeps
+    its previous centroid.
     """
     x = np.asarray(embeddings, dtype=np.float64)
     n = x.shape[0]
@@ -73,13 +93,12 @@ def kmeans(embeddings, k: int, rng: SeededRng, max_iter: int = 100) -> np.ndarra
         raise KTooLargeError(f"k={k} exceeds {n} points")
     centers = np.empty((k, x.shape[1]))
     centers[0] = x[int(rng.integers(n))]
+    d2 = np.sum((x - centers[0]) ** 2, axis=1)
     for j in range(1, k):
-        d2 = np.min(
-            np.sum((x[:, None, :] - centers[None, :j, :]) ** 2, axis=-1), axis=1
-        )
         total = d2.sum()
         probs = d2 / total if total > 0 else np.full(n, 1.0 / n)
         centers[j] = x[rng.choice(np.arange(n), p=probs)]
+        np.minimum(d2, np.sum((x - centers[j]) ** 2, axis=1), out=d2)
 
     assign = np.full(n, -1, dtype=np.int64)
     for _ in range(max_iter):
@@ -88,10 +107,11 @@ def kmeans(embeddings, k: int, rng: SeededRng, max_iter: int = 100) -> np.ndarra
         if np.array_equal(new_assign, assign):
             break
         assign = new_assign
+        order = np.argsort(assign, kind="stable")
+        bounds = np.searchsorted(assign[order], np.arange(k + 1))
         for j in range(k):
-            members = x[assign == j]
-            if len(members):
-                centers[j] = members.mean(axis=0)
+            if bounds[j] < bounds[j + 1]:
+                centers[j] = x[order[bounds[j] : bounds[j + 1]]].mean(axis=0)
     return assign
 
 

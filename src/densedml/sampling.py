@@ -160,12 +160,16 @@ def distance_weights(d, embed_dim: int, clip: float = 0.5, cap: float = 1e8):
 
     q(d) = d^(n-2) (1 - d^2/4)^((n-3)/2) for n = embed_dim; weights are
     1/q evaluated at max(d, clip) and capped so they stay finite as d -> 2.
+    At n = 3 the second factor is 1 and is left out, so d = 2 gives a finite
+    weight instead of 0 * log 0.
     """
     d = np.maximum(np.asarray(d, dtype=np.float64), clip)
-    with np.errstate(divide="ignore"):
-        log_q = (embed_dim - 2) * np.log(d) + ((embed_dim - 3) / 2.0) * np.log(
-            np.maximum(1.0 - 0.25 * d * d, 0.0)
-        )
+    log_q = (embed_dim - 2) * np.log(d)
+    if embed_dim != 3:
+        with np.errstate(divide="ignore"):
+            log_q = log_q + ((embed_dim - 3) / 2.0) * np.log(
+                np.maximum(1.0 - 0.25 * d * d, 0.0)
+            )
     return np.exp(np.minimum(-log_q, np.log(cap)))
 
 

@@ -41,7 +41,7 @@ from .encoder import (
     optimizer_step,
     save_checkpoint,
 )
-from .errors import EngineError, ShapeMismatchError, TrainingAbortError
+from .errors import ConfigError, EngineError, ShapeMismatchError, TrainingAbortError
 from .losses import contrastive_loss, margin_loss, multi_similarity_loss, triplet_loss
 from .metrics import EvalReport, evaluate_embeddings
 from .sampling import sample_batch, sample_triplets
@@ -75,6 +75,22 @@ def build_dataset(cfg: RunConfig, rng: SeededRng) -> Dataset:
     )
 
 
+def _preflight(cfg: RunConfig, dataset: Dataset) -> None:
+    """Reject settings the dataset cannot serve, before step 1."""
+    n_train_classes = len(dataset.train_classes)
+    if cfg.batch.classes_per_batch > n_train_classes:
+        raise ConfigError(
+            f"batch.classes_per_batch={cfg.batch.classes_per_batch} exceeds the "
+            f"{n_train_classes} training classes"
+        )
+    n_test = dataset.subset(dataset.test_classes)[1].size
+    if max(cfg.eval_ks) >= n_test:
+        raise ConfigError(
+            f"eval_ks max {max(cfg.eval_ks)} needs at least {max(cfg.eval_ks) + 1} "
+            f"test points, the test split has {n_test}"
+        )
+
+
 def _loss_for(cfg: RunConfig, embeddings, labels, triplets, beta):
     kind = cfg.loss.kind
     if kind == "triplet":
@@ -106,6 +122,7 @@ def train(cfg: RunConfig, trace=None) -> TrainResult:
     rng_sampler = root.derive("sampler")
 
     dataset = build_dataset(cfg, rng_data)
+    _preflight(cfg, dataset)
     d_embed = cfg.encoder.embed_dim
     params = init_params(
         cfg.encoder.layer_sizes(dataset.input_dim), cfg.encoder.activation, rng_init

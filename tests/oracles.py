@@ -7,6 +7,7 @@ both the outputs and the RNG state left behind.
 
 import numpy as np
 
+from densedml.core import pairwise_distances
 from densedml.das import TransformationBank, shifting_factor
 from densedml.losses import TripletSet
 from densedml.sampling import distance_weights
@@ -54,3 +55,51 @@ def draw_shifts(bank: TransformationBank, labels, t, rb, rng):
     for row, c in enumerate(np.repeat(labels, t)):
         shifts[row] = shifting_factor(bank, c, rb, rng)
     return shifts
+
+
+def recall_at_k(embeddings, labels, ks):
+    """Leave-one-out hit rate per k from one stable argsort per query."""
+    emb = np.asarray(embeddings, dtype=np.float64)
+    labels = np.asarray(labels)
+    n = emb.shape[0]
+    ks = sorted(int(k) for k in ks)
+    dist = pairwise_distances(emb)
+    np.fill_diagonal(dist, np.inf)  # self is never a neighbor
+    hits = {k: 0 for k in ks}
+    max_k = ks[-1]
+    for i in range(n):
+        order = np.argsort(dist[i], kind="stable")[:max_k]
+        same = labels[order] == labels[i]
+        for k in ks:
+            if same[:k].any():
+                hits[k] += 1
+    return {k: hits[k] / n for k in ks}
+
+
+def kmeans(embeddings, k, rng, max_iter=100):
+    """k-means++ seeding over the full n x j x d tensor for every new center,
+    then Lloyd sweeps that gather each cluster with a boolean mask."""
+    x = np.asarray(embeddings, dtype=np.float64)
+    n = x.shape[0]
+    centers = np.empty((k, x.shape[1]))
+    centers[0] = x[int(rng.integers(n))]
+    for j in range(1, k):
+        d2 = np.min(
+            np.sum((x[:, None, :] - centers[None, :j, :]) ** 2, axis=-1), axis=1
+        )
+        total = d2.sum()
+        probs = d2 / total if total > 0 else np.full(n, 1.0 / n)
+        centers[j] = x[rng.choice(np.arange(n), p=probs)]
+
+    assign = np.full(n, -1, dtype=np.int64)
+    for _ in range(max_iter):
+        d2 = np.sum((x[:, None, :] - centers[None, :, :]) ** 2, axis=-1)
+        new_assign = np.argmin(d2, axis=1)
+        if np.array_equal(new_assign, assign):
+            break
+        assign = new_assign
+        for j in range(k):
+            members = x[assign == j]
+            if len(members):
+                centers[j] = members.mean(axis=0)
+    return assign

@@ -91,6 +91,31 @@ class TestTrain:
         assert code == 0
 
 
+class TestPreflight:
+    """Settings the dataset cannot serve exit 2 before the first batch."""
+
+    @staticmethod
+    def run_without_steps(monkeypatch, *args):
+        import densedml.training as train_mod
+
+        def no_batches(*a, **kw):
+            raise AssertionError("a step ran")
+
+        monkeypatch.setattr(train_mod, "sample_batch", no_batches)
+        return run_cli("train", *BASE_OVERRIDES, *args)
+
+    def test_eval_k_beyond_test_split_exit_2(self, monkeypatch, capsys):
+        # 4 test classes x 10 points: recall@40 needs 41
+        assert self.run_without_steps(monkeypatch, "--set", "eval_ks=1,40") == 2
+        assert "eval_ks max 40" in capsys.readouterr().err
+
+    def test_more_batch_classes_than_train_classes_exit_2(self, monkeypatch, capsys):
+        # 8 classes split 4/4
+        code = self.run_without_steps(monkeypatch, "--set", "batch.classes_per_batch=5")
+        assert code == 2
+        assert "batch.classes_per_batch=5" in capsys.readouterr().err
+
+
 class TestEvaluate:
     def test_checkpoint_eval_round_trip(self, tmp_path, capsys):
         out_dir = tmp_path / "run"

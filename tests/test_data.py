@@ -80,6 +80,14 @@ class TestCsv:
             load_csv(p, label_column=2)
         assert err.value.row == 2 and err.value.col == 1
 
+    @pytest.mark.parametrize("cell", ["nan", "inf", "-inf", "NaN", " Infinity"])
+    def test_non_finite_value_reports_position(self, tmp_path, cell):
+        p = tmp_path / "d.csv"
+        p.write_text(f"0.1,0.2,0\n0.3,0.4,0\n{cell},0.6,1\n")
+        with pytest.raises(ParseError, match="non-finite") as err:
+            load_csv(p, label_column=2)
+        assert err.value.row == 3 and err.value.col == 0
+
     def test_header_skip(self, tmp_path):
         p = tmp_path / "d.csv"
         p.write_text("x,y,label\n0.1,0.2,0\n0.3,0.4,1\n")

@@ -5,8 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import densedml.core as core
 from densedml.core import SeededRng
-from densedml.errors import KTooLargeError, LengthMismatchError
+from densedml.errors import KOutOfRangeError, KTooLargeError, LengthMismatchError
 from densedml.metrics import (
     EvalReport,
     evaluate_embeddings,
@@ -17,6 +18,7 @@ from densedml.metrics import (
 )
 
 from conftest import random_unit_rows
+import oracles
 
 
 def brute_force_recall(emb, labels, k):
@@ -70,6 +72,73 @@ class TestRecall:
         labels = np.array([0, 1, 0])
         assert recall_at_k(emb, labels, [1])[1] == pytest.approx(1 / 3)
 
+    def test_repeated_k_counted_once(self):
+        emb = np.array([[0.0], [0.1], [5.0], [5.1]])
+        assert recall_at_k(emb, np.array([0, 0, 1, 1]), [1, 1, 2]) == {1: 1.0, 2: 1.0}
+
+    def test_k_below_one(self):
+        with pytest.raises(KOutOfRangeError):
+            recall_at_k(np.eye(3), np.array([0, 0, 1]), [0, 1])
+
+
+@st.composite
+def grid_split(draw):
+    """Points on a small integer grid (many duplicates and tied distances) with
+    labels from 1 to n classes, so some classes are singletons."""
+    n = draw(st.integers(min_value=2, max_value=30))
+    side = draw(st.integers(min_value=1, max_value=3))
+    dim = draw(st.integers(min_value=1, max_value=3))
+    n_classes = draw(st.integers(min_value=1, max_value=n))
+    r = SeededRng(draw(st.integers(min_value=0, max_value=2**31)))
+    emb = r.integers(side, size=(n, dim)).astype(float)
+    return emb, r.integers(n_classes, size=n)
+
+
+def draw_ks(data, n):
+    # unique: the argsort oracle counts a repeated k twice (recall 2.0)
+    ks = st.lists(st.integers(1, n - 1), min_size=1, max_size=4, unique=True)
+    return data.draw(ks | st.just([n - 1]))
+
+
+class TestRecallOracle:
+    """The rank-count recall against the per-query stable argsort it replaced."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(grid_split(), st.data())
+    def test_matches_stable_argsort(self, split, data):
+        emb, labels = split
+        ks = draw_ks(data, len(labels))
+        assert recall_at_k(emb, labels, ks) == oracles.recall_at_k(emb, labels, ks)
+
+    @settings(max_examples=50, deadline=None)
+    @given(grid_split(), st.data())
+    def test_singleton_classes_never_hit(self, split, data):
+        emb, _ = split
+        n = len(emb)
+        labels = SeededRng(n).permutation(n)
+        ks = draw_ks(data, n)
+        got = recall_at_k(emb, labels, ks)
+        assert got == oracles.recall_at_k(emb, labels, ks) == {k: 0.0 for k in ks}
+
+    @settings(max_examples=100, deadline=None)
+    @given(grid_split(), st.sampled_from([1, 8, 100]), st.data())
+    def test_tiny_block_budget(self, split, budget, data):
+        # 1 and 8 bytes: every row its own block; 100 bytes: a short last block
+        emb, labels = split
+        ks = draw_ks(data, len(labels))
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(core, "DISTANCE_BLOCK_BYTES", budget)
+            got = recall_at_k(emb, labels, ks)
+        assert got == oracles.recall_at_k(emb, labels, ks)
+
+    def test_large_split_matches(self):
+        r = SeededRng(3)
+        emb = r.normal(size=(600, 4))
+        emb[300:] = emb[:300]  # every point has an exact duplicate
+        labels = r.integers(20, size=600)
+        ks = [1, 2, 4, 8, 599]
+        assert recall_at_k(emb, labels, ks) == oracles.recall_at_k(emb, labels, ks)
+
 
 class TestKmeans:
     def test_k_equals_n(self, rng):
@@ -119,6 +188,51 @@ class TestKmeans:
         a = kmeans(x, 3, SeededRng(5))
         b = kmeans(x, 3, SeededRng(5))
         np.testing.assert_array_equal(a, b)
+
+
+class TestKmeansOracle:
+    """Running-minimum seeding and argsort member gathering against the
+    full-tensor seeding and per-cluster masks they replaced."""
+
+    @staticmethod
+    def assert_same(x, k, seed, max_iter=100):
+        rng_got, rng_want = SeededRng(seed), SeededRng(seed)
+        got = kmeans(x, k, rng_got, max_iter)
+        want = oracles.kmeans(x, k, rng_want, max_iter)
+        assert got.dtype == want.dtype
+        np.testing.assert_array_equal(got, want)
+        # both consumed the stream identically
+        assert rng_got.integers(2**31) == rng_want.integers(2**31)
+        return got
+
+    @settings(max_examples=200, deadline=None)
+    @given(grid_split(), st.data())
+    def test_matches_on_grids(self, split, data):
+        emb, _ = split
+        k = data.draw(st.integers(1, len(emb)))
+        self.assert_same(emb, k, data.draw(st.integers(0, 2**31)))
+
+    @settings(max_examples=50, deadline=None)
+    @given(grid_split(), st.integers(0, 2**31))
+    def test_k_equals_n(self, split, seed):
+        emb, _ = split
+        self.assert_same(emb, len(emb), seed)
+
+    def test_clusters_that_empty_out(self):
+        # all points equal: every later center duplicates the first, and ties
+        # go to centroid 0, so clusters 1..k-1 empty and keep their centers
+        assign = self.assert_same(np.ones((6, 2)), 3, 0)
+        np.testing.assert_array_equal(assign, np.zeros(6))
+        # 40 points on 4 grid sites, 6 clusters: at least two are empty
+        emb = SeededRng(11).integers(2, size=(40, 2)).astype(float)
+        for seed in range(20):
+            assert len(set(self.assert_same(emb, 6, seed).tolist())) <= 4
+
+    def test_gaussian_split_matches(self):
+        r = SeededRng(4)
+        x = np.vstack([r.normal(size=(100, 8)) + 3 * r.normal(size=8) for _ in range(8)])
+        self.assert_same(x, 8, 1)
+        self.assert_same(x, 8, 2, max_iter=2)
 
 
 class TestNmi:

@@ -180,16 +180,15 @@ class UniformAtHigh:
 
 
 @st.composite
-def sampler_inputs(draw, embed_dim=4):
+def sampler_inputs(draw):
     """Labels, a symmetric distance matrix (optionally with many ties) and an
     optional anchor pool with duplicates."""
     n = draw(st.integers(min_value=1, max_value=20))
     labels = np.array(draw(st.lists(st.integers(0, 4), min_size=n, max_size=n)))
     seed = draw(st.integers(min_value=0, max_value=2**31))
     if draw(st.booleans()):
-        # a few distinct values, so rows hold tied distances and tied cdf steps;
-        # d = 2 has a NaN weight at embed_dim 3 (test_antipodal_at_dim_3_raises_alike)
-        levels = np.array([0.0, 0.3, 0.5, 1.0] + ([] if embed_dim == 3 else [2.0]))
+        # a few distinct values, so rows hold tied distances and tied cdf steps
+        levels = np.array([0.0, 0.3, 0.5, 1.0, 2.0])
         raw = levels[SeededRng(seed).integers(len(levels), size=(n, n))]
     else:
         raw = SeededRng(seed).uniform(0.0, 2.0, size=(n, n))
@@ -212,7 +211,7 @@ class TestDistanceWeightedOracle:
     @settings(max_examples=150, deadline=None)
     @given(st.sampled_from([3, 4, 16]), st.data())
     def test_matches_per_anchor_loop(self, embed_dim, data):
-        labels, dist, anchors, seed = data.draw(sampler_inputs(embed_dim))
+        labels, dist, anchors, seed = data.draw(sampler_inputs())
         rng_got, rng_want = SeededRng(seed), SeededRng(seed)
         want = oracles.sample_distance_weighted(dist, labels, rng_want, embed_dim,
                                                 anchor_indices=anchors)
@@ -234,15 +233,17 @@ class TestDistanceWeightedOracle:
         for a, n in zip(got.anchors, got.negatives):
             assert n == np.flatnonzero(labels != labels[a])[-1]
 
-    @pytest.mark.filterwarnings("ignore:invalid value encountered")
-    def test_antipodal_at_dim_3_raises_alike(self):
-        # distance_weights is NaN at d = 2 for embed_dim 3 (0 * log 0), and the
-        # uniform draw over a NaN total raises; both versions fail the same way
+    def test_antipodal_at_dim_3_samples_alike(self):
+        # at embed_dim 3 the (1 - d^2/4) factor of q(d) has exponent 0, so the
+        # antipodal negative (d = 2) gets a finite weight, not 0 * log 0
         labels = np.array([0, 0, 1, 1])
         dist = pairwise_distances(line_points([0.0, 0.4, 2.0, 1.0]))
-        for sampler in (sample_distance_weighted, oracles.sample_distance_weighted):
-            with pytest.raises(OverflowError):
-                sampler(dist, labels, SeededRng(0), 3, anchor_indices=[0])
+        assert np.all(np.isfinite(distance_weights(dist, embed_dim=3)))
+        got = sample_distance_weighted(dist, labels, SeededRng(0), 3, anchor_indices=[0])
+        want = oracles.sample_distance_weighted(dist, labels, SeededRng(0), 3,
+                                                anchor_indices=[0])
+        self.assert_same(got, want)
+        assert got.anchors.tolist() == [0] and got.negatives[0] in (2, 3)
 
     def test_anchors_without_positive_are_skipped(self):
         labels = np.array([0, 1, 1, 2, 3, 3])
