@@ -86,11 +86,7 @@ def _cmd_train(args) -> int:
 
 def _cmd_evaluate(args) -> int:
     if args.csv:
-        label_col = args.label_col
-        if label_col is None or label_col < 0:
-            with open(args.csv, "r", encoding="utf-8") as fh:
-                label_col = len(fh.readline().split(",")) - 1
-        dataset = load_csv(args.csv, label_col, header=args.header)
+        dataset = load_csv(args.csv, args.label_col, header=args.header)
     else:
         cfg = _build_config(args)
         from .training import build_dataset
@@ -168,7 +164,10 @@ def build_parser() -> argparse.ArgumentParser:
     _add_config_args(e)
     e.add_argument("--checkpoint", required=True)
     e.add_argument("--csv", help="dataset CSV (otherwise the config's data section)")
-    e.add_argument("--label-col", type=int, default=None, help="0-based label column")
+    e.add_argument(
+        "--label-col", type=int, default=-1,
+        help="0-based label column; negative counts from the end (default last)",
+    )
     e.add_argument("--header", action="store_true", help="skip the first CSV row")
     e.add_argument("--ks", default="1,2,4,8")
     e.set_defaults(fn=_cmd_evaluate)

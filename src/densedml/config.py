@@ -7,6 +7,7 @@ import json
 from dataclasses import dataclass, field
 
 from .das import DasConfig
+from .encoder import ACTIVATIONS, OPTIMIZER_RULES
 from .errors import ConfigError
 from .losses import LossSpec
 from .sampling import BatchSpec, SAMPLER_KINDS
@@ -46,7 +47,7 @@ class EncoderConfig:
             raise ConfigError("encoder.embed_dim must be >= 1")
         if any(h < 1 for h in self.hidden):
             raise ConfigError("encoder.hidden sizes must be >= 1")
-        if self.activation not in ("identity", "relu", "tanh"):
+        if self.activation not in ACTIVATIONS:
             raise ConfigError(f"unknown encoder.activation {self.activation!r}")
 
 
@@ -64,13 +65,15 @@ class SamplerConfig:
 
 @dataclass
 class OptimConfig:
-    kind: str = "adam"  # adam | sgd
+    kind: str = "adam"  # one of OPTIMIZER_RULES
     lr: float = 1e-3
     momentum: float = 0.0
 
     def validate(self):
-        if self.kind not in ("adam", "sgd"):
-            raise ConfigError(f"optim.kind must be adam or sgd, got {self.kind!r}")
+        if self.kind not in OPTIMIZER_RULES:
+            raise ConfigError(
+                f"optim.kind must be one of {OPTIMIZER_RULES}, got {self.kind!r}"
+            )
         if self.lr <= 0:
             raise ConfigError("optim.lr must be positive")
 

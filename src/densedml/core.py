@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import DimensionMismatchError, KOutOfRangeError, ZeroNormError
+from .errors import DimensionMismatchError
 
 ZERO_NORM_EPS = 1e-12
 
@@ -61,24 +61,6 @@ class SeededRng:
         return self._gen.permutation(n)
 
 
-def as_vector(v) -> np.ndarray:
-    v = np.asarray(v, dtype=np.float64)
-    if v.ndim != 1 or v.size < 1:
-        raise DimensionMismatchError(f"expected a 1-D vector, got shape {v.shape}")
-    return v
-
-
-def l2_normalize(v) -> np.ndarray:
-    """Scale `v` onto the unit sphere; raises ZeroNormError below the eps floor."""
-    v = as_vector(v)
-    norm = float(np.linalg.norm(v))
-    if not np.isfinite(norm):
-        raise DimensionMismatchError("non-finite entries in vector")
-    if norm <= ZERO_NORM_EPS:
-        raise ZeroNormError(f"cannot normalize vector with norm {norm:.3e}")
-    return v / norm
-
-
 def pairwise_distances(rows) -> np.ndarray:
     """n x n matrix of l2 distances between the given vectors.
 
@@ -116,14 +98,3 @@ def pairwise_distances(rows) -> np.ndarray:
         np.multiply(buf, buf, out=buf)
         np.sum(buf, axis=-1, out=out[start:stop])
     return np.sqrt(out, out=out)
-
-
-def top_k_indices(v, k: int) -> np.ndarray:
-    """Indices of the K largest entries, ascending; ties go to the lower index."""
-    v = as_vector(v)
-    d = v.shape[0]
-    if k < 1 or k > d:
-        raise KOutOfRangeError(f"K={k} outside [1, {d}]")
-    # stable sort on negated values keeps the lower index first among ties
-    order = np.argsort(-v, kind="stable")[:k]
-    return np.sort(order)

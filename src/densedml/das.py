@@ -26,7 +26,6 @@ from .errors import (
     KOutOfRangeError,
     LabelOutOfRangeError,
     ShapeMismatchError,
-    ZeroNormError,
 )
 
 
@@ -96,8 +95,8 @@ class FrequencyRecorder:
             raise KOutOfRangeError(f"K={k} outside [1, {self.dim}]")
         if labels.size and (labels.min() < 0 or labels.max() >= self.n_classes):
             raise LabelOutOfRangeError(f"labels outside [0, {self.n_classes})")
-        # row-wise equivalent of top_k_indices: stable sort keeps the
-        # lower index first among ties
+        # each row's K largest entries; the stable sort keeps the lower
+        # index first among ties
         top = np.argsort(-emb, axis=1, kind="stable")[:, :k]
         np.add.at(self.counts, (labels[:, None], top), 1)
 
@@ -109,13 +108,6 @@ class FrequencyRecorder:
         out = np.zeros_like(self.counts, dtype=np.float64)
         out[np.arange(self.n_classes)[:, None], top] = 1.0
         return out
-
-
-def scaling_factor(mask_row, rs: float, rng: SeededRng) -> np.ndarray:
-    """Random scale on masked channels, exactly 1 elsewhere."""
-    mask_row = np.asarray(mask_row, dtype=np.float64)
-    gamma = rng.uniform(1.0 - rs, 1.0 + rs, size=mask_row.shape[0])
-    return gamma * mask_row + (1.0 - mask_row)
 
 
 class TransformationBank:
@@ -160,22 +152,6 @@ class TransformationBank:
                     if i != j:
                         self.enqueue(c, emb[i] - emb[j])
 
-    def draw(self, label, rng: SeededRng) -> np.ndarray | None:
-        """A uniformly chosen filled slot of the class, or None when empty."""
-        c = self._check_label(label)
-        if self.filled[c] == 0:
-            return None
-        return self.slots[c, int(rng.integers(self.filled[c]))]
-
-
-def shifting_factor(bank: TransformationBank, label, rb: float, rng: SeededRng) -> np.ndarray:
-    """rb times a stored intra-class difference; zero while the class bank is empty."""
-    t = bank.draw(label, rng)
-    if t is None:
-        return np.zeros(bank.slots.shape[2])
-    return rb * t
-
-
 @dataclass
 class ProducedBatch:
     """Produced embeddings plus what the backward pass needs.
@@ -190,35 +166,6 @@ class ProducedBatch:
     scales: np.ndarray  # (m, d)
     inv_norms: np.ndarray  # (m,)
     dropped: int = 0
-
-
-def apply_factors(v, s, b) -> np.ndarray:
-    """normalize(s * v + b); raises ZeroNormError if the result degenerates."""
-    u = s * np.asarray(v, dtype=np.float64) + b
-    norm = float(np.linalg.norm(u))
-    if norm <= ZERO_NORM_EPS:
-        raise ZeroNormError(f"produced embedding collapsed (norm {norm:.3e})")
-    return u / norm
-
-
-def das_produce(v, label, mask_row, bank: TransformationBank, config: DasConfig,
-                rng: SeededRng) -> list:
-    """T (embedding, label) pairs produced around one anchor.
-
-    Scaling and shifting factors are redrawn independently for every copy;
-    copies whose pre-normalization output collapses are dropped.
-    """
-    out = []
-    for _ in range(config.T):
-        s = (scaling_factor(mask_row, config.rs, rng)
-             if config.use_scaling else np.ones_like(np.asarray(v, dtype=np.float64)))
-        b = (shifting_factor(bank, label, config.rb, rng)
-             if config.use_shifting else np.zeros(len(v)))
-        try:
-            out.append((apply_factors(v, s, b), label))
-        except ZeroNormError:
-            continue
-    return out
 
 
 def draw_scales(mask, labels, t: int, rs: float, rng: SeededRng) -> np.ndarray:
@@ -236,7 +183,7 @@ def draw_shifts(bank: TransformationBank, labels, t: int, rb: float,
     """(n*t, d) shifting factors, anchor-major; zero rows for empty class banks.
 
     Every row whose class bank holds a difference draws its slot in row
-    order, as one `shifting_factor` call per row would.  numpy's integers
+    order, as one scalar draw per row would.  numpy's integers
     consumes the stream for an array of bounds exactly as for the same
     bounds drawn one call at a time, so a single call over the live rows
     keeps the seeded draw sequence.
@@ -284,28 +231,39 @@ def combine_factors(embeddings, labels, scales, shifts) -> ProducedBatch:
     )
 
 
-def produce_batch(
-    embeddings, labels, mask, bank: TransformationBank, config: DasConfig,
-    rng: SeededRng,
+def produce(
+    embeddings, labels, recorder: FrequencyRecorder, bank: TransformationBank,
+    config: DasConfig, rng: SeededRng, emit=lambda phase: None,
 ) -> ProducedBatch:
-    """Phased batch production matching the training-loop order: draw all
-    scaling factors, then all shifting factors, then combine.
+    """One step of production: T copies per anchor, anchor-major.
 
-    Output rows are anchor-major: anchor 0's T copies, then anchor 1's, etc.
+    Feature scaling first bumps the recorder with this batch and draws
+    scales from its top-K mask; transformation shifting then banks the
+    batch's intra-class differences and draws shifts from the bank.  A
+    disabled mechanism leaves its state alone and contributes ones (scaling)
+    or zeros (shifting).  `emit` receives each phase name as it completes.
     """
     emb = np.atleast_2d(np.asarray(embeddings, dtype=np.float64))
     labels = np.atleast_1d(np.asarray(labels))
-    n, d = emb.shape
-    t = config.T
-    if t == 0 or n == 0:
-        empty = np.zeros((0, d))
-        return ProducedBatch(empty, np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64),
-                             empty.copy(), np.zeros(0))
-    scales = (draw_scales(mask, labels, t, config.rs, rng)
-              if config.use_scaling else np.ones((n * t, d)))
-    shifts = (draw_shifts(bank, labels, t, config.rb, rng)
-              if config.use_shifting else np.zeros((n * t, d)))
-    return combine_factors(emb, labels, scales, shifts)
+    rows = (emb.shape[0] * config.T, emb.shape[1])
+    if config.use_scaling:
+        recorder.update(emb, labels, config.K)
+        emit("frm")
+        scales = draw_scales(recorder.mask(config.K), labels, config.T, config.rs, rng)
+        emit("scale")
+    else:
+        scales = np.ones(rows)
+    if config.use_shifting:
+        emit("transform")
+        bank.update(emb, labels)
+        emit("enqueue")
+        shifts = draw_shifts(bank, labels, config.T, config.rb, rng)
+        emit("shift")
+    else:
+        shifts = np.zeros(rows)
+    produced = combine_factors(emb, labels, scales, shifts)
+    emit("produce")
+    return produced
 
 
 def produced_backward(batch: ProducedBatch, grad_produced, n_anchors: int, dim: int) -> np.ndarray:

@@ -91,7 +91,8 @@ def load_csv(path, label_column: int, header: bool = False) -> Dataset:
     """Read a comma-separated dataset; labels are re-indexed densely from 0.
 
     Rows must share one arity; the label column must parse as an integer and
-    every other cell as a finite float.
+    every other cell as a finite float.  A negative `label_column` counts
+    from the end of the first data row (-1 is the last column).
     The first half of the distinct labels (sorted ascending by original
     value) becomes the train split.
     """
@@ -103,18 +104,17 @@ def load_csv(path, label_column: int, header: bool = False) -> Dataset:
         raise EmptyFileError(f"{path}: no data rows")
 
     feats, raw_labels = [], []
-    arity = None
+    arity = len(rows[0][1].split(","))
+    if not -arity <= label_column < arity:
+        raise ParseError(
+            f"{path}: label column {label_column} outside row of arity {arity}",
+            row=rows[0][0],
+            col=label_column,
+        )
+    label_column %= arity
     for row_no, line in rows:
         cells = line.split(",")
-        if arity is None:
-            arity = len(cells)
-            if label_column < 0 or label_column >= arity:
-                raise ParseError(
-                    f"{path}: label column {label_column} outside row of arity {arity}",
-                    row=row_no,
-                    col=label_column,
-                )
-        elif len(cells) != arity:
+        if len(cells) != arity:
             raise ParseError(
                 f"{path}: row {row_no} has {len(cells)} columns, expected {arity}",
                 row=row_no,

@@ -84,11 +84,6 @@ def init_params(layer_sizes, activation: str, rng: SeededRng) -> EncoderParams:
     return EncoderParams(weights, biases, activation)
 
 
-def identity_params(dim: int) -> EncoderParams:
-    """Single identity linear layer; encode() then reduces to l2 normalization."""
-    return EncoderParams([np.eye(dim)], [np.zeros(dim)], "identity")
-
-
 def _act(z, tag):
     if tag == "relu":
         return np.maximum(z, 0.0)
@@ -170,6 +165,9 @@ def backward(
         if l > 0:
             upstream = dz @ params.weights[l].T
     return w_grads, b_grads
+
+
+OPTIMIZER_RULES = ("adam", "sgd")
 
 
 @dataclass

@@ -16,7 +16,7 @@ import numpy as np
 from .core import SeededRng
 from .data import Dataset
 from .errors import ConfigError, NotEnoughClassesError, NoValidTripletError, ShapeMismatchError
-from .losses import PairSet, TripletSet
+from .losses import TripletSet
 
 SAMPLER_KINDS = ("random", "semihard", "softhard", "distance")
 
@@ -235,16 +235,6 @@ def sample_softhard_triplets(
         np.asarray(positives, dtype=np.int64),
         np.asarray(negatives, dtype=np.int64),
     )
-
-
-def build_pairs(labels) -> PairSet:
-    """All unordered pairs (i < j) flagged positive when labels match."""
-    labels = np.asarray(labels)
-    n = len(labels)
-    if n == 0:
-        raise ShapeMismatchError("labels must be nonempty")
-    i, j = np.triu_indices(n, k=1)
-    return PairSet(i.astype(np.int64), j.astype(np.int64), labels[i] == labels[j])
 
 
 def sample_triplets(

@@ -19,17 +19,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .config import RunConfig, apply_override, config_to_dict
+from .config import RunConfig, apply_override, save_config
 from .core import STREAMS, SeededRng, pairwise_distances
-from .das import (
-    DasConfig,
-    FrequencyRecorder,
-    TransformationBank,
-    combine_factors,
-    draw_scales,
-    draw_shifts,
-    produced_backward,
-)
+from .das import DasConfig, FrequencyRecorder, TransformationBank, produce, produced_backward
 from .data import Dataset, generate_gaussian_clusters, load_csv
 from .encoder import (
     EncoderParams,
@@ -61,12 +53,7 @@ class TrainResult:
 def build_dataset(cfg: RunConfig, rng: SeededRng) -> Dataset:
     d = cfg.data
     if d.kind == "csv":
-        label_col = d.label_col
-        if label_col < 0:
-            with open(d.path, "r", encoding="utf-8") as fh:
-                first = fh.readline()
-            label_col = len(first.split(",")) - 1
-        return load_csv(d.path, label_col, header=d.header)
+        return load_csv(d.path, d.label_col, header=d.header)
     if d.seed >= 0:
         # pinned generator seed: the same dataset across training seeds
         rng = SeededRng(d.seed, STREAMS["data"])
@@ -153,25 +140,7 @@ def train(cfg: RunConfig, trace=None) -> TrainResult:
 
             produced = None
             if das_active:
-                t = das_cfg.T
-                if das_cfg.use_scaling:
-                    recorder.update(emb, y, das_cfg.K)
-                    emit("frm")
-                    mask = recorder.mask(das_cfg.K)
-                    scales = draw_scales(mask, y, t, das_cfg.rs, rng_das)
-                    emit("scale")
-                else:
-                    scales = np.ones((n_real * t, d_embed))
-                if das_cfg.use_shifting:
-                    emit("transform")
-                    bank.update(emb, y)
-                    emit("enqueue")
-                    shifts = draw_shifts(bank, y, t, das_cfg.rb, rng_das)
-                    emit("shift")
-                else:
-                    shifts = np.zeros((n_real * t, d_embed))
-                produced = combine_factors(emb, y, scales, shifts)
-                emit("produce")
+                produced = produce(emb, y, recorder, bank, das_cfg, rng_das, emit)
                 cat_emb = np.vstack([emb, produced.embeddings])
                 cat_labels = np.concatenate([y, produced.labels])
             elif cfg.replicate > 0:
@@ -242,9 +211,7 @@ def train(cfg: RunConfig, trace=None) -> TrainResult:
         os.makedirs(cfg.out_dir, exist_ok=True)
         with open(os.path.join(cfg.out_dir, "run.log.jsonl"), "w", encoding="utf-8") as fh:
             fh.write("\n".join(log_lines) + "\n")
-        with open(os.path.join(cfg.out_dir, "config.json"), "w", encoding="utf-8") as fh:
-            json.dump(config_to_dict(cfg), fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        save_config(cfg, os.path.join(cfg.out_dir, "config.json"))
         save_checkpoint(
             os.path.join(cfg.out_dir, "checkpoint.json"), params, opt, cfg.seed
         )

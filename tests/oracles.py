@@ -2,14 +2,22 @@
 
 Each oracle is the plain loop the package code replaced.  It consumes the
 seeded stream one scalar draw at a time, so an equivalence test can compare
-both the outputs and the RNG state left behind.
+both the outputs and the RNG state left behind.  The small vector helpers
+further down serve tests only and are not part of the package.
 """
 
 import numpy as np
 
-from densedml.core import pairwise_distances
-from densedml.das import TransformationBank, shifting_factor
-from densedml.losses import TripletSet
+from densedml.core import ZERO_NORM_EPS, pairwise_distances
+from densedml.das import DasConfig, TransformationBank
+from densedml.encoder import EncoderParams
+from densedml.errors import (
+    DimensionMismatchError,
+    KOutOfRangeError,
+    ShapeMismatchError,
+    ZeroNormError,
+)
+from densedml.losses import PairSet, TripletSet
 from densedml.sampling import distance_weights
 
 
@@ -46,6 +54,50 @@ def sample_distance_weighted(dist, labels, rng, embed_dim, clip=0.5, anchor_indi
         np.asarray(positives, dtype=np.int64),
         np.asarray(negatives, dtype=np.int64),
     )
+
+
+def scaling_factor(mask_row, rs, rng):
+    """Random scale on masked channels, exactly 1 elsewhere."""
+    mask_row = np.asarray(mask_row, dtype=np.float64)
+    gamma = rng.uniform(1.0 - rs, 1.0 + rs, size=mask_row.shape[0])
+    return gamma * mask_row + (1.0 - mask_row)
+
+
+def shifting_factor(bank: TransformationBank, label, rb, rng):
+    """rb times a uniformly chosen filled slot of the class bank; zero while
+    that bank is empty."""
+    c = bank._check_label(label)
+    if bank.filled[c] == 0:
+        return np.zeros(bank.slots.shape[2])
+    return rb * bank.slots[c, int(rng.integers(bank.filled[c]))]
+
+
+def apply_factors(v, s, b):
+    """normalize(s * v + b); raises ZeroNormError if the result degenerates."""
+    u = s * np.asarray(v, dtype=np.float64) + b
+    norm = float(np.linalg.norm(u))
+    if norm <= ZERO_NORM_EPS:
+        raise ZeroNormError(f"produced embedding collapsed (norm {norm:.3e})")
+    return u / norm
+
+
+def das_produce(v, label, mask_row, bank: TransformationBank, config: DasConfig, rng):
+    """T (embedding, label) pairs produced around one anchor.
+
+    Scaling and shifting factors are redrawn independently for every copy;
+    copies whose pre-normalization output collapses are dropped.
+    """
+    out = []
+    for _ in range(config.T):
+        s = (scaling_factor(mask_row, config.rs, rng)
+             if config.use_scaling else np.ones_like(np.asarray(v, dtype=np.float64)))
+        b = (shifting_factor(bank, label, config.rb, rng)
+             if config.use_shifting else np.zeros(len(v)))
+        try:
+            out.append((apply_factors(v, s, b), label))
+        except ZeroNormError:
+            continue
+    return out
 
 
 def draw_shifts(bank: TransformationBank, labels, t, rb, rng):
@@ -103,3 +155,47 @@ def kmeans(embeddings, k, rng, max_iter=100):
             if len(members):
                 centers[j] = members.mean(axis=0)
     return assign
+
+
+def as_vector(v):
+    v = np.asarray(v, dtype=np.float64)
+    if v.ndim != 1 or v.size < 1:
+        raise DimensionMismatchError(f"expected a 1-D vector, got shape {v.shape}")
+    return v
+
+
+def l2_normalize(v):
+    """Scale `v` onto the unit sphere; raises ZeroNormError below the eps floor."""
+    v = as_vector(v)
+    norm = float(np.linalg.norm(v))
+    if not np.isfinite(norm):
+        raise DimensionMismatchError("non-finite entries in vector")
+    if norm <= ZERO_NORM_EPS:
+        raise ZeroNormError(f"cannot normalize vector with norm {norm:.3e}")
+    return v / norm
+
+
+def top_k_indices(v, k):
+    """Indices of the K largest entries, ascending; ties go to the lower index."""
+    v = as_vector(v)
+    d = v.shape[0]
+    if k < 1 or k > d:
+        raise KOutOfRangeError(f"K={k} outside [1, {d}]")
+    # stable sort on negated values keeps the lower index first among ties
+    order = np.argsort(-v, kind="stable")[:k]
+    return np.sort(order)
+
+
+def identity_params(dim):
+    """Single identity linear layer; encode() then reduces to l2 normalization."""
+    return EncoderParams([np.eye(dim)], [np.zeros(dim)], "identity")
+
+
+def build_pairs(labels):
+    """All unordered pairs (i < j) flagged positive when labels match."""
+    labels = np.asarray(labels)
+    n = len(labels)
+    if n == 0:
+        raise ShapeMismatchError("labels must be nonempty")
+    i, j = np.triu_indices(n, k=1)
+    return PairSet(i.astype(np.int64), j.astype(np.int64), labels[i] == labels[j])

@@ -23,11 +23,10 @@ from densedml.das import (
     FrequencyRecorder,
     TransformationBank,
     combine_factors,
-    das_produce,
-    produce_batch,
+    draw_scales,
+    draw_shifts,
+    produce,
     produced_backward,
-    scaling_factor,
-    shifting_factor,
 )
 from densedml.encoder import backward, encode, init_params
 from densedml.losses import (
@@ -38,10 +37,11 @@ from densedml.losses import (
     triplet_loss,
 )
 from densedml.metrics import f1_score, nmi, recall_at_k
-from densedml.sampling import build_pairs, sample_distance_weighted, sample_random_triplets
+from densedml.sampling import sample_distance_weighted, sample_random_triplets
 from densedml.training import ablation_variants, run_comparison, sweep_variants, train
 
 from conftest import finite_difference, max_rel_error, random_unit_rows
+from oracles import build_pairs, das_produce
 
 
 @contextmanager
@@ -84,7 +84,9 @@ def test_criterion_1_algebraic_identity():
         bank = TransformationBank(4, 5, 6)  # stays empty
         cfg = DasConfig(T=3, K=2, Z=5, rs=0.0, rb=0.01)
         mask = np.ones((4, 6))
-        batch = produce_batch(anchors, labels, mask, bank, cfg, rng)
+        # produce fills its own bank, so its half zeroes the shift radius too
+        batch = produce(anchors, labels, FrequencyRecorder(4, 6), TransformationBank(4, 5, 6),
+                        DasConfig(T=3, K=2, Z=5, rs=0.0, rb=0.0), rng)
         assert batch.dropped == 0 and len(batch.labels) == 24
         diffs = np.abs(batch.embeddings - anchors[batch.anchor_rows])
         assert diffs.max() <= 1e-12
@@ -337,8 +339,8 @@ def test_criterion_4_statistical_suite():
         rs = 0.01
         rng = SeededRng(31337)
         n_draws = 100_000
-        mask = np.ones(1)
-        draws = np.array([scaling_factor(mask, rs, rng)[0] for _ in range(n_draws)])
+        mask = np.ones((1, 1))
+        draws = draw_scales(mask, np.zeros(n_draws, dtype=np.int64), 1, rs, rng)[:, 0]
         se = (2 * rs / math.sqrt(12.0)) / math.sqrt(n_draws)
         assert abs(draws.mean() - 1.0) <= 3 * se
         assert draws.min() >= 1 - rs and draws.max() <= 1 + rs
@@ -361,8 +363,8 @@ def test_criterion_4_statistical_suite():
         bank.enqueue(0, np.array([2.0]))
         rng = SeededRng(99)
         hits = {1.0: 0, 2.0: 0}
-        for _ in range(10_000):
-            hits[float(shifting_factor(bank, 0, 1.0, rng)[0])] += 1
+        for shift in draw_shifts(bank, np.zeros(10_000, dtype=np.int64), 1, 1.0, rng)[:, 0]:
+            hits[float(shift)] += 1
         assert abs(hits[1.0] / 10_000 - 0.5) <= 0.02
 
 

@@ -91,6 +91,58 @@ class TestTrain:
         assert code == 0
 
 
+class TestCsvLabelColumn:
+    """The default label column is the last one of the first data row, even
+    when blank lines come before it."""
+
+    @staticmethod
+    def csv_pair(tmp_path):
+        plain = tmp_path / "d.csv"
+        assert run_cli(
+            "generate-data", "--out", str(plain), "--classes", "6",
+            "--per-class", "8", "--input-dim", "6",
+        ) == 0
+        blank_first = tmp_path / "blank_first.csv"
+        blank_first.write_text("\n" + plain.read_text())
+        return plain, blank_first
+
+    def test_train_from_config(self, tmp_path, capsys):
+        reports = []
+        for path in self.csv_pair(tmp_path):
+            capsys.readouterr()
+            assert run_cli(
+                "train",
+                "--set", "data.kind=csv",
+                "--set", f"data.path={path}",
+                "--set", "steps=3",
+                "--set", "encoder.hidden=8",
+                "--set", "encoder.embed_dim=6",
+                "--set", "batch.classes_per_batch=3",
+                "--set", "eval_ks=1",
+            ) == 0
+            reports.append(capsys.readouterr().out)
+        assert reports[0] == reports[1]
+
+    def test_evaluate_csv(self, tmp_path, capsys):
+        plain, blank_first = self.csv_pair(tmp_path)
+        out_dir = tmp_path / "run"
+        assert run_cli(
+            "train", "--out-dir", str(out_dir), *BASE_OVERRIDES,
+            "--set", "data.input_dim=6", "--set", "data.classes=6",
+            "--set", "batch.classes_per_batch=3",
+        ) == 0
+        reports = []
+        for path in (plain, blank_first):
+            capsys.readouterr()
+            assert run_cli(
+                "evaluate", "--checkpoint", str(out_dir / "checkpoint.json"),
+                "--csv", str(path), "--ks", "1",
+            ) == 0
+            reports.append(json.loads(capsys.readouterr().out.strip()))
+        assert reports[0] == reports[1]
+        assert reports[0]["n_queries"] == 24  # 3 test classes x 8 points
+
+
 class TestPreflight:
     """Settings the dataset cannot serve exit 2 before the first batch."""
 

@@ -3,16 +3,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from densedml.core import (
-    DISTANCE_BLOCK_BYTES,
-    SeededRng,
-    l2_normalize,
-    pairwise_distances,
-    top_k_indices,
-)
+from densedml.core import DISTANCE_BLOCK_BYTES, SeededRng, pairwise_distances
 from densedml.errors import DimensionMismatchError, KOutOfRangeError, ZeroNormError
 
 from conftest import random_unit_rows
+from oracles import l2_normalize, top_k_indices
 
 finite_vectors = st.lists(
     st.floats(min_value=-1e6, max_value=1e6, allow_nan=False), min_size=1, max_size=32

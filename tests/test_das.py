@@ -10,19 +10,17 @@ from densedml.das import (
     DasConfig,
     FrequencyRecorder,
     TransformationBank,
-    apply_factors,
     combine_factors,
-    das_produce,
+    draw_scales,
     draw_shifts,
-    produce_batch,
+    produce,
     produced_backward,
-    scaling_factor,
-    shifting_factor,
 )
 from densedml.errors import ConfigError, LabelOutOfRangeError, ZeroNormError
 
 from conftest import finite_difference, max_rel_error, random_unit_rows
 import oracles
+from oracles import apply_factors, das_produce, scaling_factor, shifting_factor
 
 
 class TestFrequencyRecorder:
@@ -275,11 +273,9 @@ class TestProduce:
         anchors = random_unit_rows(r, 3, 5)
         labels = np.array([0, 1, 1])
         rec = FrequencyRecorder(2, 5)
-        rec.update(anchors, labels, 2)
         bank = TransformationBank(2, 4, 5)
-        bank.update(anchors, labels)
         cfg = DasConfig(T=3, K=2, Z=4, rs=0.3, rb=0.3)
-        batch = produce_batch(anchors, labels, rec.mask(2), bank, cfg, r)
+        batch = produce(anchors, labels, rec, bank, cfg, r)
         norms = np.linalg.norm(batch.embeddings, axis=1)
         np.testing.assert_allclose(norms, np.ones_like(norms), atol=1e-12)
         np.testing.assert_array_equal(batch.labels, np.repeat(labels, 3)[: len(batch.labels)])
@@ -289,11 +285,9 @@ class TestProduce:
         anchors = random_unit_rows(r, 20, 16)
         labels = np.zeros(20, dtype=int)
         rec = FrequencyRecorder(1, 16)
-        rec.update(anchors, labels, 4)
         bank = TransformationBank(1, 10, 16)
-        bank.update(anchors, labels)
         cfg = DasConfig(T=3, K=4, Z=10, rs=0.01, rb=0.01)
-        batch = produce_batch(anchors, labels, rec.mask(4), bank, cfg, r)
+        batch = produce(anchors, labels, rec, bank, cfg, r)
         cos = np.sum(batch.embeddings * anchors[batch.anchor_rows], axis=1)
         assert np.all(cos >= 1 - 10 * (cfg.rs + cfg.rb))
 
@@ -313,6 +307,59 @@ class TestProduce:
         analytic = produced_backward(batch, upstream, 1, 4)
         numeric = finite_difference(probe, v.ravel())
         assert max_rel_error(analytic.ravel(), numeric) < 1e-4
+
+
+class TestProduceSteps:
+    """produce runs DFS then MTS on its own state, in the training-loop order."""
+
+    @staticmethod
+    def batch(seed):
+        r = SeededRng(seed)
+        return random_unit_rows(r, 6, 5), np.array([0, 0, 1, 1, 2, 2])
+
+    def test_matches_phase_by_phase_composition(self):
+        anchors, labels = self.batch(12)
+        cfg = DasConfig(T=2, K=2, Z=3, rs=0.2, rb=0.3)
+        rec, bank = FrequencyRecorder(3, 5), TransformationBank(3, 3, 5)
+        rng_got = SeededRng(5, 2)
+        got = produce(anchors, labels, rec, bank, cfg, rng_got)
+
+        want_rec, want_bank = FrequencyRecorder(3, 5), TransformationBank(3, 3, 5)
+        rng_want = SeededRng(5, 2)
+        want_rec.update(anchors, labels, cfg.K)
+        scales = draw_scales(want_rec.mask(cfg.K), labels, cfg.T, cfg.rs, rng_want)
+        want_bank.update(anchors, labels)
+        shifts = draw_shifts(want_bank, labels, cfg.T, cfg.rb, rng_want)
+        want = combine_factors(anchors, labels, scales, shifts)
+
+        np.testing.assert_array_equal(got.embeddings, want.embeddings)
+        np.testing.assert_array_equal(got.scales, want.scales)
+        np.testing.assert_array_equal(got.anchor_rows, want.anchor_rows)
+        np.testing.assert_array_equal(rec.counts, want_rec.counts)
+        np.testing.assert_array_equal(bank.slots, want_bank.slots)
+        assert rng_got.uniform() == rng_want.uniform()
+
+    @pytest.mark.parametrize(
+        "toggles,phases",
+        [
+            ({}, ["frm", "scale", "transform", "enqueue", "shift", "produce"]),
+            ({"dfs_only": True}, ["frm", "scale", "produce"]),
+            ({"mts_only": True}, ["transform", "enqueue", "shift", "produce"]),
+        ],
+    )
+    def test_phases_and_disabled_mechanism(self, toggles, phases):
+        anchors, labels = self.batch(3)
+        cfg = DasConfig(T=3, K=2, Z=4, rs=0.2, rb=0.2, **toggles)
+        rec, bank = FrequencyRecorder(3, 5), TransformationBank(3, 4, 5)
+        seen = []
+        out = produce(anchors, labels, rec, bank, cfg, SeededRng(1), seen.append)
+        assert seen == phases
+        assert len(out.labels) == 18
+        if cfg.dfs_only:
+            assert bank.filled.sum() == 0
+        if cfg.mts_only:
+            assert rec.counts.sum() == 0
+            np.testing.assert_array_equal(out.scales, np.ones((18, 5)))
 
 
 class TestDasConfig:

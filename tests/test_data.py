@@ -88,6 +88,24 @@ class TestCsv:
             load_csv(p, label_column=2)
         assert err.value.row == 3 and err.value.col == 0
 
+    def test_negative_label_column_counts_from_end(self, tmp_path):
+        p = tmp_path / "d.csv"
+        p.write_text("\n7,0.1,0\n8,0.3,0\n\n9,0.5,1\n")
+        last = load_csv(p, label_column=-1)
+        np.testing.assert_array_equal(last.labels, [0, 0, 1])
+        np.testing.assert_array_equal(last.features, [[7.0, 0.1], [8.0, 0.3], [9.0, 0.5]])
+        first = load_csv(p, label_column=-3)
+        np.testing.assert_array_equal(first.labels, [0, 1, 2])
+        np.testing.assert_array_equal(first.features, [[0.1, 0.0], [0.3, 0.0], [0.5, 1.0]])
+
+    @pytest.mark.parametrize("column", [3, -4])
+    def test_label_column_outside_row_raises(self, tmp_path, column):
+        p = tmp_path / "d.csv"
+        p.write_text("\n0.1,0.2,0\n0.3,0.4,1\n")
+        with pytest.raises(ParseError) as err:
+            load_csv(p, label_column=column)
+        assert err.value.row == 2 and err.value.col == column
+
     def test_header_skip(self, tmp_path):
         p = tmp_path / "d.csv"
         p.write_text("x,y,label\n0.1,0.2,0\n0.3,0.4,1\n")

@@ -9,7 +9,6 @@ from densedml.encoder import (
     OptimizerState,
     backward,
     encode,
-    identity_params,
     init_params,
     load_checkpoint,
     optimizer_step,
@@ -18,6 +17,7 @@ from densedml.encoder import (
 from densedml.errors import CorruptCheckpointError, ShapeMismatchError, ZeroNormError
 
 from conftest import finite_difference, max_rel_error
+from oracles import build_pairs, identity_params
 
 
 def loss_through_encoder(params, x, upstream):
@@ -105,8 +105,6 @@ class TestBackward:
             multi_similarity_loss,
             triplet_loss,
         )
-        from densedml.sampling import build_pairs
-
         r = SeededRng(606)
         params = init_params([3, 5, 2], "tanh", r)
         x = r.normal(size=(4, 3))

@@ -15,9 +15,8 @@ from densedml.losses import (
     multi_similarity_loss,
     triplet_loss,
 )
-from densedml.sampling import build_pairs
-
 from conftest import finite_difference, max_rel_error, random_unit_rows
+from oracles import build_pairs
 
 
 # --- independent scalar-loop oracles -------------------------------------

@@ -8,7 +8,6 @@ from densedml.data import Dataset
 from densedml.errors import NotEnoughClassesError, NoValidTripletError
 from densedml.sampling import (
     BatchSpec,
-    build_pairs,
     distance_weights,
     sample_batch,
     sample_distance_weighted,
@@ -19,6 +18,7 @@ from densedml.sampling import (
 )
 
 import oracles
+from oracles import build_pairs
 
 
 def line_points(positions):

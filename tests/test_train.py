@@ -7,7 +7,7 @@ import pytest
 from densedml.config import RunConfig, apply_override
 from densedml.core import SeededRng
 from densedml.data import generate_gaussian_clusters
-from densedml.encoder import OptimizerState, identity_params, save_checkpoint
+from densedml.encoder import OptimizerState, save_checkpoint
 from densedml.errors import (
     ConfigError,
     NoValidTripletError,
@@ -21,6 +21,8 @@ from densedml.training import (
     sweep_variants,
     train,
 )
+
+from oracles import identity_params
 
 
 def tiny_config(steps=10, seed=3):
