@@ -13,6 +13,7 @@ from .config import (
     ConfigError,
     RunConfig,
     load_config,
+    parse_int_list,
     parse_set_args,
     save_config,
 )
@@ -47,17 +48,7 @@ def _build_config(args) -> RunConfig:
         cfg.seed = args.seed
     if getattr(args, "out_dir", None):
         cfg.out_dir = args.out_dir
-    if getattr(args, "produced_as_anchors", None) is not None:
-        cfg.sampler.produced_as_anchors = args.produced_as_anchors
     return cfg
-
-
-def _parse_bool(text):
-    if text.lower() in ("true", "1", "yes"):
-        return True
-    if text.lower() in ("false", "0", "no"):
-        return False
-    raise argparse.ArgumentTypeError(f"expected true/false, got {text!r}")
 
 
 def _cmd_generate_data(args) -> int:
@@ -85,6 +76,7 @@ def _cmd_train(args) -> int:
 
 
 def _cmd_evaluate(args) -> int:
+    ks = parse_int_list(args.ks, "--ks")
     if args.csv:
         dataset = load_csv(args.csv, args.label_col, header=args.header)
     else:
@@ -92,7 +84,6 @@ def _cmd_evaluate(args) -> int:
         from .training import build_dataset
 
         dataset = build_dataset(cfg, SeededRng(cfg.seed, STREAMS["data"]))
-    ks = [int(k) for k in args.ks.split(",")]
     report = evaluate_checkpoint(args.checkpoint, dataset, ks)
     print(json.dumps(report.to_json_dict()))
     return 0
@@ -101,14 +92,27 @@ def _cmd_evaluate(args) -> int:
 def _variants_from_args(args):
     if args.variants == "ablation":
         return ablation_variants()
-    with open(args.variants, "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
+    path = args.variants
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            doc = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise ConfigError(f"variants file {path} is not valid JSON: {exc}") from exc
+    if not isinstance(doc, list):
+        raise ConfigError(f"variants file {path} must hold a JSON list of {{name, set}} entries")
+    for i, entry in enumerate(doc):
+        if not (isinstance(entry, dict) and "name" in entry
+                and isinstance(entry.get("set", {}), dict)):
+            raise ConfigError(
+                f"variants file {path}: entry {i} needs a \"name\" and an optional "
+                f"\"set\" object, got {entry!r}"
+            )
     return [(entry["name"], entry.get("set", {})) for entry in doc]
 
 
 def _cmd_compare(args) -> int:
     cfg = _build_config(args)
-    seeds = [int(s) for s in args.seeds.split(",")]
+    seeds = parse_int_list(args.seeds, "--seeds")
     variants = _variants_from_args(args)
     table = run_comparison(
         cfg, variants, seeds, out_dir=cfg.out_dir,
@@ -126,7 +130,7 @@ def _cmd_compare(args) -> int:
 
 def _cmd_sweep(args) -> int:
     cfg = _build_config(args)
-    seeds = [int(s) for s in args.seeds.split(",")]
+    seeds = parse_int_list(args.seeds, "--seeds")
     values = args.values.split(",")
     table = run_comparison(
         cfg, sweep_variants(args.param, values), seeds, out_dir=cfg.out_dir
@@ -154,10 +158,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     t = sub.add_parser("train", help="train an encoder per the config")
     _add_config_args(t)
-    t.add_argument(
-        "--produced-as-anchors", type=_parse_bool, default=None,
-        help="allow produced embeddings to serve as anchors (default true)",
-    )
     t.set_defaults(fn=_cmd_train)
 
     e = sub.add_parser("evaluate", help="score a checkpoint on a dataset's test split")
@@ -168,7 +168,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--label-col", type=int, default=-1,
         help="0-based label column; negative counts from the end (default last)",
     )
-    e.add_argument("--header", action="store_true", help="skip the first CSV row")
+    e.add_argument("--header", action="store_true", help="skip the first non-blank CSV line")
     e.add_argument("--ks", default="1,2,4,8")
     e.set_defaults(fn=_cmd_evaluate)
 

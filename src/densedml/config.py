@@ -198,13 +198,19 @@ def _coerce(value, current, dotted):
         except (TypeError, ValueError) as exc:
             raise ConfigError(f"{dotted}: expected a number, got {value!r}") from exc
     if isinstance(current, list):
-        if isinstance(value, list):
-            return [int(v) for v in value]
-        try:
-            return [int(v) for v in str(value).split(",") if v.strip() != ""]
-        except ValueError as exc:
-            raise ConfigError(f"{dotted}: expected a comma-separated int list") from exc
+        return parse_int_list(value, dotted)
     return str(value) if value is not None else ""
+
+
+def parse_int_list(value, name):
+    """Integers from a JSON list or a comma-separated string; ConfigError
+    naming `name` on any entry that is not an integer."""
+    items = value if isinstance(value, list) else [
+        v for v in str(value).split(",") if v.strip() != ""]
+    try:
+        return [int(v) for v in items]
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"{name}: expected a list of integers, got {value!r}") from exc
 
 
 def apply_override(cfg: RunConfig, dotted_key: str, value) -> None:

@@ -61,6 +61,18 @@ class SeededRng:
         return self._gen.permutation(n)
 
 
+def label_masks(labels):
+    """n x n masks: same-label partners (self excluded) and other-label rows.
+
+    Every sampler and the multi-similarity loss mine from this one pair.
+    """
+    labels = np.asarray(labels)
+    other = labels[:, None] != labels[None, :]
+    same = ~other
+    np.fill_diagonal(same, False)
+    return same, other
+
+
 def pairwise_distances(rows) -> np.ndarray:
     """n x n matrix of l2 distances between the given vectors.
 

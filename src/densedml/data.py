@@ -92,14 +92,16 @@ def load_csv(path, label_column: int, header: bool = False) -> Dataset:
 
     Rows must share one arity; the label column must parse as an integer and
     every other cell as a finite float.  A negative `label_column` counts
-    from the end of the first data row (-1 is the last column).
+    from the end of the first data row (-1 is the last column).  Blank
+    lines are skipped; `header` also skips the first non-blank line.
     The first half of the distinct labels (sorted ascending by original
     value) becomes the train split.
     """
     with open(path, "r", encoding="utf-8") as fh:
         lines = fh.read().splitlines()
-    start = 1 if header else 0
-    rows = [(i + 1, line) for i, line in enumerate(lines[start:], start=start) if line.strip()]
+    rows = [(i + 1, line) for i, line in enumerate(lines) if line.strip()]
+    if header:
+        rows = rows[1:]  # the header is the first non-blank line
     if not rows:
         raise EmptyFileError(f"{path}: no data rows")
 

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .core import label_masks
 from .errors import ConfigError, ShapeMismatchError
 
 TINY_DISTANCE = 1e-9
@@ -190,50 +191,36 @@ def multi_similarity_loss(embeddings, labels, spec: LossSpec) -> LossOutput:
     labels = np.asarray(labels)
     if emb.shape[0] != labels.shape[0]:
         raise ShapeMismatchError("labels length != batch size")
-    n = emb.shape[0]
     grad = np.zeros_like(emb)
     sims = emb @ emb.T
+    same, other = label_masks(labels)
 
     alpha, beta, base, eps = spec.ms_alpha, spec.ms_beta, spec.ms_base, spec.ms_eps
-    eligible = 0
-    active = 0
-    total = 0.0
-    sim_grad = np.zeros_like(sims)  # dL/dS before the 1/m normalization
-    for i in range(n):
-        same = labels == labels[i]
-        same[i] = False
-        diff = ~(labels == labels[i])
-        pos_idx = np.flatnonzero(same)
-        if pos_idx.size == 0:
-            continue  # anchors without positives are skipped
-        eligible += 1
-        neg_idx = np.flatnonzero(diff)
-
-        min_neg = sims[i, neg_idx].min() if neg_idx.size else -np.inf
-        max_pos = sims[i, pos_idx].max()
-        mined_pos = pos_idx[sims[i, pos_idx] > min_neg - eps]
-        mined_neg = neg_idx[sims[i, neg_idx] < max_pos + eps] if neg_idx.size else neg_idx
-
-        term = 0.0
-        if mined_pos.size:
-            x = -alpha * (sims[i, mined_pos] - base)
-            lse = np.logaddexp.reduce(np.concatenate(([0.0], x)))
-            term += lse / alpha
-            # softmax-style weights against the implicit +1 term
-            sim_grad[i, mined_pos] += -np.exp(x - lse)
-        if mined_neg.size:
-            x = beta * (sims[i, mined_neg] - base)
-            lse = np.logaddexp.reduce(np.concatenate(([0.0], x)))
-            term += lse / beta
-            sim_grad[i, mined_neg] += np.exp(x - lse)
-        total += term
-        if term > 0:
-            active += 1
-
-    if eligible == 0 or active == 0:
+    # a row without negatives mines every positive; a row without positives
+    # has max_pos = -inf, so it mines nothing and its term is exactly 0
+    min_neg = np.where(other.any(axis=1),
+                       np.min(sims, axis=1, where=other, initial=np.inf), -np.inf)
+    max_pos = np.max(sims, axis=1, where=same, initial=-np.inf)
+    mined_pos = same & (sims > (min_neg - eps)[:, None])
+    mined_neg = other & (sims < (max_pos + eps)[:, None])
+    # -inf pads the unmined columns: logaddexp(acc, -inf) == acc exactly, so
+    # each row reduces to the log-sum-exp over its mined entries and the +1 term
+    x_pos = np.where(mined_pos, -alpha * (sims - base), -np.inf)
+    x_neg = np.where(mined_neg, beta * (sims - base), -np.inf)
+    lse_pos = np.logaddexp.reduce(x_pos, axis=1, initial=0.0)
+    lse_neg = np.logaddexp.reduce(x_neg, axis=1, initial=0.0)
+    terms = lse_pos / alpha + lse_neg / beta
+    active = int(np.count_nonzero(terms > 0))
+    if active == 0:
         return LossOutput(0.0, grad, 0)
+    # dL/dS before the 1/m normalization: softmax-style weights against the
+    # implicit +1 term (exp(-inf) leaves +0.0 off the mined entries)
+    sim_grad = np.where(mined_pos, -np.exp(x_pos - lse_pos[:, None]),
+                        np.exp(x_neg - lse_neg[:, None]))
     sim_grad /= active
     # S_ij = v_i . v_j  =>  dL/dv_i += sum_j w_ij v_j ; dL/dv_j += w_ij v_i
     grad += sim_grad @ emb
     grad += sim_grad.T @ emb
-    return LossOutput(float(total / active), grad, active)
+    # a running sum in anchor order (not np.sum's pairwise order) gives the
+    # per-anchor loop's total bit for bit
+    return LossOutput(float(np.add.accumulate(terms)[-1] / active), grad, active)

@@ -4,7 +4,9 @@ Samplers see only a distance matrix and labels; nothing marks an embedding as
 real or produced, so both kinds are sampled on equal footing.  The optional
 `anchor_indices` restricts which rows may serve as anchors (used to keep
 produced embeddings out of the anchor role when configured), but candidates
-for positives/negatives always span the whole batch.
+for positives/negatives always span the whole batch.  Every sampler mines
+from the same-label/other-label masks of `core.label_masks` and resolves
+each seeded pick to the k-th True entry of a mask row.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import SeededRng
+from .core import SeededRng, label_masks
 from .data import Dataset
 from .errors import ConfigError, NotEnoughClassesError, NoValidTripletError, ShapeMismatchError
 from .losses import TripletSet
@@ -63,20 +65,6 @@ def sample_batch(dataset: Dataset, spec: BatchSpec, rng: SeededRng):
     return np.concatenate(feats, axis=0), np.asarray(labels, dtype=np.int64)
 
 
-def _label_masks(labels):
-    """n x n masks: same-label partners (self excluded) and other-label rows."""
-    labels = np.asarray(labels)
-    other = labels[:, None] != labels[None, :]
-    same = ~other
-    np.fill_diagonal(same, False)
-    return same, other
-
-
-def _class_views(same, other):
-    """Per-row index lists of the positives and negatives in the masks."""
-    return [np.flatnonzero(row) for row in same], [np.flatnonzero(row) for row in other]
-
-
 def _check_square(dist, labels):
     dist = np.asarray(dist)
     n = len(labels)
@@ -90,22 +78,19 @@ def sample_random_triplets(labels, count, rng: SeededRng, anchor_indices=None) -
 
     `count=None` draws one triplet per eligible anchor.
     """
-    same, other = _label_masks(labels)
+    same, other = label_masks(labels)
     valid = _eligible_anchors(same, other, anchor_indices)
     if valid.size == 0:
         raise NoValidTripletError("no anchor has both a positive and a negative")
-    pos_lists, neg_lists = _class_views(same, other)
+    n_pos, n_neg = np.count_nonzero(same, axis=1), np.count_nonzero(other, axis=1)
     if count is None:
         count = valid.size
-    anchors = np.empty(count, dtype=np.int64)
-    positives = np.empty(count, dtype=np.int64)
-    negatives = np.empty(count, dtype=np.int64)
+    anchors, k_pos, k_neg = np.empty((3, count), dtype=np.int64)
     for t in range(count):
-        a = valid[int(rng.integers(len(valid)))]
-        anchors[t] = a
-        positives[t] = pos_lists[a][int(rng.integers(len(pos_lists[a])))]
-        negatives[t] = neg_lists[a][int(rng.integers(len(neg_lists[a])))]
-    return TripletSet(anchors, positives, negatives)
+        a = anchors[t] = valid[int(rng.integers(len(valid)))]
+        k_pos[t] = rng.integers(int(n_pos[a]))
+        k_neg[t] = rng.integers(int(n_neg[a]))
+    return TripletSet(anchors, _kth_true(same[anchors], k_pos), _kth_true(other[anchors], k_neg))
 
 
 def _eligible_anchors(same, other, anchor_indices):
@@ -128,31 +113,21 @@ def sample_semihard_triplets(
     violating negative (largest D_an).  Ties resolve to the lower index.
     """
     dist = _check_square(dist, labels)
-    same, other = _label_masks(labels)
-    pos_lists, neg_lists = _class_views(same, other)
-    anchors, positives, negatives = [], [], []
-    for a in _eligible_anchors(same, other, anchor_indices):
-        p = pos_lists[a][int(rng.integers(len(pos_lists[a])))]
-        d_ap = dist[a, p]
-        negs = neg_lists[a]
-        d_an = dist[a, negs]
-        window = negs[(d_an > d_ap) & (d_an < d_ap + margin)]
-        if window.size:
-            n = window[int(rng.integers(window.size))]
+    same, other = label_masks(labels)
+    anchors = _eligible_anchors(same, other, anchor_indices)
+    positives, negatives = np.empty_like(anchors), np.empty_like(anchors)
+    for i, a in enumerate(anchors):
+        row = dist[a]
+        p = positives[i] = _kth_true(same[a], rng.integers(np.count_nonzero(same[a])))
+        farther = other[a] & (row > row[p])
+        window = farther & (row < row[p] + margin)
+        if window.any():
+            negatives[i] = _kth_true(window, rng.integers(np.count_nonzero(window)))
+        elif farther.any():
+            negatives[i] = np.argmin(np.where(farther, row, np.inf))
         else:
-            farther = negs[d_an > d_ap]
-            if farther.size:
-                n = farther[int(np.argmin(dist[a, farther]))]
-            else:
-                n = negs[int(np.argmax(d_an))]
-        anchors.append(a)
-        positives.append(int(p))
-        negatives.append(int(n))
-    return TripletSet(
-        np.asarray(anchors, dtype=np.int64),
-        np.asarray(positives, dtype=np.int64),
-        np.asarray(negatives, dtype=np.int64),
-    )
+            negatives[i] = np.argmax(np.where(other[a], row, -np.inf))
+    return TripletSet(anchors, positives, negatives)
 
 
 def distance_weights(d, embed_dim: int, clip: float = 0.5, cap: float = 1e8):
@@ -187,7 +162,7 @@ def sample_distance_weighted(
     uniform rounds up to the total).
     """
     dist = _check_square(dist, labels)
-    same, other = _label_masks(labels)
+    same, other = label_masks(labels)
     rows = _eligible_anchors(same, other, anchor_indices)
     same, other = same[rows], other[rows]
     # zeroing the non-negatives adds exact +0.0 terms, so each row's cdf at
@@ -207,8 +182,9 @@ def sample_distance_weighted(
 
 
 def _kth_true(mask, k):
-    """Column of the k[i]-th (0-based) True entry of each mask row."""
-    return np.count_nonzero(np.cumsum(mask, axis=1) <= k[:, None], axis=1)
+    """Column of the k[i]-th (0-based) True entry of each mask row (or of
+    the k-th of a single row)."""
+    return np.count_nonzero(np.cumsum(mask, axis=-1) <= np.asarray(k)[..., None], axis=-1)
 
 
 def sample_softhard_triplets(
@@ -217,24 +193,18 @@ def sample_softhard_triplets(
     """Hard positives (farther than the nearest negative) paired with hard
     negatives (closer than the farthest positive); uniform fallback each side."""
     dist = _check_square(dist, labels)
-    same, other = _label_masks(labels)
-    pos_lists, neg_lists = _class_views(same, other)
-    anchors, positives, negatives = [], [], []
-    for a in _eligible_anchors(same, other, anchor_indices):
-        pos, negs = pos_lists[a], neg_lists[a]
-        d_pos, d_neg = dist[a, pos], dist[a, negs]
-        hard_pos = pos[d_pos > d_neg.min()]
-        hard_neg = negs[d_neg < d_pos.max()]
-        p_pool = hard_pos if hard_pos.size else pos
-        n_pool = hard_neg if hard_neg.size else negs
-        anchors.append(a)
-        positives.append(int(p_pool[int(rng.integers(p_pool.size))]))
-        negatives.append(int(n_pool[int(rng.integers(n_pool.size))]))
-    return TripletSet(
-        np.asarray(anchors, dtype=np.int64),
-        np.asarray(positives, dtype=np.int64),
-        np.asarray(negatives, dtype=np.int64),
-    )
+    same, other = label_masks(labels)
+    rows = _eligible_anchors(same, other, anchor_indices)
+    d, same, other = dist[rows], same[rows], other[rows]
+    hard_pos = same & (d > np.min(d, axis=1, where=other, initial=np.inf)[:, None])
+    hard_neg = other & (d < np.max(d, axis=1, where=same, initial=-np.inf)[:, None])
+    p_pool = np.where(hard_pos.any(axis=1)[:, None], hard_pos, same)
+    n_pool = np.where(hard_neg.any(axis=1)[:, None], hard_neg, other)
+    # one call over interleaved (positive, negative) bounds draws, per anchor,
+    # the same two stream values as two scalar calls
+    pick = rng.integers(np.stack(
+        [np.count_nonzero(p_pool, axis=1), np.count_nonzero(n_pool, axis=1)], axis=1))
+    return TripletSet(rows, _kth_true(p_pool, pick[:, 0]), _kth_true(n_pool, pick[:, 1]))
 
 
 def sample_triplets(

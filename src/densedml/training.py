@@ -98,8 +98,9 @@ def _evaluate_split(params, dataset, ks, seed) -> EvalReport:
 def train(cfg: RunConfig, trace=None) -> TrainResult:
     """Run the full loop; returns final parameters plus the run log lines.
 
-    `trace`, when given, is a list that collects one phase name per executed
-    pipeline stage (used by tests to pin the step ordering).
+    `trace`, when given, is any object with an `append` method; it receives
+    one phase name per executed pipeline stage, in order (tests pin the step
+    ordering with a list; a benchmark can time the phases).
     """
     cfg.validate()
     root = SeededRng(cfg.seed)

@@ -14,10 +14,11 @@ from densedml.encoder import EncoderParams
 from densedml.errors import (
     DimensionMismatchError,
     KOutOfRangeError,
+    NoValidTripletError,
     ShapeMismatchError,
     ZeroNormError,
 )
-from densedml.losses import PairSet, TripletSet
+from densedml.losses import LossOutput, PairSet, TripletSet
 from densedml.sampling import distance_weights
 
 
@@ -30,30 +31,154 @@ def class_views(labels):
     return [np.flatnonzero(row) for row in same], [np.flatnonzero(row) for row in diff]
 
 
-def sample_distance_weighted(dist, labels, rng, embed_dim, clip=0.5, anchor_indices=None):
-    """One triplet per eligible anchor: uniform positive, then an inverse-cdf
-    negative over that anchor's 1/q(d) weights."""
-    dist = np.asarray(dist)
-    pos_lists, neg_lists = class_views(labels)
-    pool = range(len(labels)) if anchor_indices is None else anchor_indices
-    all_weights = distance_weights(dist, embed_dim, clip)
-    anchors, positives, negatives = [], [], []
-    for a in pool:
-        if not (len(pos_lists[a]) and len(neg_lists[a])):
-            continue
-        p = pos_lists[a][int(rng.integers(len(pos_lists[a])))]
-        negs = neg_lists[a]
-        cdf = np.cumsum(all_weights[a, negs])
-        u = rng.uniform(0.0, cdf[-1])
-        n = negs[min(int(np.searchsorted(cdf, u, side="right")), negs.size - 1)]
-        anchors.append(int(a))
-        positives.append(int(p))
-        negatives.append(int(n))
+def _eligible(pos_lists, neg_lists, anchor_indices):
+    pool = range(len(pos_lists)) if anchor_indices is None else anchor_indices
+    return [int(a) for a in pool if len(pos_lists[a]) and len(neg_lists[a])]
+
+
+def _triplet_set(anchors, positives, negatives):
     return TripletSet(
         np.asarray(anchors, dtype=np.int64),
         np.asarray(positives, dtype=np.int64),
         np.asarray(negatives, dtype=np.int64),
     )
+
+
+def sample_distance_weighted(dist, labels, rng, embed_dim, clip=0.5, anchor_indices=None):
+    """One triplet per eligible anchor: uniform positive, then an inverse-cdf
+    negative over that anchor's 1/q(d) weights."""
+    dist = np.asarray(dist)
+    pos_lists, neg_lists = class_views(labels)
+    all_weights = distance_weights(dist, embed_dim, clip)
+    anchors, positives, negatives = [], [], []
+    for a in _eligible(pos_lists, neg_lists, anchor_indices):
+        p = pos_lists[a][int(rng.integers(len(pos_lists[a])))]
+        negs = neg_lists[a]
+        cdf = np.cumsum(all_weights[a, negs])
+        u = rng.uniform(0.0, cdf[-1])
+        n = negs[min(int(np.searchsorted(cdf, u, side="right")), negs.size - 1)]
+        anchors.append(a)
+        positives.append(int(p))
+        negatives.append(int(n))
+    return _triplet_set(anchors, positives, negatives)
+
+
+def sample_random_triplets(labels, count, rng, anchor_indices=None):
+    """`count` triplets (one per eligible anchor when None): a uniform anchor
+    from the eligible pool, then a uniform positive and a uniform negative."""
+    pos_lists, neg_lists = class_views(labels)
+    valid = _eligible(pos_lists, neg_lists, anchor_indices)
+    if not valid:
+        raise NoValidTripletError("no anchor has both a positive and a negative")
+    if count is None:
+        count = len(valid)
+    anchors = np.empty(count, dtype=np.int64)
+    positives = np.empty(count, dtype=np.int64)
+    negatives = np.empty(count, dtype=np.int64)
+    for t in range(count):
+        a = valid[int(rng.integers(len(valid)))]
+        anchors[t] = a
+        positives[t] = pos_lists[a][int(rng.integers(len(pos_lists[a])))]
+        negatives[t] = neg_lists[a][int(rng.integers(len(neg_lists[a])))]
+    return TripletSet(anchors, positives, negatives)
+
+
+def sample_semihard_triplets(dist, labels, margin, rng, anchor_indices=None):
+    """Per anchor: uniform positive, then a uniform negative in the open
+    window (D_ap, D_ap + margin), else the hardest farther negative, else the
+    largest D_an; ties to the lower index."""
+    dist = np.asarray(dist)
+    pos_lists, neg_lists = class_views(labels)
+    anchors, positives, negatives = [], [], []
+    for a in _eligible(pos_lists, neg_lists, anchor_indices):
+        p = pos_lists[a][int(rng.integers(len(pos_lists[a])))]
+        d_ap = dist[a, p]
+        negs = neg_lists[a]
+        d_an = dist[a, negs]
+        window = negs[(d_an > d_ap) & (d_an < d_ap + margin)]
+        if window.size:
+            n = window[int(rng.integers(window.size))]
+        else:
+            farther = negs[d_an > d_ap]
+            if farther.size:
+                n = farther[int(np.argmin(dist[a, farther]))]
+            else:
+                n = negs[int(np.argmax(d_an))]
+        anchors.append(a)
+        positives.append(int(p))
+        negatives.append(int(n))
+    return _triplet_set(anchors, positives, negatives)
+
+
+def sample_softhard_triplets(dist, labels, rng, anchor_indices=None):
+    """Per anchor: a uniform hard positive (farther than the nearest negative)
+    and a uniform hard negative (closer than the farthest positive), each
+    falling back to the full set when its hard set is empty."""
+    dist = np.asarray(dist)
+    pos_lists, neg_lists = class_views(labels)
+    anchors, positives, negatives = [], [], []
+    for a in _eligible(pos_lists, neg_lists, anchor_indices):
+        pos, negs = pos_lists[a], neg_lists[a]
+        d_pos, d_neg = dist[a, pos], dist[a, negs]
+        hard_pos = pos[d_pos > d_neg.min()]
+        hard_neg = negs[d_neg < d_pos.max()]
+        p_pool = hard_pos if hard_pos.size else pos
+        n_pool = hard_neg if hard_neg.size else negs
+        anchors.append(a)
+        positives.append(int(p_pool[int(rng.integers(p_pool.size))]))
+        negatives.append(int(n_pool[int(rng.integers(n_pool.size))]))
+    return _triplet_set(anchors, positives, negatives)
+
+
+def multi_similarity_loss(embeddings, labels, spec):
+    """Per-anchor multi-similarity loss: mine, then one log-sum-exp per side."""
+    emb = np.asarray(embeddings, dtype=np.float64)
+    labels = np.asarray(labels)
+    n = emb.shape[0]
+    grad = np.zeros_like(emb)
+    sims = emb @ emb.T
+
+    alpha, beta, base, eps = spec.ms_alpha, spec.ms_beta, spec.ms_base, spec.ms_eps
+    eligible = 0
+    active = 0
+    total = 0.0
+    sim_grad = np.zeros_like(sims)
+    for i in range(n):
+        same = labels == labels[i]
+        same[i] = False
+        diff = ~(labels == labels[i])
+        pos_idx = np.flatnonzero(same)
+        if pos_idx.size == 0:
+            continue
+        eligible += 1
+        neg_idx = np.flatnonzero(diff)
+
+        min_neg = sims[i, neg_idx].min() if neg_idx.size else -np.inf
+        max_pos = sims[i, pos_idx].max()
+        mined_pos = pos_idx[sims[i, pos_idx] > min_neg - eps]
+        mined_neg = neg_idx[sims[i, neg_idx] < max_pos + eps] if neg_idx.size else neg_idx
+
+        term = 0.0
+        if mined_pos.size:
+            x = -alpha * (sims[i, mined_pos] - base)
+            lse = np.logaddexp.reduce(np.concatenate(([0.0], x)))
+            term += lse / alpha
+            sim_grad[i, mined_pos] += -np.exp(x - lse)
+        if mined_neg.size:
+            x = beta * (sims[i, mined_neg] - base)
+            lse = np.logaddexp.reduce(np.concatenate(([0.0], x)))
+            term += lse / beta
+            sim_grad[i, mined_neg] += np.exp(x - lse)
+        total += term
+        if term > 0:
+            active += 1
+
+    if eligible == 0 or active == 0:
+        return LossOutput(0.0, grad, 0)
+    sim_grad /= active
+    grad += sim_grad @ emb
+    grad += sim_grad.T @ emb
+    return LossOutput(float(total / active), grad, active)
 
 
 def scaling_factor(mask_row, rs, rng):

@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from densedml.cli import main
 from densedml.data import load_csv
 
@@ -64,8 +66,8 @@ class TestTrain:
 
     def test_produced_as_anchors_flag(self, tmp_path):
         code = run_cli(
-            "train", "--out-dir", str(tmp_path / "r"), "--produced-as-anchors", "false",
-            *BASE_OVERRIDES,
+            "train", "--out-dir", str(tmp_path / "r"),
+            "--set", "sampler.produced_as_anchors=false", *BASE_OVERRIDES,
         )
         assert code == 0
         cfg = json.loads((tmp_path / "r" / "config.json").read_text())
@@ -168,6 +170,33 @@ class TestPreflight:
         assert "batch.classes_per_batch=5" in capsys.readouterr().err
 
 
+class TestIntegerLists:
+    """Integer lists from a config file, --seeds and --ks fail with exit 2."""
+
+    @pytest.mark.parametrize("doc, key", [
+        ({"eval_ks": ["a"]}, "eval_ks"),
+        ({"encoder": {"hidden": [None]}}, "encoder.hidden"),
+    ])
+    def test_config_file_list_exit_2(self, tmp_path, capsys, doc, key):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(doc))
+        assert run_cli("train", "--config", str(path)) == 2
+        assert f"{key}: expected a list of integers" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", [
+        ("compare",),
+        ("sweep", "--param", "das.K", "--values", "1"),
+    ])
+    def test_seeds_exit_2(self, capsys, command):
+        assert run_cli(*command, "--seeds", "0,x", *BASE_OVERRIDES) == 2
+        assert "--seeds: expected a list of integers" in capsys.readouterr().err
+
+    def test_evaluate_ks_exit_2(self, tmp_path, capsys):
+        code = run_cli("evaluate", "--checkpoint", str(tmp_path / "no.json"), "--ks", "1,a")
+        assert code == 2
+        assert "--ks: expected a list of integers" in capsys.readouterr().err
+
+
 class TestEvaluate:
     def test_checkpoint_eval_round_trip(self, tmp_path, capsys):
         out_dir = tmp_path / "run"
@@ -216,6 +245,22 @@ class TestCompareAndSweep:
         assert code == 0
         out = capsys.readouterr().out
         assert "tight" in out and "wide" in out
+
+    @pytest.mark.parametrize("text, message", [
+        ('[{"set": {"das.rs": "0.2"}}]', "entry 0 needs a \"name\""),
+        ('[{"name": "a"}, "b"]', "entry 1 needs a \"name\""),
+        ('{"name": "a"}', "must hold a JSON list"),
+        ('[{"name": "a",]', "is not valid JSON"),
+    ])
+    def test_bad_variants_file_exit_2(self, tmp_path, capsys, text, message):
+        variants = tmp_path / "v.json"
+        variants.write_text(text)
+        code = run_cli(
+            "compare", "--variants", str(variants), "--seeds", "0", *BASE_OVERRIDES,
+        )
+        assert code == 2
+        err = capsys.readouterr().err
+        assert str(variants) in err and message in err
 
     def test_sweep_k_grid(self, tmp_path, capsys):
         code = run_cli(

@@ -112,6 +112,14 @@ class TestCsv:
         ds = load_csv(p, label_column=2, header=True)
         assert ds.n_points == 2
 
+    def test_header_skip_after_blank_lines(self, tmp_path):
+        # the header is the first non-blank line, not the first raw line
+        p = tmp_path / "d.csv"
+        p.write_text("\n \nx,y,label\n0.1,0.2,0\n0.3,0.4,1\n")
+        ds = load_csv(p, label_column=-1, header=True)
+        assert ds.n_points == 2
+        np.testing.assert_array_equal(ds.features, [[0.1, 0.2], [0.3, 0.4]])
+
     def test_round_trip_exact(self, tmp_path):
         ds = small_dataset(seed=3)
         p = tmp_path / "rt.csv"

@@ -16,6 +16,7 @@ from densedml.losses import (
     triplet_loss,
 )
 from conftest import finite_difference, max_rel_error, random_unit_rows
+import oracles
 from oracles import build_pairs
 
 
@@ -230,6 +231,54 @@ class TestMultiSimilarity:
         labels = np.array([0, 1, 1])
         out = multi_similarity_loss(emb, labels, self.spec())
         assert math.isfinite(out.value)
+
+
+@st.composite
+def ms_batches(draw):
+    """Unit rows with optional duplicates and labels that may hold one class,
+    anchors without a positive, or both."""
+    n = draw(st.integers(min_value=0, max_value=16))
+    labels = np.array(draw(st.lists(st.integers(0, draw(st.integers(0, 3))),
+                                    min_size=n, max_size=n)), dtype=np.int64)
+    r = SeededRng(draw(st.integers(min_value=0, max_value=2**31)))
+    emb = random_unit_rows(r, n, 3) if n else np.zeros((0, 3))
+    if n and draw(st.booleans()):
+        emb = emb[r.integers(n, size=n)]  # duplicate embeddings
+    return emb, labels
+
+
+class TestMultiSimilarityOracle:
+    """The loop-free loss against the per-anchor loop it replaced, bit for bit."""
+
+    @staticmethod
+    def assert_same(emb, labels, spec):
+        got = multi_similarity_loss(emb, labels, spec)
+        want = oracles.multi_similarity_loss(emb, labels, spec)
+        assert got.value == want.value
+        np.testing.assert_array_equal(got.grad, want.grad)
+        np.testing.assert_array_equal(got.active_count, want.active_count)
+        return got
+
+    @settings(max_examples=200, deadline=None)
+    @given(ms_batches(), st.sampled_from([0.0, 0.1, 0.5]), st.sampled_from([2.0, 50.0]))
+    def test_matches_per_anchor_loop(self, batch, eps, beta):
+        emb, labels = batch
+        self.assert_same(emb, labels, LossSpec(kind="ms", ms_beta=beta, ms_eps=eps))
+
+    def test_single_class_mines_every_positive(self, rng):
+        # no negatives: min_neg is -inf, so every positive is mined
+        emb = random_unit_rows(rng, 5, 3)
+        out = self.assert_same(emb, np.zeros(5, dtype=np.int64), LossSpec(kind="ms"))
+        assert out.active_count == 5
+
+    def test_anchors_without_positive(self, rng):
+        emb = random_unit_rows(rng, 5, 3)
+        out = self.assert_same(emb, np.array([0, 1, 1, 2, 3]), LossSpec(kind="ms"))
+        assert out.active_count <= 2
+
+    def test_duplicate_embeddings_at_eps_zero(self, rng):
+        emb = random_unit_rows(rng, 3, 3)[[0, 0, 1, 1, 2, 2]]
+        self.assert_same(emb, np.array([0, 1, 0, 1, 2, 2]), LossSpec(kind="ms", ms_eps=0.0))
 
 
 class TestSharedProperties:

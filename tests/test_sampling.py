@@ -260,6 +260,63 @@ class TestDistanceWeightedOracle:
         assert len(trip) == 0 and trip.negatives.dtype == np.int64
 
 
+def assert_same_stream(rng_got, rng_want):
+    np.testing.assert_array_equal(rng_got.uniform(size=3), rng_want.uniform(size=3))
+    assert rng_got.integers(1000) == rng_want.integers(1000)
+
+
+class TestMaskSamplersOracle:
+    """The mask-based random, semihard and softhard samplers against the
+    per-anchor loops they replaced: same triplets, int64 dtypes, next draws."""
+
+    assert_same = staticmethod(TestDistanceWeightedOracle.assert_same)
+
+    @settings(max_examples=150, deadline=None)
+    @given(sampler_inputs(), st.none() | st.integers(min_value=0, max_value=12))
+    def test_random(self, inputs, count):
+        labels, _, anchors, seed = inputs
+        rng_got, rng_want = SeededRng(seed), SeededRng(seed)
+        try:
+            want = oracles.sample_random_triplets(labels, count, rng_want, anchors)
+        except NoValidTripletError:
+            with pytest.raises(NoValidTripletError):
+                sample_random_triplets(labels, count, rng_got, anchors)
+        else:
+            self.assert_same(sample_random_triplets(labels, count, rng_got, anchors), want)
+        assert_same_stream(rng_got, rng_want)
+
+    @settings(max_examples=150, deadline=None)
+    @given(sampler_inputs(), st.sampled_from([0.0, 0.2, 0.5, 3.0]))
+    def test_semihard(self, inputs, margin):
+        labels, dist, anchors, seed = inputs
+        rng_got, rng_want = SeededRng(seed), SeededRng(seed)
+        want = oracles.sample_semihard_triplets(dist, labels, margin, rng_want, anchors)
+        got = sample_semihard_triplets(dist, labels, margin, rng_got, anchors)
+        self.assert_same(got, want)
+        assert_same_stream(rng_got, rng_want)
+
+    @settings(max_examples=150, deadline=None)
+    @given(sampler_inputs())
+    def test_softhard(self, inputs):
+        labels, dist, anchors, seed = inputs
+        rng_got, rng_want = SeededRng(seed), SeededRng(seed)
+        want = oracles.sample_softhard_triplets(dist, labels, rng_want, anchors)
+        got = sample_softhard_triplets(dist, labels, rng_got, anchors)
+        self.assert_same(got, want)
+        assert_same_stream(rng_got, rng_want)
+
+    def test_softhard_bound_one_pools_interleave(self):
+        # anchors 0 and 1 have one-member pools on both sides (bound 1, which
+        # numpy may answer without a draw); anchor 2 then draws from two negatives
+        labels = np.array([0, 0, 1, 1])
+        dist = pairwise_distances(line_points([0.0, 1.0, 0.5, 3.0]))
+        rng_got, rng_want = SeededRng(2), SeededRng(2)
+        got = sample_softhard_triplets(dist, labels, rng_got)
+        self.assert_same(got, oracles.sample_softhard_triplets(dist, labels, rng_want))
+        assert got.positives[:3].tolist() == [1, 0, 3] and got.negatives[:2].tolist() == [2, 2]
+        assert_same_stream(rng_got, rng_want)
+
+
 class TestSofthard:
     def test_hard_sets(self):
         emb = line_points([0.0, 0.2, 0.9, -0.5, 1.5])
