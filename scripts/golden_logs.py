@@ -1,5 +1,6 @@
 #!/usr/bin/env python3
-"""Hash the run log and final parameters of every cell of a fixed grid.
+"""Hash the parsed config, run log and final parameters of every cell of a
+fixed grid.
 
 The training grid crosses 3 seeds x the four ablation variants x four losses
 x four samplers x three batch/anchor settings (default, produced rows never
@@ -12,8 +13,10 @@ acceptance config with 256 points per class and DAS off, trained for
 EVAL_STEPS steps, once per seed in EVAL_SEEDS) and of one synthetic split on
 a small integer grid, where duplicate points and tied distances abound.
 
-A refactor that must not change the seeded draw sequence or the evaluation
-runs this on the parent and on the change and compares the two files:
+The config hash pins how the grid's string overrides parse.  A refactor
+that must not change config parsing, the seeded draw sequence or the
+evaluation runs this on the parent and on the change and compares the two
+files:
 
     PYTHONPATH=src python scripts/golden_logs.py --out before.json
     PYTHONPATH=src python scripts/golden_logs.py --out after.json
@@ -25,7 +28,7 @@ import copy
 import hashlib
 import json
 
-from densedml.config import apply_override
+from densedml.config import apply_override, config_to_dict
 from densedml.core import SeededRng
 from densedml.metrics import evaluate_embeddings
 from densedml.training import ablation_variants, train
@@ -62,19 +65,23 @@ def grid():
                         yield name, overrides
 
 
+def sha256_hex(text):
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
 def cell_hashes(cfg):
+    config = sha256_hex(json.dumps(config_to_dict(cfg), sort_keys=True))
     result = train(cfg)
-    log = hashlib.sha256("\n".join(result.log_lines).encode("utf-8")).hexdigest()
+    log = sha256_hex("\n".join(result.log_lines))
     params = hashlib.sha256()
     for w, b in zip(result.params.weights, result.params.biases):
         params.update(w.tobytes())
         params.update(b.tobytes())
-    return {"log": log, "params": params.hexdigest()}
+    return {"config": config, "log": log, "params": params.hexdigest()}
 
 
 def report_hash(report):
-    doc = json.dumps(report.to_json_dict(), sort_keys=True)
-    return hashlib.sha256(doc.encode("utf-8")).hexdigest()
+    return sha256_hex(json.dumps(report.to_json_dict(), sort_keys=True))
 
 
 def eval_hashes(base):

@@ -8,7 +8,7 @@ aggregate table.  This is the same experiment the acceptance suite runs.
 
 import argparse
 
-from densedml.config import RunConfig
+from densedml.config import ConfigError, RunConfig, parse_int_list
 from densedml.training import ablation_variants, run_comparison
 
 
@@ -38,7 +38,10 @@ def main():
 
     cfg = benchmark_config()
     cfg.steps = args.steps
-    seeds = [int(s) for s in args.seeds.split(",")]
+    try:
+        seeds = parse_int_list(args.seeds, "--seeds")
+    except ConfigError as exc:
+        parser.error(str(exc))
     table = run_comparison(
         cfg, ablation_variants(), seeds, out_dir=args.out_dir,
         progress=lambda c: print(f"  [{c.variant} seed={c.seed}] {c.status}"),

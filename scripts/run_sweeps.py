@@ -4,7 +4,7 @@ the transformation-bank capacity (Z = 1..5), one table per sweep."""
 
 import argparse
 
-from densedml.config import RunConfig
+from densedml.config import ConfigError, RunConfig, parse_int_list
 from densedml.training import run_comparison, sweep_variants
 
 
@@ -14,7 +14,10 @@ def main():
     parser.add_argument("--seeds", default="0,1,2")
     parser.add_argument("--steps", type=int, default=800)
     args = parser.parse_args()
-    seeds = [int(s) for s in args.seeds.split(",")]
+    try:
+        seeds = parse_int_list(args.seeds, "--seeds")
+    except ConfigError as exc:
+        parser.error(str(exc))
 
     cfg = RunConfig()
     cfg.steps = args.steps

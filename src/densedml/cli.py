@@ -12,16 +12,18 @@ import sys
 from .config import (
     ConfigError,
     RunConfig,
+    config_to_dict,
     load_config,
     parse_int_list,
     parse_set_args,
     save_config,
 )
 from .core import SeededRng, STREAMS
-from .data import generate_gaussian_clusters, load_csv, save_csv
+from .data import generate_gaussian_clusters, save_csv
 from .errors import EngineError
 from .training import (
     ablation_variants,
+    build_dataset,
     evaluate_checkpoint,
     run_comparison,
     sweep_variants,
@@ -44,9 +46,9 @@ def _add_config_args(p):
 def _build_config(args) -> RunConfig:
     cfg = load_config(args.config) if args.config else RunConfig()
     parse_set_args(cfg, args.set)
-    if getattr(args, "seed", None) is not None:
+    if args.seed is not None:
         cfg.seed = args.seed
-    if getattr(args, "out_dir", None):
+    if args.out_dir:
         cfg.out_dir = args.out_dir
     return cfg
 
@@ -77,13 +79,9 @@ def _cmd_train(args) -> int:
 
 def _cmd_evaluate(args) -> int:
     ks = parse_int_list(args.ks, "--ks")
-    if args.csv:
-        dataset = load_csv(args.csv, args.label_col, header=args.header)
-    else:
-        cfg = _build_config(args)
-        from .training import build_dataset
-
-        dataset = build_dataset(cfg, SeededRng(cfg.seed, STREAMS["data"]))
+    cfg = _build_config(args)
+    cfg.data.validate()
+    dataset = build_dataset(cfg, SeededRng(cfg.seed, STREAMS["data"]))
     report = evaluate_checkpoint(args.checkpoint, dataset, ks)
     print(json.dumps(report.to_json_dict()))
     return 0
@@ -163,12 +161,6 @@ def build_parser() -> argparse.ArgumentParser:
     e = sub.add_parser("evaluate", help="score a checkpoint on a dataset's test split")
     _add_config_args(e)
     e.add_argument("--checkpoint", required=True)
-    e.add_argument("--csv", help="dataset CSV (otherwise the config's data section)")
-    e.add_argument(
-        "--label-col", type=int, default=-1,
-        help="0-based label column; negative counts from the end (default last)",
-    )
-    e.add_argument("--header", action="store_true", help="skip the first non-blank CSV line")
     e.add_argument("--ks", default="1,2,4,8")
     e.set_defaults(fn=_cmd_evaluate)
 
@@ -202,8 +194,6 @@ def _cmd_write_config(args) -> int:
         save_config(cfg, args.out)
         print(f"wrote {args.out}")
     else:
-        from .config import config_to_dict
-
         print(json.dumps(config_to_dict(cfg), indent=2, sort_keys=True))
     return 0
 

@@ -126,16 +126,14 @@ def config_to_dict(cfg: RunConfig) -> dict:
 
 def config_from_dict(doc: dict) -> RunConfig:
     cfg = RunConfig()
-    try:
-        for key, value in doc.items():
-            if key in _SECTIONS:
-                section = getattr(cfg, key)
-                for sub, sub_value in value.items():
-                    _assign(section, sub, sub_value, f"{key}.{sub}")
-            else:
-                _assign(cfg, key, value, key)
-    except AttributeError as exc:
-        raise ConfigError(str(exc)) from exc
+    for key, value in doc.items():
+        if key not in _SECTIONS:
+            apply_override(cfg, key, value)
+        elif not isinstance(value, dict):
+            raise ConfigError(f"config section {key!r} must be a JSON object, got {value!r}")
+        else:
+            for sub, sub_value in value.items():
+                apply_override(cfg, f"{key}.{sub}", sub_value)
     return cfg
 
 
@@ -158,48 +156,41 @@ def save_config(cfg: RunConfig, path) -> None:
         fh.write("\n")
 
 
-def _known_fields(obj) -> dict:
-    return {f.name: f for f in dataclasses.fields(obj)}
+def _parse_bool(value, key):
+    text = str(value).lower()  # a JSON boolean reads "true" or "false"
+    if text not in ("true", "1", "yes", "false", "0", "no"):
+        raise ConfigError(f"{key}: expected a boolean, got {value!r}")
+    return text in ("true", "1", "yes")
 
 
-def _assign(obj, name, value, dotted):
-    fields = _known_fields(obj)
-    if name not in fields:
-        raise ConfigError(f"unknown config key {dotted!r}")
-    current = getattr(obj, name)
-    setattr(obj, name, _coerce(value, current, dotted))
-
-
-def _coerce(value, current, dotted):
-    if current is None:
-        # optional numeric field (e.g. loss.beta_lr)
-        if value is None or str(value).lower() in ("none", "null", ""):
-            return None
-        try:
-            return float(value)
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"{dotted}: expected a number or none, got {value!r}") from exc
-    if isinstance(current, bool):
-        if isinstance(value, bool):
-            return value
-        if str(value).lower() in ("true", "1", "yes"):
-            return True
-        if str(value).lower() in ("false", "0", "no"):
-            return False
-        raise ConfigError(f"{dotted}: expected a boolean, got {value!r}")
-    if isinstance(current, int) and not isinstance(current, bool):
+def _parse_int(value, key):
+    """An int, an integral float such as JSON's 3.0, or an integer string;
+    booleans and fractions are rejected, never truncated."""
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    if isinstance(value, int) and not isinstance(value, bool):
+        return value
+    if isinstance(value, str):
         try:
             return int(value)
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"{dotted}: expected an integer, got {value!r}") from exc
-    if isinstance(current, float):
+        except ValueError:
+            pass
+    raise ConfigError(f"{key}: expected an integer, got {value!r}")
+
+
+def _parse_float(value, key):
+    if not isinstance(value, bool):
         try:
             return float(value)
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"{dotted}: expected a number, got {value!r}") from exc
-    if isinstance(current, list):
-        return parse_int_list(value, dotted)
-    return str(value) if value is not None else ""
+        except (TypeError, ValueError, OverflowError):
+            pass
+    raise ConfigError(f"{key}: expected a number, got {value!r}")
+
+
+def _parse_optional_float(value, key):
+    if value is None or str(value).lower() in ("none", "null", ""):
+        return None
+    return _parse_float(value, key)
 
 
 def parse_int_list(value, name):
@@ -208,27 +199,38 @@ def parse_int_list(value, name):
     items = value if isinstance(value, list) else [
         v for v in str(value).split(",") if v.strip() != ""]
     try:
-        return [int(v) for v in items]
-    except (TypeError, ValueError) as exc:
+        return [_parse_int(v, name) for v in items]
+    except ConfigError as exc:
         raise ConfigError(f"{name}: expected a list of integers, got {value!r}") from exc
 
 
+# one parser per type a leaf field declares (the annotation as a string)
+_PARSERS = {
+    "bool": _parse_bool,
+    "int": _parse_int,
+    "float": _parse_float,
+    "float | None": _parse_optional_float,
+    "list": parse_int_list,
+    "str": lambda value, key: "" if value is None else str(value),
+}
+
+
 def apply_override(cfg: RunConfig, dotted_key: str, value) -> None:
-    """Set `section.field` (or a top-level field) from a string or JSON value."""
-    parts = dotted_key.split(".")
-    if len(parts) == 1:
-        _assign(cfg, parts[0], value, dotted_key)
-    elif len(parts) == 2 and parts[0] in _SECTIONS:
-        _assign(getattr(cfg, parts[0]), parts[1], value, dotted_key)
-    else:
+    """Set `section.field` (or a top-level field) from a string or JSON value,
+    parsed by the type the field declares."""
+    section, _, name = dotted_key.rpartition(".")
+    owner = cfg if not section else getattr(cfg, section) if section in _SECTIONS else None
+    declared = {} if owner is None else {f.name: f.type for f in dataclasses.fields(owner)}
+    parser = _PARSERS.get(declared.get(name))
+    if parser is None:
         raise ConfigError(f"unknown config key {dotted_key!r}")
+    setattr(owner, name, parser(value, dotted_key))
 
 
-def parse_set_args(cfg: RunConfig, assignments) -> RunConfig:
+def parse_set_args(cfg: RunConfig, assignments) -> None:
     """Apply repeated `--set key=value` arguments in order."""
     for item in assignments or []:
         if "=" not in item:
             raise ConfigError(f"--set expects key=value, got {item!r}")
         key, value = item.split("=", 1)
         apply_override(cfg, key.strip(), value.strip())
-    return cfg

@@ -68,6 +68,14 @@ class DasConfig:
         return not self.dfs_only
 
 
+def check_labels(labels, n_classes: int) -> None:
+    """Raise LabelOutOfRangeError naming the first label outside [0, n_classes);
+    a plain loop, as numpy's per-call overhead would dominate one label."""
+    for label in np.asarray(labels).ravel().tolist():
+        if not 0 <= label < n_classes:
+            raise LabelOutOfRangeError(f"label {label} outside [0, {n_classes})")
+
+
 class FrequencyRecorder:
     """C x d counters of how often each channel is among a class embedding's
     top-K activations.  Counters only grow; no decay."""
@@ -87,14 +95,13 @@ class FrequencyRecorder:
         """Bump the top-K channel counters of each embedding's class row."""
         emb = np.atleast_2d(np.asarray(embeddings, dtype=np.float64))
         labels = np.atleast_1d(np.asarray(labels))
+        check_labels(labels, self.n_classes)
         if emb.shape[0] != labels.shape[0]:
             raise ShapeMismatchError("labels length != embedding count")
         if emb.shape[1] != self.dim:
             raise ShapeMismatchError(f"embedding dim {emb.shape[1]} != recorder dim {self.dim}")
         if k < 1 or k > self.dim:
             raise KOutOfRangeError(f"K={k} outside [1, {self.dim}]")
-        if labels.size and (labels.min() < 0 or labels.max() >= self.n_classes):
-            raise LabelOutOfRangeError(f"labels outside [0, {self.n_classes})")
         # each row's K largest entries; the stable sort keeps the lower
         # index first among ties
         top = np.argsort(-emb, axis=1, kind="stable")[:, :k]
@@ -126,14 +133,9 @@ class TransformationBank:
     def capacity(self):
         return self.slots.shape[1]
 
-    def _check_label(self, label):
-        label = int(label)
-        if not 0 <= label < self.n_classes:
-            raise LabelOutOfRangeError(f"label {label} outside [0, {self.n_classes})")
-        return label
-
     def enqueue(self, label, transform) -> None:
-        c = self._check_label(label)
+        check_labels(label, self.n_classes)
+        c = int(label)
         self.slots[c, self.cursor[c]] = transform
         self.cursor[c] = (self.cursor[c] + 1) % self.capacity
         self.filled[c] = min(self.filled[c] + 1, self.capacity)
@@ -189,9 +191,7 @@ def draw_shifts(bank: TransformationBank, labels, t: int, rb: float,
     keeps the seeded draw sequence.
     """
     rows = np.repeat(np.atleast_1d(np.asarray(labels, dtype=np.int64)), t)
-    bad = (rows < 0) | (rows >= bank.n_classes)
-    if bad.any():
-        bank._check_label(rows[np.argmax(bad)])
+    check_labels(rows, bank.n_classes)
     shifts = np.zeros((rows.size, bank.slots.shape[2]))
     live = bank.filled[rows] > 0
     if live.any():

@@ -323,36 +323,43 @@ def run_comparison(
 ) -> ComparisonTable:
     """Train every (variant, seed) cell and aggregate final test metrics.
 
+    Every cell's overrides are applied before the first cell trains, so a
+    value that does not parse raises ConfigError with nothing trained.
     Failed cells are recorded and skipped in the aggregates; the run continues.
     """
-    table = ComparisonTable()
+    grid = []
     for name, overrides in variants:
-        ok_cells = []
-        n_failed = 0
+        configs = []
         for seed in seeds:
             cfg = copy.deepcopy(base)
             for key, value in overrides.items():
                 apply_override(cfg, key, value)
             cfg.seed = int(seed)
             cfg.out_dir = os.path.join(out_dir, name, f"seed{seed}") if out_dir else ""
+            configs.append(cfg)
+        grid.append((name, configs))
+    table = ComparisonTable()
+    for name, configs in grid:
+        ok_cells = []
+        for cfg in configs:
             try:
                 result = train(cfg)
                 report = result.final_report
                 cell = CellResult(
-                    name, int(seed), "ok",
+                    name, cfg.seed, "ok",
                     recall1=report.recall_at.get(1, float("nan")),
                     nmi=report.nmi, f1=report.f1,
                 )
                 ok_cells.append(cell)
             except EngineError as exc:
-                cell = CellResult(name, int(seed), "failed", error=str(exc))
-                n_failed += 1
+                cell = CellResult(name, cfg.seed, "failed", error=str(exc))
             table.cells.append(cell)
             if progress:
                 progress(cell)
         r1_m, r1_s = _mean_std([c.recall1 for c in ok_cells])
         nmi_m, nmi_s = _mean_std([c.nmi for c in ok_cells])
         f1_m, f1_s = _mean_std([c.f1 for c in ok_cells])
+        n_failed = len(configs) - len(ok_cells)
         table.summaries.append(
             VariantSummary(name, len(ok_cells), n_failed, r1_m, r1_s, nmi_m, nmi_s, f1_m, f1_s)
         )

@@ -9,7 +9,7 @@ further down serve tests only and are not part of the package.
 import numpy as np
 
 from densedml.core import ZERO_NORM_EPS, pairwise_distances
-from densedml.das import DasConfig, TransformationBank
+from densedml.das import DasConfig, TransformationBank, check_labels
 from densedml.encoder import EncoderParams
 from densedml.errors import (
     DimensionMismatchError,
@@ -191,7 +191,8 @@ def scaling_factor(mask_row, rs, rng):
 def shifting_factor(bank: TransformationBank, label, rb, rng):
     """rb times a uniformly chosen filled slot of the class bank; zero while
     that bank is empty."""
-    c = bank._check_label(label)
+    check_labels(label, bank.n_classes)
+    c = int(label)
     if bank.filled[c] == 0:
         return np.zeros(bank.slots.shape[2])
     return rb * bank.slots[c, int(rng.integers(bank.filled[c]))]

@@ -1,9 +1,17 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import densedml.training as training
 from densedml.cli import main
+from densedml.config import RunConfig, config_to_dict
 from densedml.data import load_csv
+
+REPO = Path(__file__).resolve().parent.parent
 
 
 def run_cli(*args):
@@ -60,6 +68,10 @@ class TestTrain:
 
     def test_unknown_key_exit_2(self):
         assert run_cli("train", "--set", "das.bogus=1") == 2
+
+    def test_section_key_exit_2(self, capsys):
+        assert run_cli("train", "--set", "das=3", *BASE_OVERRIDES) == 2
+        assert "unknown config key 'das'" in capsys.readouterr().err
 
     def test_invalid_value_exit_2(self):
         assert run_cli("train", "--set", "das.rs=1.5", *BASE_OVERRIDES) == 2
@@ -138,7 +150,7 @@ class TestCsvLabelColumn:
             capsys.readouterr()
             assert run_cli(
                 "evaluate", "--checkpoint", str(out_dir / "checkpoint.json"),
-                "--csv", str(path), "--ks", "1",
+                "--set", "data.kind=csv", "--set", f"data.path={path}", "--ks", "1",
             ) == 0
             reports.append(json.loads(capsys.readouterr().out.strip()))
         assert reports[0] == reports[1]
@@ -191,6 +203,16 @@ class TestIntegerLists:
         assert run_cli(*command, "--seeds", "0,x", *BASE_OVERRIDES) == 2
         assert "--seeds: expected a list of integers" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("script", ["run_ablation.py", "run_sweeps.py"])
+    def test_script_seeds_exit_2(self, script):
+        env = {**os.environ, "PYTHONPATH": str(REPO / "src")}
+        proc = subprocess.run(
+            [sys.executable, str(REPO / "scripts" / script), "--seeds", "0,x"],
+            capture_output=True, text=True, env=env,
+        )
+        assert proc.returncode == 2
+        assert "--seeds: expected a list of integers" in proc.stderr
+
     def test_evaluate_ks_exit_2(self, tmp_path, capsys):
         code = run_cli("evaluate", "--checkpoint", str(tmp_path / "no.json"), "--ks", "1,a")
         assert code == 2
@@ -213,6 +235,16 @@ class TestEvaluate:
         assert code == 0
         report = json.loads(capsys.readouterr().out.strip())
         assert set(report) >= {"recall@1", "recall@2", "nmi", "f1"}
+
+    def test_unknown_data_kind_exit_2(self, tmp_path, capsys):
+        out_dir = tmp_path / "run"
+        assert run_cli("train", "--out-dir", str(out_dir), *BASE_OVERRIDES) == 0
+        code = run_cli(
+            "evaluate", "--config", str(out_dir / "config.json"),
+            "--checkpoint", str(out_dir / "checkpoint.json"), "--set", "data.kind=cvs",
+        )
+        assert code == 2
+        assert "data.kind must be gaussian or csv" in capsys.readouterr().err
 
     def test_missing_checkpoint_exit_3(self, tmp_path):
         assert run_cli("evaluate", "--checkpoint", str(tmp_path / "no.json")) == 3
@@ -262,6 +294,22 @@ class TestCompareAndSweep:
         err = capsys.readouterr().err
         assert str(variants) in err and message in err
 
+    @pytest.mark.parametrize("command", ["sweep", "compare"])
+    def test_unparsable_value_trains_no_cell(self, tmp_path, capsys, monkeypatch, command):
+        trained = []
+        real_train = training.train
+        monkeypatch.setattr(training, "train", lambda cfg: trained.append(cfg) or real_train(cfg))
+        variants = tmp_path / "v.json"
+        variants.write_text(json.dumps(
+            [{"name": "fine", "set": {}}, {"name": "bad", "set": {"das.T": "x"}}]))
+        args = {
+            "sweep": ("sweep", "--param", "das.K", "--values", "1,x"),
+            "compare": ("compare", "--variants", str(variants)),
+        }[command]
+        assert run_cli(*args, "--seeds", "0,1", *BASE_OVERRIDES) == 2
+        assert "expected an integer, got 'x'" in capsys.readouterr().err
+        assert trained == []
+
     def test_sweep_k_grid(self, tmp_path, capsys):
         code = run_cli(
             "sweep", "--param", "das.K", "--values", "1,2,4", "--seeds", "0",
@@ -281,3 +329,70 @@ class TestCompareAndSweep:
         assert doc["das"]["T"] == 3 and doc["das"]["K"] == 4
         assert doc["das"]["Z"] == 10
         assert doc["das"]["rs"] == 0.01 and doc["das"]["rb"] == 0.01
+
+
+def leaves(doc, prefix=""):
+    """(dotted key, value) for every leaf of a nested config document."""
+    for key, value in doc.items():
+        if isinstance(value, dict):
+            yield from leaves(value, f"{prefix}{key}.")
+        else:
+            yield f"{prefix}{key}", value
+
+
+DEFAULT_LEAVES = dict(leaves(config_to_dict(RunConfig())))
+
+
+def changed(value):
+    """A value of the same JSON type that differs from `value`."""
+    if isinstance(value, bool):
+        return not value
+    if isinstance(value, (int, float)):
+        return value + (3 if isinstance(value, int) else 0.5)
+    if isinstance(value, list):
+        return value + [5]
+    return 0.25 if value is None else value + "x"
+
+
+def as_set_value(value):
+    """`value` as the right-hand side of `--set key=...`."""
+    if isinstance(value, list):
+        return ",".join(str(v) for v in value)
+    return value if isinstance(value, str) else json.dumps(value)
+
+
+class TestConfigFields:
+    """Every leaf field parses from the text write-config prints for it, so a
+    field whose declared type has no parser fails here."""
+
+    def write_config(self, capsys, *args):
+        capsys.readouterr()
+        assert run_cli("write-config", *args) == 0
+        return capsys.readouterr().out
+
+    @pytest.mark.parametrize("key", sorted(DEFAULT_LEAVES))
+    def test_set_reproduces_field(self, capsys, key):
+        for value in (DEFAULT_LEAVES[key], changed(DEFAULT_LEAVES[key])):
+            out = self.write_config(capsys, "--set", f"{key}={as_set_value(value)}")
+            got = dict(leaves(json.loads(out)))
+            assert json.dumps(got[key]) == json.dumps(value)
+            assert {k: v for k, v in got.items() if k != key} == {
+                k: v for k, v in DEFAULT_LEAVES.items() if k != key}
+
+    @pytest.mark.parametrize("change", [False, True])
+    def test_write_config_round_trip(self, tmp_path, capsys, change):
+        sets = [
+            arg for key, value in DEFAULT_LEAVES.items()
+            for arg in ("--set", f"{key}={as_set_value(changed(value) if change else value)}")
+        ]
+        path = tmp_path / "cfg.json"
+        self.write_config(capsys, "--out", str(path), *sets)
+        assert self.write_config(capsys, "--config", str(path)) == path.read_text()
+        expected = {k: changed(v) if change else v for k, v in DEFAULT_LEAVES.items()}
+        got = dict(leaves(json.loads(path.read_text())))
+        assert json.dumps(got, sort_keys=True) == json.dumps(expected, sort_keys=True)
+
+    def test_optional_number_back_to_none(self, capsys):
+        out = self.write_config(
+            capsys, "--set", "loss.beta_lr=0.5", "--set", "loss.beta_lr=none")
+        assert json.loads(out)["loss"]["beta_lr"] is None

@@ -378,3 +378,28 @@ class TestDasConfig:
     def test_k_exceeds_dim(self):
         with pytest.raises(ConfigError):
             DasConfig(K=9).validate(8)
+
+
+class TestLabelCheck:
+    """Each entry point names the first out-of-range label and changes no
+    state before it raises."""
+
+    def test_recorder_update(self):
+        rec = FrequencyRecorder(2, 4)
+        with pytest.raises(LabelOutOfRangeError, match="label 5 outside"):
+            rec.update(np.eye(4)[:3], [1, 5, -1], k=1)
+        assert rec.counts.sum() == 0
+
+    def test_enqueue(self):
+        bank = TransformationBank(2, 3, 2)
+        with pytest.raises(LabelOutOfRangeError, match="label -1 outside"):
+            bank.enqueue(-1, np.ones(2))
+        assert bank.filled.sum() == 0
+
+    def test_draw_shifts(self):
+        bank = TransformationBank(3, 4, 2)
+        bank.enqueue(0, np.array([1.0, 2.0]))
+        rng = SeededRng(4)
+        with pytest.raises(LabelOutOfRangeError, match="label 7 outside"):
+            draw_shifts(bank, [0, 7, -2], 2, 0.01, rng)
+        assert rng.uniform() == SeededRng(4).uniform()

@@ -4,7 +4,7 @@ import os
 import numpy as np
 import pytest
 
-from densedml.config import RunConfig, apply_override
+from densedml.config import RunConfig, apply_override, config_from_dict
 from densedml.core import SeededRng
 from densedml.data import generate_gaussian_clusters
 from densedml.encoder import OptimizerState, save_checkpoint
@@ -298,6 +298,23 @@ class TestConfig:
             apply_override(cfg, "das.T", "many")
         with pytest.raises(ConfigError):
             apply_override(cfg, "das.enabled", "perhaps")
+
+    @pytest.mark.parametrize("doc, key", [
+        ({"steps": 2.7}, "steps"),
+        ({"eval_ks": [1.5, True]}, "eval_ks"),
+        ({"das": {"T": True}}, "das.T"),
+        ({"das": {"rb": True}}, "das.rb"),
+        ({"das": 3}, "'das'"),
+    ])
+    def test_wrong_type_rejected_naming_key(self, doc, key):
+        with pytest.raises(ConfigError, match=key):
+            config_from_dict(doc)
+
+    def test_integral_json_float_and_null_accepted(self):
+        cfg = config_from_dict({"steps": 3.0, "eval_ks": [1.0, 2], "loss": {"beta_lr": None}})
+        assert cfg.steps == 3 and type(cfg.steps) is int
+        assert cfg.eval_ks == [1, 2] and all(type(k) is int for k in cfg.eval_ks)
+        assert cfg.loss.beta_lr is None
 
     def test_validation_catches_bad_batch(self):
         cfg = tiny_config()
