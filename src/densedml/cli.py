@@ -91,11 +91,13 @@ def _variants_from_args(args):
     if args.variants == "ablation":
         return ablation_variants()
     path = args.variants
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
             doc = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"variants file {path} is not valid JSON: {exc}") from exc
+    except OSError as exc:
+        raise ConfigError(f"cannot read variants file {path}: {exc}") from exc
+    except json.JSONDecodeError as exc:
+        raise ConfigError(f"variants file {path} is not valid JSON: {exc}") from exc
     if not isinstance(doc, list):
         raise ConfigError(f"variants file {path} must hold a JSON list of {{name, set}} entries")
     for i, entry in enumerate(doc):

@@ -193,6 +193,12 @@ def _parse_optional_float(value, key):
     return _parse_float(value, key)
 
 
+def _parse_str(value, key):
+    if value is not None and not isinstance(value, str):
+        raise ConfigError(f"{key}: expected a string, got {value!r}")
+    return value or ""  # JSON null reads as the empty string
+
+
 def parse_int_list(value, name):
     """Integers from a JSON list or a comma-separated string; ConfigError
     naming `name` on any entry that is not an integer."""
@@ -211,7 +217,7 @@ _PARSERS = {
     "float": _parse_float,
     "float | None": _parse_optional_float,
     "list": parse_int_list,
-    "str": lambda value, key: "" if value is None else str(value),
+    "str": _parse_str,
 }
 
 

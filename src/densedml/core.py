@@ -73,20 +73,8 @@ def label_masks(labels):
     return same, other
 
 
-def pairwise_distances(rows) -> np.ndarray:
-    """n x n matrix of l2 distances between the given vectors.
-
-    Takes a 2-D array as it is, or any sequence of equal-length rows.
-    Symmetric with an exactly-zero diagonal; entry (i, j) matches the scalar
-    loop sum over squared coordinate differences to float64 rounding.
-    Distances come from coordinate differences, never the Gram identity, so
-    duplicate rows measure exactly 0.  Rows are done in blocks whose
-    difference tensor fits DISTANCE_BLOCK_BYTES, or one row per block when a
-    single row's n x d slab is larger, so besides the n x n output the
-    scratch buffer holds max(DISTANCE_BLOCK_BYTES, 8*n*d) bytes, never an
-    n x n x d intermediate; each entry is reduced over the same d numbers in
-    the same order at any block size.
-    """
+def _as_rows(rows) -> np.ndarray:
+    """A 2-D array, or a sequence of equal-length rows, as finite float64."""
     if not (isinstance(rows, np.ndarray) and rows.ndim == 2):
         rows = list(rows)
         if len(rows) == 0:
@@ -99,14 +87,31 @@ def pairwise_distances(rows) -> np.ndarray:
         raise DimensionMismatchError(f"expected 2-D stack of vectors, got {x.shape}")
     if not np.all(np.isfinite(x)):
         raise DimensionMismatchError("non-finite entries in input rows")
-    n, d = x.shape
-    out = np.empty((n, n))
-    block = max(1, DISTANCE_BLOCK_BYTES // max(1, 8 * n * d))
-    diff = np.empty((min(block, n), n, d))
+    return x
+
+
+def pairwise_distances(rows, others=None, squared=False) -> np.ndarray:
+    """len(rows) x len(others) l2 distances, or their squares if `squared`;
+    `others` defaults to `rows`: symmetric, with an exactly-zero diagonal.
+
+    Inputs are 2-D arrays or sequences of equal-length rows.  This is the one
+    distance kernel: coordinate differences, never the Gram identity, so
+    duplicate rows measure exactly 0; row blocks bound its scratch to
+    max(DISTANCE_BLOCK_BYTES, 8*len(others)*d) bytes, and each entry sums the
+    same d squares in the same order at any block size.
+    """
+    x = _as_rows(rows)
+    y = x if others is None else _as_rows(others)
+    (n, d), m = x.shape, y.shape[0]
+    if y.shape[1] != d:
+        raise DimensionMismatchError(f"rows have {d} columns, others {y.shape[1]}")
+    out = np.empty((n, m))
+    block = max(1, DISTANCE_BLOCK_BYTES // max(1, 8 * m * d))
+    diff = np.empty((min(block, n), m, d))
     for start in range(0, n, block):
         stop = min(start + block, n)
         buf = diff[: stop - start]
-        np.subtract(x[start:stop, None, :], x[None, :, :], out=buf)
+        np.subtract(x[start:stop, None, :], y[None, :, :], out=buf)
         np.multiply(buf, buf, out=buf)
         np.sum(buf, axis=-1, out=out[start:stop])
-    return np.sqrt(out, out=out)
+    return out if squared else np.sqrt(out, out=out)

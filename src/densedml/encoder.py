@@ -102,13 +102,11 @@ def _act_grad(z, tag):
 
 @dataclass
 class ForwardTape:
-    """Cached intermediates for one batch: layer inputs, pre-activations,
-    the pre-normalization outputs and their norms."""
+    """Cached intermediates for one batch: layer inputs, pre-activations, norms."""
 
     inputs: list  # a_{l-1} for each layer
     pre_acts: list  # z_l for each layer
-    raw_out: np.ndarray  # u: final layer output before normalization
-    norms: np.ndarray  # ||u|| per row
+    norms: np.ndarray  # ||u|| per row of the final layer output u
     embeddings: np.ndarray  # v = u / ||u||
 
 
@@ -134,7 +132,7 @@ def encode(params: EncoderParams, inputs) -> tuple[np.ndarray, ForwardTape]:
         bad = int(np.argmin(norms))
         raise ZeroNormError(f"pre-normalization output {bad} has norm {norms[bad]:.3e}")
     v = a / norms[:, None]
-    return v, ForwardTape(layer_inputs, pre_acts, a, norms, v)
+    return v, ForwardTape(layer_inputs, pre_acts, norms, v)
 
 
 def backward(

@@ -46,9 +46,9 @@ def recall_at_k(embeddings, labels, ks) -> dict:
     j < p*}, and the query hits at k exactly when that rank is below k, which
     is the stable-argsort answer, ties included.  The query itself sits at
     distance inf, behind every finite distance, so with k < n it never
-    counts.  Rows of the distance matrix are scored in blocks whose b x n
-    temporaries fit core.DISTANCE_BLOCK_BYTES (at least one row per block),
-    so the only n x n array is the distance matrix.
+    counts.  Queries are scored in row blocks: each block's b x n distances
+    come from pairwise_distances and fit core.DISTANCE_BLOCK_BYTES with its
+    temporaries (at least one row per block), so no n x n array is built.
     """
     emb = np.asarray(embeddings, dtype=np.float64)
     labels = np.asarray(labels)
@@ -60,13 +60,12 @@ def recall_at_k(embeddings, labels, ks) -> dict:
         raise KOutOfRangeError(f"recall k must be >= 1, got {ks[0]}")
     if n < 2 or ks[-1] >= n:
         raise KTooLargeError(f"max k {ks[-1]} needs at least {ks[-1] + 1} points, have {n}")
-    dist = pairwise_distances(emb)
-    np.fill_diagonal(dist, np.inf)  # self is never a neighbor
     ranks = np.empty(n, dtype=np.int64)
     cols = np.arange(n)
     block = max(1, core.DISTANCE_BLOCK_BYTES // (8 * n))
     for start in range(0, n, block):
-        d = dist[start : start + block]
+        d = pairwise_distances(emb[start : start + block], emb)
+        d[cols[: len(d)], cols[start : start + len(d)]] = np.inf  # self is never a neighbor
         same = labels[start : start + block, None] == labels[None, :]
         d_pos = np.min(d, axis=1, where=same, initial=np.inf)[:, None]
         tied = d == d_pos
@@ -77,15 +76,15 @@ def recall_at_k(embeddings, labels, ks) -> dict:
     return {k: int(np.count_nonzero(ranks < k)) / n for k in ks}
 
 
-def kmeans(embeddings, k: int, rng: SeededRng, max_iter: int = 100) -> np.ndarray:
-    """Lloyd's algorithm from k-means++ style seeding; deterministic given rng.
+def kmeans(embeddings, k: int, rng: SeededRng, max_iter: int = 100):
+    """Lloyd's algorithm from k-means++ style seeding: (assign, centroids).
 
-    Seeding keeps each point's squared distance to its nearest chosen center
-    as a running minimum, one n x d pass per new center.  Each sweep takes
-    the clusters' members from one stable argsort of the assignment, so every
-    centroid is the mean of its members in index order.  Stops at an
-    assignment fixpoint or after max_iter sweeps.  An emptied cluster keeps
-    its previous centroid.
+    Deterministic given rng.  Squared distances come from pairwise_distances:
+    seeding keeps each point's distance to its nearest chosen center as a
+    running minimum, one n x 1 call per center; each sweep assigns from one
+    n x k call and takes the members from a stable argsort, so a centroid is
+    the mean of its members in index order.  Stops at an assignment fixpoint
+    or after max_iter sweeps; an emptied cluster keeps its previous centroid.
     """
     x = np.asarray(embeddings, dtype=np.float64)
     n = x.shape[0]
@@ -93,16 +92,16 @@ def kmeans(embeddings, k: int, rng: SeededRng, max_iter: int = 100) -> np.ndarra
         raise KTooLargeError(f"k={k} exceeds {n} points")
     centers = np.empty((k, x.shape[1]))
     centers[0] = x[int(rng.integers(n))]
-    d2 = np.sum((x - centers[0]) ** 2, axis=1)
+    d2 = pairwise_distances(x, centers[:1], squared=True)[:, 0]
     for j in range(1, k):
         total = d2.sum()
         probs = d2 / total if total > 0 else np.full(n, 1.0 / n)
         centers[j] = x[rng.choice(np.arange(n), p=probs)]
-        np.minimum(d2, np.sum((x - centers[j]) ** 2, axis=1), out=d2)
+        np.minimum(d2, pairwise_distances(x, centers[j : j + 1], squared=True)[:, 0], out=d2)
 
     assign = np.full(n, -1, dtype=np.int64)
     for _ in range(max_iter):
-        d2 = np.sum((x[:, None, :] - centers[None, :, :]) ** 2, axis=-1)
+        d2 = pairwise_distances(x, centers, squared=True)
         new_assign = np.argmin(d2, axis=1)  # ties to the lower centroid index
         if np.array_equal(new_assign, assign):
             break
@@ -112,7 +111,7 @@ def kmeans(embeddings, k: int, rng: SeededRng, max_iter: int = 100) -> np.ndarra
         for j in range(k):
             if bounds[j] < bounds[j + 1]:
                 centers[j] = x[order[bounds[j] : bounds[j + 1]]].mean(axis=0)
-    return assign
+    return assign, centers
 
 
 def _contingency(a, b):
@@ -180,7 +179,7 @@ def evaluate_embeddings(embeddings, labels, ks, rng: SeededRng) -> EvalReport:
     labels = np.asarray(labels)
     n_classes = len(np.unique(labels))
     recall = recall_at_k(embeddings, labels, ks)
-    assign = kmeans(embeddings, n_classes, rng)
+    assign, _ = kmeans(embeddings, n_classes, rng)
     return EvalReport(
         recall_at=recall,
         nmi=nmi(assign, labels),

@@ -256,7 +256,8 @@ def recall_at_k(embeddings, labels, ks):
 
 def kmeans(embeddings, k, rng, max_iter=100):
     """k-means++ seeding over the full n x j x d tensor for every new center,
-    then Lloyd sweeps that gather each cluster with a boolean mask."""
+    then Lloyd sweeps that gather each cluster with a boolean mask; returns
+    (assignment, centroids)."""
     x = np.asarray(embeddings, dtype=np.float64)
     n = x.shape[0]
     centers = np.empty((k, x.shape[1]))
@@ -280,7 +281,7 @@ def kmeans(embeddings, k, rng, max_iter=100):
             members = x[assign == j]
             if len(members):
                 centers[j] = members.mean(axis=0)
-    return assign
+    return assign, centers
 
 
 def as_vector(v):

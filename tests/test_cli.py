@@ -294,6 +294,15 @@ class TestCompareAndSweep:
         err = capsys.readouterr().err
         assert str(variants) in err and message in err
 
+    def test_missing_variants_file_exit_2(self, tmp_path, capsys):
+        variants = tmp_path / "nofile.json"
+        code = run_cli(
+            "compare", "--variants", str(variants), "--seeds", "0", *BASE_OVERRIDES,
+        )
+        assert code == 2
+        err = capsys.readouterr().err
+        assert str(variants) in err and "cannot read variants file" in err
+
     @pytest.mark.parametrize("command", ["sweep", "compare"])
     def test_unparsable_value_trains_no_cell(self, tmp_path, capsys, monkeypatch, command):
         trained = []

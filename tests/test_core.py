@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import densedml.core as core
 from densedml.core import DISTANCE_BLOCK_BYTES, SeededRng, pairwise_distances
 from densedml.errors import DimensionMismatchError, KOutOfRangeError, ZeroNormError
 
@@ -84,8 +85,8 @@ class TestPairwiseDistancesBlocked:
     """Row-blocked distances against the one-shot difference form."""
 
     @staticmethod
-    def one_shot(x):
-        diff = x[:, None, :] - x[None, :, :]
+    def one_shot(x, y=None):
+        diff = x[:, None, :] - (x if y is None else y)[None, :, :]
         return np.sqrt(np.sum(diff * diff, axis=-1))
 
     def test_many_blocks_bit_identical(self, rng):
@@ -95,10 +96,24 @@ class TestPairwiseDistancesBlocked:
 
     @settings(max_examples=30, deadline=None)
     @given(st.integers(min_value=1, max_value=300), st.integers(min_value=1, max_value=40),
-           st.integers(min_value=0, max_value=10_000))
-    def test_any_shape_bit_identical(self, n, d, seed):
-        x = SeededRng(seed).normal(size=(n, d))
+           st.integers(min_value=0, max_value=10_000), st.integers(min_value=1, max_value=300))
+    def test_any_shape_bit_identical(self, n, d, seed, m):
+        rng = SeededRng(seed)
+        x = rng.normal(size=(n, d))
         np.testing.assert_array_equal(pairwise_distances(x), self.one_shot(x))
+        y = rng.normal(size=(m, d))
+        want = self.one_shot(x, y)
+        np.testing.assert_array_equal(pairwise_distances(x, y), want)
+        np.testing.assert_array_equal(np.sqrt(pairwise_distances(x, y, squared=True)), want)
+
+    @pytest.mark.parametrize("budget", [1, 8, 100])
+    def test_row_slice_has_the_bits_of_the_full_rows(self, rng, monkeypatch, budget):
+        # every budget here is one row per block; `full` took 46-row blocks
+        x = rng.normal(size=(50, 7))
+        full = pairwise_distances(x)
+        monkeypatch.setattr(core, "DISTANCE_BLOCK_BYTES", budget)
+        for a, b in ((0, 1), (3, 20), (49, 50), (0, 50)):
+            np.testing.assert_array_equal(pairwise_distances(x[a:b], x), full[a:b])
 
     def test_duplicate_rows_measure_exactly_zero(self, rng):
         x = random_unit_rows(rng, 300, 16)
@@ -130,6 +145,15 @@ class TestPairwiseDistancesBlocked:
     def test_bad_input_raises(self, rows):
         with pytest.raises(DimensionMismatchError):
             pairwise_distances(rows)
+
+    @pytest.mark.parametrize("others", [
+        np.zeros((2, 3)),
+        [[1.0, np.nan]],
+        [[1.0], [1.0, 0.0]],
+    ])
+    def test_bad_others_raises(self, others):
+        with pytest.raises(DimensionMismatchError):
+            pairwise_distances(np.zeros((2, 2)), others)
 
 
 class TestTopK:

@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -143,12 +144,12 @@ class TestRecallOracle:
 class TestKmeans:
     def test_k_equals_n(self, rng):
         x = random_unit_rows(rng, 5, 3)
-        assign = kmeans(x, 5, rng)
+        assign, _ = kmeans(x, 5, rng)
         assert len(set(assign.tolist())) == 5
 
     def test_two_far_pairs(self, rng):
         x = np.array([[0.0, 0], [0.1, 0], [9.0, 9], [9.1, 9]])
-        assign = kmeans(x, 2, rng)
+        assign, _ = kmeans(x, 2, rng)
         assert assign[0] == assign[1] and assign[2] == assign[3]
         assert assign[0] != assign[2]
 
@@ -177,7 +178,7 @@ class TestKmeans:
             if val < best_val:
                 best, best_val = frozenset([left, right]), val
 
-        assign = kmeans(x, 2, SeededRng(0))
+        assign, _ = kmeans(x, 2, SeededRng(0))
         got = frozenset(
             [frozenset(np.flatnonzero(assign == c).tolist()) for c in set(assign.tolist())]
         )
@@ -185,8 +186,8 @@ class TestKmeans:
 
     def test_deterministic(self, rng):
         x = random_unit_rows(rng, 12, 3)
-        a = kmeans(x, 3, SeededRng(5))
-        b = kmeans(x, 3, SeededRng(5))
+        a, _ = kmeans(x, 3, SeededRng(5))
+        b, _ = kmeans(x, 3, SeededRng(5))
         np.testing.assert_array_equal(a, b)
 
 
@@ -197,10 +198,11 @@ class TestKmeansOracle:
     @staticmethod
     def assert_same(x, k, seed, max_iter=100):
         rng_got, rng_want = SeededRng(seed), SeededRng(seed)
-        got = kmeans(x, k, rng_got, max_iter)
-        want = oracles.kmeans(x, k, rng_want, max_iter)
+        got, got_centers = kmeans(x, k, rng_got, max_iter)
+        want, want_centers = oracles.kmeans(x, k, rng_want, max_iter)
         assert got.dtype == want.dtype
         np.testing.assert_array_equal(got, want)
+        np.testing.assert_array_equal(got_centers, want_centers)
         # both consumed the stream identically
         assert rng_got.integers(2**31) == rng_want.integers(2**31)
         return got
@@ -310,6 +312,20 @@ class TestEvaluate:
         assert report.nmi == pytest.approx(1.0)
         assert report.f1 == pytest.approx(1.0)
         assert report.n_queries == 12
+
+    def test_peak_memory_a_tenth_of_the_distance_matrix(self):
+        r = SeededRng(8)
+        n = 2048
+        x = r.normal(size=(n, 16))
+        x /= np.linalg.norm(x, axis=1, keepdims=True)
+        labels = r.integers(16, size=n)
+        tracemalloc.start()
+        try:
+            evaluate_embeddings(x, labels, [1, 2, 4, 8], SeededRng(0))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * n * n / 10  # the n x n float64 matrix is 32 MiB
 
     def test_json_keys(self):
         report = EvalReport({1: 0.5, 4: 0.75}, 0.3, 0.2, 10)

@@ -305,6 +305,8 @@ class TestConfig:
         ({"das": {"T": True}}, "das.T"),
         ({"das": {"rb": True}}, "das.rb"),
         ({"das": 3}, "'das'"),
+        ({"data": {"path": 5}}, "data.path"),
+        ({"data": {"kind": ["csv"]}}, "data.kind"),
     ])
     def test_wrong_type_rejected_naming_key(self, doc, key):
         with pytest.raises(ConfigError, match=key):
