@@ -78,11 +78,9 @@ def _cmd_train(args) -> int:
 
 
 def _cmd_evaluate(args) -> int:
-    ks = parse_int_list(args.ks, "--ks")
-    cfg = _build_config(args)
-    cfg.data.validate()
+    cfg = _build_config(args).validate()
     dataset = build_dataset(cfg, SeededRng(cfg.seed, STREAMS["data"]))
-    report = evaluate_checkpoint(args.checkpoint, dataset, ks)
+    report = evaluate_checkpoint(args.checkpoint, dataset, cfg.eval_ks)
     print(json.dumps(report.to_json_dict()))
     return 0
 
@@ -163,7 +161,6 @@ def build_parser() -> argparse.ArgumentParser:
     e = sub.add_parser("evaluate", help="score a checkpoint on a dataset's test split")
     _add_config_args(e)
     e.add_argument("--checkpoint", required=True)
-    e.add_argument("--ks", default="1,2,4,8")
     e.set_defaults(fn=_cmd_evaluate)
 
     c = sub.add_parser("compare", help="train variant x seed cells and tabulate")

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 from dataclasses import dataclass, field
 
 from .das import DasConfig
@@ -85,9 +86,6 @@ class RunConfig:
     eval_every: int = 0  # 0 -> evaluate at the final step only
     eval_ks: list = field(default_factory=lambda: [1, 2, 4, 8])
     out_dir: str = ""
-    # extra per-anchor copies of each real embedding, appended without the
-    # production machinery; diagnostic baseline for the zero-radius identity
-    replicate: int = 0
     data: DataConfig = field(default_factory=DataConfig)
     encoder: EncoderConfig = field(default_factory=EncoderConfig)
     batch: BatchSpec = field(default_factory=BatchSpec)
@@ -103,10 +101,6 @@ class RunConfig:
             raise ConfigError("eval_every must be >= 0")
         if not self.eval_ks or any(k < 1 for k in self.eval_ks):
             raise ConfigError("eval_ks must be a nonempty list of positive integers")
-        if self.replicate < 0:
-            raise ConfigError("replicate must be >= 0")
-        if self.replicate and self.das.enabled:
-            raise ConfigError("replicate is a baseline diagnostic; disable das first")
         self.data.validate()
         self.encoder.validate()
         self.batch.validate()
@@ -179,12 +173,16 @@ def _parse_int(value, key):
 
 
 def _parse_float(value, key):
+    """A finite number; booleans, nan and infinities are rejected."""
     if not isinstance(value, bool):
         try:
-            return float(value)
+            number = float(value)
         except (TypeError, ValueError, OverflowError):
             pass
-    raise ConfigError(f"{key}: expected a number, got {value!r}")
+        else:
+            if math.isfinite(number):
+                return number
+    raise ConfigError(f"{key}: expected a finite number, got {value!r}")
 
 
 def _parse_optional_float(value, key):

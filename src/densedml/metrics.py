@@ -56,6 +56,8 @@ def recall_at_k(embeddings, labels, ks) -> dict:
     if labels.shape[0] != n:
         raise LengthMismatchError("labels length != embedding count")
     ks = sorted(int(k) for k in ks)
+    if not ks:
+        raise KOutOfRangeError("recall needs at least one k")
     if ks[0] < 1:
         raise KOutOfRangeError(f"recall k must be >= 1, got {ks[0]}")
     if n < 2 or ks[-1] >= n:

@@ -144,10 +144,6 @@ def train(cfg: RunConfig, trace=None) -> TrainResult:
                 produced = produce(emb, y, recorder, bank, das_cfg, rng_das, emit)
                 cat_emb = np.vstack([emb, produced.embeddings])
                 cat_labels = np.concatenate([y, produced.labels])
-            elif cfg.replicate > 0:
-                rep_anchors = np.repeat(np.arange(n_real), cfg.replicate)
-                cat_emb = np.vstack([emb, emb[rep_anchors]])
-                cat_labels = np.concatenate([y, y[rep_anchors]])
             else:
                 cat_emb, cat_labels = emb, y
 
@@ -179,8 +175,6 @@ def train(cfg: RunConfig, trace=None) -> TrainResult:
                 grad_real += produced_backward(
                     produced, out.grad[n_real:], n_real, d_embed
                 )
-            elif cfg.replicate > 0:
-                np.add.at(grad_real, rep_anchors, out.grad[n_real:])
 
             w_grads, b_grads = backward(params, tape, grad_real)
             optimizer_step(params, w_grads, b_grads, opt)
@@ -219,8 +213,8 @@ def train(cfg: RunConfig, trace=None) -> TrainResult:
     return TrainResult(params, opt, log_lines, final_report, dataset, cfg, beta)
 
 
-def evaluate_checkpoint(checkpoint_path, dataset: Dataset, ks=(1, 2, 4, 8)) -> EvalReport:
-    """Load a checkpoint and score the dataset's test split."""
+def evaluate_checkpoint(checkpoint_path, dataset: Dataset, ks) -> EvalReport:
+    """Load a checkpoint and score the dataset's test split at recall `ks`."""
     params, _, seed = load_checkpoint(checkpoint_path)
     if dataset.input_dim != params.input_dim:
         raise ShapeMismatchError(
@@ -324,9 +318,12 @@ def run_comparison(
     """Train every (variant, seed) cell and aggregate final test metrics.
 
     Every cell's overrides are applied before the first cell trains, so a
-    value that does not parse raises ConfigError with nothing trained.
-    Failed cells are recorded and skipped in the aggregates; the run continues.
+    value that does not parse, or an empty variant or seed list, raises
+    ConfigError with nothing trained.  Failed cells are recorded and skipped
+    in the aggregates; the run continues.
     """
+    if not variants or not seeds:
+        raise ConfigError("a comparison needs at least one variant and one seed")
     grid = []
     for name, overrides in variants:
         configs = []

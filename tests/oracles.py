@@ -2,14 +2,16 @@
 
 Each oracle is the plain loop the package code replaced.  It consumes the
 seeded stream one scalar draw at a time, so an equivalence test can compare
-both the outputs and the RNG state left behind.  The small vector helpers
-further down serve tests only and are not part of the package.
+both the outputs and the RNG state left behind.  The replicated baseline
+stands in for DAS production in the training loop, and the small vector
+helpers further down serve tests only; neither is part of the package.
 """
 
 import numpy as np
 
+import densedml.training as training
 from densedml.core import ZERO_NORM_EPS, pairwise_distances
-from densedml.das import DasConfig, TransformationBank, check_labels
+from densedml.das import DasConfig, ProducedBatch, TransformationBank, check_labels
 from densedml.encoder import EncoderParams
 from densedml.errors import (
     DimensionMismatchError,
@@ -224,6 +226,29 @@ def das_produce(v, label, mask_row, bank: TransformationBank, config: DasConfig,
         except ZeroNormError:
             continue
     return out
+
+
+def replicated_produce(embeddings, labels, recorder, bank, config, rng, emit=lambda phase: None):
+    """Term-duplicated baseline in place of `das.produce`: each anchor's row
+    T times, anchor-major, with no draws and no recorder or bank update."""
+    emb = np.asarray(embeddings, dtype=np.float64)
+    rows = np.repeat(np.arange(emb.shape[0]), config.T)
+    return ProducedBatch(emb[rows], np.asarray(labels)[rows], rows,
+                         np.ones((rows.size, emb.shape[1])), np.ones(rows.size))
+
+
+def replicated_backward(batch, grad_produced, n_anchors, dim):
+    """Backward of `replicated_produce`: each copy's gradient added to its anchor."""
+    out = np.zeros((n_anchors, dim))
+    np.add.at(out, batch.anchor_rows, grad_produced)
+    return out
+
+
+def install_replicated_baseline(monkeypatch):
+    """Make `training.train` run the term-duplicated baseline wherever it
+    would run DAS production."""
+    monkeypatch.setattr(training, "produce", replicated_produce)
+    monkeypatch.setattr(training, "produced_backward", replicated_backward)
 
 
 def draw_shifts(bank: TransformationBank, labels, t, rb, rng):

