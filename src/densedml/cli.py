@@ -24,6 +24,7 @@ from .errors import EngineError
 from .training import (
     ablation_variants,
     build_dataset,
+    check_eval_ks,
     evaluate_checkpoint,
     run_comparison,
     sweep_variants,
@@ -80,6 +81,7 @@ def _cmd_train(args) -> int:
 def _cmd_evaluate(args) -> int:
     cfg = _build_config(args).validate()
     dataset = build_dataset(cfg, SeededRng(cfg.seed, STREAMS["data"]))
+    check_eval_ks(cfg.eval_ks, dataset)
     report = evaluate_checkpoint(args.checkpoint, dataset, cfg.eval_ks)
     print(json.dumps(report.to_json_dict()))
     return 0

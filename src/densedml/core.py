@@ -21,44 +21,22 @@ DISTANCE_BLOCK_BYTES = 128 * 1024
 STREAMS = {"init": 0, "data": 1, "das": 2, "sampler": 3, "eval": 4}
 
 
-class SeededRng:
-    """Counter-based deterministic RNG.
+class SeededRng(np.random.Generator):
+    """numpy's Generator over Philox-4x64-10, keyed by ``SeedSequence([seed, stream])``.
 
-    Thin wrapper over numpy's Philox-4x64-10 bit generator keyed through
-    ``SeedSequence([seed, stream])``.  Same (seed, stream) gives a
-    bit-identical draw sequence on every run and platform for a fixed numpy
-    version; streams with different ids are statistically independent.
+    Same (seed, stream) gives a bit-identical draw sequence on every run and
+    platform for a fixed numpy version; streams with different ids are
+    statistically independent.
     """
 
     def __init__(self, seed: int, stream: int = 0):
         self.seed = int(seed)
         self.stream = int(stream)
-        self._gen = np.random.Generator(
-            np.random.Philox(np.random.SeedSequence([self.seed, self.stream]))
-        )
+        super().__init__(np.random.Philox(np.random.SeedSequence([self.seed, self.stream])))
 
     def derive(self, name: str) -> "SeededRng":
         """Child stream for a named concern (see STREAMS)."""
         return SeededRng(self.seed, STREAMS[name])
-
-    def uniform(self, low=0.0, high=1.0, size=None):
-        return self._gen.uniform(low, high, size)
-
-    def normal(self, size=None):
-        return self._gen.standard_normal(size)
-
-    def integers(self, n, size=None):
-        """Uniform integers in [0, n)."""
-        return self._gen.integers(0, n, size=size)
-
-    def choice(self, candidates, p=None):
-        """One element of `candidates`, optionally weighted by `p`."""
-        candidates = np.asarray(candidates)
-        idx = self._gen.choice(len(candidates), p=p)
-        return candidates[idx]
-
-    def permutation(self, n):
-        return self._gen.permutation(n)
 
 
 def label_masks(labels):

@@ -170,19 +170,15 @@ class ProducedBatch:
     dropped: int = 0
 
 
-def draw_scales(mask, labels, t: int, rs: float, rng: SeededRng) -> np.ndarray:
-    """(n*t, d) scaling factors, anchor-major, one independent draw per copy."""
-    labels = np.atleast_1d(np.asarray(labels))
-    rows = np.asarray(mask, dtype=np.float64)[labels]
-    n, d = rows.shape
-    gamma = rng.uniform(1.0 - rs, 1.0 + rs, size=(n * t, d))
-    mask_rep = np.repeat(rows, t, axis=0)
-    return gamma * mask_rep + (1.0 - mask_rep)
+def draw_scales(mask, labels, rs: float, rng: SeededRng) -> np.ndarray:
+    """(len(labels), d) scaling factors, one independent draw per row."""
+    rows = np.asarray(mask, dtype=np.float64)[np.atleast_1d(np.asarray(labels))]
+    gamma = rng.uniform(1.0 - rs, 1.0 + rs, size=rows.shape)
+    return gamma * rows + (1.0 - rows)
 
 
-def draw_shifts(bank: TransformationBank, labels, t: int, rb: float,
-                rng: SeededRng) -> np.ndarray:
-    """(n*t, d) shifting factors, anchor-major; zero rows for empty class banks.
+def draw_shifts(bank: TransformationBank, labels, rb: float, rng: SeededRng) -> np.ndarray:
+    """(len(labels), d) shifting factors; zero rows for empty class banks.
 
     Every row whose class bank holds a difference draws its slot in row
     order, as one scalar draw per row would.  numpy's integers
@@ -190,7 +186,7 @@ def draw_shifts(bank: TransformationBank, labels, t: int, rb: float,
     bounds drawn one call at a time, so a single call over the live rows
     keeps the seeded draw sequence.
     """
-    rows = np.repeat(np.atleast_1d(np.asarray(labels, dtype=np.int64)), t)
+    rows = np.atleast_1d(np.asarray(labels, dtype=np.int64))
     check_labels(rows, bank.n_classes)
     shifts = np.zeros((rows.size, bank.slots.shape[2]))
     live = bank.filled[rows] > 0
@@ -200,20 +196,17 @@ def draw_shifts(bank: TransformationBank, labels, t: int, rb: float,
     return shifts
 
 
-def combine_factors(embeddings, labels, scales, shifts) -> ProducedBatch:
-    """normalize(s*v + b) for anchor-major factor rows; collapsed rows are dropped."""
+def combine_factors(embeddings, labels, anchors, scales, shifts) -> ProducedBatch:
+    """normalize(s*v + b), one row per entry of `anchors` (batch rows);
+    collapsed rows are dropped."""
     emb = np.atleast_2d(np.asarray(embeddings, dtype=np.float64))
     labels = np.atleast_1d(np.asarray(labels))
-    n, d = emb.shape
-    m = scales.shape[0]
-    if m == 0:
-        empty = np.zeros((0, d))
-        return ProducedBatch(empty, np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64),
-                             empty.copy(), np.zeros(0))
-    if m % n != 0 or shifts.shape != scales.shape:
-        raise ShapeMismatchError("factor rows must be an anchor-major multiple of the batch")
-    t = m // n
-    anchors = np.repeat(np.arange(n), t)
+    anchors = np.asarray(anchors, dtype=np.int64)
+    rows = (len(anchors), emb.shape[1])
+    if scales.shape != rows or shifts.shape != rows:
+        raise ShapeMismatchError(
+            f"factors {scales.shape} and {shifts.shape} must both be {rows}, one row per anchor"
+        )
     raw = scales * emb[anchors] + shifts
     norms = np.linalg.norm(raw, axis=1)
     keep = norms > ZERO_NORM_EPS
@@ -223,7 +216,7 @@ def combine_factors(embeddings, labels, scales, shifts) -> ProducedBatch:
     produced = raw[keep] * inv[keep][:, None]
     return ProducedBatch(
         embeddings=produced,
-        labels=np.repeat(labels, t)[keep],
+        labels=labels[anchors][keep],
         anchor_rows=anchors[keep],
         scales=scales[keep],
         inv_norms=inv[keep],
@@ -241,15 +234,17 @@ def produce(
     scales from its top-K mask; transformation shifting then banks the
     batch's intra-class differences and draws shifts from the bank.  A
     disabled mechanism leaves its state alone and contributes ones (scaling)
-    or zeros (shifting).  `emit` receives each phase name as it completes.
+    or zeros (shifting).  T = 0 lays out no rows and produces nothing.
+    `emit` receives each phase name as it completes.
     """
     emb = np.atleast_2d(np.asarray(embeddings, dtype=np.float64))
     labels = np.atleast_1d(np.asarray(labels))
-    rows = (emb.shape[0] * config.T, emb.shape[1])
+    anchors = np.repeat(np.arange(emb.shape[0]), config.T)
+    rows = (anchors.size, emb.shape[1])
     if config.use_scaling:
         recorder.update(emb, labels, config.K)
         emit("frm")
-        scales = draw_scales(recorder.mask(config.K), labels, config.T, config.rs, rng)
+        scales = draw_scales(recorder.mask(config.K), labels[anchors], config.rs, rng)
         emit("scale")
     else:
         scales = np.ones(rows)
@@ -257,11 +252,11 @@ def produce(
         emit("transform")
         bank.update(emb, labels)
         emit("enqueue")
-        shifts = draw_shifts(bank, labels, config.T, config.rb, rng)
+        shifts = draw_shifts(bank, labels[anchors], config.rb, rng)
         emit("shift")
     else:
         shifts = np.zeros(rows)
-    produced = combine_factors(emb, labels, scales, shifts)
+    produced = combine_factors(emb, labels, anchors, scales, shifts)
     emit("produce")
     return produced
 

@@ -79,8 +79,8 @@ def generate_gaussian_clusters(
     labels = np.empty(classes * per_class, dtype=np.int64)
     for c in range(classes):
         lo = c * per_class
-        feats[lo : lo + per_class] = centers[c] + noise_sigma * rng.normal(
-            size=(per_class, input_dim)
+        feats[lo : lo + per_class] = centers[c] + noise_sigma * rng.standard_normal(
+            (per_class, input_dim)
         )
         labels[lo : lo + per_class] = c
     train, test = _split_classes(classes)

@@ -98,7 +98,7 @@ def kmeans(embeddings, k: int, rng: SeededRng, max_iter: int = 100):
     for j in range(1, k):
         total = d2.sum()
         probs = d2 / total if total > 0 else np.full(n, 1.0 / n)
-        centers[j] = x[rng.choice(np.arange(n), p=probs)]
+        centers[j] = x[rng.choice(n, p=probs)]
         np.minimum(d2, pairwise_distances(x, centers[j : j + 1], squared=True)[:, 0], out=d2)
 
     assign = np.full(n, -1, dtype=np.int64)

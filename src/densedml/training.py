@@ -62,18 +62,12 @@ def build_dataset(cfg: RunConfig, rng: SeededRng) -> Dataset:
     )
 
 
-def _preflight(cfg: RunConfig, dataset: Dataset) -> None:
-    """Reject settings the dataset cannot serve, before step 1."""
-    n_train_classes = len(dataset.train_classes)
-    if cfg.batch.classes_per_batch > n_train_classes:
-        raise ConfigError(
-            f"batch.classes_per_batch={cfg.batch.classes_per_batch} exceeds the "
-            f"{n_train_classes} training classes"
-        )
+def check_eval_ks(ks, dataset: Dataset) -> None:
+    """Reject a recall k the dataset's test split is too small to score."""
     n_test = dataset.subset(dataset.test_classes)[1].size
-    if max(cfg.eval_ks) >= n_test:
+    if max(ks) >= n_test:
         raise ConfigError(
-            f"eval_ks max {max(cfg.eval_ks)} needs at least {max(cfg.eval_ks) + 1} "
+            f"eval_ks max {max(ks)} needs at least {max(ks) + 1} "
             f"test points, the test split has {n_test}"
         )
 
@@ -110,7 +104,13 @@ def train(cfg: RunConfig, trace=None) -> TrainResult:
     rng_sampler = root.derive("sampler")
 
     dataset = build_dataset(cfg, rng_data)
-    _preflight(cfg, dataset)
+    n_train_classes = len(dataset.train_classes)
+    if cfg.batch.classes_per_batch > n_train_classes:
+        raise ConfigError(
+            f"batch.classes_per_batch={cfg.batch.classes_per_batch} exceeds the "
+            f"{n_train_classes} training classes"
+        )
+    check_eval_ks(cfg.eval_ks, dataset)
     d_embed = cfg.encoder.embed_dim
     params = init_params(
         cfg.encoder.layer_sizes(dataset.input_dim), cfg.encoder.activation, rng_init
@@ -120,8 +120,6 @@ def train(cfg: RunConfig, trace=None) -> TrainResult:
     beta_lr = cfg.loss.beta_lr if cfg.loss.beta_lr is not None else cfg.optim.lr
 
     das_cfg: DasConfig = cfg.das
-    das_active = das_cfg.enabled and das_cfg.T > 0
-    n_train_classes = len(dataset.train_classes)
     recorder = FrequencyRecorder(n_train_classes, d_embed)
     bank = TransformationBank(n_train_classes, das_cfg.Z, d_embed)
 
@@ -140,7 +138,7 @@ def train(cfg: RunConfig, trace=None) -> TrainResult:
             n_real = emb.shape[0]
 
             produced = None
-            if das_active:
+            if das_cfg.enabled:
                 produced = produce(emb, y, recorder, bank, das_cfg, rng_das, emit)
                 cat_emb = np.vstack([emb, produced.embeddings])
                 cat_labels = np.concatenate([y, produced.labels])
@@ -318,7 +316,8 @@ def run_comparison(
     """Train every (variant, seed) cell and aggregate final test metrics.
 
     Every cell's overrides are applied before the first cell trains, so a
-    value that does not parse, or an empty variant or seed list, raises
+    value that does not parse, an override of the seed or out_dir each cell
+    gets from the comparison, or an empty variant or seed list, raises
     ConfigError with nothing trained.  Failed cells are recorded and skipped
     in the aggregates; the run continues.
     """
@@ -326,6 +325,11 @@ def run_comparison(
         raise ConfigError("a comparison needs at least one variant and one seed")
     grid = []
     for name, overrides in variants:
+        for key in ("seed", "out_dir"):
+            if key in overrides:
+                raise ConfigError(
+                    f"variant {name!r} sets {key}, which the comparison sets for each cell"
+                )
         configs = []
         for seed in seeds:
             cfg = copy.deepcopy(base)

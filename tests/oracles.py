@@ -251,11 +251,11 @@ def install_replicated_baseline(monkeypatch):
     monkeypatch.setattr(training, "produced_backward", replicated_backward)
 
 
-def draw_shifts(bank: TransformationBank, labels, t, rb, rng):
-    """(n*t, d) shifting factors, anchor-major, one `shifting_factor` call per row."""
+def draw_shifts(bank: TransformationBank, labels, rb, rng):
+    """(len(labels), d) shifting factors, one `shifting_factor` call per row."""
     labels = np.atleast_1d(np.asarray(labels))
-    shifts = np.zeros((len(labels) * t, bank.slots.shape[2]))
-    for row, c in enumerate(np.repeat(labels, t)):
+    shifts = np.zeros((len(labels), bank.slots.shape[2]))
+    for row, c in enumerate(labels):
         shifts[row] = shifting_factor(bank, c, rb, rng)
     return shifts
 

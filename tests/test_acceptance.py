@@ -14,6 +14,7 @@ from collections import deque
 from contextlib import contextmanager
 
 import numpy as np
+import pytest
 
 from densedml.cli import main as cli_main
 from densedml.config import RunConfig
@@ -293,6 +294,7 @@ def test_criterion_3_gradient_suite():
             x = r.normal(size=(3, 3))
             labels = np.array([0, 0, 1])
             t = 2
+            rows = np.repeat(np.arange(3), t)
             scales = 1.0 + 0.3 * r.normal(size=(3 * t, 2))
             shifts = 0.2 * r.normal(size=(3 * t, 2))
             cat_labels = np.concatenate([labels, np.repeat(labels, t)])
@@ -312,13 +314,13 @@ def test_criterion_3_gradient_suite():
 
             def full(theta):
                 emb, _ = encode(params.with_flat(theta), x)
-                produced = combine_factors(emb, labels, scales, shifts)
+                produced = combine_factors(emb, labels, rows, scales, shifts)
                 assert produced.dropped == 0
                 cat = np.vstack([emb, produced.embeddings])
                 return loss_of(cat).value
 
             emb, tape = encode(params, x)
-            produced = combine_factors(emb, labels, scales, shifts)
+            produced = combine_factors(emb, labels, rows, scales, shifts)
             cat = np.vstack([emb, produced.embeddings])
             out = loss_of(cat)
             grad_real = out.grad[:3].copy()
@@ -339,7 +341,7 @@ def test_criterion_4_statistical_suite():
         rng = SeededRng(31337)
         n_draws = 100_000
         mask = np.ones((1, 1))
-        draws = draw_scales(mask, np.zeros(n_draws, dtype=np.int64), 1, rs, rng)[:, 0]
+        draws = draw_scales(mask, np.zeros(n_draws, dtype=np.int64), rs, rng)[:, 0]
         se = (2 * rs / math.sqrt(12.0)) / math.sqrt(n_draws)
         assert abs(draws.mean() - 1.0) <= 3 * se
         assert draws.min() >= 1 - rs and draws.max() <= 1 + rs
@@ -362,7 +364,7 @@ def test_criterion_4_statistical_suite():
         bank.enqueue(0, np.array([2.0]))
         rng = SeededRng(99)
         hits = {1.0: 0, 2.0: 0}
-        for shift in draw_shifts(bank, np.zeros(10_000, dtype=np.int64), 1, 1.0, rng)[:, 0]:
+        for shift in draw_shifts(bank, np.zeros(10_000, dtype=np.int64), 1.0, rng)[:, 0]:
             hits[float(shift)] += 1
         assert abs(hits[1.0] / 10_000 - 0.5) <= 0.02
 
@@ -370,6 +372,7 @@ def test_criterion_4_statistical_suite():
 # ---------------------------------------------------------------------- 5
 
 
+@pytest.mark.slow
 def test_criterion_5_directional_ablation(tmp_path):
     with criterion(5, "full production is non-inferior to baseline (>= -0.5 R@1 "
                       "points) and the four-cell ablation completes", budget_s=600):

@@ -261,6 +261,20 @@ class TestEvaluate:
         assert code == 2
         assert "data.kind must be gaussian or csv" in capsys.readouterr().err
 
+    def test_eval_k_beyond_test_split_exit_2(self, tmp_path, capsys):
+        out_dir = tmp_path / "run"
+        assert run_cli("train", "--out-dir", str(out_dir), *BASE_OVERRIDES) == 0
+        capsys.readouterr()
+        # 4 test classes x 10 points: recall@40 needs 41; checked before the
+        # checkpoint is read, so a missing one changes nothing
+        for checkpoint in (out_dir / "checkpoint.json", tmp_path / "no.json"):
+            code = run_cli(
+                "evaluate", "--config", str(out_dir / "config.json"),
+                "--checkpoint", str(checkpoint), "--set", "eval_ks=1,40",
+            )
+            assert code == 2
+            assert "eval_ks max 40 needs at least 41 test points" in capsys.readouterr().err
+
     def test_missing_checkpoint_exit_3(self, tmp_path):
         assert run_cli("evaluate", "--checkpoint", str(tmp_path / "no.json")) == 3
 
@@ -333,6 +347,26 @@ class TestCompareAndSweep:
         assert run_cli(*args, "--seeds", "0,1", *BASE_OVERRIDES) == 2
         assert "expected an integer, got 'x'" in capsys.readouterr().err
         assert trained == []
+
+    @pytest.mark.parametrize("key, value", [("seed", "2"), ("out_dir", "elsewhere")])
+    @pytest.mark.parametrize("command", ["sweep", "compare"])
+    def test_cell_owned_key_trains_no_cell(self, tmp_path, capsys, monkeypatch,
+                                           command, key, value):
+        trained = []
+        real_train = training.train
+        monkeypatch.setattr(training, "train", lambda cfg: trained.append(cfg) or real_train(cfg))
+        variants = tmp_path / "v.json"
+        variants.write_text(json.dumps(
+            [{"name": "fine", "set": {}}, {"name": "owned", "set": {key: value}}]))
+        args = {
+            "sweep": ("sweep", "--param", key, "--values", value),
+            "compare": ("compare", "--variants", str(variants)),
+        }[command]
+        monkeypatch.chdir(tmp_path)
+        assert run_cli(*args, "--seeds", "0", *BASE_OVERRIDES) == 2
+        assert f"sets {key}, which the comparison sets for each cell" in capsys.readouterr().err
+        assert trained == []
+        assert not (tmp_path / "elsewhere").exists()
 
     def test_sweep_k_grid(self, tmp_path, capsys):
         code = run_cli(

@@ -205,3 +205,20 @@ class TestSeededRng:
     def test_integers_range(self, rng):
         draws = rng.integers(7, size=1000)
         assert draws.min() >= 0 and draws.max() < 7
+
+    @pytest.mark.parametrize("seed,stream", [(0, 0), (7, 3), (2**31, 4)])
+    def test_is_keyed_philox_generator(self, seed, stream):
+        got = SeededRng(seed, stream)
+        want = np.random.Generator(np.random.Philox(np.random.SeedSequence([seed, stream])))
+        assert isinstance(got, np.random.Generator)
+        bounds = np.array([1, 2, 5, 9, 3])
+        probs = np.array([0.1, 0.0, 0.6, 0.3])
+        for _ in range(20):
+            assert got.integers(7) == want.integers(7)
+            np.testing.assert_array_equal(got.integers(bounds), want.integers(bounds))
+            assert got.uniform(0, 2.5) == want.uniform(0, 2.5)
+            np.testing.assert_array_equal(got.standard_normal((2, 3)),
+                                          want.standard_normal((2, 3)))
+            np.testing.assert_array_equal(got.permutation(6), want.permutation(6))
+            assert got.choice(4, p=probs) == want.choice(4, p=probs)
+        np.testing.assert_equal(got.bit_generator.state, want.bit_generator.state)

@@ -16,7 +16,12 @@ from densedml.das import (
     produce,
     produced_backward,
 )
-from densedml.errors import ConfigError, LabelOutOfRangeError, ZeroNormError
+from densedml.errors import (
+    ConfigError,
+    LabelOutOfRangeError,
+    ShapeMismatchError,
+    ZeroNormError,
+)
 
 from conftest import finite_difference, max_rel_error, random_unit_rows
 import oracles
@@ -207,9 +212,10 @@ class TestDrawShiftsOracle:
             for _ in range(data.draw(st.integers(0, 2 * capacity))):
                 bank.enqueue(c, r.normal(size=3))
         labels = data.draw(st.lists(st.integers(0, n_classes - 1), max_size=12))
+        rows = np.repeat(np.asarray(labels, dtype=np.int64), t)
         rng_got, rng_want = SeededRng(seed, 1), SeededRng(seed, 1)
-        got = draw_shifts(bank, labels, t, 0.01, rng_got)
-        want = oracles.draw_shifts(bank, labels, t, 0.01, rng_want)
+        got = draw_shifts(bank, rows, 0.01, rng_got)
+        want = oracles.draw_shifts(bank, rows, 0.01, rng_want)
         assert got.shape == want.shape == (len(labels) * t, 3)
         np.testing.assert_array_equal(got, want)
         np.testing.assert_array_equal(rng_got.uniform(size=3), rng_want.uniform(size=3))
@@ -219,7 +225,7 @@ class TestDrawShiftsOracle:
         bank = TransformationBank(3, 4, 2)
         bank.enqueue(1, np.array([1.0, 2.0]))
         rng = SeededRng(6)
-        got = draw_shifts(bank, [0, 2, 0], 2, 0.5, rng)
+        got = draw_shifts(bank, [0, 0, 2, 2, 0, 0], 0.5, rng)
         np.testing.assert_array_equal(got, np.zeros((6, 2)))
         assert rng.uniform() == SeededRng(6).uniform()
 
@@ -228,9 +234,9 @@ class TestDrawShiftsOracle:
         bank = TransformationBank(3, 4, 2)
         bank.enqueue(0, np.array([1.0, 2.0]))
         with pytest.raises(LabelOutOfRangeError):
-            draw_shifts(bank, [0, label], 2, 0.01, SeededRng(0))
+            draw_shifts(bank, [0, label], 0.01, SeededRng(0))
         with pytest.raises(LabelOutOfRangeError):
-            oracles.draw_shifts(bank, [0, label], 2, 0.01, SeededRng(0))
+            oracles.draw_shifts(bank, [0, label], 0.01, SeededRng(0))
 
 
 class TestProduce:
@@ -262,9 +268,17 @@ class TestProduce:
         with pytest.raises(ZeroNormError):
             apply_factors(v, np.array([1.0, 1.0]), np.array([-1.0, 0.0]))
         batch = combine_factors(
-            v.reshape(1, 2), [0], np.ones((1, 2)), np.array([[-1.0, 0.0]])
+            v.reshape(1, 2), [0], [0], np.ones((1, 2)), np.array([[-1.0, 0.0]])
         )
         assert batch.dropped == 1 and len(batch.labels) == 0
+
+    @pytest.mark.parametrize("anchors", [[0], [0, 0, 0], []])
+    def test_factor_rows_must_match_anchors(self, anchors):
+        v = np.array([[1.0, 0.0]])
+        with pytest.raises(ShapeMismatchError):
+            combine_factors(v, [0], anchors, np.ones((2, 2)), np.zeros((2, 2)))
+        with pytest.raises(ShapeMismatchError):
+            combine_factors(v, [0], [0, 0], np.ones((2, 2)), np.zeros((3, 2)))
 
     @settings(max_examples=25, deadline=None)
     @given(st.integers(min_value=0, max_value=10_000))
@@ -300,10 +314,10 @@ class TestProduce:
 
         def probe(flat):
             emb = flat.reshape(1, 4)
-            batch = combine_factors(emb, [0], scales, shifts)
+            batch = combine_factors(emb, [0], [0, 0], scales, shifts)
             return float(np.sum(upstream * batch.embeddings))
 
-        batch = combine_factors(v, [0], scales, shifts)
+        batch = combine_factors(v, [0], [0, 0], scales, shifts)
         analytic = produced_backward(batch, upstream, 1, 4)
         numeric = finite_difference(probe, v.ravel())
         assert max_rel_error(analytic.ravel(), numeric) < 1e-4
@@ -327,10 +341,11 @@ class TestProduceSteps:
         want_rec, want_bank = FrequencyRecorder(3, 5), TransformationBank(3, 3, 5)
         rng_want = SeededRng(5, 2)
         want_rec.update(anchors, labels, cfg.K)
-        scales = draw_scales(want_rec.mask(cfg.K), labels, cfg.T, cfg.rs, rng_want)
+        rows = np.repeat(np.arange(len(labels)), cfg.T)
+        scales = draw_scales(want_rec.mask(cfg.K), labels[rows], cfg.rs, rng_want)
         want_bank.update(anchors, labels)
-        shifts = draw_shifts(want_bank, labels, cfg.T, cfg.rb, rng_want)
-        want = combine_factors(anchors, labels, scales, shifts)
+        shifts = draw_shifts(want_bank, labels[rows], cfg.rb, rng_want)
+        want = combine_factors(anchors, labels, rows, scales, shifts)
 
         np.testing.assert_array_equal(got.embeddings, want.embeddings)
         np.testing.assert_array_equal(got.scales, want.scales)
@@ -401,5 +416,5 @@ class TestLabelCheck:
         bank.enqueue(0, np.array([1.0, 2.0]))
         rng = SeededRng(4)
         with pytest.raises(LabelOutOfRangeError, match="label 7 outside"):
-            draw_shifts(bank, [0, 7, -2], 2, 0.01, rng)
+            draw_shifts(bank, [0, 7, -2], 0.01, rng)
         assert rng.uniform() == SeededRng(4).uniform()

@@ -172,7 +172,7 @@ class UniformAtHigh:
         self.inner = SeededRng(seed)
 
     def integers(self, n, size=None):
-        return self.inner.integers(n, size)
+        return self.inner.integers(n, size=size)
 
     def uniform(self, low=0.0, high=1.0, size=None):
         self.inner.uniform(low, high, size)

@@ -64,7 +64,9 @@ class TestTrainLoop:
         on.das.T = 0
         off = tiny_config()
         off.das.enabled = False
-        assert train(on).log_lines == train(off).log_lines
+        a, b = train(on), train(off)
+        assert a.log_lines == b.log_lines
+        assert a.params.flat().tobytes() == b.params.flat().tobytes()
 
     def test_byte_identical_reruns(self):
         a = train(tiny_config(steps=25))
@@ -93,6 +95,17 @@ class TestTrainLoop:
         trace = []
         train(cfg, trace=trace)
         assert trace == ["batch", "encode", "sample", "loss", "update"] * 2
+
+    def test_trace_t_zero_runs_das_phases(self):
+        cfg = tiny_config(steps=2)
+        cfg.das.T = 0
+        trace = []
+        res = train(cfg, trace=trace)
+        assert trace == [
+            "batch", "encode", "frm", "scale", "transform", "enqueue",
+            "shift", "produce", "sample", "loss", "update",
+        ] * 2
+        assert all(rec["produced"] == 0 for rec in step_records(res))
 
     def test_trace_ablation_paths(self):
         dfs = tiny_config(steps=1)
