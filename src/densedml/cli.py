@@ -19,7 +19,7 @@ from .config import (
     save_config,
 )
 from .core import SeededRng, STREAMS
-from .data import generate_gaussian_clusters, save_csv
+from .data import save_csv
 from .errors import EngineError
 from .training import (
     ablation_variants,
@@ -32,7 +32,7 @@ from .training import (
 )
 
 
-def _add_config_args(p):
+def _add_config_args(p, out_dir=True):
     p.add_argument("--config", help="JSON config document")
     p.add_argument(
         "--set",
@@ -41,7 +41,8 @@ def _add_config_args(p):
         help="override any dotted config key (repeatable)",
     )
     p.add_argument("--seed", type=int, help="shorthand for --set seed=N")
-    p.add_argument("--out-dir", help="shorthand for --set out_dir=PATH")
+    if out_dir:
+        p.add_argument("--out-dir", help="shorthand for --set out_dir=PATH")
 
 
 def _build_config(args) -> RunConfig:
@@ -55,11 +56,8 @@ def _build_config(args) -> RunConfig:
 
 
 def _cmd_generate_data(args) -> int:
-    rng = SeededRng(args.seed, STREAMS["data"])
-    dataset = generate_gaussian_clusters(
-        args.classes, args.per_class, args.input_dim, args.center_scale,
-        args.noise_sigma, rng,
-    )
+    cfg = _build_config(args)
+    dataset = build_dataset(cfg, SeededRng(cfg.seed, STREAMS["data"]))
     save_csv(dataset, args.out)
     print(
         f"wrote {dataset.n_points} points, {dataset.n_classes} classes "
@@ -146,15 +144,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    g = sub.add_parser("generate-data", help="write a synthetic Gaussian-cluster CSV")
+    g = sub.add_parser("generate-data", help="write the config's dataset (data.*) as a CSV")
     g.add_argument("--out", required=True)
-    g.add_argument("--classes", type=int, default=16)
-    g.add_argument("--per-class", type=int, default=64)
-    g.add_argument("--input-dim", type=int, default=32)
-    g.add_argument("--center-scale", type=float, default=1.0)
-    g.add_argument("--noise-sigma", type=float, default=0.6)
-    g.add_argument("--seed", type=int, default=7)
-    g.set_defaults(fn=_cmd_generate_data)
+    _add_config_args(g, out_dir=False)
+    g.set_defaults(fn=_cmd_generate_data, out_dir=None)
 
     t = sub.add_parser("train", help="train an encoder per the config")
     _add_config_args(t)

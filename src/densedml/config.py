@@ -16,22 +16,18 @@ from .sampling import BatchSpec, SAMPLER_KINDS
 
 @dataclass
 class DataConfig:
-    kind: str = "gaussian"  # gaussian | csv
+    """Gaussian clusters from the generator fields, or, when `path` is set,
+    the CSV at `path`."""
+
     classes: int = 16
     per_class: int = 64
     input_dim: int = 32
     center_scale: float = 1.0
     noise_sigma: float = 0.6
     seed: int = -1  # generator seed; -1 means derive from the run seed
-    path: str = ""  # csv only
+    path: str = ""  # a CSV to load; empty means generate
     label_col: int = -1  # csv only; -1 means last column
     header: bool = False
-
-    def validate(self):
-        if self.kind not in ("gaussian", "csv"):
-            raise ConfigError(f"data.kind must be gaussian or csv, got {self.kind!r}")
-        if self.kind == "csv" and not self.path:
-            raise ConfigError("data.kind=csv requires data.path")
 
 
 @dataclass
@@ -101,7 +97,6 @@ class RunConfig:
             raise ConfigError("eval_every must be >= 0")
         if not self.eval_ks or any(k < 1 for k in self.eval_ks):
             raise ConfigError("eval_ks must be a nonempty list of positive integers")
-        self.data.validate()
         self.encoder.validate()
         self.batch.validate()
         self.sampler.validate()

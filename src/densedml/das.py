@@ -32,7 +32,8 @@ from .errors import (
 @dataclass
 class DasConfig:
     """Production knobs: T copies per anchor, top-K channels, bank capacity Z,
-    scaling radius rs, shift magnitude rb."""
+    scaling radius rs, shift magnitude rb.  A zero radius turns its mechanism
+    off: rb = 0 is scaling only (DFS), rs = 0 is shifting only (MTS)."""
 
     enabled: bool = True
     T: int = 3
@@ -40,8 +41,6 @@ class DasConfig:
     Z: int = 10
     rs: float = 0.01
     rb: float = 0.01
-    dfs_only: bool = False  # scaling without shifting
-    mts_only: bool = False  # shifting without scaling
 
     def validate(self, embed_dim: int | None = None):
         if self.T < 0:
@@ -56,16 +55,14 @@ class DasConfig:
             raise ConfigError(f"das.rs must be in [0, 1), got {self.rs}")
         if self.rb < 0:
             raise ConfigError(f"das.rb must be >= 0, got {self.rb}")
-        if self.dfs_only and self.mts_only:
-            raise ConfigError("das.dfs_only and das.mts_only are mutually exclusive")
 
     @property
     def use_scaling(self) -> bool:
-        return not self.mts_only
+        return self.rs > 0
 
     @property
     def use_shifting(self) -> bool:
-        return not self.dfs_only
+        return self.rb > 0
 
 
 def check_labels(labels, n_classes: int) -> None:
@@ -233,9 +230,9 @@ def produce(
     Feature scaling first bumps the recorder with this batch and draws
     scales from its top-K mask; transformation shifting then banks the
     batch's intra-class differences and draws shifts from the bank.  A
-    disabled mechanism leaves its state alone and contributes ones (scaling)
-    or zeros (shifting).  T = 0 lays out no rows and produces nothing.
-    `emit` receives each phase name as it completes.
+    mechanism whose radius is zero leaves its state and the stream alone and
+    contributes ones (scaling) or zeros (shifting).  T = 0 lays out no rows
+    and produces nothing.  `emit` receives each phase name as it completes.
     """
     emb = np.atleast_2d(np.asarray(embeddings, dtype=np.float64))
     labels = np.atleast_1d(np.asarray(labels))

@@ -90,9 +90,10 @@ def generate_gaussian_clusters(
 def load_csv(path, label_column: int, header: bool = False) -> Dataset:
     """Read a comma-separated dataset; labels are re-indexed densely from 0.
 
-    Rows must share one arity; the label column must parse as an integer and
-    every other cell as a finite float.  A negative `label_column` counts
-    from the end of the first data row (-1 is the last column).  Blank
+    Rows must share one arity of at least two, the label and one feature;
+    the label column must parse as an integer and every other cell as a
+    finite float.  A negative `label_column` counts from the end of the
+    first data row (-1 is the last column).  Blank
     lines are skipped; `header` also skips the first non-blank line.
     The first half of the distinct labels (sorted ascending by original
     value) becomes the train split.
@@ -112,6 +113,10 @@ def load_csv(path, label_column: int, header: bool = False) -> Dataset:
             f"{path}: label column {label_column} outside row of arity {arity}",
             row=rows[0][0],
             col=label_column,
+        )
+    if arity < 2:
+        raise ParseError(
+            f"{path}: row {rows[0][0]} has no feature column, only a label", row=rows[0][0]
         )
     label_column %= arity
     for row_no, line in rows:

@@ -46,13 +46,12 @@ class TrainResult:
     log_lines: list
     final_report: EvalReport
     dataset: Dataset
-    config: RunConfig
     margin_beta: float
 
 
 def build_dataset(cfg: RunConfig, rng: SeededRng) -> Dataset:
     d = cfg.data
-    if d.kind == "csv":
+    if d.path:
         return load_csv(d.path, d.label_col, header=d.header)
     if d.seed >= 0:
         # pinned generator seed: the same dataset across training seeds
@@ -208,7 +207,7 @@ def train(cfg: RunConfig, trace=None) -> TrainResult:
         save_checkpoint(
             os.path.join(cfg.out_dir, "checkpoint.json"), params, opt, cfg.seed
         )
-    return TrainResult(params, opt, log_lines, final_report, dataset, cfg, beta)
+    return TrainResult(params, opt, log_lines, final_report, dataset, beta)
 
 
 def evaluate_checkpoint(checkpoint_path, dataset: Dataset, ks) -> EvalReport:
@@ -300,8 +299,8 @@ def ablation_variants() -> list:
     """Four-cell grid: no production / scaling only / shifting only / both."""
     return [
         ("baseline", {"das.enabled": "false"}),
-        ("dfs_only", {"das.enabled": "true", "das.dfs_only": "true"}),
-        ("mts_only", {"das.enabled": "true", "das.mts_only": "true"}),
+        ("dfs_only", {"das.enabled": "true", "das.rb": "0"}),
+        ("mts_only", {"das.enabled": "true", "das.rs": "0"}),
         ("both", {"das.enabled": "true"}),
     ]
 
@@ -317,12 +316,17 @@ def run_comparison(
 
     Every cell's overrides are applied before the first cell trains, so a
     value that does not parse, an override of the seed or out_dir each cell
-    gets from the comparison, or an empty variant or seed list, raises
-    ConfigError with nothing trained.  Failed cells are recorded and skipped
-    in the aggregates; the run continues.
+    gets from the comparison, an empty variant or seed list, or a variant
+    name or seed listed twice raises ConfigError with nothing trained.
+    Failed cells are recorded and skipped in the aggregates; the run
+    continues.
     """
     if not variants or not seeds:
         raise ConfigError("a comparison needs at least one variant and one seed")
+    for what, items in (("variant", [name for name, _ in variants]), ("seed", list(seeds))):
+        repeats = [item for i, item in enumerate(items) if item in items[:i]]
+        if repeats:
+            raise ConfigError(f"{what} {repeats[0]!r} is listed twice; each cell needs its own")
     grid = []
     for name, overrides in variants:
         for key in ("seed", "out_dir"):

@@ -1,16 +1,20 @@
 import json
 
+import numpy as np
 import pytest
 
 import densedml.training as training
 from densedml.cli import main
-from densedml.config import RunConfig, config_to_dict
+from densedml.config import RunConfig, config_to_dict, load_config
 from densedml.data import load_csv
 
 
 def run_cli(*args):
     return main(list(args))
 
+
+# 6 classes x 8 points in 6 dimensions: a CSV split 3/3
+CSV_DATA = ["--set", "data.classes=6", "--set", "data.per_class=8", "--set", "data.input_dim=6"]
 
 BASE_OVERRIDES = [
     "--set", "steps=4",
@@ -24,13 +28,15 @@ BASE_OVERRIDES = [
 ]
 
 
+SMALL_DATA = [
+    "--set", "data.classes=4", "--set", "data.per_class=6", "--set", "data.input_dim=5",
+]
+
+
 class TestGenerateData:
     def test_writes_loadable_csv(self, tmp_path, capsys):
         out = tmp_path / "data.csv"
-        code = run_cli(
-            "generate-data", "--out", str(out), "--classes", "4",
-            "--per-class", "6", "--input-dim", "5", "--seed", "3",
-        )
+        code = run_cli("generate-data", "--out", str(out), *SMALL_DATA, "--seed", "3")
         assert code == 0
         ds = load_csv(out, label_column=5)
         assert ds.n_points == 24 and ds.n_classes == 4
@@ -38,9 +44,37 @@ class TestGenerateData:
 
     def test_bad_params_exit_2(self, tmp_path):
         code = run_cli(
-            "generate-data", "--out", str(tmp_path / "x.csv"), "--noise-sigma", "0",
+            "generate-data", "--out", str(tmp_path / "x.csv"), "--set", "data.noise_sigma=0",
         )
         assert code == 2
+
+    def test_writes_the_dataset_train_uses(self, tmp_path):
+        config = tmp_path / "cfg.json"
+        assert run_cli("write-config", "--out", str(config), *SMALL_DATA, "--seed", "3") == 0
+        from_file, from_sets = tmp_path / "a.csv", tmp_path / "b.csv"
+        assert run_cli("generate-data", "--out", str(from_file), "--config", str(config)) == 0
+        assert run_cli("generate-data", "--out", str(from_sets), *SMALL_DATA, "--seed", "3") == 0
+        assert from_file.read_bytes() == from_sets.read_bytes()
+        cfg = load_config(config)
+        cfg.steps, cfg.eval_ks, cfg.batch.classes_per_batch = 1, [1], 2
+        trained_on = training.train(cfg).dataset
+        written = load_csv(from_file, label_column=-1)
+        np.testing.assert_array_equal(written.features, trained_on.features)
+        np.testing.assert_array_equal(written.labels, trained_on.labels)
+
+    def test_pinned_data_seed_ignores_run_seed(self, tmp_path):
+        outs = [tmp_path / "a.csv", tmp_path / "b.csv"]
+        for seed, out in zip(("1", "2"), outs):
+            assert run_cli(
+                "generate-data", "--out", str(out), *SMALL_DATA,
+                "--set", "data.seed=5", "--seed", seed,
+            ) == 0
+        assert outs[0].read_bytes() == outs[1].read_bytes()
+
+    def test_takes_no_out_dir(self, tmp_path):
+        with pytest.raises(SystemExit) as exit_:
+            run_cli("generate-data", "--out", str(tmp_path / "x.csv"), "--out-dir", "d")
+        assert exit_.value.code == 2
 
 
 class TestTrain:
@@ -81,13 +115,9 @@ class TestTrain:
 
     def test_csv_dataset_via_config(self, tmp_path):
         data = tmp_path / "d.csv"
-        assert run_cli(
-            "generate-data", "--out", str(data), "--classes", "6",
-            "--per-class", "8", "--input-dim", "6",
-        ) == 0
+        assert run_cli("generate-data", "--out", str(data), *CSV_DATA) == 0
         code = run_cli(
             "train",
-            "--set", "data.kind=csv",
             "--set", f"data.path={data}",
             "--set", "steps=3",
             "--set", "encoder.hidden=8",
@@ -98,6 +128,32 @@ class TestTrain:
         )
         assert code == 0
 
+    def test_data_path_alone_trains_on_the_csv(self, tmp_path, capsys):
+        data = tmp_path / "d.csv"
+        assert run_cli("generate-data", "--out", str(data), *CSV_DATA) == 0
+        capsys.readouterr()
+        code = run_cli(
+            "train", *BASE_OVERRIDES, "--set", f"data.path={data}",
+            "--set", "encoder.embed_dim=6", "--set", "batch.classes_per_batch=3",
+            "--out-dir", str(tmp_path / "run"),
+        )
+        assert code == 0
+        report = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
+        assert report["n_queries"] == 24  # 3 test classes x 8 points of the CSV
+        checkpoint = json.loads((tmp_path / "run" / "checkpoint.json").read_text())
+        assert checkpoint["layer_sizes"][0] == 6  # the CSV's input dim
+
+    @pytest.mark.parametrize("doc, key", [
+        ({"data": {"kind": "csv"}}, "data.kind"),
+        ({"das": {"dfs_only": True}}, "das.dfs_only"),
+        ({"das": {"mts_only": False}}, "das.mts_only"),
+    ])
+    def test_retired_key_in_config_file_exit_2(self, tmp_path, capsys, doc, key):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(doc))
+        assert run_cli("train", "--config", str(path), *BASE_OVERRIDES) == 2
+        assert f"unknown config key '{key}'" in capsys.readouterr().err
+
 
 class TestCsvLabelColumn:
     """The default label column is the last one of the first data row, even
@@ -106,10 +162,7 @@ class TestCsvLabelColumn:
     @staticmethod
     def csv_pair(tmp_path):
         plain = tmp_path / "d.csv"
-        assert run_cli(
-            "generate-data", "--out", str(plain), "--classes", "6",
-            "--per-class", "8", "--input-dim", "6",
-        ) == 0
+        assert run_cli("generate-data", "--out", str(plain), *CSV_DATA) == 0
         blank_first = tmp_path / "blank_first.csv"
         blank_first.write_text("\n" + plain.read_text())
         return plain, blank_first
@@ -120,7 +173,6 @@ class TestCsvLabelColumn:
             capsys.readouterr()
             assert run_cli(
                 "train",
-                "--set", "data.kind=csv",
                 "--set", f"data.path={path}",
                 "--set", "steps=3",
                 "--set", "encoder.hidden=8",
@@ -144,7 +196,7 @@ class TestCsvLabelColumn:
             capsys.readouterr()
             assert run_cli(
                 "evaluate", "--checkpoint", str(out_dir / "checkpoint.json"),
-                "--set", "data.kind=csv", "--set", f"data.path={path}", "--set", "eval_ks=1",
+                "--set", f"data.path={path}", "--set", "eval_ks=1",
             ) == 0
             reports.append(json.loads(capsys.readouterr().out.strip()))
         assert reports[0] == reports[1]
@@ -259,7 +311,7 @@ class TestEvaluate:
             "--checkpoint", str(out_dir / "checkpoint.json"), "--set", "data.kind=cvs",
         )
         assert code == 2
-        assert "data.kind must be gaussian or csv" in capsys.readouterr().err
+        assert "unknown config key 'data.kind'" in capsys.readouterr().err
 
     def test_eval_k_beyond_test_split_exit_2(self, tmp_path, capsys):
         out_dir = tmp_path / "run"
@@ -367,6 +419,18 @@ class TestCompareAndSweep:
         assert f"sets {key}, which the comparison sets for each cell" in capsys.readouterr().err
         assert trained == []
         assert not (tmp_path / "elsewhere").exists()
+
+    @pytest.mark.parametrize("args, message", [
+        (("compare", "--seeds", "0,0"), "seed 0 is listed twice"),
+        (("sweep", "--param", "das.K", "--values", "1,1", "--seeds", "0"),
+         "variant 'das.K=1' is listed twice"),
+    ])
+    def test_repeated_cell_trains_no_cell(self, capsys, monkeypatch, args, message):
+        trained = []
+        monkeypatch.setattr(training, "train", trained.append)
+        assert run_cli(*args, *BASE_OVERRIDES) == 2
+        assert message in capsys.readouterr().err
+        assert trained == []
 
     def test_sweep_k_grid(self, tmp_path, capsys):
         code = run_cli(

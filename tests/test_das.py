@@ -358,30 +358,26 @@ class TestProduceSteps:
         "toggles,phases",
         [
             ({}, ["frm", "scale", "transform", "enqueue", "shift", "produce"]),
-            ({"dfs_only": True}, ["frm", "scale", "produce"]),
-            ({"mts_only": True}, ["transform", "enqueue", "shift", "produce"]),
+            ({"rb": 0.0}, ["frm", "scale", "produce"]),
+            ({"rs": 0.0}, ["transform", "enqueue", "shift", "produce"]),
         ],
     )
     def test_phases_and_disabled_mechanism(self, toggles, phases):
         anchors, labels = self.batch(3)
-        cfg = DasConfig(T=3, K=2, Z=4, rs=0.2, rb=0.2, **toggles)
+        cfg = DasConfig(**{"T": 3, "K": 2, "Z": 4, "rs": 0.2, "rb": 0.2, **toggles})
         rec, bank = FrequencyRecorder(3, 5), TransformationBank(3, 4, 5)
         seen = []
         out = produce(anchors, labels, rec, bank, cfg, SeededRng(1), seen.append)
         assert seen == phases
         assert len(out.labels) == 18
-        if cfg.dfs_only:
+        if cfg.rb == 0:
             assert bank.filled.sum() == 0
-        if cfg.mts_only:
+        if cfg.rs == 0:
             assert rec.counts.sum() == 0
             np.testing.assert_array_equal(out.scales, np.ones((18, 5)))
 
 
 class TestDasConfig:
-    def test_mutually_exclusive_toggles(self):
-        with pytest.raises(ConfigError):
-            DasConfig(dfs_only=True, mts_only=True).validate(8)
-
     @pytest.mark.parametrize(
         "kwargs",
         [dict(T=-1), dict(K=0), dict(Z=0), dict(rs=1.0), dict(rs=-0.1), dict(rb=-1.0)],

@@ -98,6 +98,14 @@ class TestCsv:
         np.testing.assert_array_equal(first.labels, [0, 1, 2])
         np.testing.assert_array_equal(first.features, [[0.1, 0.0], [0.3, 0.0], [0.5, 1.0]])
 
+    @pytest.mark.parametrize("label_column", [0, -1])
+    def test_labels_only_rows_raise(self, tmp_path, label_column):
+        p = tmp_path / "d.csv"
+        p.write_text("\n0\n1\n1\n")
+        with pytest.raises(ParseError, match="no feature column") as err:
+            load_csv(p, label_column=label_column)
+        assert err.value.row == 2
+
     @pytest.mark.parametrize("column", [3, -4])
     def test_label_column_outside_row_raises(self, tmp_path, column):
         p = tmp_path / "d.csv"

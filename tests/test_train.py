@@ -109,13 +109,13 @@ class TestTrainLoop:
 
     def test_trace_ablation_paths(self):
         dfs = tiny_config(steps=1)
-        dfs.das.dfs_only = True
+        dfs.das.rb = 0.0
         trace = []
         train(dfs, trace=trace)
         assert trace == ["batch", "encode", "frm", "scale", "produce", "sample",
                          "loss", "update"]
         mts = tiny_config(steps=1)
-        mts.das.mts_only = True
+        mts.das.rs = 0.0
         trace = []
         train(mts, trace=trace)
         assert trace == ["batch", "encode", "transform", "enqueue", "shift",
@@ -270,6 +270,19 @@ class TestComparison:
         failed = [c for c in table.cells if c.status == "failed"]
         assert failed and failed[0].error
 
+    @pytest.mark.parametrize("variants, seeds", [
+        ([("a", {}), ("a", {"das.T": "2"})], [0]),
+        ([("a", {})], [0, 1, 0]),
+    ])
+    def test_repeated_variant_or_seed_rejected(self, monkeypatch, variants, seeds):
+        import densedml.training as train_mod
+
+        trained = []
+        monkeypatch.setattr(train_mod, "train", trained.append)
+        with pytest.raises(ConfigError, match="is listed twice"):
+            run_comparison(tiny_config(steps=2), variants, seeds)
+        assert trained == []
+
     def test_sweep_variants_grid(self):
         base = tiny_config(steps=4)
         table = run_comparison(base, sweep_variants("das.Z", [1, 2, 3]), seeds=[0])
@@ -311,7 +324,7 @@ class TestConfig:
         ({"das": {"rb": True}}, "das.rb"),
         ({"das": 3}, "'das'"),
         ({"data": {"path": 5}}, "data.path"),
-        ({"data": {"kind": ["csv"]}}, "data.kind"),
+        ({"encoder": {"activation": ["relu"]}}, "encoder.activation"),
     ])
     def test_wrong_type_rejected_naming_key(self, doc, key):
         with pytest.raises(ConfigError, match=key):
