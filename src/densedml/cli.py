@@ -111,7 +111,10 @@ def _variants_from_args(args):
 def _cmd_compare(args) -> int:
     cfg = _build_config(args)
     seeds = parse_int_list(args.seeds, "--seeds")
-    variants = _variants_from_args(args)
+    if args.command == "sweep":
+        variants = sweep_variants(args.param, args.values.split(","))
+    else:
+        variants = _variants_from_args(args)
     table = run_comparison(
         cfg, variants, seeds, out_dir=cfg.out_dir,
         progress=lambda c: print(
@@ -123,17 +126,6 @@ def _cmd_compare(args) -> int:
     print(table.format_table())
     if cfg.out_dir:
         print(f"report.csv written under {cfg.out_dir}", file=sys.stderr)
-    return 0
-
-
-def _cmd_sweep(args) -> int:
-    cfg = _build_config(args)
-    seeds = parse_int_list(args.seeds, "--seeds")
-    values = args.values.split(",")
-    table = run_comparison(
-        cfg, sweep_variants(args.param, values), seeds, out_dir=cfg.out_dir
-    )
-    print(table.format_table())
     return 0
 
 
@@ -172,7 +164,7 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--param", required=True, help="dotted config key, e.g. das.K")
     s.add_argument("--values", required=True, help="comma-separated values")
     s.add_argument("--seeds", default="0,1,2")
-    s.set_defaults(fn=_cmd_sweep)
+    s.set_defaults(fn=_cmd_compare)
 
     x = sub.add_parser("write-config", help="print or save the default config")
     x.add_argument("--out", help="write to this path instead of stdout")

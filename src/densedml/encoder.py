@@ -8,6 +8,7 @@ autograd framework is involved, which keeps gradients exactly reproducible.
 from __future__ import annotations
 
 import json
+import os
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -242,8 +243,15 @@ def save_checkpoint(path, params: EncoderParams, state: OptimizerState, seed: in
         "seed": seed,
         "step": state.step_count,
     }
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh)
+    # write beside the target, then rename: an interrupted write leaves the old file
+    tmp = f"{os.fspath(path)}.tmp"
+    try:
+        with open(tmp, "w", encoding="utf-8") as fh:
+            json.dump(doc, fh)
+        os.replace(tmp, path)
+    finally:
+        if os.path.exists(tmp):
+            os.remove(tmp)
 
 
 def load_checkpoint(path) -> tuple[EncoderParams, OptimizerState, int]:

@@ -76,7 +76,8 @@ def _check_square(dist, labels):
 def sample_random_triplets(labels, count, rng: SeededRng, anchor_indices=None) -> TripletSet:
     """Uniform anchors, uniform same-label positives, uniform other-label negatives.
 
-    `count=None` draws one triplet per eligible anchor.
+    `count=None` draws as many triplets as there are eligible anchors; each
+    triplet's anchor is drawn uniformly, with replacement, from those anchors.
     """
     same, other = label_masks(labels)
     valid = _eligible_anchors(same, other, anchor_indices)

@@ -1,5 +1,6 @@
 """Training loop, evaluation entry points, and the comparison/sweep harness.
 
+`train` sets a run up and loops `step` over its state (a `TrainResult`).
 One step: sample a batch, encode it, update the channel-frequency counters,
 draw scaling factors, bank the new intra-class transformations, draw shifting
 factors, produce embeddings, sample triplets over the concatenated batch,
@@ -15,13 +16,13 @@ import csv
 import json
 import math
 import os
-from dataclasses import dataclass, field
+from dataclasses import astuple, dataclass, field, fields
 
 import numpy as np
 
 from .config import RunConfig, apply_override, save_config
 from .core import STREAMS, SeededRng, pairwise_distances
-from .das import DasConfig, FrequencyRecorder, TransformationBank, produce, produced_backward
+from .das import FrequencyRecorder, TransformationBank, produce, produced_backward
 from .data import Dataset, generate_gaussian_clusters, load_csv
 from .encoder import (
     EncoderParams,
@@ -41,12 +42,19 @@ from .sampling import sample_batch, sample_triplets
 
 @dataclass
 class TrainResult:
+    """A run's whole state: `step` advances it in place, `train` returns it."""
+
     params: EncoderParams
     opt_state: OptimizerState
     log_lines: list
     final_report: EvalReport
     dataset: Dataset
     margin_beta: float
+    recorder: FrequencyRecorder
+    bank: TransformationBank
+    data: SeededRng  # the batch, DAS and sampler streams
+    das: SeededRng
+    sampler: SeededRng
 
 
 def build_dataset(cfg: RunConfig, rng: SeededRng) -> Dataset:
@@ -88,8 +96,67 @@ def _evaluate_split(params, dataset, ks, seed) -> EvalReport:
     return evaluate_embeddings(emb, labels, ks, SeededRng(seed, STREAMS["eval"]))
 
 
+def step(state: TrainResult, cfg: RunConfig, emit) -> dict:
+    """Run one training step on `state` in place; returns the step's log record.
+
+    `emit` receives each phase name as its stage completes.
+    """
+    x, y = sample_batch(state.dataset, cfg.batch, state.data)
+    emit("batch")
+    emb, tape = encode(state.params, x)
+    emit("encode")
+    n_real, d_embed = emb.shape
+
+    produced = None
+    if cfg.das.enabled:
+        produced = produce(emb, y, state.recorder, state.bank, cfg.das, state.das, emit)
+        cat_emb = np.vstack([emb, produced.embeddings])
+        cat_labels = np.concatenate([y, produced.labels])
+    else:
+        cat_emb, cat_labels = emb, y
+
+    triplets = None
+    if cfg.loss.kind != "ms":
+        triplets = sample_triplets(
+            cfg.sampler.kind,
+            pairwise_distances(cat_emb),
+            cat_labels,
+            state.sampler,
+            embed_dim=d_embed,
+            semihard_margin=cfg.sampler.semihard_margin,
+            clip=cfg.sampler.clip,
+            anchor_indices=None if cfg.sampler.produced_as_anchors else np.arange(n_real),
+        )
+        emit("sample")
+
+    out = _loss_for(cfg, cat_emb, cat_labels, triplets, state.margin_beta)
+    emit("loss")
+    if not math.isfinite(out.value):
+        raise TrainingAbortError(f"non-finite loss {out.value}")
+
+    grad_real = out.grad[:n_real].copy()
+    if produced is not None:
+        grad_real += produced_backward(produced, out.grad[n_real:], n_real, d_embed)
+    w_grads, b_grads = backward(state.params, tape, grad_real)
+    optimizer_step(state.params, w_grads, b_grads, state.opt_state)
+    if cfg.loss.kind == "margin" and out.beta_grad is not None:
+        beta_lr = cfg.loss.beta_lr if cfg.loss.beta_lr is not None else cfg.optim.lr
+        state.margin_beta = max(state.margin_beta - beta_lr * out.beta_grad, 1e-6)
+    emit("update")
+
+    return {
+        "type": "step",
+        "step": state.opt_state.step_count,  # optimizer_step counts the steps
+        "loss": out.value,
+        "active": out.active_count,
+        "produced": 0 if produced is None else len(produced.labels),
+        "dropped": 0 if produced is None else produced.dropped,
+    }
+
+
 def train(cfg: RunConfig, trace=None) -> TrainResult:
-    """Run the full loop; returns final parameters plus the run log lines.
+    """Set up a run, `step` it cfg.steps times, evaluating when due, and write
+    the artifacts to cfg.out_dir; returns the run's final state.
 
     `trace`, when given, is any object with an `append` method; it receives
     one phase name per executed pipeline stage, in order (tests pin the step
@@ -97,11 +164,7 @@ def train(cfg: RunConfig, trace=None) -> TrainResult:
     """
     cfg.validate()
     root = SeededRng(cfg.seed)
-    rng_init = root.derive("init")
     rng_data = root.derive("data")
-    rng_das = root.derive("das")
-    rng_sampler = root.derive("sampler")
-
     dataset = build_dataset(cfg, rng_data)
     n_train_classes = len(dataset.train_classes)
     if cfg.batch.classes_per_batch > n_train_classes:
@@ -111,103 +174,37 @@ def train(cfg: RunConfig, trace=None) -> TrainResult:
         )
     check_eval_ks(cfg.eval_ks, dataset)
     d_embed = cfg.encoder.embed_dim
-    params = init_params(
-        cfg.encoder.layer_sizes(dataset.input_dim), cfg.encoder.activation, rng_init
+    state = TrainResult(
+        params=init_params(cfg.encoder.layer_sizes(dataset.input_dim), cfg.encoder.activation,
+                           root.derive("init")),
+        opt_state=OptimizerState(cfg.optim.kind, cfg.optim.lr, cfg.optim.momentum),
+        log_lines=[], final_report=None, dataset=dataset, margin_beta=cfg.loss.margin_beta,
+        recorder=FrequencyRecorder(n_train_classes, d_embed),
+        bank=TransformationBank(n_train_classes, cfg.das.Z, d_embed),
+        data=rng_data, das=root.derive("das"), sampler=root.derive("sampler"),
     )
-    opt = OptimizerState(rule=cfg.optim.kind, lr=cfg.optim.lr, momentum=cfg.optim.momentum)
-    beta = cfg.loss.margin_beta
-    beta_lr = cfg.loss.beta_lr if cfg.loss.beta_lr is not None else cfg.optim.lr
+    emit = trace.append if trace is not None else (lambda phase: None)
 
-    das_cfg: DasConfig = cfg.das
-    recorder = FrequencyRecorder(n_train_classes, d_embed)
-    bank = TransformationBank(n_train_classes, das_cfg.Z, d_embed)
-
-    def emit(event):
-        if trace is not None:
-            trace.append(event)
-
-    log_lines = []
-    final_report = None
-    for step in range(1, cfg.steps + 1):
+    for n in range(1, cfg.steps + 1):
         try:
-            x, y = sample_batch(dataset, cfg.batch, rng_data)
-            emit("batch")
-            emb, tape = encode(params, x)
-            emit("encode")
-            n_real = emb.shape[0]
-
-            produced = None
-            if das_cfg.enabled:
-                produced = produce(emb, y, recorder, bank, das_cfg, rng_das, emit)
-                cat_emb = np.vstack([emb, produced.embeddings])
-                cat_labels = np.concatenate([y, produced.labels])
-            else:
-                cat_emb, cat_labels = emb, y
-
-            anchor_indices = (
-                None if cfg.sampler.produced_as_anchors else np.arange(n_real)
-            )
-            triplets = None
-            if cfg.loss.kind != "ms":
-                dist = pairwise_distances(cat_emb)
-                triplets = sample_triplets(
-                    cfg.sampler.kind,
-                    dist,
-                    cat_labels,
-                    rng_sampler,
-                    embed_dim=d_embed,
-                    semihard_margin=cfg.sampler.semihard_margin,
-                    clip=cfg.sampler.clip,
-                    anchor_indices=anchor_indices,
+            state.log_lines.append(json.dumps(step(state, cfg, emit)))
+            if n == cfg.steps or (cfg.eval_every > 0 and n % cfg.eval_every == 0):
+                state.final_report = _evaluate_split(state.params, dataset, cfg.eval_ks, cfg.seed)
+                state.log_lines.append(
+                    json.dumps({"type": "eval", **state.final_report.to_json_dict(n)})
                 )
-                emit("sample")
-
-            out = _loss_for(cfg, cat_emb, cat_labels, triplets, beta)
-            emit("loss")
-            if not math.isfinite(out.value):
-                raise TrainingAbortError(f"non-finite loss {out.value} at step {step}")
-
-            grad_real = out.grad[:n_real].copy()
-            if produced is not None:
-                grad_real += produced_backward(
-                    produced, out.grad[n_real:], n_real, d_embed
-                )
-
-            w_grads, b_grads = backward(params, tape, grad_real)
-            optimizer_step(params, w_grads, b_grads, opt)
-            if cfg.loss.kind == "margin" and out.beta_grad is not None:
-                beta = max(beta - beta_lr * out.beta_grad, 1e-6)
-            emit("update")
-
-            record = {
-                "type": "step",
-                "step": step,
-                "loss": out.value,
-                "active": out.active_count,
-                "produced": 0 if produced is None else len(produced.labels),
-                "dropped": 0 if produced is None else produced.dropped,
-            }
-            log_lines.append(json.dumps(record))
-
-            is_eval_step = cfg.eval_every > 0 and step % cfg.eval_every == 0
-            if is_eval_step or step == cfg.steps:
-                report = _evaluate_split(params, dataset, cfg.eval_ks, cfg.seed)
-                log_lines.append(json.dumps({"type": "eval", **report.to_json_dict(step)}))
-                final_report = report
-        except TrainingAbortError:
-            raise
         except EngineError as exc:
-            raise TrainingAbortError(f"step {step}: {exc}") from exc
+            raise TrainingAbortError(f"step {n}: {exc}") from exc
 
     if cfg.out_dir:
         os.makedirs(cfg.out_dir, exist_ok=True)
         with open(os.path.join(cfg.out_dir, "run.log.jsonl"), "w", encoding="utf-8") as fh:
-            fh.write("\n".join(log_lines) + "\n")
+            fh.write("\n".join(state.log_lines) + "\n")
         save_config(cfg, os.path.join(cfg.out_dir, "config.json"))
         save_checkpoint(
-            os.path.join(cfg.out_dir, "checkpoint.json"), params, opt, cfg.seed
+            os.path.join(cfg.out_dir, "checkpoint.json"), state.params, state.opt_state, cfg.seed
         )
-    return TrainResult(params, opt, log_lines, final_report, dataset, beta)
+    return state
 
 
 def evaluate_checkpoint(checkpoint_path, dataset: Dataset, ks) -> EvalReport:
@@ -274,16 +271,10 @@ class ComparisonTable:
     def write_csv(self, path) -> None:
         with open(path, "w", newline="", encoding="utf-8") as fh:
             writer = csv.writer(fh)
-            writer.writerow(
-                ["variant", "n_ok", "n_failed", "recall1_mean", "recall1_std",
-                 "nmi_mean", "nmi_std", "f1_mean", "f1_std"]
-            )
+            writer.writerow([f.name for f in fields(VariantSummary)])
             for s in self.summaries:
                 writer.writerow(
-                    [s.variant, s.n_ok, s.n_failed,
-                     f"{s.recall1_mean:.6f}", f"{s.recall1_std:.6f}",
-                     f"{s.nmi_mean:.6f}", f"{s.nmi_std:.6f}",
-                     f"{s.f1_mean:.6f}", f"{s.f1_std:.6f}"]
+                    [f"{v:.6f}" if isinstance(v, float) else v for v in astuple(s)]
                 )
 
 

@@ -444,6 +444,21 @@ class TestCompareAndSweep:
         csv_lines = (tmp_path / "sweep" / "report.csv").read_text().strip().splitlines()
         assert len(csv_lines) == 4
 
+    def test_sweep_reports_progress_like_compare(self, tmp_path, capsys):
+        out_dir = tmp_path / "sweep"
+        code = run_cli(
+            "sweep", "--param", "das.K", "--values", "1,2", "--seeds", "0,1",
+            "--out-dir", str(out_dir), *BASE_OVERRIDES,
+        )
+        assert code == 0
+        err = capsys.readouterr().err.splitlines()
+        cells = [line for line in err if line.startswith("[")]
+        assert [line.split("]")[0] + "]" for line in cells] == [
+            "[das.K=1 seed=0]", "[das.K=1 seed=1]", "[das.K=2 seed=0]", "[das.K=2 seed=1]",
+        ]
+        assert all(" ok R@1=" in line for line in cells)
+        assert f"report.csv written under {out_dir}" in err
+
     def test_write_config(self, tmp_path, capsys):
         path = tmp_path / "cfg.json"
         assert run_cli("write-config", "--out", str(path)) == 0

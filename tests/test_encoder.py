@@ -250,3 +250,24 @@ class TestCheckpoint:
         path.write_text(json.dumps(doc))
         with pytest.raises(CorruptCheckpointError):
             load_checkpoint(path)
+
+    def test_interrupted_save_keeps_previous_checkpoint(self, tmp_path, rng, monkeypatch):
+        params = init_params([4, 3], "relu", rng)
+        path = tmp_path / "ckpt.json"
+        save_checkpoint(path, params, OptimizerState(), seed=7)
+        before, saved = path.read_bytes(), params.flat()
+
+        def torn_dump(doc, fh):
+            fh.write('{"version": ')
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(json, "dump", torn_dump)
+        params.weights[0] += 1.0
+        with pytest.raises(KeyboardInterrupt):
+            save_checkpoint(path, params, OptimizerState(), seed=8)
+        monkeypatch.undo()
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["ckpt.json"]
+        loaded, _, seed = load_checkpoint(path)
+        assert seed == 7
+        np.testing.assert_array_equal(loaded.flat(), saved)

@@ -1,3 +1,4 @@
+import copy
 import json
 import os
 
@@ -14,7 +15,10 @@ from densedml.errors import (
     ShapeMismatchError,
     TrainingAbortError,
 )
+import densedml.training as training
 from densedml.training import (
+    ComparisonTable,
+    VariantSummary,
     ablation_variants,
     evaluate_checkpoint,
     run_comparison,
@@ -138,7 +142,7 @@ class TestTrainLoop:
             return LossOutput(float("nan"), np.zeros_like(emb), 0)
 
         monkeypatch.setattr(train_mod, "_loss_for", bad_loss)
-        with pytest.raises(TrainingAbortError):
+        with pytest.raises(TrainingAbortError, match="^step 1: non-finite loss nan$"):
             train(tiny_config(steps=3))
 
     def test_component_error_carries_step_context(self, monkeypatch):
@@ -178,6 +182,36 @@ class TestTrainLoop:
         cfg.loss.kind = "margin"
         res = train(cfg)
         assert res.margin_beta != cfg.loss.margin_beta
+
+    @pytest.mark.parametrize("loss_kind", ["triplet", "margin"])
+    def test_state_is_complete(self, monkeypatch, loss_kind):
+        # a copy of the state after step k, stepped on its own, finishes the
+        # run exactly as the straight run does: no state lives outside it
+        cfg = tiny_config(steps=9)
+        cfg.loss.kind = loss_kind
+        assert cfg.das.enabled and cfg.das.rs > 0 and cfg.das.rb > 0
+        k, real_step, snapshot = 4, training.step, []
+
+        def copying_step(state, cfg, emit):
+            record = real_step(state, cfg, emit)
+            if record["step"] == k:
+                snapshot.append(copy.deepcopy(state))
+            return record
+
+        monkeypatch.setattr(training, "step", copying_step)
+        straight = train(cfg)
+        monkeypatch.undo()
+        state = snapshot[0]
+        rest = [real_step(state, cfg, lambda phase: None) for _ in range(cfg.steps - k)]
+        report = training._evaluate_split(state.params, state.dataset, cfg.eval_ks, cfg.seed)
+        assert [json.dumps(r) for r in rest] == [
+            json.dumps(r) for r in step_records(straight)[k:]
+        ]
+        assert state.params.flat().tobytes() == straight.params.flat().tobytes()
+        assert report.to_json_dict() == straight.final_report.to_json_dict()
+        assert state.margin_beta == straight.margin_beta
+        if loss_kind == "margin":
+            assert straight.margin_beta != cfg.loss.margin_beta
 
 
 class TestArtifacts:
@@ -282,6 +316,19 @@ class TestComparison:
         with pytest.raises(ConfigError, match="is listed twice"):
             run_comparison(tiny_config(steps=2), variants, seeds)
         assert trained == []
+
+    def test_report_csv_bytes(self, tmp_path):
+        table = ComparisonTable(summaries=[
+            VariantSummary("baseline", 2, 0, 0.5, 0.125, 0.25, 0.0, 1 / 3, 2 / 3),
+            VariantSummary("both", 0, 2, *[float("nan")] * 6),
+        ])
+        path = tmp_path / "report.csv"
+        table.write_csv(path)
+        assert path.read_bytes() == (
+            b"variant,n_ok,n_failed,recall1_mean,recall1_std,nmi_mean,nmi_std,f1_mean,f1_std\r\n"
+            b"baseline,2,0,0.500000,0.125000,0.250000,0.000000,0.333333,0.666667\r\n"
+            b"both,0,2,nan,nan,nan,nan,nan,nan\r\n"
+        )
 
     def test_sweep_variants_grid(self):
         base = tiny_config(steps=4)
