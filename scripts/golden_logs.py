@@ -22,6 +22,18 @@ files:
     PYTHONPATH=src python scripts/golden_logs.py --out after.json
     cmp before.json after.json
 
+`tests/golden.json` holds the committed hashes as {"numpy": the version that
+wrote them, "cells": an --out file}; tier-1 recomputes a covering subset of
+its cells (tests/test_golden.py).  `--check FILE` runs the whole grid against
+FILE (that file or a plain --out file) and names every differing cell:
+
+    PYTHONPATH=src python scripts/golden_logs.py --check tests/golden.json
+
+The stream depends on numpy's generator internals, so a numpy upgrade may
+change it.  A change that must alter the stream says so in CHANGES.md and
+regenerates the committed file: the new --out file's map goes under "cells",
+beside "numpy": numpy.__version__.
+
 A change that adds or removes a config field changes every `config` hash
 by design, since the hash covers the whole config document.  The gate then
 reads per field: every `log` and `params` hash, and every evaluation hash,
@@ -35,6 +47,9 @@ import argparse
 import copy
 import hashlib
 import json
+import sys
+
+import numpy as np
 
 from densedml.config import RunConfig, apply_override, config_to_dict
 from densedml.core import SeededRng
@@ -94,41 +109,69 @@ def eval_hashes(base):
     """{cell name: EvalReport hash} for the evaluation cells."""
     hashes = {}
     for seed in EVAL_SEEDS:
-        cfg = copy.deepcopy(base)
-        for key, value in EVAL_OVERRIDES.items():
-            apply_override(cfg, key, value)
+        cfg = cell_config(base, EVAL_OVERRIDES)
         cfg.steps = EVAL_STEPS
         cfg.seed = seed
         hashes[f"eval/n2048/seed{seed}"] = report_hash(train(cfg).final_report)
+    hashes["eval/integer_grid"] = integer_grid_hash()
+    return hashes
+
+
+def integer_grid_hash():
     rng = SeededRng(0)
     emb = rng.integers(3, size=(TIE_POINTS, 3)).astype(float)
     labels = rng.integers(TIE_CLASSES, size=TIE_POINTS)
-    report = evaluate_embeddings(emb, labels, TIE_KS, rng)
-    hashes["eval/integer_grid"] = report_hash(report)
-    return hashes
+    return report_hash(evaluate_embeddings(emb, labels, TIE_KS, rng))
+
+
+def base_config():
+    base = RunConfig()  # the acceptance config on one pinned dataset
+    apply_override(base, "data.seed", 1)
+    base.steps = STEPS
+    return base
+
+
+def cell_config(base, overrides):
+    cfg = copy.deepcopy(base)
+    for key, value in overrides.items():
+        apply_override(cfg, key, value)
+    return cfg
+
+
+def check(path, hashes):
+    """Print every cell whose hashes differ from the file's; returns the exit code."""
+    with open(path, encoding="utf-8") as fh:
+        doc = json.load(fh)
+    recorded = doc.get("cells", doc)
+    names = recorded.keys() | hashes.keys()
+    differing = sorted(n for n in names if recorded.get(n) != hashes.get(n))
+    for name in differing:
+        print(f"differs: {name}")
+    print(f"{len(differing)} of {len(hashes)} cells differ from {path} (written under numpy "
+          f"{doc.get('numpy', 'unrecorded')}, running numpy {np.__version__})")
+    return 1 if differing else 0
 
 
 def main():
     parser = argparse.ArgumentParser(description=__doc__,
                                      formatter_class=argparse.RawDescriptionHelpFormatter)
-    parser.add_argument("--out", required=True, help="JSON file of per-cell hashes")
+    mode = parser.add_mutually_exclusive_group(required=True)
+    mode.add_argument("--out", help="JSON file of per-cell hashes")
+    mode.add_argument("--check", metavar="FILE",
+                      help="compare with FILE's hashes and name every differing cell")
     args = parser.parse_args()
 
-    base = RunConfig()  # the acceptance config on one pinned dataset
-    apply_override(base, "data.seed", 1)
-    base.steps = STEPS
-    hashes = {}
-    for name, overrides in grid():
-        cfg = copy.deepcopy(base)
-        for key, value in overrides.items():
-            apply_override(cfg, key, value)
-        hashes[name] = cell_hashes(cfg)
+    base = base_config()
+    hashes = {name: cell_hashes(cell_config(base, overrides)) for name, overrides in grid()}
     hashes.update(eval_hashes(base))
+    if args.check:
+        return check(args.check, hashes)
     with open(args.out, "w", encoding="utf-8") as fh:
         json.dump(hashes, fh, indent=1, sort_keys=True)
         fh.write("\n")
     print(f"{len(hashes)} cells written to {args.out}")
+    return 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

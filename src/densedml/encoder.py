@@ -3,75 +3,86 @@
 The forward pass ends in l2 normalization, so the backward pass carries the
 normalization Jacobian (I - v v^T) / ||u||.  Everything is float64 numpy; no
 autograd framework is involved, which keeps gradients exactly reproducible.
+
+All parameters live in one vector `EncoderParams.theta`: every weight matrix
+layer by layer, then every bias.  `backward` returns its gradient in that
+layout, the optimizer's accumulators share it, and the checkpoint stores it.
 """
 
 from __future__ import annotations
 
+import copy
 import json
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
 from .core import SeededRng, ZERO_NORM_EPS
-from .errors import CorruptCheckpointError, ShapeMismatchError, ZeroNormError
+from .errors import ConfigError, CorruptCheckpointError, ShapeMismatchError, ZeroNormError
 
 ACTIVATIONS = ("identity", "relu", "tanh")
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2
 
 
-@dataclass
 class EncoderParams:
-    """Per-layer weights (in x out) and biases, plus the activation tag."""
+    """Per-layer weights (in x out) and biases, packed into one float64 vector
+    `theta`, plus the activation tag.
 
-    weights: list  # list of (d_prev, d_next) float64 arrays
-    biases: list  # list of (d_next,) float64 arrays
-    activation: str = "relu"
+    `weights` and `biases` are shaped views of `theta`, built on each access,
+    so a copy (`copy.deepcopy`, pickle) never detaches them from its vector.
+    """
 
-    def __post_init__(self):
-        if self.activation not in ACTIVATIONS:
-            raise ShapeMismatchError(f"unknown activation {self.activation!r}")
-        for i, (w, b) in enumerate(zip(self.weights, self.biases)):
+    def __init__(self, weights, biases, activation: str = "relu"):
+        if activation not in ACTIVATIONS:
+            raise ShapeMismatchError(f"unknown activation {activation!r}")
+        if len(weights) != len(biases):
+            raise ShapeMismatchError(f"{len(weights)} weight layers vs {len(biases)} biases")
+        for i, (w, b) in enumerate(zip(weights, biases)):
             if w.shape[1] != b.shape[0]:
                 raise ShapeMismatchError(f"layer {i}: W {w.shape} vs b {b.shape}")
-            if i > 0 and self.weights[i - 1].shape[1] != w.shape[0]:
+            if i > 0 and weights[i - 1].shape[1] != w.shape[0]:
                 raise ShapeMismatchError(f"layer {i} input dim breaks the chain")
+        self.activation = activation
+        self.layer_sizes = (weights[0].shape[0], *(w.shape[1] for w in weights))
+        shapes = [w.shape for w in weights] + [b.shape for b in biases]
+        stops = np.cumsum([np.prod(shape) for shape in shapes]).tolist()
+        self._layout = tuple(zip([0] + stops[:-1], stops, shapes))
+        self.theta = np.concatenate([np.ravel(a) for a in [*weights, *biases]], dtype=np.float64)
+
+    def split(self, vec) -> tuple[list, list]:
+        """(weights, biases): shaped views of `vec`, a vector in `theta`'s layout."""
+        views = [vec[start:stop].reshape(shape) for start, stop, shape in self._layout]
+        return views[: len(views) // 2], views[len(views) // 2 :]
 
     @property
-    def layer_sizes(self) -> list:
-        return [self.weights[0].shape[0]] + [w.shape[1] for w in self.weights]
+    def weights(self) -> list:
+        return self.split(self.theta)[0]
+
+    @property
+    def biases(self) -> list:
+        return self.split(self.theta)[1]
 
     @property
     def input_dim(self) -> int:
-        return self.weights[0].shape[0]
+        return self.layer_sizes[0]
 
     @property
     def embed_dim(self) -> int:
-        return self.weights[-1].shape[1]
+        return self.layer_sizes[-1]
 
     def copy(self) -> "EncoderParams":
-        return EncoderParams(
-            [w.copy() for w in self.weights],
-            [b.copy() for b in self.biases],
-            self.activation,
-        )
+        return self.with_flat(self.theta)
 
     def flat(self) -> np.ndarray:
-        return np.concatenate(
-            [w.ravel() for w in self.weights] + [b.ravel() for b in self.biases]
-        )
+        return self.theta.copy()
 
-    def with_flat(self, theta: np.ndarray) -> "EncoderParams":
-        out = self.copy()
-        pos = 0
-        for w in out.weights:
-            w[...] = theta[pos : pos + w.size].reshape(w.shape)
-            pos += w.size
-        for b in out.biases:
-            b[...] = theta[pos : pos + b.size].reshape(b.shape)
-            pos += b.size
-        if pos != theta.size:
-            raise ShapeMismatchError("flat parameter vector has wrong length")
+    def with_flat(self, theta) -> "EncoderParams":
+        """A copy of these parameters holding `theta` instead."""
+        out = copy.copy(self)
+        out.theta = np.array(theta, dtype=np.float64)
+        if out.theta.shape != self.theta.shape:
+            raise ShapeMismatchError(f"flat vector {out.theta.shape} != {self.theta.shape}")
         return out
 
 
@@ -122,8 +133,9 @@ def encode(params: EncoderParams, inputs) -> tuple[np.ndarray, ForwardTape]:
         )
     layer_inputs, pre_acts = [], []
     a = x
-    n_layers = len(params.weights)
-    for l, (w, b) in enumerate(zip(params.weights, params.biases)):
+    weights, biases = params.split(params.theta)
+    n_layers = len(weights)
+    for l, (w, b) in enumerate(zip(weights, biases)):
         layer_inputs.append(a)
         z = a @ w + b
         pre_acts.append(z)
@@ -136,13 +148,9 @@ def encode(params: EncoderParams, inputs) -> tuple[np.ndarray, ForwardTape]:
     return v, ForwardTape(layer_inputs, pre_acts, norms, v)
 
 
-def backward(
-    params: EncoderParams, tape: ForwardTape, grad_embeddings
-) -> tuple[list, list]:
-    """Exact gradients of the (layers o normalization) composition.
-
-    Returns (weight_grads, bias_grads) matching the parameter shapes.
-    """
+def backward(params: EncoderParams, tape: ForwardTape, grad_embeddings) -> np.ndarray:
+    """Exact gradient of the (layers o normalization) composition, one vector
+    in `params.theta`'s layout."""
     g = np.asarray(grad_embeddings, dtype=np.float64)
     if g.shape != tape.embeddings.shape:
         raise ShapeMismatchError(
@@ -152,18 +160,19 @@ def backward(
     # through v = u/||u||:  dL/du = (g - (g.v) v) / ||u||
     upstream = (g - np.sum(g * v, axis=1, keepdims=True) * v) / tape.norms[:, None]
 
-    w_grads = [None] * len(params.weights)
-    b_grads = [None] * len(params.biases)
-    n_layers = len(params.weights)
+    grad = np.empty_like(params.theta)
+    w_grads, b_grads = params.split(grad)
+    weights = params.weights
+    n_layers = len(weights)
     for l in range(n_layers - 1, -1, -1):
         dz = upstream if l == n_layers - 1 else upstream * _act_grad(
             tape.pre_acts[l], params.activation
         )
-        w_grads[l] = tape.inputs[l].T @ dz
-        b_grads[l] = dz.sum(axis=0)
+        np.matmul(tape.inputs[l].T, dz, out=w_grads[l])
+        np.sum(dz, axis=0, out=b_grads[l])
         if l > 0:
-            upstream = dz @ params.weights[l].T
-    return w_grads, b_grads
+            upstream = dz @ weights[l].T
+    return grad
 
 
 OPTIMIZER_RULES = ("adam", "sgd")
@@ -180,66 +189,51 @@ class OptimizerState:
     beta2: float = 0.999
     eps: float = 1e-8
     step_count: int = 0
-    slots: dict = field(default_factory=dict)  # name -> accumulator array
-
-    def _slot(self, name, like):
-        if name not in self.slots:
-            self.slots[name] = np.zeros_like(like)
-        if self.slots[name].shape != like.shape:
-            raise ShapeMismatchError(f"accumulator {name} shape drifted")
-        return self.slots[name]
+    slots: dict = field(default_factory=dict)  # "m" (and "v" for Adam), in theta's layout
 
 
-def optimizer_step(
-    params: EncoderParams, w_grads, b_grads, state: OptimizerState
-) -> EncoderParams:
-    """One in-place update; returns `params` for convenience."""
-    flats = list(zip(params.weights, w_grads, ["w"] * len(w_grads))) + list(
-        zip(params.biases, b_grads, ["b"] * len(b_grads))
-    )
+def optimizer_step(params: EncoderParams, grad, state: OptimizerState) -> EncoderParams:
+    """One in-place update of `params.theta` by the gradient vector `grad`;
+    returns `params` for convenience.  A rejected update changes nothing."""
+    theta = params.theta
+    g = np.asarray(grad, dtype=np.float64)
+    if g.shape != theta.shape:
+        raise ShapeMismatchError(f"gradient shape {g.shape} != parameter shape {theta.shape}")
+    if state.rule not in OPTIMIZER_RULES:
+        raise ConfigError(f"unknown optimizer rule {state.rule!r}")
+    if any(slot.shape != theta.shape for slot in state.slots.values()):
+        raise ShapeMismatchError(f"an optimizer slot does not match parameter shape {theta.shape}")
     state.step_count += 1
     t = state.step_count
-    for idx, (p, g, kind) in enumerate(flats):
-        g = np.asarray(g, dtype=np.float64)
-        if g.shape != p.shape:
-            raise ShapeMismatchError(f"grad shape {g.shape} != param shape {p.shape}")
-        name = f"{kind}{idx}"
-        if state.rule == "sgd":
-            if state.momentum > 0:
-                buf = state._slot(f"m_{name}", p)
-                buf *= state.momentum
-                buf += g
-                p -= state.lr * buf
-            else:
-                p -= state.lr * g
-        elif state.rule == "adam":
-            m = state._slot(f"m_{name}", p)
-            v = state._slot(f"v_{name}", p)
-            m *= state.beta1
-            m += (1 - state.beta1) * g
-            v *= state.beta2
-            v += (1 - state.beta2) * g * g
-            m_hat = m / (1 - state.beta1**t)
-            v_hat = v / (1 - state.beta2**t)
-            p -= state.lr * m_hat / (np.sqrt(v_hat) + state.eps)
-        else:
-            raise ShapeMismatchError(f"unknown optimizer rule {state.rule!r}")
+    if state.rule == "adam":
+        m = state.slots.setdefault("m", np.zeros_like(theta))
+        v = state.slots.setdefault("v", np.zeros_like(theta))
+        m *= state.beta1
+        m += (1 - state.beta1) * g
+        v *= state.beta2
+        v += (1 - state.beta2) * g * g
+        m_hat = m / (1 - state.beta1**t)
+        v_hat = v / (1 - state.beta2**t)
+        theta -= state.lr * m_hat / (np.sqrt(v_hat) + state.eps)
+    elif state.momentum > 0:
+        buf = state.slots.setdefault("m", np.zeros_like(theta))
+        buf *= state.momentum
+        buf += g
+        theta -= state.lr * buf
+    else:
+        theta -= state.lr * g
     return params
 
 
 def save_checkpoint(path, params: EncoderParams, state: OptimizerState, seed: int) -> None:
+    optimizer = {f.name: getattr(state, f.name) for f in fields(OptimizerState)}
+    optimizer["slots"] = {k: v.tolist() for k, v in sorted(state.slots.items())}
     doc = {
         "version": CHECKPOINT_VERSION,
         "layer_sizes": params.layer_sizes,
         "activation": params.activation,
-        "params": params.flat().tolist(),
-        "optimizer": {
-            "rule": state.rule,
-            "lr": state.lr,
-            "momentum": state.momentum,
-            "step_count": state.step_count,
-            "slots": {k: v.tolist() for k, v in sorted(state.slots.items())},
-        },
+        "params": params.theta.tolist(),
+        "optimizer": optimizer,
         "seed": seed,
         "step": state.step_count,
     }
@@ -265,18 +259,20 @@ def load_checkpoint(path) -> tuple[EncoderParams, OptimizerState, int]:
             [np.zeros((a, b)) for a, b in zip(sizes[:-1], sizes[1:])],
             [np.zeros(b) for b in sizes[1:]],
             doc["activation"],
-        )
-        params = params.with_flat(np.asarray(doc["params"], dtype=np.float64))
+        ).with_flat(doc["params"])
         opt = doc["optimizer"]
-        state = OptimizerState(
-            rule=opt["rule"],
-            lr=opt["lr"],
-            momentum=opt["momentum"],
-            step_count=opt["step_count"],
-            slots={k: np.asarray(v, dtype=np.float64) for k, v in opt["slots"].items()},
-        )
+        state = OptimizerState(**{f.name: opt[f.name] for f in fields(OptimizerState)})
+        if state.rule not in OPTIMIZER_RULES:
+            raise CorruptCheckpointError(f"unknown optimizer rule {state.rule!r}")
+        state.slots = {k: np.asarray(v, dtype=np.float64) for k, v in state.slots.items()}
+        for name, slot in state.slots.items():
+            if name not in ("m", "v"):
+                raise CorruptCheckpointError(f"unknown optimizer slot {name!r}")
+            if slot.shape != params.theta.shape:
+                raise CorruptCheckpointError(f"optimizer slot {name!r} is {slot.shape}, "
+                                             f"parameters are {params.theta.shape}")
         return params, state, int(doc["seed"])
     except CorruptCheckpointError:
         raise
-    except (OSError, ValueError, KeyError, TypeError, ShapeMismatchError) as exc:
+    except (OSError, ValueError, KeyError, TypeError, AttributeError, ShapeMismatchError) as exc:
         raise CorruptCheckpointError(f"{path}: {exc}") from exc

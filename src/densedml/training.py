@@ -137,8 +137,7 @@ def step(state: TrainResult, cfg: RunConfig, emit) -> dict:
     grad_real = out.grad[:n_real].copy()
     if produced is not None:
         grad_real += produced_backward(produced, out.grad[n_real:], n_real, d_embed)
-    w_grads, b_grads = backward(state.params, tape, grad_real)
-    optimizer_step(state.params, w_grads, b_grads, state.opt_state)
+    optimizer_step(state.params, backward(state.params, tape, grad_real), state.opt_state)
     if cfg.loss.kind == "margin" and out.beta_grad is not None:
         beta_lr = cfg.loss.beta_lr if cfg.loss.beta_lr is not None else cfg.optim.lr
         state.margin_beta = max(state.margin_beta - beta_lr * out.beta_grad, 1e-6)

@@ -1,10 +1,14 @@
+import copy
+import dataclasses
 import json
+import pickle
 
 import numpy as np
 import pytest
 
 from densedml.core import SeededRng
 from densedml.encoder import (
+    CHECKPOINT_VERSION,
     EncoderParams,
     OptimizerState,
     backward,
@@ -14,7 +18,12 @@ from densedml.encoder import (
     optimizer_step,
     save_checkpoint,
 )
-from densedml.errors import CorruptCheckpointError, ShapeMismatchError, ZeroNormError
+from densedml.errors import (
+    ConfigError,
+    CorruptCheckpointError,
+    ShapeMismatchError,
+    ZeroNormError,
+)
 
 from conftest import finite_difference, max_rel_error
 from oracles import build_pairs, identity_params
@@ -65,16 +74,14 @@ class TestBackward:
     def test_zero_upstream_zero_grads(self, rng):
         params = init_params([3, 5, 2], "relu", rng)
         emb, tape = encode(params, rng.normal(size=(4, 3)))
-        w_g, b_g = backward(params, tape, np.zeros_like(emb))
-        assert all(np.all(g == 0) for g in w_g + b_g)
+        assert np.all(backward(params, tape, np.zeros_like(emb)) == 0)
 
     def test_two_layer_finite_difference(self, rng):
         params = init_params([3, 4, 2], "tanh", rng)
         x = rng.normal(size=(1, 3))
         upstream = rng.normal(size=(1, 2))
         emb, tape = encode(params, x)
-        w_g, b_g = backward(params, tape, upstream)
-        analytic = np.concatenate([g.ravel() for g in w_g] + [g.ravel() for g in b_g])
+        analytic = backward(params, tape, upstream)
         numeric = finite_difference(
             lambda th: loss_through_encoder(params.with_flat(th), x, upstream),
             params.flat(),
@@ -85,9 +92,7 @@ class TestBackward:
         params = init_params([3, 3], "identity", rng)
         x = rng.normal(size=(1, 3))
         emb, tape = encode(params, x)
-        w_g, b_g = backward(params, tape, 2.5 * emb)
-        for g in w_g + b_g:
-            assert np.max(np.abs(g)) < 1e-10
+        assert np.max(np.abs(backward(params, tape, 2.5 * emb))) < 1e-10
 
     def test_shape_mismatch(self, rng):
         params = init_params([3, 2], "relu", rng)
@@ -123,8 +128,7 @@ class TestBackward:
 
         emb, tape = encode(params, x)
         out = loss_of(emb)
-        w_g, b_g = backward(params, tape, out.grad)
-        analytic = np.concatenate([g.ravel() for g in w_g + b_g])
+        analytic = backward(params, tape, out.grad)
 
         def probe(theta):
             e, _ = encode(params.with_flat(theta), x)
@@ -142,8 +146,7 @@ class TestBackward:
             x = r.normal(size=(2, 3))
             upstream = r.normal(size=(2, 2))
             _, tape = encode(params, x)
-            w_g, b_g = backward(params, tape, upstream)
-            analytic = np.concatenate([g.ravel() for g in w_g + b_g])
+            analytic = backward(params, tape, upstream)
             numeric = finite_difference(
                 lambda th: loss_through_encoder(params.with_flat(th), x, upstream),
                 params.flat(),
@@ -153,18 +156,46 @@ class TestBackward:
         assert failures == 0
 
 
+class TestParams:
+    def test_theta_holds_weights_then_biases(self, rng):
+        params = init_params([3, 4, 2], "relu", rng)
+        w, b = params.weights, params.biases
+        want = np.concatenate([w[0].ravel(), w[1].ravel(), b[0], b[1]])
+        assert params.theta.tobytes() == want.tobytes()
+        params.weights[1][0, 0] = 7.0
+        params.biases[0][...] = 1.0
+        assert params.theta[12] == 7.0 and np.all(params.theta[20:24] == 1.0)
+
+    @pytest.mark.parametrize(
+        "clone",
+        [copy.deepcopy, lambda p: pickle.loads(pickle.dumps(p))],
+        ids=["deepcopy", "pickle"],
+    )
+    def test_stepping_a_copy_leaves_the_original(self, rng, clone):
+        params = init_params([3, 4, 2], "relu", rng)
+        original = params.flat()
+        twin = clone(params)
+        before = twin.flat()
+        optimizer_step(twin, np.ones_like(twin.theta), OptimizerState(rule="sgd", lr=0.1))
+        for l in range(2):
+            assert np.all(twin.weights[l] != params.weights[l])
+            assert np.all(twin.biases[l] != params.biases[l])
+        np.testing.assert_array_equal(twin.flat(), before - 0.1)
+        assert params.flat().tobytes() == original.tobytes()
+
+
 class TestOptimizer:
     def test_sgd_arithmetic(self):
         params = EncoderParams([np.array([[1.0]])], [np.zeros(1)], "identity")
         state = OptimizerState(rule="sgd", lr=0.1)
-        optimizer_step(params, [np.array([[2.0]])], [np.zeros(1)], state)
+        optimizer_step(params, np.array([2.0, 0.0]), state)
         assert params.weights[0][0, 0] == pytest.approx(0.8, abs=1e-15)
 
     def test_zero_gradient_keeps_params(self, rng):
         params = init_params([3, 2], "relu", rng)
         before = params.flat()
         state = OptimizerState(rule="sgd", lr=0.1)
-        optimizer_step(params, [np.zeros((3, 2))], [np.zeros(2)], state)
+        optimizer_step(params, np.zeros(8), state)
         np.testing.assert_array_equal(params.flat(), before)
         assert state.step_count == 1
 
@@ -174,7 +205,7 @@ class TestOptimizer:
         lr, eps = 1e-3, 1e-8
         params = EncoderParams([np.full((2, 2), 0.5)], [np.full(2, 0.5)], "identity")
         state = OptimizerState(rule="adam", lr=lr, eps=eps)
-        optimizer_step(params, [np.ones((2, 2))], [np.ones(2)], state)
+        optimizer_step(params, np.ones(6), state)
         expected = 0.5 - lr * 1.0 / (1.0 + eps)
         for arr in [params.weights[0], params.biases[0]]:
             np.testing.assert_allclose(arr, np.full_like(arr, expected), atol=1e-9)
@@ -186,7 +217,7 @@ class TestOptimizer:
         grads = [0.5, -1.2, 2.0, 0.1]
         theta, m, v = 1.0, 0.0, 0.0
         for t, g in enumerate(grads, start=1):
-            optimizer_step(params, [np.array([[g]])], [np.zeros(1)], state)
+            optimizer_step(params, np.array([g, 0.0]), state)
             m = b1 * m + (1 - b1) * g
             v = b2 * v + (1 - b2) * g * g
             theta -= lr * (m / (1 - b1**t)) / (np.sqrt(v / (1 - b2**t)) + eps)
@@ -197,7 +228,7 @@ class TestOptimizer:
         state = OptimizerState(rule="sgd", lr=0.1, momentum=0.9)
         buf, theta = 0.0, 0.0
         for g in [1.0, 1.0, -0.5]:
-            optimizer_step(params, [np.array([[g]])], [np.zeros(1)], state)
+            optimizer_step(params, np.array([g, 0.0]), state)
             buf = 0.9 * buf + g
             theta -= 0.1 * buf
             assert params.weights[0][0, 0] == pytest.approx(theta, abs=1e-12)
@@ -206,19 +237,46 @@ class TestOptimizer:
         params = init_params([3, 2], "relu", rng)
         state = OptimizerState(rule="sgd", lr=0.1)
         with pytest.raises(ShapeMismatchError):
-            optimizer_step(params, [np.zeros((2, 3))], [np.zeros(2)], state)
+            optimizer_step(params, np.zeros(7), state)
+
+    @pytest.mark.parametrize("rule,momentum", [("adam", 0.0), ("sgd", 0.9), ("sgd", 0.0)])
+    def test_rejected_update_changes_nothing(self, rng, rule, momentum):
+        params = init_params([3, 4, 2], "relu", rng)
+        state = OptimizerState(rule=rule, lr=0.1, momentum=momentum)
+        n = params.theta.size
+        for warm in (False, True):
+            if warm:
+                optimizer_step(params, rng.normal(size=n), state)
+            theta, slots, count = params.flat(), copy.deepcopy(state.slots), state.step_count
+            for grad in (np.zeros(n - 1), np.zeros(n + 1), np.zeros((1, n))):
+                with pytest.raises(ShapeMismatchError):
+                    optimizer_step(params, grad, state)
+            state.rule = "adagrad"
+            with pytest.raises(ConfigError, match="adagrad"):
+                optimizer_step(params, np.zeros(n), state)
+            state.rule = rule
+            assert params.theta.tobytes() == theta.tobytes()
+            assert state.step_count == count
+            assert state.slots.keys() == slots.keys()
+            for name, slot in slots.items():
+                assert state.slots[name].tobytes() == slot.tobytes()
+
+
+    def test_drifted_slot_rejected_before_update(self, rng):
+        params = init_params([3, 2], "relu", rng)
+        theta = params.flat()
+        state = OptimizerState(rule="adam", slots={"m": np.zeros(3)})
+        with pytest.raises(ShapeMismatchError):
+            optimizer_step(params, np.ones_like(theta), state)
+        assert params.theta.tobytes() == theta.tobytes()
+        assert state.step_count == 0 and list(state.slots) == ["m"]
 
 
 class TestCheckpoint:
     def test_round_trip_bitwise(self, tmp_path, rng):
         params = init_params([4, 6, 3], "relu", rng)
         state = OptimizerState(rule="adam", lr=0.01)
-        optimizer_step(
-            params,
-            [rng.normal(size=w.shape) for w in params.weights],
-            [rng.normal(size=b.shape) for b in params.biases],
-            state,
-        )
+        optimizer_step(params, rng.normal(size=params.theta.shape), state)
         path = tmp_path / "ckpt.json"
         save_checkpoint(path, params, state, seed=42)
         loaded, loaded_state, seed = load_checkpoint(path)
@@ -229,6 +287,55 @@ class TestCheckpoint:
         for k in state.slots:
             np.testing.assert_array_equal(loaded_state.slots[k], state.slots[k])
 
+    def test_optimizer_record_round_trips(self, tmp_path, rng):
+        params = init_params([4, 6, 3], "relu", rng)
+        for rule in ("adam", "sgd"):
+            state = OptimizerState(
+                rule=rule, lr=0.05, momentum=0.7, beta1=0.8, beta2=0.99, eps=1e-6
+            )
+            for _ in range(3):
+                optimizer_step(params, rng.normal(size=params.theta.shape), state)
+            path = tmp_path / f"{rule}.json"
+            save_checkpoint(path, params, state, seed=3)
+            _, loaded, _ = load_checkpoint(path)
+            for f in dataclasses.fields(OptimizerState):
+                if f.name != "slots":
+                    assert getattr(loaded, f.name) == getattr(state, f.name), f.name
+            assert loaded.slots.keys() == state.slots.keys()
+            assert set(state.slots) == ({"m", "v"} if rule == "adam" else {"m"})
+            for name, slot in state.slots.items():
+                assert loaded.slots[name].tobytes() == slot.tobytes()
+
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            lambda opt: opt.update(rule="adagrad"),
+            lambda opt: opt["slots"].update(w0=opt["slots"].pop("m")),
+            lambda opt: opt["slots"]["v"].pop(),
+        ],
+        ids=["unknown_rule", "unknown_slot", "short_slot"],
+    )
+    def test_bad_optimizer_record(self, tmp_path, rng, edit):
+        params = init_params([2, 3], "relu", rng)
+        state = OptimizerState(rule="adam")
+        optimizer_step(params, rng.normal(size=params.theta.shape), state)
+        path = tmp_path / "ckpt.json"
+        save_checkpoint(path, params, state, seed=0)
+        doc = json.loads(path.read_text())
+        edit(doc["optimizer"])
+        path.write_text(json.dumps(doc))
+        with pytest.raises(CorruptCheckpointError):
+            load_checkpoint(path)
+
+    def test_version_one_is_rejected(self, tmp_path, rng):
+        path = tmp_path / "ckpt.json"
+        save_checkpoint(path, init_params([2, 2], "relu", rng), OptimizerState(), seed=0)
+        doc = json.loads(path.read_text())
+        doc["version"] = 1
+        path.write_text(json.dumps(doc))
+        with pytest.raises(CorruptCheckpointError, match="unsupported checkpoint version 1"):
+            load_checkpoint(path)
+
     def test_corrupt_file(self, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text("{not json")
@@ -237,7 +344,7 @@ class TestCheckpoint:
 
     def test_missing_key(self, tmp_path):
         path = tmp_path / "bad.json"
-        path.write_text(json.dumps({"version": 1}))
+        path.write_text(json.dumps({"version": CHECKPOINT_VERSION}))
         with pytest.raises(CorruptCheckpointError):
             load_checkpoint(path)
 
