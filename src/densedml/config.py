@@ -58,6 +58,8 @@ class SamplerConfig:
     def validate(self):
         if self.kind not in SAMPLER_KINDS:
             raise ConfigError(f"sampler.kind must be one of {SAMPLER_KINDS}, got {self.kind!r}")
+        if self.clip <= 0:
+            raise ConfigError("sampler.clip must be positive")
 
 
 @dataclass
@@ -73,6 +75,8 @@ class OptimConfig:
             )
         if self.lr <= 0:
             raise ConfigError("optim.lr must be positive")
+        if not 0 <= self.momentum < 1:
+            raise ConfigError(f"optim.momentum must be in [0, 1), got {self.momentum}")
 
 
 @dataclass

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import copy
 import json
+import math
 import os
 from dataclasses import dataclass, field, fields
 
@@ -264,6 +265,15 @@ def load_checkpoint(path) -> tuple[EncoderParams, OptimizerState, int]:
         state = OptimizerState(**{f.name: opt[f.name] for f in fields(OptimizerState)})
         if state.rule not in OPTIMIZER_RULES:
             raise CorruptCheckpointError(f"unknown optimizer rule {state.rule!r}")
+        for name in ("lr", "momentum", "beta1", "beta2", "eps"):
+            value = getattr(state, name)
+            if not (type(value) is int or isinstance(value, float) and math.isfinite(value)):
+                raise CorruptCheckpointError(f"optimizer {name} must be a finite number, "
+                                             f"got {value!r}")
+        count = state.step_count
+        if type(count) is not int or count < 0:  # a bool is not a count
+            raise CorruptCheckpointError(f"optimizer step_count must be an integer >= 0, "
+                                         f"got {count!r}")
         state.slots = {k: np.asarray(v, dtype=np.float64) for k, v in state.slots.items()}
         for name, slot in state.slots.items():
             if name not in ("m", "v"):

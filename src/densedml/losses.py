@@ -86,7 +86,7 @@ class LossOutput:
     value: float
     grad: np.ndarray  # same shape as the embedding batch
     active_count: int
-    beta_grad: float | None = None  # d(value)/d(beta), margin loss only
+    beta_grad: float | None = None  # d(value)/d(shift); contrastive and margin fill it
 
 
 def _check_indices(n, *index_arrays):
@@ -105,26 +105,36 @@ def _pair_distances(emb, i, j):
     return dist, direction
 
 
-def contrastive_loss(embeddings, pairs: PairSet, margin: float) -> LossOutput:
-    """Mean of D_ij over positives and hinge [margin - D_ij]_+ over negatives."""
+def _pair_hinge(embeddings, pairs: PairSet, offset, shift) -> LossOutput:
+    """Mean hinge [offset + y_ij (D_ij - shift)]_+ over the active pairs.
+
+    y_ij is +1 for positive and -1 for negative pairs; `offset` is a scalar
+    or one value per pair, and beta_grad carries d(value)/d(shift).
+    """
     emb = np.asarray(embeddings, dtype=np.float64)
     grad = np.zeros_like(emb)
-    m = len(pairs)
-    if m == 0:
-        return LossOutput(0.0, grad, 0)
+    if len(pairs) == 0:
+        return LossOutput(0.0, grad, 0, beta_grad=0.0)
     i, j, pos = np.asarray(pairs.first), np.asarray(pairs.second), np.asarray(pairs.is_positive)
     _check_indices(emb.shape[0], i, j)
     dist, direction = _pair_distances(emb, i, j)
+    y = np.where(pos, 1.0, -1.0)
 
-    terms = np.where(pos, dist, np.maximum(margin - dist, 0.0))
-    active = int(np.count_nonzero(terms > 0))
-    denom = max(active, 1)
-    # dL/dD is +1 on positives, -1 on active negative hinges
-    coeff = np.where(pos, 1.0, np.where(margin - dist > 0, -1.0, 0.0)) / denom
-    coeff = np.where(terms > 0, coeff, 0.0)
+    terms = np.maximum(offset + y * (dist - shift), 0.0)
+    active = terms > 0
+    n_active = int(np.count_nonzero(active))
+    denom = max(n_active, 1)
+    coeff = np.where(active, y, 0.0) / denom
     np.add.at(grad, i, coeff[:, None] * direction)
     np.add.at(grad, j, -coeff[:, None] * direction)
-    return LossOutput(float(terms.sum() / denom), grad, active)
+    beta_grad = float(np.where(active, -y, 0.0).sum() / denom)
+    return LossOutput(float(terms.sum() / denom), grad, n_active, beta_grad=beta_grad)
+
+
+def contrastive_loss(embeddings, pairs: PairSet, margin: float) -> LossOutput:
+    """Mean of D_ij over positives and hinge [margin - D_ij]_+ over negatives:
+    the pair hinge with offset 0 on positives, `margin` on negatives, shift 0."""
+    return _pair_hinge(embeddings, pairs, np.where(pairs.is_positive, 0.0, margin), 0.0)
 
 
 def triplet_loss(embeddings, triplets: TripletSet, margin: float) -> LossOutput:
@@ -151,30 +161,8 @@ def triplet_loss(embeddings, triplets: TripletSet, margin: float) -> LossOutput:
 
 
 def margin_loss(embeddings, pairs: PairSet, alpha: float, beta: float) -> LossOutput:
-    """Mean hinge [alpha + y_ij (D_ij - beta)]_+ with learnable boundary beta.
-
-    y_ij is +1 for positive and -1 for negative pairs; beta_grad carries the
-    derivative with respect to the boundary.
-    """
-    emb = np.asarray(embeddings, dtype=np.float64)
-    grad = np.zeros_like(emb)
-    m = len(pairs)
-    if m == 0:
-        return LossOutput(0.0, grad, 0, beta_grad=0.0)
-    i, j, pos = np.asarray(pairs.first), np.asarray(pairs.second), np.asarray(pairs.is_positive)
-    _check_indices(emb.shape[0], i, j)
-    dist, direction = _pair_distances(emb, i, j)
-    y = np.where(pos, 1.0, -1.0)
-
-    terms = np.maximum(alpha + y * (dist - beta), 0.0)
-    active = terms > 0
-    n_active = int(np.count_nonzero(active))
-    denom = max(n_active, 1)
-    coeff = np.where(active, y, 0.0) / denom
-    np.add.at(grad, i, coeff[:, None] * direction)
-    np.add.at(grad, j, -coeff[:, None] * direction)
-    beta_grad = float(np.where(active, -y, 0.0).sum() / denom)
-    return LossOutput(float(terms.sum() / denom), grad, n_active, beta_grad=beta_grad)
+    """Mean hinge [alpha + y_ij (D_ij - beta)]_+ with learnable boundary beta."""
+    return _pair_hinge(embeddings, pairs, alpha, beta)
 
 
 def multi_similarity_loss(embeddings, labels, spec: LossSpec) -> LossOutput:

@@ -4,8 +4,9 @@ Samplers see only a distance matrix and labels; nothing marks an embedding as
 real or produced, so both kinds are sampled on equal footing.  The optional
 `anchor_indices` restricts which rows may serve as anchors (used to keep
 produced embeddings out of the anchor role when configured), but candidates
-for positives/negatives always span the whole batch.  Every sampler mines
-from the same-label/other-label masks of `core.label_masks` and resolves
+for positives/negatives always span the whole batch.  Every sampler starts
+from one anchor set-up, the eligible anchors' rows of the distance matrix
+and of the same-label/other-label masks of `core.label_masks`, and resolves
 each seeded pick to the k-th True entry of a mask row.
 """
 
@@ -65,12 +66,19 @@ def sample_batch(dataset: Dataset, spec: BatchSpec, rng: SeededRng):
     return np.concatenate(feats, axis=0), np.asarray(labels, dtype=np.int64)
 
 
-def _check_square(dist, labels):
-    dist = np.asarray(dist)
+def _anchor_rows(dist, labels, anchor_indices):
+    """Anchors with a positive and a negative (in pool order, duplicates
+    kept) and their rows of `dist` (None when `dist` is None) and of the
+    same-label/other-label masks."""
     n = len(labels)
-    if dist.shape != (n, n):
-        raise ShapeMismatchError(f"distance matrix {dist.shape} vs {n} labels")
-    return dist
+    if dist is not None:
+        dist = np.asarray(dist)
+        if dist.shape != (n, n):
+            raise ShapeMismatchError(f"distance matrix {dist.shape} vs {n} labels")
+    same, other = label_masks(labels)
+    pool = np.arange(n) if anchor_indices is None else np.asarray(anchor_indices, dtype=np.int64)
+    rows = pool[(same.any(axis=1) & other.any(axis=1))[pool]]
+    return rows, None if dist is None else dist[rows], same[rows], other[rows]
 
 
 def sample_random_triplets(labels, count, rng: SeededRng, anchor_indices=None) -> TripletSet:
@@ -79,28 +87,18 @@ def sample_random_triplets(labels, count, rng: SeededRng, anchor_indices=None) -
     `count=None` draws as many triplets as there are eligible anchors; each
     triplet's anchor is drawn uniformly, with replacement, from those anchors.
     """
-    same, other = label_masks(labels)
-    valid = _eligible_anchors(same, other, anchor_indices)
-    if valid.size == 0:
+    rows, _, same, other = _anchor_rows(None, labels, anchor_indices)
+    if rows.size == 0:
         raise NoValidTripletError("no anchor has both a positive and a negative")
     n_pos, n_neg = np.count_nonzero(same, axis=1), np.count_nonzero(other, axis=1)
     if count is None:
-        count = valid.size
-    anchors, k_pos, k_neg = np.empty((3, count), dtype=np.int64)
+        count = rows.size
+    pick, k_pos, k_neg = np.empty((3, count), dtype=np.int64)
     for t in range(count):
-        a = anchors[t] = valid[int(rng.integers(len(valid)))]
-        k_pos[t] = rng.integers(int(n_pos[a]))
-        k_neg[t] = rng.integers(int(n_neg[a]))
-    return TripletSet(anchors, _kth_true(same[anchors], k_pos), _kth_true(other[anchors], k_neg))
-
-
-def _eligible_anchors(same, other, anchor_indices):
-    """Anchors with a positive and a negative, in pool order, duplicates kept."""
-    if anchor_indices is None:
-        pool = np.arange(same.shape[0])
-    else:
-        pool = np.asarray(anchor_indices, dtype=np.int64)
-    return pool[(same.any(axis=1) & other.any(axis=1))[pool]]
+        r = pick[t] = rng.integers(rows.size)
+        k_pos[t] = rng.integers(int(n_pos[r]))
+        k_neg[t] = rng.integers(int(n_neg[r]))
+    return TripletSet(rows[pick], _kth_true(same[pick], k_pos), _kth_true(other[pick], k_neg))
 
 
 def sample_semihard_triplets(
@@ -113,22 +111,19 @@ def sample_semihard_triplets(
     strictly farther than the positive; if none is farther, the least
     violating negative (largest D_an).  Ties resolve to the lower index.
     """
-    dist = _check_square(dist, labels)
-    same, other = label_masks(labels)
-    anchors = _eligible_anchors(same, other, anchor_indices)
-    positives, negatives = np.empty_like(anchors), np.empty_like(anchors)
-    for i, a in enumerate(anchors):
-        row = dist[a]
-        p = positives[i] = _kth_true(same[a], rng.integers(np.count_nonzero(same[a])))
-        farther = other[a] & (row > row[p])
+    rows, d, same, other = _anchor_rows(dist, labels, anchor_indices)
+    positives, negatives = np.empty_like(rows), np.empty_like(rows)
+    for i, row in enumerate(d):
+        p = positives[i] = _kth_true(same[i], rng.integers(np.count_nonzero(same[i])))
+        farther = other[i] & (row > row[p])
         window = farther & (row < row[p] + margin)
         if window.any():
             negatives[i] = _kth_true(window, rng.integers(np.count_nonzero(window)))
         elif farther.any():
             negatives[i] = np.argmin(np.where(farther, row, np.inf))
         else:
-            negatives[i] = np.argmax(np.where(other[a], row, -np.inf))
-    return TripletSet(anchors, positives, negatives)
+            negatives[i] = np.argmax(np.where(other[i], row, -np.inf))
+    return TripletSet(rows, positives, negatives)
 
 
 def distance_weights(d, embed_dim: int, clip: float = 0.5, cap: float = 1e8):
@@ -162,13 +157,10 @@ def sample_distance_weighted(
     anchor's weight cdf that exceeds the uniform (its last negative if the
     uniform rounds up to the total).
     """
-    dist = _check_square(dist, labels)
-    same, other = label_masks(labels)
-    rows = _eligible_anchors(same, other, anchor_indices)
-    same, other = same[rows], other[rows]
+    rows, d, same, other = _anchor_rows(dist, labels, anchor_indices)
     # zeroing the non-negatives adds exact +0.0 terms, so each row's cdf at
     # its negative columns is the cumsum over the negatives alone, bit for bit
-    weights = np.where(other, distance_weights(dist[rows], embed_dim, clip), 0.0)
+    weights = np.where(other, distance_weights(d, embed_dim, clip), 0.0)
     cdf = np.cumsum(weights, axis=1)
     n_pos = np.count_nonzero(same, axis=1)
     pick = np.empty(rows.size, dtype=np.int64)
@@ -193,10 +185,7 @@ def sample_softhard_triplets(
 ) -> TripletSet:
     """Hard positives (farther than the nearest negative) paired with hard
     negatives (closer than the farthest positive); uniform fallback each side."""
-    dist = _check_square(dist, labels)
-    same, other = label_masks(labels)
-    rows = _eligible_anchors(same, other, anchor_indices)
-    d, same, other = dist[rows], same[rows], other[rows]
+    rows, d, same, other = _anchor_rows(dist, labels, anchor_indices)
     hard_pos = same & (d > np.min(d, axis=1, where=other, initial=np.inf)[:, None])
     hard_neg = other & (d < np.max(d, axis=1, where=same, initial=-np.inf)[:, None])
     p_pool = np.where(hard_pos.any(axis=1)[:, None], hard_pos, same)

@@ -138,7 +138,7 @@ def step(state: TrainResult, cfg: RunConfig, emit) -> dict:
     if produced is not None:
         grad_real += produced_backward(produced, out.grad[n_real:], n_real, d_embed)
     optimizer_step(state.params, backward(state.params, tape, grad_real), state.opt_state)
-    if cfg.loss.kind == "margin" and out.beta_grad is not None:
+    if cfg.loss.kind == "margin":
         beta_lr = cfg.loss.beta_lr if cfg.loss.beta_lr is not None else cfg.optim.lr
         state.margin_beta = max(state.margin_beta - beta_lr * out.beta_grad, 1e-6)
     emit("update")

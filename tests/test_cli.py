@@ -104,6 +104,19 @@ class TestTrain:
     def test_invalid_value_exit_2(self):
         assert run_cli("train", "--set", "das.rs=1.5", *BASE_OVERRIDES) == 2
 
+    @pytest.mark.parametrize("assignments, key", [
+        (["optim.kind=sgd", "optim.momentum=-0.5"], "optim.momentum"),
+        (["optim.kind=sgd", "optim.momentum=1.5"], "optim.momentum"),
+        (["sampler.clip=0"], "sampler.clip"),
+        (["sampler.clip=-1"], "sampler.clip"),
+    ], ids=["momentum_negative", "momentum_above_one", "clip_zero", "clip_negative"])
+    def test_out_of_range_value_exit_2(self, tmp_path, capsys, assignments, key):
+        sets = [arg for item in assignments for arg in ("--set", item)]
+        code = run_cli("train", "--out-dir", str(tmp_path / "r"), *BASE_OVERRIDES, *sets)
+        assert code == 2
+        assert key in capsys.readouterr().err
+        assert not (tmp_path / "r").exists()
+
     def test_produced_as_anchors_flag(self, tmp_path):
         code = run_cli(
             "train", "--out-dir", str(tmp_path / "r"),
@@ -326,6 +339,19 @@ class TestEvaluate:
             )
             assert code == 2
             assert "eval_ks max 40 needs at least 41 test points" in capsys.readouterr().err
+
+    def test_bad_optimizer_scalar_exit_3(self, tmp_path, capsys):
+        out_dir = tmp_path / "run"
+        assert run_cli("train", "--out-dir", str(out_dir), *BASE_OVERRIDES) == 0
+        path = out_dir / "checkpoint.json"
+        doc = json.loads(path.read_text())
+        doc["optimizer"].update(lr="0.1", step_count=2.5)
+        path.write_text(json.dumps(doc))
+        capsys.readouterr()
+        code = run_cli("evaluate", "--config", str(out_dir / "config.json"),
+                       "--checkpoint", str(path))
+        assert code == 3
+        assert "optimizer lr must be a finite number" in capsys.readouterr().err
 
     def test_missing_checkpoint_exit_3(self, tmp_path):
         assert run_cli("evaluate", "--checkpoint", str(tmp_path / "no.json")) == 3

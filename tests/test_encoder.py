@@ -327,6 +327,30 @@ class TestCheckpoint:
         with pytest.raises(CorruptCheckpointError):
             load_checkpoint(path)
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [("lr", "0.1"), ("lr", True), ("momentum", None), ("beta1", float("nan")),
+         ("beta2", float("inf")), ("eps", [1e-8]), ("step_count", 2.5),
+         ("step_count", -1), ("step_count", True), ("step_count", "3")],
+    )
+    def test_bad_optimizer_scalar(self, tmp_path, rng, field, value):
+        params = init_params([2, 3], "relu", rng)
+        state = OptimizerState(rule="sgd", momentum=0.5)
+        optimizer_step(params, rng.normal(size=params.theta.shape), state)
+        path = tmp_path / "ckpt.json"
+        save_checkpoint(path, params, state, seed=0)
+        doc = json.loads(path.read_text())
+        doc["optimizer"][field] = value
+        path.write_text(json.dumps(doc))
+        with pytest.raises(CorruptCheckpointError, match=f"optimizer {field} must be"):
+            load_checkpoint(path)
+
+    def test_integer_optimizer_scalars_load(self, tmp_path, rng):
+        path = tmp_path / "ckpt.json"
+        save_checkpoint(path, init_params([2, 2], "relu", rng), OptimizerState(lr=1), seed=0)
+        _, state, _ = load_checkpoint(path)
+        assert state.lr == 1 and state.step_count == 0
+
     def test_version_one_is_rejected(self, tmp_path, rng):
         path = tmp_path / "ckpt.json"
         save_checkpoint(path, init_params([2, 2], "relu", rng), OptimizerState(), seed=0)

@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from densedml.core import SeededRng, pairwise_distances
 from densedml.data import Dataset
-from densedml.errors import NotEnoughClassesError, NoValidTripletError
+from densedml.errors import NotEnoughClassesError, NoValidTripletError, ShapeMismatchError
 from densedml.sampling import (
     BatchSpec,
     distance_weights,
@@ -390,6 +390,14 @@ class TestDispatchAndInvariants:
                 kind, dist, labels, SeededRng(3), embed_dim=3, anchor_indices=[0, 1]
             )
             assert set(trip.anchors.tolist()) <= {0, 1}
+
+    @pytest.mark.parametrize("kind", ["semihard", "softhard", "distance"])
+    @pytest.mark.parametrize("shape", [(3, 3), (4, 3), (5, 5)])
+    def test_distance_shape_mismatch(self, kind, shape):
+        labels = np.array([0, 0, 1, 1])
+        with pytest.raises(ShapeMismatchError,
+                           match=rf"distance matrix \({shape[0]}, {shape[1]}\) vs 4 labels"):
+            sample_triplets(kind, np.zeros(shape), labels, SeededRng(0), embed_dim=3)
 
     def test_random_dispatch_draws_one_triplet_per_eligible_anchor(self):
         labels = np.array([0, 0, 1, 1, 2])

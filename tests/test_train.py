@@ -383,6 +383,16 @@ class TestConfig:
         assert cfg.eval_ks == [1, 2] and all(type(k) is int for k in cfg.eval_ks)
         assert cfg.loss.beta_lr is None
 
+    @pytest.mark.parametrize("key, value", [
+        ("optim.momentum", -0.5), ("optim.momentum", 1.0), ("optim.momentum", 1.5),
+        ("sampler.clip", 0.0), ("sampler.clip", -1.0),
+    ])
+    def test_out_of_range_rejected_naming_key(self, key, value):
+        cfg = RunConfig()
+        apply_override(cfg, key, value)
+        with pytest.raises(ConfigError, match=key):
+            cfg.validate()
+
     def test_validation_catches_bad_batch(self):
         cfg = tiny_config()
         cfg.batch.samples_per_class = 1
