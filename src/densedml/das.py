@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import SeededRng, ZERO_NORM_EPS
+from .core import SeededRng, ZERO_NORM_EPS, label_masks
 from .errors import (
     ConfigError,
     KOutOfRangeError,
@@ -66,9 +66,13 @@ class DasConfig:
 
 
 def check_labels(labels, n_classes: int) -> None:
-    """Raise LabelOutOfRangeError naming the first label outside [0, n_classes);
-    a plain loop, as numpy's per-call overhead would dominate one label."""
+    """Raise LabelOutOfRangeError naming the first label that is not an
+    integer in [0, n_classes); a float or bool label fails before anything
+    casts it.  A plain loop, as numpy's per-call overhead would dominate a
+    few labels."""
     for label in np.asarray(labels).ravel().tolist():
+        if type(label) is not int:
+            raise LabelOutOfRangeError(f"label {label!r} is not an integer class id")
         if not 0 <= label < n_classes:
             raise LabelOutOfRangeError(f"label {label} outside [0, {n_classes})")
 
@@ -130,26 +134,36 @@ class TransformationBank:
     def capacity(self):
         return self.slots.shape[1]
 
-    def enqueue(self, label, transform) -> None:
-        check_labels(label, self.n_classes)
-        c = int(label)
-        self.slots[c, self.cursor[c]] = transform
-        self.cursor[c] = (self.cursor[c] + 1) % self.capacity
-        self.filled[c] = min(self.filled[c] + 1, self.capacity)
+    def enqueue(self, labels, transforms) -> None:
+        """Write one difference (a label and a row) or a stack of them into
+        the class rings, in order: a class given q rows keeps the last
+        min(q, Z) of them, and its cursor moves q places."""
+        check_labels(labels, self.n_classes)
+        c = np.atleast_1d(np.asarray(labels, dtype=np.int64))
+        rows = np.asarray(transforms, dtype=np.float64).reshape(c.size, self.slots.shape[2])
+        z, q = self.capacity, np.bincount(c, minlength=self.n_classes)
+        # each row's rank among the rows of its class
+        order = np.argsort(c, kind="stable")
+        rank = np.empty_like(c)
+        rank[order] = np.arange(c.size) - np.repeat(np.cumsum(q) - q, q)
+        # write only each class's last min(q, Z) rows: earlier ones would share
+        # a slot with a later row, and numpy leaves repeated-index writes unordered
+        last = rank >= q[c] - z
+        c, rank = c[last], rank[last]
+        self.slots[c, (self.cursor[c] + rank) % z] = rows[last]
+        self.cursor[:] = (self.cursor + q) % z
+        np.minimum(self.filled + q, z, out=self.filled)
 
     def update(self, embeddings, labels) -> None:
         """Enqueue v_i - v_j for every ordered pair i != j within each class
-        group; groups with fewer than two members are skipped."""
+        group, in (i, j) order; groups with fewer than two members add
+        nothing, but their labels are checked too."""
         emb = np.atleast_2d(np.asarray(embeddings, dtype=np.float64))
         labels = np.atleast_1d(np.asarray(labels))
-        for c in np.unique(labels):
-            idx = np.flatnonzero(labels == c)
-            if idx.size < 2:
-                continue
-            for i in idx:
-                for j in idx:
-                    if i != j:
-                        self.enqueue(c, emb[i] - emb[j])
+        check_labels(labels, self.n_classes)
+        i, j = np.nonzero(label_masks(labels)[0])
+        self.enqueue(labels[i], emb[i] - emb[j])
+
 
 @dataclass
 class ProducedBatch:
@@ -183,8 +197,8 @@ def draw_shifts(bank: TransformationBank, labels, rb: float, rng: SeededRng) -> 
     bounds drawn one call at a time, so a single call over the live rows
     keeps the seeded draw sequence.
     """
+    check_labels(labels, bank.n_classes)
     rows = np.atleast_1d(np.asarray(labels, dtype=np.int64))
-    check_labels(rows, bank.n_classes)
     shifts = np.zeros((rows.size, bank.slots.shape[2]))
     live = bank.filled[rows] > 0
     if live.any():

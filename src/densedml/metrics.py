@@ -47,7 +47,8 @@ def recall_at_k(embeddings, labels, ks) -> dict:
     is the stable-argsort answer, ties included.  The query itself sits at
     distance inf, behind every finite distance, so with k < n it never
     counts.  Queries are scored in row blocks: each block's b x n distances
-    come from pairwise_distances and fit core.DISTANCE_BLOCK_BYTES with its
+    come from the kernel of pairwise_distances (the embeddings are validated
+    once per call) and fit core.DISTANCE_BLOCK_BYTES with its
     temporaries (at least one row per block), so no n x n array is built.
     """
     emb = np.asarray(embeddings, dtype=np.float64)
@@ -62,11 +63,12 @@ def recall_at_k(embeddings, labels, ks) -> dict:
         raise KOutOfRangeError(f"recall k must be >= 1, got {ks[0]}")
     if n < 2 or ks[-1] >= n:
         raise KTooLargeError(f"max k {ks[-1]} needs at least {ks[-1] + 1} points, have {n}")
+    emb = core._as_rows(emb)
     ranks = np.empty(n, dtype=np.int64)
     cols = np.arange(n)
     block = max(1, core.DISTANCE_BLOCK_BYTES // (8 * n))
     for start in range(0, n, block):
-        d = pairwise_distances(emb[start : start + block], emb)
+        d = core._distances(emb[start : start + block], emb)
         d[cols[: len(d)], cols[start : start + len(d)]] = np.inf  # self is never a neighbor
         same = labels[start : start + block, None] == labels[None, :]
         d_pos = np.min(d, axis=1, where=same, initial=np.inf)[:, None]

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import SeededRng, label_masks
+from .core import SeededRng, label_masks, replay_draws
 from .data import Dataset
 from .errors import ConfigError, NotEnoughClassesError, NoValidTripletError, ShapeMismatchError
 from .losses import TripletSet
@@ -85,19 +85,16 @@ def sample_random_triplets(labels, count, rng: SeededRng, anchor_indices=None) -
     """Uniform anchors, uniform same-label positives, uniform other-label negatives.
 
     `count=None` draws as many triplets as there are eligible anchors; each
-    triplet's anchor is drawn uniformly, with replacement, from those anchors.
+    triplet's anchor is drawn uniformly, with replacement, from those anchors,
+    then its positive and its negative, three scalar draws per triplet.
     """
     rows, _, same, other = _anchor_rows(None, labels, anchor_indices)
     if rows.size == 0:
         raise NoValidTripletError("no anchor has both a positive and a negative")
-    n_pos, n_neg = np.count_nonzero(same, axis=1), np.count_nonzero(other, axis=1)
     if count is None:
         count = rows.size
-    pick, k_pos, k_neg = np.empty((3, count), dtype=np.int64)
-    for t in range(count):
-        r = pick[t] = rng.integers(rows.size)
-        k_pos[t] = rng.integers(int(n_pos[r]))
-        k_neg[t] = rng.integers(int(n_neg[r]))
+    tables = np.count_nonzero(same, axis=1), np.count_nonzero(other, axis=1)
+    pick, k_pos, k_neg = replay_draws(rng, np.full(count, rows.size), tables)[0].T
     return TripletSet(rows[pick], _kth_true(same[pick], k_pos), _kth_true(other[pick], k_neg))
 
 
@@ -150,10 +147,9 @@ def sample_distance_weighted(
     """Uniform positives; negatives drawn inversely to the distance density.
 
     Each eligible anchor draws, in anchor order, an integer that picks its
-    positive and then a uniform in [0, total negative weight).  The two
-    draws interleave on one stream, and batching either kind would change
-    which stream values each anchor gets, so the draws stay in a per-anchor
-    loop.  The rest is vectorized: the negative is the first column of the
+    positive and then a uniform in [0, total negative weight), the two
+    interleaved on one stream as scalar calls would take them
+    (`core.replay_draws`).  The negative is the first column of the
     anchor's weight cdf that exceeds the uniform (its last negative if the
     uniform rounds up to the total).
     """
@@ -162,16 +158,12 @@ def sample_distance_weighted(
     # its negative columns is the cumsum over the negatives alone, bit for bit
     weights = np.where(other, distance_weights(d, embed_dim, clip), 0.0)
     cdf = np.cumsum(weights, axis=1)
-    n_pos = np.count_nonzero(same, axis=1)
-    pick = np.empty(rows.size, dtype=np.int64)
-    u = np.empty(rows.size)
-    for i in range(rows.size):
-        pick[i] = rng.integers(int(n_pos[i]))
-        u[i] = rng.uniform(0.0, cdf[i, -1])
+    # each row's total weight, sliced so that an empty batch gives no rows
+    pick, u = replay_draws(rng, np.count_nonzero(same, axis=1), highs=cdf[:, -1:].ravel())
     # the negative's rank among the anchor's negatives: searchsorted(side="right")
     rank = np.count_nonzero((cdf <= u[:, None]) & other, axis=1)
     rank = np.minimum(rank, np.count_nonzero(other, axis=1) - 1)
-    return TripletSet(rows, _kth_true(same, pick), _kth_true(other, rank))
+    return TripletSet(rows, _kth_true(same, pick[:, 0]), _kth_true(other, rank))
 
 
 def _kth_true(mask, k):

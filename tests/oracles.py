@@ -183,6 +183,45 @@ def multi_similarity_loss(embeddings, labels, spec):
     return LossOutput(float(total / active), grad, active)
 
 
+def scalar_draws(rng, bounds, tables=(), highs=None):
+    """The scalar calls `core.replay_draws` replays: per round, `integers`
+    over the round's bound, then over each table at that draw, then
+    `uniform(0, high)` when highs is given."""
+    ints = np.zeros((len(bounds), 1 + len(tables)), dtype=np.int64)
+    uniforms = None if highs is None else np.empty(len(bounds))
+    for i, b in enumerate(bounds):
+        v = int(rng.integers(b))
+        ints[i] = [v] + [int(rng.integers(table[v])) for table in tables]
+        if highs is not None:
+            uniforms[i] = rng.uniform(0.0, highs[i])
+    return ints, uniforms
+
+
+def bank_enqueue(bank: TransformationBank, label, transform):
+    """One ring write: the slot at the class cursor, then the cursor and the
+    fill count move by one."""
+    check_labels(label, bank.n_classes)
+    c = int(label)
+    bank.slots[c, bank.cursor[c]] = transform
+    bank.cursor[c] = (bank.cursor[c] + 1) % bank.capacity
+    bank.filled[c] = min(bank.filled[c] + 1, bank.capacity)
+
+
+def bank_update(bank: TransformationBank, embeddings, labels):
+    """v_i - v_j for every ordered pair i != j of each class group, one ring
+    write per pair, class by class."""
+    emb = np.atleast_2d(np.asarray(embeddings, dtype=np.float64))
+    labels = np.atleast_1d(np.asarray(labels))
+    for c in np.unique(labels):
+        idx = np.flatnonzero(labels == c)
+        if idx.size < 2:
+            continue
+        for i in idx:
+            for j in idx:
+                if i != j:
+                    bank_enqueue(bank, c, emb[i] - emb[j])
+
+
 def scaling_factor(mask_row, rs, rng):
     """Random scale on masked channels, exactly 1 elsewhere."""
     mask_row = np.asarray(mask_row, dtype=np.float64)

@@ -163,6 +163,61 @@ class TestBank:
         np.testing.assert_allclose(got, want)
 
 
+class TestBankOracle:
+    """The one-call update and the stacked enqueue against one ring write
+    per difference."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.integers(min_value=0, max_value=2**31),
+        st.integers(min_value=1, max_value=5),
+        st.integers(min_value=1, max_value=8),
+        st.lists(st.integers(0, 4), max_size=14),
+        st.lists(st.integers(0, 4), max_size=12),
+    )
+    def test_update_matches_pair_loop(self, seed, n_classes, capacity, labels, warmup):
+        # warm-up writes leave cursors mid-ring; groups of 4+ give q > Z wrap-around
+        r = SeededRng(seed)
+        labels = [c % n_classes for c in labels]
+        got, want = TransformationBank(n_classes, capacity, 3), TransformationBank(n_classes, capacity, 3)
+        for c in warmup:
+            t = r.normal(size=3)
+            got.enqueue(c % n_classes, t)
+            oracles.bank_enqueue(want, c % n_classes, t)
+        emb = r.normal(size=(len(labels), 3))
+        got.update(emb, labels)
+        oracles.bank_update(want, emb, labels)
+        for name in ("slots", "cursor", "filled"):
+            np.testing.assert_array_equal(getattr(got, name), getattr(want, name))
+
+    def test_wrap_around_and_singletons(self):
+        # class 0: 5 members, 20 pairs into a ring of 3; class 1: a singleton
+        emb = np.arange(12.0).reshape(6, 2) ** 2
+        labels = [0, 1, 0, 0, 0, 0]
+        got, want = TransformationBank(2, 3, 2), TransformationBank(2, 3, 2)
+        for bank in (got, want):
+            bank.cursor[0] = 2
+        got.update(emb, labels)
+        oracles.bank_update(want, emb, labels)
+        np.testing.assert_array_equal(got.slots, want.slots)
+        assert got.cursor.tolist() == want.cursor.tolist() == [(2 + 20) % 3, 0]
+        assert got.filled.tolist() == want.filled.tolist() == [3, 0]
+
+    @settings(max_examples=50, deadline=None)
+    @given(st.integers(min_value=0, max_value=2**31), st.integers(1, 6),
+           st.lists(st.integers(0, 2), max_size=16))
+    def test_stacked_enqueue_equals_one_at_a_time(self, seed, capacity, labels):
+        rows = SeededRng(seed).normal(size=(len(labels), 2))
+        stacked, single, oracle = (TransformationBank(3, capacity, 2) for _ in range(3))
+        stacked.enqueue(labels, rows)
+        for c, t in zip(labels, rows):
+            single.enqueue(c, t)
+            oracles.bank_enqueue(oracle, c, t)
+        for bank in (single, oracle):
+            for name in ("slots", "cursor", "filled"):
+                np.testing.assert_array_equal(getattr(stacked, name), getattr(bank, name))
+
+
 class TestShiftingFactor:
     def test_cold_start_zero(self, rng):
         bank = TransformationBank(2, 4, 3)
@@ -406,6 +461,37 @@ class TestLabelCheck:
         with pytest.raises(LabelOutOfRangeError, match="label -1 outside"):
             bank.enqueue(-1, np.ones(2))
         assert bank.filled.sum() == 0
+
+    def test_enqueue_float_label(self):
+        bank = TransformationBank(2, 3, 2)
+        with pytest.raises(LabelOutOfRangeError, match="label 1.5 is not an integer"):
+            bank.enqueue(1.5, np.ones(2))
+        assert bank.filled.sum() == 0
+
+    def test_update_bool_labels(self):
+        bank = TransformationBank(2, 3, 2)
+        with pytest.raises(LabelOutOfRangeError, match="label True is not an integer"):
+            bank.update(np.eye(2), [True, True])
+        assert bank.filled.sum() == 0
+
+    @pytest.mark.parametrize("labels,named", [([0, 5], "label 5 outside"),
+                                              ([0.5, 1], "label 0.5 is not an integer")])
+    def test_update_checks_singleton_labels(self, labels, named):
+        bank = TransformationBank(2, 3, 2)
+        with pytest.raises(LabelOutOfRangeError, match=named):
+            bank.update(np.eye(2), labels)
+
+    def test_draw_shifts_float_label_before_the_cast(self):
+        bank = TransformationBank(2, 3, 2)
+        bank.enqueue(0, np.array([1.0, 2.0]))
+        with pytest.raises(LabelOutOfRangeError, match="label 0.7 is not an integer"):
+            draw_shifts(bank, [0.7], 0.01, SeededRng(0))
+
+    def test_recorder_update_float_labels(self):
+        rec = FrequencyRecorder(2, 4)
+        with pytest.raises(LabelOutOfRangeError, match="label 0.5 is not an integer"):
+            rec.update(np.eye(4)[:2], [0.5, 1.0], 1)
+        assert rec.counts.sum() == 0
 
     def test_draw_shifts(self):
         bank = TransformationBank(3, 4, 2)

@@ -259,6 +259,10 @@ class TestDistanceWeightedOracle:
         trip = sample_distance_weighted(np.zeros((2, 2)), np.array([0, 1]), SeededRng(0), 3)
         assert len(trip) == 0 and trip.negatives.dtype == np.int64
 
+    def test_empty_batch_gives_empty_set(self):
+        trip = sample_distance_weighted(np.zeros((0, 0)), np.zeros(0, np.int64), SeededRng(0), 3)
+        assert len(trip) == 0 and trip.negatives.dtype == np.int64
+
 
 def assert_same_stream(rng_got, rng_want):
     np.testing.assert_array_equal(rng_got.uniform(size=3), rng_want.uniform(size=3))
@@ -283,6 +287,18 @@ class TestMaskSamplersOracle:
                 sample_random_triplets(labels, count, rng_got, anchors)
         else:
             self.assert_same(sample_random_triplets(labels, count, rng_got, anchors), want)
+        assert_same_stream(rng_got, rng_want)
+
+    @pytest.mark.parametrize("labels,anchors", [
+        ([0, 0, 0, 1, 1], [0]),        # a pool of one anchor (bound 1) with 2+2 candidates
+        ([0, 0, 0, 1, 1], [0, 0, 3]),  # anchor 3 has one positive: scalar calls
+        ([0, 0, 1, 1, 2, 2], None),    # one positive each, the DAS-off batch shape
+    ])
+    def test_random_small_pools(self, labels, anchors):
+        rng_got, rng_want = SeededRng(11), SeededRng(11)
+        got = sample_random_triplets(np.array(labels), 12, rng_got, anchors)
+        self.assert_same(got, oracles.sample_random_triplets(np.array(labels), 12, rng_want,
+                                                             anchors))
         assert_same_stream(rng_got, rng_want)
 
     @settings(max_examples=150, deadline=None)
