@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import DimensionMismatchError
+from .errors import ShapeMismatchError
 
 ZERO_NORM_EPS = 1e-12
 
@@ -184,12 +184,12 @@ def _as_rows(rows) -> np.ndarray:
             return np.zeros((0, 0))
         lengths = {np.asarray(r).shape for r in rows}
         if len(lengths) > 1:
-            raise DimensionMismatchError(f"ragged input rows: shapes {sorted(lengths)}")
+            raise ShapeMismatchError(f"ragged input rows: shapes {sorted(lengths)}")
     x = np.asarray(rows, dtype=np.float64)
     if x.ndim != 2:
-        raise DimensionMismatchError(f"expected 2-D stack of vectors, got {x.shape}")
+        raise ShapeMismatchError(f"expected 2-D stack of vectors, got {x.shape}")
     if not np.all(np.isfinite(x)):
-        raise DimensionMismatchError("non-finite entries in input rows")
+        raise ShapeMismatchError("non-finite entries in input rows")
     return x
 
 
@@ -206,7 +206,7 @@ def pairwise_distances(rows, others=None, squared=False) -> np.ndarray:
     x = _as_rows(rows)
     y = x if others is None else _as_rows(others)
     if y.shape[1] != x.shape[1]:
-        raise DimensionMismatchError(f"rows have {x.shape[1]} columns, others {y.shape[1]}")
+        raise ShapeMismatchError(f"rows have {x.shape[1]} columns, others {y.shape[1]}")
     return _distances(x, y, squared)
 
 

@@ -140,7 +140,12 @@ class TransformationBank:
         min(q, Z) of them, and its cursor moves q places."""
         check_labels(labels, self.n_classes)
         c = np.atleast_1d(np.asarray(labels, dtype=np.int64))
-        rows = np.asarray(transforms, dtype=np.float64).reshape(c.size, self.slots.shape[2])
+        rows = np.atleast_2d(np.asarray(transforms, dtype=np.float64))
+        if rows.shape != (c.size, self.slots.shape[2]):
+            raise ShapeMismatchError(
+                f"transforms {rows.shape} must be {c.size} rows of width {self.slots.shape[2]}, "
+                "one per label"
+            )
         z, q = self.capacity, np.bincount(c, minlength=self.n_classes)
         # each row's rank among the rows of its class
         order = np.argsort(c, kind="stable")
@@ -161,6 +166,8 @@ class TransformationBank:
         emb = np.atleast_2d(np.asarray(embeddings, dtype=np.float64))
         labels = np.atleast_1d(np.asarray(labels))
         check_labels(labels, self.n_classes)
+        if emb.shape[0] != labels.shape[0]:
+            raise ShapeMismatchError("labels length != embedding count")
         i, j = np.nonzero(label_masks(labels)[0])
         self.enqueue(labels[i], emb[i] - emb[j])
 
@@ -182,8 +189,11 @@ class ProducedBatch:
 
 
 def draw_scales(mask, labels, rs: float, rng: SeededRng) -> np.ndarray:
-    """(len(labels), d) scaling factors, one independent draw per row."""
-    rows = np.asarray(mask, dtype=np.float64)[np.atleast_1d(np.asarray(labels))]
+    """(len(labels), d) scaling factors, one independent draw per row; every
+    label must index a row of the C x d `mask`."""
+    mask = np.asarray(mask, dtype=np.float64)
+    check_labels(labels, mask.shape[0])
+    rows = mask[np.atleast_1d(np.asarray(labels))]
     gamma = rng.uniform(1.0 - rs, 1.0 + rs, size=rows.shape)
     return gamma * rows + (1.0 - rows)
 

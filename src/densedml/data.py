@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .core import SeededRng
-from .errors import EmptyFileError, InvalidConfigError, ParseError
+from .errors import ConfigError, ParseError
 
 
 @dataclass
@@ -68,21 +68,19 @@ def generate_gaussian_clusters(
     First ceil(C/2) class ids become the train split, the rest the test split.
     """
     if classes < 2 or per_class < 2 or input_dim < 2:
-        raise InvalidConfigError(
+        raise ConfigError(
             f"need classes>=2, per_class>=2, input_dim>=2; got "
             f"({classes}, {per_class}, {input_dim})"
         )
     if noise_sigma <= 0:
-        raise InvalidConfigError(f"noise_sigma must be positive, got {noise_sigma}")
+        raise ConfigError(f"noise_sigma must be positive, got {noise_sigma}")
     centers = rng.uniform(-center_scale, center_scale, size=(classes, input_dim))
-    feats = np.empty((classes * per_class, input_dim))
-    labels = np.empty(classes * per_class, dtype=np.int64)
-    for c in range(classes):
-        lo = c * per_class
-        feats[lo : lo + per_class] = centers[c] + noise_sigma * rng.standard_normal(
-            (per_class, input_dim)
-        )
-        labels[lo : lo + per_class] = c
+    # one call, class-major: the same draws as one call per class
+    feats = rng.standard_normal((classes, per_class, input_dim))
+    feats *= noise_sigma
+    feats += centers[:, None, :]
+    feats = feats.reshape(classes * per_class, input_dim)
+    labels = np.repeat(np.arange(classes, dtype=np.int64), per_class)
     train, test = _split_classes(classes)
     return Dataset(feats, labels, train, test)
 
@@ -104,7 +102,7 @@ def load_csv(path, label_column: int, header: bool = False) -> Dataset:
     if header:
         rows = rows[1:]  # the header is the first non-blank line
     if not rows:
-        raise EmptyFileError(f"{path}: no data rows")
+        raise ParseError(f"{path}: no data rows")
 
     feats, raw_labels = [], []
     arity = len(rows[0][1].split(","))

@@ -6,44 +6,32 @@ class EngineError(Exception):
 
 
 class ConfigError(EngineError):
-    """A run configuration is malformed or self-contradictory (CLI exit code 2)."""
-
-
-class InvalidConfigError(ConfigError):
-    """A dataset generator parameter is out of range."""
+    """A run configuration or generator parameter is malformed or
+    self-contradictory (CLI exit code 2)."""
 
 
 class ZeroNormError(EngineError):
     """A vector with (near-)zero norm reached an operation that must normalize it."""
 
 
-class DimensionMismatchError(EngineError):
-    """Ragged or incompatible vector dimensions."""
-
-
 class ShapeMismatchError(EngineError):
-    """Array shapes do not line up (gradients, parameters, batches)."""
+    """Array shapes or lengths do not line up: ragged, non-2-D or non-finite
+    rows, mismatched widths, per-point sequences of different lengths."""
 
 
 class KOutOfRangeError(EngineError):
-    """Top-K request with K < 1 or K > dimension."""
-
-
-class KTooLargeError(EngineError):
-    """Retrieval/clustering k exceeds what the point set supports."""
+    """A K or k outside what the data supports: top-K channels, retrieval
+    ranks, cluster counts."""
 
 
 class ParseError(EngineError):
-    """CSV parsing failure; carries 1-based row and 0-based column when known."""
+    """CSV parsing failure, an empty file included; carries the 1-based row
+    and 0-based column when known, else None."""
 
     def __init__(self, message, row=None, col=None):
         super().__init__(message)
         self.row = row
         self.col = col
-
-
-class EmptyFileError(EngineError):
-    """An input file contains no data rows."""
 
 
 class NotEnoughClassesError(EngineError):
@@ -56,10 +44,6 @@ class NoValidTripletError(EngineError):
 
 class LabelOutOfRangeError(EngineError):
     """A class label falls outside the configured class count."""
-
-
-class LengthMismatchError(EngineError):
-    """Two per-point sequences differ in length."""
 
 
 class CorruptCheckpointError(EngineError):

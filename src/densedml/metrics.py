@@ -13,7 +13,7 @@ import numpy as np
 
 from . import core
 from .core import SeededRng, pairwise_distances
-from .errors import KOutOfRangeError, KTooLargeError, LengthMismatchError
+from .errors import KOutOfRangeError, ShapeMismatchError
 
 
 @dataclass
@@ -55,14 +55,14 @@ def recall_at_k(embeddings, labels, ks) -> dict:
     labels = np.asarray(labels)
     n = emb.shape[0]
     if labels.shape[0] != n:
-        raise LengthMismatchError("labels length != embedding count")
+        raise ShapeMismatchError("labels length != embedding count")
     ks = sorted(int(k) for k in ks)
     if not ks:
         raise KOutOfRangeError("recall needs at least one k")
     if ks[0] < 1:
         raise KOutOfRangeError(f"recall k must be >= 1, got {ks[0]}")
     if n < 2 or ks[-1] >= n:
-        raise KTooLargeError(f"max k {ks[-1]} needs at least {ks[-1] + 1} points, have {n}")
+        raise KOutOfRangeError(f"max k {ks[-1]} needs at least {ks[-1] + 1} points, have {n}")
     emb = core._as_rows(emb)
     ranks = np.empty(n, dtype=np.int64)
     cols = np.arange(n)
@@ -93,7 +93,7 @@ def kmeans(embeddings, k: int, rng: SeededRng, max_iter: int = 100):
     x = np.asarray(embeddings, dtype=np.float64)
     n = x.shape[0]
     if k > n:
-        raise KTooLargeError(f"k={k} exceeds {n} points")
+        raise KOutOfRangeError(f"k={k} exceeds {n} points")
     centers = np.empty((k, x.shape[1]))
     centers[0] = x[int(rng.integers(n))]
     d2 = pairwise_distances(x, centers[:1], squared=True)[:, 0]
@@ -122,7 +122,7 @@ def _contingency(a, b):
     a = np.asarray(a)
     b = np.asarray(b)
     if a.shape[0] != b.shape[0]:
-        raise LengthMismatchError("assignment and labels differ in length")
+        raise ShapeMismatchError("assignment and labels differ in length")
     ua, ia = np.unique(a, return_inverse=True)
     ub, ib = np.unique(b, return_inverse=True)
     table = np.zeros((len(ua), len(ub)), dtype=np.int64)
@@ -142,7 +142,7 @@ def nmi(assignment, labels) -> float:
     table = _contingency(assignment, labels)
     n = table.sum()
     if n == 0:
-        raise LengthMismatchError("empty inputs")
+        raise ShapeMismatchError("empty inputs")
     h_a = _entropy(table.sum(axis=1))
     h_b = _entropy(table.sum(axis=0))
     if h_a == 0.0 or h_b == 0.0:

@@ -14,7 +14,6 @@ from densedml.core import ZERO_NORM_EPS, pairwise_distances
 from densedml.das import DasConfig, ProducedBatch, TransformationBank, check_labels
 from densedml.encoder import EncoderParams
 from densedml.errors import (
-    DimensionMismatchError,
     KOutOfRangeError,
     NoValidTripletError,
     ShapeMismatchError,
@@ -351,7 +350,7 @@ def kmeans(embeddings, k, rng, max_iter=100):
 def as_vector(v):
     v = np.asarray(v, dtype=np.float64)
     if v.ndim != 1 or v.size < 1:
-        raise DimensionMismatchError(f"expected a 1-D vector, got shape {v.shape}")
+        raise ShapeMismatchError(f"expected a 1-D vector, got shape {v.shape}")
     return v
 
 
@@ -360,7 +359,7 @@ def l2_normalize(v):
     v = as_vector(v)
     norm = float(np.linalg.norm(v))
     if not np.isfinite(norm):
-        raise DimensionMismatchError("non-finite entries in vector")
+        raise ShapeMismatchError("non-finite entries in vector")
     if norm <= ZERO_NORM_EPS:
         raise ZeroNormError(f"cannot normalize vector with norm {norm:.3e}")
     return v / norm

@@ -156,6 +156,14 @@ class TestTrain:
         checkpoint = json.loads((tmp_path / "run" / "checkpoint.json").read_text())
         assert checkpoint["layer_sizes"][0] == 6  # the CSV's input dim
 
+    def test_empty_csv_exit_3(self, tmp_path, capsys):
+        data = tmp_path / "empty.csv"
+        data.write_text("\n")
+        code = run_cli("train", *BASE_OVERRIDES, "--set", f"data.path={data}",
+                       "--out-dir", str(tmp_path / "run"))
+        assert code == 3
+        assert "no data rows" in capsys.readouterr().err
+
     @pytest.mark.parametrize("doc, key", [
         ({"data": {"kind": "csv"}}, "data.kind"),
         ({"das": {"dfs_only": True}}, "das.dfs_only"),

@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 import densedml.core as core
 from densedml.core import DISTANCE_BLOCK_BYTES, SeededRng, pairwise_distances, replay_draws
-from densedml.errors import DimensionMismatchError, KOutOfRangeError, ZeroNormError
+from densedml.errors import KOutOfRangeError, ShapeMismatchError, ZeroNormError
 
 from conftest import random_unit_rows
 import oracles
@@ -61,7 +61,7 @@ class TestPairwiseDistances:
                 assert abs(got[i, j] - np.sqrt(acc)) <= 1e-12
 
     def test_ragged_raises(self):
-        with pytest.raises(DimensionMismatchError):
+        with pytest.raises(ShapeMismatchError):
             pairwise_distances([[1.0, 0.0], [1.0, 0.0, 0.0]])
 
     def test_symmetry_zero_diagonal_range(self, rng):
@@ -144,7 +144,7 @@ class TestPairwiseDistancesBlocked:
         [[1.0, np.inf], [0.0, 1.0]],
     ])
     def test_bad_input_raises(self, rows):
-        with pytest.raises(DimensionMismatchError):
+        with pytest.raises(ShapeMismatchError):
             pairwise_distances(rows)
 
     @pytest.mark.parametrize("others", [
@@ -153,7 +153,7 @@ class TestPairwiseDistancesBlocked:
         [[1.0], [1.0, 0.0]],
     ])
     def test_bad_others_raises(self, others):
-        with pytest.raises(DimensionMismatchError):
+        with pytest.raises(ShapeMismatchError):
             pairwise_distances(np.zeros((2, 2)), others)
 
 

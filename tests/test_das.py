@@ -146,6 +146,27 @@ class TestBank:
         with pytest.raises(LabelOutOfRangeError):
             bank.enqueue(5, np.zeros(2))
 
+    @pytest.mark.parametrize("n_rows, labels", [(3, [0, 0]), (2, [0, 0, 0])])
+    def test_update_length_mismatch(self, n_rows, labels):
+        # fewer labels used to bank the first rows and drop the rest;
+        # more labels raised numpy's IndexError
+        bank = TransformationBank(1, 5, 2)
+        with pytest.raises(ShapeMismatchError, match="labels length"):
+            bank.update(np.arange(2.0 * n_rows).reshape(n_rows, 2), labels)
+        assert bank.filled[0] == 0
+
+    @pytest.mark.parametrize("labels, transforms", [
+        ([0, 1], np.zeros(3)),  # not two rows
+        ([0, 1], np.zeros(4)),  # two rows' worth, flat
+        (0, np.zeros(3)),  # one row, wrong width
+        ([0, 1], np.zeros((2, 3))),
+    ])
+    def test_enqueue_shape_mismatch(self, labels, transforms):
+        bank = TransformationBank(2, 3, 2)
+        with pytest.raises(ShapeMismatchError, match="one per label"):
+            bank.enqueue(labels, transforms)
+        assert bank.filled.tolist() == [0, 0]
+
     @settings(max_examples=30, deadline=None)
     @given(st.integers(min_value=0, max_value=10_000), st.integers(min_value=1, max_value=6))
     def test_matches_bounded_queue_model(self, seed, capacity):
@@ -216,6 +237,16 @@ class TestBankOracle:
         for bank in (single, oracle):
             for name in ("slots", "cursor", "filled"):
                 np.testing.assert_array_equal(getattr(stacked, name), getattr(bank, name))
+
+
+class TestDrawScales:
+    @pytest.mark.parametrize("label", [-1, 3])
+    def test_label_out_of_range(self, label):
+        # -1 used to scale with the last class's mask, 3 raised IndexError
+        rng = SeededRng(0)
+        with pytest.raises(LabelOutOfRangeError):
+            draw_scales(np.eye(3, 4), [0, label], 0.01, rng)
+        assert rng.uniform() == SeededRng(0).uniform()
 
 
 class TestShiftingFactor:

@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from densedml.core import SeededRng
 from densedml.data import generate_gaussian_clusters, load_csv, save_csv
-from densedml.errors import EmptyFileError, InvalidConfigError, ParseError
+from densedml.errors import ConfigError, ParseError
 
 
 def small_dataset(seed=7, classes=4, per_class=10, dim=8):
@@ -21,12 +21,12 @@ class TestGenerator:
         assert all(len(ds.class_index[c]) == 10 for c in range(4))
 
     def test_zero_noise_rejected(self):
-        with pytest.raises(InvalidConfigError):
+        with pytest.raises(ConfigError):
             generate_gaussian_clusters(4, 10, 8, 1.0, 0.0, SeededRng(0))
 
     @pytest.mark.parametrize("c,p,d", [(1, 10, 8), (4, 1, 8), (4, 10, 1)])
     def test_degenerate_sizes_rejected(self, c, p, d):
-        with pytest.raises(InvalidConfigError):
+        with pytest.raises(ConfigError):
             generate_gaussian_clusters(c, p, d, 1.0, 0.5, SeededRng(0))
 
     def test_deterministic(self):
@@ -70,8 +70,9 @@ class TestCsv:
     def test_empty_file(self, tmp_path):
         p = tmp_path / "d.csv"
         p.write_text("")
-        with pytest.raises(EmptyFileError):
+        with pytest.raises(ParseError, match="no data rows") as err:
             load_csv(p, label_column=0)
+        assert err.value.row is None and err.value.col is None
 
     def test_bad_float_reports_position(self, tmp_path):
         p = tmp_path / "d.csv"

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 import densedml.core as core
 from densedml.core import SeededRng
-from densedml.errors import KOutOfRangeError, KTooLargeError, LengthMismatchError
+from densedml.errors import KOutOfRangeError, ShapeMismatchError
 from densedml.metrics import (
     EvalReport,
     evaluate_embeddings,
@@ -64,7 +64,7 @@ class TestRecall:
         assert vals[-1] == 1.0  # every class has >= 2 members
 
     def test_k_too_large(self):
-        with pytest.raises(KTooLargeError):
+        with pytest.raises(KOutOfRangeError):
             recall_at_k(np.eye(3), np.array([0, 1, 2]), [3])
 
     def test_tie_break_lower_index(self):
@@ -158,7 +158,7 @@ class TestKmeans:
         assert assign[0] != assign[2]
 
     def test_k_too_large(self, rng):
-        with pytest.raises(KTooLargeError):
+        with pytest.raises(KOutOfRangeError):
             kmeans(np.eye(3), 4, rng)
 
     def test_matches_exhaustive_optimum_at_n8(self):
@@ -252,7 +252,7 @@ class TestNmi:
         assert nmi([0, 0, 1, 1], [0, 1, 0, 1]) == pytest.approx(0.0, abs=1e-12)
 
     def test_length_mismatch(self):
-        with pytest.raises(LengthMismatchError):
+        with pytest.raises(ShapeMismatchError):
             nmi([0, 1], [0, 1, 1])
 
     @settings(max_examples=30)
