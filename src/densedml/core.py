@@ -6,13 +6,18 @@ the single source of randomness for the whole package.
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 from .errors import ShapeMismatchError
 
 ZERO_NORM_EPS = 1e-12
 
-# Byte budget of the row-block difference tensor in pairwise_distances.
+# Byte budget of the row-block difference tensor in pairwise_distances.  A
+# training step's block stays below 512 KiB: glibc serves such a block by
+# mmap, and freeing one moves its threshold for every later allocation
+# (perfbench/hostspeed.py's reference kernel included).
 DISTANCE_BLOCK_BYTES = 128 * 1024
 
 # Named sub-streams derived from one run seed.  Keeping concerns on separate
@@ -199,9 +204,28 @@ def pairwise_distances(rows, others=None, squared=False) -> np.ndarray:
 
     Inputs are 2-D arrays or sequences of equal-length rows.  This is the one
     distance kernel: coordinate differences, never the Gram identity, so
-    duplicate rows measure exactly 0; row blocks bound its scratch to
-    max(DISTANCE_BLOCK_BYTES, 8*len(others)*d) bytes, and each entry sums the
-    same d squares in the same order at any block size.
+    duplicate rows measure exactly 0.  When `others` is the shorter stack the
+    kernel computes the transpose and returns a transposed view; every entry
+    is the same either way, since (x - y)**2 == (y - x)**2 bit for bit.
+
+    Each entry sums its d squares in numpy's pairwise-sum order, the order
+    `np.sum` over a contiguous last axis takes: a running sum from 0.0 when
+    d < 8; for 8 <= d <= 128, eight accumulators over strides of 8, combined
+    as ((r0+r1)+(r2+r3))+((r4+r5)+(r6+r7)), then the leftover terms in order;
+    above 128, the sums of the first h and the last d - h squares, h the
+    largest multiple of 8 not above d/2.  That order is numpy-internal (as of
+    numpy 2.4, the version tests/golden.json records), the same kind of
+    dependency `replay_draws` has on the Generator: tests/test_core.py
+    compares the kernel with the `np.sum` form bit for bit, and the golden
+    hashes catch a numpy that sums otherwise.  The sum runs over the leading
+    axis of a (d, rows, cols) block of squared differences, so each step of
+    it is one vectorized `np.add` over whole planes.
+
+    Scratch, for n the shorter and m the longer stack: the transposed copies
+    of both, 8*d*(n + m) bytes (one copy when `others` is omitted), and one
+    block, at most max(DISTANCE_BLOCK_BYTES, 8*d*m) bytes, beside the 8*n*m
+    output.  Every entry gets the same operations in the same order at any
+    block size.
     """
     x = _as_rows(rows)
     y = x if others is None else _as_rows(others)
@@ -213,14 +237,77 @@ def pairwise_distances(rows, others=None, squared=False) -> np.ndarray:
 def _distances(x, y, squared=False) -> np.ndarray:
     """The kernel behind pairwise_distances, for finite float64 row stacks
     of one width that the caller has validated."""
-    (n, d), m = x.shape, y.shape[0]
+    if len(y) < len(x):  # keep the longer stack innermost
+        return _distances(y, x, squared).T
+    xp = _planes(x)
+    return _distances_planes(xp, xp if y is x else _planes(y), squared)
+
+
+# Within each whole group of eight coordinates, plane p holds coordinate
+# _BIT_REVERSED[p].  Eight accumulators r0..r7 then sit in the order
+# r0 r4 r2 r6 r1 r5 r3 r7, so each level of numpy's tree
+# ((r0+r1)+(r2+r3))+((r4+r5)+(r6+r7)) adds the first half of the planes to
+# the second: one contiguous, non-overlapping np.add per level.
+_BIT_REVERSED = np.array([0, 4, 2, 6, 1, 5, 3, 7])
+
+
+def _planes(x) -> np.ndarray:
+    """x's columns as the (d, n) planes the kernel sums, the coordinates of
+    each whole group of eight in bit-reversed order, the rest in order."""
+    return x.T[_plane_order(x.shape[1])]
+
+
+@functools.lru_cache(maxsize=64)  # one entry per embedding width in use
+def _plane_order(d):
+    whole = d - d % 8
+    order = np.concatenate([(np.arange(0, whole, 8)[:, None] + _BIT_REVERSED).ravel(),
+                            np.arange(whole, d)])
+    order.flags.writeable = False  # shared by every call at this width
+    return order
+
+
+def _distances_planes(xp, yp, squared=False) -> np.ndarray:
+    """_distances from the planes xp (d, n) and yp (d, m) of `_planes`, for a
+    caller that reuses one copy across calls."""
+    (d, n), m = xp.shape, yp.shape[1]
     out = np.empty((n, m))
     block = max(1, DISTANCE_BLOCK_BYTES // max(1, 8 * m * d))
-    diff = np.empty((min(block, n), m, d))
+    scratch = np.empty((d, min(block, n), m))
     for start in range(0, n, block):
         stop = min(start + block, n)
-        buf = diff[: stop - start]
-        np.subtract(x[start:stop, None, :], y[None, :, :], out=buf)
-        np.multiply(buf, buf, out=buf)
-        np.sum(buf, axis=-1, out=out[start:stop])
-    return out if squared else np.sqrt(out, out=out)
+        buf = scratch
+        if stop - start < scratch.shape[1]:  # a short last block, contiguous
+            buf = scratch.ravel()[: d * (stop - start) * m].reshape(d, stop - start, m)
+        np.subtract(xp[:, start:stop, None], yp[:, None, :], buf)
+        np.multiply(buf, buf, buf)
+        _sum_leading(buf, out[start:stop])
+    return out if squared else np.sqrt(out, out)
+
+
+def _sum_leading(terms, out):
+    """out = the sum over the leading axis of `terms` (>= +0.0 entries, laid
+    out by `_planes`) in numpy's pairwise-sum order; `terms` is overwritten.
+    Outputs go positionally, which takes less per call than `out=` on the
+    small blocks of a training step."""
+    add, d = np.add, len(terms)
+    if d == 0:
+        out.fill(0.0)
+    elif d < 8:
+        np.copyto(out, terms[0])  # 0.0 + t == t for t >= +0.0
+        for i in range(1, d):
+            add(out, terms[i], out)
+    elif d <= 128:
+        acc = terms[:8]
+        tail = d - d % 8
+        for i in range(8, tail, 8):
+            add(acc, terms[i : i + 8], acc)
+        add(acc[:4], acc[4:], acc[:4])
+        add(acc[:2], acc[2:4], acc[:2])
+        add(acc[0], acc[1], out)
+        for i in range(tail, d):
+            add(out, terms[i], out)
+    else:
+        half = d // 2 - (d // 2) % 8
+        _sum_leading(terms[:half], terms[0])
+        _sum_leading(terms[half:], terms[half])
+        add(terms[0], terms[half], out)

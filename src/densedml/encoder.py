@@ -256,6 +256,13 @@ def load_checkpoint(path) -> tuple[EncoderParams, OptimizerState, int]:
         if doc["version"] != CHECKPOINT_VERSION:
             raise CorruptCheckpointError(f"unsupported checkpoint version {doc['version']}")
         sizes = doc["layer_sizes"]
+        if not (isinstance(sizes, list) and len(sizes) >= 2
+                and all(type(v) is int and v > 0 for v in sizes)):
+            raise CorruptCheckpointError(f"layer_sizes must list at least two positive "
+                                         f"integers, got {sizes!r}")
+        seed = doc["seed"]
+        if type(seed) is not int or seed < 0:  # a bool is not a seed
+            raise CorruptCheckpointError(f"seed must be an integer >= 0, got {seed!r}")
         params = EncoderParams(
             [np.zeros((a, b)) for a, b in zip(sizes[:-1], sizes[1:])],
             [np.zeros(b) for b in sizes[1:]],
@@ -281,7 +288,7 @@ def load_checkpoint(path) -> tuple[EncoderParams, OptimizerState, int]:
             if slot.shape != params.theta.shape:
                 raise CorruptCheckpointError(f"optimizer slot {name!r} is {slot.shape}, "
                                              f"parameters are {params.theta.shape}")
-        return params, state, int(doc["seed"])
+        return params, state, seed
     except CorruptCheckpointError:
         raise
     except (OSError, ValueError, KeyError, TypeError, AttributeError, ShapeMismatchError) as exc:

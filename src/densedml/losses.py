@@ -14,6 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import core
 from .core import label_masks
 from .errors import ConfigError, ShapeMismatchError
 
@@ -96,20 +97,35 @@ def _check_indices(n, *index_arrays):
             raise ShapeMismatchError("pair/triplet index outside the batch")
 
 
-def _pair_distances(emb, i, j):
+def _distance_matrix(emb, dist):
+    """The batch's distance matrix: `dist` when given (checked for shape),
+    else the kernel's."""
+    n = emb.shape[0]
+    if dist is None:
+        return core._distances(emb, emb)
+    dist = np.asarray(dist)
+    if dist.shape != (n, n):
+        raise ShapeMismatchError(f"distance matrix {dist.shape} vs {n} embeddings")
+    return dist
+
+
+def _directions(emb, i, j, dist):
+    """Unit vectors (emb[i] - emb[j]) / dist, 0 where dist <= TINY_DISTANCE
+    (the zero-distance subgradient convention)."""
     diff = emb[i] - emb[j]
-    dist = np.linalg.norm(diff, axis=1)
-    # unit direction with the zero-distance subgradient convention
-    safe = np.where(dist > TINY_DISTANCE, dist, 1.0)
-    direction = np.where((dist > TINY_DISTANCE)[:, None], diff / safe[:, None], 0.0)
-    return dist, direction
+    far = dist > TINY_DISTANCE
+    safe = np.where(far, dist, 1.0)
+    return np.where(far[:, None], diff / safe[:, None], 0.0)
 
 
-def _pair_hinge(embeddings, pairs: PairSet, offset, shift) -> LossOutput:
+def _pair_hinge(embeddings, pairs: PairSet, offset, shift, dist=None) -> LossOutput:
     """Mean hinge [offset + y_ij (D_ij - shift)]_+ over the active pairs.
 
     y_ij is +1 for positive and -1 for negative pairs; `offset` is a scalar
-    or one value per pair, and beta_grad carries d(value)/d(shift).
+    or one value per pair, and beta_grad carries d(value)/d(shift).  D comes
+    from `dist`, the batch's distance matrix, or from the kernel without it.
+    Only active pairs get a gradient: an inactive one would add 0.0 times its
+    direction, ±0.0, which leaves a gradient that starts at +0.0 unchanged.
     """
     emb = np.asarray(embeddings, dtype=np.float64)
     grad = np.zeros_like(emb)
@@ -117,28 +133,31 @@ def _pair_hinge(embeddings, pairs: PairSet, offset, shift) -> LossOutput:
         return LossOutput(0.0, grad, 0, beta_grad=0.0)
     i, j, pos = np.asarray(pairs.first), np.asarray(pairs.second), np.asarray(pairs.is_positive)
     _check_indices(emb.shape[0], i, j)
-    dist, direction = _pair_distances(emb, i, j)
+    d = _distance_matrix(emb, dist)[i, j]
     y = np.where(pos, 1.0, -1.0)
 
-    terms = np.maximum(offset + y * (dist - shift), 0.0)
+    terms = np.maximum(offset + y * (d - shift), 0.0)
     active = terms > 0
     n_active = int(np.count_nonzero(active))
     denom = max(n_active, 1)
-    coeff = np.where(active, y, 0.0) / denom
+    i, j, d, coeff = i[active], j[active], d[active], y[active] / denom
+    direction = _directions(emb, i, j, d)
     np.add.at(grad, i, coeff[:, None] * direction)
     np.add.at(grad, j, -coeff[:, None] * direction)
     beta_grad = float(np.where(active, -y, 0.0).sum() / denom)
     return LossOutput(float(terms.sum() / denom), grad, n_active, beta_grad=beta_grad)
 
 
-def contrastive_loss(embeddings, pairs: PairSet, margin: float) -> LossOutput:
+def contrastive_loss(embeddings, pairs: PairSet, margin: float, dist=None) -> LossOutput:
     """Mean of D_ij over positives and hinge [margin - D_ij]_+ over negatives:
     the pair hinge with offset 0 on positives, `margin` on negatives, shift 0."""
-    return _pair_hinge(embeddings, pairs, np.where(pairs.is_positive, 0.0, margin), 0.0)
+    return _pair_hinge(embeddings, pairs, np.where(pairs.is_positive, 0.0, margin), 0.0, dist)
 
 
-def triplet_loss(embeddings, triplets: TripletSet, margin: float) -> LossOutput:
-    """Mean hinge [D_ap - D_an + margin]_+ over the given triplets."""
+def triplet_loss(embeddings, triplets: TripletSet, margin: float, dist=None) -> LossOutput:
+    """Mean hinge [D_ap - D_an + margin]_+ over the given triplets, with D
+    from `dist` or the kernel as in the pair hinge (active triplets only get
+    a gradient, for the same reason)."""
     emb = np.asarray(embeddings, dtype=np.float64)
     grad = np.zeros_like(emb)
     m = len(triplets)
@@ -147,22 +166,26 @@ def triplet_loss(embeddings, triplets: TripletSet, margin: float) -> LossOutput:
     a, p, n = (np.asarray(triplets.anchors), np.asarray(triplets.positives),
                np.asarray(triplets.negatives))
     _check_indices(emb.shape[0], a, p, n)
-    d_ap, dir_ap = _pair_distances(emb, a, p)
-    d_an, dir_an = _pair_distances(emb, a, n)
+    dist = _distance_matrix(emb, dist)
+    d_ap, d_an = dist[a, p], dist[a, n]
 
     terms = np.maximum(d_ap - d_an + margin, 0.0)
-    n_active = int(np.count_nonzero(terms > 0))
+    active = terms > 0
+    n_active = int(np.count_nonzero(active))
     denom = max(n_active, 1)
-    coeff = (terms > 0).astype(np.float64) / denom
+    a, p, n = a[active], p[active], n[active]
+    coeff = np.full(n_active, 1.0 / denom)
+    dir_ap = _directions(emb, a, p, d_ap[active])
+    dir_an = _directions(emb, a, n, d_an[active])
     np.add.at(grad, a, coeff[:, None] * (dir_ap - dir_an))
     np.add.at(grad, p, -coeff[:, None] * dir_ap)
     np.add.at(grad, n, coeff[:, None] * dir_an)
     return LossOutput(float(terms.sum() / denom), grad, n_active)
 
 
-def margin_loss(embeddings, pairs: PairSet, alpha: float, beta: float) -> LossOutput:
+def margin_loss(embeddings, pairs: PairSet, alpha: float, beta: float, dist=None) -> LossOutput:
     """Mean hinge [alpha + y_ij (D_ij - beta)]_+ with learnable boundary beta."""
-    return _pair_hinge(embeddings, pairs, alpha, beta)
+    return _pair_hinge(embeddings, pairs, alpha, beta, dist)
 
 
 def multi_similarity_loss(embeddings, labels, spec: LossSpec) -> LossOutput:

@@ -48,7 +48,7 @@ def recall_at_k(embeddings, labels, ks) -> dict:
     distance inf, behind every finite distance, so with k < n it never
     counts.  Queries are scored in row blocks: each block's b x n distances
     come from the kernel of pairwise_distances (the embeddings are validated
-    once per call) and fit core.DISTANCE_BLOCK_BYTES with its
+    and transposed once per call) and fit core.DISTANCE_BLOCK_BYTES with its
     temporaries (at least one row per block), so no n x n array is built.
     """
     emb = np.asarray(embeddings, dtype=np.float64)
@@ -63,12 +63,12 @@ def recall_at_k(embeddings, labels, ks) -> dict:
         raise KOutOfRangeError(f"recall k must be >= 1, got {ks[0]}")
     if n < 2 or ks[-1] >= n:
         raise KOutOfRangeError(f"max k {ks[-1]} needs at least {ks[-1] + 1} points, have {n}")
-    emb = core._as_rows(emb)
+    planes = core._planes(core._as_rows(emb))
     ranks = np.empty(n, dtype=np.int64)
     cols = np.arange(n)
     block = max(1, core.DISTANCE_BLOCK_BYTES // (8 * n))
     for start in range(0, n, block):
-        d = core._distances(emb[start : start + block], emb)
+        d = core._distances_planes(planes[:, start : start + block], planes)
         d[cols[: len(d)], cols[start : start + len(d)]] = np.inf  # self is never a neighbor
         same = labels[start : start + block, None] == labels[None, :]
         d_pos = np.min(d, axis=1, where=same, initial=np.inf)[:, None]
@@ -92,6 +92,8 @@ def kmeans(embeddings, k: int, rng: SeededRng, max_iter: int = 100):
     """
     x = np.asarray(embeddings, dtype=np.float64)
     n = x.shape[0]
+    if k < 1:
+        raise KOutOfRangeError(f"k-means needs k >= 1, got {k}")
     if k > n:
         raise KOutOfRangeError(f"k={k} exceeds {n} points")
     centers = np.empty((k, x.shape[1]))
@@ -105,8 +107,8 @@ def kmeans(embeddings, k: int, rng: SeededRng, max_iter: int = 100):
 
     assign = np.full(n, -1, dtype=np.int64)
     for _ in range(max_iter):
-        d2 = pairwise_distances(x, centers, squared=True)
-        new_assign = np.argmin(d2, axis=1)  # ties to the lower centroid index
+        # ties to the lower centroid index; no n x k matrix outlives its sweep
+        new_assign = np.argmin(pairwise_distances(x, centers, squared=True), axis=1)
         if np.array_equal(new_assign, assign):
             break
         assign = new_assign

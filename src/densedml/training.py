@@ -79,14 +79,17 @@ def check_eval_ks(ks, dataset: Dataset) -> None:
         )
 
 
-def _loss_for(cfg: RunConfig, embeddings, labels, triplets, beta):
+def _loss_for(cfg: RunConfig, embeddings, labels, triplets, beta, dist):
+    """The configured loss; `dist` is the batch's distance matrix (None for
+    multi-similarity, which mines on cosine similarity)."""
     kind = cfg.loss.kind
     if kind == "triplet":
-        return triplet_loss(embeddings, triplets, cfg.loss.triplet_margin)
+        return triplet_loss(embeddings, triplets, cfg.loss.triplet_margin, dist)
     if kind == "contrastive":
-        return contrastive_loss(embeddings, triplets.to_pairs(), cfg.loss.contrastive_margin)
+        return contrastive_loss(embeddings, triplets.to_pairs(), cfg.loss.contrastive_margin,
+                                dist)
     if kind == "margin":
-        return margin_loss(embeddings, triplets.to_pairs(), cfg.loss.margin_alpha, beta)
+        return margin_loss(embeddings, triplets.to_pairs(), cfg.loss.margin_alpha, beta, dist)
     return multi_similarity_loss(embeddings, labels, cfg.loss)
 
 
@@ -115,11 +118,12 @@ def step(state: TrainResult, cfg: RunConfig, emit) -> dict:
     else:
         cat_emb, cat_labels = emb, y
 
-    triplets = None
+    triplets = dist = None
     if cfg.loss.kind != "ms":
+        dist = pairwise_distances(cat_emb)  # the sampler and the loss share it
         triplets = sample_triplets(
             cfg.sampler.kind,
-            pairwise_distances(cat_emb),
+            dist,
             cat_labels,
             state.sampler,
             embed_dim=d_embed,
@@ -129,7 +133,7 @@ def step(state: TrainResult, cfg: RunConfig, emit) -> dict:
         )
         emit("sample")
 
-    out = _loss_for(cfg, cat_emb, cat_labels, triplets, state.margin_beta)
+    out = _loss_for(cfg, cat_emb, cat_labels, triplets, state.margin_beta, dist)
     emit("loss")
     if not math.isfinite(out.value):
         raise TrainingAbortError(f"non-finite loss {out.value}")

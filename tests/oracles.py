@@ -5,6 +5,9 @@ seeded stream one scalar draw at a time, so an equivalence test can compare
 both the outputs and the RNG state left behind.  The replicated baseline
 stands in for DAS production in the training loop, and the small vector
 helpers further down serve tests only; neither is part of the package.
+The distance and loss oracles are the forms the package kernel replaced:
+`np.sum` over a contiguous last axis, and `np.linalg.norm` over gathered
+pair differences with every inactive term added as 0 * direction.
 """
 
 import numpy as np
@@ -19,7 +22,7 @@ from densedml.errors import (
     ShapeMismatchError,
     ZeroNormError,
 )
-from densedml.losses import LossOutput, PairSet, TripletSet
+from densedml.losses import TINY_DISTANCE, LossOutput, PairSet, TripletSet
 from densedml.sampling import distance_weights
 
 
@@ -180,6 +183,72 @@ def multi_similarity_loss(embeddings, labels, spec):
     grad += sim_grad @ emb
     grad += sim_grad.T @ emb
     return LossOutput(float(total / active), grad, active)
+
+
+def distances(x, y, squared=False, block_bytes=128 * 1024):
+    """The distance kernel's row-block form over a contiguous last axis:
+    each entry is `np.sum` over its d squared differences."""
+    (n, d), m = x.shape, y.shape[0]
+    out = np.empty((n, m))
+    block = max(1, block_bytes // max(1, 8 * m * d))
+    diff = np.empty((min(block, n), m, d))
+    for start in range(0, n, block):
+        stop = min(start + block, n)
+        buf = diff[: stop - start]
+        np.subtract(x[start:stop, None, :], y[None, :, :], out=buf)
+        np.multiply(buf, buf, out=buf)
+        np.sum(buf, axis=-1, out=out[start:stop])
+    return out if squared else np.sqrt(out, out=out)
+
+
+def pair_distances(emb, i, j):
+    """Distances of gathered pairs by `np.linalg.norm`, and their unit
+    directions (0 at or below TINY_DISTANCE)."""
+    diff = emb[i] - emb[j]
+    dist = np.linalg.norm(diff, axis=1)
+    safe = np.where(dist > TINY_DISTANCE, dist, 1.0)
+    direction = np.where((dist > TINY_DISTANCE)[:, None], diff / safe[:, None], 0.0)
+    return dist, direction
+
+
+def pair_hinge(embeddings, pairs: PairSet, offset, shift):
+    """The pair hinge over every pair, inactive ones adding 0 * direction."""
+    emb = np.asarray(embeddings, dtype=np.float64)
+    grad = np.zeros_like(emb)
+    if len(pairs) == 0:
+        return LossOutput(0.0, grad, 0, beta_grad=0.0)
+    i, j, pos = np.asarray(pairs.first), np.asarray(pairs.second), np.asarray(pairs.is_positive)
+    dist, direction = pair_distances(emb, i, j)
+    y = np.where(pos, 1.0, -1.0)
+    terms = np.maximum(offset + y * (dist - shift), 0.0)
+    active = terms > 0
+    n_active = int(np.count_nonzero(active))
+    denom = max(n_active, 1)
+    coeff = np.where(active, y, 0.0) / denom
+    np.add.at(grad, i, coeff[:, None] * direction)
+    np.add.at(grad, j, -coeff[:, None] * direction)
+    beta_grad = float(np.where(active, -y, 0.0).sum() / denom)
+    return LossOutput(float(terms.sum() / denom), grad, n_active, beta_grad=beta_grad)
+
+
+def triplet_loss(embeddings, triplets: TripletSet, margin):
+    """The triplet hinge over every triplet, inactive ones adding 0 * direction."""
+    emb = np.asarray(embeddings, dtype=np.float64)
+    grad = np.zeros_like(emb)
+    if len(triplets) == 0:
+        return LossOutput(0.0, grad, 0)
+    a, p, n = (np.asarray(triplets.anchors), np.asarray(triplets.positives),
+               np.asarray(triplets.negatives))
+    d_ap, dir_ap = pair_distances(emb, a, p)
+    d_an, dir_an = pair_distances(emb, a, n)
+    terms = np.maximum(d_ap - d_an + margin, 0.0)
+    n_active = int(np.count_nonzero(terms > 0))
+    denom = max(n_active, 1)
+    coeff = (terms > 0).astype(np.float64) / denom
+    np.add.at(grad, a, coeff[:, None] * (dir_ap - dir_an))
+    np.add.at(grad, p, -coeff[:, None] * dir_ap)
+    np.add.at(grad, n, coeff[:, None] * dir_an)
+    return LossOutput(float(terms.sum() / denom), grad, n_active)
 
 
 def scalar_draws(rng, bounds, tables=(), highs=None):

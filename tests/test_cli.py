@@ -361,6 +361,19 @@ class TestEvaluate:
         assert code == 3
         assert "optimizer lr must be a finite number" in capsys.readouterr().err
 
+    def test_bad_layer_sizes_exit_3(self, tmp_path, capsys):
+        out_dir = tmp_path / "run"
+        assert run_cli("train", "--out-dir", str(out_dir), *BASE_OVERRIDES) == 0
+        path = out_dir / "checkpoint.json"
+        doc = json.loads(path.read_text())
+        doc["layer_sizes"] = [8]
+        path.write_text(json.dumps(doc))
+        capsys.readouterr()
+        code = run_cli("evaluate", "--config", str(out_dir / "config.json"),
+                       "--checkpoint", str(path))
+        assert code == 3
+        assert "layer_sizes must list at least two positive integers" in capsys.readouterr().err
+
     def test_missing_checkpoint_exit_3(self, tmp_path):
         assert run_cli("evaluate", "--checkpoint", str(tmp_path / "no.json")) == 3
 

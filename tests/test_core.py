@@ -157,6 +157,53 @@ class TestPairwiseDistancesBlocked:
             pairwise_distances(np.zeros((2, 2)), others)
 
 
+class TestKernelOracle:
+    """The kernel's leading-axis pairwise sum against the `np.sum` form."""
+
+    @staticmethod
+    def assert_same_bits(x, y):
+        for squared in (False, True):
+            want = oracles.distances(x, y, squared)
+            for got in (core._distances(x, y, squared), pairwise_distances(x, y, squared)):
+                assert got.shape == want.shape
+                assert np.ascontiguousarray(got).tobytes() == want.tobytes()
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(st.integers(min_value=1, max_value=24), st.integers(min_value=1, max_value=24),
+           st.integers(min_value=0, max_value=300), st.integers(min_value=0, max_value=10_000),
+           st.sampled_from([1e-3, 0.1, 1.0, 37.0, 1e3, 1e6]), st.booleans(), st.booleans())
+    def test_any_shape_same_bits(self, n, m, d, seed, scale, grid, duplicates):
+        rng = SeededRng(seed)
+        x, y = rng.normal(size=(n, d)) * scale, rng.normal(size=(m, d)) * scale
+        if grid:  # integer coordinates: many exact ties
+            x, y = np.round(x), np.round(y)
+        if duplicates:
+            y[rng.integers(m)] = x[rng.integers(n)]
+            x[rng.integers(n)] = x[0]
+        self.assert_same_bits(x, y)
+        self.assert_same_bits(x, x)
+
+    @pytest.mark.parametrize("d", [0, 1, 7, 8, 9, 15, 16, 17, 64, 127, 128, 129, 136, 255,
+                                   256, 257, 300])
+    @pytest.mark.parametrize("n, m", [(1, 1), (1, 30), (30, 1), (5, 40), (40, 5)])
+    def test_every_summation_branch(self, rng, d, n, m):
+        # d < 8 running sum, 8..128 eight accumulators, above 128 the split
+        self.assert_same_bits(rng.normal(size=(n, d)), rng.normal(size=(m, d)))
+
+    def test_transposed_view_when_others_is_shorter(self, rng):
+        x, y = rng.normal(size=(9, 16)), rng.normal(size=(3, 16))
+        got = pairwise_distances(x, y)
+        assert got.shape == (9, 3)
+        assert got.tobytes(order="A") == pairwise_distances(y, x).tobytes()
+        assert np.ascontiguousarray(got).tobytes() == oracles.distances(x, y).tobytes()
+
+    @pytest.mark.parametrize("budget", [1, 1000, 1 << 20])
+    def test_block_budget_keeps_the_bits(self, rng, monkeypatch, budget):
+        x, y = rng.normal(size=(70, 16)), rng.normal(size=(90, 16))
+        monkeypatch.setattr(core, "DISTANCE_BLOCK_BYTES", budget)
+        self.assert_same_bits(x, y)
+
+
 class TestTopK:
     def test_basic(self):
         np.testing.assert_array_equal(top_k_indices([0.9, 0.1, 0.4, 0.1], 2), [0, 2])

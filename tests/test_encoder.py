@@ -345,6 +345,31 @@ class TestCheckpoint:
         with pytest.raises(CorruptCheckpointError, match=f"optimizer {field} must be"):
             load_checkpoint(path)
 
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [("layer_sizes", [], "layer_sizes must list"), ("layer_sizes", [4], "layer_sizes must list"),
+         ("seed", -1, "seed must be"), ("seed", 2.5, "seed must be"), ("seed", True, "seed must be")],
+        ids=["no_layers", "one_layer", "negative_seed", "float_seed", "bool_seed"],
+    )
+    def test_bad_layer_sizes_or_seed(self, tmp_path, rng, field, value, message):
+        path = tmp_path / "ckpt.json"
+        save_checkpoint(path, init_params([2, 3], "relu", rng), OptimizerState(), seed=0)
+        doc = json.loads(path.read_text())
+        doc[field] = value
+        path.write_text(json.dumps(doc))
+        with pytest.raises(CorruptCheckpointError, match=message):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("sizes", [[2, 0], [2, -3], [2, 3.0], [2, True], "23"])
+    def test_layer_sizes_must_be_positive_integers(self, tmp_path, rng, sizes):
+        path = tmp_path / "ckpt.json"
+        save_checkpoint(path, init_params([2, 3], "relu", rng), OptimizerState(), seed=0)
+        doc = json.loads(path.read_text())
+        doc["layer_sizes"] = sizes
+        path.write_text(json.dumps(doc))
+        with pytest.raises(CorruptCheckpointError, match="layer_sizes must list"):
+            load_checkpoint(path)
+
     def test_integer_optimizer_scalars_load(self, tmp_path, rng):
         path = tmp_path / "ckpt.json"
         save_checkpoint(path, init_params([2, 2], "relu", rng), OptimizerState(lr=1), seed=0)

@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from densedml.core import SeededRng
+from densedml.core import SeededRng, pairwise_distances
+from densedml.errors import ShapeMismatchError
 from densedml.losses import (
     LossSpec,
     PairSet,
@@ -194,6 +195,68 @@ class TestMargin:
             - oracle_margin(emb, pairs, alpha, beta - 1e-5)
         ) / 2e-5
         assert max_rel_error([out.beta_grad], [beta_fd]) < 1e-4
+
+
+class TestDistanceMatrixOracle:
+    """Triplet, contrastive and margin losses, with the batch's distance
+    matrix passed and without it, against the norm-over-gathered-differences
+    forms in oracles: value, grad, active_count and beta_grad, bit for bit."""
+
+    @staticmethod
+    def batch(seed, n, d, duplicates):
+        rng = SeededRng(seed)
+        emb = random_unit_rows(rng, n, d)
+        if duplicates:  # D = 0 <= TINY_DISTANCE: zero direction
+            emb[1] = emb[0]
+            emb[n - 1] = emb[2]
+        idx = lambda: rng.integers(n, size=3 * n)
+        return emb, TripletSet(idx(), idx(), idx())
+
+    @staticmethod
+    def assert_same(got, want):
+        assert got.value == want.value
+        assert got.grad.tobytes() == want.grad.tobytes()
+        assert got.active_count == want.active_count
+        assert got.beta_grad == want.beta_grad
+
+    def check(self, emb, trip, margin):
+        pairs = trip.to_pairs()
+        offset = np.where(pairs.is_positive, 0.0, margin)
+        for dist in (None, pairwise_distances(emb)):
+            self.assert_same(triplet_loss(emb, trip, margin, dist),
+                             oracles.triplet_loss(emb, trip, margin))
+            self.assert_same(contrastive_loss(emb, pairs, margin, dist),
+                             oracles.pair_hinge(emb, pairs, offset, 0.0))
+            self.assert_same(margin_loss(emb, pairs, 0.2, margin, dist),
+                             oracles.pair_hinge(emb, pairs, 0.2, margin))
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(st.integers(min_value=0, max_value=10_000), st.integers(min_value=3, max_value=20),
+           st.integers(min_value=1, max_value=8), st.booleans(),
+           st.sampled_from([-10.0, 0.0, 0.05, 0.2, 1.2, 10.0]))
+    def test_matches_norm_form(self, seed, n, d, duplicates, margin):
+        # margin -10: nothing active; 10: everything active (contrastive and
+        # margin keep their positive pairs active at any margin)
+        emb, trip = self.batch(seed, n, d, duplicates)
+        self.check(emb, trip, margin)
+
+    @pytest.mark.parametrize("margin, active", [(-10.0, 0), (10.0, 12)])
+    def test_all_inactive_and_all_active(self, margin, active):
+        emb, trip = self.batch(3, 4, 5, duplicates=True)
+        assert triplet_loss(emb, trip, margin).active_count == active
+        self.check(emb, trip, margin)
+
+    def test_empty_sets(self):
+        emb = random_unit_rows(SeededRng(0), 4, 3)
+        trip = TripletSet(*(np.zeros(0, dtype=np.int64),) * 3)
+        self.check(emb, trip, 0.2)
+
+    def test_wrong_matrix_shape_raises(self):
+        emb, trip = self.batch(0, 5, 3, duplicates=False)
+        with pytest.raises(ShapeMismatchError, match="distance matrix"):
+            triplet_loss(emb, trip, 0.2, np.zeros((4, 4)))
+        with pytest.raises(ShapeMismatchError, match="distance matrix"):
+            margin_loss(emb, trip.to_pairs(), 0.2, 1.2, np.zeros((5, 4)))
 
 
 class TestMultiSimilarity:

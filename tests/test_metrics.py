@@ -161,6 +161,13 @@ class TestKmeans:
         with pytest.raises(KOutOfRangeError):
             kmeans(np.eye(3), 4, rng)
 
+    @pytest.mark.parametrize("k", [0, -1])
+    def test_k_below_one(self, k):
+        rng = SeededRng(3)
+        with pytest.raises(KOutOfRangeError, match=f"k-means needs k >= 1, got {k}"):
+            kmeans(np.eye(3), k, rng)
+        assert rng.random() == SeededRng(3).random()  # rejected before any draw
+
     def test_matches_exhaustive_optimum_at_n8(self):
         r = SeededRng(7)
         x = np.vstack(

@@ -138,7 +138,7 @@ class TestTrainLoop:
         import densedml.training as train_mod
         from densedml.losses import LossOutput
 
-        def bad_loss(cfg, emb, labels, triplets, beta):
+        def bad_loss(cfg, emb, labels, triplets, beta, dist):
             return LossOutput(float("nan"), np.zeros_like(emb), 0)
 
         monkeypatch.setattr(train_mod, "_loss_for", bad_loss)
