@@ -33,11 +33,10 @@ import tracemalloc
 
 import numpy as np
 
-from densedml.core import STREAMS, SeededRng
+from densedml.core import DISTANCE_BLOCK_BYTES, STREAMS, SeededRng
 from densedml.metrics import evaluate_embeddings
 
 CLASSES, DIM, KS = 16, 16, (1, 2, 4, 8)
-BLOCK_BYTES = 128 * 1024  # core.DISTANCE_BLOCK_BYTES in both trees measured so far
 
 
 def split(n):
@@ -53,7 +52,7 @@ def evaluate(emb, labels):
 
 
 def kernel_bound(n, d=DIM, k=CLASSES):
-    return 8 * d * (n + k) + max(BLOCK_BYTES, 8 * d * n) + 8 * n * k
+    return 8 * d * (n + k) + max(DISTANCE_BLOCK_BYTES, 8 * d * n) + 8 * n * k
 
 
 def host():
