@@ -7,9 +7,11 @@ times, timing each call (unscaled wall time), and once more under
 `tracemalloc` for the peak of the allocations made during the call (the
 inputs exist before tracing starts).  Beside the peak each row records the
 scratch bound that `pairwise_distances`' docstring gives for the largest
-kernel call of the evaluation, k-means' n x 16 call: the transposed copies,
-8*d*(n + k) bytes, one block, max(DISTANCE_BLOCK_BYTES, 8*d*n) bytes, and the
-8*n*k output.
+kernel call of the evaluation, a k-means sweep's 16 x n call: the plane
+copies of the points and the centers, 8*d*(n + k) bytes, one block,
+max(DISTANCE_BLOCK_BYTES, 8*d*n) bytes, and the 8*n*k output.  Recall@k stays
+below it: its planes and norms take 8*(d + 1)*n bytes and its Gram block at
+most max(DISTANCE_BLOCK_BYTES, 8*n).
 
 Rows are merged into --out under --label (a size measured again replaces
 its row), one entry per label with the host it ran on, so the rows of two

@@ -284,6 +284,24 @@ def _distances_planes(xp, yp, squared=False) -> np.ndarray:
     return out if squared else np.sqrt(out, out)
 
 
+def _pair_distances(planes, rows, cols) -> np.ndarray:
+    """Squared kernel distances of the pairs (rows[i], cols[i]) of the points
+    whose `_planes` are `planes`: entry i has the bits of entry
+    (rows[i], cols[i]) of `_distances_planes(planes, planes, squared=True)`.
+    The pairs go in chunks whose two gathered (d, chunk) blocks fit
+    DISTANCE_BLOCK_BYTES together."""
+    d = planes.shape[0]
+    out = np.empty(len(rows))
+    chunk = max(1, DISTANCE_BLOCK_BYTES // max(1, 16 * d))
+    for start in range(0, len(rows), chunk):
+        stop = start + chunk
+        diff = planes[:, rows[start:stop]]
+        np.subtract(diff, planes[:, cols[start:stop]], diff)
+        np.multiply(diff, diff, diff)
+        _sum_leading(diff, out[start:stop])
+    return out
+
+
 def _sum_leading(terms, out):
     """out = the sum over the leading axis of `terms` (>= +0.0 entries, laid
     out by `_planes`) in numpy's pairwise-sum order; `terms` is overwritten.

@@ -12,8 +12,16 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import core
-from .core import SeededRng, pairwise_distances
+from .core import SeededRng
 from .errors import KOutOfRangeError, ShapeMismatchError
+
+# The factor in recall_at_k's bound E on |Gram form - kernel| of a squared
+# distance, over three times the rounding error derived there.  Raising it
+# only sends more entries to the kernel.
+GRAM_ERROR_SCALE = 32.0
+_U = 2.0**-53
+_TINY = 2.0**-1074  # the least subnormal
+_HUGE = np.finfo(np.float64).max
 
 
 @dataclass
@@ -44,12 +52,54 @@ def recall_at_k(embeddings, labels, ks) -> dict:
     No query is sorted.  Under the order (distance, index) a query's first
     same-label point p* sits at rank #{j: d_j < d_p*} + #{j: d_j == d_p*,
     j < p*}, and the query hits at k exactly when that rank is below k, which
-    is the stable-argsort answer, ties included.  The query itself sits at
-    distance inf, behind every finite distance, so with k < n it never
-    counts.  Queries are scored in row blocks: each block's b x n distances
-    come from the kernel of pairwise_distances (the embeddings are validated
-    and transposed once per call) and fit core.DISTANCE_BLOCK_BYTES with its
-    temporaries (at least one row per block), so no n x n array is built.
+    is the stable-argsort answer, ties included.  A query with no same-label
+    partner never hits.  Every distance that decides a rank is the kernel's
+    (pairwise_distances' bits, through core._pair_distances); a BLAS Gram
+    product only bounds which entries need one.
+
+    The bound.  Per row block of queries, one BLAS product of the rows
+    [x, 1] with the columns [y; -|y|^2 / 2] gives G = x.y - |y|^2 / 2, so
+    A = |x|^2 - 2G is the Gram form |x|^2 + |y|^2 - 2 x.y of each squared
+    distance (the query's own entry +inf).  Let M be the largest |x|^2,
+    u = 2**-53, gamma_m = m*u / (1 - m*u), S the exact squared distance and
+    K the kernel's.
+    - K rounds each of its d terms twice and sums them with d - 1 additions,
+      so |K - S| <= gamma_(d+2) * S <= 4 gamma_(d+2) M.
+    - Each squared norm errs by at most gamma_d M, and G, a sum of d + 1
+      products, by at most gamma_(d+1) (sum |x_k y_k| + |y|^2 / 2) <=
+      1.5 gamma_(d+1) M (Higham, Accuracy and Stability of Numerical
+      Algorithms, 2nd ed., 3.1), so |A - S| <= 2 gamma_d M + 3 gamma_(d+1) M.
+    Together |A - K| is at most about (9d + 11) u M, and
+        E = GRAM_ERROR_SCALE * (d + 8) * (u M + 2**-1074),  scale 32,
+    is over three times that; the rest covers the roundings of the
+    comparisons below, a few u M each.  The 2**-1074 term covers underflow,
+    at most 2**-1075 for each of fewer than 4d products.  When 8M would
+    overflow, so could a squared distance, and E is +inf.
+
+    The window.  Let a_min be the least A over the query's partners, K_min
+    the least K, which lies within E of a_min, and reach = 2E + 16u (|a_min|
+    + E).  Two square roots that round alike differ by at most a factor
+    (1 + u) / (1 - u), so the K of an entry at distance d_p* lies between
+    K_min (1 - 4.01u) and K_min (1 + 4.01u).
+    - An entry with A below a_min - reach has K below K_min (1 - 4.01u), so
+      its distance is below d_p*: it is counted without one.
+    - One with A above a_min + reach has K above K_min (1 + 4.01u): farther.
+    - Every entry between gets a kernel distance.  Every partner at d_p*
+      lies there, so p* is the lowest index among the window's partners at
+      their least distance, and the window's entries are ranked against it
+      by the (distance, index) rule.
+    A comparison with an infinite or NaN bound settles nothing, so E = +inf
+    takes every distance from the kernel.  The comparisons are made on G,
+    against (|x|^2 - bound) / 2, so A is never formed.
+
+    Scratch: the planes of the points, sorted by label, over their
+    -|y|^2 / 2 row, and the norms: 8 (d + 2) n bytes.  Per block of
+    b = max(1, core.DISTANCE_BLOCK_BYTES // (8n)) queries: the b x n product
+    (8bn bytes, 128 KiB at n = 2048), a few b x n masks (bn bytes each), and
+    under 64 bytes per entry that needs a kernel distance, the gathers of
+    core._pair_distances included (they fit DISTANCE_BLOCK_BYTES).  On unit
+    rows about one entry per query needs one; with every entry ambiguous
+    (E = +inf) that is under 8 times the product's bytes.
     """
     emb = np.asarray(embeddings, dtype=np.float64)
     labels = np.asarray(labels)
@@ -63,32 +113,73 @@ def recall_at_k(embeddings, labels, ks) -> dict:
         raise KOutOfRangeError(f"recall k must be >= 1, got {ks[0]}")
     if n < 2 or ks[-1] >= n:
         raise KOutOfRangeError(f"max k {ks[-1]} needs at least {ks[-1] + 1} points, have {n}")
-    planes = core._planes(core._as_rows(emb))
+    x = core._as_rows(emb)
+    # sorted by label, a query's partners are one run of columns
+    order = np.argsort(labels, kind="stable")
+    sorted_labels = labels[order]
+    d = x.shape[1]
+    aug = np.empty((d + 1, n))  # the sorted points' planes over -|y|^2 / 2
+    planes = aug[:d]
+    for plane, column in zip(planes, core._plane_order(d)):
+        np.take(x[:, column], order, out=plane)
+    norms = np.einsum("ij,ij->j", planes, planes)
+    np.multiply(norms, -0.5, aug[d])
+    big = norms.max()
+    err = GRAM_ERROR_SCALE * (d + 8) * (_U * big + _TINY) if big < _HUGE / 8 else np.inf
     ranks = np.empty(n, dtype=np.int64)
-    cols = np.arange(n)
     block = max(1, core.DISTANCE_BLOCK_BYTES // (8 * n))
+    gram = np.empty((min(block, n), n))
+    query = np.ones((min(block, n), d + 1))
     for start in range(0, n, block):
-        d = core._distances_planes(planes[:, start : start + block], planes)
-        d[cols[: len(d)], cols[start : start + len(d)]] = np.inf  # self is never a neighbor
-        same = labels[start : start + block, None] == labels[None, :]
-        d_pos = np.min(d, axis=1, where=same, initial=np.inf)[:, None]
-        tied = d == d_pos
-        first = np.argmax(tied & same, axis=1)[:, None]
-        closer = np.count_nonzero(d < d_pos, axis=1)
-        tied_before = np.count_nonzero(tied & (cols < first), axis=1)
-        ranks[start : start + block] = closer + tied_before
+        stop = min(start + block, n)
+        b = stop - start
+        own = np.arange(b)
+        g, q, nq = gram[:b], query[:b], norms[start:stop]
+        q[:, :d] = planes[:, start:stop].T
+        np.matmul(q, aug, g)  # A = nq - 2g
+        g[own, start + own] = -np.inf
+        # the window: A within `reach` of a_min, the least A over partners
+        lo = np.searchsorted(sorted_labels, sorted_labels[start])
+        hi = np.searchsorted(sorted_labels, sorted_labels[stop - 1], side="right")
+        partner = sorted_labels[start:stop, None] == sorted_labels[lo:hi]
+        partner[own, start - lo + own] = False
+        has = partner.any(axis=1)
+        a_min = nq - 2 * np.max(g[:, lo:hi], axis=1, where=partner, initial=-np.inf)
+        a_min[~has] = 0.0
+        reach = 2 * err + 16 * _U * (np.abs(a_min) + err)
+        closer_bar = (nq - (a_min - reach)) / 2
+        closer_bar[~has] = -np.inf  # no partner: no window, and never a hit
+        closer = g > closer_bar[:, None]
+        window = ~(closer | (g < ((nq - (a_min + reach)) / 2)[:, None]))
+        window[own, start + own] = False
+        wr, wc = np.divmod(np.flatnonzero(window), n)
+        dist = np.sqrt(core._pair_distances(planes, start + wr, wc))
+        # d_p*: the least distance among the window's partners; p*: the
+        # least index among those at it
+        mate = np.flatnonzero(sorted_labels[wc] == sorted_labels[start + wr])
+        d_pos = np.full(b, np.inf)
+        np.minimum.at(d_pos, wr[mate], dist[mate])
+        at = mate[dist[mate] == d_pos[wr[mate]]]
+        first = np.full(b, n)
+        np.minimum.at(first, wr[at], order[wc[at]])
+        ahead = (dist < d_pos[wr]) | ((dist == d_pos[wr]) & (order[wc] < first[wr]))
+        rank = np.count_nonzero(closer, axis=1) + np.bincount(wr[ahead], minlength=b)
+        ranks[start:stop] = np.where(has, rank, n)
     return {k: int(np.count_nonzero(ranks < k)) / n for k in ks}
 
 
 def kmeans(embeddings, k: int, rng: SeededRng, max_iter: int = 100):
     """Lloyd's algorithm from k-means++ style seeding: (assign, centroids).
 
-    Deterministic given rng.  Squared distances come from pairwise_distances:
-    seeding keeps each point's distance to its nearest chosen center as a
-    running minimum, one n x 1 call per center; each sweep assigns from one
-    n x k call and takes the members from a stable argsort, so a centroid is
-    the mean of its members in index order.  Stops at an assignment fixpoint
-    or after max_iter sweeps; an emptied cluster keeps its previous centroid.
+    Deterministic given rng.  Squared distances come from the kernel of
+    pairwise_distances, over one plane copy of the points per call: seeding
+    keeps each point's distance to its nearest chosen center as a running
+    minimum, one 1 x n call per center; each sweep assigns each point to its
+    nearest centroid (ties to the lower index) from one k x n call that no
+    later sweep keeps, and takes the members from a stable argsort, so a
+    centroid is the mean of its members in index order.  Stops at an
+    assignment fixpoint or after max_iter sweeps; an emptied cluster keeps
+    its previous centroid.
     """
     x = np.asarray(embeddings, dtype=np.float64)
     n = x.shape[0]
@@ -96,19 +187,22 @@ def kmeans(embeddings, k: int, rng: SeededRng, max_iter: int = 100):
         raise KOutOfRangeError(f"k-means needs k >= 1, got {k}")
     if k > n:
         raise KOutOfRangeError(f"k={k} exceeds {n} points")
+    x_planes = core._planes(core._as_rows(x))
+
+    def sq_distances(c):
+        return core._distances_planes(core._planes(c), x_planes, squared=True)
+
     centers = np.empty((k, x.shape[1]))
     centers[0] = x[int(rng.integers(n))]
-    d2 = pairwise_distances(x, centers[:1], squared=True)[:, 0]
+    d2 = sq_distances(centers[:1])[0]
     for j in range(1, k):
         total = d2.sum()
-        probs = d2 / total if total > 0 else np.full(n, 1.0 / n)
-        centers[j] = x[rng.choice(n, p=probs)]
-        np.minimum(d2, pairwise_distances(x, centers[j : j + 1], squared=True)[:, 0], out=d2)
+        centers[j] = x[rng.choice(n, p=d2 / total if total > 0 else np.full(n, 1.0 / n))]
+        np.minimum(d2, sq_distances(centers[j : j + 1])[0], out=d2)
 
     assign = np.full(n, -1, dtype=np.int64)
     for _ in range(max_iter):
-        # ties to the lower centroid index; no n x k matrix outlives its sweep
-        new_assign = np.argmin(pairwise_distances(x, centers, squared=True), axis=1)
+        new_assign = _argmin_leading(sq_distances(centers))
         if np.array_equal(new_assign, assign):
             break
         assign = new_assign
@@ -118,6 +212,13 @@ def kmeans(embeddings, k: int, rng: SeededRng, max_iter: int = 100):
             if bounds[j] < bounds[j + 1]:
                 centers[j] = x[order[bounds[j] : bounds[j + 1]]].mean(axis=0)
     return assign, centers
+
+
+def _argmin_leading(values):
+    """np.argmin(values, axis=0), ties to the lower row, without the
+    transposed copy of `values` that np.argmin makes: the first row at the
+    least value."""
+    return np.argmax(values == values.min(axis=0), axis=0)
 
 
 def _contingency(a, b):

@@ -7,11 +7,14 @@ stands in for DAS production in the training loop, and the small vector
 helpers further down serve tests only; neither is part of the package.
 The distance and loss oracles are the forms the package kernel replaced:
 `np.sum` over a contiguous last axis, and `np.linalg.norm` over gathered
-pair differences with every inactive term added as 0 * direction.
+pair differences with every inactive term added as 0 * direction.  The
+rank-count recall takes every distance from the kernel, the form the Gram
+prefilter replaced.
 """
 
 import numpy as np
 
+import densedml.core as core
 import densedml.training as training
 from densedml.core import ZERO_NORM_EPS, pairwise_distances
 from densedml.das import DasConfig, ProducedBatch, TransformationBank, check_labels
@@ -384,6 +387,29 @@ def recall_at_k(embeddings, labels, ks):
             if same[:k].any():
                 hits[k] += 1
     return {k: hits[k] / n for k in ks}
+
+
+def recall_rank_count(embeddings, labels, ks):
+    """Leave-one-out hit rate per k from every kernel distance, one row block
+    at a time: the first same-label point's rank is counted, not sorted
+    (the query itself at distance inf)."""
+    planes = core._planes(core._as_rows(np.asarray(embeddings, dtype=np.float64)))
+    labels = np.asarray(labels)
+    n = len(labels)
+    ranks = np.empty(n, dtype=np.int64)
+    cols = np.arange(n)
+    block = max(1, core.DISTANCE_BLOCK_BYTES // (8 * n))
+    for start in range(0, n, block):
+        d = core._distances_planes(planes[:, start : start + block], planes)
+        d[cols[: len(d)], cols[start : start + len(d)]] = np.inf
+        same = labels[start : start + block, None] == labels[None, :]
+        d_pos = np.min(d, axis=1, where=same, initial=np.inf)[:, None]
+        tied = d == d_pos
+        first = np.argmax(tied & same, axis=1)[:, None]
+        closer = np.count_nonzero(d < d_pos, axis=1)
+        tied_before = np.count_nonzero(tied & (cols < first), axis=1)
+        ranks[start : start + block] = closer + tied_before
+    return {k: int(np.count_nonzero(ranks < k)) / n for k in sorted(int(k) for k in ks)}
 
 
 def kmeans(embeddings, k, rng, max_iter=100):

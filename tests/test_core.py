@@ -198,6 +198,19 @@ class TestKernelOracle:
         assert np.ascontiguousarray(got).tobytes() == oracles.distances(x, y).tobytes()
 
     @pytest.mark.parametrize("budget", [1, 1000, 1 << 20])
+    @pytest.mark.parametrize("d", [0, 1, 7, 8, 9, 16, 129, 300])
+    def test_pair_helper_has_the_kernel_bits(self, rng, monkeypatch, d, budget):
+        x = rng.normal(size=(40, d)) * 1e3
+        x[5] = x[7]  # a duplicate: distance exactly 0
+        rows, cols = rng.integers(40, size=300), rng.integers(40, size=300)
+        rows[:3], cols[:3] = [0, 5, 7], [0, 7, 5]
+        want = core._distances(x, x, squared=True)[rows, cols]
+        monkeypatch.setattr(core, "DISTANCE_BLOCK_BYTES", budget)
+        got = core._pair_distances(core._planes(x), rows, cols)
+        assert got.tobytes() == want.tobytes()
+        assert got[1] == got[2] == 0.0
+
+    @pytest.mark.parametrize("budget", [1, 1000, 1 << 20])
     def test_block_budget_keeps_the_bits(self, rng, monkeypatch, budget):
         x, y = rng.normal(size=(70, 16)), rng.normal(size=(90, 16))
         monkeypatch.setattr(core, "DISTANCE_BLOCK_BYTES", budget)

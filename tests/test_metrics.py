@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import densedml.core as core
+import densedml.metrics as metrics
 from densedml.core import SeededRng
 from densedml.errors import KOutOfRangeError, ShapeMismatchError
 from densedml.metrics import (
@@ -143,6 +144,77 @@ class TestRecallOracle:
         labels = r.integers(20, size=600)
         ks = [1, 2, 4, 8, 599]
         assert recall_at_k(emb, labels, ks) == oracles.recall_at_k(emb, labels, ks)
+
+
+@st.composite
+def hard_split(draw):
+    """Points where the Gram form rounds worst against the kernel: near-ties
+    one ulp apart, duplicate rows, 1e6 offsets, scales 1e-3 to 1e6, and
+    labels from 1 to n classes, so some classes are singletons."""
+    n = draw(st.integers(min_value=3, max_value=60))
+    dim = draw(st.integers(min_value=1, max_value=20))
+    scale = draw(st.sampled_from([1e-3, 1.0, 37.0, 1e3, 1e6]))
+    r = SeededRng(draw(st.integers(min_value=0, max_value=2**31)))
+    x = r.normal(size=(n, dim)) * scale
+    if draw(st.booleans()):  # a grid of tenths of the scale: exact ties
+        x = np.round(x / scale, 1) * scale
+    if draw(st.booleans()):  # far from the origin: |x|^2 dwarfs the distances
+        x += 1e6
+    if draw(st.booleans()):  # duplicate rows
+        x[r.integers(n, size=n // 3)] = x[r.integers(n, size=n // 3)]
+    if draw(st.booleans()):  # each odd row one ulp from the even row before it
+        x[1::2] = np.nextafter(x[: 2 * (n // 2) : 2], np.inf)
+    return x, r.integers(draw(st.integers(min_value=1, max_value=n)), size=n)
+
+
+class TestRecallPrefilter:
+    """The Gram-bounded recall against the rank count over every kernel
+    distance that it replaced."""
+
+    @staticmethod
+    def kernel_entries(monkeypatch):
+        """Counts the pairs that get a kernel distance."""
+        seen = []
+        pair_distances = core._pair_distances
+
+        def spy(planes, rows, cols):
+            seen.append(len(rows))
+            return pair_distances(planes, rows, cols)
+
+        monkeypatch.setattr(core, "_pair_distances", spy)
+        return seen
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(hard_split(), st.data())
+    def test_matches_rank_count(self, split, data):
+        emb, labels = split
+        ks = draw_ks(data, len(labels))
+        assert recall_at_k(emb, labels, ks) == oracles.recall_rank_count(emb, labels, ks)
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(hard_split(), st.data())
+    def test_every_entry_ambiguous(self, split, data):
+        # an infinite bound settles no entry: every distance is the kernel's
+        emb, labels = split
+        n = len(labels)
+        ks = draw_ks(data, n)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(metrics, "GRAM_ERROR_SCALE", np.inf)
+            seen = self.kernel_entries(mp)
+            got = recall_at_k(emb, labels, ks)
+        assert got == oracles.recall_rank_count(emb, labels, ks)
+        _, inverse, sizes = np.unique(labels, return_inverse=True, return_counts=True)
+        paired = np.count_nonzero(sizes[inverse] > 1)
+        assert sum(seen) == paired * (n - 1)  # every other point, for each query that can hit
+
+    def test_few_kernel_distances_on_unit_rows(self, monkeypatch):
+        r = SeededRng(9)
+        emb = random_unit_rows(r, 512, 16)
+        labels = np.arange(512) % 16
+        seen = self.kernel_entries(monkeypatch)
+        got = recall_at_k(emb, labels, [1, 2, 4, 8])
+        assert got == oracles.recall_rank_count(emb, labels, [1, 2, 4, 8])
+        assert sum(seen) < 4 * 512  # of 512 * 511 entries
 
 
 class TestKmeans:
