@@ -56,7 +56,7 @@ def _build_config(args) -> RunConfig:
 
 
 def _cmd_generate_data(args) -> int:
-    cfg = _build_config(args)
+    cfg = _build_config(args).validate()
     dataset = build_dataset(cfg, SeededRng(cfg.seed, STREAMS["data"]))
     save_csv(dataset, args.out)
     print(

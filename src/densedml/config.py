@@ -95,6 +95,8 @@ class RunConfig:
     optim: OptimConfig = field(default_factory=OptimConfig)
 
     def validate(self) -> "RunConfig":
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
         if self.steps < 1:
             raise ConfigError("steps must be >= 1")
         if self.eval_every < 0:

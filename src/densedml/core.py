@@ -14,7 +14,7 @@ from .errors import ShapeMismatchError
 
 ZERO_NORM_EPS = 1e-12
 
-# Byte budget of the row-block difference tensor in pairwise_distances.  A
+# Byte budget of the kernel's row-block difference tensor.  A
 # training step's block stays below 512 KiB: glibc serves such a block by
 # mmap, and freeing one moves its threshold for every later allocation
 # (perfbench/hostspeed.py's reference kernel included).
@@ -198,15 +198,13 @@ def _as_rows(rows) -> np.ndarray:
     return x
 
 
-def pairwise_distances(rows, others=None, squared=False) -> np.ndarray:
-    """len(rows) x len(others) l2 distances, or their squares if `squared`;
-    `others` defaults to `rows`: symmetric, with an exactly-zero diagonal.
+def pairwise_distances(rows) -> np.ndarray:
+    """n x n l2 distances between the rows: symmetric, with an exactly-zero
+    diagonal.
 
-    Inputs are 2-D arrays or sequences of equal-length rows.  This is the one
-    distance kernel: coordinate differences, never the Gram identity, so
-    duplicate rows measure exactly 0.  When `others` is the shorter stack the
-    kernel computes the transpose and returns a transposed view; every entry
-    is the same either way, since (x - y)**2 == (y - x)**2 bit for bit.
+    Rows are a 2-D array or a sequence of equal-length rows.  This is the
+    one distance kernel: coordinate differences, never the Gram identity, so
+    duplicate rows measure exactly 0.
 
     Each entry sums its d squares in numpy's pairwise-sum order, the order
     `np.sum` over a contiguous last axis takes: a running sum from 0.0 when
@@ -221,26 +219,13 @@ def pairwise_distances(rows, others=None, squared=False) -> np.ndarray:
     axis of a (d, rows, cols) block of squared differences, so each step of
     it is one vectorized `np.add` over whole planes.
 
-    Scratch, for n the shorter and m the longer stack: the transposed copies
-    of both, 8*d*(n + m) bytes (one copy when `others` is omitted), and one
-    block, at most max(DISTANCE_BLOCK_BYTES, 8*d*m) bytes, beside the 8*n*m
-    output.  Every entry gets the same operations in the same order at any
-    block size.
+    Scratch: one transposed copy of the rows, 8*d*n bytes, and one block, at
+    most max(DISTANCE_BLOCK_BYTES, 8*d*n) bytes, beside the 8*n*n output.
+    Every entry gets the same operations in the same order at any block size.
     """
-    x = _as_rows(rows)
-    y = x if others is None else _as_rows(others)
-    if y.shape[1] != x.shape[1]:
-        raise ShapeMismatchError(f"rows have {x.shape[1]} columns, others {y.shape[1]}")
-    return _distances(x, y, squared)
-
-
-def _distances(x, y, squared=False) -> np.ndarray:
-    """The kernel behind pairwise_distances, for finite float64 row stacks
-    of one width that the caller has validated."""
-    if len(y) < len(x):  # keep the longer stack innermost
-        return _distances(y, x, squared).T
-    xp = _planes(x)
-    return _distances_planes(xp, xp if y is x else _planes(y), squared)
+    planes = _planes(_as_rows(rows))
+    out = _squared_distances(planes, planes)
+    return np.sqrt(out, out)
 
 
 # Within each whole group of eight coordinates, plane p holds coordinate
@@ -266,9 +251,14 @@ def _plane_order(d):
     return order
 
 
-def _distances_planes(xp, yp, squared=False) -> np.ndarray:
-    """_distances from the planes xp (d, n) and yp (d, m) of `_planes`, for a
-    caller that reuses one copy across calls."""
+def _squared_distances(xp, yp) -> np.ndarray:
+    """The n x m squared kernel distances between the points whose `_planes`
+    are xp (d, n) and yp (d, m), summed as `pairwise_distances` describes;
+    for callers that validate their points and reuse one plane copy.
+
+    Scratch: one block, at most max(DISTANCE_BLOCK_BYTES, 8*d*m) bytes,
+    beside the 8*n*m output; a caller that copies both stacks into planes
+    adds 8*d*(n + m) bytes."""
     (d, n), m = xp.shape, yp.shape[1]
     out = np.empty((n, m))
     block = max(1, DISTANCE_BLOCK_BYTES // max(1, 8 * m * d))
@@ -281,13 +271,13 @@ def _distances_planes(xp, yp, squared=False) -> np.ndarray:
         np.subtract(xp[:, start:stop, None], yp[:, None, :], buf)
         np.multiply(buf, buf, buf)
         _sum_leading(buf, out[start:stop])
-    return out if squared else np.sqrt(out, out)
+    return out
 
 
 def _pair_distances(planes, rows, cols) -> np.ndarray:
     """Squared kernel distances of the pairs (rows[i], cols[i]) of the points
     whose `_planes` are `planes`: entry i has the bits of entry
-    (rows[i], cols[i]) of `_distances_planes(planes, planes, squared=True)`.
+    (rows[i], cols[i]) of `_squared_distances(planes, planes)`.
     The pairs go in chunks whose two gathered (d, chunk) blocks fit
     DISTANCE_BLOCK_BYTES together."""
     d = planes.shape[0]

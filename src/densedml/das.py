@@ -56,14 +56,6 @@ class DasConfig:
         if self.rb < 0:
             raise ConfigError(f"das.rb must be >= 0, got {self.rb}")
 
-    @property
-    def use_scaling(self) -> bool:
-        return self.rs > 0
-
-    @property
-    def use_shifting(self) -> bool:
-        return self.rb > 0
-
 
 def check_labels(labels, n_classes: int) -> None:
     """Raise LabelOutOfRangeError naming the first label that is not an
@@ -262,14 +254,14 @@ def produce(
     labels = np.atleast_1d(np.asarray(labels))
     anchors = np.repeat(np.arange(emb.shape[0]), config.T)
     rows = (anchors.size, emb.shape[1])
-    if config.use_scaling:
+    if config.rs > 0:
         recorder.update(emb, labels, config.K)
         emit("frm")
         scales = draw_scales(recorder.mask(config.K), labels[anchors], config.rs, rng)
         emit("scale")
     else:
         scales = np.ones(rows)
-    if config.use_shifting:
+    if config.rb > 0:
         emit("transform")
         bank.update(emb, labels)
         emit("enqueue")

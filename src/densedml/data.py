@@ -23,14 +23,12 @@ class Dataset:
     labels: np.ndarray  # (n,) int64, dense in [0, C)
     train_classes: tuple
     test_classes: tuple
-    class_index: dict = field(default_factory=dict)  # label -> np.ndarray of point indices
+    class_index: dict = field(init=False)  # label -> np.ndarray of point indices
 
     def __post_init__(self):
-        if not self.class_index:
-            self.class_index = {
-                int(c): np.flatnonzero(self.labels == c)
-                for c in np.unique(self.labels)
-            }
+        self.class_index = {
+            int(c): np.flatnonzero(self.labels == c) for c in np.unique(self.labels)
+        }
 
     @property
     def n_points(self) -> int:
@@ -74,6 +72,8 @@ def generate_gaussian_clusters(
         )
     if noise_sigma <= 0:
         raise ConfigError(f"noise_sigma must be positive, got {noise_sigma}")
+    if not 0 <= center_scale < 2.0**1023:  # so the centers' range, twice it, is finite
+        raise ConfigError(f"center_scale must be >= 0 and below 2**1023, got {center_scale}")
     centers = rng.uniform(-center_scale, center_scale, size=(classes, input_dim))
     # one call, class-major: the same draws as one call per class
     feats = rng.standard_normal((classes, per_class, input_dim))

@@ -68,16 +68,6 @@ class EncoderParams:
     def input_dim(self) -> int:
         return self.layer_sizes[0]
 
-    @property
-    def embed_dim(self) -> int:
-        return self.layer_sizes[-1]
-
-    def copy(self) -> "EncoderParams":
-        return self.with_flat(self.theta)
-
-    def flat(self) -> np.ndarray:
-        return self.theta.copy()
-
     def with_flat(self, theta) -> "EncoderParams":
         """A copy of these parameters holding `theta` instead."""
         out = copy.copy(self)

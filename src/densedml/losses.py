@@ -102,7 +102,7 @@ def _distance_matrix(emb, dist):
     else the kernel's."""
     n = emb.shape[0]
     if dist is None:
-        return core._distances(emb, emb)
+        return core.pairwise_distances(emb)
     dist = np.asarray(dist)
     if dist.shape != (n, n):
         raise ShapeMismatchError(f"distance matrix {dist.shape} vs {n} embeddings")

@@ -93,7 +93,8 @@ def recall_at_k(embeddings, labels, ks) -> dict:
     against (|x|^2 - bound) / 2, so A is never formed.
 
     Scratch: the planes of the points, sorted by label, over their
-    -|y|^2 / 2 row, and the norms: 8 (d + 2) n bytes.  Per block of
+    -|y|^2 / 2 row, and the norms: 8 (d + 2) n bytes, and while they are
+    filled, one unsorted plane copy of 8 d n bytes.  Per block of
     b = max(1, core.DISTANCE_BLOCK_BYTES // (8n)) queries: the b x n product
     (8bn bytes, 128 KiB at n = 2048), a few b x n masks (bn bytes each), and
     under 64 bytes per entry that needs a kernel distance, the gathers of
@@ -120,8 +121,7 @@ def recall_at_k(embeddings, labels, ks) -> dict:
     d = x.shape[1]
     aug = np.empty((d + 1, n))  # the sorted points' planes over -|y|^2 / 2
     planes = aug[:d]
-    for plane, column in zip(planes, core._plane_order(d)):
-        np.take(x[:, column], order, out=plane)
+    np.take(core._planes(x), order, axis=1, out=planes)
     norms = np.einsum("ij,ij->j", planes, planes)
     np.multiply(norms, -0.5, aug[d])
     big = norms.max()
@@ -172,14 +172,14 @@ def kmeans(embeddings, k: int, rng: SeededRng, max_iter: int = 100):
     """Lloyd's algorithm from k-means++ style seeding: (assign, centroids).
 
     Deterministic given rng.  Squared distances come from the kernel of
-    pairwise_distances, over one plane copy of the points per call: seeding
-    keeps each point's distance to its nearest chosen center as a running
-    minimum, one 1 x n call per center; each sweep assigns each point to its
-    nearest centroid (ties to the lower index) from one k x n call that no
-    later sweep keeps, and takes the members from a stable argsort, so a
-    centroid is the mean of its members in index order.  Stops at an
-    assignment fixpoint or after max_iter sweeps; an emptied cluster keeps
-    its previous centroid.
+    pairwise_distances, core._squared_distances, over one plane copy of the
+    points per call: seeding keeps each point's distance to its nearest
+    chosen center as a running minimum, one 1 x n call per center; each
+    sweep assigns each point to its nearest centroid (ties to the lower
+    index) from one k x n call that no later sweep keeps, and takes the
+    members from a stable argsort, so a centroid is the mean of its members
+    in index order.  Stops at an assignment fixpoint or after max_iter
+    sweeps; an emptied cluster keeps its previous centroid.
     """
     x = np.asarray(embeddings, dtype=np.float64)
     n = x.shape[0]
@@ -190,7 +190,7 @@ def kmeans(embeddings, k: int, rng: SeededRng, max_iter: int = 100):
     x_planes = core._planes(core._as_rows(x))
 
     def sq_distances(c):
-        return core._distances_planes(core._planes(c), x_planes, squared=True)
+        return core._squared_distances(core._planes(c), x_planes)
 
     centers = np.empty((k, x.shape[1]))
     centers[0] = x[int(rng.integers(n))]

@@ -22,6 +22,7 @@ from .errors import ConfigError, NotEnoughClassesError, NoValidTripletError, Sha
 from .losses import TripletSet
 
 SAMPLER_KINDS = ("random", "semihard", "softhard", "distance")
+_WEIGHT_CAP = 1e8  # distance_weights' ceiling, so weights stay finite as d -> 2
 
 
 @dataclass
@@ -37,10 +38,6 @@ class BatchSpec:
                 "batch needs >= 2 classes and >= 2 samples per class, got "
                 f"P={self.classes_per_batch}, M={self.samples_per_class}"
             )
-
-    @property
-    def size(self) -> int:
-        return self.classes_per_batch * self.samples_per_class
 
 
 def sample_batch(dataset: Dataset, spec: BatchSpec, rng: SeededRng):
@@ -81,20 +78,18 @@ def _anchor_rows(dist, labels, anchor_indices):
     return rows, None if dist is None else dist[rows], same[rows], other[rows]
 
 
-def sample_random_triplets(labels, count, rng: SeededRng, anchor_indices=None) -> TripletSet:
+def sample_random_triplets(labels, rng: SeededRng, anchor_indices=None) -> TripletSet:
     """Uniform anchors, uniform same-label positives, uniform other-label negatives.
 
-    `count=None` draws as many triplets as there are eligible anchors; each
-    triplet's anchor is drawn uniformly, with replacement, from those anchors,
-    then its positive and its negative, three scalar draws per triplet.
+    As many triplets as there are eligible anchors; each triplet's anchor is
+    drawn uniformly, with replacement, from those anchors, then its positive
+    and its negative, three scalar draws per triplet.
     """
     rows, _, same, other = _anchor_rows(None, labels, anchor_indices)
     if rows.size == 0:
         raise NoValidTripletError("no anchor has both a positive and a negative")
-    if count is None:
-        count = rows.size
     tables = np.count_nonzero(same, axis=1), np.count_nonzero(other, axis=1)
-    pick, k_pos, k_neg = replay_draws(rng, np.full(count, rows.size), tables)[0].T
+    pick, k_pos, k_neg = replay_draws(rng, np.full(rows.size, rows.size), tables)[0].T
     return TripletSet(rows[pick], _kth_true(same[pick], k_pos), _kth_true(other[pick], k_neg))
 
 
@@ -123,7 +118,7 @@ def sample_semihard_triplets(
     return TripletSet(rows, positives, negatives)
 
 
-def distance_weights(d, embed_dim: int, clip: float = 0.5, cap: float = 1e8):
+def distance_weights(d, embed_dim: int, clip: float = 0.5):
     """Inverse of the hypersphere pairwise-distance density, clipped and capped.
 
     q(d) = d^(n-2) (1 - d^2/4)^((n-3)/2) for n = embed_dim; weights are
@@ -138,7 +133,7 @@ def distance_weights(d, embed_dim: int, clip: float = 0.5, cap: float = 1e8):
             log_q = log_q + ((embed_dim - 3) / 2.0) * np.log(
                 np.maximum(1.0 - 0.25 * d * d, 0.0)
             )
-    return np.exp(np.minimum(-log_q, np.log(cap)))
+    return np.exp(np.minimum(-log_q, np.log(_WEIGHT_CAP)))
 
 
 def sample_distance_weighted(
@@ -196,7 +191,7 @@ def sample_triplets(
 ) -> TripletSet:
     """Strategy dispatch used by the training loop."""
     if kind == "random":
-        return sample_random_triplets(labels, None, rng, anchor_indices)
+        return sample_random_triplets(labels, rng, anchor_indices)
     if kind == "semihard":
         return sample_semihard_triplets(dist, labels, semihard_margin, rng, anchor_indices)
     if kind == "softhard":

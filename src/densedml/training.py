@@ -253,12 +253,6 @@ class ComparisonTable:
     cells: list = field(default_factory=list)
     summaries: list = field(default_factory=list)
 
-    def summary_for(self, variant: str) -> VariantSummary:
-        for s in self.summaries:
-            if s.variant == variant:
-                return s
-        raise KeyError(variant)
-
     def format_table(self) -> str:
         header = f"{'variant':<16} {'seeds':>5} {'R@1':>16} {'NMI':>16} {'F1':>16} {'failed':>6}"
         lines = [header, "-" * len(header)]
@@ -310,8 +304,9 @@ def run_comparison(
 
     Every cell's overrides are applied before the first cell trains, so a
     value that does not parse, an override of the seed or out_dir each cell
-    gets from the comparison, an empty variant or seed list, or a variant
-    name or seed listed twice raises ConfigError with nothing trained.
+    gets from the comparison, an empty variant or seed list, a negative
+    seed, or a variant name or seed listed twice raises ConfigError with
+    nothing trained.
     Failed cells are recorded and skipped in the aggregates; the run
     continues.
     """
@@ -321,6 +316,9 @@ def run_comparison(
         repeats = [item for i, item in enumerate(items) if item in items[:i]]
         if repeats:
             raise ConfigError(f"{what} {repeats[0]!r} is listed twice; each cell needs its own")
+    negative = [seed for seed in seeds if int(seed) < 0]
+    if negative:
+        raise ConfigError(f"seed must be >= 0, got {negative[0]}")
     grid = []
     for name, overrides in variants:
         for key in ("seed", "out_dir"):

@@ -70,15 +70,14 @@ def sample_distance_weighted(dist, labels, rng, embed_dim, clip=0.5, anchor_indi
     return _triplet_set(anchors, positives, negatives)
 
 
-def sample_random_triplets(labels, count, rng, anchor_indices=None):
-    """`count` triplets (one per eligible anchor when None): a uniform anchor
-    from the eligible pool, then a uniform positive and a uniform negative."""
+def sample_random_triplets(labels, rng, anchor_indices=None):
+    """One triplet per eligible anchor: a uniform anchor from the eligible
+    pool, then a uniform positive and a uniform negative."""
     pos_lists, neg_lists = class_views(labels)
     valid = _eligible(pos_lists, neg_lists, anchor_indices)
     if not valid:
         raise NoValidTripletError("no anchor has both a positive and a negative")
-    if count is None:
-        count = len(valid)
+    count = len(valid)
     anchors = np.empty(count, dtype=np.int64)
     positives = np.empty(count, dtype=np.int64)
     negatives = np.empty(count, dtype=np.int64)
@@ -328,9 +327,9 @@ def das_produce(v, label, mask_row, bank: TransformationBank, config: DasConfig,
     out = []
     for _ in range(config.T):
         s = (scaling_factor(mask_row, config.rs, rng)
-             if config.use_scaling else np.ones_like(np.asarray(v, dtype=np.float64)))
+             if config.rs > 0 else np.ones_like(np.asarray(v, dtype=np.float64)))
         b = (shifting_factor(bank, label, config.rb, rng)
-             if config.use_shifting else np.zeros(len(v)))
+             if config.rb > 0 else np.zeros(len(v)))
         try:
             out.append((apply_factors(v, s, b), label))
         except ZeroNormError:
@@ -400,7 +399,7 @@ def recall_rank_count(embeddings, labels, ks):
     cols = np.arange(n)
     block = max(1, core.DISTANCE_BLOCK_BYTES // (8 * n))
     for start in range(0, n, block):
-        d = core._distances_planes(planes[:, start : start + block], planes)
+        d = np.sqrt(core._squared_distances(planes[:, start : start + block], planes))
         d[cols[: len(d)], cols[start : start + len(d)]] = np.inf
         same = labels[start : start + block, None] == labels[None, :]
         d_pos = np.min(d, axis=1, where=same, initial=np.inf)[:, None]

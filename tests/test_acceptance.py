@@ -99,9 +99,9 @@ def test_criterion_1_algebraic_identity(monkeypatch):
         das_cfg = small_run_config(50, 2024)
         das_cfg.das.rs = 0.0
         das_cfg.das.rb = 0.0
-        das_params = train(das_cfg).params.flat()
+        das_params = train(das_cfg).params.theta.copy()
         install_replicated_baseline(monkeypatch)
-        diff = np.abs(das_params - train(das_cfg).params.flat())
+        diff = np.abs(das_params - train(das_cfg).params.theta.copy())
         assert diff.max() < 1e-9
 
 
@@ -244,7 +244,7 @@ def _loss_instance(which, r):
         pairs = build_pairs(labels)
         fn = lambda e: contrastive_loss(e, pairs, 0.5)
     elif which == "triplet":
-        trip = sample_random_triplets(labels, 6, r)
+        trip = sample_random_triplets(labels, r)
         fn = lambda e: triplet_loss(e, trip, 0.2)
     elif which == "margin":
         pairs = build_pairs(labels)
@@ -282,7 +282,7 @@ def test_criterion_3_gradient_suite():
                 emb, _ = encode(params.with_flat(theta), x)
                 return float(np.sum(upstream * emb))
 
-            err = max_rel_error(analytic, finite_difference(probe, params.flat()))
+            err = max_rel_error(analytic, finite_difference(probe, params.theta.copy()))
             assert err < 1e-4, f"encoder trial {trial}: rel err {err:.2e}"
 
         # full composition: encode -> produce (frozen factors) -> loss -> backward
@@ -297,7 +297,7 @@ def test_criterion_3_gradient_suite():
             scales = 1.0 + 0.3 * r.normal(size=(3 * t, 2))
             shifts = 0.2 * r.normal(size=(3 * t, 2))
             cat_labels = np.concatenate([labels, np.repeat(labels, t)])
-            trip = sample_random_triplets(cat_labels, 6, r)
+            trip = sample_random_triplets(cat_labels, r)
             pairs = build_pairs(cat_labels)
             which = losses[trial % 4]
             spec = LossSpec(kind="ms")
@@ -325,7 +325,7 @@ def test_criterion_3_gradient_suite():
             grad_real = out.grad[:3].copy()
             grad_real += produced_backward(produced, out.grad[3:], 3, 2)
             analytic = backward(params, tape, grad_real)
-            err = max_rel_error(analytic, finite_difference(full, params.flat()))
+            err = max_rel_error(analytic, finite_difference(full, params.theta.copy()))
             assert err < 1e-4, f"composition trial {trial} ({which}): rel err {err:.2e}"
 
 
@@ -398,8 +398,8 @@ def test_criterion_5_directional_ablation(tmp_path):
         ]
         for s in table.summaries:
             assert s.n_ok == 5 and s.n_failed == 0
-        baseline = table.summary_for("baseline").recall1_mean
-        full = table.summary_for("both").recall1_mean
+        summary = {s.variant: s for s in table.summaries}
+        baseline, full = summary["baseline"].recall1_mean, summary["both"].recall1_mean
         assert full >= baseline - 0.005, (
             f"full production R@1 {full:.4f} vs baseline {baseline:.4f}"
         )

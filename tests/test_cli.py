@@ -249,6 +249,24 @@ class TestPreflight:
         assert "batch.classes_per_batch=5" in capsys.readouterr().err
 
 
+class TestNegativeSeed:
+    """A negative run seed exits 2 naming `seed`, before any step runs or any
+    file is written (numpy's SeedSequence would raise ValueError on it)."""
+
+    @pytest.mark.parametrize("args", [
+        ("train", "--seed", "-1"),
+        ("evaluate", "--seed", "-1", "--checkpoint", "missing.json"),
+        ("generate-data", "--seed", "-1", "--out", "data.csv"),
+        ("compare", "--seeds=-1"),
+    ], ids=["train", "evaluate", "generate-data", "compare"])
+    def test_exit_2_naming_seed(self, tmp_path, capsys, monkeypatch, args):
+        monkeypatch.setattr(training, "sample_batch", lambda *a, **kw: pytest.fail("a step ran"))
+        monkeypatch.chdir(tmp_path)
+        assert run_cli(*args, *BASE_OVERRIDES) == 2
+        assert "config error: seed must be >= 0, got -1" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
+
 class TestIntegerLists:
     """Integer lists from a config file, --seeds and eval_ks fail with exit 2."""
 

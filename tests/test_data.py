@@ -24,6 +24,13 @@ class TestGenerator:
         with pytest.raises(ConfigError):
             generate_gaussian_clusters(4, 10, 8, 1.0, 0.0, SeededRng(0))
 
+    @pytest.mark.parametrize("scale", [-1.0, 2.0**1023, np.finfo(np.float64).max])
+    def test_center_scale_without_a_finite_range_rejected(self, scale):
+        # numpy's uniform raised ValueError or OverflowError on these
+        with pytest.raises(ConfigError, match="center_scale"):
+            generate_gaussian_clusters(4, 10, 8, scale, 0.5, SeededRng(0))
+        generate_gaussian_clusters(4, 10, 8, np.nextafter(2.0**1023, 0), 0.5, SeededRng(0))
+
     @pytest.mark.parametrize("c,p,d", [(1, 10, 8), (4, 1, 8), (4, 10, 1)])
     def test_degenerate_sizes_rejected(self, c, p, d):
         with pytest.raises(ConfigError):

@@ -84,7 +84,7 @@ class TestBackward:
         analytic = backward(params, tape, upstream)
         numeric = finite_difference(
             lambda th: loss_through_encoder(params.with_flat(th), x, upstream),
-            params.flat(),
+            params.theta.copy(),
         )
         assert max_rel_error(analytic, numeric) < 1e-4
 
@@ -134,7 +134,7 @@ class TestBackward:
             e, _ = encode(params.with_flat(theta), x)
             return loss_of(e).value
 
-        numeric = finite_difference(probe, params.flat())
+        numeric = finite_difference(probe, params.theta.copy())
         assert max_rel_error(analytic, numeric) < 1e-4
 
     def test_hundred_random_instances(self):
@@ -149,7 +149,7 @@ class TestBackward:
             analytic = backward(params, tape, upstream)
             numeric = finite_difference(
                 lambda th: loss_through_encoder(params.with_flat(th), x, upstream),
-                params.flat(),
+                params.theta.copy(),
             )
             if max_rel_error(analytic, numeric) >= 1e-4:
                 failures += 1
@@ -173,15 +173,15 @@ class TestParams:
     )
     def test_stepping_a_copy_leaves_the_original(self, rng, clone):
         params = init_params([3, 4, 2], "relu", rng)
-        original = params.flat()
+        original = params.theta.copy()
         twin = clone(params)
-        before = twin.flat()
+        before = twin.theta.copy()
         optimizer_step(twin, np.ones_like(twin.theta), OptimizerState(rule="sgd", lr=0.1))
         for l in range(2):
             assert np.all(twin.weights[l] != params.weights[l])
             assert np.all(twin.biases[l] != params.biases[l])
-        np.testing.assert_array_equal(twin.flat(), before - 0.1)
-        assert params.flat().tobytes() == original.tobytes()
+        np.testing.assert_array_equal(twin.theta.copy(), before - 0.1)
+        assert params.theta.copy().tobytes() == original.tobytes()
 
 
 class TestOptimizer:
@@ -193,10 +193,10 @@ class TestOptimizer:
 
     def test_zero_gradient_keeps_params(self, rng):
         params = init_params([3, 2], "relu", rng)
-        before = params.flat()
+        before = params.theta.copy()
         state = OptimizerState(rule="sgd", lr=0.1)
         optimizer_step(params, np.zeros(8), state)
-        np.testing.assert_array_equal(params.flat(), before)
+        np.testing.assert_array_equal(params.theta.copy(), before)
         assert state.step_count == 1
 
     def test_adam_first_step_magnitude(self):
@@ -247,7 +247,7 @@ class TestOptimizer:
         for warm in (False, True):
             if warm:
                 optimizer_step(params, rng.normal(size=n), state)
-            theta, slots, count = params.flat(), copy.deepcopy(state.slots), state.step_count
+            theta, slots, count = params.theta.copy(), copy.deepcopy(state.slots), state.step_count
             for grad in (np.zeros(n - 1), np.zeros(n + 1), np.zeros((1, n))):
                 with pytest.raises(ShapeMismatchError):
                     optimizer_step(params, grad, state)
@@ -264,7 +264,7 @@ class TestOptimizer:
 
     def test_drifted_slot_rejected_before_update(self, rng):
         params = init_params([3, 2], "relu", rng)
-        theta = params.flat()
+        theta = params.theta.copy()
         state = OptimizerState(rule="adam", slots={"m": np.zeros(3)})
         with pytest.raises(ShapeMismatchError):
             optimizer_step(params, np.ones_like(theta), state)
@@ -280,7 +280,7 @@ class TestCheckpoint:
         path = tmp_path / "ckpt.json"
         save_checkpoint(path, params, state, seed=42)
         loaded, loaded_state, seed = load_checkpoint(path)
-        np.testing.assert_array_equal(loaded.flat(), params.flat())
+        np.testing.assert_array_equal(loaded.theta.copy(), params.theta.copy())
         assert loaded.activation == "relu"
         assert loaded_state.step_count == 1
         assert seed == 42
@@ -411,7 +411,7 @@ class TestCheckpoint:
         params = init_params([4, 3], "relu", rng)
         path = tmp_path / "ckpt.json"
         save_checkpoint(path, params, OptimizerState(), seed=7)
-        before, saved = path.read_bytes(), params.flat()
+        before, saved = path.read_bytes(), params.theta.copy()
 
         def torn_dump(doc, fh):
             fh.write('{"version": ')
@@ -426,4 +426,4 @@ class TestCheckpoint:
         assert [p.name for p in tmp_path.iterdir()] == ["ckpt.json"]
         loaded, _, seed = load_checkpoint(path)
         assert seed == 7
-        np.testing.assert_array_equal(loaded.flat(), saved)
+        np.testing.assert_array_equal(loaded.theta.copy(), saved)

@@ -1,0 +1,143 @@
+"""Fuzzed user input: config documents through `train`, and mutated
+checkpoints through `evaluate_checkpoint`.
+
+Only `EngineError` subclasses may escape, because those are what the CLI
+turns into exit codes 2 and 3.  The examples are derandomized and counted,
+so every run tries the same inputs.  Values stay small where they size an
+array, so no example asks for more than a few MB.
+"""
+
+import copy
+import json
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from densedml.config import RunConfig, config_from_dict, config_to_dict
+from densedml.core import SeededRng
+from densedml.encoder import (
+    ACTIVATIONS,
+    OPTIMIZER_RULES,
+    OptimizerState,
+    init_params,
+    optimizer_step,
+    save_checkpoint,
+)
+from densedml.errors import EngineError
+from densedml.losses import LOSS_KINDS
+from densedml.sampling import SAMPLER_KINDS
+from densedml.training import build_dataset, evaluate_checkpoint, train
+
+# 4 classes of 6 points in 5 dimensions, split 2/2: a 3-step run takes a few ms
+SMALL = {
+    "steps": 3, "eval_ks": [1],
+    "data": {"classes": 4, "per_class": 6, "input_dim": 5},
+    "encoder": {"hidden": [8], "embed_dim": 4},
+    "batch": {"classes_per_batch": 2},
+}
+
+# any key may get a value of the wrong type; the wrong types have tests of
+# their own, so two cover them here
+WRONG = [None, "x"]
+# by the type of the key's default value
+EDGES = {
+    bool: [True, False, "yes", 0],
+    int: [-1, 0, 1, 2, 3, 9, 2.0],
+    float: [-1.0, 0.0, 5e-324, 1e-8, 0.5, 0.999, 1.0, 2.0, 1e300, -1e300, 1.7e308],
+    type(None): [0.5, -1.0],
+    list: [[0], [1], [1, 2], [9, 9], [1.5]],
+    str: [*SAMPLER_KINDS, *LOSS_KINDS, *ACTIVATIONS, *OPTIMIZER_RULES, ""],
+}
+SPECIAL = {"seed": [-1, 0, 7, 2**40], "steps": [-1, 0, 1, 3]}  # steps stay at most 3
+
+
+def _leaf_keys():
+    """Every dotted config key but `out_dir` and `data.path`, which name
+    files (an OSError there is the CLI's exit 3, not an EngineError)."""
+    keys = {}
+    for name, value in config_to_dict(RunConfig()).items():
+        for sub, default in (value.items() if isinstance(value, dict) else [(None, value)]):
+            keys[f"{name}.{sub}" if sub else name] = default
+    return {k: v for k, v in keys.items() if k not in ("out_dir", "data.path")}
+
+
+KEYS = _leaf_keys()
+
+
+def _values(key):
+    edges = SPECIAL.get(key) or EDGES[type(KEYS[key])]
+    return st.sampled_from(edges + ([] if key == "steps" else WRONG))
+
+
+config_items = st.lists(st.sampled_from(sorted(KEYS)).flatmap(
+    lambda key: st.tuples(st.just(key), _values(key))), max_size=6)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # overflow on 1e300 inputs is expected
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(config_items)
+def test_config_document_through_train(items):
+    doc = copy.deepcopy(SMALL)
+    for key, value in items:
+        section, _, name = key.rpartition(".")
+        (doc.setdefault(section, {}) if section else doc)[name] = value
+    try:
+        train(config_from_dict(doc))
+    except EngineError:
+        pass
+
+
+@pytest.fixture(scope="module")
+def saved(tmp_path_factory):
+    """A checkpoint's JSON document, with both Adam slots, and the dataset it
+    evaluates on."""
+    cfg = config_from_dict(SMALL)
+    dataset = build_dataset(cfg, SeededRng(cfg.seed).derive("data"))
+    params = init_params([5, 8, 4], "relu", SeededRng(1))
+    state = OptimizerState("adam", 1e-3)
+    optimizer_step(params, np.ones_like(params.theta), state)
+    path = tmp_path_factory.mktemp("checkpoint") / "checkpoint.json"
+    save_checkpoint(path, params, state, seed=3)
+    return json.loads(path.read_text()), dataset, path
+
+
+PATHS = [("version",), ("layer_sizes",), ("layer_sizes", 0), ("layer_sizes", 2),
+         ("activation",), ("params",), ("params", 0), ("params", -1), ("seed",), ("step",),
+         ("optimizer",), ("optimizer", "slots"), ("optimizer", "slots", "m"),
+         ("optimizer", "slots", "v", 3)] + [
+            ("optimizer", name) for name in ("rule", "lr", "momentum", "beta1", "beta2", "eps",
+                                             "step_count")]
+VALUES = [None, True, False, -1, 0, 1, 2, 2.5, 1e300, -1e300, float("nan"), float("inf"),
+          "x", "relu", "sgd", [], [0], [5], [5, 8, 4], [5, 8, 3], [1.0] * 3, {}, {"m": []}]
+mutations = st.lists(st.one_of(
+    st.tuples(st.just("set"), st.sampled_from(PATHS), st.sampled_from(VALUES)),
+    st.tuples(st.just("delete"), st.sampled_from(PATHS)),
+), min_size=1, max_size=3)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(mutations, st.none() | st.integers(min_value=0, max_value=400))
+def test_checkpoint_mutation_through_evaluate(saved, edits, cut):
+    """Set or delete up to three entries, then maybe cut the file short."""
+    doc, dataset, path = saved
+    doc = copy.deepcopy(doc)
+    for op, where, *value in edits:
+        try:
+            parent = doc
+            for step in where[:-1]:
+                parent = parent[step]
+            if op == "set":
+                parent[where[-1]] = copy.deepcopy(value[0])  # never edit a VALUES entry
+            else:
+                del parent[where[-1]]
+        except (KeyError, IndexError, TypeError):
+            pass  # an earlier edit removed or replaced the entry's parent
+    text = json.dumps(doc)
+    path.write_text(text if cut is None else text[:cut])
+    try:
+        evaluate_checkpoint(path, dataset, [1])
+    except EngineError:
+        pass

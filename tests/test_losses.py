@@ -258,6 +258,15 @@ class TestDistanceMatrixOracle:
         with pytest.raises(ShapeMismatchError, match="distance matrix"):
             margin_loss(emb, trip.to_pairs(), 0.2, 1.2, np.zeros((5, 4)))
 
+    def test_non_finite_rows_without_a_matrix_raise(self):
+        # the kernel's own distances go through pairwise_distances' checks
+        emb, trip = self.batch(0, 5, 3, duplicates=False)
+        emb[2, 1] = np.nan
+        with pytest.raises(ShapeMismatchError, match="non-finite"):
+            triplet_loss(emb, trip, 0.2)
+        with pytest.raises(ShapeMismatchError, match="non-finite"):
+            contrastive_loss(emb, trip.to_pairs(), 0.2)
+
 
 class TestMultiSimilarity:
     def spec(self):

@@ -64,7 +64,7 @@ class TestSampleBatch:
 class TestRandomTriplets:
     def test_constraints_hold(self):
         labels = np.array([0, 0, 1, 1])
-        trip = sample_random_triplets(labels, 4, SeededRng(0))
+        trip = sample_random_triplets(labels, SeededRng(0))
         assert len(trip) == 4
         for a, p, n in zip(trip.anchors, trip.positives, trip.negatives):
             assert labels[a] == labels[p] and a != p
@@ -72,12 +72,12 @@ class TestRandomTriplets:
 
     def test_no_valid_triplet(self):
         with pytest.raises(NoValidTripletError):
-            sample_random_triplets(np.array([0, 1]), 2, SeededRng(0))
+            sample_random_triplets(np.array([0, 1]), SeededRng(0))
 
     def test_seeded_determinism(self):
         labels = np.array([0, 0, 1, 1, 2])
-        a = sample_random_triplets(labels, 6, SeededRng(42))
-        b = sample_random_triplets(labels, 6, SeededRng(42))
+        a = sample_random_triplets(labels, SeededRng(42))
+        b = sample_random_triplets(labels, SeededRng(42))
         np.testing.assert_array_equal(a.anchors, b.anchors)
         np.testing.assert_array_equal(a.positives, b.positives)
         np.testing.assert_array_equal(a.negatives, b.negatives)
@@ -276,17 +276,17 @@ class TestMaskSamplersOracle:
     assert_same = staticmethod(TestDistanceWeightedOracle.assert_same)
 
     @settings(max_examples=150, deadline=None)
-    @given(sampler_inputs(), st.none() | st.integers(min_value=0, max_value=12))
-    def test_random(self, inputs, count):
+    @given(sampler_inputs())
+    def test_random(self, inputs):
         labels, _, anchors, seed = inputs
         rng_got, rng_want = SeededRng(seed), SeededRng(seed)
         try:
-            want = oracles.sample_random_triplets(labels, count, rng_want, anchors)
+            want = oracles.sample_random_triplets(labels, rng_want, anchors)
         except NoValidTripletError:
             with pytest.raises(NoValidTripletError):
-                sample_random_triplets(labels, count, rng_got, anchors)
+                sample_random_triplets(labels, rng_got, anchors)
         else:
-            self.assert_same(sample_random_triplets(labels, count, rng_got, anchors), want)
+            self.assert_same(sample_random_triplets(labels, rng_got, anchors), want)
         assert_same_stream(rng_got, rng_want)
 
     @pytest.mark.parametrize("labels,anchors", [
@@ -296,9 +296,8 @@ class TestMaskSamplersOracle:
     ])
     def test_random_small_pools(self, labels, anchors):
         rng_got, rng_want = SeededRng(11), SeededRng(11)
-        got = sample_random_triplets(np.array(labels), 12, rng_got, anchors)
-        self.assert_same(got, oracles.sample_random_triplets(np.array(labels), 12, rng_want,
-                                                             anchors))
+        got = sample_random_triplets(np.array(labels), rng_got, anchors)
+        self.assert_same(got, oracles.sample_random_triplets(np.array(labels), rng_want, anchors))
         assert_same_stream(rng_got, rng_want)
 
     @settings(max_examples=150, deadline=None)
@@ -419,7 +418,8 @@ class TestDispatchAndInvariants:
         labels = np.array([0, 0, 1, 1, 2])
         got = sample_triplets("random", None, labels, SeededRng(8), embed_dim=3,
                               anchor_indices=[4, 0, 2, 0])
-        want = sample_random_triplets(labels, 3, SeededRng(8), anchor_indices=[4, 0, 2, 0])
+        want = oracles.sample_random_triplets(labels, SeededRng(8), anchor_indices=[4, 0, 2, 0])
+        assert len(got) == 3
         np.testing.assert_array_equal(got.anchors, want.anchors)
         np.testing.assert_array_equal(got.positives, want.positives)
         np.testing.assert_array_equal(got.negatives, want.negatives)

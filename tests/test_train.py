@@ -58,7 +58,7 @@ class TestTrainLoop:
     def test_produced_counts(self):
         cfg = tiny_config()
         res = train(cfg)
-        batch = cfg.batch.size
+        batch = cfg.batch.classes_per_batch * cfg.batch.samples_per_class
         for rec in step_records(res):
             assert rec["produced"] + rec["dropped"] == batch * cfg.das.T
 
@@ -70,13 +70,13 @@ class TestTrainLoop:
         off.das.enabled = False
         a, b = train(on), train(off)
         assert a.log_lines == b.log_lines
-        assert a.params.flat().tobytes() == b.params.flat().tobytes()
+        assert a.params.theta.copy().tobytes() == b.params.theta.copy().tobytes()
 
     def test_byte_identical_reruns(self):
         a = train(tiny_config(steps=25))
         b = train(tiny_config(steps=25))
         assert a.log_lines == b.log_lines
-        np.testing.assert_array_equal(a.params.flat(), b.params.flat())
+        np.testing.assert_array_equal(a.params.theta.copy(), b.params.theta.copy())
 
     def test_seed_changes_log(self):
         a = train(tiny_config(seed=1))
@@ -132,7 +132,7 @@ class TestTrainLoop:
         a = train(das_cfg)
         install_replicated_baseline(monkeypatch)
         b = train(das_cfg)
-        assert np.max(np.abs(a.params.flat() - b.params.flat())) < 1e-9
+        assert np.max(np.abs(a.params.theta.copy() - b.params.theta.copy())) < 1e-9
 
     def test_nonfinite_loss_aborts(self, monkeypatch):
         import densedml.training as train_mod
@@ -207,7 +207,7 @@ class TestTrainLoop:
         assert [json.dumps(r) for r in rest] == [
             json.dumps(r) for r in step_records(straight)[k:]
         ]
-        assert state.params.flat().tobytes() == straight.params.flat().tobytes()
+        assert state.params.theta.copy().tobytes() == straight.params.theta.copy().tobytes()
         assert report.to_json_dict() == straight.final_report.to_json_dict()
         assert state.margin_beta == straight.margin_beta
         if loss_kind == "margin":
@@ -290,7 +290,7 @@ class TestComparison:
         table = run_comparison(base, [("only", {})], seeds=[0, 1, 2])
         cells = [c for c in table.cells if c.status == "ok"]
         expected = np.mean([c.recall1 for c in cells])
-        assert table.summary_for("only").recall1_mean == pytest.approx(expected)
+        assert table.summaries[0].recall1_mean == pytest.approx(expected)
 
     def test_failed_cell_marked_and_run_continues(self):
         base = tiny_config(steps=4)
@@ -299,8 +299,9 @@ class TestComparison:
             ("good", {}),
         ]
         table = run_comparison(base, variants, seeds=[0])
-        assert table.summary_for("bad").n_failed == 1
-        assert table.summary_for("good").n_ok == 1
+        bad, good = table.summaries
+        assert (bad.variant, bad.n_failed) == ("bad", 1)
+        assert (good.variant, good.n_ok) == ("good", 1)
         failed = [c for c in table.cells if c.status == "failed"]
         assert failed and failed[0].error
 
