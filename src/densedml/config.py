@@ -97,6 +97,8 @@ class RunConfig:
     def validate(self) -> "RunConfig":
         if self.seed < 0:
             raise ConfigError(f"seed must be >= 0, got {self.seed}")
+        if self.data.seed < -1:
+            raise ConfigError(f"data.seed must be -1 or >= 0, got {self.data.seed}")
         if self.steps < 1:
             raise ConfigError("steps must be >= 1")
         if self.eval_every < 0:

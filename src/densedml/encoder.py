@@ -11,7 +11,7 @@ layout, the optimizer's accumulators share it, and the checkpoint stores it.
 
 from __future__ import annotations
 
-import copy
+import itertools
 import json
 import math
 import os
@@ -27,29 +27,35 @@ CHECKPOINT_VERSION = 2
 
 
 class EncoderParams:
-    """Per-layer weights (in x out) and biases, packed into one float64 vector
-    `theta`, plus the activation tag.
+    """An MLP's per-layer weights (in x out) and biases, packed into one
+    float64 vector `theta`, plus the activation tag.
 
-    `weights` and `biases` are shaped views of `theta`, built on each access,
-    so a copy (`copy.deepcopy`, pickle) never detaches them from its vector.
+    `theta`'s layout follows from `layer_sizes`: every weight matrix layer by
+    layer, then every bias.  The constructor is the one place an MLP's shape
+    and values are checked.  `weights` and `biases` are shaped views of
+    `theta`, built on each access, so a copy (`copy.deepcopy`, pickle) never
+    detaches them from its vector.
     """
 
-    def __init__(self, weights, biases, activation: str = "relu"):
+    def __init__(self, layer_sizes, activation: str, theta):
+        sizes = layer_sizes
+        if not (isinstance(sizes, (list, tuple)) and len(sizes) >= 2
+                and all(type(v) is int and v > 0 for v in sizes)):
+            raise ShapeMismatchError(f"layer_sizes must list at least two positive "
+                                     f"integers, got {sizes!r}")
         if activation not in ACTIVATIONS:
             raise ShapeMismatchError(f"unknown activation {activation!r}")
-        if len(weights) != len(biases):
-            raise ShapeMismatchError(f"{len(weights)} weight layers vs {len(biases)} biases")
-        for i, (w, b) in enumerate(zip(weights, biases)):
-            if w.shape[1] != b.shape[0]:
-                raise ShapeMismatchError(f"layer {i}: W {w.shape} vs b {b.shape}")
-            if i > 0 and weights[i - 1].shape[1] != w.shape[0]:
-                raise ShapeMismatchError(f"layer {i} input dim breaks the chain")
         self.activation = activation
-        self.layer_sizes = (weights[0].shape[0], *(w.shape[1] for w in weights))
-        shapes = [w.shape for w in weights] + [b.shape for b in biases]
-        stops = np.cumsum([np.prod(shape) for shape in shapes]).tolist()
-        self._layout = tuple(zip([0] + stops[:-1], stops, shapes))
-        self.theta = np.concatenate([np.ravel(a) for a in [*weights, *biases]], dtype=np.float64)
+        self.layer_sizes = tuple(sizes)
+        shapes = [*zip(sizes[:-1], sizes[1:]), *((n,) for n in sizes[1:])]
+        stops = list(itertools.accumulate(math.prod(shape) for shape in shapes))
+        self._layout = tuple(zip([0, *stops[:-1]], stops, shapes))
+        self.theta = np.array(theta, dtype=np.float64)
+        if self.theta.shape != (stops[-1],):
+            raise ShapeMismatchError(f"theta {self.theta.shape} != ({stops[-1]},) for "
+                                     f"layer sizes {sizes}")
+        if not np.isfinite(self.theta).all():
+            raise ShapeMismatchError("theta holds non-finite values")
 
     def split(self, vec) -> tuple[list, list]:
         """(weights, biases): shaped views of `vec`, a vector in `theta`'s layout."""
@@ -68,23 +74,15 @@ class EncoderParams:
     def input_dim(self) -> int:
         return self.layer_sizes[0]
 
-    def with_flat(self, theta) -> "EncoderParams":
-        """A copy of these parameters holding `theta` instead."""
-        out = copy.copy(self)
-        out.theta = np.array(theta, dtype=np.float64)
-        if out.theta.shape != self.theta.shape:
-            raise ShapeMismatchError(f"flat vector {out.theta.shape} != {self.theta.shape}")
-        return out
-
 
 def init_params(layer_sizes, activation: str, rng: SeededRng) -> EncoderParams:
     """Glorot-uniform weights, zero biases; deterministic given the rng."""
-    weights, biases = [], []
+    weights = []
     for d_in, d_out in zip(layer_sizes[:-1], layer_sizes[1:]):
         bound = np.sqrt(6.0 / (d_in + d_out))
-        weights.append(rng.uniform(-bound, bound, size=(d_in, d_out)))
-        biases.append(np.zeros(d_out))
-    return EncoderParams(weights, biases, activation)
+        weights.append(rng.uniform(-bound, bound, size=d_in * d_out))
+    biases = np.zeros(sum(layer_sizes[1:]))
+    return EncoderParams(layer_sizes, activation, np.concatenate([*weights, biases]))
 
 
 def _act(z, tag):
@@ -245,19 +243,10 @@ def load_checkpoint(path) -> tuple[EncoderParams, OptimizerState, int]:
             doc = json.load(fh)
         if doc["version"] != CHECKPOINT_VERSION:
             raise CorruptCheckpointError(f"unsupported checkpoint version {doc['version']}")
-        sizes = doc["layer_sizes"]
-        if not (isinstance(sizes, list) and len(sizes) >= 2
-                and all(type(v) is int and v > 0 for v in sizes)):
-            raise CorruptCheckpointError(f"layer_sizes must list at least two positive "
-                                         f"integers, got {sizes!r}")
         seed = doc["seed"]
         if type(seed) is not int or seed < 0:  # a bool is not a seed
             raise CorruptCheckpointError(f"seed must be an integer >= 0, got {seed!r}")
-        params = EncoderParams(
-            [np.zeros((a, b)) for a, b in zip(sizes[:-1], sizes[1:])],
-            [np.zeros(b) for b in sizes[1:]],
-            doc["activation"],
-        ).with_flat(doc["params"])
+        params = EncoderParams(doc["layer_sizes"], doc["activation"], doc["params"])
         opt = doc["optimizer"]
         state = OptimizerState(**{f.name: opt[f.name] for f in fields(OptimizerState)})
         if state.rule not in OPTIMIZER_RULES:
@@ -281,5 +270,6 @@ def load_checkpoint(path) -> tuple[EncoderParams, OptimizerState, int]:
         return params, state, seed
     except CorruptCheckpointError:
         raise
-    except (OSError, ValueError, KeyError, TypeError, AttributeError, ShapeMismatchError) as exc:
+    except (OSError, ValueError, OverflowError, KeyError, TypeError, AttributeError,
+            ShapeMismatchError) as exc:
         raise CorruptCheckpointError(f"{path}: {exc}") from exc

@@ -111,7 +111,7 @@ def step(state: TrainResult, cfg: RunConfig, emit) -> dict:
     n_real, d_embed = emb.shape
 
     produced = None
-    if cfg.das.enabled:
+    if cfg.das.enabled and cfg.das.T > 0:
         produced = produce(emb, y, state.recorder, state.bank, cfg.das, state.das, emit)
         cat_emb = np.vstack([emb, produced.embeddings])
         cat_labels = np.concatenate([y, produced.labels])

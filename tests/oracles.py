@@ -472,7 +472,12 @@ def top_k_indices(v, k):
 
 def identity_params(dim):
     """Single identity linear layer; encode() then reduces to l2 normalization."""
-    return EncoderParams([np.eye(dim)], [np.zeros(dim)], "identity")
+    return EncoderParams([dim, dim], "identity", np.append(np.eye(dim), np.zeros(dim)))
+
+
+def with_theta(params, theta):
+    """A record with `params`' sizes and activation holding `theta` instead."""
+    return EncoderParams(params.layer_sizes, params.activation, theta)
 
 
 def build_pairs(labels):

@@ -42,7 +42,7 @@ from densedml.sampling import sample_distance_weighted, sample_random_triplets
 from densedml.training import ablation_variants, run_comparison, sweep_variants, train
 
 from conftest import finite_difference, max_rel_error, random_unit_rows
-from oracles import build_pairs, das_produce, install_replicated_baseline
+from oracles import build_pairs, das_produce, install_replicated_baseline, with_theta
 
 
 @contextmanager
@@ -279,7 +279,7 @@ def test_criterion_3_gradient_suite():
             analytic = backward(params, tape, upstream)
 
             def probe(theta):
-                emb, _ = encode(params.with_flat(theta), x)
+                emb, _ = encode(with_theta(params, theta), x)
                 return float(np.sum(upstream * emb))
 
             err = max_rel_error(analytic, finite_difference(probe, params.theta.copy()))
@@ -312,7 +312,7 @@ def test_criterion_3_gradient_suite():
                 return multi_similarity_loss(cat, cat_labels, spec)
 
             def full(theta):
-                emb, _ = encode(params.with_flat(theta), x)
+                emb, _ = encode(with_theta(params, theta), x)
                 produced = combine_factors(emb, labels, rows, scales, shifts)
                 assert produced.dropped == 0
                 cat = np.vstack([emb, produced.embeddings])

@@ -266,6 +266,16 @@ class TestNegativeSeed:
         assert "config error: seed must be >= 0, got -1" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize("command", [("train",), ("generate-data", "--out", "data.csv")],
+                             ids=["train", "generate-data"])
+    def test_data_seed_below_minus_one_exit_2(self, tmp_path, capsys, monkeypatch, command):
+        # -1 follows the run seed; any other negative value is a typo, not a seed
+        monkeypatch.setattr(training, "sample_batch", lambda *a, **kw: pytest.fail("a step ran"))
+        monkeypatch.chdir(tmp_path)
+        assert run_cli(*command, *BASE_OVERRIDES, "--set", "data.seed=-5") == 2
+        assert "config error: data.seed must be -1 or >= 0, got -5" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
 
 class TestIntegerLists:
     """Integer lists from a config file, --seeds and eval_ks fail with exit 2."""
@@ -391,6 +401,19 @@ class TestEvaluate:
                        "--checkpoint", str(path))
         assert code == 3
         assert "layer_sizes must list at least two positive integers" in capsys.readouterr().err
+
+    def test_non_finite_params_exit_3(self, tmp_path, capsys):
+        out_dir = tmp_path / "run"
+        assert run_cli("train", "--out-dir", str(out_dir), *BASE_OVERRIDES) == 0
+        path = out_dir / "checkpoint.json"
+        doc = json.loads(path.read_text())
+        doc["params"][3] = float("nan")
+        path.write_text(json.dumps(doc))
+        capsys.readouterr()
+        code = run_cli("evaluate", "--config", str(out_dir / "config.json"),
+                       "--checkpoint", str(path))
+        assert code == 3
+        assert f"{path}: theta holds non-finite values" in capsys.readouterr().err
 
     def test_missing_checkpoint_exit_3(self, tmp_path):
         assert run_cli("evaluate", "--checkpoint", str(tmp_path / "no.json")) == 3

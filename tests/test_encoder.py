@@ -26,7 +26,7 @@ from densedml.errors import (
 )
 
 from conftest import finite_difference, max_rel_error
-from oracles import build_pairs, identity_params
+from oracles import build_pairs, identity_params, with_theta
 
 
 def loss_through_encoder(params, x, upstream):
@@ -60,7 +60,7 @@ class TestForward:
         np.testing.assert_array_equal(a, b)
 
     def test_zero_norm_output_raises(self):
-        params = EncoderParams([np.zeros((2, 2))], [np.zeros(2)], "identity")
+        params = EncoderParams([2, 2], "identity", np.zeros(6))
         with pytest.raises(ZeroNormError):
             encode(params, [[1.0, 2.0]])
 
@@ -83,7 +83,7 @@ class TestBackward:
         emb, tape = encode(params, x)
         analytic = backward(params, tape, upstream)
         numeric = finite_difference(
-            lambda th: loss_through_encoder(params.with_flat(th), x, upstream),
+            lambda th: loss_through_encoder(with_theta(params, th), x, upstream),
             params.theta.copy(),
         )
         assert max_rel_error(analytic, numeric) < 1e-4
@@ -131,7 +131,7 @@ class TestBackward:
         analytic = backward(params, tape, out.grad)
 
         def probe(theta):
-            e, _ = encode(params.with_flat(theta), x)
+            e, _ = encode(with_theta(params, theta), x)
             return loss_of(e).value
 
         numeric = finite_difference(probe, params.theta.copy())
@@ -148,7 +148,7 @@ class TestBackward:
             _, tape = encode(params, x)
             analytic = backward(params, tape, upstream)
             numeric = finite_difference(
-                lambda th: loss_through_encoder(params.with_flat(th), x, upstream),
+                lambda th: loss_through_encoder(with_theta(params, th), x, upstream),
                 params.theta.copy(),
             )
             if max_rel_error(analytic, numeric) >= 1e-4:
@@ -184,9 +184,42 @@ class TestParams:
         assert params.theta.copy().tobytes() == original.tobytes()
 
 
+    def test_init_params_draws_each_layer_in_row_major_order(self):
+        params = init_params([3, 4, 2], "tanh", SeededRng(11))
+        r = SeededRng(11)
+        for w, (d_in, d_out) in zip(params.weights, [(3, 4), (4, 2)]):
+            bound = np.sqrt(6.0 / (d_in + d_out))
+            assert w.tobytes() == r.uniform(-bound, bound, size=(d_in, d_out)).tobytes()
+        assert not params.theta[20:].any() and params.layer_sizes == (3, 4, 2)
+
+    @pytest.mark.parametrize(
+        "sizes, activation, theta, message",
+        [([3], "relu", np.zeros(3), "layer_sizes must list"),
+         ([3, 0], "relu", np.zeros(0), "layer_sizes must list"),
+         ([3, 2.0], "relu", np.zeros(8), "layer_sizes must list"),
+         ((3, True), "relu", np.zeros(6), "layer_sizes must list"),
+         ("32", "relu", np.zeros(8), "layer_sizes must list"),
+         ([3, 2], "gelu", np.zeros(8), "unknown activation"),
+         ([3, 2], "relu", np.zeros(7), r"theta \(7,\) != \(8,\)"),
+         ([3, 2], "relu", np.zeros((2, 4)), r"theta \(2, 4\) != \(8,\)"),
+         ([3, 2], "relu", [0.0] * 7 + [np.inf], "non-finite"),
+         ([3, 2], "relu", [np.nan] + [0.0] * 7, "non-finite"),
+         ([3, 2], "relu", [None] + [0.0] * 7, "non-finite")],
+    )
+    def test_constructor_rejects(self, sizes, activation, theta, message):
+        with pytest.raises(ShapeMismatchError, match=message):
+            EncoderParams(sizes, activation, theta)
+
+    def test_constructor_copies_theta(self):
+        theta = np.arange(8.0)
+        params = EncoderParams([3, 2], "identity", theta)
+        theta[0] = 5.0
+        assert params.theta[0] == 0.0 and params.weights[0][0, 0] == 0.0
+
+
 class TestOptimizer:
     def test_sgd_arithmetic(self):
-        params = EncoderParams([np.array([[1.0]])], [np.zeros(1)], "identity")
+        params = EncoderParams([1, 1], "identity", [1.0, 0.0])
         state = OptimizerState(rule="sgd", lr=0.1)
         optimizer_step(params, np.array([2.0, 0.0]), state)
         assert params.weights[0][0, 0] == pytest.approx(0.8, abs=1e-15)
@@ -203,7 +236,7 @@ class TestOptimizer:
         # scalar oracle: with g=1 everywhere the bias-corrected first step is
         # lr * 1 / (1 + eps)
         lr, eps = 1e-3, 1e-8
-        params = EncoderParams([np.full((2, 2), 0.5)], [np.full(2, 0.5)], "identity")
+        params = EncoderParams([2, 2], "identity", np.full(6, 0.5))
         state = OptimizerState(rule="adam", lr=lr, eps=eps)
         optimizer_step(params, np.ones(6), state)
         expected = 0.5 - lr * 1.0 / (1.0 + eps)
@@ -212,7 +245,7 @@ class TestOptimizer:
 
     def test_adam_matches_scalar_oracle_over_steps(self):
         lr, b1, b2, eps = 0.01, 0.9, 0.999, 1e-8
-        params = EncoderParams([np.array([[1.0]])], [np.zeros(1)], "identity")
+        params = EncoderParams([1, 1], "identity", [1.0, 0.0])
         state = OptimizerState(rule="adam", lr=lr)
         grads = [0.5, -1.2, 2.0, 0.1]
         theta, m, v = 1.0, 0.0, 0.0
@@ -224,7 +257,7 @@ class TestOptimizer:
             assert params.weights[0][0, 0] == pytest.approx(theta, abs=1e-9)
 
     def test_sgd_momentum(self):
-        params = EncoderParams([np.array([[0.0]])], [np.zeros(1)], "identity")
+        params = EncoderParams([1, 1], "identity", np.zeros(2))
         state = OptimizerState(rule="sgd", lr=0.1, momentum=0.9)
         buf, theta = 0.0, 0.0
         for g in [1.0, 1.0, -0.5]:
@@ -369,6 +402,23 @@ class TestCheckpoint:
         path.write_text(json.dumps(doc))
         with pytest.raises(CorruptCheckpointError, match="layer_sizes must list"):
             load_checkpoint(path)
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [("NaN", "theta holds non-finite values"), ("Infinity", "theta holds non-finite values"),
+         ("-Infinity", "theta holds non-finite values"), ("1e400", "theta holds non-finite values"),
+         ("9" * 400, "int too large to convert to float")],
+        ids=["nan", "inf", "-inf", "1e400", "huge_int"],
+    )
+    def test_non_finite_params_rejected_naming_the_file(self, tmp_path, rng, text, message):
+        path = tmp_path / "ckpt.json"
+        save_checkpoint(path, init_params([2, 3], "relu", rng), OptimizerState(), seed=0)
+        doc = json.loads(path.read_text())
+        doc["params"][4] = "@"
+        path.write_text(json.dumps(doc).replace('"@"', text))
+        with pytest.raises(CorruptCheckpointError) as err:
+            load_checkpoint(path)
+        assert str(err.value) == f"{path}: {message}"
 
     def test_integer_optimizer_scalars_load(self, tmp_path, rng):
         path = tmp_path / "ckpt.json"

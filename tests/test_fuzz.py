@@ -1,5 +1,5 @@
-"""Fuzzed user input: config documents through `train`, and mutated
-checkpoints through `evaluate_checkpoint`.
+"""Fuzzed user input: config documents and CSV files through `train`, and
+mutated checkpoints through `evaluate_checkpoint`.
 
 Only `EngineError` subclasses may escape, because those are what the CLI
 turns into exit codes 2 and 3.  The examples are derandomized and counted,
@@ -139,5 +139,60 @@ def test_checkpoint_mutation_through_evaluate(saved, edits, cut):
     path.write_text(text if cut is None else text[:cut])
     try:
         evaluate_checkpoint(path, dataset, [1])
+    except EngineError:
+        pass
+
+
+# a file starts as a numeric table with integer labels, so some files parse
+# and train; then up to two edits put in what a hand-edited or mis-exported
+# file holds: an odd cell, or a row one cell short or long
+NUMBERS = ["0", "1", "-1.5", "0.25", "1e-320", "-0", " 2 "]
+LABELS = ["0", "1", "2", "3", "-1", " 2"]
+ODD = ["nan", "1e400", "-inf", "\uff13", "", " ", "x", "1_0", "0x1", "1.5"]  # \uff13: full-width 3
+EDITS = ODD + ["<short>", "<long>"]
+
+
+@st.composite
+def csv_files(draw):
+    """(text, header, label_col): 0-6 data rows of 2-4 columns, maybe with a
+    header line and a blank line."""
+    arity = draw(st.integers(min_value=2, max_value=4))
+    label_col = draw(st.sampled_from([-1, 0]))
+    rows = draw(st.lists(st.lists(st.sampled_from(NUMBERS), min_size=arity, max_size=arity),
+                         max_size=6))
+    for row in rows:
+        row[label_col] = draw(st.sampled_from(LABELS))
+    for _ in range(draw(st.integers(min_value=0, max_value=2)) if rows else 0):
+        row, edit = draw(st.sampled_from(rows)), draw(st.sampled_from(EDITS))
+        if edit == "<short>":
+            del row[max(1, len(row) - 1):]  # a row keeps at least one cell
+        elif edit == "<long>":
+            row.append("0")
+        else:
+            row[draw(st.integers(min_value=0, max_value=len(row) - 1))] = edit
+    lines = [",".join(row) for row in rows]
+    if draw(st.booleans()):
+        lines.insert(draw(st.integers(min_value=0, max_value=len(lines))), "")
+    header = draw(st.booleans())
+    if header:
+        lines.insert(0, ",".join(f"c{i}" for i in range(arity)))
+    return "\n".join(lines) + draw(st.sampled_from(["", "\n"])), header, label_col
+
+
+@pytest.fixture(scope="module")
+def csv_path(tmp_path_factory):
+    return tmp_path_factory.mktemp("csv") / "data.csv"
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(csv_files())
+def test_csv_file_through_train(csv_path, file):
+    text, header, label_col = file
+    csv_path.write_text(text, encoding="utf-8")
+    doc = copy.deepcopy(SMALL)
+    doc["data"] = {"path": str(csv_path), "header": header, "label_col": label_col}
+    try:
+        train(config_from_dict(doc))
     except EngineError:
         pass
