@@ -6,13 +6,18 @@ then run `evaluate_embeddings(emb, labels, [1, 2, 4, 8], rng)` --repeats
 times, timing each call (unscaled wall time), and once more under
 `tracemalloc` for the peak of the allocations made during the call (the
 inputs exist before tracing starts).  Beside the peak each row records the
-scratch bound that the squared plane kernel's docstring
-(`core._squared_distances`) gives for the largest kernel call of the
-evaluation, a k-means sweep's 16 x n call: the plane copies of the points
-and the centers, 8*d*(n + k) bytes, one block, max(DISTANCE_BLOCK_BYTES,
-8*d*n) bytes, and the 8*n*k output.  Recall@k stays below it: its planes
-and norms take 8*(d + 2)*n bytes, plus an unsorted 8*d*n plane copy while
-they are filled, and its Gram block at most max(DISTANCE_BLOCK_BYTES, 8*n).
+scratch that the docstrings of `recall_at_k` and `kmeans` give, the larger
+of the two stages, which run one after the other:
+- recall: the label-sorted planes over their norm row and the norms,
+  8*(d + 2)*n bytes, the unsorted plane copy made while they are filled,
+  8*d*n, and per block of b = RECALL_BLOCK_ROWS queries the b x n Gram
+  product, 8*b*n, and five b x n masks, 5*b*n;
+- k-means: the points' planes over a row of ones and the centroids' planes,
+  8*(d + 1)*(n + k), the plane copy made while they are filled, 8*d*n, the
+  norms, 8*n, and per sweep the k x n product and two k x n masks, 10*k*n.
+A measured peak above it exits 1, after the rows are written.  On this
+split (unit rows) about one entry per query needs a kernel distance, so the
+kernel's gathers stay small beside it.
 
 Rows are merged into --out under --label (a size measured again replaces
 its row), one entry per label with the host it ran on, so the rows of two
@@ -36,8 +41,8 @@ import tracemalloc
 
 import numpy as np
 
-from densedml.core import DISTANCE_BLOCK_BYTES, STREAMS, SeededRng
-from densedml.metrics import evaluate_embeddings
+from densedml.core import STREAMS, SeededRng
+from densedml.metrics import RECALL_BLOCK_ROWS, evaluate_embeddings
 
 CLASSES, DIM, KS = 16, 16, (1, 2, 4, 8)
 
@@ -54,8 +59,11 @@ def evaluate(emb, labels):
     return evaluate_embeddings(emb, labels, KS, SeededRng(0, STREAMS["eval"]))
 
 
-def kernel_bound(n, d=DIM, k=CLASSES):
-    return 8 * d * (n + k) + max(DISTANCE_BLOCK_BYTES, 8 * d * n) + 8 * n * k
+def scratch_bound(n, d=DIM, k=CLASSES):
+    b = min(RECALL_BLOCK_ROWS, n)
+    recall = 8 * (d + 2) * n + 8 * d * n + 13 * b * n
+    kmeans = 8 * (d + 1) * (n + k) + 8 * d * n + 8 * n + 10 * k * n
+    return max(recall, kmeans)
 
 
 def host():
@@ -88,7 +96,7 @@ def measure(n, repeats):
         "eval_s_median": round(statistics.median(times), 4),
         "eval_s_runs": [round(t, 4) for t in times],
         "tracemalloc_peak_mb": round(peak / 1e6, 3),
-        "kernel_bound_mb": round(kernel_bound(n) / 1e6, 3),
+        "scratch_bound_mb": round(scratch_bound(n) / 1e6, 3),
         "recall@1": report.recall_at[1],
         "nmi": report.nmi,
     }
@@ -118,6 +126,10 @@ def main():
     with open(args.out, "w", encoding="utf-8") as fh:
         json.dump(doc, fh, indent=1)
         fh.write("\n")
+    over = [row["n"] for row in rows if row["tracemalloc_peak_mb"] > row["scratch_bound_mb"]]
+    if over:
+        print(f"peak above the documented scratch at n = {over}", file=sys.stderr)
+        return 1
     return 0
 
 

@@ -17,7 +17,10 @@ ZERO_NORM_EPS = 1e-12
 # Byte budget of the kernel's row-block difference tensor.  A
 # training step's block stays below 512 KiB: glibc serves such a block by
 # mmap, and freeing one moves its threshold for every later allocation
-# (perfbench/hostspeed.py's reference kernel included).
+# (perfbench/hostspeed.py's reference kernel included).  Recall@k's query
+# blocks do not read it: metrics.RECALL_BLOCK_ROWS fixes them at 64 rows,
+# which keeps evaluation on a training run's 512-point test split below
+# 512 KiB per temporary too.
 DISTANCE_BLOCK_BYTES = 128 * 1024
 
 # Named sub-streams derived from one run seed.  Keeping concerns on separate

@@ -267,9 +267,9 @@ def load_checkpoint(path) -> tuple[EncoderParams, OptimizerState, int]:
             if slot.shape != params.theta.shape:
                 raise CorruptCheckpointError(f"optimizer slot {name!r} is {slot.shape}, "
                                              f"parameters are {params.theta.shape}")
+            if not np.isfinite(slot).all():
+                raise CorruptCheckpointError(f"optimizer slot {name!r} holds non-finite values")
         return params, state, seed
-    except CorruptCheckpointError:
-        raise
     except (OSError, ValueError, OverflowError, KeyError, TypeError, AttributeError,
-            ShapeMismatchError) as exc:
+            ShapeMismatchError, CorruptCheckpointError) as exc:  # every rejection names the file
         raise CorruptCheckpointError(f"{path}: {exc}") from exc

@@ -23,6 +23,23 @@ _U = 2.0**-53
 _TINY = 2.0**-1074  # the least subnormal
 _HUGE = np.finfo(np.float64).max
 
+# Queries per recall_at_k block; with fewer, per-block numpy calls set its
+# time.  The Gram block takes 512 n bytes, 256 KiB on a training run's
+# 512-point test split, where every evaluation temporary must stay below
+# 512 KiB: glibc mmaps a block that size, and freeing one raises its mmap
+# threshold for the rest of the process (see core.DISTANCE_BLOCK_BYTES).
+RECALL_BLOCK_ROWS = 64
+
+
+def _gram_error(d, big):
+    """recall_at_k's bound E, for d-dimensional points of squared norm <= big."""
+    return GRAM_ERROR_SCALE * (d + 8) * (_U * big + _TINY) if big < _HUGE / 8 else np.inf
+
+
+def _reach(a_min, err):
+    """recall_at_k's reach about the least Gram form a_min."""
+    return 2 * err + 16 * _U * (np.abs(a_min) + err)
+
 
 @dataclass
 class EvalReport:
@@ -95,12 +112,13 @@ def recall_at_k(embeddings, labels, ks) -> dict:
     Scratch: the planes of the points, sorted by label, over their
     -|y|^2 / 2 row, and the norms: 8 (d + 2) n bytes, and while they are
     filled, one unsorted plane copy of 8 d n bytes.  Per block of
-    b = max(1, core.DISTANCE_BLOCK_BYTES // (8n)) queries: the b x n product
-    (8bn bytes, 128 KiB at n = 2048), a few b x n masks (bn bytes each), and
-    under 64 bytes per entry that needs a kernel distance, the gathers of
-    core._pair_distances included (they fit DISTANCE_BLOCK_BYTES).  On unit
-    rows about one entry per query needs one; with every entry ambiguous
-    (E = +inf) that is under 8 times the product's bytes.
+    b = RECALL_BLOCK_ROWS = 64 queries: the b x n product (8bn = 512 n
+    bytes, 1 MiB at n = 2048), at most five b x n masks alive at once (bn
+    bytes each), and under 64 bytes per entry that needs a kernel distance,
+    the gathers of core._pair_distances included (they fit
+    core.DISTANCE_BLOCK_BYTES).  On unit rows about one entry per query
+    needs one; with every entry ambiguous (E = +inf) that is under 8 times
+    the product's bytes.
     """
     emb = np.asarray(embeddings, dtype=np.float64)
     labels = np.asarray(labels)
@@ -124,10 +142,9 @@ def recall_at_k(embeddings, labels, ks) -> dict:
     np.take(core._planes(x), order, axis=1, out=planes)
     norms = np.einsum("ij,ij->j", planes, planes)
     np.multiply(norms, -0.5, aug[d])
-    big = norms.max()
-    err = GRAM_ERROR_SCALE * (d + 8) * (_U * big + _TINY) if big < _HUGE / 8 else np.inf
+    err = _gram_error(d, norms.max())
     ranks = np.empty(n, dtype=np.int64)
-    block = max(1, core.DISTANCE_BLOCK_BYTES // (8 * n))
+    block = RECALL_BLOCK_ROWS
     gram = np.empty((min(block, n), n))
     query = np.ones((min(block, n), d + 1))
     for start in range(0, n, block):
@@ -146,7 +163,7 @@ def recall_at_k(embeddings, labels, ks) -> dict:
         has = partner.any(axis=1)
         a_min = nq - 2 * np.max(g[:, lo:hi], axis=1, where=partner, initial=-np.inf)
         a_min[~has] = 0.0
-        reach = 2 * err + 16 * _U * (np.abs(a_min) + err)
+        reach = _reach(a_min, err)
         closer_bar = (nq - (a_min - reach)) / 2
         closer_bar[~has] = -np.inf  # no partner: no window, and never a hit
         closer = g > closer_bar[:, None]
@@ -171,15 +188,38 @@ def recall_at_k(embeddings, labels, ks) -> dict:
 def kmeans(embeddings, k: int, rng: SeededRng, max_iter: int = 100):
     """Lloyd's algorithm from k-means++ style seeding: (assign, centroids).
 
-    Deterministic given rng.  Squared distances come from the kernel of
-    pairwise_distances, core._squared_distances, over one plane copy of the
-    points per call: seeding keeps each point's distance to its nearest
-    chosen center as a running minimum, one 1 x n call per center; each
-    sweep assigns each point to its nearest centroid (ties to the lower
-    index) from one k x n call that no later sweep keeps, and takes the
-    members from a stable argsort, so a centroid is the mean of its members
-    in index order.  Stops at an assignment fixpoint or after max_iter
-    sweeps; an emptied cluster keeps its previous centroid.
+    Deterministic given rng.  Every squared distance that decides a draw or
+    an assignment has the kernel's bits (core._squared_distances,
+    core._pair_distances), over one plane copy of the points per call.
+    Seeding keeps each point's squared distance to its nearest chosen center
+    as a running minimum, one 1 x n kernel call per center.  Each sweep
+    assigns each point to its nearest centroid, ties to the lower index, and
+    takes the members from a stable argsort, so a centroid is the mean of
+    its members in index order.  Stops at an assignment fixpoint or after
+    max_iter sweeps; an emptied cluster keeps its previous centroid.
+
+    The assignment.  One BLAS product of the rows [c, -|c|^2 / 2] with the
+    columns [x; 1] gives the k x n block G = c.x - |c|^2 / 2, so
+    A = |x|^2 - 2G is the Gram form of each squared distance.  recall_at_k's
+    derivation bounds |A - K| by its E with the centroid in the query's
+    place, M the largest squared norm over the points and the centroids.
+    Let a_min be a point's least A and reach as in recall_at_k.  The kernel's
+    nearest centroid j* (least K, then lowest index) has K_j* at most the K
+    of the centroid at a_min, so A_j* <= a_min + 2E, as for every centroid
+    tied with it.  The candidates are the centroids with A <= a_min + reach,
+    compared on G against (|x|^2 - (a_min + reach)) / 2.  A point with one
+    candidate takes it; one with several takes the least kernel distance
+    among them, ties to the lower index, which is j*.  A comparison with an
+    infinite or NaN bound excludes nothing, so E = +inf sends every pair to
+    the kernel.
+
+    Scratch: the points' planes over a row of ones and the centroids'
+    planes, 8 (d + 1) (n + k) bytes, one 8 d n-byte plane copy while they
+    are filled (no seeding call's kernel block is larger), and the norms,
+    8n bytes.  Per sweep: the product, 8kn bytes, two k x n masks, kn bytes
+    each, and per point with several candidates 10k bytes plus 48 per
+    candidate, beside core._pair_distances' gathers (they fit
+    core.DISTANCE_BLOCK_BYTES).  On unit rows almost every point has one.
     """
     x = np.asarray(embeddings, dtype=np.float64)
     n = x.shape[0]
@@ -187,22 +227,46 @@ def kmeans(embeddings, k: int, rng: SeededRng, max_iter: int = 100):
         raise KOutOfRangeError(f"k-means needs k >= 1, got {k}")
     if k > n:
         raise KOutOfRangeError(f"k={k} exceeds {n} points")
-    x_planes = core._planes(core._as_rows(x))
+    d = x.shape[1]
+    # the points' planes over a row of ones, then the centroids' planes, in
+    # one array so that core._pair_distances pairs centroids with points
+    planes = np.empty((d + 1, n + k))
+    aug, x_planes, c_planes = planes[:, :n], planes[:d, :n], planes[:d, n:]
+    x_planes[...] = core._planes(core._as_rows(x))
+    aug[d] = 1.0
+    x_norms = np.einsum("ij,ij->j", x_planes, x_planes)
 
-    def sq_distances(c):
-        return core._squared_distances(core._planes(c), x_planes)
+    def sq_distances(i):  # to point i, a chosen center
+        return core._squared_distances(x_planes[:, i : i + 1], x_planes)[0]
 
-    centers = np.empty((k, x.shape[1]))
-    centers[0] = x[int(rng.integers(n))]
-    d2 = sq_distances(centers[:1])[0]
+    chosen = int(rng.integers(n))
+    centers = np.empty((k, d))
+    centers[0] = x[chosen]
+    d2 = sq_distances(chosen)
     for j in range(1, k):
         total = d2.sum()
-        centers[j] = x[rng.choice(n, p=d2 / total if total > 0 else np.full(n, 1.0 / n))]
-        np.minimum(d2, sq_distances(centers[j : j + 1])[0], out=d2)
+        chosen = rng.choice(n, p=d2 / total if total > 0 else np.full(n, 1.0 / n))
+        centers[j] = x[chosen]
+        np.minimum(d2, sq_distances(chosen), out=d2)
 
+    rows, g = np.empty((k, d + 1)), np.empty((k, n))  # [c, -|c|^2 / 2] and G
     assign = np.full(n, -1, dtype=np.int64)
     for _ in range(max_iter):
-        new_assign = _argmin_leading(sq_distances(centers))
+        c_planes[...] = core._planes(centers)
+        rows[:, :d] = c_planes.T
+        c_norms = np.einsum("ij,ij->j", c_planes, c_planes)
+        np.multiply(c_norms, -0.5, rows[:, d])
+        err = _gram_error(d, max(x_norms.max(), c_norms.max()))
+        np.matmul(rows, aug, g)  # A = x_norms - 2g
+        a_min = x_norms - 2 * g.max(axis=0)
+        far = g < (x_norms - (a_min + _reach(a_min, err))) / 2
+        new_assign = np.argmin(far, axis=0)  # the first candidate
+        several = np.flatnonzero(np.count_nonzero(far, axis=0) < k - 1)
+        if several.size:
+            cj, ci = np.nonzero(~far[:, several])
+            dist = np.full((k, several.size), np.inf)
+            dist[cj, ci] = core._pair_distances(planes[:d], n + cj, several[ci])
+            new_assign[several] = _argmin_leading(dist)
         if np.array_equal(new_assign, assign):
             break
         assign = new_assign

@@ -34,7 +34,8 @@ from .encoder import (
     optimizer_step,
     save_checkpoint,
 )
-from .errors import ConfigError, EngineError, ShapeMismatchError, TrainingAbortError
+from .errors import (ConfigError, CorruptCheckpointError, EngineError, ShapeMismatchError,
+                     TrainingAbortError)
 from .losses import contrastive_loss, margin_loss, multi_similarity_loss, triplet_loss
 from .metrics import EvalReport, evaluate_embeddings
 from .sampling import sample_batch, sample_triplets
@@ -211,13 +212,22 @@ def train(cfg: RunConfig, trace=None) -> TrainResult:
 
 
 def evaluate_checkpoint(checkpoint_path, dataset: Dataset, ks) -> EvalReport:
-    """Load a checkpoint and score the dataset's test split at recall `ks`."""
+    """Load a checkpoint and score the dataset's test split at recall `ks`.
+
+    Finite parameters can still overflow the encoder: outputs on the split
+    that are not finite are a CorruptCheckpointError naming the file."""
     params, _, seed = load_checkpoint(checkpoint_path)
     if dataset.input_dim != params.input_dim:
         raise ShapeMismatchError(
             f"dataset dim {dataset.input_dim} != encoder d_in {params.input_dim}"
         )
-    return _evaluate_split(params, dataset, list(ks), seed)
+    feats, labels = dataset.subset(dataset.test_classes)
+    with np.errstate(over="ignore", invalid="ignore"):
+        emb, _ = encode(params, feats)
+    if not np.isfinite(emb).all():
+        raise CorruptCheckpointError(f"{checkpoint_path}: the parameters overflow the "
+                                     f"encoder: non-finite outputs on the test split")
+    return evaluate_embeddings(emb, labels, list(ks), SeededRng(seed, STREAMS["eval"]))
 
 
 # ---------------------------------------------------------------------------

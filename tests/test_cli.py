@@ -415,6 +415,27 @@ class TestEvaluate:
         assert code == 3
         assert f"{path}: theta holds non-finite values" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "edit, message",
+        [(lambda doc: doc["optimizer"]["slots"]["m"].__setitem__(0, float("nan")),
+          "optimizer slot 'm' holds non-finite values"),
+         (lambda doc: doc.update(params=[1e300] * len(doc["params"])),
+          "the parameters overflow the encoder")],
+        ids=["nan_slot", "overflowing_params"],
+    )
+    def test_checkpoint_that_cannot_evaluate_exit_3(self, tmp_path, capsys, edit, message):
+        out_dir = tmp_path / "run"
+        assert run_cli("train", "--out-dir", str(out_dir), *BASE_OVERRIDES) == 0
+        path = out_dir / "checkpoint.json"
+        doc = json.loads(path.read_text())
+        edit(doc)
+        path.write_text(json.dumps(doc))
+        capsys.readouterr()
+        code = run_cli("evaluate", "--config", str(out_dir / "config.json"),
+                       "--checkpoint", str(path))
+        assert code == 3
+        assert f"{path}: {message}" in capsys.readouterr().err
+
     def test_missing_checkpoint_exit_3(self, tmp_path):
         assert run_cli("evaluate", "--checkpoint", str(tmp_path / "no.json")) == 3
 

@@ -420,6 +420,41 @@ class TestCheckpoint:
             load_checkpoint(path)
         assert str(err.value) == f"{path}: {message}"
 
+    @pytest.mark.parametrize("slot", ["m", "v"])
+    @pytest.mark.parametrize("text", ["NaN", "Infinity", "-Infinity", "1e400"])
+    def test_non_finite_optimizer_slot_rejected_naming_the_file(self, tmp_path, rng, slot, text):
+        params = init_params([2, 3], "relu", rng)
+        state = OptimizerState(rule="adam")
+        optimizer_step(params, rng.normal(size=params.theta.shape), state)
+        path = tmp_path / "ckpt.json"
+        save_checkpoint(path, params, state, seed=0)
+        doc = json.loads(path.read_text())
+        doc["optimizer"]["slots"][slot][2] = "@"
+        path.write_text(json.dumps(doc).replace('"@"', text))
+        with pytest.raises(CorruptCheckpointError) as err:
+            load_checkpoint(path)
+        assert str(err.value) == f"{path}: optimizer slot {slot!r} holds non-finite values"
+
+    @pytest.mark.parametrize(
+        "edit, message",
+        [(lambda doc: doc.update(version=1), "unsupported checkpoint version 1"),
+         (lambda doc: doc.update(seed=-1), "seed must be an integer >= 0, got -1"),
+         (lambda doc: doc["optimizer"].update(rule="adagrad"), "unknown optimizer rule 'adagrad'"),
+         (lambda doc: doc["optimizer"].update(lr="0.1"),
+          "optimizer lr must be a finite number, got '0.1'"),
+         (lambda doc: doc["optimizer"]["slots"].update(w=[0.0] * 9), "unknown optimizer slot 'w'")],
+        ids=["version", "seed", "rule", "scalar", "slot_name"],
+    )
+    def test_every_rejection_names_the_file(self, tmp_path, rng, edit, message):
+        path = tmp_path / "ckpt.json"
+        save_checkpoint(path, init_params([2, 3], "relu", rng), OptimizerState(), seed=0)
+        doc = json.loads(path.read_text())
+        edit(doc)
+        path.write_text(json.dumps(doc))
+        with pytest.raises(CorruptCheckpointError) as err:
+            load_checkpoint(path)
+        assert str(err.value) == f"{path}: {message}"
+
     def test_integer_optimizer_scalars_load(self, tmp_path, rng):
         path = tmp_path / "ckpt.json"
         save_checkpoint(path, init_params([2, 2], "relu", rng), OptimizerState(lr=1), seed=0)

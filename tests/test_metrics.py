@@ -127,13 +127,13 @@ class TestRecallOracle:
         assert got == oracles.recall_at_k(emb, labels, ks) == {k: 0.0 for k in ks}
 
     @settings(max_examples=100, deadline=None)
-    @given(grid_split(), st.sampled_from([1, 8, 100]), st.data())
-    def test_tiny_block_budget(self, split, budget, data):
-        # 1 and 8 bytes: every row its own block; 100 bytes: a short last block
+    @given(grid_split(), st.sampled_from([1, 3, 64]), st.data())
+    def test_tiny_block_budget(self, split, rows, data):
+        # 1: every row its own block; 3: a short last block; 64: n < 64
         emb, labels = split
         ks = draw_ks(data, len(labels))
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(core, "DISTANCE_BLOCK_BYTES", budget)
+            mp.setattr(metrics, "RECALL_BLOCK_ROWS", rows)
             got = recall_at_k(emb, labels, ks)
         assert got == oracles.recall_at_k(emb, labels, ks)
 
@@ -215,6 +215,60 @@ class TestRecallPrefilter:
         got = recall_at_k(emb, labels, [1, 2, 4, 8])
         assert got == oracles.recall_rank_count(emb, labels, [1, 2, 4, 8])
         assert sum(seen) < 4 * 512  # of 512 * 511 entries
+
+
+@st.composite
+def kmeans_split(draw):
+    """hard_split's points, a quarter of them cut to d = 1 and some moved
+    onto three sites so that clusters empty out, with k from 1 to n (1 and n
+    drawn often)."""
+    x, _ = draw(hard_split())
+    n = len(x)
+    if draw(st.integers(0, 3)) == 0:
+        x = x[:, :1]
+    if draw(st.booleans()):
+        x = x[SeededRng(draw(st.integers(0, 2**31))).integers(3, size=n)]
+    return x, draw(st.integers(1, n) | st.sampled_from([1, n]))
+
+
+class TestKmeansPrefilter:
+    """The Gram-bounded assignment against the all-kernel argmin of the
+    full-tensor oracle."""
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(kmeans_split(), st.integers(0, 2**31))
+    def test_matches_oracle(self, split, seed):
+        x, k = split
+        TestKmeansOracle.assert_same(x, k, seed)
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(kmeans_split(), st.integers(0, 2**31))
+    def test_every_pair_ambiguous(self, split, seed):
+        # an infinite bound settles no point: each sweep measures all n * k pairs
+        x, k = split
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(metrics, "GRAM_ERROR_SCALE", np.inf)
+            seen = TestRecallPrefilter.kernel_entries(mp)
+            TestKmeansOracle.assert_same(x, k, seed)
+        if k == 1:
+            assert seen == []  # one candidate per point
+        else:
+            assert seen and set(seen) == {len(x) * k}
+
+    def test_norms_that_overflow(self):
+        # |x|^2 overflows, so E = +inf without a patch, and G is NaN; the
+        # distances, 1e152 apart, do not
+        x = (1 + 0.01 * SeededRng(5).normal(size=(30, 3))) * 1e154
+        with np.errstate(over="ignore", invalid="ignore"):
+            for k in (1, 2, 5):
+                TestKmeansOracle.assert_same(x, k, k)
+
+    def test_few_kernel_distances_on_unit_rows(self, monkeypatch):
+        r = SeededRng(9)
+        x = random_unit_rows(r, 2048, 16)
+        seen = TestRecallPrefilter.kernel_entries(monkeypatch)
+        TestKmeansOracle.assert_same(x, 16, 0)
+        assert sum(seen) < 2048  # of 2048 * 16 per sweep
 
 
 class TestKmeans:

@@ -8,9 +8,10 @@ import pytest
 from densedml.config import RunConfig, apply_override, config_from_dict
 from densedml.core import SeededRng
 from densedml.data import generate_gaussian_clusters
-from densedml.encoder import OptimizerState, save_checkpoint
+from densedml.encoder import OptimizerState, init_params, save_checkpoint
 from densedml.errors import (
     ConfigError,
+    CorruptCheckpointError,
     NoValidTripletError,
     ShapeMismatchError,
     TrainingAbortError,
@@ -266,6 +267,19 @@ class TestEvaluate:
         save_checkpoint(path, identity_params(6), OptimizerState(), seed=0)
         with pytest.raises(ShapeMismatchError):
             evaluate_checkpoint(path, ds, ks=[1])
+
+
+    def test_overflowing_params_name_the_file(self, tmp_path):
+        # finite parameters whose forward pass overflows to non-finite rows
+        ds = generate_gaussian_clusters(4, 8, 6, 10.0, 0.05, SeededRng(2))
+        params = init_params([6, 8, 4], "relu", SeededRng(0))
+        params.theta[:] = 1e300
+        path = tmp_path / "ckpt.json"
+        save_checkpoint(path, params, OptimizerState(), seed=0)
+        with pytest.raises(CorruptCheckpointError) as err:
+            evaluate_checkpoint(path, ds, ks=[1])
+        assert str(err.value) == (f"{path}: the parameters overflow the encoder: "
+                                  f"non-finite outputs on the test split")
 
 
 class TestComparison:
