@@ -222,12 +222,15 @@ def pairwise_distances(rows) -> np.ndarray:
     axis of a (d, rows, cols) block of squared differences, so each step of
     it is one vectorized `np.add` over whole planes.
 
+    The matrix is symmetric bit for bit, as fl(a - b) = -fl(b - a): each
+    row block is summed from its diagonal column on, then mirrored.
+
     Scratch: one transposed copy of the rows, 8*d*n bytes, and one block, at
     most max(DISTANCE_BLOCK_BYTES, 8*d*n) bytes, beside the 8*n*n output.
     Every entry gets the same operations in the same order at any block size.
     """
     planes = _planes(_as_rows(rows))
-    out = _squared_distances(planes, planes)
+    out = _squared_distances(planes, planes, symmetric=True)
     return np.sqrt(out, out)
 
 
@@ -254,10 +257,12 @@ def _plane_order(d):
     return order
 
 
-def _squared_distances(xp, yp) -> np.ndarray:
+def _squared_distances(xp, yp, symmetric=False) -> np.ndarray:
     """The n x m squared kernel distances between the points whose `_planes`
     are xp (d, n) and yp (d, m), summed as `pairwise_distances` describes;
     for callers that validate their points and reuse one plane copy.
+    `symmetric` (xp is yp) sums each row block from its diagonal column on
+    and mirrors the rest.
 
     Scratch: one block, at most max(DISTANCE_BLOCK_BYTES, 8*d*m) bytes,
     beside the 8*n*m output; a caller that copies both stacks into planes
@@ -265,15 +270,16 @@ def _squared_distances(xp, yp) -> np.ndarray:
     (d, n), m = xp.shape, yp.shape[1]
     out = np.empty((n, m))
     block = max(1, DISTANCE_BLOCK_BYTES // max(1, 8 * m * d))
-    scratch = np.empty((d, min(block, n), m))
+    scratch = np.empty(d * min(block, n) * m)
     for start in range(0, n, block):
-        stop = min(start + block, n)
-        buf = scratch
-        if stop - start < scratch.shape[1]:  # a short last block, contiguous
-            buf = scratch.ravel()[: d * (stop - start) * m].reshape(d, stop - start, m)
-        np.subtract(xp[:, start:stop, None], yp[:, None, :], buf)
+        stop, first = min(start + block, n), start if symmetric else 0
+        # a contiguous (d, rows, cols) block at the front of the scratch
+        buf = scratch[: d * (stop - start) * (m - first)].reshape(d, stop - start, m - first)
+        np.subtract(xp[:, start:stop, None], yp[:, None, first:], buf)
         np.multiply(buf, buf, buf)
-        _sum_leading(buf, out[start:stop])
+        _sum_leading(buf, out[start:stop, first:])
+        if symmetric:
+            out[stop:, start:stop] = out[start:stop, stop:].T
     return out
 
 

@@ -12,6 +12,9 @@ Two mechanisms create synthetic embeddings near real ones ("anchors"):
 
 A produced embedding is normalize(s * v + b) and inherits the anchor label.
 Gradients flow to the anchor only; s and b are treated as constants.
+
+Each public function checks its labels; handed the training run's
+`sampling.BatchLayout` as `layout`, it takes them as checked.
 """
 
 from __future__ import annotations
@@ -84,11 +87,12 @@ class FrequencyRecorder:
     def dim(self):
         return self.counts.shape[1]
 
-    def update(self, embeddings, labels, k: int) -> None:
+    def update(self, embeddings, labels, k: int, layout=None) -> None:
         """Bump the top-K channel counters of each embedding's class row."""
         emb = np.atleast_2d(np.asarray(embeddings, dtype=np.float64))
         labels = np.atleast_1d(np.asarray(labels))
-        check_labels(labels, self.n_classes)
+        if layout is None:
+            check_labels(labels, self.n_classes)
         if emb.shape[0] != labels.shape[0]:
             raise ShapeMismatchError("labels length != embedding count")
         if emb.shape[1] != self.dim:
@@ -126,11 +130,13 @@ class TransformationBank:
     def capacity(self):
         return self.slots.shape[1]
 
-    def enqueue(self, labels, transforms) -> None:
+    def enqueue(self, labels, transforms, layout=None) -> None:
         """Write one difference (a label and a row) or a stack of them into
         the class rings, in order: a class given q rows keeps the last
-        min(q, Z) of them, and its cursor moves q places."""
-        check_labels(labels, self.n_classes)
+        min(q, Z) of them, and its cursor moves q places.  With `layout`
+        they are the differences of its pairs, ranked by its pair ranks."""
+        if layout is None:
+            check_labels(labels, self.n_classes)
         c = np.atleast_1d(np.asarray(labels, dtype=np.int64))
         rows = np.atleast_2d(np.asarray(transforms, dtype=np.float64))
         if rows.shape != (c.size, self.slots.shape[2]):
@@ -139,10 +145,12 @@ class TransformationBank:
                 "one per label"
             )
         z, q = self.capacity, np.bincount(c, minlength=self.n_classes)
-        # each row's rank among the rows of its class
-        order = np.argsort(c, kind="stable")
-        rank = np.empty_like(c)
-        rank[order] = np.arange(c.size) - np.repeat(np.cumsum(q) - q, q)
+        if layout is not None:
+            rank = layout.pair_ranks
+        else:  # each row's rank among the rows of its class
+            order = np.argsort(c, kind="stable")
+            rank = np.empty_like(c)
+            rank[order] = np.arange(c.size) - np.repeat(np.cumsum(q) - q, q)
         # write only each class's last min(q, Z) rows: earlier ones would share
         # a slot with a later row, and numpy leaves repeated-index writes unordered
         last = rank >= q[c] - z
@@ -151,17 +159,18 @@ class TransformationBank:
         self.cursor[:] = (self.cursor + q) % z
         np.minimum(self.filled + q, z, out=self.filled)
 
-    def update(self, embeddings, labels) -> None:
+    def update(self, embeddings, labels, layout=None) -> None:
         """Enqueue v_i - v_j for every ordered pair i != j within each class
         group, in (i, j) order; groups with fewer than two members add
         nothing, but their labels are checked too."""
         emb = np.atleast_2d(np.asarray(embeddings, dtype=np.float64))
         labels = np.atleast_1d(np.asarray(labels))
-        check_labels(labels, self.n_classes)
+        if layout is None:
+            check_labels(labels, self.n_classes)
         if emb.shape[0] != labels.shape[0]:
             raise ShapeMismatchError("labels length != embedding count")
-        i, j = np.nonzero(label_masks(labels)[0])
-        self.enqueue(labels[i], emb[i] - emb[j])
+        i, j = np.nonzero(label_masks(labels)[0]) if layout is None else layout.pairs
+        self.enqueue(labels[i], emb[i] - emb[j], layout)
 
 
 @dataclass
@@ -180,17 +189,19 @@ class ProducedBatch:
     dropped: int = 0
 
 
-def draw_scales(mask, labels, rs: float, rng: SeededRng) -> np.ndarray:
+def draw_scales(mask, labels, rs: float, rng: SeededRng, layout=None) -> np.ndarray:
     """(len(labels), d) scaling factors, one independent draw per row; every
     label must index a row of the C x d `mask`."""
     mask = np.asarray(mask, dtype=np.float64)
-    check_labels(labels, mask.shape[0])
+    if layout is None:
+        check_labels(labels, mask.shape[0])
     rows = mask[np.atleast_1d(np.asarray(labels))]
     gamma = rng.uniform(1.0 - rs, 1.0 + rs, size=rows.shape)
     return gamma * rows + (1.0 - rows)
 
 
-def draw_shifts(bank: TransformationBank, labels, rb: float, rng: SeededRng) -> np.ndarray:
+def draw_shifts(bank: TransformationBank, labels, rb: float, rng: SeededRng,
+                layout=None) -> np.ndarray:
     """(len(labels), d) shifting factors; zero rows for empty class banks.
 
     Every row whose class bank holds a difference draws its slot in row
@@ -199,7 +210,8 @@ def draw_shifts(bank: TransformationBank, labels, rb: float, rng: SeededRng) -> 
     bounds drawn one call at a time, so a single call over the live rows
     keeps the seeded draw sequence.
     """
-    check_labels(labels, bank.n_classes)
+    if layout is None:
+        check_labels(labels, bank.n_classes)
     rows = np.atleast_1d(np.asarray(labels, dtype=np.int64))
     shifts = np.zeros((rows.size, bank.slots.shape[2]))
     live = bank.filled[rows] > 0
@@ -239,7 +251,7 @@ def combine_factors(embeddings, labels, anchors, scales, shifts) -> ProducedBatc
 
 def produce(
     embeddings, labels, recorder: FrequencyRecorder, bank: TransformationBank,
-    config: DasConfig, rng: SeededRng, emit=lambda phase: None,
+    config: DasConfig, rng: SeededRng, emit=lambda phase: None, layout=None,
 ) -> ProducedBatch:
     """One step of production: T copies per anchor, anchor-major.
 
@@ -248,24 +260,25 @@ def produce(
     batch's intra-class differences and draws shifts from the bank.  A
     mechanism whose radius is zero leaves its state and the stream alone and
     contributes ones (scaling) or zeros (shifting).  T = 0 lays out no rows
-    and produces nothing.  `emit` receives each phase name as it completes.
+    and produces nothing.  `emit` receives each phase name as it completes;
+    a `layout` must have been built with config.T.
     """
     emb = np.atleast_2d(np.asarray(embeddings, dtype=np.float64))
     labels = np.atleast_1d(np.asarray(labels))
-    anchors = np.repeat(np.arange(emb.shape[0]), config.T)
-    rows = (anchors.size, emb.shape[1])
+    anchors = np.repeat(np.arange(emb.shape[0]), config.T) if layout is None else layout.anchors
+    copies, rows = labels[anchors], (anchors.size, emb.shape[1])
     if config.rs > 0:
-        recorder.update(emb, labels, config.K)
+        recorder.update(emb, labels, config.K, layout)
         emit("frm")
-        scales = draw_scales(recorder.mask(config.K), labels[anchors], config.rs, rng)
+        scales = draw_scales(recorder.mask(config.K), copies, config.rs, rng, layout)
         emit("scale")
     else:
         scales = np.ones(rows)
     if config.rb > 0:
         emit("transform")
-        bank.update(emb, labels)
+        bank.update(emb, labels, layout)
         emit("enqueue")
-        shifts = draw_shifts(bank, labels[anchors], config.rb, rng)
+        shifts = draw_shifts(bank, copies, config.rb, rng, layout)
         emit("shift")
     else:
         shifts = np.zeros(rows)

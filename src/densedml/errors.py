@@ -34,6 +34,10 @@ class ParseError(EngineError):
         self.col = col
 
 
+class NumericOverflowError(EngineError):
+    """Finite inputs whose intermediate values overflow float64."""
+
+
 class NotEnoughClassesError(EngineError):
     """Batch construction asked for more classes than the split provides."""
 

@@ -13,7 +13,7 @@ import numpy as np
 
 from . import core
 from .core import SeededRng
-from .errors import KOutOfRangeError, ShapeMismatchError
+from .errors import KOutOfRangeError, NumericOverflowError, ShapeMismatchError
 
 # The factor in recall_at_k's bound E on |Gram form - kernel| of a squared
 # distance, over three times the rounding error derived there.  Raising it
@@ -245,6 +245,8 @@ def kmeans(embeddings, k: int, rng: SeededRng, max_iter: int = 100):
     d2 = sq_distances(chosen)
     for j in range(1, k):
         total = d2.sum()
+        if not np.isfinite(total):
+            raise NumericOverflowError("k-means seeding: squared distances overflow float64")
         chosen = rng.choice(n, p=d2 / total if total > 0 else np.full(n, 1.0 / n))
         centers[j] = x[chosen]
         np.minimum(d2, sq_distances(chosen), out=d2)

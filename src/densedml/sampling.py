@@ -5,14 +5,13 @@ real or produced, so both kinds are sampled on equal footing.  The optional
 `anchor_indices` restricts which rows may serve as anchors (used to keep
 produced embeddings out of the anchor role when configured), but candidates
 for positives/negatives always span the whole batch.  Every sampler starts
-from one anchor set-up, the eligible anchors' rows of the distance matrix
-and of the same-label/other-label masks of `core.label_masks`, and resolves
-each seeded pick to the k-th True entry of a mask row.
+from a `BatchLayout` of the labels (the training run's, passed as `layout`),
+and resolves each seeded pick to the k-th True entry of a mask row.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -63,38 +62,79 @@ def sample_batch(dataset: Dataset, spec: BatchSpec, rng: SeededRng):
     return np.concatenate(feats, axis=0), np.asarray(labels, dtype=np.int64)
 
 
-def _anchor_rows(dist, labels, anchor_indices):
-    """Anchors with a positive and a negative (in pool order, duplicates
-    kept) and their rows of `dist` (None when `dist` is None) and of the
-    same-label/other-label masks."""
+@dataclass
+class BatchLayout:
+    """The label structure a sampler mines from, and, in a training run's
+    (`batch_layout`), what DAS production writes with.  The DAS functions
+    handed one take the batch labels as checked: `train` checks the
+    training classes, the only labels `sample_batch` draws."""
+
+    rows: np.ndarray  # anchors with a positive and a negative, in pool order
+    same: np.ndarray  # their rows of the same-label mask (self excluded)
+    other: np.ndarray  # and of the other-label mask
+    n_pos: np.ndarray  # each such row's True count
+    n_neg: np.ndarray
+    pos_cols: np.ndarray  # each such row's True columns (`_true_columns`)
+    neg_cols: np.ndarray
+    anchors: np.ndarray = None  # the batch row of each produced row, anchor-major
+    pairs: np.ndarray = None  # the bank's (i, j): same-class rows, i != j, in (i, j) order
+    pair_ranks: np.ndarray = None  # each pair's rank among its class's pairs
+
+
+def anchor_layout(labels, anchor_indices=None, dist=None) -> BatchLayout:
+    """The mining part of the layout of `labels`, anchors drawn from
+    `anchor_indices` (every row when None); `dist` must be n x n if given."""
     n = len(labels)
-    if dist is not None:
-        dist = np.asarray(dist)
-        if dist.shape != (n, n):
-            raise ShapeMismatchError(f"distance matrix {dist.shape} vs {n} labels")
+    if dist is not None and np.shape(dist) != (n, n):
+        raise ShapeMismatchError(f"distance matrix {np.shape(dist)} vs {n} labels")
     same, other = label_masks(labels)
     pool = np.arange(n) if anchor_indices is None else np.asarray(anchor_indices, dtype=np.int64)
     rows = pool[(same.any(axis=1) & other.any(axis=1))[pool]]
-    return rows, None if dist is None else dist[rows], same[rows], other[rows]
+    same, other = same[rows], other[rows]
+    return BatchLayout(rows, same, other, np.count_nonzero(same, axis=1),
+                       np.count_nonzero(other, axis=1), _true_columns(same), _true_columns(other))
 
 
-def sample_random_triplets(labels, rng: SeededRng, anchor_indices=None) -> TripletSet:
+def batch_layout(spec: BatchSpec, T: int, produced_as_anchors: bool) -> BatchLayout:
+    """The layout of every training batch, which depends on nothing else:
+    `spec`'s P distinct classes of M rows each, then T copies of each row."""
+    p, m = spec.classes_per_batch, spec.samples_per_class
+    blocks = np.repeat(np.arange(p), m)  # the batch labels up to their names
+    pairs = np.array(np.nonzero(label_masks(blocks)[0]))  # class by class, m (m - 1) each
+    return replace(anchor_layout(np.concatenate([blocks, np.repeat(blocks, T)]),
+                                 None if produced_as_anchors else np.arange(p * m)),
+                   anchors=np.repeat(np.arange(p * m), T), pairs=pairs,
+                   pair_ranks=np.arange(pairs.shape[1]) % (m * (m - 1)))
+
+
+def _true_columns(mask):
+    """Each mask row's True columns in order, then its False ones: entry
+    [i, k] is row i's k-th True column while k is below the row's count."""
+    return np.argsort(~mask, axis=-1, kind="stable")
+
+
+def _kth(table, k):
+    """Entry k[i] of each row i of a `_true_columns` table."""
+    return table[np.arange(len(k)), k]
+
+
+def sample_random_triplets(labels, rng: SeededRng, anchor_indices=None, layout=None) -> TripletSet:
     """Uniform anchors, uniform same-label positives, uniform other-label negatives.
 
     As many triplets as there are eligible anchors; each triplet's anchor is
     drawn uniformly, with replacement, from those anchors, then its positive
     and its negative, three scalar draws per triplet.
     """
-    rows, _, same, other = _anchor_rows(None, labels, anchor_indices)
-    if rows.size == 0:
+    lay = layout or anchor_layout(labels, anchor_indices)
+    n = lay.rows.size
+    if n == 0:
         raise NoValidTripletError("no anchor has both a positive and a negative")
-    tables = np.count_nonzero(same, axis=1), np.count_nonzero(other, axis=1)
-    pick, k_pos, k_neg = replay_draws(rng, np.full(rows.size, rows.size), tables)[0].T
-    return TripletSet(rows[pick], _kth_true(same[pick], k_pos), _kth_true(other[pick], k_neg))
+    pick, k_pos, k_neg = replay_draws(rng, np.full(n, n), (lay.n_pos, lay.n_neg))[0].T
+    return TripletSet(lay.rows[pick], lay.pos_cols[pick, k_pos], lay.neg_cols[pick, k_neg])
 
 
 def sample_semihard_triplets(
-    dist, labels, margin: float, rng: SeededRng, anchor_indices=None
+    dist, labels, margin: float, rng: SeededRng, anchor_indices=None, layout=None
 ) -> TripletSet:
     """One triplet per eligible anchor with the semi-hard window rule.
 
@@ -103,19 +143,20 @@ def sample_semihard_triplets(
     strictly farther than the positive; if none is farther, the least
     violating negative (largest D_an).  Ties resolve to the lower index.
     """
-    rows, d, same, other = _anchor_rows(dist, labels, anchor_indices)
-    positives, negatives = np.empty_like(rows), np.empty_like(rows)
+    lay = layout or anchor_layout(labels, anchor_indices, dist)
+    d = np.asarray(dist)[lay.rows]
+    positives, negatives = np.empty_like(lay.rows), np.empty_like(lay.rows)
     for i, row in enumerate(d):
-        p = positives[i] = _kth_true(same[i], rng.integers(np.count_nonzero(same[i])))
-        farther = other[i] & (row > row[p])
-        window = farther & (row < row[p] + margin)
-        if window.any():
-            negatives[i] = _kth_true(window, rng.integers(np.count_nonzero(window)))
+        p = positives[i] = lay.pos_cols[i, rng.integers(lay.n_pos[i])]
+        farther = lay.other[i] & (row > row[p])
+        window = np.flatnonzero(farther & (row < row[p] + margin))
+        if window.size:
+            negatives[i] = window[rng.integers(window.size)]
         elif farther.any():
             negatives[i] = np.argmin(np.where(farther, row, np.inf))
         else:
-            negatives[i] = np.argmax(np.where(other[i], row, -np.inf))
-    return TripletSet(rows, positives, negatives)
+            negatives[i] = np.argmax(np.where(lay.other[i], row, -np.inf))
+    return TripletSet(lay.rows, positives, negatives)
 
 
 def distance_weights(d, embed_dim: int, clip: float = 0.5):
@@ -137,8 +178,8 @@ def distance_weights(d, embed_dim: int, clip: float = 0.5):
 
 
 def sample_distance_weighted(
-    dist, labels, rng: SeededRng, embed_dim: int, clip: float = 0.5, anchor_indices=None
-) -> TripletSet:
+    dist, labels, rng: SeededRng, embed_dim: int, clip: float = 0.5, anchor_indices=None,
+    layout=None) -> TripletSet:
     """Uniform positives; negatives drawn inversely to the distance density.
 
     Each eligible anchor draws, in anchor order, an integer that picks its
@@ -148,31 +189,28 @@ def sample_distance_weighted(
     anchor's weight cdf that exceeds the uniform (its last negative if the
     uniform rounds up to the total).
     """
-    rows, d, same, other = _anchor_rows(dist, labels, anchor_indices)
+    lay = layout or anchor_layout(labels, anchor_indices, dist)
+    d = np.asarray(dist)[lay.rows]
     # zeroing the non-negatives adds exact +0.0 terms, so each row's cdf at
     # its negative columns is the cumsum over the negatives alone, bit for bit
-    weights = np.where(other, distance_weights(d, embed_dim, clip), 0.0)
+    weights = np.where(lay.other, distance_weights(d, embed_dim, clip), 0.0)
     cdf = np.cumsum(weights, axis=1)
     # each row's total weight, sliced so that an empty batch gives no rows
-    pick, u = replay_draws(rng, np.count_nonzero(same, axis=1), highs=cdf[:, -1:].ravel())
+    pick, u = replay_draws(rng, lay.n_pos, highs=cdf[:, -1:].ravel())
     # the negative's rank among the anchor's negatives: searchsorted(side="right")
-    rank = np.count_nonzero((cdf <= u[:, None]) & other, axis=1)
-    rank = np.minimum(rank, np.count_nonzero(other, axis=1) - 1)
-    return TripletSet(rows, _kth_true(same, pick[:, 0]), _kth_true(other, rank))
-
-
-def _kth_true(mask, k):
-    """Column of the k[i]-th (0-based) True entry of each mask row (or of
-    the k-th of a single row)."""
-    return np.count_nonzero(np.cumsum(mask, axis=-1) <= np.asarray(k)[..., None], axis=-1)
+    rank = np.count_nonzero((cdf <= u[:, None]) & lay.other, axis=1)
+    rank = np.minimum(rank, lay.n_neg - 1)
+    return TripletSet(lay.rows, _kth(lay.pos_cols, pick[:, 0]), _kth(lay.neg_cols, rank))
 
 
 def sample_softhard_triplets(
-    dist, labels, rng: SeededRng, anchor_indices=None
+    dist, labels, rng: SeededRng, anchor_indices=None, layout=None
 ) -> TripletSet:
     """Hard positives (farther than the nearest negative) paired with hard
     negatives (closer than the farthest positive); uniform fallback each side."""
-    rows, d, same, other = _anchor_rows(dist, labels, anchor_indices)
+    lay = layout or anchor_layout(labels, anchor_indices, dist)
+    d = np.asarray(dist)[lay.rows]
+    same, other = lay.same, lay.other
     hard_pos = same & (d > np.min(d, axis=1, where=other, initial=np.inf)[:, None])
     hard_neg = other & (d < np.max(d, axis=1, where=same, initial=-np.inf)[:, None])
     p_pool = np.where(hard_pos.any(axis=1)[:, None], hard_pos, same)
@@ -181,21 +219,22 @@ def sample_softhard_triplets(
     # the same two stream values as two scalar calls
     pick = rng.integers(np.stack(
         [np.count_nonzero(p_pool, axis=1), np.count_nonzero(n_pool, axis=1)], axis=1))
-    return TripletSet(rows, _kth_true(p_pool, pick[:, 0]), _kth_true(n_pool, pick[:, 1]))
+    return TripletSet(lay.rows, _kth(_true_columns(p_pool), pick[:, 0]),
+                      _kth(_true_columns(n_pool), pick[:, 1]))
 
 
 def sample_triplets(
     kind: str, dist, labels, rng: SeededRng, *,
     embed_dim: int, semihard_margin: float = 0.2, clip: float = 0.5,
-    anchor_indices=None,
+    anchor_indices=None, layout=None,
 ) -> TripletSet:
     """Strategy dispatch used by the training loop."""
     if kind == "random":
-        return sample_random_triplets(labels, rng, anchor_indices)
+        return sample_random_triplets(labels, rng, anchor_indices, layout)
     if kind == "semihard":
-        return sample_semihard_triplets(dist, labels, semihard_margin, rng, anchor_indices)
+        return sample_semihard_triplets(dist, labels, semihard_margin, rng, anchor_indices, layout)
     if kind == "softhard":
-        return sample_softhard_triplets(dist, labels, rng, anchor_indices)
+        return sample_softhard_triplets(dist, labels, rng, anchor_indices, layout)
     if kind == "distance":
-        return sample_distance_weighted(dist, labels, rng, embed_dim, clip, anchor_indices)
+        return sample_distance_weighted(dist, labels, rng, embed_dim, clip, anchor_indices, layout)
     raise ConfigError(f"sampler.kind must be one of {SAMPLER_KINDS}, got {kind!r}")

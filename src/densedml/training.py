@@ -22,7 +22,7 @@ import numpy as np
 
 from .config import RunConfig, apply_override, save_config
 from .core import STREAMS, SeededRng, pairwise_distances
-from .das import FrequencyRecorder, TransformationBank, produce, produced_backward
+from .das import FrequencyRecorder, TransformationBank, check_labels, produce, produced_backward
 from .data import Dataset, generate_gaussian_clusters, load_csv
 from .encoder import (
     EncoderParams,
@@ -38,7 +38,7 @@ from .errors import (ConfigError, CorruptCheckpointError, EngineError, ShapeMism
                      TrainingAbortError)
 from .losses import contrastive_loss, margin_loss, multi_similarity_loss, triplet_loss
 from .metrics import EvalReport, evaluate_embeddings
-from .sampling import sample_batch, sample_triplets
+from .sampling import BatchLayout, batch_layout, sample_batch, sample_triplets
 
 
 @dataclass
@@ -56,6 +56,7 @@ class TrainResult:
     data: SeededRng  # the batch, DAS and sampler streams
     das: SeededRng
     sampler: SeededRng
+    layout: BatchLayout  # the batches' label structure, built in set-up
 
 
 def build_dataset(cfg: RunConfig, rng: SeededRng) -> Dataset:
@@ -111,11 +112,13 @@ def step(state: TrainResult, cfg: RunConfig, emit) -> dict:
     emit("encode")
     n_real, d_embed = emb.shape
 
-    produced = None
+    produced, layout = None, state.layout
     if cfg.das.enabled and cfg.das.T > 0:
-        produced = produce(emb, y, state.recorder, state.bank, cfg.das, state.das, emit)
+        produced = produce(emb, y, state.recorder, state.bank, cfg.das, state.das, emit, layout)
         cat_emb = np.vstack([emb, produced.embeddings])
         cat_labels = np.concatenate([y, produced.labels])
+        if produced.dropped:  # the rows no longer follow the layout: the sampler builds one
+            layout = None
     else:
         cat_emb, cat_labels = emb, y
 
@@ -131,6 +134,7 @@ def step(state: TrainResult, cfg: RunConfig, emit) -> dict:
             semihard_margin=cfg.sampler.semihard_margin,
             clip=cfg.sampler.clip,
             anchor_indices=None if cfg.sampler.produced_as_anchors else np.arange(n_real),
+            layout=layout,
         )
         emit("sample")
 
@@ -177,6 +181,7 @@ def train(cfg: RunConfig, trace=None) -> TrainResult:
             f"{n_train_classes} training classes"
         )
     check_eval_ks(cfg.eval_ks, dataset)
+    check_labels(dataset.train_classes, n_train_classes)  # see sampling.BatchLayout
     d_embed = cfg.encoder.embed_dim
     state = TrainResult(
         params=init_params(cfg.encoder.layer_sizes(dataset.input_dim), cfg.encoder.activation,
@@ -186,6 +191,8 @@ def train(cfg: RunConfig, trace=None) -> TrainResult:
         recorder=FrequencyRecorder(n_train_classes, d_embed),
         bank=TransformationBank(n_train_classes, cfg.das.Z, d_embed),
         data=rng_data, das=root.derive("das"), sampler=root.derive("sampler"),
+        layout=batch_layout(cfg.batch, cfg.das.T if cfg.das.enabled else 0,
+                            cfg.sampler.produced_as_anchors),
     )
     emit = trace.append if trace is not None else (lambda phase: None)
 

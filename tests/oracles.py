@@ -6,8 +6,10 @@ both the outputs and the RNG state left behind.  The replicated baseline
 stands in for DAS production in the training loop, and the small vector
 helpers further down serve tests only; neither is part of the package.
 The distance and loss oracles are the forms the package kernel replaced:
-`np.sum` over a contiguous last axis, and `np.linalg.norm` over gathered
-pair differences with every inactive term added as 0 * direction.  The
+`np.sum` over a contiguous last axis, the full square without the mirrored
+half, and `np.linalg.norm` over gathered pair differences with every
+inactive term added as 0 * direction.  The anchor set-up, k-th True and
+class-rank oracles are the per-step code the batch layout replaced.  The
 rank-count recall takes every distance from the kernel, the form the Gram
 prefilter replaced.
 """
@@ -16,7 +18,7 @@ import numpy as np
 
 import densedml.core as core
 import densedml.training as training
-from densedml.core import ZERO_NORM_EPS, pairwise_distances
+from densedml.core import ZERO_NORM_EPS, label_masks, pairwise_distances
 from densedml.das import DasConfig, ProducedBatch, TransformationBank, check_labels
 from densedml.encoder import EncoderParams
 from densedml.errors import (
@@ -203,6 +205,41 @@ def distances(x, y, squared=False, block_bytes=128 * 1024):
     return out if squared else np.sqrt(out, out=out)
 
 
+def square_distances(x):
+    """The full-square form of `core.pairwise_distances`: every row block
+    summed over every column, nothing mirrored."""
+    planes = core._planes(core._as_rows(x))
+    out = core._squared_distances(planes, planes)
+    return np.sqrt(out, out)
+
+
+def anchor_rows(labels, anchor_indices=None):
+    """The per-step anchor set-up the batch layout replaced: anchors with a
+    positive and a negative (pool order, duplicates kept) and their rows of
+    the same-label/other-label masks."""
+    same, other = label_masks(labels)
+    n = len(labels)
+    pool = np.arange(n) if anchor_indices is None else np.asarray(anchor_indices, dtype=np.int64)
+    rows = pool[(same.any(axis=1) & other.any(axis=1))[pool]]
+    return rows, same[rows], other[rows]
+
+
+def kth_true(mask, k):
+    """Column of the k[i]-th (0-based) True entry of each mask row, by
+    cumsum: the form the layout's index tables replaced."""
+    return np.count_nonzero(np.cumsum(mask, axis=-1) <= np.asarray(k)[..., None], axis=-1)
+
+
+def class_ranks(labels):
+    """Each label's rank among the equal labels before it, by a stable
+    argsort, as `TransformationBank.enqueue` ranks rows without a layout."""
+    c = np.asarray(labels, dtype=np.int64)
+    q = np.bincount(c, minlength=c.max() + 1 if c.size else 0)
+    rank = np.empty_like(c)
+    rank[np.argsort(c, kind="stable")] = np.arange(c.size) - np.repeat(np.cumsum(q) - q, q)
+    return rank
+
+
 def pair_distances(emb, i, j):
     """Distances of gathered pairs by `np.linalg.norm`, and their unit
     directions (0 at or below TINY_DISTANCE)."""
@@ -337,7 +374,8 @@ def das_produce(v, label, mask_row, bank: TransformationBank, config: DasConfig,
     return out
 
 
-def replicated_produce(embeddings, labels, recorder, bank, config, rng, emit=lambda phase: None):
+def replicated_produce(embeddings, labels, recorder, bank, config, rng, emit=lambda phase: None,
+                       layout=None):
     """Term-duplicated baseline in place of `das.produce`: each anchor's row
     T times, anchor-major, with no draws and no recorder or bank update."""
     emb = np.asarray(embeddings, dtype=np.float64)

@@ -1,4 +1,6 @@
 import json
+import runpy
+import warnings
 
 import numpy as np
 import pytest
@@ -247,6 +249,49 @@ class TestPreflight:
         code = self.run_without_steps(monkeypatch, "--set", "batch.classes_per_batch=5")
         assert code == 2
         assert "batch.classes_per_batch=5" in capsys.readouterr().err
+
+
+class TestConfigBoundary:
+    """A config file or override that cannot make a run exits 2 with a
+    precise message before any step runs."""
+
+    @pytest.mark.parametrize("content, message", [
+        (None, "cannot read config {path}: "),
+        ("{not json", "config {path} is not valid JSON: "),
+        ("[1, 2]", "config {path} must hold a JSON object"),
+    ], ids=["unreadable", "invalid-json", "not-an-object"])
+    def test_config_file_exit_2(self, tmp_path, monkeypatch, capsys, content, message):
+        path = tmp_path / "cfg.json"
+        if content is not None:
+            path.write_text(content)
+        assert TestPreflight.run_without_steps(monkeypatch, "--config", str(path)) == 2
+        assert f"config error: {message.format(path=path)}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("override, message", [
+        ("foo", "--set expects key=value, got 'foo'"),
+        ("encoder.hidden=0", "encoder.hidden sizes must be >= 1"),
+        ("sampler.kind=nearest", "sampler.kind must be one of ('random', 'semihard', "
+                                 "'softhard', 'distance'), got 'nearest'"),
+    ])
+    def test_override_exit_2(self, monkeypatch, capsys, override, message):
+        assert TestPreflight.run_without_steps(monkeypatch, "--set", override) == 2
+        assert f"config error: {message}" in capsys.readouterr().err
+
+
+class TestEntryPoint:
+    def test_os_error_exit_3(self, tmp_path, capsys):
+        out = tmp_path / "missing" / "cfg.json"
+        assert run_cli("write-config", "--out", str(out)) == 3
+        assert f"error: [Errno 2] No such file or directory: '{out}'" in capsys.readouterr().err
+
+    def test_module_runs_main(self, monkeypatch, capsys):
+        monkeypatch.setattr("sys.argv", ["densedml", "write-config"])
+        with warnings.catch_warnings():  # runpy notes that the package imported the module
+            warnings.simplefilter("ignore", RuntimeWarning)
+            with pytest.raises(SystemExit) as stop:
+                runpy.run_module("densedml.cli", run_name="__main__")
+        assert stop.value.code == 0
+        assert json.loads(capsys.readouterr().out)["seed"] == RunConfig().seed
 
 
 class TestNegativeSeed:

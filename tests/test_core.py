@@ -205,6 +205,23 @@ class TestKernelOracle:
         self.assert_same_bits(x, y)
 
 
+class TestMirroredKernel:
+    """The square kernel sums each row block from its diagonal column on and
+    mirrors the rest; the full square sums every entry."""
+
+    @pytest.mark.parametrize("budget", [1, 1000, 8 * 16 * 64 * 16, 1 << 20])
+    @pytest.mark.parametrize("n", [1, 2, 15, 16, 17, 64, 100])
+    @pytest.mark.parametrize("d", [1, 16, 129])
+    def test_equals_the_full_square(self, rng, monkeypatch, budget, n, d):
+        x = rng.normal(size=(n, d))
+        x[n // 2] = x[0]  # a duplicate row
+        monkeypatch.setattr(core, "DISTANCE_BLOCK_BYTES", budget)
+        got = pairwise_distances(x)
+        np.testing.assert_array_equal(got, oracles.square_distances(x))
+        np.testing.assert_array_equal(got, got.T)
+        assert got.tobytes() == oracles.square_distances(x).tobytes()
+
+
 class TestTopK:
     def test_basic(self):
         np.testing.assert_array_equal(top_k_indices([0.9, 0.1, 0.4, 0.1], 2), [0, 2])

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from densedml.core import SeededRng
+from densedml.sampling import BatchSpec, batch_layout
 from densedml.das import (
     DasConfig,
     FrequencyRecorder,
@@ -18,6 +19,7 @@ from densedml.das import (
 )
 from densedml.errors import (
     ConfigError,
+    KOutOfRangeError,
     LabelOutOfRangeError,
     ShapeMismatchError,
     ZeroNormError,
@@ -531,3 +533,72 @@ class TestLabelCheck:
         with pytest.raises(LabelOutOfRangeError, match="label 7 outside"):
             draw_shifts(bank, [0, 7, -2], 0.01, rng)
         assert rng.uniform() == SeededRng(4).uniform()
+
+
+class TestDirectCallerChecks:
+    """The checks a training step skips stay for direct callers."""
+
+    @pytest.mark.parametrize("emb, labels, k, error, match", [
+        (np.eye(4)[:3], [0, 1], 1, ShapeMismatchError, "labels length"),
+        (np.eye(5)[:2], [0, 1], 1, ShapeMismatchError, "embedding dim 5 != recorder dim 4"),
+        (np.eye(4)[:2], [0, 1], 0, KOutOfRangeError, r"K=0 outside \[1, 4\]"),
+        (np.eye(4)[:2], [0, 1], 5, KOutOfRangeError, r"K=5 outside \[1, 4\]"),
+    ])
+    def test_recorder_update(self, emb, labels, k, error, match):
+        rec = FrequencyRecorder(2, 4)
+        with pytest.raises(error, match=match):
+            rec.update(emb, labels, k)
+        assert rec.counts.sum() == 0
+
+    @pytest.mark.parametrize("k", [0, 5])
+    def test_recorder_mask(self, k):
+        with pytest.raises(KOutOfRangeError, match=rf"K={k} outside"):
+            FrequencyRecorder(2, 4).mask(k)
+
+    @pytest.mark.parametrize("grad", [np.zeros((0, 3)), []])
+    def test_backward_of_no_produced_rows(self, grad):
+        batch = combine_factors(np.ones((2, 3)), [0, 1], [0, 0], np.ones((2, 3)),
+                                np.array([[-1.0, -1.0, -1.0]] * 2))
+        assert batch.dropped == 2
+        np.testing.assert_array_equal(produced_backward(batch, grad, 2, 3), np.zeros((2, 3)))
+
+
+class TestLayoutPath:
+    """produce handed the training run's layout (labels taken as checked,
+    anchors, bank pairs and ranks read from it) against produce without one:
+    equal outputs, equal recorder and bank, equal stream."""
+
+    @staticmethod
+    def warm_state(seed, n_classes, d, z, k):
+        r = SeededRng(seed, 9)
+        rec, bank = FrequencyRecorder(n_classes, d), TransformationBank(n_classes, z, d)
+        rec.update(r.normal(size=(7, d)), r.integers(n_classes, size=7), k)
+        for c in r.integers(n_classes, size=int(r.integers(3 * z))):
+            bank.enqueue(c, r.normal(size=d))
+        return rec, bank
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(min_value=0, max_value=2**31), st.integers(2, 5), st.integers(2, 4),
+           st.integers(1, 3), st.integers(1, 6), st.sampled_from([0.0, 0.3]),
+           st.sampled_from([0.0, 0.3, 5.0]), st.booleans())
+    def test_matches_the_checked_path(self, seed, p, m, t, z, rs, rb, collapse):
+        r = SeededRng(seed)
+        d, n_classes = 5, 7
+        labels = np.repeat(r.permutation(n_classes)[:p], m)
+        emb = random_unit_rows(r, p * m, d)
+        if collapse:  # a duplicate row: a zero difference in the bank
+            emb[1] = emb[0]
+        cfg = DasConfig(T=t, K=2, Z=z, rs=rs, rb=rb)
+        got_rec, got_bank = self.warm_state(seed, n_classes, d, z, cfg.K)
+        want_rec, want_bank = self.warm_state(seed, n_classes, d, z, cfg.K)
+        rng_got, rng_want = SeededRng(seed, 2), SeededRng(seed, 2)
+        layout = batch_layout(BatchSpec(p, m), t, True)
+        got = produce(emb, labels, got_rec, got_bank, cfg, rng_got, layout=layout)
+        want = produce(emb, labels, want_rec, want_bank, cfg, rng_want)
+        for name in ("embeddings", "labels", "anchor_rows", "scales", "inv_norms"):
+            np.testing.assert_array_equal(getattr(got, name), getattr(want, name))
+        assert got.dropped == want.dropped
+        np.testing.assert_array_equal(got_rec.counts, want_rec.counts)
+        for name in ("slots", "cursor", "filled"):
+            np.testing.assert_array_equal(getattr(got_bank, name), getattr(want_bank, name))
+        np.testing.assert_equal(rng_got.bit_generator.state, rng_want.bit_generator.state)

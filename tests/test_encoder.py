@@ -64,6 +64,10 @@ class TestForward:
         with pytest.raises(ZeroNormError):
             encode(params, [[1.0, 2.0]])
 
+    def test_empty_batch(self, rng):
+        with pytest.raises(ShapeMismatchError, match="empty batch"):
+            encode(init_params([4, 4], "relu", rng), np.zeros((0, 4)))
+
     def test_wrong_input_dim(self, rng):
         params = init_params([4, 4], "relu", rng)
         with pytest.raises(ShapeMismatchError):
@@ -81,6 +85,20 @@ class TestBackward:
         x = rng.normal(size=(1, 3))
         upstream = rng.normal(size=(1, 2))
         emb, tape = encode(params, x)
+        analytic = backward(params, tape, upstream)
+        numeric = finite_difference(
+            lambda th: loss_through_encoder(with_theta(params, th), x, upstream),
+            params.theta.copy(),
+        )
+        assert max_rel_error(analytic, numeric) < 1e-4
+
+    def test_identity_hidden_layer_finite_difference(self, rng):
+        # a linear hidden layer: the identity's forward and its unit derivative
+        params = init_params([3, 4, 2], "identity", rng)
+        x = rng.normal(size=(3, 3))
+        upstream = rng.normal(size=(3, 2))
+        _, tape = encode(params, x)
+        np.testing.assert_array_equal(tape.inputs[1], tape.pre_acts[0])
         analytic = backward(params, tape, upstream)
         numeric = finite_difference(
             lambda th: loss_through_encoder(with_theta(params, th), x, upstream),

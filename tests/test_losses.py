@@ -126,6 +126,12 @@ class TestTriplet:
     def triplet(self):
         return TripletSet(np.array([0]), np.array([1]), np.array([2]))
 
+    @pytest.mark.parametrize("index", [-1, 3])
+    def test_index_outside_the_batch(self, index):
+        emb = np.array([[0.0, 0.0], [0.2, 0.0], [0.6, 0.0]])
+        with pytest.raises(ShapeMismatchError, match="index outside the batch"):
+            triplet_loss(emb, TripletSet(np.array([0]), np.array([1]), np.array([index])), 0.2)
+
     def test_inactive_hinge(self):
         emb = np.array([[0.0, 0.0], [0.2, 0.0], [0.6, 0.0]])
         out = triplet_loss(emb, self.triplet(), 0.2)
@@ -271,6 +277,10 @@ class TestDistanceMatrixOracle:
 class TestMultiSimilarity:
     def spec(self):
         return LossSpec(kind="ms", ms_alpha=2.0, ms_beta=50.0, ms_base=1.0, ms_eps=0.1)
+
+    def test_label_length_mismatch(self):
+        with pytest.raises(ShapeMismatchError, match="labels length"):
+            multi_similarity_loss(np.eye(3), [0, 0], self.spec())
 
     def test_all_mined_sets_empty(self):
         # inverted geometry: positives antipodal, negatives orthogonal

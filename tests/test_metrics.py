@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 import densedml.core as core
 import densedml.metrics as metrics
 from densedml.core import SeededRng
-from densedml.errors import KOutOfRangeError, ShapeMismatchError
+from densedml.errors import KOutOfRangeError, NumericOverflowError, ShapeMismatchError
 from densedml.metrics import (
     EvalReport,
     evaluate_embeddings,
@@ -77,6 +77,10 @@ class TestRecall:
     def test_repeated_k_counted_once(self):
         emb = np.array([[0.0], [0.1], [5.0], [5.1]])
         assert recall_at_k(emb, np.array([0, 0, 1, 1]), [1, 1, 2]) == {1: 1.0, 2: 1.0}
+
+    def test_label_length_mismatch(self):
+        with pytest.raises(ShapeMismatchError, match="labels length"):
+            recall_at_k(np.eye(3), [0, 1], [1])
 
     def test_k_below_one(self):
         with pytest.raises(KOutOfRangeError):
@@ -294,6 +298,14 @@ class TestKmeans:
             kmeans(np.eye(3), k, rng)
         assert rng.random() == SeededRng(3).random()  # rejected before any draw
 
+    def test_seeding_distances_that_overflow(self):
+        # the squared distances overflow, so seeding's total is inf; numpy's
+        # choice raised its own ValueError on the NaN probabilities
+        x = SeededRng(5).normal(size=(30, 3)) * 1e154
+        with np.errstate(over="ignore"):
+            with pytest.raises(NumericOverflowError, match="squared distances overflow"):
+                kmeans(x, 2, SeededRng(0))
+
     def test_matches_exhaustive_optimum_at_n8(self):
         r = SeededRng(7)
         x = np.vstack(
@@ -387,6 +399,10 @@ class TestNmi:
     def test_length_mismatch(self):
         with pytest.raises(ShapeMismatchError):
             nmi([0, 1], [0, 1, 1])
+
+    def test_empty_inputs(self):
+        with pytest.raises(ShapeMismatchError, match="empty inputs"):
+            nmi([], [])
 
     @settings(max_examples=30)
     @given(st.integers(min_value=0, max_value=10_000))

@@ -6,8 +6,12 @@ from hypothesis import strategies as st
 from densedml.core import SeededRng, pairwise_distances
 from densedml.data import Dataset
 from densedml.errors import NotEnoughClassesError, NoValidTripletError, ShapeMismatchError
+from densedml.core import label_masks
+from densedml.errors import ConfigError
 from densedml.sampling import (
     BatchSpec,
+    anchor_layout,
+    batch_layout,
     distance_weights,
     sample_batch,
     sample_distance_weighted,
@@ -17,6 +21,7 @@ from densedml.sampling import (
     sample_triplets,
 )
 
+from conftest import random_unit_rows
 import oracles
 from oracles import build_pairs
 
@@ -414,6 +419,10 @@ class TestDispatchAndInvariants:
                            match=rf"distance matrix \({shape[0]}, {shape[1]}\) vs 4 labels"):
             sample_triplets(kind, np.zeros(shape), labels, SeededRng(0), embed_dim=3)
 
+    def test_unknown_kind(self):
+        with pytest.raises(ConfigError, match="sampler.kind must be one of"):
+            sample_triplets("nearest", np.zeros((2, 2)), [0, 1], SeededRng(0), embed_dim=2)
+
     def test_random_dispatch_draws_one_triplet_per_eligible_anchor(self):
         labels = np.array([0, 0, 1, 1, 2])
         got = sample_triplets("random", None, labels, SeededRng(8), embed_dim=3,
@@ -426,3 +435,87 @@ class TestDispatchAndInvariants:
         with pytest.raises(NoValidTripletError):
             sample_triplets("random", None, labels, SeededRng(8), embed_dim=3,
                             anchor_indices=[4])
+
+
+def assert_mining_matches_per_step_code(layout, labels, anchor_indices):
+    """The layout's mining fields against the anchor set-up, counts and
+    cumsum k-th True that each step computed before the layout."""
+    rows, same, other = oracles.anchor_rows(labels, anchor_indices)
+    np.testing.assert_array_equal(layout.rows, rows)
+    np.testing.assert_array_equal(layout.same, same)
+    np.testing.assert_array_equal(layout.other, other)
+    for mask, counts, table in ((same, layout.n_pos, layout.pos_cols),
+                                (other, layout.n_neg, layout.neg_cols)):
+        np.testing.assert_array_equal(counts, np.count_nonzero(mask, axis=1))
+        for k in range(mask.shape[1]):
+            live = k < counts
+            np.testing.assert_array_equal(table[live, k], oracles.kth_true(mask[live], k))
+
+
+class TestBatchLayout:
+    """The layout built once per run against the per-step code it replaced."""
+
+    @staticmethod
+    def batch_labels(p, m, seed):
+        """Class-contiguous labels of p distinct classes out of 20, as sample_batch draws them."""
+        return np.repeat(SeededRng(seed).permutation(20)[:p], m)
+
+    @pytest.mark.parametrize("p", [2, 3, 8])
+    @pytest.mark.parametrize("m", [2, 3, 5])
+    @pytest.mark.parametrize("t", [0, 1, 3])
+    @pytest.mark.parametrize("produced_as_anchors", [True, False])
+    def test_fields_match_per_step_code(self, p, m, t, produced_as_anchors):
+        layout = batch_layout(BatchSpec(p, m), t, produced_as_anchors)
+        labels = self.batch_labels(p, m, 10 * p + m)
+        n = p * m
+        anchors = np.repeat(np.arange(n), t)  # das.produce's anchor-major copies
+        np.testing.assert_array_equal(layout.anchors, anchors)
+        i, j = np.nonzero(label_masks(labels)[0])  # TransformationBank.update's pairs
+        np.testing.assert_array_equal(layout.pairs, [i, j])
+        np.testing.assert_array_equal(layout.pair_ranks, oracles.class_ranks(labels[i]))
+        cat = np.concatenate([labels, labels[anchors]])
+        assert_mining_matches_per_step_code(
+            layout, cat, None if produced_as_anchors else np.arange(n))
+
+    @pytest.mark.parametrize("produced_as_anchors", [True, False])
+    @pytest.mark.parametrize("kept", [[], [0, 5], list(range(1, 24, 2))])
+    def test_dropped_rows_rebuild(self, produced_as_anchors, kept):
+        # a step that drops produced rows mines from the anchor layout of the
+        # rows it kept, which must match the per-step code on those rows
+        labels = self.batch_labels(4, 2, 1)
+        copies = np.repeat(labels, 3)[kept]
+        pool = None if produced_as_anchors else np.arange(8)
+        cat = np.concatenate([labels, copies])
+        assert_mining_matches_per_step_code(anchor_layout(cat, pool), cat, pool)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(st.integers(0, 4), max_size=14), st.data())
+    def test_any_labels_and_pool(self, labels, data):
+        labels = np.asarray(labels, dtype=np.int64)
+        pool = data.draw(st.none() | st.lists(st.integers(0, max(len(labels) - 1, 0)),
+                                              max_size=10 if len(labels) else 0))
+        assert_mining_matches_per_step_code(anchor_layout(labels, pool), labels, pool)
+
+
+class TestLayoutPath:
+    """Each sampler handed the training run's layout returns what its own
+    layout from the labels returns, and leaves the same stream."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(min_value=0, max_value=2**31),
+           st.sampled_from(["random", "semihard", "softhard", "distance"]),
+           st.integers(2, 5), st.integers(2, 3), st.integers(0, 3), st.booleans())
+    def test_samplers_match_the_checked_path(self, seed, kind, p, m, t, as_anchors):
+        r = SeededRng(seed)
+        labels = np.repeat(r.permutation(10)[:p], m)
+        cat = np.concatenate([labels, np.repeat(labels, t)])
+        emb = random_unit_rows(r, len(cat), 4)
+        dist = pairwise_distances(emb)
+        pool = None if as_anchors else np.arange(p * m)
+        rng_got, rng_want = SeededRng(seed, 3), SeededRng(seed, 3)
+        got = sample_triplets(kind, dist, cat, rng_got, embed_dim=4,
+                              layout=batch_layout(BatchSpec(p, m), t, as_anchors))
+        want = sample_triplets(kind, dist, cat, rng_want, embed_dim=4, anchor_indices=pool)
+        for name in ("anchors", "positives", "negatives"):
+            np.testing.assert_array_equal(getattr(got, name), getattr(want, name))
+        np.testing.assert_equal(rng_got.bit_generator.state, rng_want.bit_generator.state)

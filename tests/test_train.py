@@ -16,6 +16,7 @@ from densedml.errors import (
     ShapeMismatchError,
     TrainingAbortError,
 )
+import densedml.das as das
 import densedml.training as training
 from densedml.training import (
     ComparisonTable,
@@ -210,6 +211,41 @@ class TestTrainLoop:
         assert state.margin_beta == straight.margin_beta
         if loss_kind == "margin":
             assert straight.margin_beta != cfg.loss.margin_beta
+
+
+class TestBatchLayoutPath:
+    """A run on the layout built in set-up equals one whose every step takes
+    the checked paths, with no layout, also when production drops rows."""
+
+    @staticmethod
+    def without_layout(monkeypatch):
+        produce, sample_triplets = training.produce, training.sample_triplets
+        monkeypatch.setattr(training, "produce", lambda *args: produce(*args[:7]))
+        monkeypatch.setattr(training, "sample_triplets",
+                            lambda *args, layout, **kw: sample_triplets(*args, **kw))
+
+    @pytest.mark.parametrize("kind", ["distance", "random", "semihard", "softhard"])
+    @pytest.mark.parametrize("drop", [False, True])
+    @pytest.mark.parametrize("produced_as_anchors", [True, False])
+    def test_equals_the_checked_path(self, monkeypatch, kind, drop, produced_as_anchors):
+        cfg = tiny_config(steps=6)
+        cfg.sampler.kind = kind
+        cfg.sampler.produced_as_anchors = produced_as_anchors
+        if drop:  # every fifth produced row collapses: s*v - s*v is exactly 0
+            combine = das.combine_factors
+
+            def dropping(emb, labels, anchors, scales, shifts):
+                shifts = shifts.copy()
+                shifts[::5] = -scales[::5] * emb[anchors[::5]]
+                return combine(emb, labels, anchors, scales, shifts)
+
+            monkeypatch.setattr(das, "combine_factors", dropping)
+        got = train(cfg)
+        assert any(rec["dropped"] for rec in step_records(got)) == drop
+        self.without_layout(monkeypatch)
+        want = train(cfg)
+        assert got.log_lines == want.log_lines
+        assert got.params.theta.tobytes() == want.params.theta.tobytes()
 
 
 class TestArtifacts:
