@@ -60,6 +60,8 @@ class SamplerConfig:
             raise ConfigError(f"sampler.kind must be one of {SAMPLER_KINDS}, got {self.kind!r}")
         if self.clip <= 0:
             raise ConfigError("sampler.clip must be positive")
+        if self.semihard_margin <= 0:
+            raise ConfigError("sampler.semihard_margin must be positive")
 
 
 @dataclass

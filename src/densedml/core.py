@@ -47,131 +47,6 @@ class SeededRng(np.random.Generator):
         return SeededRng(self.seed, STREAMS[name])
 
 
-_WORD = 1 << 32  # bounds at or above it take a whole word, not a 32-bit half
-_LOW, _SHIFT = np.uint64(_WORD - 1), np.uint64(32)
-_DOUBLE_UNIT = 1.0 / 9007199254740992.0  # 2**-53
-
-
-def replay_draws(rng, bounds, tables=(), highs=None):
-    """What the scalar calls
-
-        for i in range(len(bounds)):
-            v = rng.integers(bounds[i])
-            for table in tables:
-                rng.integers(table[v])
-            rng.uniform(0.0, highs[i])    # when highs is given
-
-    return: an (n, 1 + len(tables)) int64 array of the integers, round by
-    round, and the n uniforms (None without highs).  `rng` is left in the
-    state those calls leave, its `bit_generator.state` dict included.
-
-    The replay rests on how numpy's Generator consumes a Philox stream (as
-    of numpy 2.4, the version tests/golden.json records; the tests compare
-    the replay with the scalar calls, so a numpy that draws otherwise fails
-    them):
-    - `uniform(0, hi)` takes one uint64 word w and returns
-      0.0 + hi * ((w >> 11) * 2**-53); it leaves the buffered half alone.
-    - `integers(b)` with 2 <= b < 2**32 takes one 32-bit half x and returns
-      x*b >> 32 (Lemire's method), unless the low 32 bits of x*b fall below
-      (2**32 - b) % b; then it rejects x and takes another half.
-      `integers(1)` takes nothing.
-    - Halves pass through a buffer in the state (`has_uint32`, `uinteger`).
-      An empty buffer takes a fresh word, returns its low half and keeps the
-      high one; a full buffer hands its half over and leaves `uinteger`
-      stale.
-    - `bit_generator.random_raw(k)` returns the next k words and leaves the
-      buffer alone.
-    So the buffer at the start fixes which calls take a fresh word.  The
-    words come from one `random_raw` call, each integer resolves by Lemire's
-    method, and the buffer those calls would leave is written into the
-    state.  When no call takes a half (every bound 1, as with one positive
-    per anchor) the state is neither read nor written.
-
-    It makes the scalar calls themselves when it cannot replay them: an
-    `rng` that is not a numpy Generator over Philox (a test stub, say),
-    a bound outside [1, 2**32), a table entry outside [2, 2**32), or a
-    non-finite high, where numpy raises its own error.  After a Lemire
-    rejection it restores the state and makes them too.
-    """
-    bounds = np.asarray(bounds, dtype=np.int64)
-    tables = [np.asarray(t, dtype=np.int64) for t in tables]
-    highs = None if highs is None else np.asarray(highs, dtype=np.float64)
-    if not _replayable(rng, bounds, tables, highs):
-        return _scalar_draws(rng, bounds, tables, highs)
-    n, k = bounds.size, 1 + len(tables)
-    bg = rng.bit_generator
-    if n == 0 or not (tables or bounds.max() >= 2):
-        ints = np.zeros((n, k), dtype=np.int64)
-        return ints, None if highs is None else _uniforms(highs, bg.random_raw(n))
-    state = bg.state
-    buffered = state["has_uint32"]
-    # the call stream, round-major: k integer calls, then the uniform
-    width = k + (highs is not None)
-    takes_half = np.zeros(n * width, dtype=bool)
-    takes_half[0::width] = bounds >= 2
-    for j in range(1, k):
-        takes_half[j::width] = True
-    takes_word = np.zeros(n * width, dtype=bool)
-    if highs is not None:
-        takes_word[k::width] = True
-    at = np.flatnonzero(takes_half)
-    takes_word[at[buffered::2]] = True  # the calls that find the buffer empty
-    words = bg.random_raw(np.count_nonzero(takes_word))
-    fresh = takes_half[takes_word]
-    # in call order, the halves are the buffered one, then the low and the
-    # high half of each fresh word
-    halves = np.empty(buffered + 2 * np.count_nonzero(fresh), dtype=np.uint64)
-    halves[:buffered] = state["uinteger"]
-    halves[buffered:] = words[fresh].astype("<u8").view("<u4")
-    x = np.zeros(n * width, dtype=np.uint64)
-    x[at] = halves[: at.size]
-    x = x.reshape(n, width)
-    ints = np.zeros((n, k), dtype=np.int64)
-    rejected = False
-    for j in range(k):
-        b = (bounds if j == 0 else tables[j - 1][ints[:, 0]]).astype(np.uint64)
-        m = x[:, j] * b
-        ints[:, j] = m >> _SHIFT
-        rejected = rejected or bool(((m & _LOW) < (np.uint64(_WORD) - b) % b).any())
-    if rejected:
-        bg.state = state
-        return _scalar_draws(rng, bounds, tables, highs)
-    # a buffer left full holds the last fresh word's high half; one left
-    # empty keeps the half taken last as its stale value
-    end = bg.state
-    end["has_uint32"] = (buffered + at.size) % 2
-    end["uinteger"] = int(halves[at.size - 1 + end["has_uint32"]])
-    bg.state = end
-    return ints, None if highs is None else _uniforms(highs, words[~fresh])
-
-
-def _replayable(rng, bounds, tables, highs) -> bool:
-    if not (isinstance(rng, np.random.Generator) and type(rng.bit_generator) is np.random.Philox):
-        return False
-    if bounds.size and not (bounds.min() >= 1 and bounds.max() < _WORD):
-        return False
-    if not all(t.min() >= 2 and t.max() < _WORD for t in tables if t.size):
-        return False
-    return highs is None or bool(np.isfinite(highs).all())
-
-
-def _uniforms(highs, words):
-    """numpy's `uniform(0.0, hi)` from the words it takes."""
-    return 0.0 + highs * ((words >> np.uint64(11)).astype(np.float64) * _DOUBLE_UNIT)
-
-
-def _scalar_draws(rng, bounds, tables, highs):
-    ints = np.zeros((bounds.size, 1 + len(tables)), dtype=np.int64)
-    uniforms = None if highs is None else np.empty(bounds.size)
-    for i, b in enumerate(bounds.tolist()):
-        v = ints[i, 0] = rng.integers(b)
-        for j, table in enumerate(tables, start=1):
-            ints[i, j] = rng.integers(int(table[v]))
-        if highs is not None:
-            uniforms[i] = rng.uniform(0.0, highs[i])
-    return ints, uniforms
-
-
 def label_masks(labels):
     """n x n masks: same-label partners (self excluded) and other-label rows.
 
@@ -215,8 +90,7 @@ def pairwise_distances(rows) -> np.ndarray:
     as ((r0+r1)+(r2+r3))+((r4+r5)+(r6+r7)), then the leftover terms in order;
     above 128, the sums of the first h and the last d - h squares, h the
     largest multiple of 8 not above d/2.  That order is numpy-internal (as of
-    numpy 2.4, the version tests/golden.json records), the same kind of
-    dependency `replay_draws` has on the Generator: tests/test_core.py
+    numpy 2.4, the version tests/golden.json records): tests/test_core.py
     compares the kernel with the `np.sum` form bit for bit, and the golden
     hashes catch a numpy that sums otherwise.  The sum runs over the leading
     axis of a (d, rows, cols) block of squared differences, so each step of

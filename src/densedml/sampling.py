@@ -6,7 +6,8 @@ real or produced, so both kinds are sampled on equal footing.  The optional
 produced embeddings out of the anchor role when configured), but candidates
 for positives/negatives always span the whole batch.  Every sampler starts
 from a `BatchLayout` of the labels (the training run's, passed as `layout`),
-and resolves each seeded pick to the k-th True entry of a mask row.
+and resolves each seeded pick to the k-th True entry of a mask row.  Each
+draws with whole-array `Generator` calls, in the order its docstring gives.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .core import SeededRng, label_masks, replay_draws
+from .core import SeededRng, label_masks
 from .data import Dataset
 from .errors import ConfigError, NotEnoughClassesError, NoValidTripletError, ShapeMismatchError
 from .losses import TripletSet
@@ -81,12 +82,10 @@ class BatchLayout:
     pair_ranks: np.ndarray = None  # each pair's rank among its class's pairs
 
 
-def anchor_layout(labels, anchor_indices=None, dist=None) -> BatchLayout:
+def anchor_layout(labels, anchor_indices=None) -> BatchLayout:
     """The mining part of the layout of `labels`, anchors drawn from
-    `anchor_indices` (every row when None); `dist` must be n x n if given."""
+    `anchor_indices` (every row when None)."""
     n = len(labels)
-    if dist is not None and np.shape(dist) != (n, n):
-        raise ShapeMismatchError(f"distance matrix {np.shape(dist)} vs {n} labels")
     same, other = label_masks(labels)
     pool = np.arange(n) if anchor_indices is None else np.asarray(anchor_indices, dtype=np.int64)
     rows = pool[(same.any(axis=1) & other.any(axis=1))[pool]]
@@ -114,8 +113,16 @@ def _true_columns(mask):
 
 
 def _kth(table, k):
-    """Entry k[i] of each row i of a `_true_columns` table."""
+    """Entry k[i] of each row i of `table` (a `_true_columns` table, say)."""
     return table[np.arange(len(k)), k]
+
+
+def _anchor_distances(dist, labels, lay):
+    """The anchors' rows of `dist`, which must be n x n for n labels."""
+    dist, n = np.asarray(dist), len(labels)
+    if dist.shape != (n, n):
+        raise ShapeMismatchError(f"distance matrix {dist.shape} vs {n} labels")
+    return dist[lay.rows]
 
 
 def sample_random_triplets(labels, rng: SeededRng, anchor_indices=None, layout=None) -> TripletSet:
@@ -123,13 +130,16 @@ def sample_random_triplets(labels, rng: SeededRng, anchor_indices=None, layout=N
 
     As many triplets as there are eligible anchors; each triplet's anchor is
     drawn uniformly, with replacement, from those anchors, then its positive
-    and its negative, three scalar draws per triplet.
+    and its negative.  Draws: `integers(n, size=n)` for the n anchors, then
+    one `integers` call over the picked anchors' (positive count, negative
+    count) pairs, row-major.
     """
     lay = layout or anchor_layout(labels, anchor_indices)
     n = lay.rows.size
     if n == 0:
         raise NoValidTripletError("no anchor has both a positive and a negative")
-    pick, k_pos, k_neg = replay_draws(rng, np.full(n, n), (lay.n_pos, lay.n_neg))[0].T
+    pick = rng.integers(n, size=n)
+    k_pos, k_neg = rng.integers(np.stack([lay.n_pos[pick], lay.n_neg[pick]], axis=1)).T
     return TripletSet(lay.rows[pick], lay.pos_cols[pick, k_pos], lay.neg_cols[pick, k_neg])
 
 
@@ -142,20 +152,22 @@ def sample_semihard_triplets(
     (D_ap, D_ap + margin); if the window is empty, the hardest negative
     strictly farther than the positive; if none is farther, the least
     violating negative (largest D_an).  Ties resolve to the lower index.
+    Draws: one `integers` call over the anchors' positive counts, then one
+    over the sizes of the non-empty windows, in anchor order.
     """
-    lay = layout or anchor_layout(labels, anchor_indices, dist)
-    d = np.asarray(dist)[lay.rows]
-    positives, negatives = np.empty_like(lay.rows), np.empty_like(lay.rows)
-    for i, row in enumerate(d):
-        p = positives[i] = lay.pos_cols[i, rng.integers(lay.n_pos[i])]
-        farther = lay.other[i] & (row > row[p])
-        window = np.flatnonzero(farther & (row < row[p] + margin))
-        if window.size:
-            negatives[i] = window[rng.integers(window.size)]
-        elif farther.any():
-            negatives[i] = np.argmin(np.where(farther, row, np.inf))
-        else:
-            negatives[i] = np.argmax(np.where(lay.other[i], row, -np.inf))
+    lay = layout or anchor_layout(labels, anchor_indices)
+    d = _anchor_distances(dist, labels, lay)
+    if not d.size:  # no anchor, and argmin takes no empty row
+        return TripletSet(lay.rows, lay.rows, lay.rows)
+    positives = _kth(lay.pos_cols, rng.integers(lay.n_pos))
+    d_ap = _kth(d, positives)[:, None]
+    farther = lay.other & (d > d_ap)
+    window = farther & (d < d_ap + margin)
+    negatives = np.where(farther.any(axis=1), np.argmin(np.where(farther, d, np.inf), axis=1),
+                         np.argmax(np.where(lay.other, d, -np.inf), axis=1))
+    size = np.count_nonzero(window, axis=1)
+    drawn = size > 0
+    negatives[drawn] = _kth(_true_columns(window[drawn]), rng.integers(size[drawn]))
     return TripletSet(lay.rows, positives, negatives)
 
 
@@ -182,41 +194,44 @@ def sample_distance_weighted(
     layout=None) -> TripletSet:
     """Uniform positives; negatives drawn inversely to the distance density.
 
-    Each eligible anchor draws, in anchor order, an integer that picks its
-    positive and then a uniform in [0, total negative weight), the two
-    interleaved on one stream as scalar calls would take them
-    (`core.replay_draws`).  The negative is the first column of the
-    anchor's weight cdf that exceeds the uniform (its last negative if the
-    uniform rounds up to the total).
+    Draws: one `integers` call over the anchors' positive counts, then
+    `totals * random(n)`, each anchor's total negative weight times a
+    uniform in [0, 1), which is numpy's `uniform(0, total)` bit for bit (the
+    weights are capped, so the totals are finite).  The negative is the
+    first column of the anchor's weight cdf that exceeds its uniform (its
+    last negative if the uniform rounds up to the total).
     """
-    lay = layout or anchor_layout(labels, anchor_indices, dist)
-    d = np.asarray(dist)[lay.rows]
+    lay = layout or anchor_layout(labels, anchor_indices)
+    d = _anchor_distances(dist, labels, lay)
     # zeroing the non-negatives adds exact +0.0 terms, so each row's cdf at
     # its negative columns is the cumsum over the negatives alone, bit for bit
     weights = np.where(lay.other, distance_weights(d, embed_dim, clip), 0.0)
     cdf = np.cumsum(weights, axis=1)
+    positives = _kth(lay.pos_cols, rng.integers(lay.n_pos))
     # each row's total weight, sliced so that an empty batch gives no rows
-    pick, u = replay_draws(rng, lay.n_pos, highs=cdf[:, -1:].ravel())
+    u = cdf[:, -1:] * rng.random((len(d), 1))
     # the negative's rank among the anchor's negatives: searchsorted(side="right")
-    rank = np.count_nonzero((cdf <= u[:, None]) & lay.other, axis=1)
+    rank = np.count_nonzero((cdf <= u) & lay.other, axis=1)
     rank = np.minimum(rank, lay.n_neg - 1)
-    return TripletSet(lay.rows, _kth(lay.pos_cols, pick[:, 0]), _kth(lay.neg_cols, rank))
+    return TripletSet(lay.rows, positives, _kth(lay.neg_cols, rank))
 
 
 def sample_softhard_triplets(
     dist, labels, rng: SeededRng, anchor_indices=None, layout=None
 ) -> TripletSet:
     """Hard positives (farther than the nearest negative) paired with hard
-    negatives (closer than the farthest positive); uniform fallback each side."""
-    lay = layout or anchor_layout(labels, anchor_indices, dist)
-    d = np.asarray(dist)[lay.rows]
+    negatives (closer than the farthest positive); uniform fallback each side.
+
+    Draws: one `integers` call over the anchors' (positive pool size,
+    negative pool size) pairs, row-major.
+    """
+    lay = layout or anchor_layout(labels, anchor_indices)
+    d = _anchor_distances(dist, labels, lay)
     same, other = lay.same, lay.other
     hard_pos = same & (d > np.min(d, axis=1, where=other, initial=np.inf)[:, None])
     hard_neg = other & (d < np.max(d, axis=1, where=same, initial=-np.inf)[:, None])
     p_pool = np.where(hard_pos.any(axis=1)[:, None], hard_pos, same)
     n_pool = np.where(hard_neg.any(axis=1)[:, None], hard_neg, other)
-    # one call over interleaved (positive, negative) bounds draws, per anchor,
-    # the same two stream values as two scalar calls
     pick = rng.integers(np.stack(
         [np.count_nonzero(p_pool, axis=1), np.count_nonzero(n_pool, axis=1)], axis=1))
     return TripletSet(lay.rows, _kth(_true_columns(p_pool), pick[:, 0]),

@@ -1,8 +1,9 @@
 """Per-anchor and per-row reference implementations of vectorized package code.
 
 Each oracle is the plain loop the package code replaced.  It consumes the
-seeded stream one scalar draw at a time, so an equivalence test can compare
-both the outputs and the RNG state left behind.  The replicated baseline
+seeded stream one scalar draw at a time (the sampler oracles in each
+sampler's draw order), so an equivalence test can compare both the outputs
+and the RNG state left behind.  The replicated baseline
 stands in for DAS production in the training loop, and the small vector
 helpers further down serve tests only; neither is part of the package.
 The distance and loss oracles are the forms the package kernel replaced:
@@ -55,51 +56,49 @@ def _triplet_set(anchors, positives, negatives):
 
 def sample_distance_weighted(dist, labels, rng, embed_dim, clip=0.5, anchor_indices=None):
     """One triplet per eligible anchor: uniform positive, then an inverse-cdf
-    negative over that anchor's 1/q(d) weights."""
+    negative over that anchor's 1/q(d) weights.  Every anchor draws its
+    positive, then every anchor its uniform."""
     dist = np.asarray(dist)
     pos_lists, neg_lists = class_views(labels)
     all_weights = distance_weights(dist, embed_dim, clip)
-    anchors, positives, negatives = [], [], []
-    for a in _eligible(pos_lists, neg_lists, anchor_indices):
-        p = pos_lists[a][int(rng.integers(len(pos_lists[a])))]
+    anchors = _eligible(pos_lists, neg_lists, anchor_indices)
+    positives = [int(pos_lists[a][int(rng.integers(len(pos_lists[a])))]) for a in anchors]
+    negatives = []
+    for a in anchors:
         negs = neg_lists[a]
         cdf = np.cumsum(all_weights[a, negs])
         u = rng.uniform(0.0, cdf[-1])
-        n = negs[min(int(np.searchsorted(cdf, u, side="right")), negs.size - 1)]
-        anchors.append(a)
-        positives.append(int(p))
-        negatives.append(int(n))
+        negatives.append(int(negs[min(int(np.searchsorted(cdf, u, side="right")), negs.size - 1)]))
     return _triplet_set(anchors, positives, negatives)
 
 
 def sample_random_triplets(labels, rng, anchor_indices=None):
-    """One triplet per eligible anchor: a uniform anchor from the eligible
-    pool, then a uniform positive and a uniform negative."""
+    """One triplet per eligible anchor: every triplet draws a uniform anchor
+    from the eligible pool, then each its uniform positive and its uniform
+    negative."""
     pos_lists, neg_lists = class_views(labels)
     valid = _eligible(pos_lists, neg_lists, anchor_indices)
     if not valid:
         raise NoValidTripletError("no anchor has both a positive and a negative")
-    count = len(valid)
-    anchors = np.empty(count, dtype=np.int64)
-    positives = np.empty(count, dtype=np.int64)
-    negatives = np.empty(count, dtype=np.int64)
-    for t in range(count):
-        a = valid[int(rng.integers(len(valid)))]
-        anchors[t] = a
-        positives[t] = pos_lists[a][int(rng.integers(len(pos_lists[a])))]
-        negatives[t] = neg_lists[a][int(rng.integers(len(neg_lists[a])))]
-    return TripletSet(anchors, positives, negatives)
+    anchors = [valid[int(rng.integers(len(valid)))] for _ in valid]
+    positives, negatives = [], []
+    for a in anchors:
+        positives.append(int(pos_lists[a][int(rng.integers(len(pos_lists[a])))]))
+        negatives.append(int(neg_lists[a][int(rng.integers(len(neg_lists[a])))]))
+    return _triplet_set(anchors, positives, negatives)
 
 
 def sample_semihard_triplets(dist, labels, margin, rng, anchor_indices=None):
     """Per anchor: uniform positive, then a uniform negative in the open
     window (D_ap, D_ap + margin), else the hardest farther negative, else the
-    largest D_an; ties to the lower index."""
+    largest D_an; ties to the lower index.  Every anchor draws its positive,
+    then each anchor with a non-empty window its window negative."""
     dist = np.asarray(dist)
     pos_lists, neg_lists = class_views(labels)
-    anchors, positives, negatives = [], [], []
-    for a in _eligible(pos_lists, neg_lists, anchor_indices):
-        p = pos_lists[a][int(rng.integers(len(pos_lists[a])))]
+    anchors = _eligible(pos_lists, neg_lists, anchor_indices)
+    positives = [int(pos_lists[a][int(rng.integers(len(pos_lists[a])))]) for a in anchors]
+    negatives = []
+    for a, p in zip(anchors, positives):
         d_ap = dist[a, p]
         negs = neg_lists[a]
         d_an = dist[a, negs]
@@ -112,8 +111,6 @@ def sample_semihard_triplets(dist, labels, margin, rng, anchor_indices=None):
                 n = farther[int(np.argmin(dist[a, farther]))]
             else:
                 n = negs[int(np.argmax(d_an))]
-        anchors.append(a)
-        positives.append(int(p))
         negatives.append(int(n))
     return _triplet_set(anchors, positives, negatives)
 
@@ -288,20 +285,6 @@ def triplet_loss(embeddings, triplets: TripletSet, margin):
     np.add.at(grad, p, -coeff[:, None] * dir_ap)
     np.add.at(grad, n, coeff[:, None] * dir_an)
     return LossOutput(float(terms.sum() / denom), grad, n_active)
-
-
-def scalar_draws(rng, bounds, tables=(), highs=None):
-    """The scalar calls `core.replay_draws` replays: per round, `integers`
-    over the round's bound, then over each table at that draw, then
-    `uniform(0, high)` when highs is given."""
-    ints = np.zeros((len(bounds), 1 + len(tables)), dtype=np.int64)
-    uniforms = None if highs is None else np.empty(len(bounds))
-    for i, b in enumerate(bounds):
-        v = int(rng.integers(b))
-        ints[i] = [v] + [int(rng.integers(table[v])) for table in tables]
-        if highs is not None:
-            uniforms[i] = rng.uniform(0.0, highs[i])
-    return ints, uniforms
 
 
 def bank_enqueue(bank: TransformationBank, label, transform):

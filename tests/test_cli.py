@@ -272,6 +272,8 @@ class TestConfigBoundary:
         ("encoder.hidden=0", "encoder.hidden sizes must be >= 1"),
         ("sampler.kind=nearest", "sampler.kind must be one of ('random', 'semihard', "
                                  "'softhard', 'distance'), got 'nearest'"),
+        ("sampler.semihard_margin=0", "sampler.semihard_margin must be positive"),
+        ("sampler.semihard_margin=-0.2", "sampler.semihard_margin must be positive"),
     ])
     def test_override_exit_2(self, monkeypatch, capsys, override, message):
         assert TestPreflight.run_without_steps(monkeypatch, "--set", override) == 2

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import densedml.core as core
-from densedml.core import DISTANCE_BLOCK_BYTES, SeededRng, pairwise_distances, replay_draws
+from densedml.core import DISTANCE_BLOCK_BYTES, SeededRng, pairwise_distances
 from densedml.errors import KOutOfRangeError, ShapeMismatchError, ZeroNormError
 
 from conftest import random_unit_rows
@@ -288,126 +288,3 @@ class TestSeededRng:
             np.testing.assert_array_equal(got.permutation(6), want.permutation(6))
             assert got.choice(4, p=probs) == want.choice(4, p=probs)
         np.testing.assert_equal(got.bit_generator.state, want.bit_generator.state)
-
-
-class RecordingRng:
-    """Not a numpy Generator: answers every call from a SeededRng and logs it."""
-
-    def __init__(self, seed):
-        self.inner, self.calls = SeededRng(seed), []
-
-    def integers(self, high):
-        self.calls.append(("integers", int(high)))
-        return self.inner.integers(high)
-
-    def uniform(self, low, high):
-        self.calls.append(("uniform", float(high)))
-        return self.inner.uniform(low, high)
-
-
-class TestReplayDraws:
-    """replay_draws against the scalar calls it replays: the values, and the
-    whole bit_generator.state dict afterwards, so a numpy that draws
-    differently fails here and not only in the golden hashes."""
-
-    @staticmethod
-    def replay(make_rng, bounds, tables=(), highs=None, prior=()):
-        got_rng, want_rng = make_rng(), make_rng()
-        for b in prior:
-            got_rng.integers(b)
-            want_rng.integers(b)
-        got = replay_draws(got_rng, bounds, tables, highs)
-        want = oracles.scalar_draws(want_rng, bounds, tables, highs)
-        assert got[0].dtype == np.int64 and got[0].shape == (len(bounds), 1 + len(tables))
-        np.testing.assert_array_equal(got[0], want[0])
-        if highs is None:
-            assert got[1] is None
-        else:
-            np.testing.assert_array_equal(got[1], want[1])
-        if hasattr(want_rng, "bit_generator"):
-            np.testing.assert_equal(got_rng.bit_generator.state, want_rng.bit_generator.state)
-        return got_rng, want_rng
-
-    @settings(max_examples=200, deadline=None)
-    @given(
-        st.integers(min_value=0, max_value=2**31),
-        st.lists(st.integers(2, 50), max_size=2),
-        st.lists(st.sampled_from([1, 1, 2, 3, 7, 3 << 30, 2**32 - 1]) | st.integers(1, 2**32 - 1),
-                 max_size=24),
-        st.integers(0, 2),
-        st.booleans(),
-        st.data(),
-    )
-    def test_matches_scalar_calls(self, seed, prior, bounds, n_tables, with_highs, data):
-        width = max(bounds, default=1) if max(bounds, default=1) <= 64 else 0
-        entries = st.sampled_from([2, 3, 5, 3 << 30]) | st.integers(1, 2**32 - 1)
-        tables = [data.draw(st.lists(entries, min_size=width, max_size=width))
-                  for _ in range(n_tables if width else 0)]
-        highs = SeededRng(seed, 1).uniform(0.0, 10.0, len(bounds)) if with_highs else None
-        got_rng, want_rng = self.replay(lambda: SeededRng(seed), bounds, tables, highs, prior)
-        for _ in range(2):  # the next draws agree too, the buffered half first
-            assert got_rng.integers(1000) == want_rng.integers(1000)
-            assert got_rng.uniform() == want_rng.uniform()
-
-    @pytest.mark.parametrize("prior", [(), (5,), (5, 9), (5, 9, 3)])
-    def test_prior_integer_draws_set_the_parity(self, prior):
-        # an odd number of prior draws leaves a half in the buffer
-        bounds = [3, 1, 7, 2, 9]
-        got_rng, _ = self.replay(lambda: SeededRng(8), bounds, highs=np.ones(5), prior=prior)
-        assert got_rng.bit_generator.state["has_uint32"] == (len(prior) + 4) % 2
-
-    def test_all_one_bounds_leave_the_buffer_alone(self):
-        rng = SeededRng(3)
-        rng.integers(5)
-        before = rng.bit_generator.state
-        got_rng, _ = self.replay(lambda: SeededRng(3), [1] * 6, highs=np.arange(6.0), prior=(5,))
-        after = got_rng.bit_generator.state
-        assert (after["has_uint32"], after["uinteger"]) == (1, before["uinteger"])
-
-    def test_mixed_one_and_larger_bounds(self):
-        bounds = [1, 4, 1, 1, 6, 2**31, 1, 3]
-        for prior in [(), (7,)]:
-            self.replay(lambda: SeededRng(21), bounds, highs=np.linspace(0.5, 4.0, 8),
-                        prior=prior)
-            self.replay(lambda: SeededRng(21), [1, 4, 1, 1, 6, 3, 1, 3],
-                        tables=[[2, 3, 4, 5, 6, 7]], prior=prior)
-
-    def test_forced_rejection(self):
-        # b = 3 * 2**30 rejects a half x exactly when x % 4 == 0
-        seed, b = 5, 3 << 30
-        halves = SeededRng(seed).bit_generator.random_raw(16).view(np.uint32)
-        assert np.any(halves % 4 == 0)
-        self.replay(lambda: SeededRng(seed), [b] * 32, highs=np.ones(32))
-        self.replay(lambda: SeededRng(seed), [b] * 32)
-
-    def test_bound_of_two_to_the_32_or_more(self):
-        self.replay(lambda: SeededRng(2), [5, 2**32, 7, 2**40], highs=np.ones(4))
-        self.replay(lambda: SeededRng(2), [5, 3], tables=[[2, 3, 4, 5, 2**32]])
-
-    def test_table_bound_of_one_is_drawn_as_scalar_calls(self):
-        self.replay(lambda: SeededRng(4), [3] * 10, tables=[[1, 2, 3], [4, 4, 1]])
-
-    def test_other_generators(self):
-        self.replay(lambda: np.random.Generator(np.random.PCG64(6)), [3, 1, 8], highs=np.ones(3))
-        got_rng, want_rng = self.replay(lambda: RecordingRng(6), [3, 1], tables=[[2, 5, 4]],
-                                        highs=[2.0, 3.0])
-        assert got_rng.calls == want_rng.calls == [
-            ("integers", 3), ("integers", got_rng.calls[1][1]), ("uniform", 2.0),
-            ("integers", 1), ("integers", 2), ("uniform", 3.0),
-        ]
-
-    def test_empty_schedule(self):
-        rng = SeededRng(9)
-        ints, uniforms = replay_draws(rng, [], highs=[])
-        assert ints.shape == (0, 1) and uniforms.shape == (0,)
-        ints, uniforms = replay_draws(rng, [], tables=[[2, 3]])
-        assert ints.shape == (0, 2) and uniforms is None
-        np.testing.assert_equal(rng.bit_generator.state, SeededRng(9).bit_generator.state)
-
-    @pytest.mark.parametrize("high", [np.inf, np.nan])
-    def test_non_finite_high_raises_numpys_error(self, high):
-        with pytest.raises(OverflowError) as want:
-            oracles.scalar_draws(SeededRng(1), [2, 3], highs=[1.0, high])
-        with pytest.raises(OverflowError) as got:
-            replay_draws(SeededRng(1), [2, 3], highs=[1.0, high])
-        assert str(got.value) == str(want.value)

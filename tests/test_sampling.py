@@ -171,13 +171,18 @@ class TestDistanceWeighted:
 
 
 class UniformAtHigh:
-    """SeededRng whose uniforms all land exactly on the upper bound."""
+    """SeededRng whose uniforms all land exactly on the upper bound: `random`
+    returns 1.0 and `uniform` its high."""
 
     def __init__(self, seed):
         self.inner = SeededRng(seed)
 
     def integers(self, n, size=None):
         return self.inner.integers(n, size=size)
+
+    def random(self, size=None):
+        self.inner.random(size)
+        return 1.0
 
     def uniform(self, low=0.0, high=1.0, size=None):
         self.inner.uniform(low, high, size)
@@ -203,8 +208,13 @@ def sampler_inputs(draw):
     return labels, dist, anchors, seed
 
 
+def assert_same_stream(rng_got, rng_want):
+    np.testing.assert_equal(rng_got.bit_generator.state, rng_want.bit_generator.state)
+
+
 class TestDistanceWeightedOracle:
-    """The vectorized sampler against the per-anchor loop it replaced."""
+    """The vectorized sampler against scalar calls per anchor in its draw
+    order: same triplets, and the same whole generator state after."""
 
     @staticmethod
     def assert_same(got, want):
@@ -222,9 +232,19 @@ class TestDistanceWeightedOracle:
                                                 anchor_indices=anchors)
         got = sample_distance_weighted(dist, labels, rng_got, embed_dim, anchor_indices=anchors)
         self.assert_same(got, want)
-        # both consumed the stream identically
-        np.testing.assert_array_equal(rng_got.uniform(size=3), rng_want.uniform(size=3))
-        assert rng_got.integers(1000) == rng_want.integers(1000)
+        assert_same_stream(rng_got, rng_want)
+
+    @pytest.mark.parametrize("anchors", [None, [0, 4, 4, 9]])
+    def test_one_positive_per_anchor_takes_random_n(self, anchors):
+        # the DAS-off M=2 batch: each positive count is 1, so the positives
+        # take no draw and the call consumes exactly random(n), n its anchors
+        labels = np.repeat(np.arange(5), 2)
+        dist = pairwise_distances(random_unit_rows(SeededRng(2), 10, 4))
+        rng_got, rng_want = SeededRng(6), SeededRng(6)
+        got = sample_distance_weighted(dist, labels, rng_got, 4, anchor_indices=anchors)
+        rng_want.random(len(got))
+        assert len(got) == (10 if anchors is None else 4)
+        assert_same_stream(rng_got, rng_want)
 
     @settings(max_examples=50, deadline=None)
     @given(sampler_inputs())
@@ -269,14 +289,10 @@ class TestDistanceWeightedOracle:
         assert len(trip) == 0 and trip.negatives.dtype == np.int64
 
 
-def assert_same_stream(rng_got, rng_want):
-    np.testing.assert_array_equal(rng_got.uniform(size=3), rng_want.uniform(size=3))
-    assert rng_got.integers(1000) == rng_want.integers(1000)
-
-
 class TestMaskSamplersOracle:
-    """The mask-based random, semihard and softhard samplers against the
-    per-anchor loops they replaced: same triplets, int64 dtypes, next draws."""
+    """The mask-based random, semihard and softhard samplers against scalar
+    calls per anchor in their draw orders: same triplets, int64 dtypes, and
+    the same whole generator state after."""
 
     assert_same = staticmethod(TestDistanceWeightedOracle.assert_same)
 
@@ -296,7 +312,7 @@ class TestMaskSamplersOracle:
 
     @pytest.mark.parametrize("labels,anchors", [
         ([0, 0, 0, 1, 1], [0]),        # a pool of one anchor (bound 1) with 2+2 candidates
-        ([0, 0, 0, 1, 1], [0, 0, 3]),  # anchor 3 has one positive: scalar calls
+        ([0, 0, 0, 1, 1], [0, 0, 3]),  # anchor 3 has one positive (bound 1)
         ([0, 0, 1, 1, 2, 2], None),    # one positive each, the DAS-off batch shape
     ])
     def test_random_small_pools(self, labels, anchors):
@@ -306,7 +322,7 @@ class TestMaskSamplersOracle:
         assert_same_stream(rng_got, rng_want)
 
     @settings(max_examples=150, deadline=None)
-    @given(sampler_inputs(), st.sampled_from([0.0, 0.2, 0.5, 3.0]))
+    @given(sampler_inputs(), st.sampled_from([0.0, 1e-12, 0.2, 0.5, 3.0, 1e9]))
     def test_semihard(self, inputs, margin):
         labels, dist, anchors, seed = inputs
         rng_got, rng_want = SeededRng(seed), SeededRng(seed)
@@ -335,6 +351,67 @@ class TestMaskSamplersOracle:
         self.assert_same(got, oracles.sample_softhard_triplets(dist, labels, rng_want))
         assert got.positives[:3].tolist() == [1, 0, 3] and got.negatives[:2].tolist() == [2, 2]
         assert_same_stream(rng_got, rng_want)
+
+
+class TestSemihardDraws:
+    """Semi-hard cases picked for their draws: each against the scalar
+    oracle, and the window draws counted against a generator that took only
+    the positives' draw."""
+
+    @pytest.mark.parametrize("positions, labels, anchors, margin", [
+        # tiny and huge margins over the same points
+        ([0.0, 0.4, 0.3, 0.41, 0.9, 1.3], [0, 0, 1, 1, 1, 1], None, 1e-12),
+        ([0.0, 0.4, 0.3, 0.41, 0.9, 1.3], [0, 0, 1, 1, 1, 1], None, 1e9),
+        # tied distances: two negatives tie inside the window, two beyond it
+        ([0.0, 0.4, -0.5, 0.5, -1.5, 1.5], [0, 0, 1, 1, 1, 1], [0], 0.2),
+        ([0.0, 0.4, -1.5, 1.5, 0.1, -0.1], [0, 0, 1, 1, 2, 2], None, 0.2),
+        # one positive per anchor: the positives take no draw
+        ([0.0, 0.2, 0.5, 0.6, 0.9, 1.4], [0, 0, 1, 1, 2, 2], None, 0.3),
+        # three positives, anchors repeated in the pool
+        ([0.0, 0.2, 0.35, 0.5, 0.6, 0.7], [0, 0, 0, 0, 1, 1], [0, 3, 0, 5], 0.25),
+    ])
+    def test_matches_oracle(self, positions, labels, anchors, margin):
+        dist = pairwise_distances(line_points(positions))
+        labels = np.array(labels)
+        rng_got, rng_want = SeededRng(17), SeededRng(17)
+        got = sample_semihard_triplets(dist, labels, margin, rng_got, anchors)
+        want = oracles.sample_semihard_triplets(dist, labels, margin, rng_want, anchors)
+        TestDistanceWeightedOracle.assert_same(got, want)
+        assert_same_stream(rng_got, rng_want)
+
+    @staticmethod
+    def positives_only(seed, n_pos):
+        rng = SeededRng(seed)
+        rng.integers(n_pos)
+        return rng
+
+    def test_one_entry_window_takes_no_draw(self):
+        # either positive (0.4 or 0.45) leaves only the negative at 0.5 in its window
+        dist = pairwise_distances(line_points([0.0, 0.4, 0.45, 0.5, 2.0]))
+        rng = SeededRng(3)
+        got = sample_semihard_triplets(dist, np.array([0, 0, 0, 1, 1]), 0.2, rng, [0])
+        assert got.negatives.tolist() == [3]
+        assert_same_stream(rng, self.positives_only(3, [2]))
+
+    def test_no_farther_negative_takes_no_draw(self):
+        # every negative is nearer than either positive: the farthest is chosen
+        dist = pairwise_distances(line_points([0.0, 1.0, -1.2, 0.3, -0.6, 0.6]))
+        rng = SeededRng(4)
+        got = sample_semihard_triplets(dist, np.array([0, 0, 0, 1, 1, 1]), 0.2, rng, [0])
+        assert got.negatives.tolist() == [4]  # ties 0.6 with row 5: the lower index
+        assert_same_stream(rng, self.positives_only(4, [2]))
+
+    def test_window_draws_follow_all_positives(self):
+        # two anchors with two-entry windows: one call over both window sizes
+        # after one call over both positive counts
+        dist = pairwise_distances(line_points([0.0, 0.1, 5.0, 5.1, 0.15, 0.2, 5.15, 5.2]))
+        labels = np.array([0, 0, 1, 1, 2, 2, 3, 3])
+        rng = SeededRng(8)
+        got = sample_semihard_triplets(dist, labels, 0.5, rng, [0, 2])
+        want = self.positives_only(8, [1, 1])
+        k = want.integers([2, 2])
+        assert got.negatives.tolist() == [[4, 5][k[0]], [6, 7][k[1]]]
+        assert_same_stream(rng, want)
 
 
 class TestSofthard:
@@ -418,6 +495,15 @@ class TestDispatchAndInvariants:
         with pytest.raises(ShapeMismatchError,
                            match=rf"distance matrix \({shape[0]}, {shape[1]}\) vs 4 labels"):
             sample_triplets(kind, np.zeros(shape), labels, SeededRng(0), embed_dim=3)
+
+    @pytest.mark.parametrize("kind", ["semihard", "softhard", "distance"])
+    @pytest.mark.parametrize("n", [6, 10])
+    def test_distance_shape_mismatch_with_layout(self, kind, n):
+        # the run's layout for 8 labels and a matrix of another size raise
+        # what the path without a layout raises
+        with pytest.raises(ShapeMismatchError, match=rf"distance matrix \({n}, {n}\) vs 8 labels"):
+            sample_triplets(kind, np.zeros((n, n)), np.repeat(np.arange(4), 2), SeededRng(0),
+                            embed_dim=3, layout=batch_layout(BatchSpec(4, 2), 0, True))
 
     def test_unknown_kind(self):
         with pytest.raises(ConfigError, match="sampler.kind must be one of"):

@@ -434,6 +434,7 @@ class TestConfig:
     @pytest.mark.parametrize("key, value", [
         ("optim.momentum", -0.5), ("optim.momentum", 1.0), ("optim.momentum", 1.5),
         ("sampler.clip", 0.0), ("sampler.clip", -1.0),
+        ("sampler.semihard_margin", 0.0), ("sampler.semihard_margin", -0.2),
     ])
     def test_out_of_range_rejected_naming_key(self, key, value):
         cfg = RunConfig()
