@@ -11,6 +11,7 @@ layout, the optimizer's accumulators share it, and the checkpoint stores it.
 
 from __future__ import annotations
 
+import base64
 import itertools
 import json
 import math
@@ -23,7 +24,7 @@ from .core import SeededRng, ZERO_NORM_EPS
 from .errors import ConfigError, CorruptCheckpointError, ShapeMismatchError, ZeroNormError
 
 ACTIVATIONS = ("identity", "relu", "tanh")
-CHECKPOINT_VERSION = 2
+CHECKPOINT_VERSION = 3
 
 
 class EncoderParams:
@@ -214,17 +215,38 @@ def optimizer_step(params: EncoderParams, grad, state: OptimizerState) -> Encode
     return params
 
 
+def _pack(vec) -> str:
+    """A checkpoint's float vector: base64 of its little-endian float64 bytes."""
+    return base64.b64encode(np.asarray(vec, dtype="<f8").tobytes()).decode("ascii")
+
+
+def _unpack(text, name: str) -> np.ndarray:
+    """The vector `_pack` wrote, as a writable native float64 copy; `name`
+    says which field it is in an error."""
+    if not isinstance(text, str):
+        raise CorruptCheckpointError(f"{name} must be a base64 string, got {type(text).__name__}")
+    try:
+        raw = base64.b64decode(text, validate=True)
+    except ValueError as exc:  # binascii.Error, or a character outside ASCII
+        raise CorruptCheckpointError(f"{name} is not base64: {exc}") from None
+    if len(raw) % 8:
+        raise CorruptCheckpointError(f"{name} holds {len(raw)} bytes, not a whole number "
+                                     f"of float64 values")
+    return np.frombuffer(raw, dtype="<f8").astype(np.float64)
+
+
 def save_checkpoint(path, params: EncoderParams, state: OptimizerState, seed: int) -> None:
+    """One JSON document: the scalars as numbers, `params` and each optimizer
+    slot packed by `_pack`."""
     optimizer = {f.name: getattr(state, f.name) for f in fields(OptimizerState)}
-    optimizer["slots"] = {k: v.tolist() for k, v in sorted(state.slots.items())}
+    optimizer["slots"] = {k: _pack(v) for k, v in sorted(state.slots.items())}
     doc = {
         "version": CHECKPOINT_VERSION,
         "layer_sizes": params.layer_sizes,
         "activation": params.activation,
-        "params": params.theta.tolist(),
+        "params": _pack(params.theta),
         "optimizer": optimizer,
         "seed": seed,
-        "step": state.step_count,
     }
     # write beside the target, then rename: an interrupted write leaves the old file
     tmp = f"{os.fspath(path)}.tmp"
@@ -246,7 +268,8 @@ def load_checkpoint(path) -> tuple[EncoderParams, OptimizerState, int]:
         seed = doc["seed"]
         if type(seed) is not int or seed < 0:  # a bool is not a seed
             raise CorruptCheckpointError(f"seed must be an integer >= 0, got {seed!r}")
-        params = EncoderParams(doc["layer_sizes"], doc["activation"], doc["params"])
+        params = EncoderParams(doc["layer_sizes"], doc["activation"],
+                               _unpack(doc["params"], "params"))
         opt = doc["optimizer"]
         state = OptimizerState(**{f.name: opt[f.name] for f in fields(OptimizerState)})
         if state.rule not in OPTIMIZER_RULES:
@@ -260,15 +283,17 @@ def load_checkpoint(path) -> tuple[EncoderParams, OptimizerState, int]:
         if type(count) is not int or count < 0:  # a bool is not a count
             raise CorruptCheckpointError(f"optimizer step_count must be an integer >= 0, "
                                          f"got {count!r}")
-        state.slots = {k: np.asarray(v, dtype=np.float64) for k, v in state.slots.items()}
-        for name, slot in state.slots.items():
+        slots = {}
+        for name, text in state.slots.items():
             if name not in ("m", "v"):
                 raise CorruptCheckpointError(f"unknown optimizer slot {name!r}")
+            slot = slots[name] = _unpack(text, f"optimizer slot {name!r}")
             if slot.shape != params.theta.shape:
                 raise CorruptCheckpointError(f"optimizer slot {name!r} is {slot.shape}, "
                                              f"parameters are {params.theta.shape}")
             if not np.isfinite(slot).all():
                 raise CorruptCheckpointError(f"optimizer slot {name!r} holds non-finite values")
+        state.slots = slots
         return params, state, seed
     except (OSError, ValueError, OverflowError, KeyError, TypeError, AttributeError,
             ShapeMismatchError, CorruptCheckpointError) as exc:  # every rejection names the file

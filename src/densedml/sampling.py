@@ -12,6 +12,7 @@ draws with whole-array `Generator` calls, in the order its docstring gives.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -44,23 +45,28 @@ def sample_batch(dataset: Dataset, spec: BatchSpec, rng: SeededRng):
     """Class-contiguous batch of P distinct train classes with M points each.
 
     Points are drawn without replacement unless a class has fewer than M
-    members, in which case draws are with replacement.
+    members, in which case draws are with replacement.  Each run of picked
+    classes with equal member counts draws in one call, which consumes the
+    stream as one `permutation(n)` (or `integers(n, size=M)`) per class would.
     """
-    train = list(dataset.train_classes)
+    train = dataset.train_classes
     p, m = spec.classes_per_batch, spec.samples_per_class
     if len(train) < p:
         raise NotEnoughClassesError(f"need {p} train classes, have {len(train)}")
     class_pick = [train[i] for i in rng.permutation(len(train))[:p]]
-    feats, labels = [], []
-    for c in class_pick:
-        members = dataset.class_index[c]
-        if len(members) >= m:
-            chosen = members[rng.permutation(len(members))[:m]]
+    members = [dataset.class_index[c] for c in class_pick]
+    picks = []  # each class's M offsets into its members
+    for n, run in itertools.groupby(map(len, members)):
+        k = len(list(run))
+        if n >= m:
+            tile = np.tile(np.arange(n), (k, 1))
+            picks.append(rng.permuted(tile, axis=1, out=tile)[:, :m])
         else:
-            chosen = members[rng.integers(len(members), size=m)]
-        feats.append(dataset.features[chosen])
-        labels.extend([c] * m)
-    return np.concatenate(feats, axis=0), np.asarray(labels, dtype=np.int64)
+            picks.append(rng.integers(n, size=(k, m)))
+    # a row lookup per class: one offset gather over the concatenated members
+    # is faster in a hot loop but was slower inside a training step
+    rows = np.concatenate([idx[pick] for idx, pick in zip(members, np.concatenate(picks))])
+    return dataset.features[rows], np.repeat(np.asarray(class_pick, dtype=np.int64), m)
 
 
 @dataclass

@@ -11,6 +11,7 @@ The distance and loss oracles are the forms the package kernel replaced:
 half, and `np.linalg.norm` over gathered pair differences with every
 inactive term added as 0 * direction.  The anchor set-up, k-th True and
 class-rank oracles are the per-step code the batch layout replaced.  The
+batch oracle draws one class at a time, the loop `sample_batch` replaced.  The
 rank-count recall takes every distance from the kernel, the form the Gram
 prefilter replaced.
 """
@@ -52,6 +53,25 @@ def _triplet_set(anchors, positives, negatives):
         np.asarray(positives, dtype=np.int64),
         np.asarray(negatives, dtype=np.int64),
     )
+
+
+def sample_batch(dataset, spec, rng):
+    """P distinct train classes, then per class one `permutation` of its
+    members (M of them kept), or M uniform members with replacement when it
+    has fewer than M."""
+    train = list(dataset.train_classes)
+    p, m = spec.classes_per_batch, spec.samples_per_class
+    class_pick = [train[i] for i in rng.permutation(len(train))[:p]]
+    feats, labels = [], []
+    for c in class_pick:
+        members = dataset.class_index[c]
+        if len(members) >= m:
+            chosen = members[rng.permutation(len(members))[:m]]
+        else:
+            chosen = members[rng.integers(len(members), size=m)]
+        feats.append(dataset.features[chosen])
+        labels.extend([c] * m)
+    return np.concatenate(feats, axis=0), np.asarray(labels, dtype=np.int64)
 
 
 def sample_distance_weighted(dist, labels, rng, embed_dim, clip=0.5, anchor_indices=None):

@@ -10,6 +10,8 @@ from densedml.cli import main
 from densedml.config import RunConfig, config_to_dict, load_config
 from densedml.data import load_csv
 
+from conftest import as_version_two, pack_floats, unpack_floats
+
 
 def run_cli(*args):
     return main(list(args))
@@ -454,7 +456,9 @@ class TestEvaluate:
         assert run_cli("train", "--out-dir", str(out_dir), *BASE_OVERRIDES) == 0
         path = out_dir / "checkpoint.json"
         doc = json.loads(path.read_text())
-        doc["params"][3] = float("nan")
+        theta = unpack_floats(doc["params"])
+        theta[3] = float("nan")
+        doc["params"] = pack_floats(theta)
         path.write_text(json.dumps(doc))
         capsys.readouterr()
         code = run_cli("evaluate", "--config", str(out_dir / "config.json"),
@@ -464,11 +468,14 @@ class TestEvaluate:
 
     @pytest.mark.parametrize(
         "edit, message",
-        [(lambda doc: doc["optimizer"]["slots"]["m"].__setitem__(0, float("nan")),
+        [(lambda doc: doc["optimizer"]["slots"].update(
+            m=pack_floats(np.r_[np.nan, unpack_floats(doc["optimizer"]["slots"]["m"])[1:]])),
           "optimizer slot 'm' holds non-finite values"),
-         (lambda doc: doc.update(params=[1e300] * len(doc["params"])),
-          "the parameters overflow the encoder")],
-        ids=["nan_slot", "overflowing_params"],
+         (lambda doc: doc.update(params=pack_floats(np.full_like(unpack_floats(doc["params"]),
+                                                                 1e300))),
+          "the parameters overflow the encoder"),
+         (lambda doc: doc.update(as_version_two(doc)), "unsupported checkpoint version 2")],
+        ids=["nan_slot", "overflowing_params", "version_two"],
     )
     def test_checkpoint_that_cannot_evaluate_exit_3(self, tmp_path, capsys, edit, message):
         out_dir = tmp_path / "run"

@@ -25,7 +25,7 @@ from densedml.errors import (
     ZeroNormError,
 )
 
-from conftest import finite_difference, max_rel_error
+from conftest import as_version_two, finite_difference, max_rel_error, pack_floats, unpack_floats
 from oracles import build_pairs, identity_params, with_theta
 
 
@@ -362,7 +362,7 @@ class TestCheckpoint:
         [
             lambda opt: opt.update(rule="adagrad"),
             lambda opt: opt["slots"].update(w0=opt["slots"].pop("m")),
-            lambda opt: opt["slots"]["v"].pop(),
+            lambda opt: opt["slots"].update(v=pack_floats(unpack_floats(opt["slots"]["v"])[:-1])),
         ],
         ids=["unknown_rule", "unknown_slot", "short_slot"],
     )
@@ -421,25 +421,22 @@ class TestCheckpoint:
         with pytest.raises(CorruptCheckpointError, match="layer_sizes must list"):
             load_checkpoint(path)
 
-    @pytest.mark.parametrize(
-        "text, message",
-        [("NaN", "theta holds non-finite values"), ("Infinity", "theta holds non-finite values"),
-         ("-Infinity", "theta holds non-finite values"), ("1e400", "theta holds non-finite values"),
-         ("9" * 400, "int too large to convert to float")],
-        ids=["nan", "inf", "-inf", "1e400", "huge_int"],
-    )
-    def test_non_finite_params_rejected_naming_the_file(self, tmp_path, rng, text, message):
+    @pytest.mark.parametrize("text", ["NaN", "Infinity", "-Infinity"],
+                             ids=["nan", "inf", "-inf"])
+    def test_non_finite_params_rejected_naming_the_file(self, tmp_path, rng, text):
         path = tmp_path / "ckpt.json"
         save_checkpoint(path, init_params([2, 3], "relu", rng), OptimizerState(), seed=0)
         doc = json.loads(path.read_text())
-        doc["params"][4] = "@"
-        path.write_text(json.dumps(doc).replace('"@"', text))
+        theta = unpack_floats(doc["params"])
+        theta[4] = float(text)
+        doc["params"] = pack_floats(theta)
+        path.write_text(json.dumps(doc))
         with pytest.raises(CorruptCheckpointError) as err:
             load_checkpoint(path)
-        assert str(err.value) == f"{path}: {message}"
+        assert str(err.value) == f"{path}: theta holds non-finite values"
 
     @pytest.mark.parametrize("slot", ["m", "v"])
-    @pytest.mark.parametrize("text", ["NaN", "Infinity", "-Infinity", "1e400"])
+    @pytest.mark.parametrize("text", ["NaN", "Infinity", "-Infinity"])
     def test_non_finite_optimizer_slot_rejected_naming_the_file(self, tmp_path, rng, slot, text):
         params = init_params([2, 3], "relu", rng)
         state = OptimizerState(rule="adam")
@@ -447,11 +444,50 @@ class TestCheckpoint:
         path = tmp_path / "ckpt.json"
         save_checkpoint(path, params, state, seed=0)
         doc = json.loads(path.read_text())
-        doc["optimizer"]["slots"][slot][2] = "@"
-        path.write_text(json.dumps(doc).replace('"@"', text))
+        values = unpack_floats(doc["optimizer"]["slots"][slot])
+        values[2] = float(text)
+        doc["optimizer"]["slots"][slot] = pack_floats(values)
+        path.write_text(json.dumps(doc))
         with pytest.raises(CorruptCheckpointError) as err:
             load_checkpoint(path)
         assert str(err.value) == f"{path}: optimizer slot {slot!r} holds non-finite values"
+
+    @pytest.mark.parametrize(
+        "field, name, shape_message",
+        [(("params",), "params", "theta (8,) != (9,) for layer sizes [2, 3]"),
+         (("optimizer", "slots", "m"), "optimizer slot 'm'",
+          "optimizer slot 'm' is (8,), parameters are (9,)"),
+         (("optimizer", "slots", "v"), "optimizer slot 'v'",
+          "optimizer slot 'v' is (8,), parameters are (9,)")],
+        ids=["params", "m", "v"],
+    )
+    @pytest.mark.parametrize(
+        "encoding, message",
+        [(lambda text: unpack_floats(text).tolist(), "{name} must be a base64 string, got list"),
+         (lambda text: "@" + text[1:], "{name} is not base64: "),
+         (lambda text: "\u00e9" + text[1:], "{name} is not base64: "),
+         (lambda text: text[:-1], "{name} is not base64: "),
+         (lambda text: text[:-4], "{name} holds 69 bytes, not a whole number of float64 values"),
+         (lambda text: pack_floats(unpack_floats(text)[:-1]), "{shape}")],
+        ids=["v2_list", "not_base64", "non_ascii", "bad_padding", "partial_value", "wrong_count"],
+    )
+    def test_bad_encoding_rejected_naming_the_file(self, tmp_path, rng, field, name,
+                                                   shape_message, encoding, message):
+        params = init_params([2, 3], "relu", rng)  # 9 parameters: 72 bytes, 96 base64 characters
+        state = OptimizerState(rule="adam")
+        optimizer_step(params, rng.normal(size=params.theta.shape), state)
+        path = tmp_path / "ckpt.json"
+        save_checkpoint(path, params, state, seed=0)
+        doc = json.loads(path.read_text())
+        parent = doc
+        for key in field[:-1]:
+            parent = parent[key]
+        parent[field[-1]] = encoding(parent[field[-1]])
+        path.write_text(json.dumps(doc))
+        with pytest.raises(CorruptCheckpointError) as err:
+            load_checkpoint(path)
+        assert str(err.value).startswith(f"{path}: " + message.format(name=name,
+                                                                     shape=shape_message))
 
     @pytest.mark.parametrize(
         "edit, message",
@@ -460,8 +496,10 @@ class TestCheckpoint:
          (lambda doc: doc["optimizer"].update(rule="adagrad"), "unknown optimizer rule 'adagrad'"),
          (lambda doc: doc["optimizer"].update(lr="0.1"),
           "optimizer lr must be a finite number, got '0.1'"),
-         (lambda doc: doc["optimizer"]["slots"].update(w=[0.0] * 9), "unknown optimizer slot 'w'")],
-        ids=["version", "seed", "rule", "scalar", "slot_name"],
+         (lambda doc: doc["optimizer"]["slots"].update(w=pack_floats(np.zeros(9))),
+          "unknown optimizer slot 'w'"),
+         (lambda doc: doc.update(as_version_two(doc)), "unsupported checkpoint version 2")],
+        ids=["version", "seed", "rule", "scalar", "slot_name", "version_two"],
     )
     def test_every_rejection_names_the_file(self, tmp_path, rng, edit, message):
         path = tmp_path / "ckpt.json"
@@ -487,6 +525,47 @@ class TestCheckpoint:
         path.write_text(json.dumps(doc))
         with pytest.raises(CorruptCheckpointError, match="unsupported checkpoint version 1"):
             load_checkpoint(path)
+
+    def test_document_layout(self, tmp_path, rng):
+        # the scalars are JSON numbers and each vector is packed; no top-level step
+        params = init_params([2, 3], "relu", rng)
+        state = OptimizerState(rule="adam")
+        optimizer_step(params, rng.normal(size=params.theta.shape), state)
+        path = tmp_path / "ckpt.json"
+        save_checkpoint(path, params, state, seed=4)
+        doc = json.loads(path.read_text())
+        assert list(doc) == ["version", "layer_sizes", "activation", "params", "optimizer", "seed"]
+        assert doc["version"] == CHECKPOINT_VERSION == 3
+        assert doc["params"] == pack_floats(params.theta)
+        assert doc["optimizer"]["slots"] == {k: pack_floats(v) for k, v in state.slots.items()}
+        assert doc["optimizer"]["step_count"] == 1 and doc["seed"] == 4
+
+    def test_extreme_values_round_trip_bit_exactly(self, tmp_path, rng):
+        tiny, huge = np.nextafter(0.0, 1.0), np.finfo(np.float64).max
+        values = [-0.0, 0.0, tiny, -tiny, 2.2e-308, -1e-310, huge, -huge, 1.0]
+        params = EncoderParams([2, 3], "relu", values)
+        state = OptimizerState(rule="adam", step_count=5,
+                               slots={"m": -params.theta, "v": params.theta[::-1].copy()})
+        path = tmp_path / "ckpt.json"
+        save_checkpoint(path, params, state, seed=1)
+        loaded, loaded_state, _ = load_checkpoint(path)
+        assert loaded.theta.tobytes() == params.theta.tobytes()
+        assert np.signbit(loaded.theta[0]) and not np.signbit(loaded.theta[1])
+        for name, slot in state.slots.items():
+            assert loaded_state.slots[name].tobytes() == slot.tobytes()
+        for vec in (loaded.theta, *loaded_state.slots.values()):
+            assert vec.dtype == np.float64 and vec.dtype.isnative and vec.flags.writeable
+
+    def test_save_load_save_is_byte_identical(self, tmp_path, rng):
+        params = init_params([4, 6, 3], "tanh", rng)
+        state = OptimizerState(rule="adam", lr=0.01)
+        for _ in range(3):
+            optimizer_step(params, rng.normal(size=params.theta.shape), state)
+        first, second = tmp_path / "first.json", tmp_path / "second.json"
+        save_checkpoint(first, params, state, seed=11)
+        loaded, loaded_state, seed = load_checkpoint(first)
+        save_checkpoint(second, loaded, loaded_state, seed)
+        assert first.read_bytes() == second.read_bytes()
 
     def test_corrupt_file(self, tmp_path):
         path = tmp_path / "bad.json"

@@ -30,6 +30,8 @@ from densedml.losses import LOSS_KINDS
 from densedml.sampling import SAMPLER_KINDS
 from densedml.training import build_dataset, evaluate_checkpoint, train
 
+from conftest import pack_floats, unpack_floats
+
 # 4 classes of 6 points in 5 dimensions, split 2/2: a 3-step run takes a few ms
 SMALL = {
     "steps": 3, "eval_ks": [1],
@@ -104,16 +106,24 @@ def saved(tmp_path_factory):
 
 
 PATHS = [("version",), ("layer_sizes",), ("layer_sizes", 0), ("layer_sizes", 2),
-         ("activation",), ("params",), ("params", 0), ("params", -1), ("seed",), ("step",),
-         ("optimizer",), ("optimizer", "slots"), ("optimizer", "slots", "m"),
-         ("optimizer", "slots", "v", 3)] + [
+         ("activation",), ("params",), ("seed",), ("optimizer",), ("optimizer", "slots"),
+         ("optimizer", "slots", "m"), ("optimizer", "slots", "v")] + [
             ("optimizer", name) for name in ("rule", "lr", "momentum", "beta1", "beta2", "eps",
                                              "step_count")]
 VALUES = [None, True, False, -1, 0, 1, 2, 2.5, 1e300, -1e300, float("nan"), float("inf"),
-          "x", "relu", "sgd", [], [0], [5], [5, 8, 4], [5, 8, 3], [1.0] * 3, {}, {"m": []}]
+          "x", "", "relu", "sgd", [], [0], [5], [5, 8, 4], [5, 8, 3], [1.0] * 3,
+          pack_floats([1.0] * 3), {}, {"m": []}]
+# the packed vectors: set one float64 entry, or splice the base64 text
+VECTORS = [("params",), ("optimizer", "slots", "m"), ("optimizer", "slots", "v")]
+ENTRIES = [-0.0, 5e-324, 1e300, -1e300, 1.7e308, float("nan"), float("inf"), float("-inf")]
+SPLICES = ["", "A", "AAAA", "A" * 36, "====", "@", " ", "\u00e9"]
 mutations = st.lists(st.one_of(
     st.tuples(st.just("set"), st.sampled_from(PATHS), st.sampled_from(VALUES)),
     st.tuples(st.just("delete"), st.sampled_from(PATHS)),
+    st.tuples(st.just("entry"), st.sampled_from(VECTORS), st.sampled_from([0, 3, -1]),
+              st.sampled_from(ENTRIES)),
+    st.tuples(st.just("splice"), st.sampled_from(VECTORS), st.integers(min_value=0, max_value=900),
+              st.sampled_from(SPLICES)),
 ), min_size=1, max_size=3)
 
 
@@ -121,20 +131,30 @@ mutations = st.lists(st.one_of(
 @settings(max_examples=300, deadline=None, derandomize=True)
 @given(mutations, st.none() | st.integers(min_value=0, max_value=400))
 def test_checkpoint_mutation_through_evaluate(saved, edits, cut):
-    """Set or delete up to three entries, then maybe cut the file short."""
+    """Up to three edits, then maybe cut the file short.  An edit sets or
+    deletes an entry, sets one value of a packed vector, or replaces the four
+    base64 characters at a position of one."""
     doc, dataset, path = saved
     doc = copy.deepcopy(doc)
-    for op, where, *value in edits:
+    for op, where, *args in edits:
         try:
             parent = doc
             for step in where[:-1]:
                 parent = parent[step]
+            key = where[-1]
             if op == "set":
-                parent[where[-1]] = copy.deepcopy(value[0])  # never edit a VALUES entry
+                parent[key] = copy.deepcopy(args[0])  # never edit a VALUES entry
+            elif op == "delete":
+                del parent[key]
+            elif op == "entry":
+                values = unpack_floats(parent[key])
+                values[args[0]] = args[1]
+                parent[key] = pack_floats(values)
             else:
-                del parent[where[-1]]
-        except (KeyError, IndexError, TypeError):
-            pass  # an earlier edit removed or replaced the entry's parent
+                at, text = args
+                parent[key] = parent[key][:at] + text + parent[key][at + 4:]
+        except (KeyError, IndexError, TypeError, ValueError):
+            pass  # an earlier edit removed or replaced the entry or its parent
     text = json.dumps(doc)
     path.write_text(text if cut is None else text[:cut])
     try:

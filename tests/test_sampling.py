@@ -65,6 +65,29 @@ class TestSampleBatch:
         np.testing.assert_array_equal(a[0], b[0])
         np.testing.assert_array_equal(a[1], b[1])
 
+    @pytest.mark.parametrize(
+        "sizes, m",
+        [([64] * 8, 2), ([2] * 5, 2), ([7] * 6, 7), ([300] * 3, 4),
+         ([5, 5, 9, 9, 9, 5, 2, 2], 3), ([3, 1, 8, 2, 2, 6, 1], 3), ([1, 1, 2, 3], 4)],
+        ids=["equal", "m_equals_size", "full_permutation", "large", "unequal",
+             "some_with_replacement", "all_with_replacement"],
+    )
+    @pytest.mark.parametrize("seed", [0, 5, 31])
+    def test_matches_per_class_loop(self, sizes, m, seed):
+        # the grouped draws give the per-class loop's batch and leave its stream
+        labels = np.repeat(np.arange(len(sizes)), sizes)
+        order = SeededRng(seed + 100).permutation(len(labels))  # members interleaved in the file
+        feats = SeededRng(seed).normal(size=(len(labels), 3))
+        ds = Dataset(feats, labels[order], tuple(range(len(sizes))), ())
+        spec = BatchSpec(len(sizes) - 1, m)
+        rng_got, rng_want = SeededRng(seed, 1), SeededRng(seed, 1)
+        rng_got.integers(9), rng_want.integers(9)  # a buffered 32-bit half carries over
+        got, want = sample_batch(ds, spec, rng_got), oracles.sample_batch(ds, spec, rng_want)
+        np.testing.assert_array_equal(got[0], want[0])
+        np.testing.assert_array_equal(got[1], want[1])
+        assert got[1].dtype == np.int64
+        np.testing.assert_equal(rng_got.bit_generator.state, rng_want.bit_generator.state)
+
 
 class TestRandomTriplets:
     def test_constraints_hold(self):
