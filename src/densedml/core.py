@@ -60,15 +60,14 @@ def label_masks(labels):
 
 
 def _as_rows(rows) -> np.ndarray:
-    """A 2-D array, or a sequence of equal-length rows, as finite float64."""
-    if not (isinstance(rows, np.ndarray) and rows.ndim == 2):
-        rows = list(rows)
-        if len(rows) == 0:
-            return np.zeros((0, 0))
-        lengths = {np.asarray(r).shape for r in rows}
-        if len(lengths) > 1:
-            raise ShapeMismatchError(f"ragged input rows: shapes {sorted(lengths)}")
-    x = np.asarray(rows, dtype=np.float64)
+    """A 2-D array, or a sequence of equal-length rows, as finite float64;
+    an empty sequence is no rows of no columns."""
+    try:
+        x = np.asarray(rows, dtype=np.float64)
+    except (ValueError, TypeError) as exc:  # ragged rows, or entries that are not numbers
+        raise ShapeMismatchError(f"input rows are not a stack of numeric vectors: {exc}") from exc
+    if x.shape == (0,):
+        return np.zeros((0, 0))
     if x.ndim != 2:
         raise ShapeMismatchError(f"expected 2-D stack of vectors, got {x.shape}")
     if not np.all(np.isfinite(x)):

@@ -5,7 +5,8 @@ rate does not scale with how many pairs/triplets a batch yields and terms that
 sit outside their hinge contribute nothing at all.  Distance derivatives
 at D -> 0 are set to zero (subgradient choice) so duplicated embeddings never
 produce a division blow-up.  Multi-similarity operates on cosine similarity;
-the other three on l2 distance.
+the other three on l2 distance, read from the batch's distance matrix that the
+caller passes (a training step computes one for its sampler and its loss).
 """
 
 from __future__ import annotations
@@ -14,7 +15,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import core
 from .core import label_masks
 from .errors import ConfigError, ShapeMismatchError
 
@@ -98,12 +98,8 @@ def _check_indices(n, *index_arrays):
 
 
 def _distance_matrix(emb, dist):
-    """The batch's distance matrix: `dist` when given (checked for shape),
-    else the kernel's."""
-    n = emb.shape[0]
-    if dist is None:
-        return core.pairwise_distances(emb)
-    dist = np.asarray(dist)
+    """`dist`, the batch's distance matrix, checked for shape."""
+    dist, n = np.asarray(dist), emb.shape[0]
     if dist.shape != (n, n):
         raise ShapeMismatchError(f"distance matrix {dist.shape} vs {n} embeddings")
     return dist
@@ -118,12 +114,12 @@ def _directions(emb, i, j, dist):
     return np.where(far[:, None], diff / safe[:, None], 0.0)
 
 
-def _pair_hinge(embeddings, pairs: PairSet, offset, shift, dist=None) -> LossOutput:
+def _pair_hinge(embeddings, pairs: PairSet, offset, shift, dist) -> LossOutput:
     """Mean hinge [offset + y_ij (D_ij - shift)]_+ over the active pairs.
 
     y_ij is +1 for positive and -1 for negative pairs; `offset` is a scalar
     or one value per pair, and beta_grad carries d(value)/d(shift).  D comes
-    from `dist`, the batch's distance matrix, or from the kernel without it.
+    from `dist`, the batch's distance matrix.
     Only active pairs get a gradient: an inactive one would add 0.0 times its
     direction, ±0.0, which leaves a gradient that starts at +0.0 unchanged.
     """
@@ -148,16 +144,16 @@ def _pair_hinge(embeddings, pairs: PairSet, offset, shift, dist=None) -> LossOut
     return LossOutput(float(terms.sum() / denom), grad, n_active, beta_grad=beta_grad)
 
 
-def contrastive_loss(embeddings, pairs: PairSet, margin: float, dist=None) -> LossOutput:
+def contrastive_loss(embeddings, pairs: PairSet, margin: float, dist) -> LossOutput:
     """Mean of D_ij over positives and hinge [margin - D_ij]_+ over negatives:
     the pair hinge with offset 0 on positives, `margin` on negatives, shift 0."""
     return _pair_hinge(embeddings, pairs, np.where(pairs.is_positive, 0.0, margin), 0.0, dist)
 
 
-def triplet_loss(embeddings, triplets: TripletSet, margin: float, dist=None) -> LossOutput:
+def triplet_loss(embeddings, triplets: TripletSet, margin: float, dist) -> LossOutput:
     """Mean hinge [D_ap - D_an + margin]_+ over the given triplets, with D
-    from `dist` or the kernel as in the pair hinge (active triplets only get
-    a gradient, for the same reason)."""
+    from `dist` as in the pair hinge (active triplets only get a gradient,
+    for the same reason)."""
     emb = np.asarray(embeddings, dtype=np.float64)
     grad = np.zeros_like(emb)
     m = len(triplets)
@@ -183,7 +179,7 @@ def triplet_loss(embeddings, triplets: TripletSet, margin: float, dist=None) -> 
     return LossOutput(float(terms.sum() / denom), grad, n_active)
 
 
-def margin_loss(embeddings, pairs: PairSet, alpha: float, beta: float, dist=None) -> LossOutput:
+def margin_loss(embeddings, pairs: PairSet, alpha: float, beta: float, dist) -> LossOutput:
     """Mean hinge [alpha + y_ij (D_ij - beta)]_+ with learnable boundary beta."""
     return _pair_hinge(embeddings, pairs, alpha, beta, dist)
 

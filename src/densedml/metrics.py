@@ -120,9 +120,9 @@ def recall_at_k(embeddings, labels, ks) -> dict:
     needs one; with every entry ambiguous (E = +inf) that is under 8 times
     the product's bytes.
     """
-    emb = np.asarray(embeddings, dtype=np.float64)
+    x = core._as_rows(embeddings)
     labels = np.asarray(labels)
-    n = emb.shape[0]
+    n = x.shape[0]
     if labels.shape[0] != n:
         raise ShapeMismatchError("labels length != embedding count")
     ks = sorted(int(k) for k in ks)
@@ -132,7 +132,6 @@ def recall_at_k(embeddings, labels, ks) -> dict:
         raise KOutOfRangeError(f"recall k must be >= 1, got {ks[0]}")
     if n < 2 or ks[-1] >= n:
         raise KOutOfRangeError(f"max k {ks[-1]} needs at least {ks[-1] + 1} points, have {n}")
-    x = core._as_rows(emb)
     # sorted by label, a query's partners are one run of columns
     order = np.argsort(labels, kind="stable")
     sorted_labels = labels[order]
@@ -221,7 +220,7 @@ def kmeans(embeddings, k: int, rng: SeededRng, max_iter: int = 100):
     candidate, beside core._pair_distances' gathers (they fit
     core.DISTANCE_BLOCK_BYTES).  On unit rows almost every point has one.
     """
-    x = np.asarray(embeddings, dtype=np.float64)
+    x = core._as_rows(embeddings)
     n = x.shape[0]
     if k < 1:
         raise KOutOfRangeError(f"k-means needs k >= 1, got {k}")
@@ -232,7 +231,7 @@ def kmeans(embeddings, k: int, rng: SeededRng, max_iter: int = 100):
     # one array so that core._pair_distances pairs centroids with points
     planes = np.empty((d + 1, n + k))
     aug, x_planes, c_planes = planes[:, :n], planes[:d, :n], planes[:d, n:]
-    x_planes[...] = core._planes(core._as_rows(x))
+    x_planes[...] = core._planes(x)
     aug[d] = 1.0
     x_norms = np.einsum("ij,ij->j", x_planes, x_planes)
 

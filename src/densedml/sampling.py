@@ -1,13 +1,12 @@
 """Batch construction and embedding-pair/triplet sampling strategies.
 
-Samplers see only a distance matrix and labels; nothing marks an embedding as
-real or produced, so both kinds are sampled on equal footing.  The optional
-`anchor_indices` restricts which rows may serve as anchors (used to keep
-produced embeddings out of the anchor role when configured), but candidates
-for positives/negatives always span the whole batch.  Every sampler starts
-from a `BatchLayout` of the labels (the training run's, passed as `layout`),
-and resolves each seeded pick to the k-th True entry of a mask row.  Each
-draws with whole-array `Generator` calls, in the order its docstring gives.
+Samplers see only a distance matrix and the batch's `BatchLayout`, which marks
+no embedding as real or produced, so both kinds are sampled on equal footing.
+Its anchor rows may leave out produced ones (`anchor_layout`'s
+`anchor_indices`), but positives and negatives always span the whole batch.
+A layout with no anchor is a NoValidTripletError.  Each sampler resolves each
+seeded pick to the k-th True entry of a mask row, with whole-array
+`Generator` calls in the order its docstring gives.
 """
 
 from __future__ import annotations
@@ -123,15 +122,23 @@ def _kth(table, k):
     return table[np.arange(len(k)), k]
 
 
-def _anchor_distances(dist, labels, lay):
-    """The anchors' rows of `dist`, which must be n x n for n labels."""
-    dist, n = np.asarray(dist), len(labels)
+def _require_anchors(layout):
+    """The layout's anchor count, which a sampler needs to be nonzero."""
+    if not layout.rows.size:
+        raise NoValidTripletError("no anchor has both a positive and a negative")
+    return layout.rows.size
+
+
+def _anchor_distances(dist, layout):
+    """The anchors' rows of `dist`, which must be n x n for the layout's n labels."""
+    dist, n = np.asarray(dist), layout.same.shape[1]
     if dist.shape != (n, n):
         raise ShapeMismatchError(f"distance matrix {dist.shape} vs {n} labels")
-    return dist[lay.rows]
+    _require_anchors(layout)
+    return dist[layout.rows]
 
 
-def sample_random_triplets(labels, rng: SeededRng, anchor_indices=None, layout=None) -> TripletSet:
+def sample_random_triplets(layout: BatchLayout, rng: SeededRng) -> TripletSet:
     """Uniform anchors, uniform same-label positives, uniform other-label negatives.
 
     As many triplets as there are eligible anchors; each triplet's anchor is
@@ -140,18 +147,15 @@ def sample_random_triplets(labels, rng: SeededRng, anchor_indices=None, layout=N
     one `integers` call over the picked anchors' (positive count, negative
     count) pairs, row-major.
     """
-    lay = layout or anchor_layout(labels, anchor_indices)
-    n = lay.rows.size
-    if n == 0:
-        raise NoValidTripletError("no anchor has both a positive and a negative")
+    n = _require_anchors(layout)
     pick = rng.integers(n, size=n)
-    k_pos, k_neg = rng.integers(np.stack([lay.n_pos[pick], lay.n_neg[pick]], axis=1)).T
-    return TripletSet(lay.rows[pick], lay.pos_cols[pick, k_pos], lay.neg_cols[pick, k_neg])
+    k_pos, k_neg = rng.integers(np.stack([layout.n_pos[pick], layout.n_neg[pick]], axis=1)).T
+    return TripletSet(layout.rows[pick], layout.pos_cols[pick, k_pos],
+                      layout.neg_cols[pick, k_neg])
 
 
-def sample_semihard_triplets(
-    dist, labels, margin: float, rng: SeededRng, anchor_indices=None, layout=None
-) -> TripletSet:
+def sample_semihard_triplets(dist, layout: BatchLayout, margin: float,
+                             rng: SeededRng) -> TripletSet:
     """One triplet per eligible anchor with the semi-hard window rule.
 
     Negative selection: uniform inside the open window
@@ -161,23 +165,20 @@ def sample_semihard_triplets(
     Draws: one `integers` call over the anchors' positive counts, then one
     over the sizes of the non-empty windows, in anchor order.
     """
-    lay = layout or anchor_layout(labels, anchor_indices)
-    d = _anchor_distances(dist, labels, lay)
-    if not d.size:  # no anchor, and argmin takes no empty row
-        return TripletSet(lay.rows, lay.rows, lay.rows)
-    positives = _kth(lay.pos_cols, rng.integers(lay.n_pos))
+    d = _anchor_distances(dist, layout)
+    positives = _kth(layout.pos_cols, rng.integers(layout.n_pos))
     d_ap = _kth(d, positives)[:, None]
-    farther = lay.other & (d > d_ap)
+    farther = layout.other & (d > d_ap)
     window = farther & (d < d_ap + margin)
     negatives = np.where(farther.any(axis=1), np.argmin(np.where(farther, d, np.inf), axis=1),
-                         np.argmax(np.where(lay.other, d, -np.inf), axis=1))
+                         np.argmax(np.where(layout.other, d, -np.inf), axis=1))
     size = np.count_nonzero(window, axis=1)
     drawn = size > 0
     negatives[drawn] = _kth(_true_columns(window[drawn]), rng.integers(size[drawn]))
-    return TripletSet(lay.rows, positives, negatives)
+    return TripletSet(layout.rows, positives, negatives)
 
 
-def distance_weights(d, embed_dim: int, clip: float = 0.5):
+def distance_weights(d, embed_dim: int, clip: float):
     """Inverse of the hypersphere pairwise-distance density, clipped and capped.
 
     q(d) = d^(n-2) (1 - d^2/4)^((n-3)/2) for n = embed_dim; weights are
@@ -196,8 +197,7 @@ def distance_weights(d, embed_dim: int, clip: float = 0.5):
 
 
 def sample_distance_weighted(
-    dist, labels, rng: SeededRng, embed_dim: int, clip: float = 0.5, anchor_indices=None,
-    layout=None) -> TripletSet:
+    dist, layout: BatchLayout, rng: SeededRng, embed_dim: int, clip: float) -> TripletSet:
     """Uniform positives; negatives drawn inversely to the distance density.
 
     Draws: one `integers` call over the anchors' positive counts, then
@@ -207,55 +207,47 @@ def sample_distance_weighted(
     first column of the anchor's weight cdf that exceeds its uniform (its
     last negative if the uniform rounds up to the total).
     """
-    lay = layout or anchor_layout(labels, anchor_indices)
-    d = _anchor_distances(dist, labels, lay)
+    d = _anchor_distances(dist, layout)
     # zeroing the non-negatives adds exact +0.0 terms, so each row's cdf at
     # its negative columns is the cumsum over the negatives alone, bit for bit
-    weights = np.where(lay.other, distance_weights(d, embed_dim, clip), 0.0)
+    weights = np.where(layout.other, distance_weights(d, embed_dim, clip), 0.0)
     cdf = np.cumsum(weights, axis=1)
-    positives = _kth(lay.pos_cols, rng.integers(lay.n_pos))
-    # each row's total weight, sliced so that an empty batch gives no rows
+    positives = _kth(layout.pos_cols, rng.integers(layout.n_pos))
     u = cdf[:, -1:] * rng.random((len(d), 1))
     # the negative's rank among the anchor's negatives: searchsorted(side="right")
-    rank = np.count_nonzero((cdf <= u) & lay.other, axis=1)
-    rank = np.minimum(rank, lay.n_neg - 1)
-    return TripletSet(lay.rows, positives, _kth(lay.neg_cols, rank))
+    rank = np.count_nonzero((cdf <= u) & layout.other, axis=1)
+    rank = np.minimum(rank, layout.n_neg - 1)
+    return TripletSet(layout.rows, positives, _kth(layout.neg_cols, rank))
 
 
-def sample_softhard_triplets(
-    dist, labels, rng: SeededRng, anchor_indices=None, layout=None
-) -> TripletSet:
+def sample_softhard_triplets(dist, layout: BatchLayout, rng: SeededRng) -> TripletSet:
     """Hard positives (farther than the nearest negative) paired with hard
     negatives (closer than the farthest positive); uniform fallback each side.
 
     Draws: one `integers` call over the anchors' (positive pool size,
     negative pool size) pairs, row-major.
     """
-    lay = layout or anchor_layout(labels, anchor_indices)
-    d = _anchor_distances(dist, labels, lay)
-    same, other = lay.same, lay.other
+    d = _anchor_distances(dist, layout)
+    same, other = layout.same, layout.other
     hard_pos = same & (d > np.min(d, axis=1, where=other, initial=np.inf)[:, None])
     hard_neg = other & (d < np.max(d, axis=1, where=same, initial=-np.inf)[:, None])
     p_pool = np.where(hard_pos.any(axis=1)[:, None], hard_pos, same)
     n_pool = np.where(hard_neg.any(axis=1)[:, None], hard_neg, other)
     pick = rng.integers(np.stack(
         [np.count_nonzero(p_pool, axis=1), np.count_nonzero(n_pool, axis=1)], axis=1))
-    return TripletSet(lay.rows, _kth(_true_columns(p_pool), pick[:, 0]),
+    return TripletSet(layout.rows, _kth(_true_columns(p_pool), pick[:, 0]),
                       _kth(_true_columns(n_pool), pick[:, 1]))
 
 
-def sample_triplets(
-    kind: str, dist, labels, rng: SeededRng, *,
-    embed_dim: int, semihard_margin: float = 0.2, clip: float = 0.5,
-    anchor_indices=None, layout=None,
-) -> TripletSet:
+def sample_triplets(kind: str, dist, layout: BatchLayout, rng: SeededRng, *,
+                    embed_dim: int, semihard_margin: float, clip: float) -> TripletSet:
     """Strategy dispatch used by the training loop."""
     if kind == "random":
-        return sample_random_triplets(labels, rng, anchor_indices, layout)
+        return sample_random_triplets(layout, rng)
     if kind == "semihard":
-        return sample_semihard_triplets(dist, labels, semihard_margin, rng, anchor_indices, layout)
+        return sample_semihard_triplets(dist, layout, semihard_margin, rng)
     if kind == "softhard":
-        return sample_softhard_triplets(dist, labels, rng, anchor_indices, layout)
+        return sample_softhard_triplets(dist, layout, rng)
     if kind == "distance":
-        return sample_distance_weighted(dist, labels, rng, embed_dim, clip, anchor_indices, layout)
+        return sample_distance_weighted(dist, layout, rng, embed_dim, clip)
     raise ConfigError(f"sampler.kind must be one of {SAMPLER_KINDS}, got {kind!r}")

@@ -38,7 +38,7 @@ from .errors import (ConfigError, CorruptCheckpointError, EngineError, ShapeMism
                      TrainingAbortError)
 from .losses import contrastive_loss, margin_loss, multi_similarity_loss, triplet_loss
 from .metrics import EvalReport, evaluate_embeddings
-from .sampling import BatchLayout, batch_layout, sample_batch, sample_triplets
+from .sampling import BatchLayout, anchor_layout, batch_layout, sample_batch, sample_triplets
 
 
 @dataclass
@@ -117,25 +117,18 @@ def step(state: TrainResult, cfg: RunConfig, emit) -> dict:
         produced = produce(emb, y, state.recorder, state.bank, cfg.das, state.das, emit, layout)
         cat_emb = np.vstack([emb, produced.embeddings])
         cat_labels = np.concatenate([y, produced.labels])
-        if produced.dropped:  # the rows no longer follow the layout: the sampler builds one
-            layout = None
+        if produced.dropped:  # the rows no longer follow the run's layout
+            layout = anchor_layout(cat_labels, None if cfg.sampler.produced_as_anchors
+                                   else np.arange(n_real))
     else:
         cat_emb, cat_labels = emb, y
 
     triplets = dist = None
     if cfg.loss.kind != "ms":
         dist = pairwise_distances(cat_emb)  # the sampler and the loss share it
-        triplets = sample_triplets(
-            cfg.sampler.kind,
-            dist,
-            cat_labels,
-            state.sampler,
-            embed_dim=d_embed,
-            semihard_margin=cfg.sampler.semihard_margin,
-            clip=cfg.sampler.clip,
-            anchor_indices=None if cfg.sampler.produced_as_anchors else np.arange(n_real),
-            layout=layout,
-        )
+        triplets = sample_triplets(cfg.sampler.kind, dist, layout, state.sampler,
+                                   embed_dim=d_embed, semihard_margin=cfg.sampler.semihard_margin,
+                                   clip=cfg.sampler.clip)
         emit("sample")
 
     out = _loss_for(cfg, cat_emb, cat_labels, triplets, state.margin_beta, dist)

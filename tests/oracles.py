@@ -43,8 +43,13 @@ def class_views(labels):
 
 
 def _eligible(pos_lists, neg_lists, anchor_indices):
+    """The pool's anchors with a positive and a negative; every sampler
+    raises NoValidTripletError when there is none."""
     pool = range(len(pos_lists)) if anchor_indices is None else anchor_indices
-    return [int(a) for a in pool if len(pos_lists[a]) and len(neg_lists[a])]
+    anchors = [int(a) for a in pool if len(pos_lists[a]) and len(neg_lists[a])]
+    if not anchors:
+        raise NoValidTripletError("no anchor has both a positive and a negative")
+    return anchors
 
 
 def _triplet_set(anchors, positives, negatives):
@@ -98,8 +103,6 @@ def sample_random_triplets(labels, rng, anchor_indices=None):
     negative."""
     pos_lists, neg_lists = class_views(labels)
     valid = _eligible(pos_lists, neg_lists, anchor_indices)
-    if not valid:
-        raise NoValidTripletError("no anchor has both a positive and a negative")
     anchors = [valid[int(rng.integers(len(valid)))] for _ in valid]
     positives, negatives = [], []
     for a in anchors:

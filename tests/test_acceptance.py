@@ -38,7 +38,7 @@ from densedml.losses import (
     triplet_loss,
 )
 from densedml.metrics import f1_score, nmi, recall_at_k
-from densedml.sampling import sample_distance_weighted, sample_random_triplets
+from densedml.sampling import anchor_layout, sample_distance_weighted, sample_random_triplets
 from densedml.training import ablation_variants, run_comparison, sweep_variants, train
 
 from conftest import finite_difference, max_rel_error, random_unit_rows
@@ -242,13 +242,13 @@ def _loss_instance(which, r):
     labels = np.array([0, 0, 0, 1, 1])
     if which == "contrastive":
         pairs = build_pairs(labels)
-        fn = lambda e: contrastive_loss(e, pairs, 0.5)
+        fn = lambda e: contrastive_loss(e, pairs, 0.5, pairwise_distances(e))
     elif which == "triplet":
-        trip = sample_random_triplets(labels, r)
-        fn = lambda e: triplet_loss(e, trip, 0.2)
+        trip = sample_random_triplets(anchor_layout(labels), r)
+        fn = lambda e: triplet_loss(e, trip, 0.2, pairwise_distances(e))
     elif which == "margin":
         pairs = build_pairs(labels)
-        fn = lambda e: margin_loss(e, pairs, 0.2, 1.2)
+        fn = lambda e: margin_loss(e, pairs, 0.2, 1.2, pairwise_distances(e))
     else:
         spec = LossSpec(kind="ms")
         fn = lambda e: multi_similarity_loss(e, labels, spec)
@@ -297,18 +297,18 @@ def test_criterion_3_gradient_suite():
             scales = 1.0 + 0.3 * r.normal(size=(3 * t, 2))
             shifts = 0.2 * r.normal(size=(3 * t, 2))
             cat_labels = np.concatenate([labels, np.repeat(labels, t)])
-            trip = sample_random_triplets(cat_labels, r)
+            trip = sample_random_triplets(anchor_layout(cat_labels), r)
             pairs = build_pairs(cat_labels)
             which = losses[trial % 4]
             spec = LossSpec(kind="ms")
 
             def loss_of(cat):
                 if which == "triplet":
-                    return triplet_loss(cat, trip, 0.2)
+                    return triplet_loss(cat, trip, 0.2, pairwise_distances(cat))
                 if which == "contrastive":
-                    return contrastive_loss(cat, pairs, 0.5)
+                    return contrastive_loss(cat, pairs, 0.5, pairwise_distances(cat))
                 if which == "margin":
-                    return margin_loss(cat, pairs, 0.2, 1.2)
+                    return margin_loss(cat, pairs, 0.2, 1.2, pairwise_distances(cat))
                 return multi_similarity_loss(cat, cat_labels, spec)
 
             def full(theta):
@@ -348,11 +348,10 @@ def test_criterion_4_statistical_suite():
         emb = np.array([[0.0], [0.1], [0.5], [1.0]])
         labels = np.array([0, 0, 1, 1])
         dist = pairwise_distances(emb)
-        rng = SeededRng(4242)
+        rng, layout = SeededRng(4242), anchor_layout(labels, [0])
         picks = {2: 0, 3: 0}
         for _ in range(10_000):
-            trip = sample_distance_weighted(dist, labels, rng, embed_dim=3,
-                                            anchor_indices=[0])
+            trip = sample_distance_weighted(dist, layout, rng, 3, 0.5)
             picks[int(trip.negatives[0])] += 1
         assert abs(picks[2] / 10_000 - 2 / 3) <= 0.02
         assert abs(picks[3] / 10_000 - 1 / 3) <= 0.02

@@ -64,6 +64,15 @@ class TestPairwiseDistances:
         with pytest.raises(ShapeMismatchError):
             pairwise_distances([[1.0, 0.0], [1.0, 0.0, 0.0]])
 
+    @pytest.mark.parametrize("rows", [
+        [[1.0, 0.0], [1.0, [0.0, 2.0]]],
+        [[1.0, 0.0], [1.0, "x"]],
+        [[1.0, 0.0], [1.0, object()]],
+    ])
+    def test_entries_that_are_not_numbers_raise(self, rows):
+        with pytest.raises(ShapeMismatchError, match="not a stack of numeric vectors"):
+            pairwise_distances(rows)
+
     def test_symmetry_zero_diagonal_range(self, rng):
         rows = random_unit_rows(rng, 12, 5)
         d = pairwise_distances(rows)

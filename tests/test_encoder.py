@@ -6,7 +6,7 @@ import pickle
 import numpy as np
 import pytest
 
-from densedml.core import SeededRng
+from densedml.core import SeededRng, pairwise_distances
 from densedml.encoder import (
     CHECKPOINT_VERSION,
     EncoderParams,
@@ -137,11 +137,11 @@ class TestBackward:
 
         def loss_of(emb):
             if loss_kind == "contrastive":
-                return contrastive_loss(emb, pairs, 0.5)
+                return contrastive_loss(emb, pairs, 0.5, pairwise_distances(emb))
             if loss_kind == "triplet":
-                return triplet_loss(emb, trip, 0.2)
+                return triplet_loss(emb, trip, 0.2, pairwise_distances(emb))
             if loss_kind == "margin":
-                return margin_loss(emb, pairs, 0.2, 1.2)
+                return margin_loss(emb, pairs, 0.2, 1.2, pairwise_distances(emb))
             return multi_similarity_loss(emb, labels, LossSpec(kind="ms"))
 
         emb, tape = encode(params, x)

@@ -93,13 +93,13 @@ def one_pair(positive):
 class TestContrastive:
     def test_identical_positive_pair_zero(self):
         emb = np.array([[0.6, 0.8], [0.6, 0.8]])
-        out = contrastive_loss(emb, one_pair(True), 0.5)
+        out = contrastive_loss(emb, one_pair(True), 0.5, pairwise_distances(emb))
         assert out.value == 0.0
         assert np.all(out.grad == 0)
 
     def test_active_negative_pair(self):
         emb = np.array([[0.0, 0.0], [0.3, 0.0]])
-        out = contrastive_loss(emb, one_pair(False), 0.5)
+        out = contrastive_loss(emb, one_pair(False), 0.5, pairwise_distances(emb))
         assert out.value == pytest.approx(0.2, abs=1e-12)
         # gradient pushes the two apart along (v_i - v_j) / D
         assert out.grad[0][0] > 0 and out.grad[1][0] < 0
@@ -108,7 +108,7 @@ class TestContrastive:
         emb = random_unit_rows(rng, 4, 3)
         labels = np.array([0, 0, 1, 1])
         pairs = build_pairs(labels)
-        out = contrastive_loss(emb, pairs, 0.5)
+        out = contrastive_loss(emb, pairs, 0.5, pairwise_distances(emb))
         assert out.value == pytest.approx(oracle_contrastive(emb, pairs, 0.5), abs=1e-10)
         numeric = finite_difference(
             lambda th: oracle_contrastive(th.reshape(4, 3), pairs, 0.5), emb.ravel()
@@ -117,7 +117,7 @@ class TestContrastive:
 
     def test_tiny_distance_gives_zero_gradient(self):
         emb = np.array([[0.1, 0.0], [0.1, 0.0]])
-        out = contrastive_loss(emb, one_pair(False), 0.5)
+        out = contrastive_loss(emb, one_pair(False), 0.5, pairwise_distances(emb))
         assert out.value == pytest.approx(0.5)
         assert np.all(out.grad == 0)
 
@@ -130,16 +130,17 @@ class TestTriplet:
     def test_index_outside_the_batch(self, index):
         emb = np.array([[0.0, 0.0], [0.2, 0.0], [0.6, 0.0]])
         with pytest.raises(ShapeMismatchError, match="index outside the batch"):
-            triplet_loss(emb, TripletSet(np.array([0]), np.array([1]), np.array([index])), 0.2)
+            triplet_loss(emb, TripletSet(np.array([0]), np.array([1]), np.array([index])), 0.2,
+                         pairwise_distances(emb))
 
     def test_inactive_hinge(self):
         emb = np.array([[0.0, 0.0], [0.2, 0.0], [0.6, 0.0]])
-        out = triplet_loss(emb, self.triplet(), 0.2)
+        out = triplet_loss(emb, self.triplet(), 0.2, pairwise_distances(emb))
         assert out.value == 0.0 and out.active_count == 0
 
     def test_active_hinge_arithmetic(self):
         emb = np.array([[0.0, 0.0], [0.5, 0.0], [0.6, 0.0]])
-        out = triplet_loss(emb, self.triplet(), 0.2)
+        out = triplet_loss(emb, self.triplet(), 0.2, pairwise_distances(emb))
         assert out.value == pytest.approx(0.1, abs=1e-12)
 
     def test_eight_random_triplets_fd(self, rng):
@@ -149,7 +150,7 @@ class TestTriplet:
         p = np.array([1, 2, 0, 1, 4, 5, 3, 4])
         n = np.array([3, 4, 5, 3, 0, 1, 2, 0])
         trip = TripletSet(a, p, n)
-        out = triplet_loss(emb, trip, 0.2)
+        out = triplet_loss(emb, trip, 0.2, pairwise_distances(emb))
         assert out.value == pytest.approx(oracle_triplet(emb, trip, 0.2), abs=1e-10)
         numeric = finite_difference(
             lambda th: oracle_triplet(th.reshape(6, 4), trip, 0.2), emb.ravel()
@@ -164,9 +165,9 @@ class TestTriplet:
         base = TripletSet(np.array([2]), np.array([3]), np.array([0]))
         # (0,1,2) is inactive: D_ap = 0, D_an = sqrt(2)
         extra = TripletSet(np.array([2, 0]), np.array([3, 1]), np.array([0, 2]))
-        v0 = triplet_loss(emb, base, 0.2)
+        v0 = triplet_loss(emb, base, 0.2, pairwise_distances(emb))
         assert v0.value > 0
-        v1 = triplet_loss(emb, extra, 0.2)
+        v1 = triplet_loss(emb, extra, 0.2, pairwise_distances(emb))
         assert v1.value == pytest.approx(v0.value, abs=1e-15)
         np.testing.assert_allclose(v1.grad, v0.grad, atol=1e-15)
         assert v1.active_count == v0.active_count == 1
@@ -176,13 +177,13 @@ class TestMargin:
     def test_positive_pair_at_boundary(self):
         beta, alpha = 1.2, 0.2
         emb = np.array([[0.0, 0.0], [beta, 0.0]])
-        out = margin_loss(emb, one_pair(True), alpha, beta)
+        out = margin_loss(emb, one_pair(True), alpha, beta, pairwise_distances(emb))
         assert out.value == pytest.approx(alpha, abs=1e-12)
 
     def test_inactive_negative_pair(self):
         beta, alpha = 1.2, 0.2
         emb = np.array([[0.0, 0.0], [beta + alpha + 0.1, 0.0]])
-        out = margin_loss(emb, one_pair(False), alpha, beta)
+        out = margin_loss(emb, one_pair(False), alpha, beta, pairwise_distances(emb))
         assert out.value == 0.0
 
     def test_mixed_batch_oracle_and_fd(self, rng):
@@ -190,7 +191,7 @@ class TestMargin:
         labels = np.array([0, 0, 1, 1])
         pairs = build_pairs(labels)
         alpha, beta = 0.2, 1.2
-        out = margin_loss(emb, pairs, alpha, beta)
+        out = margin_loss(emb, pairs, alpha, beta, pairwise_distances(emb))
         assert out.value == pytest.approx(oracle_margin(emb, pairs, alpha, beta), abs=1e-10)
         numeric = finite_difference(
             lambda th: oracle_margin(th.reshape(4, 3), pairs, alpha, beta), emb.ravel()
@@ -204,9 +205,9 @@ class TestMargin:
 
 
 class TestDistanceMatrixOracle:
-    """Triplet, contrastive and margin losses, with the batch's distance
-    matrix passed and without it, against the norm-over-gathered-differences
-    forms in oracles: value, grad, active_count and beta_grad, bit for bit."""
+    """Triplet, contrastive and margin losses on the batch's distance matrix
+    against the norm-over-gathered-differences forms in oracles: value,
+    grad, active_count and beta_grad, bit for bit."""
 
     @staticmethod
     def batch(seed, n, d, duplicates):
@@ -228,13 +229,13 @@ class TestDistanceMatrixOracle:
     def check(self, emb, trip, margin):
         pairs = trip.to_pairs()
         offset = np.where(pairs.is_positive, 0.0, margin)
-        for dist in (None, pairwise_distances(emb)):
-            self.assert_same(triplet_loss(emb, trip, margin, dist),
-                             oracles.triplet_loss(emb, trip, margin))
-            self.assert_same(contrastive_loss(emb, pairs, margin, dist),
-                             oracles.pair_hinge(emb, pairs, offset, 0.0))
-            self.assert_same(margin_loss(emb, pairs, 0.2, margin, dist),
-                             oracles.pair_hinge(emb, pairs, 0.2, margin))
+        dist = pairwise_distances(emb)
+        self.assert_same(triplet_loss(emb, trip, margin, dist),
+                         oracles.triplet_loss(emb, trip, margin))
+        self.assert_same(contrastive_loss(emb, pairs, margin, dist),
+                         oracles.pair_hinge(emb, pairs, offset, 0.0))
+        self.assert_same(margin_loss(emb, pairs, 0.2, margin, dist),
+                         oracles.pair_hinge(emb, pairs, 0.2, margin))
 
     @settings(max_examples=60, deadline=None, derandomize=True)
     @given(st.integers(min_value=0, max_value=10_000), st.integers(min_value=3, max_value=20),
@@ -249,7 +250,7 @@ class TestDistanceMatrixOracle:
     @pytest.mark.parametrize("margin, active", [(-10.0, 0), (10.0, 12)])
     def test_all_inactive_and_all_active(self, margin, active):
         emb, trip = self.batch(3, 4, 5, duplicates=True)
-        assert triplet_loss(emb, trip, margin).active_count == active
+        assert triplet_loss(emb, trip, margin, pairwise_distances(emb)).active_count == active
         self.check(emb, trip, margin)
 
     def test_empty_sets(self):
@@ -265,13 +266,16 @@ class TestDistanceMatrixOracle:
             margin_loss(emb, trip.to_pairs(), 0.2, 1.2, np.zeros((5, 4)))
 
     def test_non_finite_rows_without_a_matrix_raise(self):
-        # the kernel's own distances go through pairwise_distances' checks
+        # non-finite rows get no distance matrix: pairwise_distances raises
+        # before a loss reads one, and a loss handed none raises too
         emb, trip = self.batch(0, 5, 3, duplicates=False)
         emb[2, 1] = np.nan
         with pytest.raises(ShapeMismatchError, match="non-finite"):
-            triplet_loss(emb, trip, 0.2)
+            triplet_loss(emb, trip, 0.2, pairwise_distances(emb))
         with pytest.raises(ShapeMismatchError, match="non-finite"):
-            contrastive_loss(emb, trip.to_pairs(), 0.2)
+            contrastive_loss(emb, trip.to_pairs(), 0.2, pairwise_distances(emb))
+        with pytest.raises(ShapeMismatchError, match=r"distance matrix \(\) vs 5 embeddings"):
+            triplet_loss(emb, trip, 0.2, None)
 
 
 class TestMultiSimilarity:
@@ -376,8 +380,8 @@ class TestSharedProperties:
         perm_pairs = PairSet(inv[pairs.first], inv[pairs.second], pairs.is_positive)
 
         for fn in (
-            lambda e, p: contrastive_loss(e, p, 0.5),
-            lambda e, p: margin_loss(e, p, 0.2, 1.2),
+            lambda e, p: contrastive_loss(e, p, 0.5, pairwise_distances(e)),
+            lambda e, p: margin_loss(e, p, 0.2, 1.2, pairwise_distances(e)),
         ):
             base = fn(emb, pairs)
             permuted = fn(emb[perm], perm_pairs)
@@ -398,7 +402,8 @@ class TestSharedProperties:
         labels = np.array([0, 0, 1, 1, 1])
         pairs = build_pairs(labels)
         trip = TripletSet(np.array([0, 2]), np.array([1, 3]), np.array([2, 0]))
-        assert contrastive_loss(emb, pairs, 0.5).value >= 0
-        assert triplet_loss(emb, trip, 0.2).value >= 0
-        assert margin_loss(emb, pairs, 0.2, 1.2).value >= 0
+        dist = pairwise_distances(emb)
+        assert contrastive_loss(emb, pairs, 0.5, dist).value >= 0
+        assert triplet_loss(emb, trip, 0.2, dist).value >= 0
+        assert margin_loss(emb, pairs, 0.2, 1.2, dist).value >= 0
         assert multi_similarity_loss(emb, labels, LossSpec(kind="ms")).value >= 0

@@ -37,6 +37,18 @@ def brute_force_recall(emb, labels, k):
     return hits / n
 
 
+# ragged rows, an entry that is not a number, a vector, a stack of matrices,
+# and a non-finite entry: each a ShapeMismatchError before any work
+MALFORMED_ROWS = [
+    [[0.0, 1.0], [1.0, 0.0, 0.0], [0.0, 1.0]],
+    [[0.0, 1.0], [1.0, "a"], [0.0, 1.0]],
+    [[0.0, 1.0], [1.0, object()], [0.0, 1.0]],
+    np.zeros(3),
+    np.zeros((3, 2, 2)),
+    [[0.0, 1.0], [1.0, np.nan], [0.0, 1.0]],
+]
+
+
 class TestRecall:
     def test_separated_clusters(self):
         emb = np.array([[0.0, 0], [0.1, 0], [5.0, 5], [5.1, 5]])
@@ -89,6 +101,11 @@ class TestRecall:
     def test_no_k(self):
         with pytest.raises(KOutOfRangeError, match="at least one k"):
             recall_at_k(np.eye(3), np.array([0, 0, 1]), [])
+
+    @pytest.mark.parametrize("rows", MALFORMED_ROWS)
+    def test_malformed_rows(self, rows):
+        with pytest.raises(ShapeMismatchError):
+            recall_at_k(rows, np.array([0, 0, 1]), [1])
 
 
 @st.composite
@@ -290,6 +307,13 @@ class TestKmeans:
     def test_k_too_large(self, rng):
         with pytest.raises(KOutOfRangeError):
             kmeans(np.eye(3), 4, rng)
+
+    @pytest.mark.parametrize("rows", MALFORMED_ROWS)
+    def test_malformed_rows(self, rows):
+        rng = SeededRng(3)
+        with pytest.raises(ShapeMismatchError):
+            kmeans(rows, 2, rng)
+        assert rng.random() == SeededRng(3).random()  # rejected before any draw
 
     @pytest.mark.parametrize("k", [0, -1])
     def test_k_below_one(self, k):

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from densedml.config import SamplerConfig
 from densedml.core import SeededRng, pairwise_distances
 from densedml.data import Dataset
 from densedml.errors import NotEnoughClassesError, NoValidTripletError, ShapeMismatchError
@@ -24,6 +25,10 @@ from densedml.sampling import (
 from conftest import random_unit_rows
 import oracles
 from oracles import build_pairs
+
+# the sampler knobs a run takes by default
+MARGIN, CLIP = SamplerConfig().semihard_margin, SamplerConfig().clip
+KNOBS = {"semihard_margin": MARGIN, "clip": CLIP}
 
 
 def line_points(positions):
@@ -92,7 +97,7 @@ class TestSampleBatch:
 class TestRandomTriplets:
     def test_constraints_hold(self):
         labels = np.array([0, 0, 1, 1])
-        trip = sample_random_triplets(labels, SeededRng(0))
+        trip = sample_random_triplets(anchor_layout(labels), SeededRng(0))
         assert len(trip) == 4
         for a, p, n in zip(trip.anchors, trip.positives, trip.negatives):
             assert labels[a] == labels[p] and a != p
@@ -100,12 +105,12 @@ class TestRandomTriplets:
 
     def test_no_valid_triplet(self):
         with pytest.raises(NoValidTripletError):
-            sample_random_triplets(np.array([0, 1]), SeededRng(0))
+            sample_random_triplets(anchor_layout(np.array([0, 1])), SeededRng(0))
 
     def test_seeded_determinism(self):
         labels = np.array([0, 0, 1, 1, 2])
-        a = sample_random_triplets(labels, SeededRng(42))
-        b = sample_random_triplets(labels, SeededRng(42))
+        a = sample_random_triplets(anchor_layout(labels), SeededRng(42))
+        b = sample_random_triplets(anchor_layout(labels), SeededRng(42))
         np.testing.assert_array_equal(a.anchors, b.anchors)
         np.testing.assert_array_equal(a.positives, b.positives)
         np.testing.assert_array_equal(a.negatives, b.negatives)
@@ -117,7 +122,7 @@ class TestSemihard:
         emb = line_points([0.0, 0.4, -0.3, 0.5, 0.9])
         labels = np.array([0, 0, 1, 1, 1])
         dist = pairwise_distances(emb)
-        trip = sample_semihard_triplets(dist, labels, 0.2, SeededRng(0), anchor_indices=[0])
+        trip = sample_semihard_triplets(dist, anchor_layout(labels, [0]), 0.2, SeededRng(0))
         assert list(trip.anchors) == [0] and list(trip.positives) == [1]
         assert list(trip.negatives) == [3]
 
@@ -126,21 +131,21 @@ class TestSemihard:
         emb = line_points([0.0, 0.4, -0.9, 1.2])
         labels = np.array([0, 0, 1, 1])
         dist = pairwise_distances(emb)
-        trip = sample_semihard_triplets(dist, labels, 0.2, SeededRng(0), anchor_indices=[0])
+        trip = sample_semihard_triplets(dist, anchor_layout(labels, [0]), 0.2, SeededRng(0))
         assert list(trip.negatives) == [2]
 
     def test_all_closer_picks_largest(self):
         emb = line_points([0.0, 1.0, 0.2, -0.5, 0.8])
         labels = np.array([0, 0, 1, 1, 1])
         dist = pairwise_distances(emb)
-        trip = sample_semihard_triplets(dist, labels, 0.2, SeededRng(0), anchor_indices=[0])
+        trip = sample_semihard_triplets(dist, anchor_layout(labels, [0]), 0.2, SeededRng(0))
         assert list(trip.negatives) == [4]  # largest D(a, n) = 0.8
 
     def test_boundary_negative_excluded_by_strict_window(self):
         emb = line_points([0.0, 0.4, -0.4])
         labels = np.array([0, 0, 1])
         dist = pairwise_distances(emb)
-        trip = sample_semihard_triplets(dist, labels, 0.2, SeededRng(0), anchor_indices=[0])
+        trip = sample_semihard_triplets(dist, anchor_layout(labels, [0]), 0.2, SeededRng(0))
         assert list(trip.negatives) == [2]  # only negative; fallback chooses it
 
 
@@ -154,11 +159,10 @@ class TestDistanceWeighted:
         emb = line_points([0.0, 0.1, 0.7, -0.7])
         labels = np.array([0, 0, 1, 1])
         dist = pairwise_distances(emb)
-        rng = SeededRng(5)
+        rng, layout = SeededRng(5), anchor_layout(labels, [0])
         counts = {2: 0, 3: 0}
         for _ in range(10_000):
-            trip = sample_distance_weighted(dist, labels, rng, embed_dim=4,
-                                            anchor_indices=[0])
+            trip = sample_distance_weighted(dist, layout, rng, 4, 0.5)
             counts[int(trip.negatives[0])] += 1
         assert abs(counts[2] / 10_000 - 0.5) < 0.02
 
@@ -166,11 +170,10 @@ class TestDistanceWeighted:
         emb = line_points([0.0, 0.1, 0.5, 1.0])
         labels = np.array([0, 0, 1, 1])
         dist = pairwise_distances(emb)
-        rng = SeededRng(9)
+        rng, layout = SeededRng(9), anchor_layout(labels, [0])
         picked = {2: 0, 3: 0}
         for _ in range(10_000):
-            trip = sample_distance_weighted(dist, labels, rng, embed_dim=3,
-                                            anchor_indices=[0])
+            trip = sample_distance_weighted(dist, layout, rng, 3, 0.5)
             picked[int(trip.negatives[0])] += 1
         assert abs(picked[2] / 10_000 - 2.0 / 3.0) < 0.02
         assert abs(picked[3] / 10_000 - 1.0 / 3.0) < 0.02
@@ -180,16 +183,15 @@ class TestDistanceWeighted:
         emb = line_points([0.0, 0.05, 0.1, -0.5])
         labels = np.array([0, 0, 1, 1])
         dist = pairwise_distances(emb)
-        rng = SeededRng(13)
+        rng, layout = SeededRng(13), anchor_layout(labels, [0])
         counts = {2: 0, 3: 0}
         for _ in range(10_000):
-            trip = sample_distance_weighted(dist, labels, rng, embed_dim=3,
-                                            anchor_indices=[0])
+            trip = sample_distance_weighted(dist, layout, rng, 3, 0.5)
             counts[int(trip.negatives[0])] += 1
         assert abs(counts[2] / 10_000 - 0.5) < 0.02
 
     def test_weights_stay_finite_near_antipodal(self):
-        w = distance_weights(np.array([2.0, 1.9999999]), embed_dim=16)
+        w = distance_weights(np.array([2.0, 1.9999999]), embed_dim=16, clip=0.5)
         assert np.all(np.isfinite(w)) and np.all(w > 0)
 
 
@@ -199,6 +201,7 @@ class UniformAtHigh:
 
     def __init__(self, seed):
         self.inner = SeededRng(seed)
+        self.bit_generator = self.inner.bit_generator
 
     def integers(self, n, size=None):
         return self.inner.integers(n, size=size)
@@ -235,6 +238,25 @@ def assert_same_stream(rng_got, rng_want):
     np.testing.assert_equal(rng_got.bit_generator.state, rng_want.bit_generator.state)
 
 
+def assert_matches_oracle(run, oracle, seed, rng_type=SeededRng):
+    """`run` and `oracle`, each called on its own rng_type(seed): the same
+    triplets with int64 dtypes, or NoValidTripletError from both, and the
+    same whole generator state after.  Returns run's triplets (None when
+    both raise)."""
+    rng_got, rng_want = rng_type(seed), rng_type(seed)
+    try:
+        want = oracle(rng_want)
+    except NoValidTripletError:
+        with pytest.raises(NoValidTripletError):
+            run(rng_got)
+        got = None
+    else:
+        got = run(rng_got)
+        TestDistanceWeightedOracle.assert_same(got, want)
+    assert_same_stream(rng_got, rng_want)
+    return got
+
+
 class TestDistanceWeightedOracle:
     """The vectorized sampler against scalar calls per anchor in its draw
     order: same triplets, and the same whole generator state after."""
@@ -250,12 +272,12 @@ class TestDistanceWeightedOracle:
     @given(st.sampled_from([3, 4, 16]), st.data())
     def test_matches_per_anchor_loop(self, embed_dim, data):
         labels, dist, anchors, seed = data.draw(sampler_inputs())
-        rng_got, rng_want = SeededRng(seed), SeededRng(seed)
-        want = oracles.sample_distance_weighted(dist, labels, rng_want, embed_dim,
-                                                anchor_indices=anchors)
-        got = sample_distance_weighted(dist, labels, rng_got, embed_dim, anchor_indices=anchors)
-        self.assert_same(got, want)
-        assert_same_stream(rng_got, rng_want)
+        assert_matches_oracle(
+            lambda rng: sample_distance_weighted(dist, anchor_layout(labels, anchors), rng,
+                                                 embed_dim, CLIP),
+            lambda rng: oracles.sample_distance_weighted(dist, labels, rng, embed_dim, CLIP,
+                                                         anchor_indices=anchors),
+            seed)
 
     @pytest.mark.parametrize("anchors", [None, [0, 4, 4, 9]])
     def test_one_positive_per_anchor_takes_random_n(self, anchors):
@@ -264,7 +286,7 @@ class TestDistanceWeightedOracle:
         labels = np.repeat(np.arange(5), 2)
         dist = pairwise_distances(random_unit_rows(SeededRng(2), 10, 4))
         rng_got, rng_want = SeededRng(6), SeededRng(6)
-        got = sample_distance_weighted(dist, labels, rng_got, 4, anchor_indices=anchors)
+        got = sample_distance_weighted(dist, anchor_layout(labels, anchors), rng_got, 4, CLIP)
         rng_want.random(len(got))
         assert len(got) == (10 if anchors is None else 4)
         assert_same_stream(rng_got, rng_want)
@@ -273,22 +295,24 @@ class TestDistanceWeightedOracle:
     @given(sampler_inputs())
     def test_uniform_at_total_clamps_to_last_negative(self, inputs):
         labels, dist, anchors, seed = inputs
-        got = sample_distance_weighted(dist, labels, UniformAtHigh(seed), 4,
-                                       anchor_indices=anchors)
-        want = oracles.sample_distance_weighted(dist, labels, UniformAtHigh(seed), 4,
-                                                anchor_indices=anchors)
-        self.assert_same(got, want)
-        for a, n in zip(got.anchors, got.negatives):
-            assert n == np.flatnonzero(labels != labels[a])[-1]
+        got = assert_matches_oracle(
+            lambda rng: sample_distance_weighted(dist, anchor_layout(labels, anchors), rng, 4,
+                                                 CLIP),
+            lambda rng: oracles.sample_distance_weighted(dist, labels, rng, 4, CLIP,
+                                                         anchor_indices=anchors),
+            seed, UniformAtHigh)
+        if got is not None:
+            for a, n in zip(got.anchors, got.negatives):
+                assert n == np.flatnonzero(labels != labels[a])[-1]
 
     def test_antipodal_at_dim_3_samples_alike(self):
         # at embed_dim 3 the (1 - d^2/4) factor of q(d) has exponent 0, so the
         # antipodal negative (d = 2) gets a finite weight, not 0 * log 0
         labels = np.array([0, 0, 1, 1])
         dist = pairwise_distances(line_points([0.0, 0.4, 2.0, 1.0]))
-        assert np.all(np.isfinite(distance_weights(dist, embed_dim=3)))
-        got = sample_distance_weighted(dist, labels, SeededRng(0), 3, anchor_indices=[0])
-        want = oracles.sample_distance_weighted(dist, labels, SeededRng(0), 3,
+        assert np.all(np.isfinite(distance_weights(dist, embed_dim=3, clip=CLIP)))
+        got = sample_distance_weighted(dist, anchor_layout(labels, [0]), SeededRng(0), 3, CLIP)
+        want = oracles.sample_distance_weighted(dist, labels, SeededRng(0), 3, CLIP,
                                                 anchor_indices=[0])
         self.assert_same(got, want)
         assert got.anchors.tolist() == [0] and got.negatives[0] in (2, 3)
@@ -296,20 +320,22 @@ class TestDistanceWeightedOracle:
     def test_anchors_without_positive_are_skipped(self):
         labels = np.array([0, 1, 1, 2, 3, 3])
         dist = pairwise_distances(line_points([0.0, 0.2, 0.4, 0.6, 0.8, 1.0]))
-        got = sample_distance_weighted(dist, labels, SeededRng(4), 3,
-                                       anchor_indices=[0, 1, 3, 1, 5])
-        want = oracles.sample_distance_weighted(dist, labels, SeededRng(4), 3,
+        got = sample_distance_weighted(dist, anchor_layout(labels, [0, 1, 3, 1, 5]),
+                                       SeededRng(4), 3, CLIP)
+        want = oracles.sample_distance_weighted(dist, labels, SeededRng(4), 3, CLIP,
                                                 anchor_indices=[0, 1, 3, 1, 5])
         self.assert_same(got, want)
         assert got.anchors.tolist() == [1, 1, 5]
 
-    def test_no_eligible_anchor_gives_empty_set(self):
-        trip = sample_distance_weighted(np.zeros((2, 2)), np.array([0, 1]), SeededRng(0), 3)
-        assert len(trip) == 0 and trip.negatives.dtype == np.int64
+    def test_no_eligible_anchor_raises(self):
+        with pytest.raises(NoValidTripletError, match="no anchor has both"):
+            sample_distance_weighted(np.zeros((2, 2)), anchor_layout(np.array([0, 1])),
+                                     SeededRng(0), 3, CLIP)
 
-    def test_empty_batch_gives_empty_set(self):
-        trip = sample_distance_weighted(np.zeros((0, 0)), np.zeros(0, np.int64), SeededRng(0), 3)
-        assert len(trip) == 0 and trip.negatives.dtype == np.int64
+    def test_empty_batch_raises(self):
+        with pytest.raises(NoValidTripletError, match="no anchor has both"):
+            sample_distance_weighted(np.zeros((0, 0)), anchor_layout(np.zeros(0, np.int64)),
+                                     SeededRng(0), 3, CLIP)
 
 
 class TestMaskSamplersOracle:
@@ -323,15 +349,9 @@ class TestMaskSamplersOracle:
     @given(sampler_inputs())
     def test_random(self, inputs):
         labels, _, anchors, seed = inputs
-        rng_got, rng_want = SeededRng(seed), SeededRng(seed)
-        try:
-            want = oracles.sample_random_triplets(labels, rng_want, anchors)
-        except NoValidTripletError:
-            with pytest.raises(NoValidTripletError):
-                sample_random_triplets(labels, rng_got, anchors)
-        else:
-            self.assert_same(sample_random_triplets(labels, rng_got, anchors), want)
-        assert_same_stream(rng_got, rng_want)
+        assert_matches_oracle(
+            lambda rng: sample_random_triplets(anchor_layout(labels, anchors), rng),
+            lambda rng: oracles.sample_random_triplets(labels, rng, anchors), seed)
 
     @pytest.mark.parametrize("labels,anchors", [
         ([0, 0, 0, 1, 1], [0]),        # a pool of one anchor (bound 1) with 2+2 candidates
@@ -340,7 +360,7 @@ class TestMaskSamplersOracle:
     ])
     def test_random_small_pools(self, labels, anchors):
         rng_got, rng_want = SeededRng(11), SeededRng(11)
-        got = sample_random_triplets(np.array(labels), rng_got, anchors)
+        got = sample_random_triplets(anchor_layout(np.array(labels), anchors), rng_got)
         self.assert_same(got, oracles.sample_random_triplets(np.array(labels), rng_want, anchors))
         assert_same_stream(rng_got, rng_want)
 
@@ -348,21 +368,18 @@ class TestMaskSamplersOracle:
     @given(sampler_inputs(), st.sampled_from([0.0, 1e-12, 0.2, 0.5, 3.0, 1e9]))
     def test_semihard(self, inputs, margin):
         labels, dist, anchors, seed = inputs
-        rng_got, rng_want = SeededRng(seed), SeededRng(seed)
-        want = oracles.sample_semihard_triplets(dist, labels, margin, rng_want, anchors)
-        got = sample_semihard_triplets(dist, labels, margin, rng_got, anchors)
-        self.assert_same(got, want)
-        assert_same_stream(rng_got, rng_want)
+        assert_matches_oracle(
+            lambda rng: sample_semihard_triplets(dist, anchor_layout(labels, anchors), margin, rng),
+            lambda rng: oracles.sample_semihard_triplets(dist, labels, margin, rng, anchors),
+            seed)
 
     @settings(max_examples=150, deadline=None)
     @given(sampler_inputs())
     def test_softhard(self, inputs):
         labels, dist, anchors, seed = inputs
-        rng_got, rng_want = SeededRng(seed), SeededRng(seed)
-        want = oracles.sample_softhard_triplets(dist, labels, rng_want, anchors)
-        got = sample_softhard_triplets(dist, labels, rng_got, anchors)
-        self.assert_same(got, want)
-        assert_same_stream(rng_got, rng_want)
+        assert_matches_oracle(
+            lambda rng: sample_softhard_triplets(dist, anchor_layout(labels, anchors), rng),
+            lambda rng: oracles.sample_softhard_triplets(dist, labels, rng, anchors), seed)
 
     def test_softhard_bound_one_pools_interleave(self):
         # anchors 0 and 1 have one-member pools on both sides (bound 1, which
@@ -370,7 +387,7 @@ class TestMaskSamplersOracle:
         labels = np.array([0, 0, 1, 1])
         dist = pairwise_distances(line_points([0.0, 1.0, 0.5, 3.0]))
         rng_got, rng_want = SeededRng(2), SeededRng(2)
-        got = sample_softhard_triplets(dist, labels, rng_got)
+        got = sample_softhard_triplets(dist, anchor_layout(labels), rng_got)
         self.assert_same(got, oracles.sample_softhard_triplets(dist, labels, rng_want))
         assert got.positives[:3].tolist() == [1, 0, 3] and got.negatives[:2].tolist() == [2, 2]
         assert_same_stream(rng_got, rng_want)
@@ -397,7 +414,7 @@ class TestSemihardDraws:
         dist = pairwise_distances(line_points(positions))
         labels = np.array(labels)
         rng_got, rng_want = SeededRng(17), SeededRng(17)
-        got = sample_semihard_triplets(dist, labels, margin, rng_got, anchors)
+        got = sample_semihard_triplets(dist, anchor_layout(labels, anchors), margin, rng_got)
         want = oracles.sample_semihard_triplets(dist, labels, margin, rng_want, anchors)
         TestDistanceWeightedOracle.assert_same(got, want)
         assert_same_stream(rng_got, rng_want)
@@ -412,7 +429,8 @@ class TestSemihardDraws:
         # either positive (0.4 or 0.45) leaves only the negative at 0.5 in its window
         dist = pairwise_distances(line_points([0.0, 0.4, 0.45, 0.5, 2.0]))
         rng = SeededRng(3)
-        got = sample_semihard_triplets(dist, np.array([0, 0, 0, 1, 1]), 0.2, rng, [0])
+        got = sample_semihard_triplets(dist, anchor_layout(np.array([0, 0, 0, 1, 1]), [0]), 0.2,
+                                       rng)
         assert got.negatives.tolist() == [3]
         assert_same_stream(rng, self.positives_only(3, [2]))
 
@@ -420,7 +438,8 @@ class TestSemihardDraws:
         # every negative is nearer than either positive: the farthest is chosen
         dist = pairwise_distances(line_points([0.0, 1.0, -1.2, 0.3, -0.6, 0.6]))
         rng = SeededRng(4)
-        got = sample_semihard_triplets(dist, np.array([0, 0, 0, 1, 1, 1]), 0.2, rng, [0])
+        got = sample_semihard_triplets(dist, anchor_layout(np.array([0, 0, 0, 1, 1, 1]), [0]), 0.2,
+                                       rng)
         assert got.negatives.tolist() == [4]  # ties 0.6 with row 5: the lower index
         assert_same_stream(rng, self.positives_only(4, [2]))
 
@@ -430,7 +449,7 @@ class TestSemihardDraws:
         dist = pairwise_distances(line_points([0.0, 0.1, 5.0, 5.1, 0.15, 0.2, 5.15, 5.2]))
         labels = np.array([0, 0, 1, 1, 2, 2, 3, 3])
         rng = SeededRng(8)
-        got = sample_semihard_triplets(dist, labels, 0.5, rng, [0, 2])
+        got = sample_semihard_triplets(dist, anchor_layout(labels, [0, 2]), 0.5, rng)
         want = self.positives_only(8, [1, 1])
         k = want.integers([2, 2])
         assert got.negatives.tolist() == [[4, 5][k[0]], [6, 7][k[1]]]
@@ -442,7 +461,7 @@ class TestSofthard:
         emb = line_points([0.0, 0.2, 0.9, -0.5, 1.5])
         labels = np.array([0, 0, 0, 1, 1])
         dist = pairwise_distances(emb)
-        trip = sample_softhard_triplets(dist, labels, SeededRng(0), anchor_indices=[0])
+        trip = sample_softhard_triplets(dist, anchor_layout(labels, [0]), SeededRng(0))
         assert list(trip.positives) == [2]  # the positive farther than nearest negative
         assert list(trip.negatives) == [3]  # the negative closer than farthest positive
 
@@ -451,10 +470,10 @@ class TestSofthard:
         emb = line_points([0.0, 0.1, 0.2, -2.0, 3.0])
         labels = np.array([0, 0, 0, 1, 1])
         dist = pairwise_distances(emb)
-        rng = SeededRng(1)
+        rng, layout = SeededRng(1), anchor_layout(labels, [0])
         seen_p, seen_n = set(), set()
         for _ in range(200):
-            trip = sample_softhard_triplets(dist, labels, rng, anchor_indices=[0])
+            trip = sample_softhard_triplets(dist, layout, rng)
             seen_p.add(int(trip.positives[0]))
             seen_n.add(int(trip.negatives[0]))
         assert seen_p == {1, 2} and seen_n == {3, 4}
@@ -463,8 +482,8 @@ class TestSofthard:
         emb = line_points([0.0, 0.3, 0.9, -0.5, 1.5, 2.0])
         labels = np.array([0, 0, 0, 1, 1, 1])
         dist = pairwise_distances(emb)
-        a = sample_softhard_triplets(dist, labels, SeededRng(7))
-        b = sample_softhard_triplets(dist, labels, SeededRng(7))
+        a = sample_softhard_triplets(dist, anchor_layout(labels), SeededRng(7))
+        b = sample_softhard_triplets(dist, anchor_layout(labels), SeededRng(7))
         np.testing.assert_array_equal(a.negatives, b.negatives)
         np.testing.assert_array_equal(a.positives, b.positives)
 
@@ -495,7 +514,7 @@ class TestDispatchAndInvariants:
         emb = r.normal(size=(8, 4))
         emb /= np.linalg.norm(emb, axis=1, keepdims=True)
         dist = pairwise_distances(emb)
-        trip = sample_triplets(kind, dist, labels, r, embed_dim=4)
+        trip = sample_triplets(kind, dist, anchor_layout(labels), r, embed_dim=4, **KNOBS)
         assert len(trip) > 0
         for a, p, n in zip(trip.anchors, trip.positives, trip.negatives):
             assert labels[a] == labels[p] and a != p
@@ -506,9 +525,8 @@ class TestDispatchAndInvariants:
         emb = line_points([0.0, 0.3, -0.5, 0.8])
         dist = pairwise_distances(emb)
         for kind in ("random", "semihard", "softhard", "distance"):
-            trip = sample_triplets(
-                kind, dist, labels, SeededRng(3), embed_dim=3, anchor_indices=[0, 1]
-            )
+            trip = sample_triplets(kind, dist, anchor_layout(labels, [0, 1]), SeededRng(3),
+                                   embed_dim=3, **KNOBS)
             assert set(trip.anchors.tolist()) <= {0, 1}
 
     @pytest.mark.parametrize("kind", ["semihard", "softhard", "distance"])
@@ -517,33 +535,46 @@ class TestDispatchAndInvariants:
         labels = np.array([0, 0, 1, 1])
         with pytest.raises(ShapeMismatchError,
                            match=rf"distance matrix \({shape[0]}, {shape[1]}\) vs 4 labels"):
-            sample_triplets(kind, np.zeros(shape), labels, SeededRng(0), embed_dim=3)
+            sample_triplets(kind, np.zeros(shape), anchor_layout(labels), SeededRng(0),
+                            embed_dim=3, **KNOBS)
 
     @pytest.mark.parametrize("kind", ["semihard", "softhard", "distance"])
     @pytest.mark.parametrize("n", [6, 10])
     def test_distance_shape_mismatch_with_layout(self, kind, n):
         # the run's layout for 8 labels and a matrix of another size raise
-        # what the path without a layout raises
+        # what an anchor layout of 8 labels raises
         with pytest.raises(ShapeMismatchError, match=rf"distance matrix \({n}, {n}\) vs 8 labels"):
-            sample_triplets(kind, np.zeros((n, n)), np.repeat(np.arange(4), 2), SeededRng(0),
-                            embed_dim=3, layout=batch_layout(BatchSpec(4, 2), 0, True))
+            sample_triplets(kind, np.zeros((n, n)), batch_layout(BatchSpec(4, 2), 0, True),
+                            SeededRng(0), embed_dim=3, **KNOBS)
 
     def test_unknown_kind(self):
         with pytest.raises(ConfigError, match="sampler.kind must be one of"):
-            sample_triplets("nearest", np.zeros((2, 2)), [0, 1], SeededRng(0), embed_dim=2)
+            sample_triplets("nearest", np.zeros((2, 2)), anchor_layout([0, 1]), SeededRng(0),
+                            embed_dim=2, **KNOBS)
 
     def test_random_dispatch_draws_one_triplet_per_eligible_anchor(self):
         labels = np.array([0, 0, 1, 1, 2])
-        got = sample_triplets("random", None, labels, SeededRng(8), embed_dim=3,
-                              anchor_indices=[4, 0, 2, 0])
+        got = sample_triplets("random", None, anchor_layout(labels, [4, 0, 2, 0]), SeededRng(8),
+                              embed_dim=3, **KNOBS)
         want = oracles.sample_random_triplets(labels, SeededRng(8), anchor_indices=[4, 0, 2, 0])
         assert len(got) == 3
         np.testing.assert_array_equal(got.anchors, want.anchors)
         np.testing.assert_array_equal(got.positives, want.positives)
         np.testing.assert_array_equal(got.negatives, want.negatives)
         with pytest.raises(NoValidTripletError):
-            sample_triplets("random", None, labels, SeededRng(8), embed_dim=3,
-                            anchor_indices=[4])
+            sample_triplets("random", None, anchor_layout(labels, [4]), SeededRng(8),
+                            embed_dim=3, **KNOBS)
+
+    @pytest.mark.parametrize("kind", ["random", "semihard", "softhard", "distance"])
+    @pytest.mark.parametrize("labels, pool", [([0, 1, 2, 3], None), ([0, 0, 1, 1], [])])
+    def test_no_eligible_anchor_raises_for_every_kind(self, kind, labels, pool):
+        # no positive anywhere, or an empty pool: one rule for every sampler,
+        # raised before any draw
+        dist = pairwise_distances(line_points([0.0, 0.3, 0.7, 1.2]))
+        rng = SeededRng(5)
+        with pytest.raises(NoValidTripletError, match="no anchor has both"):
+            sample_triplets(kind, dist, anchor_layout(labels, pool), rng, embed_dim=3, **KNOBS)
+        assert_same_stream(rng, SeededRng(5))
 
 
 def assert_mining_matches_per_step_code(layout, labels, anchor_indices):
@@ -607,8 +638,8 @@ class TestBatchLayout:
 
 
 class TestLayoutPath:
-    """Each sampler handed the training run's layout returns what its own
-    layout from the labels returns, and leaves the same stream."""
+    """Each sampler handed the training run's layout returns what it returns
+    on an anchor layout of the labels, and leaves the same stream."""
 
     @settings(max_examples=40, deadline=None)
     @given(st.integers(min_value=0, max_value=2**31),
@@ -622,9 +653,10 @@ class TestLayoutPath:
         dist = pairwise_distances(emb)
         pool = None if as_anchors else np.arange(p * m)
         rng_got, rng_want = SeededRng(seed, 3), SeededRng(seed, 3)
-        got = sample_triplets(kind, dist, cat, rng_got, embed_dim=4,
-                              layout=batch_layout(BatchSpec(p, m), t, as_anchors))
-        want = sample_triplets(kind, dist, cat, rng_want, embed_dim=4, anchor_indices=pool)
+        got = sample_triplets(kind, dist, batch_layout(BatchSpec(p, m), t, as_anchors), rng_got,
+                              embed_dim=4, **KNOBS)
+        want = sample_triplets(kind, dist, anchor_layout(cat, pool), rng_want, embed_dim=4,
+                               **KNOBS)
         for name in ("anchors", "positives", "negatives"):
             np.testing.assert_array_equal(getattr(got, name), getattr(want, name))
         np.testing.assert_equal(rng_got.bit_generator.state, rng_want.bit_generator.state)

@@ -17,7 +17,9 @@ from densedml.errors import (
     TrainingAbortError,
 )
 import densedml.das as das
+import densedml.sampling as sampling
 import densedml.training as training
+from densedml.sampling import anchor_layout
 from densedml.training import (
     ComparisonTable,
     VariantSummary,
@@ -213,16 +215,38 @@ class TestTrainLoop:
             assert straight.margin_beta != cfg.loss.margin_beta
 
 
+def force_drops(monkeypatch):
+    """Make every fifth produced row collapse (s*v - s*v is exactly 0), so
+    every DAS step drops rows."""
+    combine = das.combine_factors
+
+    def dropping(emb, labels, anchors, scales, shifts):
+        shifts = shifts.copy()
+        shifts[::5] = -scales[::5] * emb[anchors[::5]]
+        return combine(emb, labels, anchors, scales, shifts)
+
+    monkeypatch.setattr(das, "combine_factors", dropping)
+
+
 class TestBatchLayoutPath:
     """A run on the layout built in set-up equals one whose every step takes
-    the checked paths, with no layout, also when production drops rows."""
+    DAS's checked path, with no layout, and mines from an `anchor_layout` of
+    that step's labels, also when production drops rows."""
 
     @staticmethod
-    def without_layout(monkeypatch):
+    def layout_every_step(monkeypatch, produced_as_anchors):
         produce, sample_triplets = training.produce, training.sample_triplets
-        monkeypatch.setattr(training, "produce", lambda *args: produce(*args[:7]))
-        monkeypatch.setattr(training, "sample_triplets",
-                            lambda *args, layout, **kw: sample_triplets(*args, **kw))
+        step_layout = []
+
+        def producing(emb, labels, *args):
+            produced = produce(emb, labels, *args[:5])
+            pool = None if produced_as_anchors else np.arange(len(labels))
+            step_layout[:] = [anchor_layout(np.concatenate([labels, produced.labels]), pool)]
+            return produced
+
+        monkeypatch.setattr(training, "produce", producing)
+        monkeypatch.setattr(training, "sample_triplets", lambda kind, dist, layout, *args, **kw:
+                            sample_triplets(kind, dist, step_layout[0], *args, **kw))
 
     @pytest.mark.parametrize("kind", ["distance", "random", "semihard", "softhard"])
     @pytest.mark.parametrize("drop", [False, True])
@@ -231,21 +255,44 @@ class TestBatchLayoutPath:
         cfg = tiny_config(steps=6)
         cfg.sampler.kind = kind
         cfg.sampler.produced_as_anchors = produced_as_anchors
-        if drop:  # every fifth produced row collapses: s*v - s*v is exactly 0
-            combine = das.combine_factors
-
-            def dropping(emb, labels, anchors, scales, shifts):
-                shifts = shifts.copy()
-                shifts[::5] = -scales[::5] * emb[anchors[::5]]
-                return combine(emb, labels, anchors, scales, shifts)
-
-            monkeypatch.setattr(das, "combine_factors", dropping)
+        if drop:
+            force_drops(monkeypatch)
         got = train(cfg)
         assert any(rec["dropped"] for rec in step_records(got)) == drop
-        self.without_layout(monkeypatch)
+        self.layout_every_step(monkeypatch, produced_as_anchors)
         want = train(cfg)
         assert got.log_lines == want.log_lines
         assert got.params.theta.tobytes() == want.params.theta.tobytes()
+
+
+class TestRunLayoutIsTheOnlySource:
+    """`anchor_layout` runs once in set-up (inside `batch_layout`), then only
+    on a step whose production dropped rows, once."""
+
+    @pytest.mark.parametrize("das_on, drop", [(False, False), (True, False), (True, True)])
+    def test_anchor_layout_calls_per_step(self, monkeypatch, das_on, drop):
+        calls, build = [], sampling.anchor_layout
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return build(*args, **kwargs)
+
+        monkeypatch.setattr(sampling, "anchor_layout", counting)
+        monkeypatch.setattr(training, "anchor_layout", counting)
+        if drop:
+            force_drops(monkeypatch)
+        cfg = tiny_config(steps=6)
+        cfg.das.enabled = das_on
+        starts, ends = [], []  # the call count at each step's first and last phase
+
+        class Trace:
+            def append(self, phase):
+                {"batch": starts, "update": ends}.get(phase, []).append(len(calls))
+
+        records = step_records(train(cfg, trace=Trace()))
+        assert starts[0] == 1  # set-up's batch_layout
+        assert [rec["dropped"] > 0 for rec in records] == [drop] * cfg.steps
+        assert [end - start for start, end in zip(starts, ends)] == [int(drop)] * cfg.steps
 
 
 class TestArtifacts:
