@@ -12,9 +12,10 @@ of the two stages, which run one after the other:
   8*(d + 2)*n bytes, the unsorted plane copy made while they are filled,
   8*d*n, and per block of b = RECALL_BLOCK_ROWS queries the b x n Gram
   product, 8*b*n, and five b x n masks, 5*b*n;
-- k-means: the points' planes over a row of ones and the centroids' planes,
-  8*(d + 1)*(n + k), the plane copy made while they are filled, 8*d*n, the
-  norms, 8*n, and per sweep the k x n product and two k x n masks, 10*k*n.
+- k-means: the points' planes over a row of ones and the centroids' planes
+  over their norm row, 8*(d + 1)*(n + k), the flat plane copy of the points
+  and the update's index buffer, 16*d*n, the norms, 8*n, and per sweep the
+  k x n product and two k x n masks, 10*k*n, and the k x d sums, 8*k*d.
 A measured peak above it exits 1, after the rows are written.  On this
 split (unit rows) about one entry per query needs a kernel distance, so the
 kernel's gathers stay small beside it.
@@ -62,7 +63,7 @@ def evaluate(emb, labels):
 def scratch_bound(n, d=DIM, k=CLASSES):
     b = min(RECALL_BLOCK_ROWS, n)
     recall = 8 * (d + 2) * n + 8 * d * n + 13 * b * n
-    kmeans = 8 * (d + 1) * (n + k) + 8 * d * n + 8 * n + 10 * k * n
+    kmeans = 8 * (d + 1) * (n + k) + 16 * d * n + 8 * n + 10 * k * n + 8 * k * d
     return max(recall, kmeans)
 
 

@@ -7,6 +7,7 @@ entropies; F1 is the pairwise variant.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -64,7 +65,8 @@ def recall_at_k(embeddings, labels, ks) -> dict:
     """Leave-one-out retrieval hit rate for each k.
 
     Every point queries all others ranked by l2 distance (ties to the lower
-    index); a hit means some same-label point appears in the top k.
+    index); a hit means some same-label point appears in the top k.  Labels
+    are 1-D, one per point; each k is an integer (not a bool) in [1, n).
 
     No query is sorted.  Under the order (distance, index) a query's first
     same-label point p* sits at rank #{j: d_j < d_p*} + #{j: d_j == d_p*,
@@ -123,8 +125,14 @@ def recall_at_k(embeddings, labels, ks) -> dict:
     x = core._as_rows(embeddings)
     labels = np.asarray(labels)
     n = x.shape[0]
+    if labels.ndim != 1:
+        raise ShapeMismatchError(f"labels must be 1-D, got shape {labels.shape}")
     if labels.shape[0] != n:
         raise ShapeMismatchError("labels length != embedding count")
+    ks = list(ks)
+    for k in ks:
+        if not _is_int(k):
+            raise KOutOfRangeError(f"recall k must be an integer, got {k!r}")
     ks = sorted(int(k) for k in ks)
     if not ks:
         raise KOutOfRangeError("recall needs at least one k")
@@ -187,15 +195,22 @@ def recall_at_k(embeddings, labels, ks) -> dict:
 def kmeans(embeddings, k: int, rng: SeededRng, max_iter: int = 100):
     """Lloyd's algorithm from k-means++ style seeding: (assign, centroids).
 
-    Deterministic given rng.  Every squared distance that decides a draw or
-    an assignment has the kernel's bits (core._squared_distances,
+    Deterministic given rng.  `k` and `max_iter` are integers >= 1 (not
+    bools), checked before any draw.  Every squared distance that decides a
+    draw or an assignment has the kernel's bits (core._squared_distances,
     core._pair_distances), over one plane copy of the points per call.
     Seeding keeps each point's squared distance to its nearest chosen center
     as a running minimum, one 1 x n kernel call per center.  Each sweep
-    assigns each point to its nearest centroid, ties to the lower index, and
-    takes the members from a stable argsort, so a centroid is the mean of
-    its members in index order.  Stops at an assignment fixpoint or after
-    max_iter sweeps; an emptied cluster keeps its previous centroid.
+    assigns each point to its nearest centroid, ties to the lower index.  A
+    centroid is its members summed in index order from +0.0, divided by
+    their count; for d >= 2 that is numpy's `x[members].mean(axis=0)` bit
+    for bit.  Stops at an assignment fixpoint or after max_iter sweeps; an
+    emptied cluster keeps its previous centroid.
+
+    The update.  The centroids stay in plane layout, beside the points'
+    planes.  One weighted np.bincount over the flat point planes, with bin
+    assign + k p for plane p, gives every cluster's sums at once: it adds
+    each bin's weights in index order, from +0.0.
 
     The assignment.  One BLAS product of the rows [c, -|c|^2 / 2] with the
     columns [x; 1] gives the k x n block G = c.x - |c|^2 / 2, so
@@ -213,51 +228,58 @@ def kmeans(embeddings, k: int, rng: SeededRng, max_iter: int = 100):
     the kernel.
 
     Scratch: the points' planes over a row of ones and the centroids'
-    planes, 8 (d + 1) (n + k) bytes, one 8 d n-byte plane copy while they
-    are filled (no seeding call's kernel block is larger), and the norms,
-    8n bytes.  Per sweep: the product, 8kn bytes, two k x n masks, kn bytes
-    each, and per point with several candidates 10k bytes plus 48 per
-    candidate, beside core._pair_distances' gathers (they fit
-    core.DISTANCE_BLOCK_BYTES).  On unit rows almost every point has one.
+    planes over their -|c|^2 / 2 row, 8 (d + 1) (n + k) bytes; the flat
+    plane copy of the points and the bincount's index buffer, 16 d n bytes;
+    and the norms, 8n bytes.  Per sweep: the product, 8kn bytes, two k x n
+    masks, kn bytes each, the k x d sums, and per point with several
+    candidates 10k bytes plus 48 per candidate, beside core._pair_distances'
+    gathers (they fit core.DISTANCE_BLOCK_BYTES).  On unit rows almost
+    every point has one.
     """
     x = core._as_rows(embeddings)
     n = x.shape[0]
-    if k < 1:
-        raise KOutOfRangeError(f"k-means needs k >= 1, got {k}")
+    for name, value in (("k", k), ("max_iter", max_iter)):
+        if not _is_int(value):
+            raise KOutOfRangeError(f"k-means {name} must be an integer, got {value!r}")
+        if value < 1:
+            raise KOutOfRangeError(f"k-means needs {name} >= 1, got {value}")
     if k > n:
         raise KOutOfRangeError(f"k={k} exceeds {n} points")
     d = x.shape[1]
-    # the points' planes over a row of ones, then the centroids' planes, in
-    # one array so that core._pair_distances pairs centroids with points
+    # the points' planes over a row of ones, then the centroids' planes over
+    # -|c|^2 / 2, in one array so that core._pair_distances pairs centroids
+    # with points and the product's rows [c, -|c|^2 / 2] are a view
     planes = np.empty((d + 1, n + k))
     aug, x_planes, c_planes = planes[:, :n], planes[:d, :n], planes[:d, n:]
-    x_planes[...] = core._planes(x)
+    rows, c_half = planes[:, n:].T, planes[d, n:]
+    x_flat = core._planes(x).ravel()  # plane p's points at p * n: the bincount's weights
+    x_planes[...] = x_flat.reshape(d, n)
     aug[d] = 1.0
     x_norms = np.einsum("ij,ij->j", x_planes, x_planes)
+    x_big = x_norms.max()
 
     def sq_distances(i):  # to point i, a chosen center
         return core._squared_distances(x_planes[:, i : i + 1], x_planes)[0]
 
     chosen = int(rng.integers(n))
-    centers = np.empty((k, d))
-    centers[0] = x[chosen]
+    c_planes[:, 0] = x_planes[:, chosen]
     d2 = sq_distances(chosen)
     for j in range(1, k):
         total = d2.sum()
         if not np.isfinite(total):
             raise NumericOverflowError("k-means seeding: squared distances overflow float64")
         chosen = rng.choice(n, p=d2 / total if total > 0 else np.full(n, 1.0 / n))
-        centers[j] = x[chosen]
+        c_planes[:, j] = x_planes[:, chosen]
         np.minimum(d2, sq_distances(chosen), out=d2)
 
-    rows, g = np.empty((k, d + 1)), np.empty((k, n))  # [c, -|c|^2 / 2] and G
+    g = np.empty((k, n))  # G
+    offsets = k * np.arange(d)[:, None]  # plane p's bins start at k p
+    bins = np.empty((d, n), dtype=np.int64)
     assign = np.full(n, -1, dtype=np.int64)
     for _ in range(max_iter):
-        c_planes[...] = core._planes(centers)
-        rows[:, :d] = c_planes.T
         c_norms = np.einsum("ij,ij->j", c_planes, c_planes)
-        np.multiply(c_norms, -0.5, rows[:, d])
-        err = _gram_error(d, max(x_norms.max(), c_norms.max()))
+        np.multiply(c_norms, -0.5, c_half)
+        err = _gram_error(d, max(x_big, c_norms.max()))
         np.matmul(rows, aug, g)  # A = x_norms - 2g
         a_min = x_norms - 2 * g.max(axis=0)
         far = g < (x_norms - (a_min + _reach(a_min, err))) / 2
@@ -271,12 +293,18 @@ def kmeans(embeddings, k: int, rng: SeededRng, max_iter: int = 100):
         if np.array_equal(new_assign, assign):
             break
         assign = new_assign
-        order = np.argsort(assign, kind="stable")
-        bounds = np.searchsorted(assign[order], np.arange(k + 1))
-        for j in range(k):
-            if bounds[j] < bounds[j + 1]:
-                centers[j] = x[order[bounds[j] : bounds[j + 1]]].mean(axis=0)
+        np.add(assign, offsets, out=bins)
+        sums = np.bincount(bins.ravel(), x_flat, k * d).reshape(d, k)
+        counts = np.bincount(assign, minlength=k)
+        np.divide(sums, counts, out=c_planes, where=counts > 0)
+    centers = np.empty((k, d))
+    centers[:, core._plane_order(d)] = c_planes.T
     return assign, centers
+
+
+def _is_int(value):
+    """An integer, numpy's included, that is not a bool."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
 def _argmin_leading(values):

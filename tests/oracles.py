@@ -457,7 +457,8 @@ def recall_rank_count(embeddings, labels, ks):
 
 def kmeans(embeddings, k, rng, max_iter=100):
     """k-means++ seeding over the full n x j x d tensor for every new center,
-    then Lloyd sweeps that gather each cluster with a boolean mask; returns
+    then Lloyd sweeps that gather each cluster with a boolean mask and sum
+    its members one row at a time, in index order from +0.0; returns
     (assignment, centroids)."""
     x = np.asarray(embeddings, dtype=np.float64)
     n = x.shape[0]
@@ -481,7 +482,10 @@ def kmeans(embeddings, k, rng, max_iter=100):
         for j in range(k):
             members = x[assign == j]
             if len(members):
-                centers[j] = members.mean(axis=0)
+                total = np.zeros(x.shape[1])
+                for row in members:
+                    total += row
+                centers[j] = total / len(members)
     return assign, centers
 
 

@@ -107,6 +107,27 @@ class TestRecall:
         with pytest.raises(ShapeMismatchError):
             recall_at_k(rows, np.array([0, 0, 1]), [1])
 
+    @pytest.mark.parametrize("labels", [np.zeros((12, 2), dtype=int), np.array(3)])
+    def test_labels_not_one_per_point(self, labels):
+        # a 2-D stack reached numpy's ndarray.take, a scalar an IndexError
+        emb = SeededRng(2).normal(size=(12, 3))
+        with pytest.raises(ShapeMismatchError, match="labels must be 1-D"):
+            recall_at_k(emb, labels, [1])
+        with pytest.raises(ShapeMismatchError, match="labels must be 1-D"):
+            evaluate_embeddings(emb, labels, [1], SeededRng(0))
+
+    @pytest.mark.parametrize("ks", [[1.7], ["2"], [True], [1, 2.0], [None]])
+    def test_k_not_an_integer(self, ks):
+        # 1.7 was truncated to 1, "2" and True read as 2 and 1
+        with pytest.raises(KOutOfRangeError, match="recall k must be an integer"):
+            recall_at_k(np.eye(4), np.array([0, 0, 1, 1]), ks)
+
+    def test_numpy_integer_ks(self):
+        emb, labels = np.eye(4), np.array([0, 0, 1, 1])
+        got = recall_at_k(emb, labels, np.array([2, 1]))
+        assert got == recall_at_k(emb, labels, [1, 2])
+        assert all(type(k) is int for k in got)
+
 
 @st.composite
 def grid_split(draw):
@@ -322,6 +343,29 @@ class TestKmeans:
             kmeans(np.eye(3), k, rng)
         assert rng.random() == SeededRng(3).random()  # rejected before any draw
 
+    @pytest.mark.parametrize("k", [2.5, 2.0, True, "2", None])
+    def test_k_not_an_integer(self, k):
+        # 2.5 and True raised numpy's TypeError
+        rng = SeededRng(3)
+        with pytest.raises(KOutOfRangeError, match="k-means k must be an integer"):
+            kmeans(np.eye(3), k, rng)
+        assert rng.random() == SeededRng(3).random()  # rejected before any draw
+
+    @pytest.mark.parametrize("max_iter", [0, -2, 1.5, 3.0, True, None])
+    def test_max_iter_not_a_positive_integer(self, max_iter):
+        # 0 returned an assignment of all -1
+        rng = SeededRng(3)
+        with pytest.raises(KOutOfRangeError, match="max_iter"):
+            kmeans(np.eye(3), 2, rng, max_iter=max_iter)
+        assert rng.random() == SeededRng(3).random()  # rejected before any draw
+
+    def test_numpy_integer_arguments(self, rng):
+        x = random_unit_rows(rng, 12, 3)
+        a, ca = kmeans(x, np.int64(3), SeededRng(5), max_iter=np.int32(4))
+        b, cb = kmeans(x, 3, SeededRng(5), max_iter=4)
+        np.testing.assert_array_equal(a, b)
+        assert ca.tobytes() == cb.tobytes()
+
     def test_seeding_distances_that_overflow(self):
         # the squared distances overflow, so seeding's total is inf; numpy's
         # choice raised its own ValueError on the NaN probabilities
@@ -408,6 +452,86 @@ class TestKmeansOracle:
         x = np.vstack([r.normal(size=(100, 8)) + 3 * r.normal(size=8) for _ in range(8)])
         self.assert_same(x, 8, 1)
         self.assert_same(x, 8, 2, max_iter=2)
+
+
+def assert_centroids_are_means(x, k, seed, max_iter=100):
+    """kmeans' centroid of each non-empty cluster is numpy's mean of its
+    members, bit for bit (signed zeros included)."""
+    assign, centers = kmeans(x, k, SeededRng(seed), max_iter)
+    for j in np.unique(assign):
+        assert centers[j].tobytes() == x[assign == j].mean(axis=0).tobytes()
+    return assign, centers
+
+
+@st.composite
+def centroid_split(draw):
+    """Points in 2 to 40 dimensions at scales from 1e-300 to 1e150 (squared
+    distances near 1e300), some entries -0.0 or +0.0, some rows moved onto
+    three sites so that clusters empty out, with k from 1 to n."""
+    n = draw(st.integers(min_value=3, max_value=60))
+    dim = draw(st.integers(min_value=2, max_value=40))
+    scale = draw(st.sampled_from([1e-300, 1e-3, 1.0, 1e6, 1e150]))
+    r = SeededRng(draw(st.integers(min_value=0, max_value=2**31)))
+    x = r.normal(size=(n, dim)) * scale
+    if draw(st.booleans()):  # signed zeros, whole columns and scattered entries
+        x[:, r.integers(dim)] = -0.0
+        x[r.random(size=x.shape) < 0.3] = draw(st.sampled_from([-0.0, 0.0]))
+    if draw(st.booleans()):
+        x = x[r.integers(3, size=n)]
+    return x, draw(st.integers(1, n) | st.sampled_from([1, n]))
+
+
+class TestKmeansCentroids:
+    """A centroid is its members summed in index order from +0.0, divided by
+    their count: numpy's mean(axis=0) for d >= 2; at d = 1, where numpy's
+    mean sums pairwise, the running sum."""
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(centroid_split(), st.integers(0, 2**31), st.sampled_from([1, 2, 3, 100]))
+    def test_mean_bits_for_d_at_least_two(self, split, seed, max_iter):
+        x, k = split
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert_centroids_are_means(x, k, seed, max_iter)
+
+    def test_sums_that_overflow(self):
+        # three rows at 1e308: the sums overflow, in either form, to inf
+        x = np.array([[1e308, 1.0, -0.0], [1e308, 2.0, -0.0], [1e308, 4.0, 0.0]])
+        with np.errstate(over="ignore", invalid="ignore"):
+            _, centers = assert_centroids_are_means(x, 1, 0)
+        assert centers[0, 0] == np.inf and not np.signbit(centers[0, 2])
+
+    def test_emptied_cluster_keeps_its_signed_zero(self):
+        # all points equal: clusters 1 and 2 empty out and keep their seeded
+        # center, -0.0 included; cluster 0's sum starts from +0.0
+        x = np.tile([-0.0, 3.0], (6, 1))
+        assign, centers = assert_centroids_are_means(x, 3, 0)
+        np.testing.assert_array_equal(assign, np.zeros(6))
+        assert np.signbit(centers[:, 0]).tolist() == [False, True, True]
+        np.testing.assert_array_equal(centers[:, 1], [3.0, 3.0, 3.0])
+
+    def test_running_sum_at_d_one(self):
+        # numpy's mean sums this 50-row column pairwise (eight accumulators),
+        # and its last bit differs from the running sum's
+        x = SeededRng(0).normal(size=(50, 1))
+        total = 0.0
+        for v in x[:, 0].tolist():
+            total += v
+        assert total / 50 != x.mean(axis=0)[0]  # the two rules differ here
+        _, centers = kmeans(x, 1, SeededRng(0))
+        assert centers[0, 0] == total / 50
+
+    @pytest.mark.parametrize("max_iter", [1, 2, 3, 100])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_exact_sums_at_d_one_keep_the_mean(self, seed, max_iter):
+        # sums of +-1 rows (a unit-row split at embed_dim 1) and of small
+        # integers are exact in any order: every sweep's centroids are
+        # numpy's means, as before the running-sum rule
+        r = SeededRng(seed)
+        signs = r.choice([-1.0, 1.0], size=(200, 1))
+        grid = r.integers(-3, 4, size=(200, 1)).astype(float)
+        for x in (signs, grid):
+            for k in (1, 2, 3, 5):
+                assert_centroids_are_means(x, k, seed, max_iter)
 
 
 class TestNmi:
