@@ -10,15 +10,16 @@ scratch that the docstrings of `recall_at_k` and `kmeans` give, the larger
 of the two stages, which run one after the other:
 - recall: the label-sorted planes over their norm row and the norms,
   8*(d + 2)*n bytes, the unsorted plane copy made while they are filled,
-  8*d*n, and per block of b = RECALL_BLOCK_ROWS queries the b x n Gram
-  product, 8*b*n, and five b x n masks, 5*b*n;
+  8*d*n, the label order, sorted labels and ranks, 24*n, and per block of
+  b = RECALL_BLOCK_ROWS queries the b x n Gram product, 8*b*n, and one
+  b x n mask, b*n;
 - k-means: the points' planes over a row of ones and the centroids' planes
   over their norm row, 8*(d + 1)*(n + k), the flat plane copy of the points
   and the update's index buffer, 16*d*n, the norms, 8*n, and per sweep the
   k x n product and two k x n masks, 10*k*n, and the k x d sums, 8*k*d.
 A measured peak above it exits 1, after the rows are written.  On this
-split (unit rows) about one entry per query needs a kernel distance, so the
-kernel's gathers stay small beside it.
+split (unit rows) about one entry per query is hot, so recall's bytes per
+hot and window entry, the kernel's gathers included, stay small beside it.
 
 Rows are merged into --out under --label (a size measured again replaces
 its row), one entry per label with the host it ran on, so the rows of two
@@ -62,7 +63,7 @@ def evaluate(emb, labels):
 
 def scratch_bound(n, d=DIM, k=CLASSES):
     b = min(RECALL_BLOCK_ROWS, n)
-    recall = 8 * (d + 2) * n + 8 * d * n + 13 * b * n
+    recall = 8 * (d + 2) * n + 8 * d * n + 24 * n + 9 * b * n
     kmeans = 8 * (d + 1) * (n + k) + 16 * d * n + 8 * n + 10 * k * n + 8 * k * d
     return max(recall, kmeans)
 

@@ -26,9 +26,8 @@ class Dataset:
     class_index: dict = field(init=False)  # label -> np.ndarray of point indices
 
     def __post_init__(self):
-        self.class_index = {
-            int(c): np.flatnonzero(self.labels == c) for c in np.unique(self.labels)
-        }
+        classes = np.unique(self.labels, return_inverse=True)[0]  # a bare unique imports numpy.ma
+        self.class_index = {int(c): np.flatnonzero(self.labels == c) for c in classes}
 
     @property
     def n_points(self) -> int:

@@ -107,20 +107,25 @@ def recall_at_k(embeddings, labels, ks) -> dict:
       lies there, so p* is the lowest index among the window's partners at
       their least distance, and the window's entries are ranked against it
       by the (distance, index) rule.
-    A comparison with an infinite or NaN bound settles nothing, so E = +inf
-    takes every distance from the kernel.  The comparisons are made on G,
-    against (|x|^2 - bound) / 2, so A is never formed.
+    The comparisons are made on G, against (|x|^2 - bound) / 2, so A is
+    never formed.  A block reads G once for them: one b x n mask holds the
+    entries with A <= a_min + reach but the query's own (none for a query
+    without a partner).  One np.flatnonzero lists these hot entries in
+    row-major order; those with A below a_min - reach are counted, the rest
+    are the window.  E = +inf settles nothing: every entry is hot, a NaN in
+    G included, none is counted, and every distance is the kernel's.
 
     Scratch: the planes of the points, sorted by label, over their
     -|y|^2 / 2 row, and the norms: 8 (d + 2) n bytes, and while they are
-    filled, one unsorted plane copy of 8 d n bytes.  Per block of
-    b = RECALL_BLOCK_ROWS = 64 queries: the b x n product (8bn = 512 n
-    bytes, 1 MiB at n = 2048), at most five b x n masks alive at once (bn
-    bytes each), and under 64 bytes per entry that needs a kernel distance,
-    the gathers of core._pair_distances included (they fit
-    core.DISTANCE_BLOCK_BYTES).  On unit rows about one entry per query
-    needs one; with every entry ambiguous (E = +inf) that is under 8 times
-    the product's bytes.
+    filled, one unsorted plane copy of 8 d n bytes; the label order, the
+    sorted labels and the ranks, 8n bytes each for int64 labels.  Per block
+    of b = RECALL_BLOCK_ROWS = 64 queries: the b x n product (8bn = 512 n
+    bytes, 1 MiB at n = 2048), the mask (bn bytes, made once per call),
+    under 40 bytes per hot entry while they are split, then under 64 bytes
+    per window entry, the gathers of core._pair_distances included (they
+    fit core.DISTANCE_BLOCK_BYTES).  On unit rows about one entry per
+    query is hot.  With every entry hot (E = +inf, or each query's partner
+    its farthest point) that is under 8 times the product's bytes.
     """
     x = core._as_rows(embeddings)
     labels = np.asarray(labels)
@@ -129,7 +134,10 @@ def recall_at_k(embeddings, labels, ks) -> dict:
         raise ShapeMismatchError(f"labels must be 1-D, got shape {labels.shape}")
     if labels.shape[0] != n:
         raise ShapeMismatchError("labels length != embedding count")
-    ks = list(ks)
+    try:
+        ks = list(ks)
+    except TypeError:
+        raise KOutOfRangeError(f"recall ks must be an iterable of integers, got {ks!r}") from None
     for k in ks:
         if not _is_int(k):
             raise KOutOfRangeError(f"recall k must be an integer, got {k!r}")
@@ -154,6 +162,7 @@ def recall_at_k(embeddings, labels, ks) -> dict:
     block = RECALL_BLOCK_ROWS
     gram = np.empty((min(block, n), n))
     query = np.ones((min(block, n), d + 1))
+    mask = np.empty((min(block, n), n), dtype=bool)
     for start in range(0, n, block):
         stop = min(start + block, n)
         b = stop - start
@@ -172,11 +181,17 @@ def recall_at_k(embeddings, labels, ks) -> dict:
         a_min[~has] = 0.0
         reach = _reach(a_min, err)
         closer_bar = (nq - (a_min - reach)) / 2
-        closer_bar[~has] = -np.inf  # no partner: no window, and never a hit
-        closer = g > closer_bar[:, None]
-        window = ~(closer | (g < ((nq - (a_min + reach)) / 2)[:, None]))
-        window[own, start + own] = False
-        wr, wc = np.divmod(np.flatnonzero(window), n)
+        low_bar = np.where(has, (nq - (a_min + reach)) / 2, np.inf)  # no partner: nothing hot
+        hot = mask[:b]  # the entries not certainly farther
+        if err < np.inf:
+            np.greater_equal(g, low_bar[:, None], out=hot)
+        else:  # every entry, a NaN in G (norms that overflow) included
+            hot[...] = has[:, None]
+        hot[own, start + own] = False
+        wr, wc = np.divmod(np.flatnonzero(hot), n)
+        near = g[wr, wc] > closer_bar[wr]  # certainly closer: counted, not ranked
+        n_closer = np.bincount(wr[near], minlength=b)
+        wr, wc = wr[~near], wc[~near]  # the window
         dist = np.sqrt(core._pair_distances(planes, start + wr, wc))
         # d_p*: the least distance among the window's partners; p*: the
         # least index among those at it
@@ -187,7 +202,7 @@ def recall_at_k(embeddings, labels, ks) -> dict:
         first = np.full(b, n)
         np.minimum.at(first, wr[at], order[wc[at]])
         ahead = (dist < d_pos[wr]) | ((dist == d_pos[wr]) & (order[wc] < first[wr]))
-        rank = np.count_nonzero(closer, axis=1) + np.bincount(wr[ahead], minlength=b)
+        rank = n_closer + np.bincount(wr[ahead], minlength=b)
         ranks[start:stop] = np.where(has, rank, n)
     return {k: int(np.count_nonzero(ranks < k)) / n for k in ks}
 
@@ -317,8 +332,8 @@ def _argmin_leading(values):
 def _contingency(a, b):
     a = np.asarray(a)
     b = np.asarray(b)
-    if a.shape[0] != b.shape[0]:
-        raise ShapeMismatchError("assignment and labels differ in length")
+    if a.ndim != 1 or b.ndim != 1 or a.shape[0] != b.shape[0]:
+        raise ShapeMismatchError(f"assignment {a.shape} and labels {b.shape}: not 1-D of one length")
     ua, ia = np.unique(a, return_inverse=True)
     ub, ib = np.unique(b, return_inverse=True)
     table = np.zeros((len(ua), len(ub)), dtype=np.int64)
@@ -377,7 +392,7 @@ def evaluate_embeddings(embeddings, labels, ks, rng: SeededRng) -> EvalReport:
     """Full protocol: retrieval recall plus k-means clustering scored by
     NMI and pairwise F1, with k = number of distinct labels."""
     labels = np.asarray(labels)
-    n_classes = len(np.unique(labels))
+    n_classes = len(np.unique(labels, return_inverse=True)[0])  # a bare unique imports numpy.ma
     recall = recall_at_k(embeddings, labels, ks)
     assign, _ = kmeans(embeddings, n_classes, rng)
     return EvalReport(

@@ -1,4 +1,7 @@
 import itertools
+import os
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
@@ -120,6 +123,13 @@ class TestRecall:
     def test_k_not_an_integer(self, ks):
         # 1.7 was truncated to 1, "2" and True read as 2 and 1
         with pytest.raises(KOutOfRangeError, match="recall k must be an integer"):
+            recall_at_k(np.eye(4), np.array([0, 0, 1, 1]), ks)
+
+    @pytest.mark.parametrize("ks", [1, np.int64(2), 2.5, None])
+    def test_ks_not_an_iterable(self, ks, monkeypatch):
+        # a bare integer raised TypeError: 'int' object is not iterable
+        monkeypatch.setattr(core, "_planes", None)  # no work is done
+        with pytest.raises(KOutOfRangeError, match="recall ks must be an iterable"):
             recall_at_k(np.eye(4), np.array([0, 0, 1, 1]), ks)
 
     def test_numpy_integer_ks(self):
@@ -257,6 +267,95 @@ class TestRecallPrefilter:
         got = recall_at_k(emb, labels, [1, 2, 4, 8])
         assert got == oracles.recall_rank_count(emb, labels, [1, 2, 4, 8])
         assert sum(seen) < 4 * 512  # of 512 * 511 entries
+
+
+def antipodal_split(r, m, singles, dim):
+    """m antipodal pairs of unit rows, each pair a class, so that each
+    query's partner is its farthest point and almost every entry is
+    certainly closer (at d = 1 every row is +-1 and every distance ties),
+    and `singles` singleton classes, shuffled."""
+    half = random_unit_rows(r, m, dim)
+    x = np.vstack([half, -half, random_unit_rows(r, singles, dim)])
+    labels = np.concatenate([np.arange(m), np.arange(m), m + np.arange(singles)])
+    shuffle = r.permutation(len(x))
+    return x[shuffle], labels[shuffle]
+
+
+@st.composite
+def far_partner_split(draw):
+    """antipodal_split with n from 2 to 300, mostly not a multiple of
+    RECALL_BLOCK_ROWS."""
+    m = draw(st.integers(min_value=1, max_value=100))
+    singles = draw(st.integers(min_value=0, max_value=m))
+    dim = draw(st.integers(min_value=1, max_value=8))
+    return antipodal_split(SeededRng(draw(st.integers(0, 2**31))), m, singles, dim)
+
+
+class TestRecallOnePass:
+    """One mask per block: the hot entries split into the counted and the
+    window, against both oracles."""
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(far_partner_split(), st.data())
+    def test_far_partners(self, split, data):
+        emb, labels = split
+        ks = draw_ks(data, len(labels))
+        got = recall_at_k(emb, labels, ks)
+        assert got == oracles.recall_at_k(emb, labels, ks)
+        assert got == oracles.recall_rank_count(emb, labels, ks)
+
+    @pytest.mark.parametrize("n", [65, 127, 130, 200])
+    def test_blocks_that_do_not_divide_n(self, n):
+        emb, labels = antipodal_split(SeededRng(n), n // 3, n - 2 * (n // 3), 3)
+        ks = list(range(1, n))
+        got = recall_at_k(emb, labels, ks)
+        assert got == oracles.recall_at_k(emb, labels, ks)
+        assert got == oracles.recall_rank_count(emb, labels, ks)
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(grid_split(), st.data())
+    def test_exact_grids_with_no_margin(self, split, data):
+        # on a small integer grid every Gram form is exact, so E = 0 bounds
+        # it; a duplicate partner (a_min = 0, reach = 0) then sits on both
+        # bars, and the window must keep it: >= for the mask, > for closer
+        emb, labels = split
+        ks = draw_ks(data, len(labels))
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(metrics, "GRAM_ERROR_SCALE", 0.0)
+            got = recall_at_k(emb, labels, ks)
+        assert got == oracles.recall_at_k(emb, labels, ks)
+
+    @pytest.mark.parametrize("scale", [3e153, 1e154, 1e155])
+    def test_norms_that_overflow(self, scale, monkeypatch):
+        # M >= max / 8, so E = +inf without a patch; from 1e154 on |x|^2 is
+        # inf and G holds NaN.  The distances, a hundredth of the scale, do
+        # not overflow, and every entry of a query with a partner is hot.
+        r = SeededRng(7)
+        emb = (1 + 0.01 * r.normal(size=(150, 3))) * scale
+        labels = r.integers(60, size=150)
+        ks = [1, 2, 5, 149]
+        seen = TestRecallPrefilter.kernel_entries(monkeypatch)
+        with np.errstate(over="ignore", invalid="ignore"):
+            got = recall_at_k(emb, labels, ks)
+            assert got == oracles.recall_rank_count(emb, labels, ks)
+        _, inverse, sizes = np.unique(labels, return_inverse=True, return_counts=True)
+        assert sum(seen) == np.count_nonzero(sizes[inverse] > 1) * 149
+
+    def test_far_partner_scratch(self, monkeypatch):
+        # every entry hot, almost all counted: the planes, norms, plane copy,
+        # order, sorted labels and ranks, the product, the mask and 40 bytes
+        # per hot entry, as the docstring's Scratch gives them
+        n, d, b = 2048, 16, metrics.RECALL_BLOCK_ROWS
+        emb, labels = antipodal_split(SeededRng(11), n // 2, 0, d)
+        seen = TestRecallPrefilter.kernel_entries(monkeypatch)
+        tracemalloc.start()
+        try:
+            recall_at_k(emb, labels, [1, 2, 4, 8])
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * (d + 5) * n + 8 * d * n + 9 * b * n + 40 * b * n
+        assert sum(seen) < 4 * n  # of n * (n - 1) entries
 
 
 @st.composite
@@ -552,6 +651,14 @@ class TestNmi:
         with pytest.raises(ShapeMismatchError, match="empty inputs"):
             nmi([], [])
 
+    @pytest.mark.parametrize("swap", [False, True])
+    @pytest.mark.parametrize("score", [nmi, f1_score])
+    def test_not_one_dimensional(self, score, swap):
+        # a (4, 2) assignment reached numpy's IndexError, in either order
+        args = (np.zeros((4, 2)), [0, 0, 1, 1])
+        with pytest.raises(ShapeMismatchError, match="not 1-D of one length"):
+            score(*(args[::-1] if swap else args))
+
     @settings(max_examples=30)
     @given(st.integers(min_value=0, max_value=10_000))
     def test_relabel_invariance_and_range(self, seed):
@@ -627,6 +734,26 @@ class TestEvaluate:
         finally:
             tracemalloc.stop()
         assert peak < 8 * n * n / 10  # the n x n float64 matrix is 32 MiB
+
+    def test_does_not_import_numpy_ma(self):
+        # numpy 2.4's bare np.unique calls np.ma.is_masked, which imports
+        # numpy.ma on first use, about 20 ms of a fresh interpreter
+        script = (
+            "import sys\n"
+            "from densedml.config import RunConfig\n"
+            "from densedml.core import SeededRng\n"
+            "from densedml.metrics import evaluate_embeddings\n"
+            "from densedml.training import build_dataset\n"
+            "cfg = RunConfig()\n"
+            "ds = build_dataset(cfg, SeededRng(cfg.seed))\n"
+            "evaluate_embeddings(ds.features, ds.labels, [1, 2], SeededRng(0))\n"
+            "print('numpy.ma' in sys.modules)\n"
+        )
+        src = os.path.dirname(os.path.dirname(metrics.__file__))  # the package's parent
+        env = dict(os.environ, PYTHONPATH=src)
+        out = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                             env=env, check=True)
+        assert out.stdout.strip() == "False"
 
     def test_json_keys(self):
         report = EvalReport({1: 0.5, 4: 0.75}, 0.3, 0.2, 10)
