@@ -70,9 +70,28 @@ def _as_rows(rows) -> np.ndarray:
         return np.zeros((0, 0))
     if x.ndim != 2:
         raise ShapeMismatchError(f"expected 2-D stack of vectors, got {x.shape}")
-    if not np.all(np.isfinite(x)):
+    if not np.isfinite(x).all():
         raise ShapeMismatchError("non-finite entries in input rows")
     return x
+
+
+def as_ndim(x, ndim, dtype=None) -> np.ndarray:
+    """np.asarray(x, dtype) with leading unit axes up to `ndim` (1 or 2), as
+    np.atleast_1d/np.atleast_2d add them; an array that deep passes as is."""
+    x = np.asarray(x, dtype=dtype)
+    return x if x.ndim >= ndim else (np.atleast_1d if ndim == 1 else np.atleast_2d)(x)
+
+
+def scatter_rows(rows, values, n) -> np.ndarray:
+    """The n x d sums of the rows of `values` (m x d) onto the integer
+    `rows` (m,), each in [0, n): np.add.at(np.zeros((n, d)), rows, values)
+    bit for bit.  numpy's weighted bincount adds each weight to its +0.0
+    bin in input order, as add.at adds each row, but in one pass."""
+    d = values.shape[1]
+    if not rows.size:  # bincount gives integer zeros for no input
+        return np.zeros((n, d))
+    flat = (rows[:, None] * d + np.arange(d)).ravel()
+    return np.bincount(flat, values.ravel(), n * d).reshape(n, d)
 
 
 def pairwise_distances(rows) -> np.ndarray:

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import SeededRng, ZERO_NORM_EPS, label_masks
+from .core import SeededRng, ZERO_NORM_EPS, as_ndim, label_masks, scatter_rows
 from .errors import (
     ConfigError,
     KOutOfRangeError,
@@ -72,6 +72,12 @@ def check_labels(labels, n_classes: int) -> None:
             raise LabelOutOfRangeError(f"label {label} outside [0, {n_classes})")
 
 
+def _check_k(k, dim):
+    """KOutOfRangeError unless K is an integer (not a bool) in [1, dim]."""
+    if type(k) is not int or not 1 <= k <= dim:
+        raise KOutOfRangeError(f"K={k!r} outside [1, {dim}]: it must be an integer in range")
+
+
 class FrequencyRecorder:
     """C x d counters of how often each channel is among a class embedding's
     top-K activations.  Counters only grow; no decay."""
@@ -79,38 +85,30 @@ class FrequencyRecorder:
     def __init__(self, n_classes: int, dim: int):
         self.counts = np.zeros((n_classes, dim), dtype=np.int64)
 
-    @property
-    def n_classes(self):
-        return self.counts.shape[0]
-
-    @property
-    def dim(self):
-        return self.counts.shape[1]
-
     def update(self, embeddings, labels, k: int, layout=None) -> None:
         """Bump the top-K channel counters of each embedding's class row."""
-        emb = np.atleast_2d(np.asarray(embeddings, dtype=np.float64))
-        labels = np.atleast_1d(np.asarray(labels))
+        emb = as_ndim(embeddings, 2, np.float64)
+        labels = as_ndim(labels, 1)
+        n_classes, dim = self.counts.shape
         if layout is None:
-            check_labels(labels, self.n_classes)
+            check_labels(labels, n_classes)
         if emb.shape[0] != labels.shape[0]:
             raise ShapeMismatchError("labels length != embedding count")
-        if emb.shape[1] != self.dim:
-            raise ShapeMismatchError(f"embedding dim {emb.shape[1]} != recorder dim {self.dim}")
-        if k < 1 or k > self.dim:
-            raise KOutOfRangeError(f"K={k} outside [1, {self.dim}]")
+        if emb.shape[1] != dim:
+            raise ShapeMismatchError(f"embedding dim {emb.shape[1]} != recorder dim {dim}")
+        _check_k(k, dim)
         # each row's K largest entries; the stable sort keeps the lower
         # index first among ties
-        top = np.argsort(-emb, axis=1, kind="stable")[:, :k]
+        top = (-emb).argsort(axis=1, kind="stable")[:, :k]
         np.add.at(self.counts, (labels[:, None], top), 1)
 
     def mask(self, k: int) -> np.ndarray:
         """C x d binary mask marking each class's K most frequent channels."""
-        if k < 1 or k > self.dim:
-            raise KOutOfRangeError(f"K={k} outside [1, {self.dim}]")
-        top = np.argsort(-self.counts, axis=1, kind="stable")[:, :k]
-        out = np.zeros_like(self.counts, dtype=np.float64)
-        out[np.arange(self.n_classes)[:, None], top] = 1.0
+        n_classes, dim = self.counts.shape
+        _check_k(k, dim)
+        top = (-self.counts).argsort(axis=1, kind="stable")[:, :k]
+        out = np.zeros((n_classes, dim))
+        out[np.arange(n_classes)[:, None], top] = 1.0
         return out
 
 
@@ -135,27 +133,28 @@ class TransformationBank:
         the class rings, in order: a class given q rows keeps the last
         min(q, Z) of them, and its cursor moves q places.  With `layout`
         they are the differences of its pairs, ranked by its pair ranks."""
+        n_classes, z, dim = self.slots.shape
         if layout is None:
-            check_labels(labels, self.n_classes)
-        c = np.atleast_1d(np.asarray(labels, dtype=np.int64))
-        rows = np.atleast_2d(np.asarray(transforms, dtype=np.float64))
-        if rows.shape != (c.size, self.slots.shape[2]):
+            check_labels(labels, n_classes)
+        c = as_ndim(labels, 1, np.int64)
+        rows = as_ndim(transforms, 2, np.float64)
+        if rows.shape != (c.size, dim):
             raise ShapeMismatchError(
-                f"transforms {rows.shape} must be {c.size} rows of width {self.slots.shape[2]}, "
-                "one per label"
+                f"transforms {rows.shape} must be {c.size} rows of width {dim}, one per label"
             )
-        z, q = self.capacity, np.bincount(c, minlength=self.n_classes)
+        q = np.bincount(c, minlength=n_classes)
         if layout is not None:
             rank = layout.pair_ranks
         else:  # each row's rank among the rows of its class
-            order = np.argsort(c, kind="stable")
-            rank = np.empty_like(c)
+            order = c.argsort(kind="stable")
+            rank = np.empty(c.shape, dtype=np.int64)
             rank[order] = np.arange(c.size) - np.repeat(np.cumsum(q) - q, q)
-        # write only each class's last min(q, Z) rows: earlier ones would share
-        # a slot with a later row, and numpy leaves repeated-index writes unordered
-        last = rank >= q[c] - z
-        c, rank = c[last], rank[last]
-        self.slots[c, (self.cursor[c] + rank) % z] = rows[last]
+        if np.maximum.reduce(q, initial=0) > z:
+            # write only each class's last Z rows: earlier ones would share a
+            # slot with a later row, and numpy leaves repeated-index writes unordered
+            last = rank >= q[c] - z
+            c, rank, rows = c[last], rank[last], rows[last]
+        self.slots[c, (self.cursor[c] + rank) % z] = rows
         self.cursor[:] = (self.cursor + q) % z
         np.minimum(self.filled + q, z, out=self.filled)
 
@@ -163,8 +162,8 @@ class TransformationBank:
         """Enqueue v_i - v_j for every ordered pair i != j within each class
         group, in (i, j) order; groups with fewer than two members add
         nothing, but their labels are checked too."""
-        emb = np.atleast_2d(np.asarray(embeddings, dtype=np.float64))
-        labels = np.atleast_1d(np.asarray(labels))
+        emb = as_ndim(embeddings, 2, np.float64)
+        labels = as_ndim(labels, 1)
         if layout is None:
             check_labels(labels, self.n_classes)
         if emb.shape[0] != labels.shape[0]:
@@ -195,7 +194,7 @@ def draw_scales(mask, labels, rs: float, rng: SeededRng, layout=None) -> np.ndar
     mask = np.asarray(mask, dtype=np.float64)
     if layout is None:
         check_labels(labels, mask.shape[0])
-    rows = mask[np.atleast_1d(np.asarray(labels))]
+    rows = mask[as_ndim(labels, 1)]
     gamma = rng.uniform(1.0 - rs, 1.0 + rs, size=rows.shape)
     return gamma * rows + (1.0 - rows)
 
@@ -212,41 +211,43 @@ def draw_shifts(bank: TransformationBank, labels, rb: float, rng: SeededRng,
     """
     if layout is None:
         check_labels(labels, bank.n_classes)
-    rows = np.atleast_1d(np.asarray(labels, dtype=np.int64))
+    rows = as_ndim(labels, 1, np.int64)
+    filled = bank.filled[rows]
+    live = filled > 0
+    if live.all():  # no empty bank: no row to leave at zero
+        return rb * bank.slots[rows, rng.integers(filled)]
     shifts = np.zeros((rows.size, bank.slots.shape[2]))
-    live = bank.filled[rows] > 0
     if live.any():
         c = rows[live]
-        shifts[live] = rb * bank.slots[c, rng.integers(bank.filled[c])]
+        shifts[live] = rb * bank.slots[c, rng.integers(filled[live])]
     return shifts
 
 
 def combine_factors(embeddings, labels, anchors, scales, shifts) -> ProducedBatch:
-    """normalize(s*v + b), one row per entry of `anchors` (batch rows);
-    collapsed rows are dropped."""
-    emb = np.atleast_2d(np.asarray(embeddings, dtype=np.float64))
-    labels = np.atleast_1d(np.asarray(labels))
-    anchors = np.asarray(anchors, dtype=np.int64)
+    """normalize(s*v + b), one row per entry of `anchors`, integer batch
+    rows in [0, n); collapsed rows are dropped.  With none dropped, the
+    batch holds `anchors` and `scales` themselves, not copies."""
+    emb = as_ndim(embeddings, 2, np.float64)
+    labels = as_ndim(labels, 1)
+    anchors, n = np.asarray(anchors), emb.shape[0]
+    if anchors.size and (anchors.dtype.kind not in "iu" or np.minimum.reduce(anchors) < 0
+                         or np.maximum.reduce(anchors) >= n):
+        raise ShapeMismatchError(f"anchors must be integer batch rows in [0, {n})")
+    anchors = anchors.astype(np.int64, copy=False)
     rows = (len(anchors), emb.shape[1])
     if scales.shape != rows or shifts.shape != rows:
         raise ShapeMismatchError(
             f"factors {scales.shape} and {shifts.shape} must both be {rows}, one row per anchor"
         )
     raw = scales * emb[anchors] + shifts
-    norms = np.linalg.norm(raw, axis=1)
+    norms = np.sqrt(np.add.reduce(raw * raw, axis=1))  # np.linalg.norm's own form
     keep = norms > ZERO_NORM_EPS
-    dropped = int(np.count_nonzero(~keep))
-    inv = np.zeros_like(norms)
-    inv[keep] = 1.0 / norms[keep]
-    produced = raw[keep] * inv[keep][:, None]
-    return ProducedBatch(
-        embeddings=produced,
-        labels=labels[anchors][keep],
-        anchor_rows=anchors[keep],
-        scales=scales[keep],
-        inv_norms=inv[keep],
-        dropped=dropped,
-    )
+    if not keep.all():
+        raw, norms, anchors, scales = raw[keep], norms[keep], anchors[keep], scales[keep]
+    inv = 1.0 / norms
+    return ProducedBatch(embeddings=raw * inv[:, None], labels=labels[anchors],
+                         anchor_rows=anchors, scales=scales, inv_norms=inv,
+                         dropped=len(keep) - len(anchors))
 
 
 def produce(
@@ -263,8 +264,8 @@ def produce(
     and produces nothing.  `emit` receives each phase name as it completes;
     a `layout` must have been built with config.T.
     """
-    emb = np.atleast_2d(np.asarray(embeddings, dtype=np.float64))
-    labels = np.atleast_1d(np.asarray(labels))
+    emb = as_ndim(embeddings, 2, np.float64)
+    labels = as_ndim(labels, 1)
     anchors = np.repeat(np.arange(emb.shape[0]), config.T) if layout is None else layout.anchors
     copies, rows = labels[anchors], (anchors.size, emb.shape[1])
     if config.rs > 0:
@@ -294,10 +295,14 @@ def produced_backward(batch: ProducedBatch, grad_produced, n_anchors: int, dim: 
         dL/dv = s * ((g - (g.v') v') / ||u||)
     """
     g = np.asarray(grad_produced, dtype=np.float64)
-    out = np.zeros((n_anchors, dim))
     if g.size == 0:
-        return out
-    vp = batch.embeddings
-    through_norm = (g - np.sum(g * vp, axis=1, keepdims=True) * vp) * batch.inv_norms[:, None]
-    np.add.at(out, batch.anchor_rows, batch.scales * through_norm)
-    return out
+        return np.zeros((n_anchors, dim))
+    vp, rows = batch.embeddings, batch.anchor_rows
+    if g.shape != vp.shape or vp.shape[1] != dim:
+        raise ShapeMismatchError(f"gradient {g.shape} must match the {vp.shape} produced "
+                                 f"rows, of width {dim}")
+    if np.minimum.reduce(rows) < 0 or np.maximum.reduce(rows) >= n_anchors:
+        raise ShapeMismatchError(f"an anchor row is outside [0, {n_anchors})")
+    inv = batch.inv_norms[:, None]
+    through_norm = (g - np.add.reduce(g * vp, axis=1, keepdims=True) * vp) * inv
+    return scatter_rows(rows, batch.scales * through_norm, n_anchors)

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .core import SeededRng, ZERO_NORM_EPS
+from .core import SeededRng, ZERO_NORM_EPS, as_ndim
 from .errors import ConfigError, CorruptCheckpointError, ShapeMismatchError, ZeroNormError
 
 ACTIVATIONS = ("identity", "relu", "tanh")
@@ -99,7 +99,7 @@ def _act_grad(z, tag):
         return (z > 0).astype(np.float64)
     if tag == "tanh":
         return 1.0 - np.tanh(z) ** 2
-    return np.ones_like(z)
+    return np.ones(z.shape)
 
 
 @dataclass
@@ -114,7 +114,7 @@ class ForwardTape:
 
 def encode(params: EncoderParams, inputs) -> tuple[np.ndarray, ForwardTape]:
     """Batch forward pass; outputs are rows on the unit sphere."""
-    x = np.atleast_2d(np.asarray(inputs, dtype=np.float64))
+    x = as_ndim(inputs, 2, np.float64)
     if x.shape[0] == 0:
         raise ShapeMismatchError("empty batch")
     if x.shape[1] != params.input_dim:
@@ -130,8 +130,8 @@ def encode(params: EncoderParams, inputs) -> tuple[np.ndarray, ForwardTape]:
         z = a @ w + b
         pre_acts.append(z)
         a = _act(z, params.activation) if l < n_layers - 1 else z
-    norms = np.linalg.norm(a, axis=1)
-    if np.any(norms <= ZERO_NORM_EPS):
+    norms = np.sqrt(np.add.reduce(a * a, axis=1))  # np.linalg.norm's own form
+    if (norms <= ZERO_NORM_EPS).any():
         bad = int(np.argmin(norms))
         raise ZeroNormError(f"pre-normalization output {bad} has norm {norms[bad]:.3e}")
     v = a / norms[:, None]
@@ -148,18 +148,18 @@ def backward(params: EncoderParams, tape: ForwardTape, grad_embeddings) -> np.nd
         )
     v = tape.embeddings
     # through v = u/||u||:  dL/du = (g - (g.v) v) / ||u||
-    upstream = (g - np.sum(g * v, axis=1, keepdims=True) * v) / tape.norms[:, None]
+    upstream = (g - np.add.reduce(g * v, axis=1, keepdims=True) * v) / tape.norms[:, None]
 
-    grad = np.empty_like(params.theta)
+    grad = np.empty(params.theta.shape)
     w_grads, b_grads = params.split(grad)
-    weights = params.weights
+    weights = params.split(params.theta)[0]
     n_layers = len(weights)
     for l in range(n_layers - 1, -1, -1):
         dz = upstream if l == n_layers - 1 else upstream * _act_grad(
             tape.pre_acts[l], params.activation
         )
         np.matmul(tape.inputs[l].T, dz, out=w_grads[l])
-        np.sum(dz, axis=0, out=b_grads[l])
+        np.add.reduce(dz, axis=0, out=b_grads[l])
         if l > 0:
             upstream = dz @ weights[l].T
     return grad
@@ -191,22 +191,32 @@ def optimizer_step(params: EncoderParams, grad, state: OptimizerState) -> Encode
         raise ShapeMismatchError(f"gradient shape {g.shape} != parameter shape {theta.shape}")
     if state.rule not in OPTIMIZER_RULES:
         raise ConfigError(f"unknown optimizer rule {state.rule!r}")
-    if any(slot.shape != theta.shape for slot in state.slots.values()):
-        raise ShapeMismatchError(f"an optimizer slot does not match parameter shape {theta.shape}")
+    slots = state.slots
+    for slot in slots.values():
+        if slot.shape != theta.shape:
+            raise ShapeMismatchError(f"an optimizer slot does not match parameter shape "
+                                     f"{theta.shape}")
+    # a slot is made, zeroed, on the first step that needs it
+    for name in ("m", "v") if state.rule == "adam" else ("m",) if state.momentum > 0 else ():
+        if name not in slots:
+            slots[name] = np.zeros(theta.shape)
     state.step_count += 1
     t = state.step_count
     if state.rule == "adam":
-        m = state.slots.setdefault("m", np.zeros_like(theta))
-        v = state.slots.setdefault("v", np.zeros_like(theta))
+        m, v = slots["m"], slots["v"]
         m *= state.beta1
         m += (1 - state.beta1) * g
         v *= state.beta2
-        v += (1 - state.beta2) * g * g
-        m_hat = m / (1 - state.beta1**t)
+        v += (1 - state.beta2) * g * g  # ((1 - beta2) g) g
+        step = m / (1 - state.beta1**t)  # m_hat, then (lr m_hat) / (sqrt(v_hat) + eps)
+        step *= state.lr
         v_hat = v / (1 - state.beta2**t)
-        theta -= state.lr * m_hat / (np.sqrt(v_hat) + state.eps)
+        np.sqrt(v_hat, v_hat)
+        v_hat += state.eps
+        step /= v_hat
+        theta -= step
     elif state.momentum > 0:
-        buf = state.slots.setdefault("m", np.zeros_like(theta))
+        buf = slots["m"]
         buf *= state.momentum
         buf += g
         theta -= state.lr * buf

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import label_masks
+from .core import label_masks, scatter_rows
 from .errors import ConfigError, ShapeMismatchError
 
 TINY_DISTANCE = 1e-9
@@ -91,10 +91,16 @@ class LossOutput:
 
 
 def _check_indices(n, *index_arrays):
-    for arr in index_arrays:
-        arr = np.asarray(arr)
-        if arr.size and (arr.min() < 0 or arr.max() >= n):
-            raise ShapeMismatchError("pair/triplet index outside the batch")
+    """The index arrays, not all empty, as integer vectors of one length with
+    every entry in [0, n); ShapeMismatchError otherwise."""
+    arrays = [np.asarray(arr) for arr in index_arrays]
+    for arr in arrays:
+        if arr.shape != arrays[0].shape or arr.ndim != 1 or arr.dtype.kind not in "iu":
+            raise ShapeMismatchError("pair/triplet indices must be integer vectors of one length")
+    joined = np.concatenate(arrays)
+    if np.minimum.reduce(joined) < 0 or np.maximum.reduce(joined) >= n:
+        raise ShapeMismatchError("pair/triplet index outside the batch")
+    return arrays
 
 
 def _distance_matrix(emb, dist):
@@ -124,11 +130,12 @@ def _pair_hinge(embeddings, pairs: PairSet, offset, shift, dist) -> LossOutput:
     direction, ±0.0, which leaves a gradient that starts at +0.0 unchanged.
     """
     emb = np.asarray(embeddings, dtype=np.float64)
-    grad = np.zeros_like(emb)
     if len(pairs) == 0:
-        return LossOutput(0.0, grad, 0, beta_grad=0.0)
-    i, j, pos = np.asarray(pairs.first), np.asarray(pairs.second), np.asarray(pairs.is_positive)
-    _check_indices(emb.shape[0], i, j)
+        return LossOutput(0.0, np.zeros(emb.shape), 0, beta_grad=0.0)
+    i, j = _check_indices(emb.shape[0], pairs.first, pairs.second)
+    pos = np.asarray(pairs.is_positive)
+    if pos.shape != i.shape:
+        raise ShapeMismatchError(f"pair flags {pos.shape} must be one per pair, {i.shape}")
     d = _distance_matrix(emb, dist)[i, j]
     y = np.where(pos, 1.0, -1.0)
 
@@ -138,8 +145,8 @@ def _pair_hinge(embeddings, pairs: PairSet, offset, shift, dist) -> LossOutput:
     denom = max(n_active, 1)
     i, j, d, coeff = i[active], j[active], d[active], y[active] / denom
     direction = _directions(emb, i, j, d)
-    np.add.at(grad, i, coeff[:, None] * direction)
-    np.add.at(grad, j, -coeff[:, None] * direction)
+    grad = scatter_rows(np.concatenate([i, j]), np.concatenate(
+        [coeff[:, None] * direction, -coeff[:, None] * direction]), emb.shape[0])
     beta_grad = float(np.where(active, -y, 0.0).sum() / denom)
     return LossOutput(float(terms.sum() / denom), grad, n_active, beta_grad=beta_grad)
 
@@ -155,27 +162,23 @@ def triplet_loss(embeddings, triplets: TripletSet, margin: float, dist) -> LossO
     from `dist` as in the pair hinge (active triplets only get a gradient,
     for the same reason)."""
     emb = np.asarray(embeddings, dtype=np.float64)
-    grad = np.zeros_like(emb)
-    m = len(triplets)
-    if m == 0:
-        return LossOutput(0.0, grad, 0)
-    a, p, n = (np.asarray(triplets.anchors), np.asarray(triplets.positives),
-               np.asarray(triplets.negatives))
-    _check_indices(emb.shape[0], a, p, n)
+    if len(triplets) == 0:
+        return LossOutput(0.0, np.zeros(emb.shape), 0)
+    a, p, n = _check_indices(emb.shape[0], triplets.anchors, triplets.positives,
+                             triplets.negatives)
     dist = _distance_matrix(emb, dist)
     d_ap, d_an = dist[a, p], dist[a, n]
 
     terms = np.maximum(d_ap - d_an + margin, 0.0)
     active = terms > 0
-    n_active = int(np.count_nonzero(active))
-    denom = max(n_active, 1)
     a, p, n = a[active], p[active], n[active]
-    coeff = np.full(n_active, 1.0 / denom)
+    n_active = len(a)
+    denom = max(n_active, 1)
+    coeff = 1.0 / denom  # every active triplet's weight
     dir_ap = _directions(emb, a, p, d_ap[active])
     dir_an = _directions(emb, a, n, d_an[active])
-    np.add.at(grad, a, coeff[:, None] * (dir_ap - dir_an))
-    np.add.at(grad, p, -coeff[:, None] * dir_ap)
-    np.add.at(grad, n, coeff[:, None] * dir_an)
+    grad = scatter_rows(np.concatenate([a, p, n]), np.concatenate(
+        [coeff * (dir_ap - dir_an), -coeff * dir_ap, coeff * dir_an]), emb.shape[0])
     return LossOutput(float(terms.sum() / denom), grad, n_active)
 
 

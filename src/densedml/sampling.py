@@ -58,14 +58,14 @@ def sample_batch(dataset: Dataset, spec: BatchSpec, rng: SeededRng):
     for n, run in itertools.groupby(map(len, members)):
         k = len(list(run))
         if n >= m:
-            tile = np.tile(np.arange(n), (k, 1))
+            tile = np.arange(n)[None].repeat(k, axis=0)
             picks.append(rng.permuted(tile, axis=1, out=tile)[:, :m])
         else:
             picks.append(rng.integers(n, size=(k, m)))
     # a row lookup per class: one offset gather over the concatenated members
     # is faster in a hot loop but was slower inside a training step
     rows = np.concatenate([idx[pick] for idx, pick in zip(members, np.concatenate(picks))])
-    return dataset.features[rows], np.repeat(np.asarray(class_pick, dtype=np.int64), m)
+    return dataset.features[rows], np.asarray(class_pick, dtype=np.int64).repeat(m)
 
 
 @dataclass
@@ -105,9 +105,11 @@ def batch_layout(spec: BatchSpec, T: int, produced_as_anchors: bool) -> BatchLay
     p, m = spec.classes_per_batch, spec.samples_per_class
     blocks = np.repeat(np.arange(p), m)  # the batch labels up to their names
     pairs = np.array(np.nonzero(label_masks(blocks)[0]))  # class by class, m (m - 1) each
+    anchors = np.repeat(np.arange(p * m), T)
+    anchors.flags.writeable = False  # a step that drops no row hands it out as anchor_rows
     return replace(anchor_layout(np.concatenate([blocks, np.repeat(blocks, T)]),
                                  None if produced_as_anchors else np.arange(p * m)),
-                   anchors=np.repeat(np.arange(p * m), T), pairs=pairs,
+                   anchors=anchors, pairs=pairs,
                    pair_ranks=np.arange(pairs.shape[1]) % (m * (m - 1)))
 
 
@@ -211,11 +213,11 @@ def sample_distance_weighted(
     # zeroing the non-negatives adds exact +0.0 terms, so each row's cdf at
     # its negative columns is the cumsum over the negatives alone, bit for bit
     weights = np.where(layout.other, distance_weights(d, embed_dim, clip), 0.0)
-    cdf = np.cumsum(weights, axis=1)
+    cdf = np.add.accumulate(weights, axis=1)  # np.cumsum's own form
     positives = _kth(layout.pos_cols, rng.integers(layout.n_pos))
     u = cdf[:, -1:] * rng.random((len(d), 1))
     # the negative's rank among the anchor's negatives: searchsorted(side="right")
-    rank = np.count_nonzero((cdf <= u) & layout.other, axis=1)
+    rank = np.add.reduce((cdf <= u) & layout.other, axis=1)
     rank = np.minimum(rank, layout.n_neg - 1)
     return TripletSet(layout.rows, positives, _kth(layout.neg_cols, rank))
 

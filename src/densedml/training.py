@@ -115,7 +115,7 @@ def step(state: TrainResult, cfg: RunConfig, emit) -> dict:
     produced, layout = None, state.layout
     if cfg.das.enabled and cfg.das.T > 0:
         produced = produce(emb, y, state.recorder, state.bank, cfg.das, state.das, emit, layout)
-        cat_emb = np.vstack([emb, produced.embeddings])
+        cat_emb = np.concatenate([emb, produced.embeddings])
         cat_labels = np.concatenate([y, produced.labels])
         if produced.dropped:  # the rows no longer follow the run's layout
             layout = anchor_layout(cat_labels, None if cfg.sampler.produced_as_anchors
@@ -136,7 +136,7 @@ def step(state: TrainResult, cfg: RunConfig, emit) -> dict:
     if not math.isfinite(out.value):
         raise TrainingAbortError(f"non-finite loss {out.value}")
 
-    grad_real = out.grad[:n_real].copy()
+    grad_real = out.grad[:n_real]  # the loss's own array, updated in place
     if produced is not None:
         grad_real += produced_backward(produced, out.grad[n_real:], n_real, d_embed)
     optimizer_step(state.params, backward(state.params, tape, grad_real), state.opt_state)

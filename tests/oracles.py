@@ -13,7 +13,10 @@ inactive term added as 0 * direction.  The anchor set-up, k-th True and
 class-rank oracles are the per-step code the batch layout replaced.  The
 batch oracle draws one class at a time, the loop `sample_batch` replaced.  The
 rank-count recall takes every distance from the kernel, the form the Gram
-prefilter replaced.
+prefilter replaced.  The step forms further down are the numpy calls the
+training step used before it called numpy's underlying operations:
+`np.linalg.norm`, `np.sum`, `np.add.at` scatters, boolean compaction of
+every produced row, and optimizer slots from `setdefault`.
 """
 
 import numpy as np
@@ -22,7 +25,7 @@ import densedml.core as core
 import densedml.training as training
 from densedml.core import ZERO_NORM_EPS, label_masks, pairwise_distances
 from densedml.das import DasConfig, ProducedBatch, TransformationBank, check_labels
-from densedml.encoder import EncoderParams
+from densedml.encoder import EncoderParams, OptimizerState
 from densedml.errors import (
     KOutOfRangeError,
     NoValidTripletError,
@@ -414,17 +417,18 @@ def draw_shifts(bank: TransformationBank, labels, rb, rng):
 
 
 def recall_at_k(embeddings, labels, ks):
-    """Leave-one-out hit rate per k from one stable argsort per query."""
+    """Leave-one-out hit rate per k from one stable argsort per query over
+    every point but the query, which is left out by its index."""
     emb = np.asarray(embeddings, dtype=np.float64)
     labels = np.asarray(labels)
     n = emb.shape[0]
     ks = sorted(int(k) for k in ks)
     dist = pairwise_distances(emb)
-    np.fill_diagonal(dist, np.inf)  # self is never a neighbor
     hits = {k: 0 for k in ks}
     max_k = ks[-1]
     for i in range(n):
-        order = np.argsort(dist[i], kind="stable")[:max_k]
+        others = np.delete(np.arange(n), i)
+        order = others[np.argsort(dist[i, others], kind="stable")[:max_k]]
         same = labels[order] == labels[i]
         for k in ks:
             if same[:k].any():
@@ -434,8 +438,10 @@ def recall_at_k(embeddings, labels, ks):
 
 def recall_rank_count(embeddings, labels, ks):
     """Leave-one-out hit rate per k from every kernel distance, one row block
-    at a time: the first same-label point's rank is counted, not sorted
-    (the query itself at distance inf)."""
+    at a time: the first same-label point's rank under (distance, index) is
+    counted, not sorted.  The query is left out by its index, so it ties
+    with no entry, not even one whose distance overflows to inf; a query
+    without a partner never hits."""
     planes = core._planes(core._as_rows(np.asarray(embeddings, dtype=np.float64)))
     labels = np.asarray(labels)
     n = len(labels)
@@ -444,14 +450,14 @@ def recall_rank_count(embeddings, labels, ks):
     block = max(1, core.DISTANCE_BLOCK_BYTES // (8 * n))
     for start in range(0, n, block):
         d = np.sqrt(core._squared_distances(planes[:, start : start + block], planes))
-        d[cols[: len(d)], cols[start : start + len(d)]] = np.inf
-        same = labels[start : start + block, None] == labels[None, :]
+        others = cols != cols[start : start + len(d), None]
+        same = (labels[start : start + block, None] == labels[None, :]) & others
         d_pos = np.min(d, axis=1, where=same, initial=np.inf)[:, None]
-        tied = d == d_pos
+        tied = (d == d_pos) & others
         first = np.argmax(tied & same, axis=1)[:, None]
-        closer = np.count_nonzero(d < d_pos, axis=1)
+        closer = np.count_nonzero((d < d_pos) & others, axis=1)
         tied_before = np.count_nonzero(tied & (cols < first), axis=1)
-        ranks[start : start + block] = closer + tied_before
+        ranks[start : start + block] = np.where(same.any(axis=1), closer + tied_before, n)
     return {k: int(np.count_nonzero(ranks < k)) / n for k in sorted(int(k) for k in ks)}
 
 
@@ -536,3 +542,118 @@ def build_pairs(labels):
         raise ShapeMismatchError("labels must be nonempty")
     i, j = np.triu_indices(n, k=1)
     return PairSet(i.astype(np.int64), j.astype(np.int64), labels[i] == labels[j])
+
+
+# -- step forms: the numpy calls a training step made before it called
+# numpy's underlying operations (see the module docstring)
+
+
+def row_norms(x):
+    """Each row's l2 norm by `np.linalg.norm`."""
+    return np.linalg.norm(x, axis=1)
+
+
+def combine_factors(embeddings, labels, anchors, scales, shifts):
+    """normalize(s*v + b) per anchor row with `np.linalg.norm`, every field
+    compacted by the kept-row mask, dropped rows or not."""
+    emb = np.atleast_2d(np.asarray(embeddings, dtype=np.float64))
+    labels = np.atleast_1d(np.asarray(labels))
+    anchors = np.asarray(anchors, dtype=np.int64)
+    raw = scales * emb[anchors] + shifts
+    norms = np.linalg.norm(raw, axis=1)
+    keep = norms > ZERO_NORM_EPS
+    inv = np.zeros_like(norms)
+    inv[keep] = 1.0 / norms[keep]
+    return ProducedBatch(raw[keep] * inv[keep][:, None], labels[anchors][keep], anchors[keep],
+                         scales[keep], inv[keep], dropped=int(np.count_nonzero(~keep)))
+
+
+def produced_backward(batch, grad_produced, n_anchors, dim):
+    """The produced rows' gradients through the normalization (`np.sum`),
+    added onto their anchors by one `np.add.at`."""
+    g = np.asarray(grad_produced, dtype=np.float64)
+    out = np.zeros((n_anchors, dim))
+    if g.size == 0:
+        return out
+    vp = batch.embeddings
+    through_norm = (g - np.sum(g * vp, axis=1, keepdims=True) * vp) * batch.inv_norms[:, None]
+    np.add.at(out, batch.anchor_rows, batch.scales * through_norm)
+    return out
+
+
+def _directions(emb, i, j, dist):
+    diff = emb[i] - emb[j]
+    far = dist > TINY_DISTANCE
+    return np.where(far[:, None], diff / np.where(far, dist, 1.0)[:, None], 0.0)
+
+
+def triplet_loss_add_at(embeddings, triplets: TripletSet, margin, dist):
+    """The triplet hinge on the distance matrix `dist`, active triplets only,
+    each side of the gradient added by its own `np.add.at`: a, then p, then n."""
+    emb = np.asarray(embeddings, dtype=np.float64)
+    grad = np.zeros_like(emb)
+    if len(triplets) == 0:
+        return LossOutput(0.0, grad, 0)
+    a, p, n = (np.asarray(triplets.anchors), np.asarray(triplets.positives),
+               np.asarray(triplets.negatives))
+    d_ap, d_an = dist[a, p], dist[a, n]
+    terms = np.maximum(d_ap - d_an + margin, 0.0)
+    active = terms > 0
+    n_active = int(np.count_nonzero(active))
+    denom = max(n_active, 1)
+    a, p, n = a[active], p[active], n[active]
+    coeff = np.full(n_active, 1.0 / denom)
+    dir_ap = _directions(emb, a, p, d_ap[active])
+    dir_an = _directions(emb, a, n, d_an[active])
+    np.add.at(grad, a, coeff[:, None] * (dir_ap - dir_an))
+    np.add.at(grad, p, -coeff[:, None] * dir_ap)
+    np.add.at(grad, n, coeff[:, None] * dir_an)
+    return LossOutput(float(terms.sum() / denom), grad, n_active)
+
+
+def pair_hinge_add_at(embeddings, pairs: PairSet, offset, shift, dist):
+    """The pair hinge on `dist`, active pairs only, the gradient added by
+    two `np.add.at` calls: the first rows, then the second."""
+    emb = np.asarray(embeddings, dtype=np.float64)
+    grad = np.zeros_like(emb)
+    if len(pairs) == 0:
+        return LossOutput(0.0, grad, 0, beta_grad=0.0)
+    i, j, pos = np.asarray(pairs.first), np.asarray(pairs.second), np.asarray(pairs.is_positive)
+    d = dist[i, j]
+    y = np.where(pos, 1.0, -1.0)
+    terms = np.maximum(offset + y * (d - shift), 0.0)
+    active = terms > 0
+    n_active = int(np.count_nonzero(active))
+    denom = max(n_active, 1)
+    i, j, d, coeff = i[active], j[active], d[active], y[active] / denom
+    direction = _directions(emb, i, j, d)
+    np.add.at(grad, i, coeff[:, None] * direction)
+    np.add.at(grad, j, -coeff[:, None] * direction)
+    beta_grad = float(np.where(active, -y, 0.0).sum() / denom)
+    return LossOutput(float(terms.sum() / denom), grad, n_active, beta_grad=beta_grad)
+
+
+def optimizer_step(theta, grad, state: OptimizerState):
+    """One update of the vector `theta` in place: slots from
+    `setdefault(name, np.zeros_like(theta))` on every step, Adam's
+    `(1 - beta2) * g * g` and `lr * m_hat / (sqrt(v_hat) + eps)`."""
+    g = np.asarray(grad, dtype=np.float64)
+    state.step_count += 1
+    t = state.step_count
+    if state.rule == "adam":
+        m = state.slots.setdefault("m", np.zeros_like(theta))
+        v = state.slots.setdefault("v", np.zeros_like(theta))
+        m *= state.beta1
+        m += (1 - state.beta1) * g
+        v *= state.beta2
+        v += (1 - state.beta2) * g * g
+        m_hat = m / (1 - state.beta1**t)
+        v_hat = v / (1 - state.beta2**t)
+        theta -= state.lr * m_hat / (np.sqrt(v_hat) + state.eps)
+    elif state.momentum > 0:
+        buf = state.slots.setdefault("m", np.zeros_like(theta))
+        buf *= state.momentum
+        buf += g
+        theta -= state.lr * buf
+    else:
+        theta -= state.lr * g

@@ -555,6 +555,38 @@ class TestDirectCallerChecks:
         with pytest.raises(KOutOfRangeError, match=rf"K={k} outside"):
             FrequencyRecorder(2, 4).mask(k)
 
+    @pytest.mark.parametrize("call", [lambda rec: rec.mask(2.0), lambda rec: rec.mask(True),
+                                      lambda rec: rec.update(np.eye(4)[:2], [0, 1], True),
+                                      lambda rec: rec.update(np.eye(4)[:2], [0, 1], 1.0)])
+    def test_recorder_k_not_an_integer(self, call):
+        rec = FrequencyRecorder(2, 4)
+        with pytest.raises(KOutOfRangeError, match="must be an integer"):
+            call(rec)
+        assert rec.counts.sum() == 0
+
+    @pytest.mark.parametrize("anchors", [[0, 9], [-1, 0], [0.0, 1.0], [True, False]])
+    def test_combine_anchors_outside_the_rows(self, anchors):
+        factors = np.ones((2, 3))
+        with pytest.raises(ShapeMismatchError, match=r"integer batch rows in \[0, 4\)"):
+            combine_factors(np.eye(4, 3), [0, 1, 2, 3], anchors, factors, factors)
+
+    @pytest.mark.parametrize("grad", [np.ones((3, 3)), np.ones((2, 4)), np.ones(6)])
+    def test_backward_gradient_of_wrong_shape(self, grad):
+        batch = combine_factors(np.eye(3), [0, 1, 2], [0, 2], np.ones((2, 3)), np.zeros((2, 3)))
+        with pytest.raises(ShapeMismatchError, match="gradient"):
+            produced_backward(batch, grad, 3, 3)
+
+    def test_backward_gradient_of_wrong_width(self):
+        batch = combine_factors(np.eye(3), [0, 1, 2], [0, 2], np.ones((2, 3)), np.zeros((2, 3)))
+        with pytest.raises(ShapeMismatchError, match="of width 4"):
+            produced_backward(batch, np.ones((2, 3)), 3, 4)
+
+    @pytest.mark.parametrize("n_anchors", [2, 0])
+    def test_backward_anchor_row_outside(self, n_anchors):
+        batch = combine_factors(np.eye(3), [0, 1, 2], [0, 2], np.ones((2, 3)), np.zeros((2, 3)))
+        with pytest.raises(ShapeMismatchError, match=rf"outside \[0, {n_anchors}\)"):
+            produced_backward(batch, np.ones((2, 3)), n_anchors, 3)
+
     @pytest.mark.parametrize("grad", [np.zeros((0, 3)), []])
     def test_backward_of_no_produced_rows(self, grad):
         batch = combine_factors(np.ones((2, 3)), [0, 1], [0, 0], np.ones((2, 3)),

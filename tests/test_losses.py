@@ -133,6 +133,33 @@ class TestTriplet:
             triplet_loss(emb, TripletSet(np.array([0]), np.array([1]), np.array([index])), 0.2,
                          pairwise_distances(emb))
 
+    @pytest.mark.parametrize("triple, pair", [
+        (([0, 1], [1], [2, 2]), ([0, 1], [1])),  # ragged: lengths differ
+        (([0, 1], [1, 2], [[2], [0]]), ([0, 1], [[2], [0]])),  # a column numpy would broadcast
+        (([0.0], [1.0], [2.0]), ([0.0], [1.0])),  # floats
+        (([True, False, False], [False, True, False], [False, False, True]),
+         ([True, False, False], [False, True, False])),  # masks
+    ])
+    def test_indices_not_integer_vectors_of_one_length(self, triple, pair):
+        emb = np.array([[0.0, 0.0], [0.2, 0.0], [0.6, 0.0]])
+        dist = pairwise_distances(emb)
+        with pytest.raises(ShapeMismatchError, match="integer vectors of one length"):
+            triplet_loss(emb, TripletSet(*triple), 0.2, dist)
+        pairs = PairSet(*pair, np.ones(len(pair[0]), dtype=bool))
+        with pytest.raises(ShapeMismatchError, match="integer vectors of one length"):
+            contrastive_loss(emb, pairs, 0.5, dist)
+        with pytest.raises(ShapeMismatchError, match="integer vectors of one length"):
+            margin_loss(emb, pairs, 0.2, 1.2, dist)
+
+    @pytest.mark.parametrize("flags", [[True], [True, False, True]])
+    def test_pair_flags_not_one_per_pair(self, flags):
+        emb = np.array([[0.0, 0.0], [0.2, 0.0], [0.6, 0.0]])
+        dist, pairs = pairwise_distances(emb), PairSet([0, 1], [1, 2], flags)
+        with pytest.raises(ShapeMismatchError, match="one per pair"):
+            contrastive_loss(emb, pairs, 0.5, dist)
+        with pytest.raises(ShapeMismatchError, match="one per pair"):
+            margin_loss(emb, pairs, 0.2, 1.2, dist)
+
     def test_inactive_hinge(self):
         emb = np.array([[0.0, 0.0], [0.2, 0.0], [0.6, 0.0]])
         out = triplet_loss(emb, self.triplet(), 0.2, pairwise_distances(emb))

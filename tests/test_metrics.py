@@ -341,6 +341,29 @@ class TestRecallOnePass:
         _, inverse, sizes = np.unique(labels, return_inverse=True, return_counts=True)
         assert sum(seen) == np.count_nonzero(sizes[inverse] > 1) * 149
 
+    def test_distances_that_overflow_to_inf(self):
+        # rows of about +-1e154: a row and a negated one are about 2e154
+        # apart per coordinate, so their squared distance overflows to inf
+        # and ties with the query's own entry unless that is left out
+        for split in range(40):
+            r = SeededRng(split, 5)
+            n, d = int(r.integers(4, 40)), int(r.integers(1, 4))
+            emb = (1 + 0.01 * r.normal(size=(n, d))) * 1e154
+            emb[r.permutation(n)[: n // 2]] *= -1
+            labels = r.integers(max(1, n // 3), size=n)
+            ks = sorted({1, 2, int(r.integers(1, n)), n - 1})
+            with np.errstate(over="ignore", invalid="ignore"):
+                got = recall_at_k(emb, labels, ks)
+                dist = core.pairwise_distances(emb)
+                want = [oracles.recall_at_k(emb, labels, ks),
+                        oracles.recall_rank_count(emb, labels, ks)]
+            ranks = []  # the first partner's place among the others, by (distance, index)
+            for i in range(n):
+                order = sorted((j for j in range(n) if j != i), key=lambda j: (dist[i, j], j))
+                ranks.append(next((at for at, j in enumerate(order) if labels[j] == labels[i]), n))
+            brute = {k: sum(rank < k for rank in ranks) / n for k in ks}
+            assert got == want[0] == want[1] == brute, f"split {split}"
+
     def test_far_partner_scratch(self, monkeypatch):
         # every entry hot, almost all counted: the planes, norms, plane copy,
         # order, sorted labels and ranks, the product, the mask and 40 bytes
