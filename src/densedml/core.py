@@ -55,7 +55,7 @@ def label_masks(labels):
     labels = np.asarray(labels)
     other = labels[:, None] != labels[None, :]
     same = ~other
-    np.fill_diagonal(same, False)
+    same.flat[:: same.shape[0] + 1] = False  # the diagonal
     return same, other
 
 
@@ -77,9 +77,18 @@ def _as_rows(rows) -> np.ndarray:
 
 def as_ndim(x, ndim, dtype=None) -> np.ndarray:
     """np.asarray(x, dtype) with leading unit axes up to `ndim` (1 or 2), as
-    np.atleast_1d/np.atleast_2d add them; an array that deep passes as is."""
-    x = np.asarray(x, dtype=dtype)
-    return x if x.ndim >= ndim else (np.atleast_1d if ndim == 1 else np.atleast_2d)(x)
+    np.atleast_1d/np.atleast_2d add them; an array that deep passes as is.
+    Input numpy cannot convert (ragged, or not numbers where `dtype` asks for
+    them) or that is deeper than `ndim` is a ShapeMismatchError."""
+    try:
+        x = np.asarray(x, dtype=dtype)
+    except (ValueError, TypeError, OverflowError) as exc:
+        raise ShapeMismatchError(f"input is not a {ndim}-D numeric array: {exc}") from exc
+    if x.ndim == ndim:
+        return x
+    if x.ndim > ndim:
+        raise ShapeMismatchError(f"expected a {ndim}-D array, got shape {x.shape}")
+    return (np.atleast_1d if ndim == 1 else np.atleast_2d)(x)
 
 
 def scatter_rows(rows, values, n) -> np.ndarray:

@@ -13,8 +13,8 @@ Two mechanisms create synthetic embeddings near real ones ("anchors"):
 A produced embedding is normalize(s * v + b) and inherits the anchor label.
 Gradients flow to the anchor only; s and b are treated as constants.
 
-Each public function checks its labels; handed the training run's
-`sampling.BatchLayout` as `layout`, it takes them as checked.
+Each public function that reads per-class state checks its labels on every
+call (`check_labels`).
 """
 
 from __future__ import annotations
@@ -60,16 +60,23 @@ class DasConfig:
             raise ConfigError(f"das.rb must be >= 0, got {self.rb}")
 
 
-def check_labels(labels, n_classes: int) -> None:
-    """Raise LabelOutOfRangeError naming the first label that is not an
-    integer in [0, n_classes); a float or bool label fails before anything
-    casts it.  A plain loop, as numpy's per-call overhead would dominate a
-    few labels."""
-    for label in np.asarray(labels).ravel().tolist():
+def check_labels(labels, n_classes: int) -> np.ndarray:
+    """`labels` as a 1-D int64 array (a single label as one), or
+    LabelOutOfRangeError naming the first label that is not an integer in
+    [0, n_classes); a float or bool label fails before anything casts it.
+
+    An integer array passes on its least and its greatest label; only labels
+    that fail are walked, to name one."""
+    labels = as_ndim(labels, 1)
+    if (labels.size and labels.dtype.kind in "iu" and labels.item(labels.argmin()) >= 0
+            and labels.item(labels.argmax()) < n_classes):
+        return labels.astype(np.int64, copy=False)
+    for label in labels.tolist():
         if type(label) is not int:
             raise LabelOutOfRangeError(f"label {label!r} is not an integer class id")
         if not 0 <= label < n_classes:
             raise LabelOutOfRangeError(f"label {label} outside [0, {n_classes})")
+    return labels.astype(np.int64)  # no labels, or Python ints in an object array
 
 
 def _check_k(k, dim):
@@ -85,13 +92,11 @@ class FrequencyRecorder:
     def __init__(self, n_classes: int, dim: int):
         self.counts = np.zeros((n_classes, dim), dtype=np.int64)
 
-    def update(self, embeddings, labels, k: int, layout=None) -> None:
+    def update(self, embeddings, labels, k: int) -> None:
         """Bump the top-K channel counters of each embedding's class row."""
         emb = as_ndim(embeddings, 2, np.float64)
-        labels = as_ndim(labels, 1)
         n_classes, dim = self.counts.shape
-        if layout is None:
-            check_labels(labels, n_classes)
+        labels = check_labels(labels, n_classes)
         if emb.shape[0] != labels.shape[0]:
             raise ShapeMismatchError("labels length != embedding count")
         if emb.shape[1] != dim:
@@ -128,27 +133,20 @@ class TransformationBank:
     def capacity(self):
         return self.slots.shape[1]
 
-    def enqueue(self, labels, transforms, layout=None) -> None:
+    def enqueue(self, labels, transforms) -> None:
         """Write one difference (a label and a row) or a stack of them into
         the class rings, in order: a class given q rows keeps the last
-        min(q, Z) of them, and its cursor moves q places.  With `layout`
-        they are the differences of its pairs, ranked by its pair ranks."""
+        min(q, Z) of them, and its cursor moves q places."""
         n_classes, z, dim = self.slots.shape
-        if layout is None:
-            check_labels(labels, n_classes)
-        c = as_ndim(labels, 1, np.int64)
+        c = check_labels(labels, n_classes)
         rows = as_ndim(transforms, 2, np.float64)
         if rows.shape != (c.size, dim):
             raise ShapeMismatchError(
                 f"transforms {rows.shape} must be {c.size} rows of width {dim}, one per label"
             )
         q = np.bincount(c, minlength=n_classes)
-        if layout is not None:
-            rank = layout.pair_ranks
-        else:  # each row's rank among the rows of its class
-            order = c.argsort(kind="stable")
-            rank = np.empty(c.shape, dtype=np.int64)
-            rank[order] = np.arange(c.size) - np.repeat(np.cumsum(q) - q, q)
+        rank = np.empty(c.shape, dtype=np.int64)  # each row's rank among its class's rows
+        rank[c.argsort(kind="stable")] = np.arange(c.size) - (np.add.accumulate(q) - q).repeat(q)
         if np.maximum.reduce(q, initial=0) > z:
             # write only each class's last Z rows: earlier ones would share a
             # slot with a later row, and numpy leaves repeated-index writes unordered
@@ -158,18 +156,16 @@ class TransformationBank:
         self.cursor[:] = (self.cursor + q) % z
         np.minimum(self.filled + q, z, out=self.filled)
 
-    def update(self, embeddings, labels, layout=None) -> None:
+    def update(self, embeddings, labels) -> None:
         """Enqueue v_i - v_j for every ordered pair i != j within each class
         group, in (i, j) order; groups with fewer than two members add
         nothing, but their labels are checked too."""
         emb = as_ndim(embeddings, 2, np.float64)
-        labels = as_ndim(labels, 1)
-        if layout is None:
-            check_labels(labels, self.n_classes)
+        labels = check_labels(labels, self.slots.shape[0])
         if emb.shape[0] != labels.shape[0]:
             raise ShapeMismatchError("labels length != embedding count")
-        i, j = np.nonzero(label_masks(labels)[0]) if layout is None else layout.pairs
-        self.enqueue(labels[i], emb[i] - emb[j], layout)
+        i, j = label_masks(labels)[0].nonzero()
+        self.enqueue(labels[i], emb[i] - emb[j])
 
 
 @dataclass
@@ -188,19 +184,16 @@ class ProducedBatch:
     dropped: int = 0
 
 
-def draw_scales(mask, labels, rs: float, rng: SeededRng, layout=None) -> np.ndarray:
+def draw_scales(mask, labels, rs: float, rng: SeededRng) -> np.ndarray:
     """(len(labels), d) scaling factors, one independent draw per row; every
     label must index a row of the C x d `mask`."""
-    mask = np.asarray(mask, dtype=np.float64)
-    if layout is None:
-        check_labels(labels, mask.shape[0])
-    rows = mask[as_ndim(labels, 1)]
+    mask = as_ndim(mask, 2, np.float64)
+    rows = mask[check_labels(labels, mask.shape[0])]
     gamma = rng.uniform(1.0 - rs, 1.0 + rs, size=rows.shape)
     return gamma * rows + (1.0 - rows)
 
 
-def draw_shifts(bank: TransformationBank, labels, rb: float, rng: SeededRng,
-                layout=None) -> np.ndarray:
+def draw_shifts(bank: TransformationBank, labels, rb: float, rng: SeededRng) -> np.ndarray:
     """(len(labels), d) shifting factors; zero rows for empty class banks.
 
     Every row whose class bank holds a difference draws its slot in row
@@ -209,9 +202,7 @@ def draw_shifts(bank: TransformationBank, labels, rb: float, rng: SeededRng,
     bounds drawn one call at a time, so a single call over the live rows
     keeps the seeded draw sequence.
     """
-    if layout is None:
-        check_labels(labels, bank.n_classes)
-    rows = as_ndim(labels, 1, np.int64)
+    rows = check_labels(labels, bank.slots.shape[0])
     filled = bank.filled[rows]
     live = filled > 0
     if live.all():  # no empty bank: no row to leave at zero
@@ -225,15 +216,18 @@ def draw_shifts(bank: TransformationBank, labels, rb: float, rng: SeededRng,
 
 def combine_factors(embeddings, labels, anchors, scales, shifts) -> ProducedBatch:
     """normalize(s*v + b), one row per entry of `anchors`, integer batch
-    rows in [0, n); collapsed rows are dropped.  With none dropped, the
-    batch holds `anchors` and `scales` themselves, not copies."""
+    rows in [0, n) of the n embeddings and their n labels; collapsed rows
+    are dropped.  With none dropped, the batch holds `anchors` and `scales`
+    themselves, not copies."""
     emb = as_ndim(embeddings, 2, np.float64)
-    labels = as_ndim(labels, 1)
-    anchors, n = np.asarray(anchors), emb.shape[0]
+    labels, anchors, n = as_ndim(labels, 1), as_ndim(anchors, 1), emb.shape[0]
+    if labels.shape[0] != n:
+        raise ShapeMismatchError("labels length != embedding count")
     if anchors.size and (anchors.dtype.kind not in "iu" or np.minimum.reduce(anchors) < 0
                          or np.maximum.reduce(anchors) >= n):
         raise ShapeMismatchError(f"anchors must be integer batch rows in [0, {n})")
     anchors = anchors.astype(np.int64, copy=False)
+    scales, shifts = as_ndim(scales, 2, np.float64), as_ndim(shifts, 2, np.float64)
     rows = (len(anchors), emb.shape[1])
     if scales.shape != rows or shifts.shape != rows:
         raise ShapeMismatchError(
@@ -252,7 +246,7 @@ def combine_factors(embeddings, labels, anchors, scales, shifts) -> ProducedBatc
 
 def produce(
     embeddings, labels, recorder: FrequencyRecorder, bank: TransformationBank,
-    config: DasConfig, rng: SeededRng, emit=lambda phase: None, layout=None,
+    config: DasConfig, rng: SeededRng, emit=lambda phase: None,
 ) -> ProducedBatch:
     """One step of production: T copies per anchor, anchor-major.
 
@@ -261,25 +255,26 @@ def produce(
     batch's intra-class differences and draws shifts from the bank.  A
     mechanism whose radius is zero leaves its state and the stream alone and
     contributes ones (scaling) or zeros (shifting).  T = 0 lays out no rows
-    and produces nothing.  `emit` receives each phase name as it completes;
-    a `layout` must have been built with config.T.
+    and produces nothing.  `emit` receives each phase name as it completes.
     """
     emb = as_ndim(embeddings, 2, np.float64)
     labels = as_ndim(labels, 1)
-    anchors = np.repeat(np.arange(emb.shape[0]), config.T) if layout is None else layout.anchors
+    if labels.shape[0] != emb.shape[0]:
+        raise ShapeMismatchError("labels length != embedding count")
+    anchors = np.arange(emb.shape[0]).repeat(config.T)
     copies, rows = labels[anchors], (anchors.size, emb.shape[1])
     if config.rs > 0:
-        recorder.update(emb, labels, config.K, layout)
+        recorder.update(emb, labels, config.K)
         emit("frm")
-        scales = draw_scales(recorder.mask(config.K), copies, config.rs, rng, layout)
+        scales = draw_scales(recorder.mask(config.K), copies, config.rs, rng)
         emit("scale")
     else:
         scales = np.ones(rows)
     if config.rb > 0:
         emit("transform")
-        bank.update(emb, labels, layout)
+        bank.update(emb, labels)
         emit("enqueue")
-        shifts = draw_shifts(bank, copies, config.rb, rng, layout)
+        shifts = draw_shifts(bank, copies, config.rb, rng)
         emit("shift")
     else:
         shifts = np.zeros(rows)
@@ -294,7 +289,7 @@ def produced_backward(batch: ProducedBatch, grad_produced, n_anchors: int, dim: 
     For v' = u/||u||, u = s*v + b (s, b constant):
         dL/dv = s * ((g - (g.v') v') / ||u||)
     """
-    g = np.asarray(grad_produced, dtype=np.float64)
+    g = as_ndim(grad_produced, 2, np.float64)
     if g.size == 0:
         return np.zeros((n_anchors, dim))
     vp, rows = batch.embeddings, batch.anchor_rows

@@ -12,7 +12,7 @@ seeded pick to the k-th True entry of a mask row, with whole-array
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -70,10 +70,7 @@ def sample_batch(dataset: Dataset, spec: BatchSpec, rng: SeededRng):
 
 @dataclass
 class BatchLayout:
-    """The label structure a sampler mines from, and, in a training run's
-    (`batch_layout`), what DAS production writes with.  The DAS functions
-    handed one take the batch labels as checked: `train` checks the
-    training classes, the only labels `sample_batch` draws."""
+    """The label structure a sampler mines from."""
 
     rows: np.ndarray  # anchors with a positive and a negative, in pool order
     same: np.ndarray  # their rows of the same-label mask (self excluded)
@@ -82,9 +79,6 @@ class BatchLayout:
     n_neg: np.ndarray
     pos_cols: np.ndarray  # each such row's True columns (`_true_columns`)
     neg_cols: np.ndarray
-    anchors: np.ndarray = None  # the batch row of each produced row, anchor-major
-    pairs: np.ndarray = None  # the bank's (i, j): same-class rows, i != j, in (i, j) order
-    pair_ranks: np.ndarray = None  # each pair's rank among its class's pairs
 
 
 def anchor_layout(labels, anchor_indices=None) -> BatchLayout:
@@ -104,13 +98,8 @@ def batch_layout(spec: BatchSpec, T: int, produced_as_anchors: bool) -> BatchLay
     `spec`'s P distinct classes of M rows each, then T copies of each row."""
     p, m = spec.classes_per_batch, spec.samples_per_class
     blocks = np.repeat(np.arange(p), m)  # the batch labels up to their names
-    pairs = np.array(np.nonzero(label_masks(blocks)[0]))  # class by class, m (m - 1) each
-    anchors = np.repeat(np.arange(p * m), T)
-    anchors.flags.writeable = False  # a step that drops no row hands it out as anchor_rows
-    return replace(anchor_layout(np.concatenate([blocks, np.repeat(blocks, T)]),
-                                 None if produced_as_anchors else np.arange(p * m)),
-                   anchors=anchors, pairs=pairs,
-                   pair_ranks=np.arange(pairs.shape[1]) % (m * (m - 1)))
+    return anchor_layout(np.concatenate([blocks, np.repeat(blocks, T)]),
+                         None if produced_as_anchors else np.arange(p * m))
 
 
 def _true_columns(mask):

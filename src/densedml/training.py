@@ -22,7 +22,7 @@ import numpy as np
 
 from .config import RunConfig, apply_override, save_config
 from .core import STREAMS, SeededRng, pairwise_distances
-from .das import FrequencyRecorder, TransformationBank, check_labels, produce, produced_backward
+from .das import FrequencyRecorder, TransformationBank, produce, produced_backward
 from .data import Dataset, generate_gaussian_clusters, load_csv
 from .encoder import (
     EncoderParams,
@@ -114,7 +114,7 @@ def step(state: TrainResult, cfg: RunConfig, emit) -> dict:
 
     produced, layout = None, state.layout
     if cfg.das.enabled and cfg.das.T > 0:
-        produced = produce(emb, y, state.recorder, state.bank, cfg.das, state.das, emit, layout)
+        produced = produce(emb, y, state.recorder, state.bank, cfg.das, state.das, emit)
         cat_emb = np.concatenate([emb, produced.embeddings])
         cat_labels = np.concatenate([y, produced.labels])
         if produced.dropped:  # the rows no longer follow the run's layout
@@ -174,7 +174,6 @@ def train(cfg: RunConfig, trace=None) -> TrainResult:
             f"{n_train_classes} training classes"
         )
     check_eval_ks(cfg.eval_ks, dataset)
-    check_labels(dataset.train_classes, n_train_classes)  # see sampling.BatchLayout
     d_embed = cfg.encoder.embed_dim
     state = TrainResult(
         params=init_params(cfg.encoder.layer_sizes(dataset.input_dim), cfg.encoder.activation,

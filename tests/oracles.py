@@ -9,8 +9,9 @@ helpers further down serve tests only; neither is part of the package.
 The distance and loss oracles are the forms the package kernel replaced:
 `np.sum` over a contiguous last axis, the full square without the mirrored
 half, and `np.linalg.norm` over gathered pair differences with every
-inactive term added as 0 * direction.  The anchor set-up, k-th True and
-class-rank oracles are the per-step code the batch layout replaced.  The
+inactive term added as 0 * direction.  The anchor set-up and k-th True
+oracles are the per-step code the batch layout replaced.  The label check
+is the per-label loop `das.check_labels` replaced.  The
 batch oracle draws one class at a time, the loop `sample_batch` replaced.  The
 rank-count recall takes every distance from the kernel, the form the Gram
 prefilter replaced.  The step forms further down are the numpy calls the
@@ -24,10 +25,11 @@ import numpy as np
 import densedml.core as core
 import densedml.training as training
 from densedml.core import ZERO_NORM_EPS, label_masks, pairwise_distances
-from densedml.das import DasConfig, ProducedBatch, TransformationBank, check_labels
+from densedml.das import DasConfig, ProducedBatch, TransformationBank
 from densedml.encoder import EncoderParams, OptimizerState
 from densedml.errors import (
     KOutOfRangeError,
+    LabelOutOfRangeError,
     NoValidTripletError,
     ShapeMismatchError,
     ZeroNormError,
@@ -253,16 +255,6 @@ def kth_true(mask, k):
     return np.count_nonzero(np.cumsum(mask, axis=-1) <= np.asarray(k)[..., None], axis=-1)
 
 
-def class_ranks(labels):
-    """Each label's rank among the equal labels before it, by a stable
-    argsort, as `TransformationBank.enqueue` ranks rows without a layout."""
-    c = np.asarray(labels, dtype=np.int64)
-    q = np.bincount(c, minlength=c.max() + 1 if c.size else 0)
-    rank = np.empty_like(c)
-    rank[np.argsort(c, kind="stable")] = np.arange(c.size) - np.repeat(np.cumsum(q) - q, q)
-    return rank
-
-
 def pair_distances(emb, i, j):
     """Distances of gathered pairs by `np.linalg.norm`, and their unit
     directions (0 at or below TINY_DISTANCE)."""
@@ -311,6 +303,17 @@ def triplet_loss(embeddings, triplets: TripletSet, margin):
     np.add.at(grad, p, -coeff[:, None] * dir_ap)
     np.add.at(grad, n, coeff[:, None] * dir_an)
     return LossOutput(float(terms.sum() / denom), grad, n_active)
+
+
+def check_labels(labels, n_classes):
+    """Raise LabelOutOfRangeError naming the first label that is not an
+    integer in [0, n_classes), one label at a time; a float or bool label
+    fails before anything casts it."""
+    for label in np.asarray(labels).ravel().tolist():
+        if type(label) is not int:
+            raise LabelOutOfRangeError(f"label {label!r} is not an integer class id")
+        if not 0 <= label < n_classes:
+            raise LabelOutOfRangeError(f"label {label} outside [0, {n_classes})")
 
 
 def bank_enqueue(bank: TransformationBank, label, transform):
@@ -383,8 +386,7 @@ def das_produce(v, label, mask_row, bank: TransformationBank, config: DasConfig,
     return out
 
 
-def replicated_produce(embeddings, labels, recorder, bank, config, rng, emit=lambda phase: None,
-                       layout=None):
+def replicated_produce(embeddings, labels, recorder, bank, config, rng, emit=lambda phase: None):
     """Term-duplicated baseline in place of `das.produce`: each anchor's row
     T times, anchor-major, with no draws and no recorder or bank update."""
     emb = np.asarray(embeddings, dtype=np.float64)

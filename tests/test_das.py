@@ -6,11 +6,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from densedml.core import SeededRng
-from densedml.sampling import BatchSpec, batch_layout
 from densedml.das import (
     DasConfig,
     FrequencyRecorder,
     TransformationBank,
+    check_labels,
     combine_factors,
     draw_scales,
     draw_shifts,
@@ -595,42 +595,165 @@ class TestDirectCallerChecks:
         np.testing.assert_array_equal(produced_backward(batch, grad, 2, 3), np.zeros((2, 3)))
 
 
-class TestLayoutPath:
-    """produce handed the training run's layout (labels taken as checked,
-    anchors, bank pairs and ranks read from it) against produce without one:
-    equal outputs, equal recorder and bank, equal stream."""
+@st.composite
+def label_inputs(draw):
+    """Labels as a caller may pass them, of at most one dimension: lists of
+    mixed entries, integer arrays of each width and byte order, uint64 at and
+    above 2**63, bools, floats, object arrays, 0-d arrays and scalars."""
+    small = st.integers(-2, 6)
+    kind = draw(st.sampled_from(["list", "ints", "uint64", "bools", "floats", "objects",
+                                 "scalar", "0-d"]))
+    if kind == "list":
+        return draw(st.lists(small | st.floats(-2, 6) | st.booleans() | st.text(max_size=1),
+                             max_size=6))
+    if kind == "ints":
+        dtype = draw(st.sampled_from(["i1", "u1", "i4", ">i4", "i8", ">i8", "u8"]))
+        return np.array(draw(st.lists(small, max_size=6)), dtype=np.int64).astype(dtype)
+    if kind == "uint64":
+        return np.array(draw(st.lists(st.integers(0, 6) | st.integers(2**63, 2**64 - 1),
+                                      max_size=6)), dtype=np.uint64)
+    if kind == "bools":
+        return np.array(draw(st.lists(st.booleans(), max_size=6)), dtype=bool)
+    if kind == "floats":
+        return np.array(draw(st.lists(st.floats(-2, 6) | st.sampled_from([1.0, np.nan, np.inf]),
+                                      max_size=6)), dtype=np.float64)
+    if kind == "objects":
+        items = draw(st.lists(small | st.integers(2**64, 2**70) | st.none() | st.text(max_size=1)
+                              | st.just(np.int64(1)) | st.floats(-2, 6), max_size=6))
+        out = np.empty(len(items), dtype=object)
+        out[:] = items
+        return out
+    if kind == "scalar":
+        return draw(st.sampled_from([int, np.int64, np.uint8, np.float64, np.bool_]))(
+            draw(st.integers(0, 6)))
+    return np.array(draw(small | st.floats(-2, 6) | st.booleans()))
 
-    @staticmethod
-    def warm_state(seed, n_classes, d, z, k):
-        r = SeededRng(seed, 9)
-        rec, bank = FrequencyRecorder(n_classes, d), TransformationBank(n_classes, z, d)
-        rec.update(r.normal(size=(7, d)), r.integers(n_classes, size=7), k)
-        for c in r.integers(n_classes, size=int(r.integers(3 * z))):
-            bank.enqueue(c, r.normal(size=d))
-        return rec, bank
 
-    @settings(max_examples=60, deadline=None)
-    @given(st.integers(min_value=0, max_value=2**31), st.integers(2, 5), st.integers(2, 4),
-           st.integers(1, 3), st.integers(1, 6), st.sampled_from([0.0, 0.3]),
-           st.sampled_from([0.0, 0.3, 5.0]), st.booleans())
-    def test_matches_the_checked_path(self, seed, p, m, t, z, rs, rb, collapse):
-        r = SeededRng(seed)
-        d, n_classes = 5, 7
-        labels = np.repeat(r.permutation(n_classes)[:p], m)
-        emb = random_unit_rows(r, p * m, d)
-        if collapse:  # a duplicate row: a zero difference in the bank
-            emb[1] = emb[0]
-        cfg = DasConfig(T=t, K=2, Z=z, rs=rs, rb=rb)
-        got_rec, got_bank = self.warm_state(seed, n_classes, d, z, cfg.K)
-        want_rec, want_bank = self.warm_state(seed, n_classes, d, z, cfg.K)
-        rng_got, rng_want = SeededRng(seed, 2), SeededRng(seed, 2)
-        layout = batch_layout(BatchSpec(p, m), t, True)
-        got = produce(emb, labels, got_rec, got_bank, cfg, rng_got, layout=layout)
-        want = produce(emb, labels, want_rec, want_bank, cfg, rng_want)
-        for name in ("embeddings", "labels", "anchor_rows", "scales", "inv_norms"):
-            np.testing.assert_array_equal(getattr(got, name), getattr(want, name))
-        assert got.dropped == want.dropped
-        np.testing.assert_array_equal(got_rec.counts, want_rec.counts)
-        for name in ("slots", "cursor", "filled"):
-            np.testing.assert_array_equal(getattr(got_bank, name), getattr(want_bank, name))
-        np.testing.assert_equal(rng_got.bit_generator.state, rng_want.bit_generator.state)
+class TestCheckLabels:
+    """The vectorized label check against the per-label loop it replaced
+    (tests/oracles.py): it raises exactly when the loop does, naming the same
+    label, and otherwise returns the labels as a 1-D int64 array."""
+
+    @settings(max_examples=500, deadline=None, derandomize=True)
+    @given(label_inputs(), st.integers(0, 6))
+    def test_raises_exactly_when_the_loop_does(self, labels, n_classes):
+        try:
+            oracles.check_labels(labels, n_classes)
+        except LabelOutOfRangeError as exc:
+            with pytest.raises(LabelOutOfRangeError) as got:
+                check_labels(labels, n_classes)
+            assert str(got.value) == str(exc)
+        else:
+            got = check_labels(labels, n_classes)
+            assert got.dtype == np.int64 and got.ndim == 1
+            assert got.tolist() == np.asarray(labels).ravel().tolist()
+
+    @pytest.mark.parametrize("labels", [[], np.zeros(0), np.zeros(0, dtype=np.uint8)])
+    def test_no_labels_pass(self, labels):
+        got = check_labels(labels, 3)
+        assert got.dtype == np.int64 and got.shape == (0,)
+
+    @pytest.mark.parametrize("labels", [2, np.int64(2), np.array(2)])
+    def test_one_label_is_one_row(self, labels):
+        assert check_labels(labels, 3).tolist() == [2]
+
+    def test_int64_labels_pass_through(self):
+        labels = np.array([0, 2, 1])
+        assert check_labels(labels, 3) is labels
+
+
+class TestLabelShape:
+    """Labels that are not one vector are a ShapeMismatchError."""
+
+    def test_recorder_update(self):
+        # counted every row into both classes
+        rec = FrequencyRecorder(4, 4)
+        with pytest.raises(ShapeMismatchError, match="1-D array, got shape"):
+            rec.update(np.eye(4)[:2], [[0, 1], [1, 0]], 2)
+        assert rec.counts.sum() == 0
+
+    def test_draw_scales(self):
+        # returned a (2, 2, 4) array
+        rng = SeededRng(0)
+        with pytest.raises(ShapeMismatchError, match="1-D array, got shape"):
+            draw_scales(np.eye(4), [[0, 1], [1, 0]], 0.01, rng)
+        assert rng.uniform() == SeededRng(0).uniform()
+
+    def test_bank_update(self):
+        # raised numpy's ValueError
+        bank = TransformationBank(4, 3, 4)
+        with pytest.raises(ShapeMismatchError, match="1-D array, got shape"):
+            bank.update(np.eye(4)[:2], [[0, 1], [1, 0]])
+        assert bank.filled.sum() == 0
+
+
+def _produce(emb, labels):
+    return produce(emb, labels, FrequencyRecorder(2, 3), TransformationBank(2, 3, 3),
+                   DasConfig(T=1, K=1), SeededRng(0))
+
+
+ROW_CALLS = {
+    "recorder_update": lambda emb, labels: FrequencyRecorder(2, 3).update(emb, labels, 1),
+    "bank_update": lambda emb, labels: TransformationBank(2, 3, 3).update(emb, labels),
+    "enqueue": lambda emb, labels: TransformationBank(2, 3, 3).enqueue(labels, emb),
+    "draw_scales": lambda emb, labels: draw_scales(emb, labels, 0.01, SeededRng(0)),
+    "combine_factors": lambda emb, labels: combine_factors(emb, labels, [0, 1], np.ones((2, 3)),
+                                                           np.zeros((2, 3))),
+    "produce": _produce,
+}
+LABEL_CALLS = {**ROW_CALLS, "draw_shifts": lambda emb, labels: draw_shifts(
+    TransformationBank(2, 3, 3), labels, 0.01, SeededRng(0))}
+
+
+class TestUnconvertibleInput:
+    """Ragged or non-numeric rows and ragged labels are a ShapeMismatchError
+    at every DAS entry point; numpy's ValueError escaped each of them."""
+
+    @pytest.mark.parametrize("rows", [[[1.0, 0.0, 0.0], [0.0, 1.0]], [["a", "b", "c"]] * 2],
+                             ids=["ragged", "strings"])
+    @pytest.mark.parametrize("call", sorted(ROW_CALLS))
+    def test_rows(self, call, rows):
+        with pytest.raises(ShapeMismatchError, match="not a 2-D numeric array"):
+            ROW_CALLS[call](rows, [0, 1])
+
+    @pytest.mark.parametrize("call", sorted(LABEL_CALLS))
+    def test_ragged_labels(self, call):
+        with pytest.raises(ShapeMismatchError, match="not a 1-D numeric array"):
+            LABEL_CALLS[call](np.eye(2, 3), [[0], [0, 1]])
+
+    def test_combine_ragged_anchors(self):
+        with pytest.raises(ShapeMismatchError):
+            combine_factors(np.eye(2, 3), [0, 1], [[0], [0, 1]], np.ones((2, 3)),
+                            np.zeros((2, 3)))
+
+    def test_combine_ragged_factor_rows(self):
+        with pytest.raises(ShapeMismatchError):
+            combine_factors(np.eye(2, 3), [0, 1], [0, 1], [[1.0, 1.0, 1.0], [1.0]],
+                            np.zeros((2, 3)))
+
+    def test_combine_factor_rows_as_lists(self):
+        # a list raised AttributeError on .shape
+        got = combine_factors(np.eye(2, 3), [0, 1], [0, 1], [[2.0] * 3] * 2, [[0.0] * 3] * 2)
+        np.testing.assert_array_equal(got.embeddings, np.eye(2, 3))
+        np.testing.assert_array_equal(got.scales, np.full((2, 3), 2.0))
+
+    def test_backward_ragged_gradient(self):
+        batch = combine_factors(np.eye(3), [0, 1, 2], [0, 2], np.ones((2, 3)), np.zeros((2, 3)))
+        with pytest.raises(ShapeMismatchError):
+            produced_backward(batch, [[1.0, 0.0, 0.0], [1.0]], 3, 3)
+
+
+class TestLabelLength:
+    """produce and combine_factors check the label count against the rows
+    before they index the labels; numpy's IndexError escaped both."""
+
+    @pytest.mark.parametrize("labels", [[0, 1], None, np.int64(0), np.array(1)])
+    def test_produce(self, labels):
+        with pytest.raises(ShapeMismatchError, match="labels length"):
+            produce(np.eye(4), labels, FrequencyRecorder(2, 4), TransformationBank(2, 3, 4),
+                    DasConfig(T=1, K=1), SeededRng(0))
+
+    @pytest.mark.parametrize("labels", [[0, 1], None, np.int64(0)])
+    def test_combine_factors(self, labels):
+        with pytest.raises(ShapeMismatchError, match="labels length"):
+            combine_factors(np.eye(4), labels, [0, 3], np.ones((2, 4)), np.zeros((2, 4)))

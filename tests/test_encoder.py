@@ -73,6 +73,14 @@ class TestForward:
         with pytest.raises(ShapeMismatchError):
             encode(params, [[1.0, 2.0]])
 
+    @pytest.mark.parametrize("inputs", [[[1.0] * 4, [1.0] * 3], [["a"] * 4], np.ones((2, 4, 4))],
+                             ids=["ragged", "strings", "3-D"])
+    def test_inputs_not_a_stack_of_rows(self, rng, inputs):
+        # ragged and string rows raised numpy's ValueError; a 3-D stack whose
+        # second axis matched d_in was encoded
+        with pytest.raises(ShapeMismatchError):
+            encode(init_params([4, 4], "relu", rng), inputs)
+
 
 class TestBackward:
     def test_zero_upstream_zero_grads(self, rng):

@@ -1,5 +1,6 @@
-"""Fuzzed user input: config documents and CSV files through `train`, and
-mutated checkpoints through `evaluate_checkpoint`.
+"""Fuzzed user input: config documents and CSV files through `train`,
+mutated checkpoints through `evaluate_checkpoint`, and malformed arrays
+through the public DAS functions.
 
 Only `EngineError` subclasses may escape, because those are what the CLI
 turns into exit codes 2 and 3.  The examples are derandomized and counted,
@@ -17,6 +18,16 @@ from hypothesis import strategies as st
 
 from densedml.config import RunConfig, config_from_dict, config_to_dict
 from densedml.core import SeededRng
+from densedml.das import (
+    DasConfig,
+    FrequencyRecorder,
+    TransformationBank,
+    combine_factors,
+    draw_scales,
+    draw_shifts,
+    produce,
+    produced_backward,
+)
 from densedml.encoder import (
     ACTIVATIONS,
     OPTIMIZER_RULES,
@@ -214,5 +225,85 @@ def test_csv_file_through_train(csv_path, file):
     doc["data"] = {"path": str(csv_path), "header": header, "label_col": label_col}
     try:
         train(config_from_dict(doc))
+    except EngineError:
+        pass
+
+
+# DAS state for the direct calls below: 3 classes, width 4, rings of 2
+C, D = 3, 4
+
+
+def rows_like(n, d):
+    """n x d float rows, or those rows as a caller may get them wrong: of
+    another rank, length or width, ragged, strings, NaN or inf."""
+    good = np.linspace(-1.0, 1.0, n * d).reshape(n, d) + np.eye(n, d)
+    return st.sampled_from([
+        good, good.tolist(), good[:, :-1], np.ones((n, d + 1)), good[:-1], np.ones((n + 1, d)),
+        good[None], good.ravel(), np.ones(d), np.zeros((n, 0)), np.full((n, d), np.nan),
+        np.full((n, d), np.inf), good.astype(bool), good + 1j, [[1.0] * d, [1.0] * (d - 1)],
+        [["a"] * d] * n, [], None, "x", 1.0,
+    ])
+
+
+def labels_like(n):
+    """n labels in [0, C), or labels a caller may get wrong: of another rank
+    or length, ragged, strings, floats, bools, NaN, out of range, or none."""
+    good = [i % C for i in range(n)]
+    return st.sampled_from([
+        good, np.array(good, dtype=np.int64), np.array(good, dtype=">i4"), good[:-1], good + [0],
+        [good], np.array(good)[:, None], [[0], [0, 1]], ["a"] * n, [0.5] * n, [True] * n,
+        [float("nan")] * n, [-1] * n, [C] * n, [2**64] * n, np.array(good, dtype=object), [],
+        None, 0, np.int64(C), "x",
+    ])
+
+
+def warm_bank():
+    bank = TransformationBank(C, 2, D)
+    bank.enqueue([0, 0, 1], np.arange(3.0 * D).reshape(3, D))
+    return bank
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # NaN, inf and complex rows are inputs here
+@settings(max_examples=600, deadline=None, derandomize=True)
+@given(st.sampled_from(["recorder", "mask", "bank", "enqueue", "scales", "shifts", "combine",
+                        "produce", "backward"]),
+       st.integers(0, 4), st.sampled_from([3, 4, 5]), st.sampled_from([1, 2, D, 0, D + 1, 2.0,
+                                                                       True, "x"]), st.data())
+def test_das_functions_on_malformed_arrays(target, n, d, k, data):
+    """Only EngineError escapes any public DAS function, whatever rows,
+    labels, anchors, factors or gradients it is handed."""
+    emb, labels = data.draw(rows_like(n, d)), data.draw(labels_like(n))
+    rng = SeededRng(0)
+    try:
+        if target == "recorder":
+            FrequencyRecorder(C, D).update(emb, labels, k)
+        elif target == "mask":
+            FrequencyRecorder(C, D).mask(k)
+        elif target == "bank":
+            warm_bank().update(emb, labels)
+        elif target == "enqueue":
+            warm_bank().enqueue(labels, emb)
+        elif target == "scales":
+            draw_scales(data.draw(rows_like(C, D)), labels, 0.3, rng)
+        elif target == "shifts":
+            draw_shifts(warm_bank(), labels, 0.3, rng)
+        elif target == "combine":
+            t = data.draw(st.integers(0, 2))
+            anchors = data.draw(st.sampled_from([
+                np.arange(n).repeat(t), [n] * t, [-1] * t, [0.5] * t, [[0]] * t, [[0], [0, 1]],
+                ["a"] * t, None]))
+            combine_factors(emb, labels, anchors, data.draw(rows_like(n * t, d)),
+                            data.draw(rows_like(n * t, d)))
+        elif target == "produce":
+            cfg = DasConfig(T=data.draw(st.integers(0, 2)), K=k, Z=2,
+                            rs=data.draw(st.sampled_from([0.0, 0.3])),
+                            rb=data.draw(st.sampled_from([0.0, 0.3])))
+            produce(emb, labels, FrequencyRecorder(C, D), warm_bank(), cfg, rng)
+        else:
+            batch = combine_factors(np.eye(3, D), [0, 1, 2], [0, 0, 2], np.ones((3, D)),
+                                    np.zeros((3, D)))
+            n_anchors = data.draw(st.sampled_from([3, 0, 2]))
+            dim = data.draw(st.sampled_from([D, d]))
+            produced_backward(batch, data.draw(rows_like(3, d)), n_anchors, dim)
     except EngineError:
         pass

@@ -14,7 +14,7 @@ step_calls = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(step_calls)
 
 # calls per step over 500 steps of the perfbench config, seed 9 (set-up and
-# the final evaluation add about 10 per step at 500 steps)
+# the final evaluation add about 9 per step at 500 steps)
 BUDGET = {"train_das": 320, "train_plain": 215}
 
 

@@ -19,7 +19,6 @@ from densedml.das import (
 )
 from densedml.encoder import OptimizerState, encode, init_params, optimizer_step
 from densedml.losses import PairSet, TripletSet, contrastive_loss, margin_loss, triplet_loss
-from densedml.sampling import BatchSpec, batch_layout
 
 import oracles
 from conftest import random_unit_rows
@@ -46,7 +45,7 @@ def produced_inputs(draw):
     r = SeededRng(draw(st.integers(0, 2**31)))
     n, d = draw(st.integers(1, 6)), draw(st.integers(1, 5))
     m = draw(st.integers(0, 20))
-    if draw(st.booleans()):  # the layout's anchor-major order
+    if draw(st.booleans()):  # produce's anchor-major order
         anchors = np.repeat(np.arange(n), m // n)
     else:
         anchors = r.integers(n, size=m)
@@ -114,7 +113,7 @@ class TestBank:
             oracles.bank_enqueue(want, c, row)
         labels = np.repeat(r.permutation(n_classes)[:p], m)
         emb = signed_zeros(r, (p * m, d), 0.2)
-        got.update(emb, labels, batch_layout(BatchSpec(p, m), 1, True))
+        got.update(emb, labels)
         oracles.bank_update(want, emb, labels)
         for name in ("slots", "cursor", "filled"):
             same_bytes(getattr(got, name), getattr(want, name))

@@ -229,9 +229,9 @@ def force_drops(monkeypatch):
 
 
 class TestBatchLayoutPath:
-    """A run on the layout built in set-up equals one whose every step takes
-    DAS's checked path, with no layout, and mines from an `anchor_layout` of
-    that step's labels, also when production drops rows."""
+    """A run on the layout built in set-up equals one whose every step mines
+    from an `anchor_layout` of that step's labels, also when production drops
+    rows."""
 
     @staticmethod
     def layout_every_step(monkeypatch, produced_as_anchors):
@@ -239,7 +239,7 @@ class TestBatchLayoutPath:
         step_layout = []
 
         def producing(emb, labels, *args):
-            produced = produce(emb, labels, *args[:5])
+            produced = produce(emb, labels, *args)
             pool = None if produced_as_anchors else np.arange(len(labels))
             step_layout[:] = [anchor_layout(np.concatenate([labels, produced.labels]), pool)]
             return produced
