@@ -7,6 +7,7 @@ the single source of randomness for the whole package.
 from __future__ import annotations
 
 import functools
+import warnings
 
 import numpy as np
 
@@ -14,9 +15,12 @@ from .errors import ShapeMismatchError
 
 ZERO_NORM_EPS = 1e-12
 
-# Byte budget of the kernel's row-block difference tensor.  A
-# training step's block stays below 512 KiB: glibc serves such a block by
-# mmap, and freeing one moves its threshold for every later allocation
+# Byte budget of the kernels' difference blocks.  The square kernel,
+# `pairwise_distances`, gives each block of diagonals two budgets: a DAS
+# step's 64 rows of width 16 then take one 256 KiB block for all 32
+# diagonals, which ran faster than two 128 KiB blocks.  A training step's
+# temporaries stay below 512 KiB: glibc serves such a block by mmap, and
+# freeing one moves its threshold for every later allocation
 # (perfbench/hostspeed.py's reference kernel included).  Recall@k's query
 # blocks do not read it: metrics.RECALL_BLOCK_ROWS fixes them at 64 rows,
 # which keeps evaluation on a training run's 512-point test split below
@@ -63,8 +67,10 @@ def _as_rows(rows) -> np.ndarray:
     """A 2-D array, or a sequence of equal-length rows, as finite float64;
     an empty sequence is no rows of no columns."""
     try:
-        x = np.asarray(rows, dtype=np.float64)
-    except (ValueError, TypeError) as exc:  # ragged rows, or entries that are not numbers
+        x = np.asarray(rows)
+        if x.dtype != np.float64:  # a float64 array passes on this one call
+            x = _cast(rows, np.float64)
+    except (ValueError, TypeError, OverflowError) as exc:  # ragged, or entries not float64's
         raise ShapeMismatchError(f"input rows are not a stack of numeric vectors: {exc}") from exc
     if x.shape == (0,):
         return np.zeros((0, 0))
@@ -75,20 +81,36 @@ def _as_rows(rows) -> np.ndarray:
     return x
 
 
+def _cast(x, dtype) -> np.ndarray:
+    """np.asarray(x, dtype), for input that np.asarray alone does not give
+    as `dtype`.  Complex input, in an array or as an entry, is a
+    ShapeMismatchError: numpy would drop its imaginary part with no more
+    than a ComplexWarning."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", np.exceptions.ComplexWarning)
+        try:
+            return np.asarray(x, dtype=dtype)
+        except np.exceptions.ComplexWarning as exc:
+            raise ShapeMismatchError(f"complex input: {exc}") from exc
+
+
 def as_ndim(x, ndim, dtype=None) -> np.ndarray:
     """np.asarray(x, dtype) with leading unit axes up to `ndim` (1 or 2), as
     np.atleast_1d/np.atleast_2d add them; an array that deep passes as is.
     Input numpy cannot convert (ragged, or not numbers where `dtype` asks for
-    them) or that is deeper than `ndim` is a ShapeMismatchError."""
+    them), complex input where `dtype` is real, and input deeper than `ndim`
+    are a ShapeMismatchError."""
     try:
-        x = np.asarray(x, dtype=dtype)
+        arr = np.asarray(x)
+        if dtype is not None and arr.dtype != dtype:  # an array of `dtype` passes on one call
+            arr = _cast(x, dtype)
     except (ValueError, TypeError, OverflowError) as exc:
         raise ShapeMismatchError(f"input is not a {ndim}-D numeric array: {exc}") from exc
-    if x.ndim == ndim:
-        return x
-    if x.ndim > ndim:
-        raise ShapeMismatchError(f"expected a {ndim}-D array, got shape {x.shape}")
-    return (np.atleast_1d if ndim == 1 else np.atleast_2d)(x)
+    if arr.ndim == ndim:
+        return arr
+    if arr.ndim > ndim:
+        raise ShapeMismatchError(f"expected a {ndim}-D array, got shape {arr.shape}")
+    return (np.atleast_1d if ndim == 1 else np.atleast_2d)(arr)
 
 
 def scatter_rows(rows, values, n) -> np.ndarray:
@@ -120,19 +142,73 @@ def pairwise_distances(rows) -> np.ndarray:
     numpy 2.4, the version tests/golden.json records): tests/test_core.py
     compares the kernel with the `np.sum` form bit for bit, and the golden
     hashes catch a numpy that sums otherwise.  The sum runs over the leading
-    axis of a (d, rows, cols) block of squared differences, so each step of
-    it is one vectorized `np.add` over whole planes.
+    axis of (d, ...) blocks of squared differences, so each step of it is one
+    vectorized `np.add` over whole planes.
 
-    The matrix is symmetric bit for bit, as fl(a - b) = -fl(b - a): each
-    row block is summed from its diagonal column on, then mirrored.
+    The pairs go by wrapped diagonals.  Each of the d coordinate planes holds
+    the n points, then its first n // 2 points again, so diagonal δ, the
+    pairs (i, (i + δ) mod n) for every i, is the plane minus its n columns
+    from δ on: one contiguous (d, n) difference.  A block of k diagonals is
+    one (d, k, n) copy of a strided view of those planes, less the planes
+    (numpy would buffer the view as an operand, slower than copying it).
+    Diagonals 1 to n // 2 hold every pair; each one's distances go to
+    (i, (i + δ) mod n) and to the mirror cell, and the diagonal stays 0.  The
+    mirror has the bits of the cell, and of the rectangular kernel's (j, i),
+    because fl(a - b) squared is fl(b - a) squared and both sum in one plane
+    order.  For even n, diagonal n / 2 meets each of its pairs twice, once in
+    each orientation, with the same bits.
 
-    Scratch: one transposed copy of the rows, 8*d*n bytes, and one block, at
-    most max(DISTANCE_BLOCK_BYTES, 8*d*n) bytes, beside the 8*n*n output.
-    Every entry gets the same operations in the same order at any block size.
+    Scratch: the wrapped planes, 12*d*n bytes, built through one more copy of
+    that size, and one block of diagonals, at most
+    max(2 * DISTANCE_BLOCK_BYTES, 8*d*n) bytes, beside the 8*n*n output.
+    The cell indices of the last four blocks of at most _CACHED_PAIRS pairs
+    stay cached, 64 KiB each at most.  Every entry gets the same operations
+    in the same order at any block size.
     """
-    planes = _planes(_as_rows(rows))
-    out = _squared_distances(planes, planes, symmetric=True)
-    return np.sqrt(out, out)
+    x = _as_rows(rows)
+    (n, d), h = x.shape, x.shape[0] // 2
+    out = np.zeros((n, n))
+    if d == 0 or n < 2:  # no coordinate or no pair: nothing but zeros
+        return out
+    wrapped = _planes(np.concatenate((x, x[:h])))  # (d, n + h)
+    planes, flat = wrapped[:, None, :n], out.reshape(-1)
+    block = min(h, max(1, 2 * DISTANCE_BLOCK_BYTES // (8 * d * n)))
+    scratch = np.empty(d * block * n)
+    strides = (wrapped.strides[0], 8, 8)
+    for first in range(1, h + 1, block):
+        k = min(block, h + 1 - first)
+        terms = scratch[: d * k * n].reshape(d, k, n)
+        # entry (p, j, i) is plane p's point i + first + j of the wrapped copy
+        terms[...] = np.ndarray((d, k, n), buffer=wrapped, offset=8 * first, strides=strides)
+        np.subtract(terms, planes, terms)  # fl(b - a) squares to fl(a - b) squared
+        np.multiply(terms, terms, terms)
+        _sum_leading(terms, terms[0])
+        dist = scratch[: k * n]  # terms[0], flat
+        np.sqrt(dist, dist)
+        if k * n <= _CACHED_PAIRS:
+            cells = _diagonal_cells(n, first, first + k)
+        else:  # built per block: the block's arithmetic outweighs them
+            cells = _diagonal_cells.__wrapped__(n, first, first + k)
+        flat[cells[0]] = dist
+        flat[cells[1]] = dist
+    return out
+
+
+# Pairs per block whose cell indices `_diagonal_cells` caches: 64 KiB a
+# block, covering a DAS step's 64 rows in one.
+_CACHED_PAIRS = 4096
+
+
+@functools.lru_cache(maxsize=4)  # a block per entry: a training run uses one or two
+def _diagonal_cells(n, first, stop):
+    """Flat indices into an n x n matrix of the wrapped diagonals first to
+    stop - 1, diagonal-major: row 0 the cells (i, (i + δ) mod n), row 1
+    their mirrors."""
+    i = np.arange(n)
+    j = (i + np.arange(first, stop)[:, None]) % n
+    cells = np.stack(((i * n + j).ravel(), (j * n + i).ravel()))
+    cells.flags.writeable = False  # shared by every call with this block
+    return cells
 
 
 # Within each whole group of eight coordinates, plane p holds coordinate
@@ -146,7 +222,7 @@ _BIT_REVERSED = np.array([0, 4, 2, 6, 1, 5, 3, 7])
 def _planes(x) -> np.ndarray:
     """x's columns as the (d, n) planes the kernel sums, the coordinates of
     each whole group of eight in bit-reversed order, the rest in order."""
-    return x.T[_plane_order(x.shape[1])]
+    return x.T.take(_plane_order(x.shape[1]), 0)
 
 
 @functools.lru_cache(maxsize=64)  # one entry per embedding width in use
@@ -158,12 +234,10 @@ def _plane_order(d):
     return order
 
 
-def _squared_distances(xp, yp, symmetric=False) -> np.ndarray:
+def _squared_distances(xp, yp) -> np.ndarray:
     """The n x m squared kernel distances between the points whose `_planes`
     are xp (d, n) and yp (d, m), summed as `pairwise_distances` describes;
     for callers that validate their points and reuse one plane copy.
-    `symmetric` (xp is yp) sums each row block from its diagonal column on
-    and mirrors the rest.
 
     Scratch: one block, at most max(DISTANCE_BLOCK_BYTES, 8*d*m) bytes,
     beside the 8*n*m output; a caller that copies both stacks into planes
@@ -173,14 +247,12 @@ def _squared_distances(xp, yp, symmetric=False) -> np.ndarray:
     block = max(1, DISTANCE_BLOCK_BYTES // max(1, 8 * m * d))
     scratch = np.empty(d * min(block, n) * m)
     for start in range(0, n, block):
-        stop, first = min(start + block, n), start if symmetric else 0
+        stop = min(start + block, n)
         # a contiguous (d, rows, cols) block at the front of the scratch
-        buf = scratch[: d * (stop - start) * (m - first)].reshape(d, stop - start, m - first)
-        np.subtract(xp[:, start:stop, None], yp[:, None, first:], buf)
+        buf = scratch[: d * (stop - start) * m].reshape(d, stop - start, m)
+        np.subtract(xp[:, start:stop, None], yp[:, None, :], buf)
         np.multiply(buf, buf, buf)
-        _sum_leading(buf, out[start:stop, first:])
-        if symmetric:
-            out[stop:, start:stop] = out[start:stop, stop:].T
+        _sum_leading(buf, out[start:stop])
     return out
 
 

@@ -254,13 +254,17 @@ def produce(
     scales from its top-K mask; transformation shifting then banks the
     batch's intra-class differences and draws shifts from the bank.  A
     mechanism whose radius is zero leaves its state and the stream alone and
-    contributes ones (scaling) or zeros (shifting).  T = 0 lays out no rows
-    and produces nothing.  `emit` receives each phase name as it completes.
+    contributes ones (scaling) or zeros (shifting); with both radii zero the
+    labels are still checked against the recorder's classes.  T = 0 lays
+    out no rows and produces nothing.  `emit` receives each phase name as it
+    completes.
     """
     emb = as_ndim(embeddings, 2, np.float64)
     labels = as_ndim(labels, 1)
     if labels.shape[0] != emb.shape[0]:
         raise ShapeMismatchError("labels length != embedding count")
+    if not (config.rs > 0 or config.rb > 0):  # no mechanism runs to check them
+        check_labels(labels, recorder.counts.shape[0])
     anchors = np.arange(emb.shape[0]).repeat(config.T)
     copies, rows = labels[anchors], (anchors.size, emb.shape[1])
     if config.rs > 0:

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -72,6 +74,23 @@ class TestPairwiseDistances:
     def test_entries_that_are_not_numbers_raise(self, rows):
         with pytest.raises(ShapeMismatchError, match="not a stack of numeric vectors"):
             pairwise_distances(rows)
+
+    @pytest.mark.parametrize("rows", [np.eye(3) * 1j, np.eye(3, dtype=np.complex64),
+                                      [[np.complex128(1j), 1.0]], np.complex128(1j)])
+    def test_complex_rows_raise(self, rows):
+        # numpy's cast kept the real parts: np.eye(3) * 1j measured all zeros
+        with pytest.raises(ShapeMismatchError, match="complex input"):
+            pairwise_distances(rows)
+
+    def test_complex_rows_to_as_ndim_raise(self):
+        # kept the real part, 1.0, as one row
+        with pytest.raises(ShapeMismatchError, match="complex input"):
+            core.as_ndim([np.complex128(1j), 1.0], 2, np.float64)
+
+    def test_int_too_large_for_float64_raises(self):
+        # numpy's OverflowError escaped
+        with pytest.raises(ShapeMismatchError, match="not a stack of numeric vectors"):
+            pairwise_distances([[10**400, 0.0]])
 
     def test_symmetry_zero_diagonal_range(self, rng):
         rows = random_unit_rows(rng, 12, 5)
@@ -215,8 +234,9 @@ class TestKernelOracle:
 
 
 class TestMirroredKernel:
-    """The square kernel sums each row block from its diagonal column on and
-    mirrors the rest; the full square sums every entry."""
+    """The square kernel sums the wrapped diagonals 1 to n // 2 and writes
+    each distance to its cell and to the mirror cell; the full square, the
+    rectangular kernel on the rows against themselves, sums every entry."""
 
     @pytest.mark.parametrize("budget", [1, 1000, 8 * 16 * 64 * 16, 1 << 20])
     @pytest.mark.parametrize("n", [1, 2, 15, 16, 17, 64, 100])
@@ -229,6 +249,55 @@ class TestMirroredKernel:
         np.testing.assert_array_equal(got, oracles.square_distances(x))
         np.testing.assert_array_equal(got, got.T)
         assert got.tobytes() == oracles.square_distances(x).tobytes()
+
+    @pytest.mark.parametrize("n", [0, 1, 2, 3, 4, 5, 16, 17, 63, 64, 65, 700])
+    @pytest.mark.parametrize("d", [0, 1, 7, 8, 9, 16, 129, 300])
+    def test_every_diagonal_layout(self, rng, monkeypatch, n, d):
+        # one block of every diagonal, one diagonal per block, and between
+        x = rng.normal(size=(n, d)) * 3
+        x[::2] = np.round(x[::2])  # integer grid: many exact ties
+        if n > 3:
+            x[n // 2], x[-1] = x[0], x[1]  # duplicate rows
+        want = oracles.square_distances(x)
+        for budget in (1, 1000, 1 << 20):
+            monkeypatch.setattr(core, "DISTANCE_BLOCK_BYTES", budget)
+            got = pairwise_distances(x)
+            assert got.shape == want.shape and got.tobytes() == want.tobytes()
+            assert got.tobytes() == got.T.copy().tobytes()
+            assert not np.diag(got).any()
+            if n > 3:
+                assert got[0, n // 2] == got[1, n - 1] == 0.0
+
+
+class TestKernelMemory:
+    """The square kernel's scratch and what it keeps cached."""
+
+    @staticmethod
+    def traced(call):
+        """(result, peak, held): the peak of traced memory during `call` and
+        the traced memory still held after it, beyond what it held before."""
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            out = call()
+            held, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        return out, peak - before, held - before
+
+    def test_step_sized_call_stays_below_512_kib(self, rng):
+        # a DAS step's 64 rows of width 16, its cell indices built afresh
+        x = rng.normal(size=(64, 16))
+        core._diagonal_cells.cache_clear()
+        out, peak, _ = self.traced(lambda: pairwise_distances(x))
+        assert peak - out.nbytes < 512 * 1024
+
+    def test_large_call_leaves_a_bounded_cache(self, rng):
+        # one table per call of 8 * n * n bytes would keep 32 MiB here
+        x = rng.normal(size=(2048, 16))
+        _, _, held = self.traced(lambda: pairwise_distances(x).shape)
+        assert held <= 4 * 16 * core._CACHED_PAIRS  # four cached blocks of at most 64 KiB
 
 
 class TestTopK:

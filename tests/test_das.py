@@ -716,6 +716,18 @@ class TestUnconvertibleInput:
         with pytest.raises(ShapeMismatchError, match="not a 2-D numeric array"):
             ROW_CALLS[call](rows, [0, 1])
 
+    @pytest.mark.parametrize("call", sorted(ROW_CALLS))
+    def test_complex_rows(self, call):
+        # numpy's cast kept the real parts, with only a ComplexWarning
+        with pytest.raises(ShapeMismatchError, match="complex input"):
+            ROW_CALLS[call](np.eye(2, 3) + 1j, [0, 1])
+
+    def test_recorder_counts_no_complex_rows(self):
+        rec = FrequencyRecorder(2, 4)
+        with pytest.raises(ShapeMismatchError, match="complex input"):
+            rec.update(np.eye(4)[:2] + 1j, [0, 1], 1)
+        assert rec.counts.sum() == 0
+
     @pytest.mark.parametrize("call", sorted(LABEL_CALLS))
     def test_ragged_labels(self, call):
         with pytest.raises(ShapeMismatchError, match="not a 1-D numeric array"):
@@ -741,6 +753,24 @@ class TestUnconvertibleInput:
         batch = combine_factors(np.eye(3), [0, 1, 2], [0, 2], np.ones((2, 3)), np.zeros((2, 3)))
         with pytest.raises(ShapeMismatchError):
             produced_backward(batch, [[1.0, 0.0, 0.0], [1.0]], 3, 3)
+
+
+class TestProduceWithoutMechanisms:
+    """With both radii zero no DAS function that checks labels runs, so
+    produce checks them itself; it returned them as they came."""
+
+    @pytest.mark.parametrize("labels, named", [([7, -1], "label 7"), (["a", "b"], "label 'a'"),
+                                               ([0.5, 1], "label 0.5")])
+    def test_labels_checked(self, labels, named):
+        with pytest.raises(LabelOutOfRangeError, match=named):
+            produce(np.eye(2, 3), labels, FrequencyRecorder(2, 3), TransformationBank(2, 1, 3),
+                    DasConfig(T=1, K=1, rs=0.0, rb=0.0), SeededRng(0))
+
+    def test_valid_labels_pass(self):
+        got = produce(np.eye(2, 3), [1, 0], FrequencyRecorder(2, 3), TransformationBank(2, 1, 3),
+                      DasConfig(T=2, K=1, rs=0.0, rb=0.0), SeededRng(0))
+        assert got.labels.tolist() == [1, 1, 0, 0]
+        np.testing.assert_array_equal(got.embeddings, np.eye(2, 3).repeat(2, axis=0))
 
 
 class TestLabelLength:

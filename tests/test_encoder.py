@@ -81,6 +81,13 @@ class TestForward:
         with pytest.raises(ShapeMismatchError):
             encode(init_params([4, 4], "relu", rng), inputs)
 
+    @pytest.mark.parametrize("inputs", [np.ones((2, 4)) + 1j, [[np.complex128(1j), 1, 0, 0]]],
+                             ids=["array", "entry"])
+    def test_complex_inputs(self, rng, inputs):
+        # numpy's cast encoded the real parts, with only a ComplexWarning
+        with pytest.raises(ShapeMismatchError, match="complex input"):
+            encode(init_params([4, 4], "relu", rng), inputs)
+
 
 class TestBackward:
     def test_zero_upstream_zero_grads(self, rng):

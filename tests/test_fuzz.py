@@ -1,6 +1,6 @@
 """Fuzzed user input: config documents and CSV files through `train`,
 mutated checkpoints through `evaluate_checkpoint`, and malformed arrays
-through the public DAS functions.
+through the distance kernel and the public DAS functions.
 
 Only `EngineError` subclasses may escape, because those are what the CLI
 turns into exit codes 2 and 3.  The examples are derandomized and counted,
@@ -15,9 +15,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from densedml.config import RunConfig, config_from_dict, config_to_dict
-from densedml.core import SeededRng
+from densedml.core import SeededRng, pairwise_distances
 from densedml.das import (
     DasConfig,
     FrequencyRecorder,
@@ -263,7 +264,7 @@ def warm_bank():
     return bank
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # NaN, inf and complex rows are inputs here
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # NaN and inf rows are inputs here
 @settings(max_examples=600, deadline=None, derandomize=True)
 @given(st.sampled_from(["recorder", "mask", "bank", "enqueue", "scales", "shifts", "combine",
                         "produce", "backward"]),
@@ -307,3 +308,41 @@ def test_das_functions_on_malformed_arrays(target, n, d, k, data):
             produced_backward(batch, data.draw(rows_like(3, d)), n_anchors, dim)
     except EngineError:
         pass
+
+
+# entries of hand-built rows: numbers of each kind, NaN and inf, a float64
+# overflow, an int too large for float64, strings, bytes, None, complex
+# numbers and a nested row
+ENTRIES = [0.0, -1.5, 3, True, np.float32(0.5), np.int64(2), float("nan"), float("inf"),
+           -1e308, 1e308, 10**400, "1.5", "a", b"1", None, 1j, np.complex128(1j), [1.0]]
+
+
+@st.composite
+def kernel_rows(draw):
+    """Rows for the distance kernel as a caller may hand them over: arrays
+    of rank 0 to 3 (numpy scalars and empty arrays among them) of real,
+    integer, bool, complex, string and time dtypes, or nested lists, ragged
+    or not, of ENTRIES."""
+    if draw(st.booleans()):
+        dtype = draw(st.sampled_from(["f8", ">f8", "f4", "i8", "u1", "?", "c16", "c8", "U3",
+                                      "m8[s]"]))
+        return draw(hnp.arrays(dtype, hnp.array_shapes(min_dims=0, max_dims=3, min_side=0,
+                                                       max_side=4)))
+    row = st.lists(st.sampled_from(ENTRIES), max_size=4)
+    return draw(st.lists(row, max_size=4) | row | st.sampled_from(ENTRIES))
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")  # 1e308 apart is inf
+@pytest.mark.filterwarnings("error::numpy.exceptions.ComplexWarning")  # a dropped imaginary part
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(kernel_rows())
+def test_distance_kernel_on_malformed_rows(rows):
+    """Only EngineError escapes the distance kernel; what it returns is
+    square and symmetric bit for bit, with a zero diagonal."""
+    try:
+        got = pairwise_distances(rows)
+    except EngineError:
+        return
+    n = got.shape[0]
+    assert got.shape == (n, n) and got.tobytes() == got.T.copy().tobytes()
+    assert not np.diag(got).any()

@@ -110,6 +110,11 @@ class TestRecall:
         with pytest.raises(ShapeMismatchError):
             recall_at_k(rows, np.array([0, 0, 1]), [1])
 
+    def test_complex_rows(self):
+        # numpy's cast ranked the real parts: {1: 0.5}
+        with pytest.raises(ShapeMismatchError, match="complex input"):
+            recall_at_k(np.eye(4) + 1j, [0, 0, 1, 1], [1])
+
     @pytest.mark.parametrize("labels", [np.zeros((12, 2), dtype=int), np.array(3)])
     def test_labels_not_one_per_point(self, labels):
         # a 2-D stack reached numpy's ndarray.take, a scalar an IndexError
@@ -457,6 +462,13 @@ class TestKmeans:
         with pytest.raises(ShapeMismatchError):
             kmeans(rows, 2, rng)
         assert rng.random() == SeededRng(3).random()  # rejected before any draw
+
+    def test_complex_rows(self):
+        # numpy's cast clustered the real parts
+        rng = SeededRng(3)
+        with pytest.raises(ShapeMismatchError, match="complex input"):
+            kmeans(np.eye(4) + 1j, 2, rng)
+        assert rng.random() == SeededRng(3).random()
 
     @pytest.mark.parametrize("k", [0, -1])
     def test_k_below_one(self, k):
