@@ -63,9 +63,22 @@ def label_masks(labels):
     return same, other
 
 
+# Every entry of the rows that `_as_rows` accepts is below this in
+# magnitude, and no float64 that the kernels or the evaluation form from
+# them overflows.  numpy holds fewer than 2**63 < 1e19 entries in one array,
+# so n*d < 1e19.  A coordinate difference is below 2e100 and its square below
+# 4e200, so a squared distance (d such terms), a squared norm and a Gram entry
+# are below 4e219; so is k-means seeding's total of n squared distances, below
+# 4e200 * n*d.  A centroid's sum of n entries is below 1e119, and
+# recall_at_k's bound E = 32 (d + 8) (2**-53 M + 2**-1074), M a squared norm,
+# is below 1e225.
+ROW_BOUND = 1e100
+
+
 def _as_rows(rows) -> np.ndarray:
-    """A 2-D array, or a sequence of equal-length rows, as finite float64;
-    an empty sequence is no rows of no columns."""
+    """A 2-D array, or a sequence of equal-length rows, as float64 with every
+    entry below ROW_BOUND in magnitude; an empty sequence is no rows of no
+    columns."""
     try:
         x = np.asarray(rows)
         if x.dtype != np.float64:  # a float64 array passes on this one call
@@ -76,8 +89,9 @@ def _as_rows(rows) -> np.ndarray:
         return np.zeros((0, 0))
     if x.ndim != 2:
         raise ShapeMismatchError(f"expected 2-D stack of vectors, got {x.shape}")
-    if not np.isfinite(x).all():
-        raise ShapeMismatchError("non-finite entries in input rows")
+    if not np.maximum.reduce(np.abs(x), None, initial=0.0) < ROW_BOUND:  # NaN fails too
+        raise ShapeMismatchError(f"non-finite entries, or entries of {ROW_BOUND:g} or more "
+                                 "in magnitude, in input rows")
     return x
 
 
@@ -153,9 +167,8 @@ def pairwise_distances(rows) -> np.ndarray:
     (numpy would buffer the view as an operand, slower than copying it).
     Diagonals 1 to n // 2 hold every pair; each one's distances go to
     (i, (i + δ) mod n) and to the mirror cell, and the diagonal stays 0.  The
-    mirror has the bits of the cell, and of the rectangular kernel's (j, i),
-    because fl(a - b) squared is fl(b - a) squared and both sum in one plane
-    order.  For even n, diagonal n / 2 meets each of its pairs twice, once in
+    mirror has the bits of the cell, because fl(a - b) squared is fl(b - a)
+    squared and both sum in one plane order.  For even n, diagonal n / 2 meets each of its pairs twice, once in
     each orientation, with the same bits.
 
     Scratch: the wrapped planes, 12*d*n bytes, built through one more copy of
@@ -234,32 +247,10 @@ def _plane_order(d):
     return order
 
 
-def _squared_distances(xp, yp) -> np.ndarray:
-    """The n x m squared kernel distances between the points whose `_planes`
-    are xp (d, n) and yp (d, m), summed as `pairwise_distances` describes;
-    for callers that validate their points and reuse one plane copy.
-
-    Scratch: one block, at most max(DISTANCE_BLOCK_BYTES, 8*d*m) bytes,
-    beside the 8*n*m output; a caller that copies both stacks into planes
-    adds 8*d*(n + m) bytes."""
-    (d, n), m = xp.shape, yp.shape[1]
-    out = np.empty((n, m))
-    block = max(1, DISTANCE_BLOCK_BYTES // max(1, 8 * m * d))
-    scratch = np.empty(d * min(block, n) * m)
-    for start in range(0, n, block):
-        stop = min(start + block, n)
-        # a contiguous (d, rows, cols) block at the front of the scratch
-        buf = scratch[: d * (stop - start) * m].reshape(d, stop - start, m)
-        np.subtract(xp[:, start:stop, None], yp[:, None, :], buf)
-        np.multiply(buf, buf, buf)
-        _sum_leading(buf, out[start:stop])
-    return out
-
-
 def _pair_distances(planes, rows, cols) -> np.ndarray:
     """Squared kernel distances of the pairs (rows[i], cols[i]) of the points
-    whose `_planes` are `planes`: entry i has the bits of entry
-    (rows[i], cols[i]) of `_squared_distances(planes, planes)`.
+    whose `_planes` are `planes`: entry i has the bits of the square of
+    entry (rows[i], cols[i]) of `pairwise_distances`, before its root.
     The pairs go in chunks whose two gathered (d, chunk) blocks fit
     DISTANCE_BLOCK_BYTES together."""
     d = planes.shape[0]

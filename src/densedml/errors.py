@@ -15,8 +15,9 @@ class ZeroNormError(EngineError):
 
 
 class ShapeMismatchError(EngineError):
-    """Array shapes or lengths do not line up: ragged, non-2-D or non-finite
-    rows, mismatched widths, per-point sequences of different lengths."""
+    """Array shapes or lengths do not line up: ragged or non-2-D rows, rows
+    with entries non-finite or at or above core.ROW_BOUND, mismatched widths,
+    per-point sequences of different lengths."""
 
 
 class KOutOfRangeError(EngineError):
@@ -32,10 +33,6 @@ class ParseError(EngineError):
         super().__init__(message)
         self.row = row
         self.col = col
-
-
-class NumericOverflowError(EngineError):
-    """Finite inputs whose intermediate values overflow float64."""
 
 
 class NotEnoughClassesError(EngineError):

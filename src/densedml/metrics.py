@@ -14,7 +14,7 @@ import numpy as np
 
 from . import core
 from .core import SeededRng
-from .errors import KOutOfRangeError, NumericOverflowError, ShapeMismatchError
+from .errors import KOutOfRangeError, ShapeMismatchError
 
 # The factor in recall_at_k's bound E on |Gram form - kernel| of a squared
 # distance, over three times the rounding error derived there.  Raising it
@@ -22,7 +22,6 @@ from .errors import KOutOfRangeError, NumericOverflowError, ShapeMismatchError
 GRAM_ERROR_SCALE = 32.0
 _U = 2.0**-53
 _TINY = 2.0**-1074  # the least subnormal
-_HUGE = np.finfo(np.float64).max
 
 # Queries per recall_at_k block; with fewer, per-block numpy calls set its
 # time.  The Gram block takes 512 n bytes, 256 KiB on a training run's
@@ -34,7 +33,7 @@ RECALL_BLOCK_ROWS = 64
 
 def _gram_error(d, big):
     """recall_at_k's bound E, for d-dimensional points of squared norm <= big."""
-    return GRAM_ERROR_SCALE * (d + 8) * (_U * big + _TINY) if big < _HUGE / 8 else np.inf
+    return GRAM_ERROR_SCALE * (d + 8) * (_U * big + _TINY)
 
 
 def _reach(a_min, err):
@@ -92,8 +91,8 @@ def recall_at_k(embeddings, labels, ks) -> dict:
         E = GRAM_ERROR_SCALE * (d + 8) * (u M + 2**-1074),  scale 32,
     is over three times that; the rest covers the roundings of the
     comparisons below, a few u M each.  The 2**-1074 term covers underflow,
-    at most 2**-1075 for each of fewer than 4d products.  When 8M would
-    overflow, so could a squared distance, and E is +inf.
+    at most 2**-1075 for each of fewer than 4d products.  Rows below
+    core.ROW_BOUND keep every one of these values finite.
 
     The window.  Let a_min be the least A over the query's partners, K_min
     the least K, which lies within E of a_min, and reach = 2E + 16u (|a_min|
@@ -112,8 +111,7 @@ def recall_at_k(embeddings, labels, ks) -> dict:
     entries with A <= a_min + reach but the query's own (none for a query
     without a partner).  One np.flatnonzero lists these hot entries in
     row-major order; those with A below a_min - reach are counted, the rest
-    are the window.  E = +inf settles nothing: every entry is hot, a NaN in
-    G included, none is counted, and every distance is the kernel's.
+    are the window.
 
     Scratch: the planes of the points, sorted by label, over their
     -|y|^2 / 2 row, and the norms: 8 (d + 2) n bytes, and while they are
@@ -124,8 +122,8 @@ def recall_at_k(embeddings, labels, ks) -> dict:
     under 40 bytes per hot entry while they are split, then under 64 bytes
     per window entry, the gathers of core._pair_distances included (they
     fit core.DISTANCE_BLOCK_BYTES).  On unit rows about one entry per
-    query is hot.  With every entry hot (E = +inf, or each query's partner
-    its farthest point) that is under 8 times the product's bytes.
+    query is hot.  With every entry hot (each query's partner its farthest
+    point) that is under 8 times the product's bytes.
     """
     x = core._as_rows(embeddings)
     labels = np.asarray(labels)
@@ -183,10 +181,7 @@ def recall_at_k(embeddings, labels, ks) -> dict:
         closer_bar = (nq - (a_min - reach)) / 2
         low_bar = np.where(has, (nq - (a_min + reach)) / 2, np.inf)  # no partner: nothing hot
         hot = mask[:b]  # the entries not certainly farther
-        if err < np.inf:
-            np.greater_equal(g, low_bar[:, None], out=hot)
-        else:  # every entry, a NaN in G (norms that overflow) included
-            hot[...] = has[:, None]
+        np.greater_equal(g, low_bar[:, None], out=hot)
         hot[own, start + own] = False
         wr, wc = np.divmod(np.flatnonzero(hot), n)
         near = g[wr, wc] > closer_bar[wr]  # certainly closer: counted, not ranked
@@ -212,10 +207,11 @@ def kmeans(embeddings, k: int, rng: SeededRng, max_iter: int = 100):
 
     Deterministic given rng.  `k` and `max_iter` are integers >= 1 (not
     bools), checked before any draw.  Every squared distance that decides a
-    draw or an assignment has the kernel's bits (core._squared_distances,
-    core._pair_distances), over one plane copy of the points per call.
-    Seeding keeps each point's squared distance to its nearest chosen center
-    as a running minimum, one 1 x n kernel call per center.  Each sweep
+    draw or an assignment has the kernel's bits, over one plane copy of the
+    points per call.  Seeding keeps each point's squared distance to its
+    nearest chosen center as a running minimum: per center, the points'
+    planes less the center's, squared and summed by core._sum_leading
+    (fl(a - b) squared is fl(b - a) squared).  Each sweep
     assigns each point to its nearest centroid, ties to the lower index.  A
     centroid is its members summed in index order from +0.0, divided by
     their count; for d >= 2 that is numpy's `x[members].mean(axis=0)` bit
@@ -238,14 +234,13 @@ def kmeans(embeddings, k: int, rng: SeededRng, max_iter: int = 100):
     tied with it.  The candidates are the centroids with A <= a_min + reach,
     compared on G against (|x|^2 - (a_min + reach)) / 2.  A point with one
     candidate takes it; one with several takes the least kernel distance
-    among them, ties to the lower index, which is j*.  A comparison with an
-    infinite or NaN bound excludes nothing, so E = +inf sends every pair to
-    the kernel.
+    among them, ties to the lower index, which is j*.
 
     Scratch: the points' planes over a row of ones and the centroids'
     planes over their -|c|^2 / 2 row, 8 (d + 1) (n + k) bytes; the flat
     plane copy of the points and the bincount's index buffer, 16 d n bytes;
-    and the norms, 8n bytes.  Per sweep: the product, 8kn bytes, two k x n
+    and the norms, 8n bytes.  Seeding's squared differences take 8 d n
+    bytes more, freed before the sweeps.  Per sweep: the product, 8kn bytes, two k x n
     masks, kn bytes each, the k x d sums, and per point with several
     candidates 10k bytes plus 48 per candidate, beside core._pair_distances'
     gathers (they fit core.DISTANCE_BLOCK_BYTES).  On unit rows almost
@@ -273,19 +268,20 @@ def kmeans(embeddings, k: int, rng: SeededRng, max_iter: int = 100):
     x_norms = np.einsum("ij,ij->j", x_planes, x_planes)
     x_big = x_norms.max()
 
-    def sq_distances(i):  # to point i, a chosen center
-        return core._squared_distances(x_planes[:, i : i + 1], x_planes)[0]
-
+    # seeding: d2 is each point's squared distance to its nearest center
+    points, diff, near = x_flat.reshape(d, n), np.empty((d, n)), np.empty(n)
+    d2 = np.full(n, np.inf)
     chosen = int(rng.integers(n))
-    c_planes[:, 0] = x_planes[:, chosen]
-    d2 = sq_distances(chosen)
-    for j in range(1, k):
-        total = d2.sum()
-        if not np.isfinite(total):
-            raise NumericOverflowError("k-means seeding: squared distances overflow float64")
-        chosen = rng.choice(n, p=d2 / total if total > 0 else np.full(n, 1.0 / n))
-        c_planes[:, j] = x_planes[:, chosen]
-        np.minimum(d2, sq_distances(chosen), out=d2)
+    for j in range(k):
+        if j:
+            total = d2.sum()
+            chosen = rng.choice(n, p=d2 / total if total > 0 else np.full(n, 1.0 / n))
+        c_planes[:, j] = points[:, chosen]
+        np.subtract(points, points[:, chosen, None], diff)
+        np.multiply(diff, diff, diff)
+        core._sum_leading(diff, near)
+        np.minimum(d2, near, out=d2)
+    del diff
 
     g = np.empty((k, n))  # G
     offsets = k * np.arange(d)[:, None]  # plane p's bins start at k p

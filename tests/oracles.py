@@ -230,14 +230,6 @@ def distances(x, y, squared=False, block_bytes=128 * 1024):
     return out if squared else np.sqrt(out, out=out)
 
 
-def square_distances(x):
-    """The full-square form of `core.pairwise_distances`: every row block
-    summed over every column, nothing mirrored."""
-    planes = core._planes(core._as_rows(x))
-    out = core._squared_distances(planes, planes)
-    return np.sqrt(out, out)
-
-
 def anchor_rows(labels, anchor_indices=None):
     """The per-step anchor set-up the batch layout replaced: anchors with a
     positive and a negative (pool order, duplicates kept) and their rows of
@@ -439,19 +431,18 @@ def recall_at_k(embeddings, labels, ks):
 
 
 def recall_rank_count(embeddings, labels, ks):
-    """Leave-one-out hit rate per k from every kernel distance, one row block
-    at a time: the first same-label point's rank under (distance, index) is
-    counted, not sorted.  The query is left out by its index, so it ties
-    with no entry, not even one whose distance overflows to inf; a query
-    without a partner never hits."""
-    planes = core._planes(core._as_rows(np.asarray(embeddings, dtype=np.float64)))
+    """Leave-one-out hit rate per k from every distance in the `np.sum` form,
+    one row block at a time: the first same-label point's rank under
+    (distance, index) is counted, not sorted.  The query is left out by its
+    index; a query without a partner never hits."""
+    x = np.asarray(embeddings, dtype=np.float64)
     labels = np.asarray(labels)
     n = len(labels)
     ranks = np.empty(n, dtype=np.int64)
     cols = np.arange(n)
     block = max(1, core.DISTANCE_BLOCK_BYTES // (8 * n))
     for start in range(0, n, block):
-        d = np.sqrt(core._squared_distances(planes[:, start : start + block], planes))
+        d = distances(x[start : start + block], x)
         others = cols != cols[start : start + len(d), None]
         same = (labels[start : start + block, None] == labels[None, :]) & others
         d_pos = np.min(d, axis=1, where=same, initial=np.inf)[:, None]

@@ -18,6 +18,15 @@ finite_vectors = st.lists(
 )
 
 
+def pair_kernel(x, y):
+    """The squared distance of every (row of x, row of y) pair by the pair
+    kernel, core._pair_distances, over the planes of x stacked on y."""
+    n, m = len(x), len(y)
+    rows, cols = np.divmod(np.arange(n * m), m)
+    planes = core._planes(np.concatenate((x, y)))
+    return core._pair_distances(planes, rows, n + cols).reshape(n, m)
+
+
 class TestL2Normalize:
     def test_three_four(self):
         np.testing.assert_allclose(l2_normalize([3.0, 4.0]), [0.6, 0.8], atol=1e-15)
@@ -92,6 +101,14 @@ class TestPairwiseDistances:
         with pytest.raises(ShapeMismatchError, match="not a stack of numeric vectors"):
             pairwise_distances([[10**400, 0.0]])
 
+    @pytest.mark.parametrize("entry", [core.ROW_BOUND, -core.ROW_BOUND, 1e154, -1.7e308])
+    def test_entries_at_or_above_the_row_bound_raise(self, entry):
+        # [[1e308], [-1e308]] measured an inf distance
+        below = np.nextafter(core.ROW_BOUND, 0)
+        assert pairwise_distances([[below], [-below]])[0, 1] == 2 * below
+        with pytest.raises(ShapeMismatchError, match="non-finite entries, or entries of 1e"):
+            pairwise_distances([[0.0, 1.0], [entry, 0.0]])
+
     def test_symmetry_zero_diagonal_range(self, rng):
         rows = random_unit_rows(rng, 12, 5)
         d = pairwise_distances(rows)
@@ -120,8 +137,8 @@ class TestPairwiseDistancesBlocked:
 
     @staticmethod
     def kernel(x, y):
-        """The rectangular distances of the squared plane kernel."""
-        return np.sqrt(core._squared_distances(core._planes(x), core._planes(y)))
+        """Every (row of x, row of y) distance by the pair kernel."""
+        return np.sqrt(pair_kernel(x, y))
 
     def test_many_blocks_bit_identical(self, rng):
         x = rng.normal(size=(700, 16))
@@ -140,12 +157,15 @@ class TestPairwiseDistancesBlocked:
 
     @pytest.mark.parametrize("budget", [1, 8, 100])
     def test_row_slice_has_the_bits_of_the_full_rows(self, rng, monkeypatch, budget):
-        # every budget here is one row per block; `full` took 46-row blocks
+        # the pair kernel on rows a to b - 1 against every row, one pair per
+        # chunk at each budget here; `full` took one block of diagonals
         x = rng.normal(size=(50, 7))
         full = pairwise_distances(x)
         monkeypatch.setattr(core, "DISTANCE_BLOCK_BYTES", budget)
         for a, b in ((0, 1), (3, 20), (49, 50), (0, 50)):
-            np.testing.assert_array_equal(self.kernel(x[a:b], x), full[a:b])
+            rows, cols = np.divmod(np.arange(a * 50, b * 50), 50)
+            got = np.sqrt(core._pair_distances(core._planes(x), rows, cols))
+            assert got.tobytes() == full[a:b].tobytes()
 
     def test_duplicate_rows_measure_exactly_zero(self, rng):
         x = random_unit_rows(rng, 300, 16)
@@ -184,9 +204,8 @@ class TestKernelOracle:
 
     @staticmethod
     def assert_same_bits(x, y):
-        """The squared plane kernel on (x, y), and pairwise_distances on x."""
-        for got, want in ((core._squared_distances(core._planes(x), core._planes(y)),
-                           oracles.distances(x, y, squared=True)),
+        """The pair kernel over every pair of (x, y), and pairwise_distances on x."""
+        for got, want in ((pair_kernel(x, y), oracles.distances(x, y, squared=True)),
                           (pairwise_distances(x), oracles.distances(x, x))):
             assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
@@ -219,10 +238,9 @@ class TestKernelOracle:
         x[5] = x[7]  # a duplicate: distance exactly 0
         rows, cols = rng.integers(40, size=300), rng.integers(40, size=300)
         rows[:3], cols[:3] = [0, 5, 7], [0, 7, 5]
-        planes = core._planes(x)
-        want = core._squared_distances(planes, planes)[rows, cols]
+        want = oracles.distances(x, x, squared=True)[rows, cols]
         monkeypatch.setattr(core, "DISTANCE_BLOCK_BYTES", budget)
-        got = core._pair_distances(planes, rows, cols)
+        got = core._pair_distances(core._planes(x), rows, cols)
         assert got.tobytes() == want.tobytes()
         assert got[1] == got[2] == 0.0
 
@@ -236,7 +254,7 @@ class TestKernelOracle:
 class TestMirroredKernel:
     """The square kernel sums the wrapped diagonals 1 to n // 2 and writes
     each distance to its cell and to the mirror cell; the full square, the
-    rectangular kernel on the rows against themselves, sums every entry."""
+    `np.sum` form on the rows against themselves, sums every entry."""
 
     @pytest.mark.parametrize("budget", [1, 1000, 8 * 16 * 64 * 16, 1 << 20])
     @pytest.mark.parametrize("n", [1, 2, 15, 16, 17, 64, 100])
@@ -246,9 +264,9 @@ class TestMirroredKernel:
         x[n // 2] = x[0]  # a duplicate row
         monkeypatch.setattr(core, "DISTANCE_BLOCK_BYTES", budget)
         got = pairwise_distances(x)
-        np.testing.assert_array_equal(got, oracles.square_distances(x))
+        np.testing.assert_array_equal(got, oracles.distances(x, x))
         np.testing.assert_array_equal(got, got.T)
-        assert got.tobytes() == oracles.square_distances(x).tobytes()
+        assert got.tobytes() == oracles.distances(x, x).tobytes()
 
     @pytest.mark.parametrize("n", [0, 1, 2, 3, 4, 5, 16, 17, 63, 64, 65, 700])
     @pytest.mark.parametrize("d", [0, 1, 7, 8, 9, 16, 129, 300])
@@ -258,7 +276,7 @@ class TestMirroredKernel:
         x[::2] = np.round(x[::2])  # integer grid: many exact ties
         if n > 3:
             x[n // 2], x[-1] = x[0], x[1]  # duplicate rows
-        want = oracles.square_distances(x)
+        want = oracles.distances(x, x)
         for budget in (1, 1000, 1 << 20):
             monkeypatch.setattr(core, "DISTANCE_BLOCK_BYTES", budget)
             got = pairwise_distances(x)

@@ -332,7 +332,6 @@ def kernel_rows(draw):
     return draw(st.lists(row, max_size=4) | row | st.sampled_from(ENTRIES))
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")  # 1e308 apart is inf
 @pytest.mark.filterwarnings("error::numpy.exceptions.ComplexWarning")  # a dropped imaginary part
 @settings(max_examples=300, deadline=None, derandomize=True)
 @given(kernel_rows())

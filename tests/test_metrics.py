@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 import densedml.core as core
 import densedml.metrics as metrics
 from densedml.core import SeededRng
-from densedml.errors import KOutOfRangeError, NumericOverflowError, ShapeMismatchError
+from densedml.errors import KOutOfRangeError, ShapeMismatchError
 from densedml.metrics import (
     EvalReport,
     evaluate_embeddings,
@@ -332,42 +332,30 @@ class TestRecallOnePass:
 
     @pytest.mark.parametrize("scale", [3e153, 1e154, 1e155])
     def test_norms_that_overflow(self, scale, monkeypatch):
-        # M >= max / 8, so E = +inf without a patch; from 1e154 on |x|^2 is
-        # inf and G holds NaN.  The distances, a hundredth of the scale, do
-        # not overflow, and every entry of a query with a partner is hot.
+        # rows whose |x|^2 is inf or near it: they took E = +inf and a NaN G
+        # through the kernel; now one row at the scale is rejected up front
         r = SeededRng(7)
-        emb = (1 + 0.01 * r.normal(size=(150, 3))) * scale
-        labels = r.integers(60, size=150)
-        ks = [1, 2, 5, 149]
+        emb = 1 + 0.01 * r.normal(size=(150, 3))
+        emb[r.integers(150)] *= scale
         seen = TestRecallPrefilter.kernel_entries(monkeypatch)
-        with np.errstate(over="ignore", invalid="ignore"):
-            got = recall_at_k(emb, labels, ks)
-            assert got == oracles.recall_rank_count(emb, labels, ks)
-        _, inverse, sizes = np.unique(labels, return_inverse=True, return_counts=True)
-        assert sum(seen) == np.count_nonzero(sizes[inverse] > 1) * 149
+        with pytest.raises(ShapeMismatchError, match="1e\\+100 or more in magnitude"):
+            recall_at_k(emb, r.integers(60, size=150), [1, 2, 5, 149])
+        assert seen == []
 
     def test_distances_that_overflow_to_inf(self):
-        # rows of about +-1e154: a row and a negated one are about 2e154
-        # apart per coordinate, so their squared distance overflows to inf
-        # and ties with the query's own entry unless that is left out
+        # rows of about +-1e154, whose squared distances overflowed to inf,
+        # and rows at the bound, in either sign, are rejected by the kernel
+        # and by recall alike
         for split in range(40):
             r = SeededRng(split, 5)
             n, d = int(r.integers(4, 40)), int(r.integers(1, 4))
-            emb = (1 + 0.01 * r.normal(size=(n, d))) * 1e154
+            emb = (1 + 0.01 * abs(r.normal(size=(n, d)))) * [1e154, core.ROW_BOUND][split % 2]
             emb[r.permutation(n)[: n // 2]] *= -1
             labels = r.integers(max(1, n // 3), size=n)
-            ks = sorted({1, 2, int(r.integers(1, n)), n - 1})
-            with np.errstate(over="ignore", invalid="ignore"):
-                got = recall_at_k(emb, labels, ks)
-                dist = core.pairwise_distances(emb)
-                want = [oracles.recall_at_k(emb, labels, ks),
-                        oracles.recall_rank_count(emb, labels, ks)]
-            ranks = []  # the first partner's place among the others, by (distance, index)
-            for i in range(n):
-                order = sorted((j for j in range(n) if j != i), key=lambda j: (dist[i, j], j))
-                ranks.append(next((at for at, j in enumerate(order) if labels[j] == labels[i]), n))
-            brute = {k: sum(rank < k for rank in ranks) / n for k in ks}
-            assert got == want[0] == want[1] == brute, f"split {split}"
+            for call in (lambda: recall_at_k(emb, labels, [1]),
+                         lambda: core.pairwise_distances(emb)):
+                with pytest.raises(ShapeMismatchError, match="non-finite entries, or entries"):
+                    call()
 
     def test_far_partner_scratch(self, monkeypatch):
         # every entry hot, almost all counted: the planes, norms, plane copy,
@@ -400,6 +388,25 @@ def kmeans_split(draw):
     return x, draw(st.integers(1, n) | st.sampled_from([1, n]))
 
 
+class TestRowBound:
+    """Rows just below core.ROW_BOUND: every value the kernel, recall and
+    k-means form from them stays finite."""
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")  # an overflow, or inf - inf
+    @pytest.mark.parametrize("n, d", [(4096, 300), (2048, 16), (3000, 1)])
+    def test_rows_at_the_bound_stay_finite(self, n, d):
+        r = SeededRng(n)
+        edge = np.nextafter(core.ROW_BOUND, 0)
+        x = np.where(r.random((n, d)) < 0.5, -edge, edge)
+        x[1] = -x[0]  # the farthest pair: 2 * edge in every coordinate
+        dist = core.pairwise_distances(x[:200])
+        assert np.isfinite(dist).all()
+        assert dist[0, 1] == pytest.approx(2 * edge * np.sqrt(d), rel=1e-13)
+        assert set(recall_at_k(x, r.integers(16, size=n), [1, 2])) == {1, 2}
+        _, centers = kmeans(x, 16, SeededRng(0))
+        assert np.isfinite(centers).all()
+
+
 class TestKmeansPrefilter:
     """The Gram-bounded assignment against the all-kernel argmin of the
     full-tensor oracle."""
@@ -425,12 +432,13 @@ class TestKmeansPrefilter:
             assert seen and set(seen) == {len(x) * k}
 
     def test_norms_that_overflow(self):
-        # |x|^2 overflows, so E = +inf without a patch, and G is NaN; the
-        # distances, 1e152 apart, do not
+        # |x|^2 overflowed, so E was +inf and G NaN: rejected before any draw
         x = (1 + 0.01 * SeededRng(5).normal(size=(30, 3))) * 1e154
-        with np.errstate(over="ignore", invalid="ignore"):
-            for k in (1, 2, 5):
-                TestKmeansOracle.assert_same(x, k, k)
+        for k in (1, 2, 5):
+            rng = SeededRng(k)
+            with pytest.raises(ShapeMismatchError, match="1e\\+100 or more in magnitude"):
+                kmeans(x, k, rng)
+            assert rng.random() == SeededRng(k).random()
 
     def test_few_kernel_distances_on_unit_rows(self, monkeypatch):
         r = SeededRng(9)
@@ -501,12 +509,15 @@ class TestKmeans:
         assert ca.tobytes() == cb.tobytes()
 
     def test_seeding_distances_that_overflow(self):
-        # the squared distances overflow, so seeding's total is inf; numpy's
-        # choice raised its own ValueError on the NaN probabilities
-        x = SeededRng(5).normal(size=(30, 3)) * 1e154
-        with np.errstate(over="ignore"):
-            with pytest.raises(NumericOverflowError, match="squared distances overflow"):
-                kmeans(x, 2, SeededRng(0))
+        # rows of +-0.999 sqrt(max / 128) at d = 16: every squared distance
+        # is finite, but seeding's total of 30 of them overflowed to inf
+        # (NumericOverflowError); rows this large are rejected before any draw
+        edge = 0.999 * np.sqrt(np.finfo(np.float64).max / 128)
+        x = np.where(SeededRng(5).random((30, 16)) < 0.5, -edge, edge)
+        rng = SeededRng(0)
+        with pytest.raises(ShapeMismatchError, match="1e\\+100 or more in magnitude"):
+            kmeans(x, 2, rng)
+        assert rng.random() == SeededRng(0).random()
 
     def test_matches_exhaustive_optimum_at_n8(self):
         r = SeededRng(7)
@@ -599,12 +610,13 @@ def assert_centroids_are_means(x, k, seed, max_iter=100):
 
 @st.composite
 def centroid_split(draw):
-    """Points in 2 to 40 dimensions at scales from 1e-300 to 1e150 (squared
-    distances near 1e300), some entries -0.0 or +0.0, some rows moved onto
-    three sites so that clusters empty out, with k from 1 to n."""
+    """Points in 2 to 40 dimensions at scales from 1e-300 to 1e95, below
+    core.ROW_BOUND (squared distances near 1e192), some entries -0.0 or
+    +0.0, some rows moved onto three sites so that clusters empty out, with
+    k from 1 to n."""
     n = draw(st.integers(min_value=3, max_value=60))
     dim = draw(st.integers(min_value=2, max_value=40))
-    scale = draw(st.sampled_from([1e-300, 1e-3, 1.0, 1e6, 1e150]))
+    scale = draw(st.sampled_from([1e-300, 1e-3, 1.0, 1e6, 1e95]))
     r = SeededRng(draw(st.integers(min_value=0, max_value=2**31)))
     x = r.normal(size=(n, dim)) * scale
     if draw(st.booleans()):  # signed zeros, whole columns and scattered entries
@@ -624,15 +636,16 @@ class TestKmeansCentroids:
     @given(centroid_split(), st.integers(0, 2**31), st.sampled_from([1, 2, 3, 100]))
     def test_mean_bits_for_d_at_least_two(self, split, seed, max_iter):
         x, k = split
-        with np.errstate(over="ignore", invalid="ignore"):
-            assert_centroids_are_means(x, k, seed, max_iter)
+        assert_centroids_are_means(x, k, seed, max_iter)
 
     def test_sums_that_overflow(self):
-        # three rows at 1e308: the sums overflow, in either form, to inf
+        # three rows at 1e308, whose sums overflowed to inf: rejected before
+        # any draw
         x = np.array([[1e308, 1.0, -0.0], [1e308, 2.0, -0.0], [1e308, 4.0, 0.0]])
-        with np.errstate(over="ignore", invalid="ignore"):
-            _, centers = assert_centroids_are_means(x, 1, 0)
-        assert centers[0, 0] == np.inf and not np.signbit(centers[0, 2])
+        rng = SeededRng(0)
+        with pytest.raises(ShapeMismatchError, match="1e\\+100 or more in magnitude"):
+            kmeans(x, 1, rng)
+        assert rng.random() == SeededRng(0).random()
 
     def test_emptied_cluster_keeps_its_signed_zero(self):
         # all points equal: clusters 1 and 2 empty out and keep their seeded
