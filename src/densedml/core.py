@@ -127,6 +127,33 @@ def as_ndim(x, ndim, dtype=None) -> np.ndarray:
     return (np.atleast_1d if ndim == 1 else np.atleast_2d)(arr)
 
 
+def index_rows(n, *index_arrays):
+    """The index arrays (pairs' or triplets' members, anchors) as the rows of
+    one integer array; ShapeMismatchError unless they are integer vectors of
+    one length, every entry in [0, n).  Vectors of no entry may be of any
+    dtype."""
+    message = "indices must be integer vectors of one length"
+    try:
+        rows = as_ndim(index_arrays, 2)
+    except ShapeMismatchError as exc:  # ragged, or deeper than vectors
+        raise ShapeMismatchError(message) from exc
+    if len(rows) != len(index_arrays) or rows.size and rows.dtype.kind not in "iu":
+        raise ShapeMismatchError(message)
+    if not rows.size:
+        return rows.astype(np.intp)
+    if np.minimum.reduce(rows, None) < 0 or np.maximum.reduce(rows, None) >= n:
+        raise ShapeMismatchError("index outside the batch")
+    return rows
+
+
+def distance_matrix(dist, n, of) -> np.ndarray:
+    """`dist` as an n x n float64 matrix over n `of` (rows, say)."""
+    matrix = as_ndim(dist, 2, np.float64)
+    if matrix.shape != (n, n):
+        raise ShapeMismatchError(f"distance matrix {np.shape(dist)} vs {n} {of}")
+    return matrix
+
+
 def scatter_rows(rows, values, n) -> np.ndarray:
     """The n x d sums of the rows of `values` (m x d) onto the integer
     `rows` (m,), each in [0, n): np.add.at(np.zeros((n, d)), rows, values)
@@ -168,8 +195,9 @@ def pairwise_distances(rows) -> np.ndarray:
     Diagonals 1 to n // 2 hold every pair; each one's distances go to
     (i, (i + δ) mod n) and to the mirror cell, and the diagonal stays 0.  The
     mirror has the bits of the cell, because fl(a - b) squared is fl(b - a)
-    squared and both sum in one plane order.  For even n, diagonal n / 2 meets each of its pairs twice, once in
-    each orientation, with the same bits.
+    squared and both sum in one plane order.  For even n, diagonal n / 2
+    meets each of its pairs twice, once in each orientation, with the same
+    bits.
 
     Scratch: the wrapped planes, 12*d*n bytes, built through one more copy of
     that size, and one block of diagonals, at most

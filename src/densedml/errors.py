@@ -15,9 +15,8 @@ class ZeroNormError(EngineError):
 
 
 class ShapeMismatchError(EngineError):
-    """Array shapes or lengths do not line up: ragged or non-2-D rows, rows
-    with entries non-finite or at or above core.ROW_BOUND, mismatched widths,
-    per-point sequences of different lengths."""
+    """Array shapes or lengths do not line up: ragged, non-2-D or out-of-bound
+    rows, mismatched widths, per-point sequences of different lengths."""
 
 
 class KOutOfRangeError(EngineError):

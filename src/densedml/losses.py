@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import label_masks, scatter_rows
+from .core import as_ndim, distance_matrix, index_rows, label_masks, scatter_rows
 from .errors import ConfigError, ShapeMismatchError
 
 TINY_DISTANCE = 1e-9
@@ -90,27 +90,6 @@ class LossOutput:
     beta_grad: float | None = None  # d(value)/d(shift); contrastive and margin fill it
 
 
-def _check_indices(n, *index_arrays):
-    """The index arrays, not all empty, as integer vectors of one length with
-    every entry in [0, n); ShapeMismatchError otherwise."""
-    arrays = [np.asarray(arr) for arr in index_arrays]
-    for arr in arrays:
-        if arr.shape != arrays[0].shape or arr.ndim != 1 or arr.dtype.kind not in "iu":
-            raise ShapeMismatchError("pair/triplet indices must be integer vectors of one length")
-    joined = np.concatenate(arrays)
-    if np.minimum.reduce(joined) < 0 or np.maximum.reduce(joined) >= n:
-        raise ShapeMismatchError("pair/triplet index outside the batch")
-    return arrays
-
-
-def _distance_matrix(emb, dist):
-    """`dist`, the batch's distance matrix, checked for shape."""
-    dist, n = np.asarray(dist), emb.shape[0]
-    if dist.shape != (n, n):
-        raise ShapeMismatchError(f"distance matrix {dist.shape} vs {n} embeddings")
-    return dist
-
-
 def _directions(emb, i, j, dist):
     """Unit vectors (emb[i] - emb[j]) / dist, 0 where dist <= TINY_DISTANCE
     (the zero-distance subgradient convention)."""
@@ -129,14 +108,12 @@ def _pair_hinge(embeddings, pairs: PairSet, offset, shift, dist) -> LossOutput:
     Only active pairs get a gradient: an inactive one would add 0.0 times its
     direction, ±0.0, which leaves a gradient that starts at +0.0 unchanged.
     """
-    emb = np.asarray(embeddings, dtype=np.float64)
-    if len(pairs) == 0:
-        return LossOutput(0.0, np.zeros(emb.shape), 0, beta_grad=0.0)
-    i, j = _check_indices(emb.shape[0], pairs.first, pairs.second)
-    pos = np.asarray(pairs.is_positive)
+    emb = as_ndim(embeddings, 2, np.float64)
+    i, j = index_rows(emb.shape[0], pairs.first, pairs.second)
+    pos = as_ndim(pairs.is_positive, 1)
     if pos.shape != i.shape:
         raise ShapeMismatchError(f"pair flags {pos.shape} must be one per pair, {i.shape}")
-    d = _distance_matrix(emb, dist)[i, j]
+    d = distance_matrix(dist, emb.shape[0], "embeddings")[i, j]
     y = np.where(pos, 1.0, -1.0)
 
     terms = np.maximum(offset + y * (d - shift), 0.0)
@@ -154,19 +131,18 @@ def _pair_hinge(embeddings, pairs: PairSet, offset, shift, dist) -> LossOutput:
 def contrastive_loss(embeddings, pairs: PairSet, margin: float, dist) -> LossOutput:
     """Mean of D_ij over positives and hinge [margin - D_ij]_+ over negatives:
     the pair hinge with offset 0 on positives, `margin` on negatives, shift 0."""
-    return _pair_hinge(embeddings, pairs, np.where(pairs.is_positive, 0.0, margin), 0.0, dist)
+    offset = np.where(as_ndim(pairs.is_positive, 1), 0.0, margin)
+    return _pair_hinge(embeddings, pairs, offset, 0.0, dist)
 
 
 def triplet_loss(embeddings, triplets: TripletSet, margin: float, dist) -> LossOutput:
     """Mean hinge [D_ap - D_an + margin]_+ over the given triplets, with D
     from `dist` as in the pair hinge (active triplets only get a gradient,
     for the same reason)."""
-    emb = np.asarray(embeddings, dtype=np.float64)
-    if len(triplets) == 0:
-        return LossOutput(0.0, np.zeros(emb.shape), 0)
-    a, p, n = _check_indices(emb.shape[0], triplets.anchors, triplets.positives,
-                             triplets.negatives)
-    dist = _distance_matrix(emb, dist)
+    emb = as_ndim(embeddings, 2, np.float64)
+    a, p, n = index_rows(emb.shape[0], triplets.anchors, triplets.positives,
+                         triplets.negatives)
+    dist = distance_matrix(dist, emb.shape[0], "embeddings")
     d_ap, d_an = dist[a, p], dist[a, n]
 
     terms = np.maximum(d_ap - d_an + margin, 0.0)
@@ -197,8 +173,7 @@ def multi_similarity_loss(embeddings, labels, spec: LossSpec) -> LossOutput:
         log(1 + sum_pos exp(-alpha (S_ij - base))) / alpha
       + log(1 + sum_neg exp( beta (S_ij - base))) / beta
     """
-    emb = np.asarray(embeddings, dtype=np.float64)
-    labels = np.asarray(labels)
+    emb, labels = as_ndim(embeddings, 2, np.float64), as_ndim(labels, 1)
     if emb.shape[0] != labels.shape[0]:
         raise ShapeMismatchError("labels length != batch size")
     grad = np.zeros_like(emb)

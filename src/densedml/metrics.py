@@ -126,7 +126,7 @@ def recall_at_k(embeddings, labels, ks) -> dict:
     point) that is under 8 times the product's bytes.
     """
     x = core._as_rows(embeddings)
-    labels = np.asarray(labels)
+    labels = _labels(labels)
     n = x.shape[0]
     if labels.ndim != 1:
         raise ShapeMismatchError(f"labels must be 1-D, got shape {labels.shape}")
@@ -239,12 +239,12 @@ def kmeans(embeddings, k: int, rng: SeededRng, max_iter: int = 100):
     Scratch: the points' planes over a row of ones and the centroids'
     planes over their -|c|^2 / 2 row, 8 (d + 1) (n + k) bytes; the flat
     plane copy of the points and the bincount's index buffer, 16 d n bytes;
-    and the norms, 8n bytes.  Seeding's squared differences take 8 d n
-    bytes more, freed before the sweeps.  Per sweep: the product, 8kn bytes, two k x n
-    masks, kn bytes each, the k x d sums, and per point with several
-    candidates 10k bytes plus 48 per candidate, beside core._pair_distances'
-    gathers (they fit core.DISTANCE_BLOCK_BYTES).  On unit rows almost
-    every point has one.
+    and the norms, 8n bytes.  Seeding takes 8 d n bytes more, for the
+    squared differences to one center, and two n-vectors, freed before the
+    sweeps.  Per sweep: the product, 8kn bytes, two k x n masks, kn bytes
+    each, the k x d sums, and per point with several candidates 10k bytes
+    plus 48 per candidate, beside core._pair_distances' gathers (they fit
+    core.DISTANCE_BLOCK_BYTES).  On unit rows almost every point has one.
     """
     x = core._as_rows(embeddings)
     n = x.shape[0]
@@ -281,7 +281,7 @@ def kmeans(embeddings, k: int, rng: SeededRng, max_iter: int = 100):
         np.multiply(diff, diff, diff)
         core._sum_leading(diff, near)
         np.minimum(d2, near, out=d2)
-    del diff
+    del diff, near, d2
 
     g = np.empty((k, n))  # G
     offsets = k * np.arange(d)[:, None]  # plane p's bins start at k p
@@ -318,6 +318,19 @@ def _is_int(value):
     return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
+def _labels(labels):
+    """np.asarray(labels), for labels that numpy holds in one array and can
+    order; ragged labels and objects that do not compare are a
+    ShapeMismatchError."""
+    try:
+        labels = np.asarray(labels)
+        if labels.dtype == object:  # objects order by their own comparisons
+            np.sort(labels, axis=None)
+    except (ValueError, TypeError) as exc:
+        raise ShapeMismatchError(f"labels are not one array of comparable values: {exc}") from exc
+    return labels
+
+
 def _argmin_leading(values):
     """np.argmin(values, axis=0), ties to the lower row, without the
     transposed copy of `values` that np.argmin makes: the first row at the
@@ -326,8 +339,7 @@ def _argmin_leading(values):
 
 
 def _contingency(a, b):
-    a = np.asarray(a)
-    b = np.asarray(b)
+    a, b = _labels(a), _labels(b)
     if a.ndim != 1 or b.ndim != 1 or a.shape[0] != b.shape[0]:
         raise ShapeMismatchError(f"assignment {a.shape} and labels {b.shape}: not 1-D of one length")
     ua, ia = np.unique(a, return_inverse=True)
@@ -387,7 +399,7 @@ def f1_score(assignment, labels) -> float:
 def evaluate_embeddings(embeddings, labels, ks, rng: SeededRng) -> EvalReport:
     """Full protocol: retrieval recall plus k-means clustering scored by
     NMI and pairwise F1, with k = number of distinct labels."""
-    labels = np.asarray(labels)
+    labels = _labels(labels)
     n_classes = len(np.unique(labels, return_inverse=True)[0])  # a bare unique imports numpy.ma
     recall = recall_at_k(embeddings, labels, ks)
     assign, _ = kmeans(embeddings, n_classes, rng)

@@ -16,9 +16,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import SeededRng, label_masks
+from .core import SeededRng, as_ndim, distance_matrix, index_rows, label_masks
 from .data import Dataset
-from .errors import ConfigError, NotEnoughClassesError, NoValidTripletError, ShapeMismatchError
+from .errors import ConfigError, NotEnoughClassesError, NoValidTripletError
 from .losses import TripletSet
 
 SAMPLER_KINDS = ("random", "semihard", "softhard", "distance")
@@ -82,11 +82,12 @@ class BatchLayout:
 
 
 def anchor_layout(labels, anchor_indices=None) -> BatchLayout:
-    """The mining part of the layout of `labels`, anchors drawn from
-    `anchor_indices` (every row when None)."""
+    """The mining part of the layout of the 1-D `labels`, anchors drawn from
+    `anchor_indices` (every row when None), integers in [0, n)."""
+    labels = as_ndim(labels, 1)
     n = len(labels)
     same, other = label_masks(labels)
-    pool = np.arange(n) if anchor_indices is None else np.asarray(anchor_indices, dtype=np.int64)
+    pool = np.arange(n) if anchor_indices is None else index_rows(n, anchor_indices)[0]
     rows = pool[(same.any(axis=1) & other.any(axis=1))[pool]]
     same, other = same[rows], other[rows]
     return BatchLayout(rows, same, other, np.count_nonzero(same, axis=1),
@@ -122,11 +123,9 @@ def _require_anchors(layout):
 
 def _anchor_distances(dist, layout):
     """The anchors' rows of `dist`, which must be n x n for the layout's n labels."""
-    dist, n = np.asarray(dist), layout.same.shape[1]
-    if dist.shape != (n, n):
-        raise ShapeMismatchError(f"distance matrix {dist.shape} vs {n} labels")
+    matrix = distance_matrix(dist, layout.same.shape[1], "labels")
     _require_anchors(layout)
-    return dist[layout.rows]
+    return matrix[layout.rows]
 
 
 def sample_random_triplets(layout: BatchLayout, rng: SeededRng) -> TripletSet:

@@ -1,6 +1,7 @@
 """Fuzzed user input: config documents and CSV files through `train`,
 mutated checkpoints through `evaluate_checkpoint`, and malformed arrays
-through the distance kernel and the public DAS functions.
+through the distance kernel, the public DAS functions, the losses, the
+samplers and the metrics.
 
 Only `EngineError` subclasses may escape, because those are what the CLI
 turns into exit codes 2 and 3.  The examples are derandomized and counted,
@@ -38,8 +39,18 @@ from densedml.encoder import (
     save_checkpoint,
 )
 from densedml.errors import EngineError
-from densedml.losses import LOSS_KINDS
-from densedml.sampling import SAMPLER_KINDS
+from densedml.losses import (
+    LOSS_KINDS,
+    LossSpec,
+    PairSet,
+    TripletSet,
+    contrastive_loss,
+    margin_loss,
+    multi_similarity_loss,
+    triplet_loss,
+)
+from densedml.metrics import evaluate_embeddings, f1_score, kmeans, nmi, recall_at_k
+from densedml.sampling import SAMPLER_KINDS, anchor_layout, sample_triplets
 from densedml.training import build_dataset, evaluate_checkpoint, train
 
 from conftest import pack_floats, unpack_floats
@@ -345,3 +356,82 @@ def test_distance_kernel_on_malformed_rows(rows):
     n = got.shape[0]
     assert got.shape == (n, n) and got.tobytes() == got.T.copy().tobytes()
     assert not np.diag(got).any()
+
+
+def indices_like(n, t):
+    """t indices into n rows, or indices a caller may get wrong: out of
+    range, negative, floats, bools, of another rank or length, ragged,
+    strings, too large for int64, a scalar, or none."""
+    good = np.arange(t) % max(n, 1)
+    return st.sampled_from([
+        good, good.tolist(), good.astype(np.uint8), good[:-1], np.arange(t + 1) % max(n, 1),
+        [n] * t, [-1] * t, [0.5] * t, [True] * t, good[:, None], [[0], [0, 1]], ["a"] * t,
+        [2**64] * t, np.int64(0), 0, [], None,
+    ])
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # NaN and inf rows are inputs here
+@pytest.mark.filterwarnings("error::numpy.exceptions.ComplexWarning")  # a dropped imaginary part
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(st.sampled_from(LOSS_KINDS), st.integers(0, 4), st.integers(0, 3), st.data())
+def test_losses_on_malformed_arrays(kind, n, t, data):
+    """Only EngineError escapes a loss, whatever embeddings, pairs or
+    triplets, flags, distance matrix or labels it is handed."""
+    emb = data.draw(rows_like(n, D))
+    first, second, third = (data.draw(indices_like(n, t)) for _ in range(3))
+    dist = data.draw(rows_like(n, n))
+    try:
+        if kind == "ms":
+            multi_similarity_loss(emb, data.draw(labels_like(n)), LossSpec(kind="ms"))
+        elif kind == "triplet":
+            triplet_loss(emb, TripletSet(first, second, third), 0.2, dist)
+        else:
+            flags = data.draw(st.sampled_from([
+                np.arange(t) % 2 == 0, [True] * t, [0.5] * t, ["a"] * t, [[True]] * t,
+                [[True], [True, False]], True, [], None]))
+            pairs = PairSet(first, second, flags)
+            if kind == "contrastive":
+                contrastive_loss(emb, pairs, 0.5, dist)
+            else:
+                margin_loss(emb, pairs, 0.2, 1.2, dist)
+    except EngineError:
+        pass
+
+
+# rows at the row bound and labels numpy cannot order, beside rows_like's
+# and labels_like's
+BIG_ROWS = [np.full((4, D), 1e100), [[1e308] * D, [-1e308] * D]]
+ODD_LABELS = [[None] * 4, [1, None, 1, None]]
+KS = [[1], [1, 2], [0], [4], [1.5], [True], [np.int64(1)], [[1]], [], "x", None, 1]
+COUNTS = [1, 2, 4, 5, 0, -1, 1.5, True, np.int64(2), "x", None]
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # NaN and inf distances are inputs here
+@pytest.mark.filterwarnings("error::numpy.exceptions.ComplexWarning")  # a dropped imaginary part
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(st.sampled_from(["layout", "sample", "recall", "kmeans", "evaluate", "nmi", "f1"]),
+       st.sampled_from(SAMPLER_KINDS), st.data())
+def test_samplers_and_metrics_on_malformed_arrays(target, kind, data):
+    """Only EngineError escapes the layout, the samplers and the metrics,
+    whatever rows, labels, anchors, distances, ks or counts they are
+    handed."""
+    n = 4
+    emb = data.draw(rows_like(n, D) | st.sampled_from(BIG_ROWS))
+    labels = data.draw(labels_like(n) | st.sampled_from(ODD_LABELS))
+    try:
+        if target == "layout":
+            anchor_layout(labels, data.draw(st.none() | indices_like(n, 3)))
+        elif target == "sample":
+            sample_triplets(kind, data.draw(rows_like(n, n)), anchor_layout([0, 0, 1, 1]),
+                            SeededRng(0), embed_dim=D, semihard_margin=0.2, clip=0.5)
+        elif target == "recall":
+            recall_at_k(emb, labels, data.draw(st.sampled_from(KS)))
+        elif target == "kmeans":
+            kmeans(emb, data.draw(st.sampled_from(COUNTS)), SeededRng(0),
+                   data.draw(st.sampled_from(COUNTS)))
+        elif target == "evaluate":
+            evaluate_embeddings(emb, labels, data.draw(st.sampled_from(KS)), SeededRng(0))
+        else:
+            (nmi if target == "nmi" else f1_score)(data.draw(labels_like(n)), labels)
+    except EngineError:
+        pass

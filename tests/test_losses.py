@@ -434,3 +434,60 @@ class TestSharedProperties:
         assert triplet_loss(emb, trip, 0.2, dist).value >= 0
         assert margin_loss(emb, pairs, 0.2, 1.2, dist).value >= 0
         assert multi_similarity_loss(emb, labels, LossSpec(kind="ms")).value >= 0
+
+
+class TestUnconvertibleInput:
+    """Each loss converts its arrays at its boundary: what numpy cannot
+    convert, or would cast with a warning, is a ShapeMismatchError."""
+
+    emb = np.array([[0.0, 0.0], [0.2, 0.0], [0.6, 0.0], [0.0, 0.5]])
+    trip = TripletSet(np.array([0]), np.array([1]), np.array([2]))
+
+    def test_complex_embeddings(self):
+        # numpy dropped the imaginary part with only a ComplexWarning
+        dist = pairwise_distances(self.emb)
+        with pytest.raises(ShapeMismatchError, match="complex input"):
+            triplet_loss(self.emb + 1j, self.trip, 0.2, dist)
+        with pytest.raises(ShapeMismatchError, match="complex input"):
+            multi_similarity_loss(self.emb + 1j, [0, 0, 1, 1], LossSpec(kind="ms"))
+
+    @pytest.mark.parametrize("emb", [[[0.0, 0.0], [0.2]], [["a", "b"]] * 4])
+    def test_ragged_or_string_embeddings(self, emb):
+        # numpy's ValueError escaped
+        dist = pairwise_distances(self.emb)
+        with pytest.raises(ShapeMismatchError, match="not a 2-D numeric array"):
+            triplet_loss(emb, self.trip, 0.2, dist)
+        with pytest.raises(ShapeMismatchError, match="not a 2-D numeric array"):
+            contrastive_loss(emb, self.trip.to_pairs(), 0.5, dist)
+
+    def test_ragged_distance_matrix(self):
+        ragged = [[0.0, 1.0, 1.0, 1.0]] * 3 + [[1.0]]
+        with pytest.raises(ShapeMismatchError, match="not a 2-D numeric array"):
+            triplet_loss(self.emb, self.trip, 0.2, ragged)
+        with pytest.raises(ShapeMismatchError, match="complex input"):
+            margin_loss(self.emb, self.trip.to_pairs(), 0.2, 1.2,
+                        pairwise_distances(self.emb) + 1j)
+
+    def test_multi_similarity_shapes(self):
+        # a vector reached numpy's AxisError, labels (4, 1) its ValueError
+        spec = LossSpec(kind="ms")
+        with pytest.raises(ShapeMismatchError, match="labels length"):
+            multi_similarity_loss(np.ones(4), [0, 0, 1, 1], spec)
+        with pytest.raises(ShapeMismatchError, match="expected a 1-D array"):
+            multi_similarity_loss(self.emb, np.array([[0], [0], [1], [1]]), spec)
+
+    def test_ragged_pair_flags(self):
+        # np.where's ValueError escaped
+        pairs = PairSet(np.array([0, 1]), np.array([1, 2]), [[True], [True, False]])
+        with pytest.raises(ShapeMismatchError, match="not a 1-D numeric array"):
+            contrastive_loss(self.emb, pairs, 0.5, pairwise_distances(self.emb))
+
+    @pytest.mark.parametrize("index", [np.int64(0), 0])
+    def test_scalar_indices(self, index):
+        # len() of a scalar raised TypeError before any check
+        pairs = PairSet(index, index, True)
+        with pytest.raises(ShapeMismatchError, match="integer vectors of one length"):
+            margin_loss(self.emb, pairs, 0.2, 1.2, pairwise_distances(self.emb))
+        with pytest.raises(ShapeMismatchError, match="integer vectors of one length"):
+            triplet_loss(self.emb, TripletSet(index, index, index), 0.2,
+                         pairwise_distances(self.emb))

@@ -124,6 +124,16 @@ class TestRecall:
         with pytest.raises(ShapeMismatchError, match="labels must be 1-D"):
             evaluate_embeddings(emb, labels, [1], SeededRng(0))
 
+    @pytest.mark.parametrize("labels", [[[0], [0, 1], [1], [1]], [None, 0, None, 0]])
+    def test_labels_not_one_comparable_array(self, labels):
+        # numpy's ValueError (ragged) or TypeError (None < 0) escaped
+        emb = np.eye(4)
+        for call in (lambda: recall_at_k(emb, labels, [1]),
+                     lambda: evaluate_embeddings(emb, labels, [1], SeededRng(0)),
+                     lambda: nmi([0, 0, 1, 1], labels), lambda: f1_score(labels, [0, 0, 1, 1])):
+            with pytest.raises(ShapeMismatchError, match="labels are not one array"):
+                call()
+
     @pytest.mark.parametrize("ks", [[1.7], ["2"], [True], [1, 2.0], [None]])
     def test_k_not_an_integer(self, ks):
         # 1.7 was truncated to 1, "2" and True read as 2 and 1

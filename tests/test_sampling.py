@@ -654,3 +654,37 @@ class TestLayoutPath:
         for name in ("anchors", "positives", "negatives"):
             np.testing.assert_array_equal(getattr(got, name), getattr(want, name))
         np.testing.assert_equal(rng_got.bit_generator.state, rng_want.bit_generator.state)
+
+
+class TestUnconvertibleInput:
+    """The layout and the samplers convert their arrays at their boundary:
+    what numpy cannot convert, or would cast with a warning, and anchors
+    that are not indices into the labels are a ShapeMismatchError."""
+
+    @pytest.mark.parametrize("kind", ["semihard", "softhard", "distance"])
+    def test_ragged_distance_matrix(self, kind):
+        # numpy's ValueError escaped
+        with pytest.raises(ShapeMismatchError, match="not a 2-D numeric array"):
+            sample_triplets(kind, [[1, 2], [3]], anchor_layout([0, 0, 1, 1]), SeededRng(0),
+                            embed_dim=3, **KNOBS)
+
+    @pytest.mark.parametrize("kind", ["semihard", "softhard", "distance"])
+    def test_complex_distance_matrix(self, kind):
+        # the semi-hard sampler ranked the real parts
+        dist = pairwise_distances(np.eye(4)) + 1j
+        with pytest.raises(ShapeMismatchError, match="complex input"):
+            sample_triplets(kind, dist, anchor_layout([0, 0, 1, 1]), SeededRng(0),
+                            embed_dim=3, **KNOBS)
+
+    @pytest.mark.parametrize("labels", [[[0], [0, 1]], np.zeros((2, 2))])
+    def test_labels_not_a_vector(self, labels):
+        # ragged labels raised numpy's ValueError, a matrix its IndexError
+        with pytest.raises(ShapeMismatchError):
+            anchor_layout(labels)
+
+    @pytest.mark.parametrize("anchors", [[4], [-1], [0.5], [True, False], [[0], [1]]])
+    def test_anchors_not_indices_into_the_labels(self, anchors):
+        # 4 raised IndexError; -1 wrapped to the last row, 0.5 truncated to
+        # 0, the mask read as indices 1 and 0, and the column as 0 and 1
+        with pytest.raises(ShapeMismatchError):
+            anchor_layout([0, 0, 1, 1], anchors)
