@@ -10,16 +10,21 @@ scratch that the docstrings of `recall_at_k` and `kmeans` give, the larger
 of the two stages, which run one after the other:
 - recall: the label-sorted planes over their norm row and the norms,
   8*(d + 2)*n bytes, the unsorted plane copy made while they are filled,
-  8*d*n, the label order, sorted labels and ranks, 24*n, and per block of
-  b = RECALL_BLOCK_ROWS queries the b x n Gram product, 8*b*n, and one
-  b x n mask, b*n;
+  8*d*n, the label order, each sorted point's label run and the ranks,
+  24*n, and per block of b = RECALL_BLOCK_ROWS queries the b x n Gram
+  product, 8*b*n, and one b x n mask, b*n;
 - k-means: the points' planes over a row of ones and the centroids' planes
-  over their norm row, 8*(d + 1)*(n + k), the flat plane copy of the points
-  and the update's index buffer, 16*d*n, the norms, 8*n, and per sweep the
-  k x n product and two k x n masks, 10*k*n, and the k x d sums, 8*k*d.
+  over their norm row, 8*(d + 1)*(n + k), the point-major copy of the
+  points and the update's bins, 16*d*n, the norms, 8*n, the table of
+  cluster bins, 8*k*d, and per sweep the k x n product and two k x n
+  masks, 10*k*n, six n-vectors, 48*n, the k x d sums, 8*k*d, and one chunk
+  of rebuilt bins with its indices, (8*d + 16) bytes a point of a chunk of
+  core.DISTANCE_BLOCK_BYTES // (8*d) points.
 A measured peak above it exits 1, after the rows are written.  On this
-split (unit rows) about one entry per query is hot, so recall's bytes per
-hot and window entry, the kernel's gathers included, stay small beside it.
+split (unit rows) about one entry per query is hot and a block of queries
+spans at most two label runs, so recall's run maxima and its bytes per hot
+and window entry, the kernel's gathers included, stay small beside it; so
+do k-means' bytes per point with several candidate centroids.
 
 Rows are merged into --out under --label (a size measured again replaces
 its row), one entry per label with the host it ran on, so the rows of two
@@ -28,7 +33,7 @@ source trees can sit in one file:
     PYTHONPATH=/path/to/parent/src python scripts/bench_eval.py --label parent
     PYTHONPATH=src python scripts/bench_eval.py --label change
 
-At n = 20000 one evaluation takes tens of seconds on a 2-core Xeon; pass
+At n = 20000 one evaluation takes about a second on a 2-core Xeon; pass
 --sizes 2048 for a quick look.
 """
 
@@ -43,7 +48,7 @@ import tracemalloc
 
 import numpy as np
 
-from densedml.core import STREAMS, SeededRng
+from densedml.core import DISTANCE_BLOCK_BYTES, STREAMS, SeededRng
 from densedml.metrics import RECALL_BLOCK_ROWS, evaluate_embeddings
 
 CLASSES, DIM, KS = 16, 16, (1, 2, 4, 8)
@@ -64,7 +69,9 @@ def evaluate(emb, labels):
 def scratch_bound(n, d=DIM, k=CLASSES):
     b = min(RECALL_BLOCK_ROWS, n)
     recall = 8 * (d + 2) * n + 8 * d * n + 24 * n + 9 * b * n
-    kmeans = 8 * (d + 1) * (n + k) + 16 * d * n + 8 * n + 10 * k * n + 8 * k * d
+    chunk = DISTANCE_BLOCK_BYTES // (8 * d)
+    kmeans = (8 * (d + 1) * (n + k) + 16 * d * n + 8 * n + 8 * k * d
+              + 10 * k * n + 48 * n + 8 * k * d + (8 * d + 16) * chunk)
     return max(recall, kmeans)
 
 

@@ -107,23 +107,31 @@ def recall_at_k(embeddings, labels, ks) -> dict:
       their least distance, and the window's entries are ranked against it
       by the (distance, index) rule.
     The comparisons are made on G, against (|x|^2 - bound) / 2, so A is
-    never formed.  A block reads G once for them: one b x n mask holds the
-    entries with A <= a_min + reach but the query's own (none for a query
-    without a partner).  One np.flatnonzero lists these hot entries in
-    row-major order; those with A below a_min - reach are counted, the rest
-    are the window.
+    never formed.  The points are sorted by label, so a query's partners
+    are one run of columns, and a block's queries span a few whole runs.
+    One np.maximum.reduceat over those runs' columns gives each query its
+    greatest G in each run.  In its own run that is the greatest G over its
+    partners (its own entry is -inf), so a_min is |x|^2 less twice it.
+    Only a query alone in its run, with no partner, reads -inf there: every
+    other G is finite for rows below core.ROW_BOUND.  A block
+    reads G once more: one b x n mask holds the entries with
+    A <= a_min + reach but the query's own (none for a query without a
+    partner).  One np.flatnonzero lists these hot entries in row-major
+    order; those with A below a_min - reach are counted, the rest are the
+    window.
 
     Scratch: the planes of the points, sorted by label, over their
     -|y|^2 / 2 row, and the norms: 8 (d + 2) n bytes, and while they are
-    filled, one unsorted plane copy of 8 d n bytes; the label order, the
-    sorted labels and the ranks, 8n bytes each for int64 labels.  Per block
-    of b = RECALL_BLOCK_ROWS = 64 queries: the b x n product (8bn = 512 n
-    bytes, 1 MiB at n = 2048), the mask (bn bytes, made once per call),
-    under 40 bytes per hot entry while they are split, then under 64 bytes
-    per window entry, the gathers of core._pair_distances included (they
-    fit core.DISTANCE_BLOCK_BYTES).  On unit rows about one entry per
-    query is hot.  With every entry hot (each query's partner its farthest
-    point) that is under 8 times the product's bytes.
+    filled, one unsorted plane copy of 8 d n bytes; the label order, each
+    sorted point's run and the ranks, 8n bytes each.  Per block of
+    b = RECALL_BLOCK_ROWS = 64 queries: the b x n product (8bn = 512 n
+    bytes, 1 MiB at n = 2048), the mask (bn bytes, made once per call), the
+    run maxima, 8b bytes per run spanned (at most b runs), under 40 bytes
+    per hot entry while they are split, then under 64 bytes per window
+    entry, the gathers of core._pair_distances included (they fit
+    core.DISTANCE_BLOCK_BYTES).  On unit rows about one entry per query is
+    hot.  With every entry hot (each query's partner its farthest point)
+    that is under 8 times the product's bytes.
     """
     x = core._as_rows(embeddings)
     labels = _labels(labels)
@@ -146,9 +154,11 @@ def recall_at_k(embeddings, labels, ks) -> dict:
         raise KOutOfRangeError(f"recall k must be >= 1, got {ks[0]}")
     if n < 2 or ks[-1] >= n:
         raise KOutOfRangeError(f"max k {ks[-1]} needs at least {ks[-1] + 1} points, have {n}")
-    # sorted by label, a query's partners are one run of columns
+    # sorted by label, a query's partners are one run of columns; column j
+    # is in run run_of[j]
     order = np.argsort(labels, kind="stable")
-    sorted_labels = labels[order]
+    run_of = np.zeros(n, dtype=np.int64)
+    np.cumsum(labels[order[1:]] != labels[order[:-1]], out=run_of[1:])
     d = x.shape[1]
     aug = np.empty((d + 1, n))  # the sorted points' planes over -|y|^2 / 2
     planes = aug[:d]
@@ -170,12 +180,11 @@ def recall_at_k(embeddings, labels, ks) -> dict:
         np.matmul(q, aug, g)  # A = nq - 2g
         g[own, start + own] = -np.inf
         # the window: A within `reach` of a_min, the least A over partners
-        lo = np.searchsorted(sorted_labels, sorted_labels[start])
-        hi = np.searchsorted(sorted_labels, sorted_labels[stop - 1], side="right")
-        partner = sorted_labels[start:stop, None] == sorted_labels[lo:hi]
-        partner[own, start - lo + own] = False
-        has = partner.any(axis=1)
-        a_min = nq - 2 * np.max(g[:, lo:hi], axis=1, where=partner, initial=-np.inf)
+        runs = run_of[start:stop]
+        edges = np.searchsorted(run_of, np.arange(runs[0], runs[-1] + 2))  # the runs' columns
+        g_max = np.maximum.reduceat(g[:, edges[0] : edges[-1]], edges[:-1] - edges[0], axis=1)
+        a_min = nq - 2 * g_max[own, runs - runs[0]]  # +inf for a query alone in its run
+        has = a_min < np.inf
         a_min[~has] = 0.0
         reach = _reach(a_min, err)
         closer_bar = (nq - (a_min - reach)) / 2
@@ -190,7 +199,7 @@ def recall_at_k(embeddings, labels, ks) -> dict:
         dist = np.sqrt(core._pair_distances(planes, start + wr, wc))
         # d_p*: the least distance among the window's partners; p*: the
         # least index among those at it
-        mate = np.flatnonzero(sorted_labels[wc] == sorted_labels[start + wr])
+        mate = np.flatnonzero(run_of[wc] == run_of[start + wr])
         d_pos = np.full(b, np.inf)
         np.minimum.at(d_pos, wr[mate], dist[mate])
         at = mate[dist[mate] == d_pos[wr[mate]]]
@@ -211,7 +220,9 @@ def kmeans(embeddings, k: int, rng: SeededRng, max_iter: int = 100):
     points per call.  Seeding keeps each point's squared distance to its
     nearest chosen center as a running minimum: per center, the points'
     planes less the center's, squared and summed by core._sum_leading
-    (fl(a - b) squared is fl(b - a) squared).  Each sweep
+    (fl(a - b) squared is fl(b - a) squared).  Each plane subtracts the
+    center's coordinate as a scalar: numpy would give the broadcast center
+    an iterator buffer, 64 KiB or more, and take longer.  Each sweep
     assigns each point to its nearest centroid, ties to the lower index.  A
     centroid is its members summed in index order from +0.0, divided by
     their count; for d >= 2 that is numpy's `x[members].mean(axis=0)` bit
@@ -219,9 +230,17 @@ def kmeans(embeddings, k: int, rng: SeededRng, max_iter: int = 100):
     emptied cluster keeps its previous centroid.
 
     The update.  The centroids stay in plane layout, beside the points'
-    planes.  One weighted np.bincount over the flat point planes, with bin
-    assign + k p for plane p, gives every cluster's sums at once: it adds
-    each bin's weights in index order, from +0.0.
+    planes.  One weighted np.bincount over a point-major copy of the points
+    (each row's coordinates in plane order), with bin d assign[i] + p for
+    point i's coordinate in plane p, gives every cluster's sums at once: it
+    adds each bin's weights in index order, from +0.0.  Point-major, the
+    weights that follow one another go to d different bins.  In plane
+    order a class-ordered split sends long runs of weights to one bin, each
+    add waiting on the one before (134 against 61 us a sweep for sorted
+    assignments at n = 2048, d = k = 16, on a 2-core Xeon).  A sweep
+    rebuilds the bins of only the points that moved, from a k x d table of
+    each cluster's bins, in chunks whose gather fits
+    core.DISTANCE_BLOCK_BYTES; no point moving is the fixpoint.
 
     The assignment.  One BLAS product of the rows [c, -|c|^2 / 2] with the
     columns [x; 1] gives the k x n block G = c.x - |c|^2 / 2, so
@@ -237,14 +256,18 @@ def kmeans(embeddings, k: int, rng: SeededRng, max_iter: int = 100):
     among them, ties to the lower index, which is j*.
 
     Scratch: the points' planes over a row of ones and the centroids'
-    planes over their -|c|^2 / 2 row, 8 (d + 1) (n + k) bytes; the flat
-    plane copy of the points and the bincount's index buffer, 16 d n bytes;
-    and the norms, 8n bytes.  Seeding takes 8 d n bytes more, for the
-    squared differences to one center, and two n-vectors, freed before the
-    sweeps.  Per sweep: the product, 8kn bytes, two k x n masks, kn bytes
-    each, the k x d sums, and per point with several candidates 10k bytes
-    plus 48 per candidate, beside core._pair_distances' gathers (they fit
-    core.DISTANCE_BLOCK_BYTES).  On unit rows almost every point has one.
+    planes over their -|c|^2 / 2 row, 8 (d + 1) (n + k) bytes; the
+    point-major copy of the points and the bincount's bins, 16 d n bytes;
+    the norms, 8n bytes; and the table of cluster bins, 8kd bytes.
+    Seeding, before the bins exist, takes 8 d n bytes for the squared
+    differences to one center and up to five n-vectors, numpy's choice
+    among them.  Per sweep: the product, 8kn bytes, two k x n masks, kn
+    bytes each, up to six n-vectors of 8n bytes, the k x d sums, a chunk of
+    rebuilt bins (it fits core.DISTANCE_BLOCK_BYTES) with 16 bytes a point
+    for the chunk's indices and clusters, and per point with several
+    candidates 10k bytes plus 48 per candidate, beside
+    core._pair_distances' gathers (they fit core.DISTANCE_BLOCK_BYTES).  On
+    unit rows almost every point has one candidate.
     """
     x = core._as_rows(embeddings)
     n = x.shape[0]
@@ -262,30 +285,34 @@ def kmeans(embeddings, k: int, rng: SeededRng, max_iter: int = 100):
     planes = np.empty((d + 1, n + k))
     aug, x_planes, c_planes = planes[:, :n], planes[:d, :n], planes[:d, n:]
     rows, c_half = planes[:, n:].T, planes[d, n:]
-    x_flat = core._planes(x).ravel()  # plane p's points at p * n: the bincount's weights
-    x_planes[...] = x_flat.reshape(d, n)
+    x_rows = x.take(core._plane_order(d), 1)  # point-major, in plane order: the bincount's weights
+    x_planes[...] = x_rows.T
     aug[d] = 1.0
     x_norms = np.einsum("ij,ij->j", x_planes, x_planes)
     x_big = x_norms.max()
 
     # seeding: d2 is each point's squared distance to its nearest center
-    points, diff, near = x_flat.reshape(d, n), np.empty((d, n)), np.empty(n)
+    diff, near = np.empty((d, n)), np.empty(n)
     d2 = np.full(n, np.inf)
     chosen = int(rng.integers(n))
     for j in range(k):
         if j:
             total = d2.sum()
             chosen = rng.choice(n, p=d2 / total if total > 0 else np.full(n, 1.0 / n))
-        c_planes[:, j] = points[:, chosen]
-        np.subtract(points, points[:, chosen, None], diff)
+        c_planes[:, j] = x_planes[:, chosen]
+        for p in range(d):  # a scalar operand: no iterator buffer
+            np.subtract(x_planes[p], x_planes[p, chosen], diff[p])
         np.multiply(diff, diff, diff)
         core._sum_leading(diff, near)
         np.minimum(d2, near, out=d2)
     del diff, near, d2
 
     g = np.empty((k, n))  # G
-    offsets = k * np.arange(d)[:, None]  # plane p's bins start at k p
-    bins = np.empty((d, n), dtype=np.int64)
+    # point i's coordinate in plane p goes to bin d assign[i] + p: row j of
+    # cluster_bins for a point of cluster j
+    cluster_bins = d * np.arange(k)[:, None] + np.arange(d)
+    bins = np.empty((n, d), dtype=np.int64)
+    chunk = max(1, core.DISTANCE_BLOCK_BYTES // max(1, 8 * d))
     assign = np.full(n, -1, dtype=np.int64)
     for _ in range(max_iter):
         c_norms = np.einsum("ij,ij->j", c_planes, c_planes)
@@ -301,13 +328,16 @@ def kmeans(embeddings, k: int, rng: SeededRng, max_iter: int = 100):
             dist = np.full((k, several.size), np.inf)
             dist[cj, ci] = core._pair_distances(planes[:d], n + cj, several[ci])
             new_assign[several] = _argmin_leading(dist)
-        if np.array_equal(new_assign, assign):
+        moved = np.flatnonzero(new_assign != assign)
+        if not moved.size:
             break
         assign = new_assign
-        np.add(assign, offsets, out=bins)
-        sums = np.bincount(bins.ravel(), x_flat, k * d).reshape(d, k)
+        for lo in range(0, moved.size, chunk):
+            part = moved[lo : lo + chunk]
+            bins[part] = cluster_bins[assign[part]]
+        sums = np.bincount(bins.ravel(), x_rows.ravel(), k * d).reshape(k, d)
         counts = np.bincount(assign, minlength=k)
-        np.divide(sums, counts, out=c_planes, where=counts > 0)
+        np.divide(sums.T, counts, out=c_planes, where=counts > 0)
     centers = np.empty((k, d))
     centers[:, core._plane_order(d)] = c_planes.T
     return assign, centers
@@ -320,14 +350,19 @@ def _is_int(value):
 
 def _labels(labels):
     """np.asarray(labels), for labels that numpy holds in one array and can
-    order; ragged labels and objects that do not compare are a
-    ShapeMismatchError."""
+    order, each equal to itself; ragged labels, objects that do not compare
+    and NaN labels are a ShapeMismatchError.  Recall's `==` gives a NaN no
+    partner, while np.unique puts every NaN in one class, so a NaN label
+    has no one meaning."""
     try:
         labels = np.asarray(labels)
         if labels.dtype == object:  # objects order by their own comparisons
             np.sort(labels, axis=None)
+        unequal = (labels != labels).any()
     except (ValueError, TypeError) as exc:
         raise ShapeMismatchError(f"labels are not one array of comparable values: {exc}") from exc
+    if unequal:
+        raise ShapeMismatchError("labels unequal to themselves (NaN) have no one class")
     return labels
 
 

@@ -134,6 +134,20 @@ class TestRecall:
             with pytest.raises(ShapeMismatchError, match="labels are not one array"):
                 call()
 
+    @pytest.mark.parametrize("labels", [[np.nan, np.nan, 1, 1],
+                                        np.array([np.nan, np.nan, 1, 1], dtype=object)])
+    def test_nan_labels(self, labels):
+        # recall gave each NaN point no partner (recall@1 0.5) while nmi put
+        # every NaN in one class (nmi([0, 0, 1, 1], labels) was 1.0)
+        emb = [[0.0], [0.1], [5.0], [5.1]]
+        rng = SeededRng(0)
+        for call in (lambda: recall_at_k(emb, labels, [1]),
+                     lambda: evaluate_embeddings(emb, labels, [1], rng),
+                     lambda: nmi([0, 0, 1, 1], labels), lambda: f1_score(labels, [0, 0, 1, 1])):
+            with pytest.raises(ShapeMismatchError, match="unequal to themselves"):
+                call()
+        assert rng.random() == SeededRng(0).random()  # rejected before any draw
+
     @pytest.mark.parametrize("ks", [[1.7], ["2"], [True], [1, 2.0], [None]])
     def test_k_not_an_integer(self, ks):
         # 1.7 was truncated to 1, "2" and True read as 2 and 1
@@ -203,6 +217,29 @@ class TestRecallOracle:
             mp.setattr(metrics, "RECALL_BLOCK_ROWS", rows)
             got = recall_at_k(emb, labels, ks)
         assert got == oracles.recall_at_k(emb, labels, ks)
+
+    # sorted, the 64-query blocks meet: runs of 1 to 4 points, 25 to 60 to
+    # a block; singletons at rows 63, 64, 127, 128, 191 and 192; runs that
+    # cross two or more block edges; and one label
+    @pytest.mark.parametrize("lengths", [SeededRng(0).integers(1, 5, size=150),
+                                         [63, 1, 1, 62, 1, 1, 62, 1, 1, 40],
+                                         [30, 150, 7, 200, 1, 90], [300]])
+    @pytest.mark.parametrize("seed", range(3))
+    def test_label_runs_across_blocks(self, lengths, seed):
+        # integer-grid points whose labels, sorted, make runs of `lengths`
+        assert metrics.RECALL_BLOCK_ROWS == 64
+        r = SeededRng(seed)
+        labels = r.permutation(np.repeat(np.arange(len(lengths)), lengths))
+        emb = r.integers(3, size=(len(labels), 2)).astype(float)
+        ks = [1, 2, 4, 8]
+        assert recall_at_k(emb, labels, ks) == oracles.recall_at_k(emb, labels, ks)
+
+    def test_unit_rows_in_class_order(self):
+        # a test split as training makes it: 16 classes, each a run of rows
+        emb = random_unit_rows(SeededRng(6), 512, 16)
+        ks = [1, 2, 4, 8]
+        for labels in (np.repeat(np.arange(16), 32), np.repeat(np.arange(16), 32)[::-1]):
+            assert recall_at_k(emb, labels, ks) == oracles.recall_at_k(emb, labels, ks)
 
     def test_large_split_matches(self):
         r = SeededRng(3)
@@ -369,8 +406,8 @@ class TestRecallOnePass:
 
     def test_far_partner_scratch(self, monkeypatch):
         # every entry hot, almost all counted: the planes, norms, plane copy,
-        # order, sorted labels and ranks, the product, the mask and 40 bytes
-        # per hot entry, as the docstring's Scratch gives them
+        # order, runs and ranks, the product, the mask and 40 bytes per hot
+        # entry, as the docstring's Scratch gives them
         n, d, b = 2048, 16, metrics.RECALL_BLOCK_ROWS
         emb, labels = antipodal_split(SeededRng(11), n // 2, 0, d)
         seen = TestRecallPrefilter.kernel_entries(monkeypatch)
@@ -563,9 +600,18 @@ class TestKmeans:
         np.testing.assert_array_equal(a, b)
 
 
+def class_ordered_split(r, classes, per_class, dim, spread=0.3):
+    """Gaussian classes about unit-scale centers, each a run of rows, as
+    training's test splits hold them."""
+    centers = r.normal(size=(classes, dim))
+    return np.repeat(centers, per_class, axis=0) + spread * r.normal(size=(classes * per_class, dim))
+
+
 class TestKmeansOracle:
-    """Running-minimum seeding and argsort member gathering against the
-    full-tensor seeding and per-cluster masks they replaced."""
+    """Running-minimum seeding, the point-major centroid sums and the
+    moved-point bins against the full-tensor seeding and per-cluster row
+    sums they replaced: the assignment and the centroids byte for byte,
+    signed zeros included."""
 
     @staticmethod
     def assert_same(x, k, seed, max_iter=100):
@@ -573,8 +619,8 @@ class TestKmeansOracle:
         got, got_centers = kmeans(x, k, rng_got, max_iter)
         want, want_centers = oracles.kmeans(x, k, rng_want, max_iter)
         assert got.dtype == want.dtype
-        np.testing.assert_array_equal(got, want)
-        np.testing.assert_array_equal(got_centers, want_centers)
+        assert got.tobytes() == want.tobytes()
+        assert got_centers.tobytes() == want_centers.tobytes()
         # both consumed the stream identically
         assert rng_got.integers(2**31) == rng_want.integers(2**31)
         return got
@@ -597,16 +643,106 @@ class TestKmeansOracle:
         # go to centroid 0, so clusters 1..k-1 empty and keep their centers
         assign = self.assert_same(np.ones((6, 2)), 3, 0)
         np.testing.assert_array_equal(assign, np.zeros(6))
-        # 40 points on 4 grid sites, 6 clusters: at least two are empty
+        # 40 points on 4 grid sites, 6 clusters: at least two are empty;
+        # then with -0.0 for 0.0, which an emptied cluster keeps
         emb = SeededRng(11).integers(2, size=(40, 2)).astype(float)
         for seed in range(20):
             assert len(set(self.assert_same(emb, 6, seed).tolist())) <= 4
+        emb[emb == 0] = -0.0
+        for seed in range(10):
+            assert len(set(self.assert_same(emb, 6, seed).tolist())) <= 4
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(hard_split(), st.integers(0, 2**31))
+    def test_k_one_and_k_n_on_hard_splits(self, split, seed):
+        x, _ = split
+        for k in (1, len(x)):
+            self.assert_same(x, k, seed)
+
+    @pytest.mark.parametrize("dim", [1, 3, 16, 17])
+    def test_class_ordered_points(self, dim):
+        x = class_ordered_split(SeededRng(dim), 16, 64, dim)
+        for seed in range(3):
+            self.assert_same(x, 16, seed)
+
+    def test_sweeps_where_few_points_move(self):
+        # every sweep of a slow run: the first moves all 768 points, the
+        # second 138, and the last few before the fixpoint one or two
+        x = class_ordered_split(SeededRng(4), 12, 64, 8, spread=0.8)
+        sweeps = [self.assert_same(x, 12, 1, max_iter) for max_iter in range(1, 16)]
+        moved = [np.count_nonzero(a != b) for a, b in zip(sweeps, sweeps[1:])]
+        assert 0 < min(m for m in moved if m) < 10 and moved[0] < len(x) // 4
+        assert moved[-1] == 0  # the fixpoint is reached
+
+    @pytest.mark.parametrize("block_bytes", [1, 100, 4096])
+    def test_bins_rebuilt_in_many_chunks(self, block_bytes, monkeypatch):
+        # chunks of one point; of 12 (d = 1) and one (d = 8); of 512 and
+        # 64, one chunk but at d = 8 on the first sweep
+        monkeypatch.setattr(core, "DISTANCE_BLOCK_BYTES", block_bytes)
+        for dim in (1, 8):
+            x = class_ordered_split(SeededRng(dim), 6, 40, dim, spread=0.8)
+            self.assert_same(x, 6, 2)
 
     def test_gaussian_split_matches(self):
         r = SeededRng(4)
         x = np.vstack([r.normal(size=(100, 8)) + 3 * r.normal(size=8) for _ in range(8)])
         self.assert_same(x, 8, 1)
         self.assert_same(x, 8, 2, max_iter=2)
+
+
+class TestKmeansScratch:
+    """tracemalloc peaks of k-means at n = 2048, d = k = 16 on unit rows,
+    against the docstring's Scratch."""
+
+    n, d, k = 2048, 16, 16
+
+    def points(self):
+        return random_unit_rows(SeededRng(9), self.n, self.d)
+
+    def test_within_the_documented_scratch(self, monkeypatch):
+        n, d, k = self.n, self.d, self.k
+        several = []  # (points, candidates) of each sweep's kernel call
+        pair_distances = core._pair_distances
+
+        def spy(planes, rows, cols):
+            several.append((len(np.unique(cols)), len(rows)))
+            return pair_distances(planes, rows, cols)
+
+        monkeypatch.setattr(core, "_pair_distances", spy)
+        x = self.points()
+        tracemalloc.start()
+        try:
+            kmeans(x, k, SeededRng(0))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        chunk = core.DISTANCE_BLOCK_BYTES // (8 * d)
+        kept = 8 * (d + 1) * (n + k) + 16 * d * n + 8 * n + 8 * k * d
+        sweep = (10 * k * n + 48 * n + 8 * k * d + 8 * d * chunk + 16 * chunk
+                 + max((10 * k * p + 48 * c for p, c in several), default=0))
+        assert peak <= kept + sweep
+
+    def test_seeding_subtracts_without_a_buffer(self, monkeypatch):
+        # the broadcast center (points[:, chosen, None]) drew numpy's
+        # iterator buffers, 66.8 KB a center: about 23 KB over this bound
+        n, d, k = self.n, self.d, self.k
+        peaks = []
+        sum_leading = core._sum_leading
+
+        def spy(terms, out):  # seeding calls it once a center, after the subtraction
+            peaks.append(tracemalloc.get_traced_memory()[1])
+            return sum_leading(terms, out)
+
+        monkeypatch.setattr(core, "_sum_leading", spy)
+        x = self.points()
+        tracemalloc.start()
+        try:
+            kmeans(x, k, SeededRng(0), max_iter=1)
+        finally:
+            tracemalloc.stop()
+        # the planes, the point-major copy, the norms, the squared
+        # differences and five n-vectors
+        assert max(peaks[:k]) <= 8 * (d + 1) * (n + k) + 16 * d * n + 8 * n + 40 * n
 
 
 def assert_centroids_are_means(x, k, seed, max_iter=100):
