@@ -7,11 +7,12 @@ the single source of randomness for the whole package.
 from __future__ import annotations
 
 import functools
+import numbers
 import warnings
 
 import numpy as np
 
-from .errors import ShapeMismatchError
+from .errors import LabelOutOfRangeError, ShapeMismatchError
 
 ZERO_NORM_EPS = 1e-12
 
@@ -38,7 +39,8 @@ class SeededRng(np.random.Generator):
 
     Same (seed, stream) gives a bit-identical draw sequence on every run and
     platform for a fixed numpy version; streams with different ids are
-    statistically independent.
+    statistically independent.  That holds for the draws, not for a run: the
+    BLAS kernel and SIMD dispatch a CPU selects move a run's other bits.
     """
 
     def __init__(self, seed: int, stream: int = 0):
@@ -125,6 +127,44 @@ def as_ndim(x, ndim, dtype=None) -> np.ndarray:
     if arr.ndim > ndim:
         raise ShapeMismatchError(f"expected a {ndim}-D array, got shape {arr.shape}")
     return (np.atleast_1d if ndim == 1 else np.atleast_2d)(arr)
+
+
+def is_int(value) -> bool:
+    """An integer, numpy's included, that is not a bool."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
+def as_labels(labels, n=None, n_classes=None) -> np.ndarray:
+    """`labels` as a 1-D int64 vector (a single label as a vector of one),
+    the package's one label rule.  Labels that are not one vector, or not
+    `n` of them when `n` is given, are a ShapeMismatchError.  The first label
+    that is not an integer in [0, n_classes), or in int64's range without a
+    class count, is named in a LabelOutOfRangeError; a float, NaN or bool
+    label fails before anything casts it.
+
+    An integer array passes on its least and its greatest label, and an int64
+    array without a class count as it is; only labels that fail are walked,
+    to name one."""
+    if type(labels) is not np.ndarray or labels.ndim != 1:  # a vector passes on no call
+        labels = as_ndim(labels, 1)
+    if n is not None and labels.shape[0] != n:
+        raise ShapeMismatchError(f"labels length {labels.shape[0]} != {n}")
+    if n_classes is None:
+        if labels.dtype == np.int64:
+            return labels
+        lo, hi = -(2**63), 2**63
+    else:
+        lo, hi = 0, n_classes
+    # argmin and item take a third of np.minimum.reduce's time on a step's labels
+    if (labels.size and labels.dtype.kind in "iu" and labels.item(labels.argmin()) >= lo
+            and labels.item(labels.argmax()) < hi):
+        return labels if labels.dtype == np.int64 else labels.astype(np.int64)
+    for label in labels.tolist():
+        if type(label) is not int:
+            raise LabelOutOfRangeError(f"label {label!r} is not an integer class id")
+        if not lo <= label < hi:
+            raise LabelOutOfRangeError(f"label {label} outside [{lo}, {hi})")
+    return labels.astype(np.int64)  # no labels, or Python ints in an object array
 
 
 def index_rows(n, *index_arrays):

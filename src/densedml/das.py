@@ -13,8 +13,8 @@ Two mechanisms create synthetic embeddings near real ones ("anchors"):
 A produced embedding is normalize(s * v + b) and inherits the anchor label.
 Gradients flow to the anchor only; s and b are treated as constants.
 
-Each public function that reads per-class state checks its labels on every
-call (`check_labels`).
+Each public function that reads per-class state checks its labels against
+the class count on every call, with `core.as_labels`.
 """
 
 from __future__ import annotations
@@ -23,13 +23,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import SeededRng, ZERO_NORM_EPS, as_ndim, label_masks, scatter_rows
-from .errors import (
-    ConfigError,
-    KOutOfRangeError,
-    LabelOutOfRangeError,
-    ShapeMismatchError,
-)
+from .core import SeededRng, ZERO_NORM_EPS, as_labels, as_ndim, is_int, label_masks, scatter_rows
+from .errors import ConfigError, KOutOfRangeError, ShapeMismatchError
 
 
 @dataclass
@@ -60,28 +55,9 @@ class DasConfig:
             raise ConfigError(f"das.rb must be >= 0, got {self.rb}")
 
 
-def check_labels(labels, n_classes: int) -> np.ndarray:
-    """`labels` as a 1-D int64 array (a single label as one), or
-    LabelOutOfRangeError naming the first label that is not an integer in
-    [0, n_classes); a float or bool label fails before anything casts it.
-
-    An integer array passes on its least and its greatest label; only labels
-    that fail are walked, to name one."""
-    labels = as_ndim(labels, 1)
-    if (labels.size and labels.dtype.kind in "iu" and labels.item(labels.argmin()) >= 0
-            and labels.item(labels.argmax()) < n_classes):
-        return labels.astype(np.int64, copy=False)
-    for label in labels.tolist():
-        if type(label) is not int:
-            raise LabelOutOfRangeError(f"label {label!r} is not an integer class id")
-        if not 0 <= label < n_classes:
-            raise LabelOutOfRangeError(f"label {label} outside [0, {n_classes})")
-    return labels.astype(np.int64)  # no labels, or Python ints in an object array
-
-
 def _check_k(k, dim):
-    """KOutOfRangeError unless K is an integer (not a bool) in [1, dim]."""
-    if type(k) is not int or not 1 <= k <= dim:
+    """KOutOfRangeError unless K is an integer (`core.is_int`) in [1, dim]."""
+    if not (type(k) is int or is_int(k)) or not 1 <= k <= dim:  # an int costs no call
         raise KOutOfRangeError(f"K={k!r} outside [1, {dim}]: it must be an integer in range")
 
 
@@ -96,9 +72,7 @@ class FrequencyRecorder:
         """Bump the top-K channel counters of each embedding's class row."""
         emb = as_ndim(embeddings, 2, np.float64)
         n_classes, dim = self.counts.shape
-        labels = check_labels(labels, n_classes)
-        if emb.shape[0] != labels.shape[0]:
-            raise ShapeMismatchError("labels length != embedding count")
+        labels = as_labels(labels, emb.shape[0], n_classes)
         if emb.shape[1] != dim:
             raise ShapeMismatchError(f"embedding dim {emb.shape[1]} != recorder dim {dim}")
         _check_k(k, dim)
@@ -126,10 +100,6 @@ class TransformationBank:
         self.filled = np.zeros(n_classes, dtype=np.int64)
 
     @property
-    def n_classes(self):
-        return self.slots.shape[0]
-
-    @property
     def capacity(self):
         return self.slots.shape[1]
 
@@ -138,7 +108,7 @@ class TransformationBank:
         the class rings, in order: a class given q rows keeps the last
         min(q, Z) of them, and its cursor moves q places."""
         n_classes, z, dim = self.slots.shape
-        c = check_labels(labels, n_classes)
+        c = as_labels(labels, n_classes=n_classes)
         rows = as_ndim(transforms, 2, np.float64)
         if rows.shape != (c.size, dim):
             raise ShapeMismatchError(
@@ -161,9 +131,7 @@ class TransformationBank:
         group, in (i, j) order; groups with fewer than two members add
         nothing, but their labels are checked too."""
         emb = as_ndim(embeddings, 2, np.float64)
-        labels = check_labels(labels, self.slots.shape[0])
-        if emb.shape[0] != labels.shape[0]:
-            raise ShapeMismatchError("labels length != embedding count")
+        labels = as_labels(labels, emb.shape[0], self.slots.shape[0])
         i, j = label_masks(labels)[0].nonzero()
         self.enqueue(labels[i], emb[i] - emb[j])
 
@@ -188,7 +156,7 @@ def draw_scales(mask, labels, rs: float, rng: SeededRng) -> np.ndarray:
     """(len(labels), d) scaling factors, one independent draw per row; every
     label must index a row of the C x d `mask`."""
     mask = as_ndim(mask, 2, np.float64)
-    rows = mask[check_labels(labels, mask.shape[0])]
+    rows = mask[as_labels(labels, n_classes=mask.shape[0])]
     gamma = rng.uniform(1.0 - rs, 1.0 + rs, size=rows.shape)
     return gamma * rows + (1.0 - rows)
 
@@ -202,7 +170,7 @@ def draw_shifts(bank: TransformationBank, labels, rb: float, rng: SeededRng) -> 
     bounds drawn one call at a time, so a single call over the live rows
     keeps the seeded draw sequence.
     """
-    rows = check_labels(labels, bank.slots.shape[0])
+    rows = as_labels(labels, n_classes=bank.slots.shape[0])
     filled = bank.filled[rows]
     live = filled > 0
     if live.all():  # no empty bank: no row to leave at zero
@@ -220,9 +188,8 @@ def combine_factors(embeddings, labels, anchors, scales, shifts) -> ProducedBatc
     are dropped.  With none dropped, the batch holds `anchors` and `scales`
     themselves, not copies."""
     emb = as_ndim(embeddings, 2, np.float64)
-    labels, anchors, n = as_ndim(labels, 1), as_ndim(anchors, 1), emb.shape[0]
-    if labels.shape[0] != n:
-        raise ShapeMismatchError("labels length != embedding count")
+    n = emb.shape[0]
+    labels, anchors = as_labels(labels, n), as_ndim(anchors, 1)
     if anchors.size and (anchors.dtype.kind not in "iu" or np.minimum.reduce(anchors) < 0
                          or np.maximum.reduce(anchors) >= n):
         raise ShapeMismatchError(f"anchors must be integer batch rows in [0, {n})")
@@ -260,11 +227,9 @@ def produce(
     completes.
     """
     emb = as_ndim(embeddings, 2, np.float64)
-    labels = as_ndim(labels, 1)
-    if labels.shape[0] != emb.shape[0]:
-        raise ShapeMismatchError("labels length != embedding count")
-    if not (config.rs > 0 or config.rb > 0):  # no mechanism runs to check them
-        check_labels(labels, recorder.counts.shape[0])
+    # with both radii zero no mechanism runs to check the labels' classes
+    labels = as_labels(labels, emb.shape[0],
+                       None if config.rs > 0 or config.rb > 0 else recorder.counts.shape[0])
     anchors = np.arange(emb.shape[0]).repeat(config.T)
     copies, rows = labels[anchors], (anchors.size, emb.shape[1])
     if config.rs > 0:

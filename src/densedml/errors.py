@@ -43,7 +43,8 @@ class NoValidTripletError(EngineError):
 
 
 class LabelOutOfRangeError(EngineError):
-    """A class label falls outside the configured class count."""
+    """A class label that is not an integer, or outside [0, C) (int64's
+    range where no class count C applies)."""
 
 
 class CorruptCheckpointError(EngineError):

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import as_ndim, distance_matrix, index_rows, label_masks, scatter_rows
+from .core import as_labels, as_ndim, distance_matrix, index_rows, label_masks, scatter_rows
 from .errors import ConfigError, ShapeMismatchError
 
 TINY_DISTANCE = 1e-9
@@ -173,9 +173,8 @@ def multi_similarity_loss(embeddings, labels, spec: LossSpec) -> LossOutput:
         log(1 + sum_pos exp(-alpha (S_ij - base))) / alpha
       + log(1 + sum_neg exp( beta (S_ij - base))) / beta
     """
-    emb, labels = as_ndim(embeddings, 2, np.float64), as_ndim(labels, 1)
-    if emb.shape[0] != labels.shape[0]:
-        raise ShapeMismatchError("labels length != batch size")
+    emb = as_ndim(embeddings, 2, np.float64)
+    labels = as_labels(labels, emb.shape[0])
     grad = np.zeros_like(emb)
     sims = emb @ emb.T
     same, other = label_masks(labels)

@@ -7,7 +7,6 @@ entropies; F1 is the pairwise variant.
 
 from __future__ import annotations
 
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -65,7 +64,8 @@ def recall_at_k(embeddings, labels, ks) -> dict:
 
     Every point queries all others ranked by l2 distance (ties to the lower
     index); a hit means some same-label point appears in the top k.  Labels
-    are 1-D, one per point; each k is an integer (not a bool) in [1, n).
+    are integers (`core.as_labels`), one per point; each k is an integer
+    (`core.is_int`) in [1, n).
 
     No query is sorted.  Under the order (distance, index) a query's first
     same-label point p* sits at rank #{j: d_j < d_p*} + #{j: d_j == d_p*,
@@ -134,18 +134,14 @@ def recall_at_k(embeddings, labels, ks) -> dict:
     that is under 8 times the product's bytes.
     """
     x = core._as_rows(embeddings)
-    labels = _labels(labels)
     n = x.shape[0]
-    if labels.ndim != 1:
-        raise ShapeMismatchError(f"labels must be 1-D, got shape {labels.shape}")
-    if labels.shape[0] != n:
-        raise ShapeMismatchError("labels length != embedding count")
+    labels = core.as_labels(labels, n)
     try:
         ks = list(ks)
     except TypeError:
         raise KOutOfRangeError(f"recall ks must be an iterable of integers, got {ks!r}") from None
     for k in ks:
-        if not _is_int(k):
+        if not core.is_int(k):
             raise KOutOfRangeError(f"recall k must be an integer, got {k!r}")
     ks = sorted(int(k) for k in ks)
     if not ks:
@@ -272,7 +268,7 @@ def kmeans(embeddings, k: int, rng: SeededRng, max_iter: int = 100):
     x = core._as_rows(embeddings)
     n = x.shape[0]
     for name, value in (("k", k), ("max_iter", max_iter)):
-        if not _is_int(value):
+        if not core.is_int(value):
             raise KOutOfRangeError(f"k-means {name} must be an integer, got {value!r}")
         if value < 1:
             raise KOutOfRangeError(f"k-means needs {name} >= 1, got {value}")
@@ -343,29 +339,6 @@ def kmeans(embeddings, k: int, rng: SeededRng, max_iter: int = 100):
     return assign, centers
 
 
-def _is_int(value):
-    """An integer, numpy's included, that is not a bool."""
-    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
-
-
-def _labels(labels):
-    """np.asarray(labels), for labels that numpy holds in one array and can
-    order, each equal to itself; ragged labels, objects that do not compare
-    and NaN labels are a ShapeMismatchError.  Recall's `==` gives a NaN no
-    partner, while np.unique puts every NaN in one class, so a NaN label
-    has no one meaning."""
-    try:
-        labels = np.asarray(labels)
-        if labels.dtype == object:  # objects order by their own comparisons
-            np.sort(labels, axis=None)
-        unequal = (labels != labels).any()
-    except (ValueError, TypeError) as exc:
-        raise ShapeMismatchError(f"labels are not one array of comparable values: {exc}") from exc
-    if unequal:
-        raise ShapeMismatchError("labels unequal to themselves (NaN) have no one class")
-    return labels
-
-
 def _argmin_leading(values):
     """np.argmin(values, axis=0), ties to the lower row, without the
     transposed copy of `values` that np.argmin makes: the first row at the
@@ -374,9 +347,8 @@ def _argmin_leading(values):
 
 
 def _contingency(a, b):
-    a, b = _labels(a), _labels(b)
-    if a.ndim != 1 or b.ndim != 1 or a.shape[0] != b.shape[0]:
-        raise ShapeMismatchError(f"assignment {a.shape} and labels {b.shape}: not 1-D of one length")
+    a = core.as_labels(a)
+    b = core.as_labels(b, a.shape[0])
     ua, ia = np.unique(a, return_inverse=True)
     ub, ib = np.unique(b, return_inverse=True)
     table = np.zeros((len(ua), len(ub)), dtype=np.int64)
@@ -434,7 +406,7 @@ def f1_score(assignment, labels) -> float:
 def evaluate_embeddings(embeddings, labels, ks, rng: SeededRng) -> EvalReport:
     """Full protocol: retrieval recall plus k-means clustering scored by
     NMI and pairwise F1, with k = number of distinct labels."""
-    labels = _labels(labels)
+    labels = core.as_labels(labels)
     n_classes = len(np.unique(labels, return_inverse=True)[0])  # a bare unique imports numpy.ma
     recall = recall_at_k(embeddings, labels, ks)
     assign, _ = kmeans(embeddings, n_classes, rng)

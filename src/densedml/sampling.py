@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import SeededRng, as_ndim, distance_matrix, index_rows, label_masks
+from .core import SeededRng, as_labels, distance_matrix, index_rows, label_masks
 from .data import Dataset
 from .errors import ConfigError, NotEnoughClassesError, NoValidTripletError
 from .losses import TripletSet
@@ -82,9 +82,10 @@ class BatchLayout:
 
 
 def anchor_layout(labels, anchor_indices=None) -> BatchLayout:
-    """The mining part of the layout of the 1-D `labels`, anchors drawn from
-    `anchor_indices` (every row when None), integers in [0, n)."""
-    labels = as_ndim(labels, 1)
+    """The mining part of the layout of the integer `labels`
+    (`core.as_labels`), anchors drawn from `anchor_indices` (every row when
+    None), integers in [0, n)."""
+    labels = as_labels(labels)
     n = len(labels)
     same, other = label_masks(labels)
     pool = np.arange(n) if anchor_indices is None else index_rows(n, anchor_indices)[0]

@@ -11,7 +11,7 @@ The distance and loss oracles are the forms the package kernel replaced:
 half, and `np.linalg.norm` over gathered pair differences with every
 inactive term added as 0 * direction.  The anchor set-up and k-th True
 oracles are the per-step code the batch layout replaced.  The label check
-is the per-label loop `das.check_labels` replaced.  The
+is the per-label loop `core.as_labels` replaced.  The
 batch oracle draws one class at a time, the loop `sample_batch` replaced.  The
 rank-count recall takes every distance from the kernel, the form the Gram
 prefilter replaced.  The step forms further down are the numpy calls the
@@ -297,21 +297,23 @@ def triplet_loss(embeddings, triplets: TripletSet, margin):
     return LossOutput(float(terms.sum() / denom), grad, n_active)
 
 
-def check_labels(labels, n_classes):
+def check_labels(labels, n_classes=None):
     """Raise LabelOutOfRangeError naming the first label that is not an
-    integer in [0, n_classes), one label at a time; a float or bool label
-    fails before anything casts it."""
+    integer in [0, n_classes), or in int64's range when n_classes is None,
+    one label at a time; a float or bool label fails before anything casts
+    it."""
+    lo, hi = (-(2**63), 2**63) if n_classes is None else (0, n_classes)
     for label in np.asarray(labels).ravel().tolist():
         if type(label) is not int:
             raise LabelOutOfRangeError(f"label {label!r} is not an integer class id")
-        if not 0 <= label < n_classes:
-            raise LabelOutOfRangeError(f"label {label} outside [0, {n_classes})")
+        if not lo <= label < hi:
+            raise LabelOutOfRangeError(f"label {label} outside [{lo}, {hi})")
 
 
 def bank_enqueue(bank: TransformationBank, label, transform):
     """One ring write: the slot at the class cursor, then the cursor and the
     fill count move by one."""
-    check_labels(label, bank.n_classes)
+    check_labels(label, bank.slots.shape[0])
     c = int(label)
     bank.slots[c, bank.cursor[c]] = transform
     bank.cursor[c] = (bank.cursor[c] + 1) % bank.capacity
@@ -343,7 +345,7 @@ def scaling_factor(mask_row, rs, rng):
 def shifting_factor(bank: TransformationBank, label, rb, rng):
     """rb times a uniformly chosen filled slot of the class bank; zero while
     that bank is empty."""
-    check_labels(label, bank.n_classes)
+    check_labels(label, bank.slots.shape[0])
     c = int(label)
     if bank.filled[c] == 0:
         return np.zeros(bank.slots.shape[2])

@@ -1,3 +1,4 @@
+import re
 import tracemalloc
 
 import numpy as np
@@ -7,7 +8,24 @@ from hypothesis import strategies as st
 
 import densedml.core as core
 from densedml.core import DISTANCE_BLOCK_BYTES, SeededRng, pairwise_distances
-from densedml.errors import KOutOfRangeError, ShapeMismatchError, ZeroNormError
+from densedml.das import (
+    DasConfig,
+    FrequencyRecorder,
+    TransformationBank,
+    combine_factors,
+    draw_scales,
+    draw_shifts,
+    produce,
+)
+from densedml.errors import (
+    KOutOfRangeError,
+    LabelOutOfRangeError,
+    ShapeMismatchError,
+    ZeroNormError,
+)
+from densedml.losses import LossSpec, multi_similarity_loss
+from densedml.metrics import evaluate_embeddings, f1_score, nmi, recall_at_k
+from densedml.sampling import anchor_layout
 
 from conftest import random_unit_rows
 import oracles
@@ -384,3 +402,77 @@ class TestSeededRng:
             np.testing.assert_array_equal(got.permutation(6), want.permutation(6))
             assert got.choice(4, p=probs) == want.choice(4, p=probs)
         np.testing.assert_equal(got.bit_generator.state, want.bit_generator.state)
+
+
+# Four rows of width 3 in two classes, and every entry point that takes
+# their labels: each calls `core.as_labels`.
+_ROWS = np.eye(4, 3) + 0.5
+_PARTITION = [0, 0, 1, 1]
+LABEL_TAKERS = {
+    "produce": lambda labels, rng: produce(_ROWS, labels, FrequencyRecorder(2, 3),
+                                           TransformationBank(2, 3, 3), DasConfig(T=1, K=1), rng),
+    "recorder_update": lambda labels, rng: FrequencyRecorder(2, 3).update(_ROWS, labels, 1),
+    "bank_update": lambda labels, rng: TransformationBank(2, 3, 3).update(_ROWS, labels),
+    "enqueue": lambda labels, rng: TransformationBank(2, 3, 3).enqueue(labels, _ROWS),
+    "draw_scales": lambda labels, rng: draw_scales(np.ones((2, 3)), labels, 0.01, rng),
+    "draw_shifts": lambda labels, rng: draw_shifts(TransformationBank(2, 3, 3), labels, 0.01,
+                                                   rng),
+    "combine_factors": lambda labels, rng: combine_factors(_ROWS, labels, [0, 1], np.ones((2, 3)),
+                                                           np.zeros((2, 3))),
+    "anchor_layout": lambda labels, rng: anchor_layout(labels),
+    "multi_similarity_loss": lambda labels, rng: multi_similarity_loss(_ROWS, labels,
+                                                                       LossSpec(kind="ms")),
+    "recall_at_k": lambda labels, rng: recall_at_k(_ROWS, labels, [1]),
+    "nmi": lambda labels, rng: nmi(_PARTITION, labels),
+    "f1_score": lambda labels, rng: f1_score(_PARTITION, labels),
+    "evaluate_embeddings": lambda labels, rng: evaluate_embeddings(_ROWS, labels, [1], rng),
+}
+# entry points that pair the labels with rows: a label count other than the
+# row count is a "labels length" error there (the bank's enqueue names its
+# transforms instead, and the others take any number of labels)
+LENGTH_TAKERS = sorted(set(LABEL_TAKERS) - {"enqueue", "draw_scales", "draw_shifts",
+                                            "anchor_layout"})
+BAD_LABELS = {  # labels for the four rows: (error, the message's start)
+    "float": ([1.5, 0, 1, 1], LabelOutOfRangeError, "label 1.5 is not an integer class id"),
+    "nan": ([np.nan, 0, 1, 1], LabelOutOfRangeError, "label nan is not an integer class id"),
+    "bool": ([True, False, True, False], LabelOutOfRangeError,
+             "label True is not an integer class id"),
+    "none": ([None, 0, 1, 1], LabelOutOfRangeError, "label None is not an integer class id"),
+    "string": (["a", 0, 1, 1], LabelOutOfRangeError, "label 'a' is not an integer class id"),
+    "2-d": (np.zeros((4, 1), dtype=np.int64), ShapeMismatchError,
+            "expected a 1-D array, got shape (4, 1)"),
+    "ragged": ([[0], [0, 1], [1], [1]], ShapeMismatchError, "input is not a 1-D numeric array"),
+    "uint64 2**63": (np.array([2**63, 0, 1, 1], dtype=np.uint64), LabelOutOfRangeError,
+                     "label 9223372036854775808 outside ["),
+}
+
+
+class TestOneLabelRule:
+    """Every entry point that takes labels rejects the same bad labels with
+    the same error and message, before any draw."""
+
+    @pytest.mark.parametrize("case", sorted(BAD_LABELS))
+    @pytest.mark.parametrize("call", sorted(LABEL_TAKERS))
+    def test_bad_labels(self, call, case):
+        labels, error, message = BAD_LABELS[case]
+        rng = SeededRng(0)
+        with pytest.raises(error, match="^" + re.escape(message)):
+            LABEL_TAKERS[call](labels, rng)
+        assert rng.random() == SeededRng(0).random()
+
+    @pytest.mark.parametrize("call", LENGTH_TAKERS)
+    def test_wrong_length(self, call):
+        with pytest.raises(ShapeMismatchError, match=r"^labels length 3 != 4$"):
+            LABEL_TAKERS[call]([0, 1, 1], SeededRng(0))
+
+    @pytest.mark.parametrize("call", sorted(LABEL_TAKERS))
+    def test_good_labels_pass(self, call):
+        LABEL_TAKERS[call](np.array(_PARTITION, dtype=np.uint8), SeededRng(0))
+
+    @pytest.mark.parametrize("value, want", [
+        (1, True), (np.int64(1), True), (np.uint8(1), True), (2**70, True),
+        (True, False), (np.True_, False), (1.0, False), (np.float64(1), False), ("1", False),
+        (None, False),
+    ])
+    def test_is_int(self, value, want):
+        assert core.is_int(value) is want

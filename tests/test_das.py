@@ -5,12 +5,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from densedml.core import SeededRng
+from densedml.core import SeededRng, as_labels
 from densedml.das import (
     DasConfig,
     FrequencyRecorder,
     TransformationBank,
-    check_labels,
     combine_factors,
     draw_scales,
     draw_shifts,
@@ -557,12 +556,22 @@ class TestDirectCallerChecks:
 
     @pytest.mark.parametrize("call", [lambda rec: rec.mask(2.0), lambda rec: rec.mask(True),
                                       lambda rec: rec.update(np.eye(4)[:2], [0, 1], True),
-                                      lambda rec: rec.update(np.eye(4)[:2], [0, 1], 1.0)])
+                                      lambda rec: rec.update(np.eye(4)[:2], [0, 1], 1.0),
+                                      lambda rec: rec.mask(np.True_),
+                                      lambda rec: rec.update(np.eye(4)[:2], [0, 1], np.True_)])
     def test_recorder_k_not_an_integer(self, call):
         rec = FrequencyRecorder(2, 4)
         with pytest.raises(KOutOfRangeError, match="must be an integer"):
             call(rec)
         assert rec.counts.sum() == 0
+
+    @pytest.mark.parametrize("k", [np.int64(1), np.uint8(1)])
+    def test_recorder_numpy_integer_k(self, k):
+        # a numpy integer K was a KOutOfRangeError, though metrics took one as k
+        rec = FrequencyRecorder(2, 4)
+        rec.update(np.eye(4)[:2], [0, 1], k)
+        assert rec.counts.tolist() == [[1, 0, 0, 0], [0, 1, 0, 0]]
+        np.testing.assert_array_equal(rec.mask(k), rec.mask(1))
 
     @pytest.mark.parametrize("anchors", [[0, 9], [-1, 0], [0.0, 1.0], [True, False]])
     def test_combine_anchors_outside_the_rows(self, anchors):
@@ -630,36 +639,40 @@ def label_inputs(draw):
 
 
 class TestCheckLabels:
-    """The vectorized label check against the per-label loop it replaced
-    (tests/oracles.py): it raises exactly when the loop does, naming the same
-    label, and otherwise returns the labels as a 1-D int64 array."""
+    """The vectorized label rule, `core.as_labels`, against the per-label
+    loop it replaced (tests/oracles.py), with and without a class count: it
+    raises exactly when the loop does, naming the same label, and otherwise
+    returns the labels as a 1-D int64 array."""
 
     @settings(max_examples=500, deadline=None, derandomize=True)
-    @given(label_inputs(), st.integers(0, 6))
+    @given(label_inputs(), st.none() | st.integers(0, 6))
     def test_raises_exactly_when_the_loop_does(self, labels, n_classes):
         try:
             oracles.check_labels(labels, n_classes)
         except LabelOutOfRangeError as exc:
             with pytest.raises(LabelOutOfRangeError) as got:
-                check_labels(labels, n_classes)
+                as_labels(labels, n_classes=n_classes)
             assert str(got.value) == str(exc)
         else:
-            got = check_labels(labels, n_classes)
+            got = as_labels(labels, n_classes=n_classes)
             assert got.dtype == np.int64 and got.ndim == 1
             assert got.tolist() == np.asarray(labels).ravel().tolist()
 
     @pytest.mark.parametrize("labels", [[], np.zeros(0), np.zeros(0, dtype=np.uint8)])
     def test_no_labels_pass(self, labels):
-        got = check_labels(labels, 3)
-        assert got.dtype == np.int64 and got.shape == (0,)
+        for n_classes in (3, None):
+            got = as_labels(labels, n_classes=n_classes)
+            assert got.dtype == np.int64 and got.shape == (0,)
 
     @pytest.mark.parametrize("labels", [2, np.int64(2), np.array(2)])
     def test_one_label_is_one_row(self, labels):
-        assert check_labels(labels, 3).tolist() == [2]
+        assert as_labels(labels, n_classes=3).tolist() == [2]
+        assert as_labels(labels).tolist() == [2]
 
     def test_int64_labels_pass_through(self):
         labels = np.array([0, 2, 1])
-        assert check_labels(labels, 3) is labels
+        assert as_labels(labels, n_classes=3) is labels
+        assert as_labels(labels, 3) is labels
 
 
 class TestLabelShape:

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 import densedml.core as core
 import densedml.metrics as metrics
 from densedml.core import SeededRng
-from densedml.errors import KOutOfRangeError, ShapeMismatchError
+from densedml.errors import KOutOfRangeError, LabelOutOfRangeError, ShapeMismatchError
 from densedml.metrics import (
     EvalReport,
     evaluate_embeddings,
@@ -117,21 +117,27 @@ class TestRecall:
 
     @pytest.mark.parametrize("labels", [np.zeros((12, 2), dtype=int), np.array(3)])
     def test_labels_not_one_per_point(self, labels):
-        # a 2-D stack reached numpy's ndarray.take, a scalar an IndexError
+        # a 2-D stack reached numpy's ndarray.take, a scalar an IndexError;
+        # a scalar is one label, not twelve
         emb = SeededRng(2).normal(size=(12, 3))
-        with pytest.raises(ShapeMismatchError, match="labels must be 1-D"):
+        match = "labels length 1 != 12" if labels.ndim == 0 else "expected a 1-D array"
+        with pytest.raises(ShapeMismatchError, match=match):
             recall_at_k(emb, labels, [1])
-        with pytest.raises(ShapeMismatchError, match="labels must be 1-D"):
+        with pytest.raises(ShapeMismatchError, match=match):
             evaluate_embeddings(emb, labels, [1], SeededRng(0))
 
     @pytest.mark.parametrize("labels", [[[0], [0, 1], [1], [1]], [None, 0, None, 0]])
     def test_labels_not_one_comparable_array(self, labels):
-        # numpy's ValueError (ragged) or TypeError (None < 0) escaped
+        # numpy's ValueError (ragged) or TypeError (None < 0) escaped; ragged
+        # labels are not one vector, and None is not an integer label
         emb = np.eye(4)
+        ragged = isinstance(labels[0], list)
+        error = ShapeMismatchError if ragged else LabelOutOfRangeError
+        match = "not a 1-D numeric array" if ragged else "label None is not an integer class id"
         for call in (lambda: recall_at_k(emb, labels, [1]),
                      lambda: evaluate_embeddings(emb, labels, [1], SeededRng(0)),
                      lambda: nmi([0, 0, 1, 1], labels), lambda: f1_score(labels, [0, 0, 1, 1])):
-            with pytest.raises(ShapeMismatchError, match="labels are not one array"):
+            with pytest.raises(error, match=match):
                 call()
 
     @pytest.mark.parametrize("labels", [[np.nan, np.nan, 1, 1],
@@ -144,7 +150,7 @@ class TestRecall:
         for call in (lambda: recall_at_k(emb, labels, [1]),
                      lambda: evaluate_embeddings(emb, labels, [1], rng),
                      lambda: nmi([0, 0, 1, 1], labels), lambda: f1_score(labels, [0, 0, 1, 1])):
-            with pytest.raises(ShapeMismatchError, match="unequal to themselves"):
+            with pytest.raises(LabelOutOfRangeError, match="label nan is not an integer class id"):
                 call()
         assert rng.random() == SeededRng(0).random()  # rejected before any draw
 
@@ -850,7 +856,7 @@ class TestNmi:
     def test_not_one_dimensional(self, score, swap):
         # a (4, 2) assignment reached numpy's IndexError, in either order
         args = (np.zeros((4, 2)), [0, 0, 1, 1])
-        with pytest.raises(ShapeMismatchError, match="not 1-D of one length"):
+        with pytest.raises(ShapeMismatchError, match=r"expected a 1-D array, got shape \(4, 2\)"):
             score(*(args[::-1] if swap else args))
 
     @settings(max_examples=30)
