@@ -8,7 +8,7 @@ configs (perfbench/workloads.py) and prints, for each, every call cProfile
 counts (Python functions and the C functions and methods they call, such as
 numpy's `ufunc.reduce`; a bare ufunc call is not counted) divided by the
 steps, then the call sites with the most calls per step.  The set-up and the
-one evaluation at the end of the run are in the count, about 4610 calls on
+one evaluation at the end of the run are in the count, about 4615 calls on
 train_das: 2.3 per step over 2000 steps, 9.2 over 500.  Counts are
 deterministic for a numpy version.
 """

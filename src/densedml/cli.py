@@ -94,7 +94,7 @@ def _variants_from_args(args):
             doc = json.load(fh)
     except OSError as exc:
         raise ConfigError(f"cannot read variants file {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # JSONDecodeError, or bytes that are not UTF-8
         raise ConfigError(f"variants file {path} is not valid JSON: {exc}") from exc
     if not isinstance(doc, list):
         raise ConfigError(f"variants file {path} must hold a JSON list of {{name, set}} entries")
@@ -192,11 +192,11 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except EngineError as exc:
+    except (EngineError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except MemoryError as exc:  # a size the machine cannot allocate, such as a huge das.Z
+        print(f"error: out of memory: {exc}", file=sys.stderr)
         return 3
 
 

@@ -110,23 +110,30 @@ def _cast(x, dtype) -> np.ndarray:
             raise ShapeMismatchError(f"complex input: {exc}") from exc
 
 
-def as_ndim(x, ndim, dtype=None) -> np.ndarray:
+def as_ndim(x, ndim, dtype=None, shape=None, name="input") -> np.ndarray:
     """np.asarray(x, dtype) with leading unit axes up to `ndim` (1 or 2), as
     np.atleast_1d/np.atleast_2d add them; an array that deep passes as is.
-    Input numpy cannot convert (ragged, or not numbers where `dtype` asks for
-    them), complex input where `dtype` is real, and input deeper than `ndim`
-    are a ShapeMismatchError."""
+    The package's one shape rule: input numpy cannot convert (ragged, or not
+    numbers where `dtype` asks for them), complex input where `dtype` is
+    real, input deeper than `ndim`, and input whose shape is not `shape`
+    (`ndim` lengths, a first of None free) when that is given are a
+    ShapeMismatchError.  A wrong shape names the input and gives both
+    shapes, a free length as *: "embeddings (2, 5) != (*, 4)"."""
     try:
         arr = np.asarray(x)
         if dtype is not None and arr.dtype != dtype:  # an array of `dtype` passes on one call
             arr = _cast(x, dtype)
     except (ValueError, TypeError, OverflowError) as exc:
-        raise ShapeMismatchError(f"input is not a {ndim}-D numeric array: {exc}") from exc
-    if arr.ndim == ndim:
-        return arr
-    if arr.ndim > ndim:
-        raise ShapeMismatchError(f"expected a {ndim}-D array, got shape {arr.shape}")
-    return (np.atleast_1d if ndim == 1 else np.atleast_2d)(arr)
+        raise ShapeMismatchError(f"{name} is not a {ndim}-D numeric array: {exc}") from exc
+    if arr.ndim != ndim:
+        if arr.ndim > ndim and shape is None:
+            raise ShapeMismatchError(f"expected a {ndim}-D array, got shape {arr.shape}")
+        arr = (np.atleast_1d if ndim == 1 else np.atleast_2d)(arr)  # a deeper one as it is
+    # tuple tests only: no call, and a free first length is one slice
+    if shape is not None and arr.shape != shape and (
+            shape[0] is not None or arr.shape[1:] != shape[1:]):
+        raise ShapeMismatchError(f"{name} {np.shape(x)} != {str(shape).replace('None', '*')}")
+    return arr
 
 
 def is_int(value) -> bool:
@@ -184,14 +191,6 @@ def index_rows(n, *index_arrays):
     if np.minimum.reduce(rows, None) < 0 or np.maximum.reduce(rows, None) >= n:
         raise ShapeMismatchError("index outside the batch")
     return rows
-
-
-def distance_matrix(dist, n, of) -> np.ndarray:
-    """`dist` as an n x n float64 matrix over n `of` (rows, say)."""
-    matrix = as_ndim(dist, 2, np.float64)
-    if matrix.shape != (n, n):
-        raise ShapeMismatchError(f"distance matrix {np.shape(dist)} vs {n} {of}")
-    return matrix
 
 
 def scatter_rows(rows, values, n) -> np.ndarray:

@@ -70,11 +70,9 @@ class FrequencyRecorder:
 
     def update(self, embeddings, labels, k: int) -> None:
         """Bump the top-K channel counters of each embedding's class row."""
-        emb = as_ndim(embeddings, 2, np.float64)
         n_classes, dim = self.counts.shape
+        emb = as_ndim(embeddings, 2, np.float64, (None, dim), "embeddings")
         labels = as_labels(labels, emb.shape[0], n_classes)
-        if emb.shape[1] != dim:
-            raise ShapeMismatchError(f"embedding dim {emb.shape[1]} != recorder dim {dim}")
         _check_k(k, dim)
         # each row's K largest entries; the stable sort keeps the lower
         # index first among ties
@@ -109,11 +107,7 @@ class TransformationBank:
         min(q, Z) of them, and its cursor moves q places."""
         n_classes, z, dim = self.slots.shape
         c = as_labels(labels, n_classes=n_classes)
-        rows = as_ndim(transforms, 2, np.float64)
-        if rows.shape != (c.size, dim):
-            raise ShapeMismatchError(
-                f"transforms {rows.shape} must be {c.size} rows of width {dim}, one per label"
-            )
+        rows = as_ndim(transforms, 2, np.float64, (c.size, dim), "transforms")
         q = np.bincount(c, minlength=n_classes)
         rank = np.empty(c.shape, dtype=np.int64)  # each row's rank among its class's rows
         rank[c.argsort(kind="stable")] = np.arange(c.size) - (np.add.accumulate(q) - q).repeat(q)
@@ -194,12 +188,9 @@ def combine_factors(embeddings, labels, anchors, scales, shifts) -> ProducedBatc
                          or np.maximum.reduce(anchors) >= n):
         raise ShapeMismatchError(f"anchors must be integer batch rows in [0, {n})")
     anchors = anchors.astype(np.int64, copy=False)
-    scales, shifts = as_ndim(scales, 2, np.float64), as_ndim(shifts, 2, np.float64)
-    rows = (len(anchors), emb.shape[1])
-    if scales.shape != rows or shifts.shape != rows:
-        raise ShapeMismatchError(
-            f"factors {scales.shape} and {shifts.shape} must both be {rows}, one row per anchor"
-        )
+    rows = (len(anchors), emb.shape[1])  # one factor row per anchor
+    scales = as_ndim(scales, 2, np.float64, rows, "scales")
+    shifts = as_ndim(shifts, 2, np.float64, rows, "shifts")
     raw = scales * emb[anchors] + shifts
     norms = np.sqrt(np.add.reduce(raw * raw, axis=1))  # np.linalg.norm's own form
     keep = norms > ZERO_NORM_EPS
@@ -258,13 +249,12 @@ def produced_backward(batch: ProducedBatch, grad_produced, n_anchors: int, dim: 
     For v' = u/||u||, u = s*v + b (s, b constant):
         dL/dv = s * ((g - (g.v') v') / ||u||)
     """
-    g = as_ndim(grad_produced, 2, np.float64)
-    if g.size == 0:
-        return np.zeros((n_anchors, dim))
     vp, rows = batch.embeddings, batch.anchor_rows
-    if g.shape != vp.shape or vp.shape[1] != dim:
-        raise ShapeMismatchError(f"gradient {g.shape} must match the {vp.shape} produced "
-                                 f"rows, of width {dim}")
+    if vp.shape[1] != dim:
+        raise ShapeMismatchError(f"produced rows of width {vp.shape[1]} != {dim}")
+    if not rows.size and not as_ndim(grad_produced, 2, np.float64).size:
+        return np.zeros((n_anchors, dim))  # no produced row: an empty gradient, [] among them
+    g = as_ndim(grad_produced, 2, np.float64, vp.shape, "gradient")
     if np.minimum.reduce(rows) < 0 or np.maximum.reduce(rows) >= n_anchors:
         raise ShapeMismatchError(f"an anchor row is outside [0, {n_anchors})")
     inv = batch.inv_norms[:, None]

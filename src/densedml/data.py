@@ -95,8 +95,11 @@ def load_csv(path, label_column: int, header: bool = False) -> Dataset:
     The first half of the distinct labels (sorted ascending by original
     value) becomes the train split.
     """
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = fh.read().splitlines()
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            lines = fh.read().splitlines()
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path}: not UTF-8 text: {exc}") from exc
     rows = [(i + 1, line) for i, line in enumerate(lines) if line.strip()]
     if header:
         rows = rows[1:]  # the header is the first non-blank line

@@ -51,10 +51,7 @@ class EncoderParams:
         shapes = [*zip(sizes[:-1], sizes[1:]), *((n,) for n in sizes[1:])]
         stops = list(itertools.accumulate(math.prod(shape) for shape in shapes))
         self._layout = tuple(zip([0, *stops[:-1]], stops, shapes))
-        self.theta = np.array(theta, dtype=np.float64)
-        if self.theta.shape != (stops[-1],):
-            raise ShapeMismatchError(f"theta {self.theta.shape} != ({stops[-1]},) for "
-                                     f"layer sizes {sizes}")
+        self.theta = as_ndim(theta, 1, np.float64, (stops[-1],), "theta").copy()
         if not np.isfinite(self.theta).all():
             raise ShapeMismatchError("theta holds non-finite values")
 
@@ -114,13 +111,9 @@ class ForwardTape:
 
 def encode(params: EncoderParams, inputs) -> tuple[np.ndarray, ForwardTape]:
     """Batch forward pass; outputs are rows on the unit sphere."""
-    x = as_ndim(inputs, 2, np.float64)
+    x = as_ndim(inputs, 2, np.float64, (None, params.input_dim), "inputs")
     if x.shape[0] == 0:
         raise ShapeMismatchError("empty batch")
-    if x.shape[1] != params.input_dim:
-        raise ShapeMismatchError(
-            f"input dim {x.shape[1]} != encoder d_in {params.input_dim}"
-        )
     layer_inputs, pre_acts = [], []
     a = x
     weights, biases = params.split(params.theta)
@@ -141,11 +134,7 @@ def encode(params: EncoderParams, inputs) -> tuple[np.ndarray, ForwardTape]:
 def backward(params: EncoderParams, tape: ForwardTape, grad_embeddings) -> np.ndarray:
     """Exact gradient of the (layers o normalization) composition, one vector
     in `params.theta`'s layout."""
-    g = np.asarray(grad_embeddings, dtype=np.float64)
-    if g.shape != tape.embeddings.shape:
-        raise ShapeMismatchError(
-            f"gradient batch {g.shape} != embedding batch {tape.embeddings.shape}"
-        )
+    g = as_ndim(grad_embeddings, 2, np.float64, tape.embeddings.shape, "gradient")
     v = tape.embeddings
     # through v = u/||u||:  dL/du = (g - (g.v) v) / ||u||
     upstream = (g - np.add.reduce(g * v, axis=1, keepdims=True) * v) / tape.norms[:, None]
@@ -186,9 +175,7 @@ def optimizer_step(params: EncoderParams, grad, state: OptimizerState) -> Encode
     """One in-place update of `params.theta` by the gradient vector `grad`;
     returns `params` for convenience.  A rejected update changes nothing."""
     theta = params.theta
-    g = np.asarray(grad, dtype=np.float64)
-    if g.shape != theta.shape:
-        raise ShapeMismatchError(f"gradient shape {g.shape} != parameter shape {theta.shape}")
+    g = as_ndim(grad, 1, np.float64, theta.shape, "gradient")
     if state.rule not in OPTIMIZER_RULES:
         raise ConfigError(f"unknown optimizer rule {state.rule!r}")
     slots = state.slots

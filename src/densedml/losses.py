@@ -15,8 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import as_labels, as_ndim, distance_matrix, index_rows, label_masks, scatter_rows
-from .errors import ConfigError, ShapeMismatchError
+from .core import as_labels, as_ndim, index_rows, label_masks, scatter_rows
+from .errors import ConfigError
 
 TINY_DISTANCE = 1e-9
 
@@ -110,10 +110,8 @@ def _pair_hinge(embeddings, pairs: PairSet, offset, shift, dist) -> LossOutput:
     """
     emb = as_ndim(embeddings, 2, np.float64)
     i, j = index_rows(emb.shape[0], pairs.first, pairs.second)
-    pos = as_ndim(pairs.is_positive, 1)
-    if pos.shape != i.shape:
-        raise ShapeMismatchError(f"pair flags {pos.shape} must be one per pair, {i.shape}")
-    d = distance_matrix(dist, emb.shape[0], "embeddings")[i, j]
+    pos = as_ndim(pairs.is_positive, 1, None, i.shape, "pair flags")
+    d = as_ndim(dist, 2, np.float64, (emb.shape[0],) * 2, "distance matrix")[i, j]
     y = np.where(pos, 1.0, -1.0)
 
     terms = np.maximum(offset + y * (d - shift), 0.0)
@@ -142,7 +140,7 @@ def triplet_loss(embeddings, triplets: TripletSet, margin: float, dist) -> LossO
     emb = as_ndim(embeddings, 2, np.float64)
     a, p, n = index_rows(emb.shape[0], triplets.anchors, triplets.positives,
                          triplets.negatives)
-    dist = distance_matrix(dist, emb.shape[0], "embeddings")
+    dist = as_ndim(dist, 2, np.float64, (emb.shape[0],) * 2, "distance matrix")
     d_ap, d_an = dist[a, p], dist[a, n]
 
     terms = np.maximum(d_ap - d_an + margin, 0.0)

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import SeededRng, as_labels, distance_matrix, index_rows, label_masks
+from .core import SeededRng, as_labels, as_ndim, index_rows, label_masks
 from .data import Dataset
 from .errors import ConfigError, NotEnoughClassesError, NoValidTripletError
 from .losses import TripletSet
@@ -124,7 +124,7 @@ def _require_anchors(layout):
 
 def _anchor_distances(dist, layout):
     """The anchors' rows of `dist`, which must be n x n for the layout's n labels."""
-    matrix = distance_matrix(dist, layout.same.shape[1], "labels")
+    matrix = as_ndim(dist, 2, np.float64, (layout.same.shape[1],) * 2, "distance matrix")
     _require_anchors(layout)
     return matrix[layout.rows]
 

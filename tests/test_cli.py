@@ -168,6 +168,15 @@ class TestTrain:
         assert code == 3
         assert "no data rows" in capsys.readouterr().err
 
+    def test_csv_not_utf8_exit_3(self, tmp_path, capsys):
+        # a UnicodeDecodeError traceback, exit 1, before
+        data = tmp_path / "latin.csv"
+        data.write_bytes(b"\xff\xfe")
+        code = run_cli("train", *BASE_OVERRIDES, "--set", f"data.path={data}",
+                       "--out-dir", str(tmp_path / "run"))
+        assert code == 3
+        assert f"error: {data}: not UTF-8 text: 'utf-8' codec" in capsys.readouterr().err
+
     @pytest.mark.parametrize("doc, key", [
         ({"data": {"kind": "csv"}}, "data.kind"),
         ({"das": {"dfs_only": True}}, "das.dfs_only"),
@@ -261,11 +270,13 @@ class TestConfigBoundary:
         (None, "cannot read config {path}: "),
         ("{not json", "config {path} is not valid JSON: "),
         ("[1, 2]", "config {path} must hold a JSON object"),
-    ], ids=["unreadable", "invalid-json", "not-an-object"])
+        (b"\xff\xfe", "config {path} is not valid JSON: 'utf-8' codec"),
+        ('{"seed": 1' + "0" * 5000 + "}", "config {path} is not valid JSON: Exceeds the limit"),
+    ], ids=["unreadable", "invalid-json", "not-an-object", "not-utf-8", "huge-integer"])
     def test_config_file_exit_2(self, tmp_path, monkeypatch, capsys, content, message):
         path = tmp_path / "cfg.json"
         if content is not None:
-            path.write_text(content)
+            path.write_bytes(content if isinstance(content, bytes) else content.encode())
         assert TestPreflight.run_without_steps(monkeypatch, "--config", str(path)) == 2
         assert f"config error: {message.format(path=path)}" in capsys.readouterr().err
 
@@ -287,6 +298,17 @@ class TestEntryPoint:
         out = tmp_path / "missing" / "cfg.json"
         assert run_cli("write-config", "--out", str(out)) == 3
         assert f"error: [Errno 2] No such file or directory: '{out}'" in capsys.readouterr().err
+
+    # a MemoryError traceback, exit 1, before; every size is a PiB or more, so
+    # the allocation fails before a page is touched
+    @pytest.mark.parametrize("override", ["das.Z=10000000000000", "das.T=100000000000000"])
+    def test_unallocatable_size_exit_3(self, tmp_path, capsys, override):
+        code = run_cli("train", *BASE_OVERRIDES, "--set", override,
+                       "--out-dir", str(tmp_path / "run"))
+        assert code == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: out of memory: Unable to allocate") and "PiB" in err
+        assert err.count("\n") == 1
 
     def test_module_runs_main(self, monkeypatch, capsys):
         monkeypatch.setattr("sys.argv", ["densedml", "write-config"])
@@ -527,10 +549,11 @@ class TestCompareAndSweep:
         ('[{"name": "a"}, "b"]', "entry 1 needs a \"name\""),
         ('{"name": "a"}', "must hold a JSON list"),
         ('[{"name": "a",]', "is not valid JSON"),
+        (b"\xff\xfe", "is not valid JSON: 'utf-8' codec"),
     ])
     def test_bad_variants_file_exit_2(self, tmp_path, capsys, text, message):
         variants = tmp_path / "v.json"
-        variants.write_text(text)
+        variants.write_bytes(text if isinstance(text, bytes) else text.encode())
         code = run_cli(
             "compare", "--variants", str(variants), "--seeds", "0", *BASE_OVERRIDES,
         )

@@ -70,7 +70,7 @@ class TestForward:
 
     def test_wrong_input_dim(self, rng):
         params = init_params([4, 4], "relu", rng)
-        with pytest.raises(ShapeMismatchError):
+        with pytest.raises(ShapeMismatchError, match=r"^inputs \(1, 2\) != \(\*, 4\)$"):
             encode(params, [[1.0, 2.0]])
 
     @pytest.mark.parametrize("inputs", [[[1.0] * 4, [1.0] * 3], [["a"] * 4], np.ones((2, 4, 4))],
@@ -130,7 +130,7 @@ class TestBackward:
     def test_shape_mismatch(self, rng):
         params = init_params([3, 2], "relu", rng)
         _, tape = encode(params, rng.normal(size=(4, 3)))
-        with pytest.raises(ShapeMismatchError):
+        with pytest.raises(ShapeMismatchError, match=r"^gradient \(3, 2\) != \(4, 2\)$"):
             backward(params, tape, np.zeros((3, 2)))
 
     @pytest.mark.parametrize("loss_kind", ["contrastive", "triplet", "margin", "ms"])
@@ -302,7 +302,7 @@ class TestOptimizer:
     def test_shape_mismatch(self, rng):
         params = init_params([3, 2], "relu", rng)
         state = OptimizerState(rule="sgd", lr=0.1)
-        with pytest.raises(ShapeMismatchError):
+        with pytest.raises(ShapeMismatchError, match=r"^gradient \(7,\) != \(8,\)$"):
             optimizer_step(params, np.zeros(7), state)
 
     @pytest.mark.parametrize("rule,momentum", [("adam", 0.0), ("sgd", 0.9), ("sgd", 0.0)])
@@ -469,7 +469,7 @@ class TestCheckpoint:
 
     @pytest.mark.parametrize(
         "field, name, shape_message",
-        [(("params",), "params", "theta (8,) != (9,) for layer sizes [2, 3]"),
+        [(("params",), "params", "theta (8,) != (9,)"),
          (("optimizer", "slots", "m"), "optimizer slot 'm'",
           "optimizer slot 'm' is (8,), parameters are (9,)"),
          (("optimizer", "slots", "v"), "optimizer slot 'v'",

@@ -1,7 +1,8 @@
 """Fuzzed user input: config documents and CSV files through `train`,
 mutated checkpoints through `evaluate_checkpoint`, and malformed arrays
-through the distance kernel, the public DAS functions, the losses, the
-samplers and the metrics.
+through the distance kernel, the public DAS functions, the encoder's
+parameters, backward pass and optimizer step, the losses, the samplers and
+the metrics.
 
 Only `EngineError` subclasses may escape, because those are what the CLI
 turns into exit codes 2 and 3.  The examples are derandomized and counted,
@@ -33,7 +34,10 @@ from densedml.das import (
 from densedml.encoder import (
     ACTIVATIONS,
     OPTIMIZER_RULES,
+    EncoderParams,
     OptimizerState,
+    backward,
+    encode,
     init_params,
     optimizer_step,
     save_checkpoint,
@@ -317,6 +321,55 @@ def test_das_functions_on_malformed_arrays(target, n, d, k, data):
             n_anchors = data.draw(st.sampled_from([3, 0, 2]))
             dim = data.draw(st.sampled_from([D, d]))
             produced_backward(batch, data.draw(rows_like(3, d)), n_anchors, dim)
+    except EngineError:
+        pass
+
+
+# an encoder of 3 inputs, 4 hidden units and 2 outputs: 26 parameters
+SIZES = [3, 4, 2]
+
+
+def vectors_like(n):
+    """n floats, or a vector as a caller may get it wrong: of another length
+    or rank, ragged, strings, complex, None, NaN, or of another dtype."""
+    good = np.linspace(-1.0, 1.0, n)
+    return st.sampled_from([
+        good, good.tolist(), good.astype(">f8"), good.astype(np.float32), good[:-1],
+        np.ones(n + 1), good[None], good[:, None], [[1.0], [1.0, 2.0]], ["a"] * n,
+        good + 1j, [np.complex128(1j)] + [0.0] * (n - 1), [None] * n, np.full(n, np.nan), [],
+        None, "x", 1.0,
+    ])
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # NaN inputs are inputs here
+@pytest.mark.filterwarnings("error::numpy.exceptions.ComplexWarning")  # a dropped imaginary part
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.sampled_from(["params", "backward", "step"]), st.sampled_from(OPTIMIZER_RULES),
+       st.sampled_from([0.0, 0.9]), st.booleans(), st.data())
+def test_encoder_on_malformed_arrays(target, rule, momentum, warm, data):
+    """Only EngineError escapes the encoder's parameters, backward pass and
+    optimizer step, whatever vector or gradient they are handed; a rejected
+    optimizer step changes neither the parameters nor the optimizer state."""
+    params = init_params(SIZES, "tanh", SeededRng(0))
+    n = params.theta.size
+    if target == "step":
+        state = OptimizerState(rule, 0.1, momentum)
+        if warm:
+            optimizer_step(params, np.ones(n), state)
+        theta, slots, count = params.theta.copy(), copy.deepcopy(state.slots), state.step_count
+        try:
+            optimizer_step(params, data.draw(vectors_like(n) | rows_like(1, n)), state)
+        except EngineError:
+            assert params.theta.tobytes() == theta.tobytes() and state.step_count == count
+            assert {k: v.tobytes() for k, v in state.slots.items()} == {
+                k: v.tobytes() for k, v in slots.items()}
+        return
+    try:
+        if target == "params":
+            EncoderParams(SIZES, "tanh", data.draw(vectors_like(n)))
+        else:
+            _, tape = encode(params, np.linspace(-1.0, 1.0, 15).reshape(5, 3))
+            backward(params, tape, data.draw(rows_like(5, 2)))
     except EngineError:
         pass
 

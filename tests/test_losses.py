@@ -155,9 +155,10 @@ class TestTriplet:
     def test_pair_flags_not_one_per_pair(self, flags):
         emb = np.array([[0.0, 0.0], [0.2, 0.0], [0.6, 0.0]])
         dist, pairs = pairwise_distances(emb), PairSet([0, 1], [1, 2], flags)
-        with pytest.raises(ShapeMismatchError, match="one per pair"):
+        message = rf"^pair flags \({len(flags)},\) != \(2,\)$"
+        with pytest.raises(ShapeMismatchError, match=message):
             contrastive_loss(emb, pairs, 0.5, dist)
-        with pytest.raises(ShapeMismatchError, match="one per pair"):
+        with pytest.raises(ShapeMismatchError, match=message):
             margin_loss(emb, pairs, 0.2, 1.2, dist)
 
     def test_inactive_hinge(self):
@@ -287,9 +288,9 @@ class TestDistanceMatrixOracle:
 
     def test_wrong_matrix_shape_raises(self):
         emb, trip = self.batch(0, 5, 3, duplicates=False)
-        with pytest.raises(ShapeMismatchError, match="distance matrix"):
+        with pytest.raises(ShapeMismatchError, match=r"^distance matrix \(4, 4\) != \(5, 5\)$"):
             triplet_loss(emb, trip, 0.2, np.zeros((4, 4)))
-        with pytest.raises(ShapeMismatchError, match="distance matrix"):
+        with pytest.raises(ShapeMismatchError, match=r"^distance matrix \(5, 4\) != \(5, 5\)$"):
             margin_loss(emb, trip.to_pairs(), 0.2, 1.2, np.zeros((5, 4)))
 
     def test_non_finite_rows_without_a_matrix_raise(self):
@@ -301,7 +302,7 @@ class TestDistanceMatrixOracle:
             triplet_loss(emb, trip, 0.2, pairwise_distances(emb))
         with pytest.raises(ShapeMismatchError, match="non-finite"):
             contrastive_loss(emb, trip.to_pairs(), 0.2, pairwise_distances(emb))
-        with pytest.raises(ShapeMismatchError, match=r"distance matrix \(\) vs 5 embeddings"):
+        with pytest.raises(ShapeMismatchError, match=r"^distance matrix \(\) != \(5, 5\)$"):
             triplet_loss(emb, trip, 0.2, None)
 
 
