@@ -113,6 +113,18 @@ class RunConfig:
         self.loss.validate()
         self.das.validate(self.encoder.embed_dim)
         self.optim.validate()
+        # sizes that shape an array of 2**60 entries or more, which numpy cannot
+        # hold as float64 or int64 (a size memory cannot hold is a MemoryError)
+        d, e, das, b = self.data, self.encoder, self.das, self.batch
+        w = [d.input_dim, *e.hidden, e.embed_dim]  # a layer's weights: two neighbours
+        for keys, size in (
+                ("data.classes/per_class/input_dim", d.classes * d.per_class * d.input_dim),
+                ("data.input_dim, encoder.hidden/embed_dim", max(m * n for m, n in zip(w, w[1:]))),
+                ("data.classes, das.Z, encoder.embed_dim", d.classes * das.Z * e.embed_dim),
+                ("batch.classes_per_batch/samples_per_class, das.T",
+                 b.classes_per_batch * b.samples_per_class * (das.T + 1))):
+            if size >= 2**60:
+                raise ConfigError(f"{keys} give an array of {size} entries: numpy holds < 2**60")
         return self
 
 

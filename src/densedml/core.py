@@ -12,7 +12,7 @@ import warnings
 
 import numpy as np
 
-from .errors import LabelOutOfRangeError, ShapeMismatchError
+from .errors import KOutOfRangeError, LabelOutOfRangeError, ShapeMismatchError
 
 ZERO_NORM_EPS = 1e-12
 
@@ -113,6 +113,8 @@ def _cast(x, dtype) -> np.ndarray:
 def as_ndim(x, ndim, dtype=None, shape=None, name="input") -> np.ndarray:
     """np.asarray(x, dtype) with leading unit axes up to `ndim` (1 or 2), as
     np.atleast_1d/np.atleast_2d add them; an array that deep passes as is.
+    An empty vector, [] among them, is no rows where `ndim` is 2: (0, w) for
+    a `shape` of width w, else (0, 0), as `_as_rows` gives.
     The package's one shape rule: input numpy cannot convert (ragged, or not
     numbers where `dtype` asks for them), complex input where `dtype` is
     real, input deeper than `ndim`, and input whose shape is not `shape`
@@ -128,7 +130,10 @@ def as_ndim(x, ndim, dtype=None, shape=None, name="input") -> np.ndarray:
     if arr.ndim != ndim:
         if arr.ndim > ndim and shape is None:
             raise ShapeMismatchError(f"expected a {ndim}-D array, got shape {arr.shape}")
-        arr = (np.atleast_1d if ndim == 1 else np.atleast_2d)(arr)  # a deeper one as it is
+        if arr.shape == (0,) and ndim == 2:  # no rows, of the width `shape` gives or of none
+            arr = arr.reshape(0, shape[1] if shape else 0)
+        else:
+            arr = (np.atleast_1d if ndim == 1 else np.atleast_2d)(arr)  # a deeper one as it is
     # tuple tests only: no call, and a free first length is one slice
     if shape is not None and arr.shape != shape and (
             shape[0] is not None or arr.shape[1:] != shape[1:]):
@@ -136,9 +141,16 @@ def as_ndim(x, ndim, dtype=None, shape=None, name="input") -> np.ndarray:
     return arr
 
 
-def is_int(value) -> bool:
-    """An integer, numpy's included, that is not a bool."""
-    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+def check_count(value, lo, hi, name) -> None:
+    """The package's one count rule, for DAS's K, each recall k and k-means'
+    k and max_iter: KOutOfRangeError("K=5 outside [1, 4]: it must be an
+    integer in range") unless `value` is an integer, numpy's but not a bool,
+    in [lo, hi] (hi None: no upper bound).  An int passes on no call."""
+    if not (type(value) is int or isinstance(value, numbers.Integral)
+            and not isinstance(value, bool)) or value < lo or hi is not None and value > hi:
+        bound = "inf)" if hi is None else f"{hi}]"
+        raise KOutOfRangeError(f"{name}={value!r} outside [{lo}, {bound}: "
+                               "it must be an integer in range")
 
 
 def as_labels(labels, n=None, n_classes=None) -> np.ndarray:

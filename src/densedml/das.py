@@ -23,8 +23,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import SeededRng, ZERO_NORM_EPS, as_labels, as_ndim, is_int, label_masks, scatter_rows
-from .errors import ConfigError, KOutOfRangeError, ShapeMismatchError
+from .core import (SeededRng, ZERO_NORM_EPS, as_labels, as_ndim, check_count, label_masks,
+                   scatter_rows)
+from .errors import ConfigError, ShapeMismatchError
 
 
 @dataclass
@@ -55,12 +56,6 @@ class DasConfig:
             raise ConfigError(f"das.rb must be >= 0, got {self.rb}")
 
 
-def _check_k(k, dim):
-    """KOutOfRangeError unless K is an integer (`core.is_int`) in [1, dim]."""
-    if not (type(k) is int or is_int(k)) or not 1 <= k <= dim:  # an int costs no call
-        raise KOutOfRangeError(f"K={k!r} outside [1, {dim}]: it must be an integer in range")
-
-
 class FrequencyRecorder:
     """C x d counters of how often each channel is among a class embedding's
     top-K activations.  Counters only grow; no decay."""
@@ -73,7 +68,7 @@ class FrequencyRecorder:
         n_classes, dim = self.counts.shape
         emb = as_ndim(embeddings, 2, np.float64, (None, dim), "embeddings")
         labels = as_labels(labels, emb.shape[0], n_classes)
-        _check_k(k, dim)
+        check_count(k, 1, dim, "K")
         # each row's K largest entries; the stable sort keeps the lower
         # index first among ties
         top = (-emb).argsort(axis=1, kind="stable")[:, :k]
@@ -82,7 +77,7 @@ class FrequencyRecorder:
     def mask(self, k: int) -> np.ndarray:
         """C x d binary mask marking each class's K most frequent channels."""
         n_classes, dim = self.counts.shape
-        _check_k(k, dim)
+        check_count(k, 1, dim, "K")
         top = (-self.counts).argsort(axis=1, kind="stable")[:, :k]
         out = np.zeros((n_classes, dim))
         out[np.arange(n_classes)[:, None], top] = 1.0
@@ -252,10 +247,8 @@ def produced_backward(batch: ProducedBatch, grad_produced, n_anchors: int, dim: 
     vp, rows = batch.embeddings, batch.anchor_rows
     if vp.shape[1] != dim:
         raise ShapeMismatchError(f"produced rows of width {vp.shape[1]} != {dim}")
-    if not rows.size and not as_ndim(grad_produced, 2, np.float64).size:
-        return np.zeros((n_anchors, dim))  # no produced row: an empty gradient, [] among them
     g = as_ndim(grad_produced, 2, np.float64, vp.shape, "gradient")
-    if np.minimum.reduce(rows) < 0 or np.maximum.reduce(rows) >= n_anchors:
+    if np.minimum.reduce(rows, initial=0) < 0 or np.maximum.reduce(rows, initial=-1) >= n_anchors:
         raise ShapeMismatchError(f"an anchor row is outside [0, {n_anchors})")
     inv = batch.inv_norms[:, None]
     through_norm = (g - np.add.reduce(g * vp, axis=1, keepdims=True) * vp) * inv

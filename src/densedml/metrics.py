@@ -64,8 +64,8 @@ def recall_at_k(embeddings, labels, ks) -> dict:
 
     Every point queries all others ranked by l2 distance (ties to the lower
     index); a hit means some same-label point appears in the top k.  Labels
-    are integers (`core.as_labels`), one per point; each k is an integer
-    (`core.is_int`) in [1, n).
+    are integers (`core.as_labels`), one per point; each k is an integer in
+    [1, n) (`core.check_count`).
 
     No query is sorted.  Under the order (distance, index) a query's first
     same-label point p* sits at rank #{j: d_j < d_p*} + #{j: d_j == d_p*,
@@ -140,16 +140,11 @@ def recall_at_k(embeddings, labels, ks) -> dict:
         ks = list(ks)
     except TypeError:
         raise KOutOfRangeError(f"recall ks must be an iterable of integers, got {ks!r}") from None
-    for k in ks:
-        if not core.is_int(k):
-            raise KOutOfRangeError(f"recall k must be an integer, got {k!r}")
-    ks = sorted(int(k) for k in ks)
     if not ks:
         raise KOutOfRangeError("recall needs at least one k")
-    if ks[0] < 1:
-        raise KOutOfRangeError(f"recall k must be >= 1, got {ks[0]}")
-    if n < 2 or ks[-1] >= n:
-        raise KOutOfRangeError(f"max k {ks[-1]} needs at least {ks[-1] + 1} points, have {n}")
+    for k in ks:
+        core.check_count(k, 1, n - 1, "k")
+    ks = sorted(int(k) for k in ks)
     # sorted by label, a query's partners are one run of columns; column j
     # is in run run_of[j]
     order = np.argsort(labels, kind="stable")
@@ -210,8 +205,8 @@ def recall_at_k(embeddings, labels, ks) -> dict:
 def kmeans(embeddings, k: int, rng: SeededRng, max_iter: int = 100):
     """Lloyd's algorithm from k-means++ style seeding: (assign, centroids).
 
-    Deterministic given rng.  `k` and `max_iter` are integers >= 1 (not
-    bools), checked before any draw.  Every squared distance that decides a
+    Deterministic given rng.  `k` in [1, n] and `max_iter` >= 1 go through
+    `core.check_count` first.  Every squared distance that decides a
     draw or an assignment has the kernel's bits, over one plane copy of the
     points per call.  Seeding keeps each point's squared distance to its
     nearest chosen center as a running minimum: per center, the points'
@@ -261,19 +256,15 @@ def kmeans(embeddings, k: int, rng: SeededRng, max_iter: int = 100):
     bytes each, up to six n-vectors of 8n bytes, the k x d sums, a chunk of
     rebuilt bins (it fits core.DISTANCE_BLOCK_BYTES) with 16 bytes a point
     for the chunk's indices and clusters, and per point with several
-    candidates 10k bytes plus 48 per candidate, beside
-    core._pair_distances' gathers (they fit core.DISTANCE_BLOCK_BYTES).  On
-    unit rows almost every point has one candidate.
+    candidates 18k bytes, np.argmin's transposed copy of their distances
+    among them, plus 48 per candidate, beside core._pair_distances' gathers
+    (they fit core.DISTANCE_BLOCK_BYTES).  On unit rows almost every point
+    has one candidate.
     """
     x = core._as_rows(embeddings)
     n = x.shape[0]
-    for name, value in (("k", k), ("max_iter", max_iter)):
-        if not core.is_int(value):
-            raise KOutOfRangeError(f"k-means {name} must be an integer, got {value!r}")
-        if value < 1:
-            raise KOutOfRangeError(f"k-means needs {name} >= 1, got {value}")
-    if k > n:
-        raise KOutOfRangeError(f"k={k} exceeds {n} points")
+    core.check_count(k, 1, n, "k")
+    core.check_count(max_iter, 1, None, "max_iter")
     d = x.shape[1]
     # the points' planes over a row of ones, then the centroids' planes over
     # -|c|^2 / 2, in one array so that core._pair_distances pairs centroids
@@ -323,7 +314,7 @@ def kmeans(embeddings, k: int, rng: SeededRng, max_iter: int = 100):
             cj, ci = np.nonzero(~far[:, several])
             dist = np.full((k, several.size), np.inf)
             dist[cj, ci] = core._pair_distances(planes[:d], n + cj, several[ci])
-            new_assign[several] = _argmin_leading(dist)
+            new_assign[several] = np.argmin(dist, axis=0)
         moved = np.flatnonzero(new_assign != assign)
         if not moved.size:
             break
@@ -339,13 +330,6 @@ def kmeans(embeddings, k: int, rng: SeededRng, max_iter: int = 100):
     return assign, centers
 
 
-def _argmin_leading(values):
-    """np.argmin(values, axis=0), ties to the lower row, without the
-    transposed copy of `values` that np.argmin makes: the first row at the
-    least value."""
-    return np.argmax(values == values.min(axis=0), axis=0)
-
-
 def _contingency(a, b):
     a = core.as_labels(a)
     b = core.as_labels(b, a.shape[0])
@@ -358,7 +342,6 @@ def _contingency(a, b):
 
 def _entropy(counts):
     p = counts / counts.sum()
-    p = p[p > 0]
     return float(-(p * np.log(p)).sum())
 
 
@@ -376,9 +359,8 @@ def nmi(assignment, labels) -> float:
     pa = table.sum(axis=1) / n
     pb = table.sum(axis=0) / n
     pij = table / n
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ratio = pij / (pa[:, None] * pb[None, :])
-        terms = np.where(pij > 0, pij * np.log(np.where(pij > 0, ratio, 1.0)), 0.0)
+    ratio = pij / (pa[:, None] * pb[None, :])
+    terms = pij * np.log(np.where(pij > 0, ratio, 1.0))
     info = float(terms.sum())
     return float(min(max(info / np.sqrt(h_a * h_b), 0.0), 1.0))
 

@@ -1,10 +1,14 @@
 import json
+import os
 import runpy
+import subprocess
+import sys
 import warnings
 
 import numpy as np
 import pytest
 
+import densedml
 import densedml.training as training
 from densedml.cli import main
 from densedml.config import RunConfig, config_to_dict, load_config
@@ -309,6 +313,28 @@ class TestEntryPoint:
         err = capsys.readouterr().err
         assert err.startswith("error: out of memory: Unable to allocate") and "PiB" in err
         assert err.count("\n") == 1
+
+    # numpy cannot shape these (2**60 entries or more); before, das.T=2**62
+    # died of SIGSEGV in batch_layout's np.repeat and the others exited 1 with
+    # a ValueError or OverflowError traceback.  A subprocess survives a signal.
+    @pytest.mark.parametrize("override", [
+        f"das.T={2**62}", f"das.T={10**18}", f"das.T={10**20}",
+        *(f"{key}={10**18}" for key in (
+            "das.Z", "batch.samples_per_class", "data.classes", "data.per_class",
+            "data.input_dim", "encoder.embed_dim", "encoder.hidden")),
+    ])
+    def test_unshapeable_size_exit_2(self, tmp_path, override):
+        src = os.path.dirname(os.path.dirname(densedml.__file__))  # the package's parent
+        out = subprocess.run(
+            [sys.executable, "-m", "densedml.cli", "train", "--set", "steps=2", "--set", override,
+             "--out-dir", str(tmp_path / "run")],
+            capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=src), timeout=120)
+        assert out.returncode == 2
+        section, name = override.split("=")[0].split(".")
+        assert out.stderr.startswith("config error: ")
+        assert f"{section}." in out.stderr and name in out.stderr  # the key, named
+        assert out.stderr.endswith("numpy holds < 2**60\n") and out.stderr.count("\n") == 1
+        assert not (tmp_path / "run").exists()
 
     def test_module_runs_main(self, monkeypatch, capsys):
         monkeypatch.setattr("sys.argv", ["densedml", "write-config"])

@@ -24,7 +24,7 @@ from densedml.errors import (
     ZeroNormError,
 )
 from densedml.losses import LossSpec, multi_similarity_loss
-from densedml.metrics import evaluate_embeddings, f1_score, nmi, recall_at_k
+from densedml.metrics import evaluate_embeddings, f1_score, kmeans, nmi, recall_at_k
 from densedml.sampling import anchor_layout
 
 from conftest import random_unit_rows
@@ -113,6 +113,17 @@ class TestPairwiseDistances:
         # kept the real part, 1.0, as one row
         with pytest.raises(ShapeMismatchError, match="complex input"):
             core.as_ndim([np.complex128(1j), 1.0], 2, np.float64)
+
+    @pytest.mark.parametrize("dtype", [None, np.float64])
+    @pytest.mark.parametrize("shape, want", [(None, (0, 0)), ((None, 3), (0, 3))])
+    def test_empty_input_is_no_rows(self, shape, want, dtype):
+        # [] was one row of no columns, (1, 0), where _as_rows gave no rows
+        for empty in ([], (), np.zeros(0)):
+            assert core.as_ndim(empty, 2, dtype, shape).shape == want
+        assert core.as_ndim([], 2).shape == core._as_rows([]).shape
+        assert core.as_ndim([], 1, dtype).shape == (0,)
+        with pytest.raises(ShapeMismatchError, match=re.escape("rows (0,) != (2, 3)")):
+            core.as_ndim([], 2, dtype, (2, 3), "rows")
 
     def test_int_too_large_for_float64_raises(self):
         # numpy's OverflowError escaped
@@ -475,4 +486,58 @@ class TestOneLabelRule:
         (None, False),
     ])
     def test_is_int(self, value, want):
-        assert core.is_int(value) is want
+        # the integer half of core.check_count: numpy's integers pass, bools fail
+        if want:
+            core.check_count(value, 1, None, "k")
+        else:
+            with pytest.raises(KOutOfRangeError, match=re.escape(count_message("k", value, 1))):
+                core.check_count(value, 1, None, "k")
+
+
+def count_message(name, value, lo, hi=None):
+    """core.check_count's one wording for a `value` outside [lo, hi]."""
+    bound = "inf)" if hi is None else f"{hi}]"
+    return f"{name}={value!r} outside [{lo}, {bound}: it must be an integer in range"
+
+
+def _recorded(k):
+    """The counts of a fresh recorder after one update with top-K `k`."""
+    recorder = FrequencyRecorder(2, 4)
+    recorder.update(np.eye(4)[:2], [0, 1], k)
+    return recorder.counts
+
+
+# Every entry point that takes a count, with the name and the [lo, hi] it
+# checks the count against (hi None: no upper bound): each calls
+# `core.check_count`.
+COUNT_TAKERS = {
+    "recorder_update": (lambda k, rng: _recorded(k), "K", 1, 4),
+    "recorder_mask": (lambda k, rng: FrequencyRecorder(2, 4).mask(k), "K", 1, 4),
+    "recall_at_k": (lambda k, rng: recall_at_k(np.eye(4), [0, 0, 1, 1], [k]), "k", 1, 3),
+    "kmeans_k": (lambda k, rng: kmeans(np.eye(4), k, rng), "k", 1, 4),
+    "kmeans_max_iter": (lambda k, rng: kmeans(np.eye(4), 2, rng, max_iter=k), "max_iter", 1,
+                        None),
+}
+# each entry point's bad counts: the same six values, and one above its bound
+BAD_COUNTS = [(call, value) for call, (_, _, _, hi) in sorted(COUNT_TAKERS.items())
+              for value in [2.0, True, np.True_, "2", None, 0] + ([] if hi is None else [hi + 1])]
+
+
+class TestOneCountRule:
+    """Every entry point that takes a K, k or max_iter rejects the same bad
+    counts with one wording, before any draw."""
+
+    @pytest.mark.parametrize("call, value", BAD_COUNTS)
+    def test_bad_counts(self, call, value):
+        take, name, lo, hi = COUNT_TAKERS[call]
+        rng = SeededRng(0)
+        with pytest.raises(KOutOfRangeError,
+                           match=f"^{re.escape(count_message(name, value, lo, hi))}$"):
+            take(value, rng)
+        assert rng.random() == SeededRng(0).random()
+
+    @pytest.mark.parametrize("value", [np.int64(2), np.uint8(2)])
+    @pytest.mark.parametrize("call", sorted(COUNT_TAKERS))
+    def test_numpy_integers_pass(self, call, value):
+        take = COUNT_TAKERS[call][0]
+        assert repr(take(value, SeededRng(0))) == repr(take(2, SeededRng(0)))

@@ -1,6 +1,7 @@
 import copy
 import json
 import os
+import re
 
 import numpy as np
 import pytest
@@ -488,6 +489,23 @@ class TestConfig:
         apply_override(cfg, key, value)
         with pytest.raises(ConfigError, match=key):
             cfg.validate()
+
+    # each array the config shapes, at 2**60 entries, which numpy cannot hold
+    # as float64 or int64 (the other sizes at their defaults)
+    @pytest.mark.parametrize("key, at_bound, keys", [
+        ("data.classes", 2**49, "data.classes/per_class/input_dim"),
+        ("encoder.hidden", [2**55], "data.input_dim, encoder.hidden/embed_dim"),
+        ("das.Z", 2**52, "data.classes, das.Z, encoder.embed_dim"),
+        ("das.T", 2**56 - 1, "batch.classes_per_batch/samples_per_class, das.T"),
+    ])
+    def test_unshapeable_size_rejected_naming_keys(self, key, at_bound, keys):
+        cfg = RunConfig()
+        apply_override(cfg, key, at_bound)
+        message = f"{keys} give an array of {2**60} entries: numpy holds < 2**60"
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+            cfg.validate()
+        apply_override(cfg, key, [at_bound[0] - 1] if key == "encoder.hidden" else at_bound - 1)
+        cfg.validate()  # one entry fewer passes: validation allocates nothing
 
     def test_validation_catches_bad_batch(self):
         cfg = tiny_config()
