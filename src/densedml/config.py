@@ -97,6 +97,8 @@ class RunConfig:
     optim: OptimConfig = field(default_factory=OptimConfig)
 
     def validate(self) -> "RunConfig":
+        """The rules that read the config alone, run before any data is built
+        or loaded; `training.preflight` holds those that read the dataset."""
         if self.seed < 0:
             raise ConfigError(f"seed must be >= 0, got {self.seed}")
         if self.data.seed < -1:
@@ -105,27 +107,26 @@ class RunConfig:
             raise ConfigError("steps must be >= 1")
         if self.eval_every < 0:
             raise ConfigError("eval_every must be >= 0")
-        if not self.eval_ks or any(k < 1 for k in self.eval_ks):
-            raise ConfigError("eval_ks must be a nonempty list of positive integers")
         self.encoder.validate()
         self.batch.validate()
         self.sampler.validate()
         self.loss.validate()
         self.das.validate(self.encoder.embed_dim)
         self.optim.validate()
-        # sizes that shape an array of 2**60 entries or more, which numpy cannot
-        # hold as float64 or int64 (a size memory cannot hold is a MemoryError)
-        d, e, das, b = self.data, self.encoder, self.das, self.batch
-        w = [d.input_dim, *e.hidden, e.embed_dim]  # a layer's weights: two neighbours
-        for keys, size in (
-                ("data.classes/per_class/input_dim", d.classes * d.per_class * d.input_dim),
-                ("data.input_dim, encoder.hidden/embed_dim", max(m * n for m, n in zip(w, w[1:]))),
-                ("data.classes, das.Z, encoder.embed_dim", d.classes * das.Z * e.embed_dim),
-                ("batch.classes_per_batch/samples_per_class, das.T",
-                 b.classes_per_batch * b.samples_per_class * (das.T + 1))):
-            if size >= 2**60:
-                raise ConfigError(f"{keys} give an array of {size} entries: numpy holds < 2**60")
+        d, b = self.data, self.batch
+        check_sizes(("data.classes/per_class/input_dim",
+                     0 if d.path else d.classes * d.per_class * d.input_dim),
+                    ("batch.classes_per_batch/samples_per_class, das.T",
+                     b.classes_per_batch * b.samples_per_class * (self.das.T + 1)))
         return self
+
+
+def check_sizes(*terms) -> None:
+    """The size rule: ConfigError naming the keys of the first (keys, size)
+    term whose array holds 2**60 entries or more, which numpy cannot shape."""
+    for keys, size in terms:
+        if size >= 2**60:
+            raise ConfigError(f"{keys} give an array of {size} entries: numpy holds < 2**60")
 
 
 _SECTIONS = ("data", "encoder", "batch", "sampler", "loss", "das", "optim")

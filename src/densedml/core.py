@@ -122,8 +122,8 @@ def as_ndim(x, ndim, dtype=None, shape=None, name="input") -> np.ndarray:
     ShapeMismatchError.  A wrong shape names the input and gives both
     shapes, a free length as *: "embeddings (2, 5) != (*, 4)"."""
     try:
-        arr = np.asarray(x)
-        if dtype is not None and arr.dtype != dtype:  # an array of `dtype` passes on one call
+        arr = x if type(x) is np.ndarray else np.asarray(x)
+        if dtype is not None and arr.dtype != dtype:  # an array of `dtype` passes on no call
             arr = _cast(x, dtype)
     except (ValueError, TypeError, OverflowError) as exc:
         raise ShapeMismatchError(f"{name} is not a {ndim}-D numeric array: {exc}") from exc

@@ -50,10 +50,7 @@ class TripletSet:
         """Each triplet contributes its (a,p) positive and (a,n) negative pair."""
         first = np.concatenate([self.anchors, self.anchors])
         second = np.concatenate([self.positives, self.negatives])
-        flags = np.concatenate(
-            [np.ones(len(self), dtype=bool), np.zeros(len(self), dtype=bool)]
-        )
-        return PairSet(first, second, flags)
+        return PairSet(first, second, np.repeat([True, False], len(self)))
 
 
 @dataclass

@@ -48,15 +48,9 @@ class EvalReport:
     n_queries: int
 
     def to_json_dict(self, step=None) -> dict:
-        out = {}
-        if step is not None:
-            out["step"] = step
-        for k in sorted(self.recall_at):
-            out[f"recall@{k}"] = self.recall_at[k]
-        out["nmi"] = self.nmi
-        out["f1"] = self.f1
-        out["n_queries"] = self.n_queries
-        return out
+        out = {} if step is None else {"step": step}
+        out.update({f"recall@{k}": self.recall_at[k] for k in sorted(self.recall_at)})
+        return {**out, "nmi": self.nmi, "f1": self.f1, "n_queries": self.n_queries}
 
 
 def recall_at_k(embeddings, labels, ks) -> dict:
@@ -352,12 +346,11 @@ def nmi(assignment, labels) -> float:
     n = table.sum()
     if n == 0:
         raise ShapeMismatchError("empty inputs")
-    h_a = _entropy(table.sum(axis=1))
-    h_b = _entropy(table.sum(axis=0))
+    rows, cols = table.sum(axis=1), table.sum(axis=0)
+    h_a, h_b = _entropy(rows), _entropy(cols)
     if h_a == 0.0 or h_b == 0.0:
         return 0.0
-    pa = table.sum(axis=1) / n
-    pb = table.sum(axis=0) / n
+    pa, pb = rows / n, cols / n
     pij = table / n
     ratio = pij / (pa[:, None] * pb[None, :])
     terms = pij * np.log(np.where(pij > 0, ratio, 1.0))
@@ -367,7 +360,7 @@ def nmi(assignment, labels) -> float:
 
 def f1_score(assignment, labels) -> float:
     """Pairwise F1: precision/recall of same-cluster pairs against
-    same-label pairs; 0.0 if either denominator vanishes."""
+    same-label pairs; 0.0 if either denominator or the shared pairs vanish."""
     table = _contingency(assignment, labels)
 
     def pairs(counts):
@@ -376,12 +369,10 @@ def f1_score(assignment, labels) -> float:
     same_both = pairs(table.ravel())
     same_cluster = pairs(table.sum(axis=1))
     same_label = pairs(table.sum(axis=0))
-    if same_cluster == 0 or same_label == 0:
+    if same_cluster == 0 or same_label == 0 or same_both == 0:
         return 0.0
     precision = same_both / same_cluster
     recall = same_both / same_label
-    if precision + recall == 0:
-        return 0.0
     return float(2 * precision * recall / (precision + recall))
 
 

@@ -20,7 +20,7 @@ from dataclasses import astuple, dataclass, field, fields
 
 import numpy as np
 
-from .config import RunConfig, apply_override, save_config
+from .config import RunConfig, apply_override, check_sizes, save_config
 from .core import STREAMS, SeededRng, pairwise_distances
 from .das import FrequencyRecorder, TransformationBank, produce, produced_backward
 from .data import Dataset, generate_gaussian_clusters, load_csv
@@ -34,8 +34,7 @@ from .encoder import (
     optimizer_step,
     save_checkpoint,
 )
-from .errors import (ConfigError, CorruptCheckpointError, EngineError, ShapeMismatchError,
-                     TrainingAbortError)
+from .errors import ConfigError, CorruptCheckpointError, EngineError, TrainingAbortError
 from .losses import contrastive_loss, margin_loss, multi_similarity_loss, triplet_loss
 from .metrics import EvalReport, evaluate_embeddings
 from .sampling import BatchLayout, anchor_layout, batch_layout, sample_batch, sample_triplets
@@ -72,13 +71,32 @@ def build_dataset(cfg: RunConfig, rng: SeededRng) -> Dataset:
 
 
 def check_eval_ks(ks, dataset: Dataset) -> None:
-    """Reject a recall k the dataset's test split is too small to score."""
+    """The one eval_ks rule: a nonempty list, every k in [1, n_test) for the
+    dataset's n_test test points."""
+    if not ks or min(ks) < 1:
+        raise ConfigError("eval_ks must be a nonempty list of positive integers")
     n_test = dataset.subset(dataset.test_classes)[1].size
     if max(ks) >= n_test:
         raise ConfigError(
             f"eval_ks max {max(ks)} needs at least {max(ks) + 1} "
             f"test points, the test split has {n_test}"
         )
+
+
+def preflight(cfg: RunConfig, dataset: Dataset) -> None:
+    """The rules that read the dataset, run before anything is built for it:
+    the size rule on the largest layer and the DAS bank, at the data's width
+    and training classes; batch.classes_per_batch; `check_eval_ks`."""
+    n_train, e = len(dataset.train_classes), cfg.encoder
+    w = e.layer_sizes(dataset.input_dim)  # a layer's weights: two neighbours
+    check_sizes(("the data's width, encoder.hidden/embed_dim",
+                 max(m * n for m, n in zip(w, w[1:]))),
+                (f"the {n_train} training classes, das.Z, encoder.embed_dim",
+                 n_train * cfg.das.Z * e.embed_dim))
+    if cfg.batch.classes_per_batch > n_train:
+        raise ConfigError(f"batch.classes_per_batch={cfg.batch.classes_per_batch} exceeds the "
+                          f"{n_train} training classes")
+    check_eval_ks(cfg.eval_ks, dataset)
 
 
 def _loss_for(cfg: RunConfig, embeddings, labels, triplets, beta, dist):
@@ -167,14 +185,8 @@ def train(cfg: RunConfig, trace=None) -> TrainResult:
     root = SeededRng(cfg.seed)
     rng_data = root.derive("data")
     dataset = build_dataset(cfg, rng_data)
-    n_train_classes = len(dataset.train_classes)
-    if cfg.batch.classes_per_batch > n_train_classes:
-        raise ConfigError(
-            f"batch.classes_per_batch={cfg.batch.classes_per_batch} exceeds the "
-            f"{n_train_classes} training classes"
-        )
-    check_eval_ks(cfg.eval_ks, dataset)
-    d_embed = cfg.encoder.embed_dim
+    preflight(cfg, dataset)
+    n_train_classes, d_embed = len(dataset.train_classes), cfg.encoder.embed_dim
     state = TrainResult(
         params=init_params(cfg.encoder.layer_sizes(dataset.input_dim), cfg.encoder.activation,
                            root.derive("init")),
@@ -213,13 +225,11 @@ def train(cfg: RunConfig, trace=None) -> TrainResult:
 def evaluate_checkpoint(checkpoint_path, dataset: Dataset, ks) -> EvalReport:
     """Load a checkpoint and score the dataset's test split at recall `ks`.
 
-    Finite parameters can still overflow the encoder: outputs on the split
-    that are not finite are a CorruptCheckpointError naming the file."""
+    Data of another width than the encoder's input is `encode`'s
+    ShapeMismatchError.  Finite parameters can still overflow the encoder:
+    outputs on the split that are not finite are a CorruptCheckpointError
+    naming the file."""
     params, _, seed = load_checkpoint(checkpoint_path)
-    if dataset.input_dim != params.input_dim:
-        raise ShapeMismatchError(
-            f"dataset dim {dataset.input_dim} != encoder d_in {params.input_dim}"
-        )
     feats, labels = dataset.subset(dataset.test_classes)
     with np.errstate(over="ignore", invalid="ignore"):
         emb, _ = encode(params, feats)

@@ -21,6 +21,24 @@ def run_cli(*args):
     return main(list(args))
 
 
+def train_in_subprocess(tmp_path, *args):
+    """`python -m densedml.cli train *args --out-dir tmp_path/run`, completed;
+    a subprocess survives a signal."""
+    src = os.path.dirname(os.path.dirname(densedml.__file__))  # the package's parent
+    return subprocess.run(
+        [sys.executable, "-m", "densedml.cli", "train", *args, "--out-dir", str(tmp_path / "run")],
+        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=src), timeout=120)
+
+
+def write_csv(tmp_path, classes, per_class, input_dim):
+    """Gaussian clusters of these sizes written by generate-data; the path."""
+    path = tmp_path / "d.csv"
+    assert run_cli("generate-data", "--out", str(path), "--set", f"data.classes={classes}",
+                   "--set", f"data.per_class={per_class}",
+                   "--set", f"data.input_dim={input_dim}") == 0
+    return path
+
+
 # 6 classes x 8 points in 6 dimensions: a CSV split 3/3
 CSV_DATA = ["--set", "data.classes=6", "--set", "data.per_class=8", "--set", "data.input_dim=6"]
 
@@ -324,17 +342,38 @@ class TestEntryPoint:
             "data.input_dim", "encoder.embed_dim", "encoder.hidden")),
     ])
     def test_unshapeable_size_exit_2(self, tmp_path, override):
-        src = os.path.dirname(os.path.dirname(densedml.__file__))  # the package's parent
-        out = subprocess.run(
-            [sys.executable, "-m", "densedml.cli", "train", "--set", "steps=2", "--set", override,
-             "--out-dir", str(tmp_path / "run")],
-            capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=src), timeout=120)
+        out = train_in_subprocess(tmp_path, "--set", "steps=2", "--set", override)
         assert out.returncode == 2
         section, name = override.split("=")[0].split(".")
         assert out.stderr.startswith("config error: ")
         assert f"{section}." in out.stderr and name in out.stderr  # the key, named
         assert out.stderr.endswith("numpy holds < 2**60\n") and out.stderr.count("\n") == 1
         assert not (tmp_path / "run").exists()
+
+    # the bank is sized by the CSV's 3 training classes, not by data.classes=2,
+    # which let it through validation before: it exited 1 with numpy's
+    # "array is too big" from TransformationBank
+    def test_unshapeable_bank_of_csv_classes_exit_2(self, tmp_path):
+        data = write_csv(tmp_path, classes=6, per_class=4, input_dim=5)
+        out = train_in_subprocess(
+            tmp_path, "--set", f"data.path={data}", "--set", "data.classes=2",
+            "--set", "das.Z=36028797018963967", "--set", "batch.classes_per_batch=3",
+            "--set", "eval_ks=1")
+        assert out.returncode == 2
+        assert out.stderr.startswith("config error: ") and out.stderr.count("\n") == 1
+        assert "das.Z" in out.stderr and out.stderr.endswith("numpy holds < 2**60\n")
+        assert not (tmp_path / "run").exists()
+
+    # data.input_dim sizes generated data only; the size rule read it for a
+    # CSV run before and exited 2
+    def test_csv_run_ignores_generated_data_sizes(self, tmp_path, capsys):
+        data = write_csv(tmp_path, classes=6, per_class=4, input_dim=5)
+        code = run_cli("train", "--set", f"data.path={data}", "--set", f"data.input_dim={2**50}",
+                       "--set", "steps=2", "--set", "batch.classes_per_batch=2",
+                       "--set", "eval_ks=1", "--out-dir", str(tmp_path / "run"))
+        assert code == 0
+        report = json.loads(capsys.readouterr().out.splitlines()[-1])
+        assert report["n_queries"] == 12  # 3 test classes x 4 points
 
     def test_module_runs_main(self, monkeypatch, capsys):
         monkeypatch.setattr("sys.argv", ["densedml", "write-config"])

@@ -31,6 +31,7 @@ from densedml.das import (
     produce,
     produced_backward,
 )
+from densedml.data import generate_gaussian_clusters, save_csv
 from densedml.encoder import (
     ACTIVATIONS,
     OPTIMIZER_RULES,
@@ -79,17 +80,20 @@ EDGES = {
     list: [[0], [1], [1, 2], [9, 9], [1.5]],
     str: [*SAMPLER_KINDS, *LOSS_KINDS, *ACTIVATIONS, *OPTIMIZER_RULES, ""],
 }
-SPECIAL = {"seed": [-1, 0, 7, 2**40], "steps": [-1, 0, 1, 3]}  # steps stay at most 3
+CSV = "<csv>"  # stands for the `csv_dataset` file
+# steps stay at most 3; data.path names an existing CSV or none, since a
+# missing file is an OSError (the CLI's exit 3), not an EngineError
+SPECIAL = {"seed": [-1, 0, 7, 2**40], "steps": [-1, 0, 1, 3], "data.path": [CSV, ""]}
 
 
 def _leaf_keys():
-    """Every dotted config key but `out_dir` and `data.path`, which name
-    files (an OSError there is the CLI's exit 3, not an EngineError)."""
+    """Every dotted config key but `out_dir`, which names a directory the
+    run writes."""
     keys = {}
     for name, value in config_to_dict(RunConfig()).items():
         for sub, default in (value.items() if isinstance(value, dict) else [(None, value)]):
             keys[f"{name}.{sub}" if sub else name] = default
-    return {k: v for k, v in keys.items() if k not in ("out_dir", "data.path")}
+    return {k: v for k, v in keys.items() if k != "out_dir"}
 
 
 KEYS = _leaf_keys()
@@ -97,7 +101,16 @@ KEYS = _leaf_keys()
 
 def _values(key):
     edges = SPECIAL.get(key) or EDGES[type(KEYS[key])]
-    return st.sampled_from(edges + ([] if key == "steps" else WRONG))
+    return st.sampled_from(edges + ([] if key in ("steps", "data.path") else WRONG))
+
+
+@pytest.fixture(scope="module")
+def csv_dataset(tmp_path_factory):
+    """6 classes of 5 points in 3 dimensions, split 3/3: neither SMALL's
+    class count nor its width."""
+    path = tmp_path_factory.mktemp("config_csv") / "data.csv"
+    save_csv(generate_gaussian_clusters(6, 5, 3, 1.0, 0.6, SeededRng(3)), path)
+    return str(path)
 
 
 config_items = st.lists(st.sampled_from(sorted(KEYS)).flatmap(
@@ -107,11 +120,12 @@ config_items = st.lists(st.sampled_from(sorted(KEYS)).flatmap(
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # overflow on 1e300 inputs is expected
 @settings(max_examples=300, deadline=None, derandomize=True)
 @given(config_items)
-def test_config_document_through_train(items):
+def test_config_document_through_train(csv_dataset, items):
     doc = copy.deepcopy(SMALL)
     for key, value in items:
         section, _, name = key.rpartition(".")
-        (doc.setdefault(section, {}) if section else doc)[name] = value
+        (doc.setdefault(section, {}) if section else doc)[name] = (
+            csv_dataset if value == CSV else value)
     try:
         train(config_from_dict(doc))
     except EngineError:

@@ -15,7 +15,7 @@ _spec.loader.exec_module(step_calls)
 
 # calls per step over 500 steps of the perfbench config, seed 9 (set-up and
 # the final evaluation add about 9.2 per step at 500 steps)
-BUDGET = {"train_das": 288, "train_plain": 175}
+BUDGET = {"train_das": 272, "train_plain": 169}
 
 
 @pytest.mark.skipif(np.__version__ != "2.4.6",

@@ -25,7 +25,9 @@ from densedml.training import (
     ComparisonTable,
     VariantSummary,
     ablation_variants,
+    build_dataset,
     evaluate_checkpoint,
+    preflight,
     run_comparison,
     sweep_variants,
     train,
@@ -483,6 +485,7 @@ class TestConfig:
         ("optim.momentum", -0.5), ("optim.momentum", 1.0), ("optim.momentum", 1.5),
         ("sampler.clip", 0.0), ("sampler.clip", -1.0),
         ("sampler.semihard_margin", 0.0), ("sampler.semihard_margin", -0.2),
+        ("loss.beta_lr", 0.0), ("loss.beta_lr", -1.0),
     ])
     def test_out_of_range_rejected_naming_key(self, key, value):
         cfg = RunConfig()
@@ -490,12 +493,10 @@ class TestConfig:
         with pytest.raises(ConfigError, match=key):
             cfg.validate()
 
-    # each array the config shapes, at 2**60 entries, which numpy cannot hold
-    # as float64 or int64 (the other sizes at their defaults)
+    # each array the config alone shapes, at 2**60 entries, which numpy cannot
+    # hold as float64 or int64 (the other sizes at their defaults)
     @pytest.mark.parametrize("key, at_bound, keys", [
         ("data.classes", 2**49, "data.classes/per_class/input_dim"),
-        ("encoder.hidden", [2**55], "data.input_dim, encoder.hidden/embed_dim"),
-        ("das.Z", 2**52, "data.classes, das.Z, encoder.embed_dim"),
         ("das.T", 2**56 - 1, "batch.classes_per_batch/samples_per_class, das.T"),
     ])
     def test_unshapeable_size_rejected_naming_keys(self, key, at_bound, keys):
@@ -504,8 +505,31 @@ class TestConfig:
         message = f"{keys} give an array of {2**60} entries: numpy holds < 2**60"
         with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
             cfg.validate()
-        apply_override(cfg, key, [at_bound[0] - 1] if key == "encoder.hidden" else at_bound - 1)
+        apply_override(cfg, key, at_bound - 1)
         cfg.validate()  # one entry fewer passes: validation allocates nothing
+
+    def test_generated_data_size_not_applied_to_a_csv(self):
+        cfg = RunConfig()
+        apply_override(cfg, "data.classes", 2**49)
+        cfg.data.path = "d.csv"  # the CSV's own counts replace the generator's
+        cfg.validate()
+
+    # the layer and the bank at 2**60 entries, sized by the dataset: the
+    # default one's width 32 and its 8 training classes (of 16)
+    @pytest.mark.parametrize("key, at_bound, keys", [
+        ("encoder.hidden", [2**55], "the data's width, encoder.hidden/embed_dim"),
+        ("das.Z", 2**53, "the 8 training classes, das.Z, encoder.embed_dim"),
+    ])
+    def test_unshapeable_dataset_size_rejected_naming_keys(self, key, at_bound, keys):
+        cfg = RunConfig()
+        dataset = build_dataset(cfg, SeededRng(cfg.seed).derive("data"))
+        apply_override(cfg, key, at_bound)
+        cfg.validate()  # the config alone does not know these sizes
+        message = f"{keys} give an array of {2**60} entries: numpy holds < 2**60"
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+            preflight(cfg, dataset)
+        apply_override(cfg, key, [at_bound[0] - 1] if key == "encoder.hidden" else at_bound - 1)
+        preflight(cfg, dataset)  # one entry fewer passes: the preflight allocates nothing
 
     def test_validation_catches_bad_batch(self):
         cfg = tiny_config()
